@@ -183,17 +183,17 @@ fn main() {
             for i in 0..(iters / 10 + 1) as i64 {
                 let _ = g.run(&(op.query)(v, i));
             }
-            let before = g.stats();
+            let before = g.metrics();
             let start = Instant::now();
             for i in 0..iters as i64 {
                 g.run(&(op.query)(v, i)).unwrap();
             }
             let elapsed = start.elapsed() / iters as u32;
-            let d = g.stats().since(&before);
+            let d = g.metrics().since(&before);
             rows.push(vec![
                 v.name.to_string(),
                 fmt_duration(elapsed),
-                format!("{:.1}", d.sql_queries as f64 / iters as f64),
+                format!("{:.1}", d.sql_statements as f64 / iters as f64),
                 format!("{:.1}", d.tables_pruned as f64 / iters as f64),
             ]);
         }

@@ -359,7 +359,7 @@ impl AdjCache {
         let tick = inner.tick;
         let key = (et_idx, out);
         let Some(seg) = inner.segments.get_mut(&key) else {
-            self.registry.record_adj_cache_misses(ids.len() as u64);
+            self.registry.adj_cache_misses.add(ids.len() as u64);
             return all_miss(ids.len());
         };
         let wm = self.watermarks.read().get(&seg.table);
@@ -368,15 +368,15 @@ impl AdjCache {
             // it can never serve anyone again.
             let stale = inner.segments.remove(&key).expect("segment present");
             inner.bytes -= stale.bytes;
-            self.registry.record_adj_cache_invalidations(1);
-            self.registry.record_adj_cache_misses(ids.len() as u64);
+            self.registry.adj_cache_invalidations.add(1);
+            self.registry.adj_cache_misses.add(ids.len() as u64);
             return all_miss(ids.len());
         }
         if wm > epoch {
             // The segment is current but this query's snapshot predates
             // the table's last change: bypass (do not drop — newer
             // queries can still be served).
-            self.registry.record_adj_cache_misses(ids.len() as u64);
+            self.registry.adj_cache_misses.add(ids.len() as u64);
             return all_miss(ids.len());
         }
         seg.last_used = tick;
@@ -391,8 +391,8 @@ impl AdjCache {
                 None => Probe::Miss,
             })
             .collect();
-        self.registry.record_adj_cache_hits(hits);
-        self.registry.record_adj_cache_misses(ids.len() as u64 - hits);
+        self.registry.adj_cache_hits.add(hits);
+        self.registry.adj_cache_misses.add(ids.len() as u64 - hits);
         probes
     }
 
@@ -471,7 +471,7 @@ impl AdjCache {
                 let stale = inner.segments.remove(&key).expect("segment present");
                 inner.bytes -= stale.bytes;
                 if !complete {
-                    self.registry.record_adj_cache_invalidations(1);
+                    self.registry.adj_cache_invalidations.add(1);
                 }
             } else if wm > epoch.min(seg.built_epoch) {
                 return; // incompatible states; keep the existing segment
@@ -511,7 +511,7 @@ impl AdjCache {
             evicted += 1;
         }
         if evicted > 0 {
-            self.registry.record_adj_cache_evictions(evicted);
+            self.registry.adj_cache_evictions.add(evicted);
         }
     }
 
@@ -522,7 +522,7 @@ impl AdjCache {
         inner.segments.clear();
         inner.bytes = 0;
         if n > 0 {
-            self.registry.record_adj_cache_invalidations(n);
+            self.registry.adj_cache_invalidations.add(n);
         }
     }
 }
@@ -601,7 +601,7 @@ mod tests {
         let new_epoch = db.commit_epoch();
         let probes = cache.lookup(0, true, &ids, new_epoch);
         assert!(matches!(probes[0], Probe::Miss));
-        let snap = registry.snapshot_with(Default::default());
+        let snap = registry.snapshot();
         assert_eq!(snap.adj_cache_invalidations, 1);
         assert_eq!(cache.segment_count(), 0);
     }
@@ -649,7 +649,7 @@ mod tests {
         db.execute("CREATE TABLE later (x BIGINT)").unwrap();
         let probes = cache.lookup(0, true, &ids, db.commit_epoch());
         assert!(matches!(probes[0], Probe::Miss));
-        let snap = registry.snapshot_with(Default::default());
+        let snap = registry.snapshot();
         assert_eq!(snap.adj_cache_invalidations, 1);
     }
 
@@ -696,7 +696,7 @@ mod tests {
         }
         assert!(tight.bytes() <= 16 * 1024);
         assert!(tight.segment_count() < 8);
-        let snap = registry.snapshot_with(Default::default());
+        let snap = registry.snapshot();
         assert!(snap.adj_cache_evictions > 0, "{}", snap.adj_cache_evictions);
         // The most recently inserted segment survives.
         let probes = tight.lookup(7, true, &[ElementId::Long(0)], epoch);

@@ -17,7 +17,7 @@ pub enum GraphError {
     /// An error from the Gremlin layer.
     Gremlin(GremlinError),
     /// The query's deadline expired; execution was aborted between
-    /// statements (see [`Db2Graph::run_with_deadline`]).
+    /// statements (see [`Db2Graph::run_for_request`]).
     Timeout,
 }
 

@@ -19,7 +19,6 @@ use crate::metrics::{
     SlowQueryLog, StepExplain, DEFAULT_SLOW_LOG_CAPACITY,
 };
 use crate::sql_dialect::{SqlDialect, WorkloadReport};
-use crate::stats::OverlayStatsSnapshot;
 use crate::strategies::StrategyConfig;
 use crate::topology::Topology;
 use crate::trace::{SpanKind, TraceSink, Tracer, DEFAULT_TRACE_CAPACITY};
@@ -232,18 +231,12 @@ impl Db2Graph {
         self.backend.dialect()
     }
 
-    /// Overlay execution counters.
-    pub fn stats(&self) -> OverlayStatsSnapshot {
-        self.backend.stats().snapshot()
-    }
-
-    /// Aggregate metrics for this graph: traversal and SQL statement
-    /// counts, SQL wall time, rows returned, template cache hit rate,
-    /// latency percentiles, slow-query/trace counters, and the overlay's
-    /// table-elimination counters.
+    /// Aggregate metrics for this graph — every row of the
+    /// [`MetricsSnapshot`] table, including the gauges read live from the
+    /// trace sink, the database and the adjacency cache. Diff two calls
+    /// with [`MetricsSnapshot::since`] to measure a window.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap =
-            self.backend.registry().snapshot_with(self.backend.stats().snapshot());
+        let mut snap = self.backend.registry().snapshot();
         if let Some(sink) = &self.sink {
             snap.trace_spans = sink.len() as u64;
             snap.dropped_spans = sink.dropped();
@@ -297,71 +290,41 @@ impl Db2Graph {
     /// `docs/CONSISTENCY.md`). A nested `graphQuery` call issued *by SQL*
     /// pins its own snapshot at its own start time.
     pub fn run(&self, gremlin: &str) -> GraphResult<Vec<GValue>> {
-        self.run_with_deadline(gremlin, None)
-    }
-
-    /// [`Self::run`] with a cooperative deadline: once `deadline` passes,
-    /// the next SQL-issuing operation (in any traversal step, statement,
-    /// or fan-out worker) aborts the script with [`GraphError::Timeout`]
-    /// instead of touching storage. The snapshot pinned at entry is
-    /// released on abort like on any other error path. `None` never times
-    /// out.
-    pub fn run_with_deadline(
-        &self,
-        gremlin: &str,
-        deadline: Option<std::time::Instant>,
-    ) -> GraphResult<Vec<GValue>> {
-        self.backend.registry().record_traversal();
-        // A `.profile()` terminator needs an observing pipeline; the
-        // substring check may rarely false-positive (e.g. inside a string
-        // literal), which only costs the observation overhead. Tracing and
-        // the slow-query log likewise need per-step observation.
-        if gremlin.contains(".profile()") || self.observing() {
-            return self.run_observed(gremlin, deadline, None).map(|(values, _)| values);
-        }
-        let start = std::time::Instant::now();
-        let backend = self
-            .backend
-            .with_snapshot(Some(self.db.snapshot()))
-            .with_deadline(deadline);
-        let runner = ScriptRunner::new(&backend)
-            .with_strategies(self.registry.clone())
-            .with_options(self.options.exec.clone());
-        let out = runner.run(gremlin).map_err(from_gremlin);
-        self.backend.registry().record_query_latency(start.elapsed().as_nanos() as u64);
-        out
+        self.run_for_request(gremlin, None, None)
     }
 
     /// Run a Gremlin script with profiling enabled; returns the results
     /// and the structured per-step report (strategy rewrites, step
     /// timings, table decisions, SQL statements).
     pub fn profile(&self, gremlin: &str) -> GraphResult<(Vec<GValue>, ProfileReport)> {
-        self.profile_with_deadline(gremlin, None)
+        self.profile_for_request(gremlin, None, None)
     }
 
-    /// [`Self::profile`] under a cooperative deadline (see
-    /// [`Self::run_with_deadline`]).
-    pub fn profile_with_deadline(
-        &self,
-        gremlin: &str,
-        deadline: Option<std::time::Instant>,
-    ) -> GraphResult<(Vec<GValue>, ProfileReport)> {
-        self.backend.registry().record_traversal();
-        self.run_observed(gremlin, deadline, None)
-    }
-
-    /// [`Self::run_with_deadline`] carrying the serving layer's request
-    /// id: the observed pipeline stamps it on the trace span root and the
-    /// slow-query entry, so one id correlates the HTTP response with its
-    /// spans and its slow-query record. On the fast (non-observing) path
-    /// the id has nothing to attach to and is simply unused.
+    /// [`Self::run`] under a cooperative deadline, carrying the serving
+    /// layer's request id.
+    ///
+    /// Once `deadline` passes, the next SQL-issuing operation (in any
+    /// traversal step, statement, or fan-out worker) aborts the script
+    /// with [`GraphError::Timeout`] instead of touching storage; the
+    /// snapshot pinned at entry is released on abort like on any other
+    /// error path. `None` never times out.
+    ///
+    /// The observed pipeline stamps `request_id` on the trace span root
+    /// and the slow-query entry, so one id correlates the HTTP response
+    /// with its spans and its slow-query record. On the fast
+    /// (non-observing) path the id has nothing to attach to and is simply
+    /// unused.
     pub fn run_for_request(
         &self,
         gremlin: &str,
         deadline: Option<std::time::Instant>,
         request_id: Option<&str>,
     ) -> GraphResult<Vec<GValue>> {
-        self.backend.registry().record_traversal();
+        self.backend.registry().traversals.add(1);
+        // A `.profile()` terminator needs an observing pipeline; the
+        // substring check may rarely false-positive (e.g. inside a string
+        // literal), which only costs the observation overhead. Tracing and
+        // the slow-query log likewise need per-step observation.
         if gremlin.contains(".profile()") || self.observing() {
             return self.run_observed(gremlin, deadline, request_id).map(|(values, _)| values);
         }
@@ -378,15 +341,15 @@ impl Db2Graph {
         out
     }
 
-    /// [`Self::profile_with_deadline`] carrying the serving layer's
-    /// request id (see [`Self::run_for_request`]).
+    /// [`Self::profile`] under a cooperative deadline, carrying the
+    /// serving layer's request id (see [`Self::run_for_request`]).
     pub fn profile_for_request(
         &self,
         gremlin: &str,
         deadline: Option<std::time::Instant>,
         request_id: Option<&str>,
     ) -> GraphResult<(Vec<GValue>, ProfileReport)> {
-        self.backend.registry().record_traversal();
+        self.backend.registry().traversals.add(1);
         self.run_observed(gremlin, deadline, request_id)
     }
 
@@ -431,7 +394,7 @@ impl Db2Graph {
         }
         if let Some(log) = &self.slow_log {
             if log.offer_with_id(gremlin, wall_nanos, &report, request_id) {
-                registry.record_slow_query();
+                registry.slow_queries.add(1);
             }
         }
         if let Some(sink) = &self.sink {

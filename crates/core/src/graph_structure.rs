@@ -42,7 +42,6 @@ use crate::pool;
 use crate::sql_dialect::{
     build_select, composite_in_bucketed, ident, in_list_bucketed, SqlDialect, MAX_FRONTIER_CHUNK,
 };
-use crate::stats::OverlayStats;
 use crate::topology::{EdgeTable, LabelDef, Topology, VertexTable};
 
 /// Convert a relational value into a Gremlin value.
@@ -89,7 +88,6 @@ fn coerce_id_text(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
 pub struct Db2GraphBackend {
     pub(crate) topo: Arc<Topology>,
     pub(crate) dialect: Arc<SqlDialect>,
-    pub(crate) stats: Arc<OverlayStats>,
     /// Per-query event sink. Disabled by default; [`Self::with_profiler`]
     /// produces an observing clone for `profile()` runs.
     pub(crate) profiler: Profiler,
@@ -104,7 +102,7 @@ pub struct Db2GraphBackend {
     /// Cooperative cancellation point: when set, every SQL-issuing
     /// operation checks the clock before touching storage and aborts with
     /// [`GraphError::Timeout`] once the instant has passed. Bound per
-    /// query by [`Db2Graph::run_with_deadline`]; the serving layer uses it
+    /// query by [`Db2Graph::run_for_request`]; the serving layer uses it
     /// to shed requests that outlive their budget.
     pub(crate) deadline: Option<std::time::Instant>,
     /// Columnar CSR adjacency cache consulted before generating adjacency
@@ -121,7 +119,6 @@ impl Db2GraphBackend {
         Db2GraphBackend {
             topo,
             dialect,
-            stats: Arc::new(OverlayStats::default()),
             profiler: Profiler::disabled(),
             threads: pool::configured_threads(),
             read_view: None,
@@ -130,13 +127,12 @@ impl Db2GraphBackend {
         }
     }
 
-    /// A shallow clone sharing all caches, stats and the metrics registry,
+    /// A shallow clone sharing all caches and the metrics registry,
     /// but recording per-query events into `profiler`.
     pub fn with_profiler(&self, profiler: Profiler) -> Db2GraphBackend {
         Db2GraphBackend {
             topo: self.topo.clone(),
             dialect: self.dialect.clone(),
-            stats: self.stats.clone(),
             profiler,
             threads: self.threads,
             read_view: self.read_view.clone(),
@@ -153,7 +149,6 @@ impl Db2GraphBackend {
         Db2GraphBackend {
             topo: self.topo.clone(),
             dialect: self.dialect.clone(),
-            stats: self.stats.clone(),
             profiler: self.profiler.clone(),
             threads: self.threads,
             read_view: snapshot,
@@ -169,7 +164,6 @@ impl Db2GraphBackend {
         Db2GraphBackend {
             topo: self.topo.clone(),
             dialect: self.dialect.clone(),
-            stats: self.stats.clone(),
             profiler: self.profiler.clone(),
             threads: self.threads,
             read_view: self.read_view.clone(),
@@ -295,10 +289,6 @@ impl Db2GraphBackend {
     /// The always-on aggregate counters shared with the SQL dialect.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         self.dialect.registry()
-    }
-
-    pub fn stats(&self) -> &OverlayStats {
-        &self.stats
     }
 
     pub fn dialect(&self) -> &SqlDialect {
@@ -443,7 +433,7 @@ impl Db2GraphBackend {
     }
 
     fn fetch_vertices(&self, filter: &ElementFilter) -> GraphResult<BackendOutput> {
-        self.stats.record_considered(self.topo.vertex_tables.len() as u64);
+        self.registry().tables_considered.add(self.topo.vertex_tables.len() as u64);
         let mut outputs: Vec<Element> = Vec::new();
         let mut values: Vec<GValue> = Vec::new();
         let mut agg = AggCombiner::new(filter.aggregate);
@@ -465,7 +455,7 @@ impl Db2GraphBackend {
                 TableResult::Agg(parts) => agg.add(parts),
             }
         }
-        self.stats.record_pruned(pruned);
+        self.registry().tables_pruned.add(pruned);
         if filter.aggregate.is_some() {
             return Ok(agg.finish());
         }
@@ -619,7 +609,6 @@ impl Db2GraphBackend {
         let rs = self
             .dialect
             .query_at(
-                &self.stats,
                 &self.profiler,
                 &sql,
                 &params,
@@ -731,7 +720,7 @@ impl Db2GraphBackend {
     }
 
     fn fetch_edges(&self, filter: &ElementFilter) -> GraphResult<BackendOutput> {
-        self.stats.record_considered(self.topo.edge_tables.len() as u64);
+        self.registry().tables_considered.add(self.topo.edge_tables.len() as u64);
         let mut outputs: Vec<Element> = Vec::new();
         let mut values: Vec<GValue> = Vec::new();
         let mut agg = AggCombiner::new(filter.aggregate);
@@ -752,7 +741,7 @@ impl Db2GraphBackend {
                 TableResult::Agg(parts) => agg.add(parts),
             }
         }
-        self.stats.record_pruned(pruned);
+        self.registry().tables_pruned.add(pruned);
         if filter.aggregate.is_some() {
             return Ok(agg.finish());
         }
@@ -952,7 +941,6 @@ impl Db2GraphBackend {
         let rs = self
             .dialect
             .query_at(
-                &self.stats,
                 &self.profiler,
                 &sql,
                 &params,
@@ -1016,7 +1004,7 @@ impl Db2GraphBackend {
                 let sql = build_select(table, &[], conjuncts, Some("COUNT(*)"));
                 let rs = self
                     .dialect
-                    .query_at(&self.stats, &self.profiler, &sql, params, pattern, self.read_view.as_ref())
+                    .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
                     .map_err(GraphError::Db)?;
                 let n = rs.scalar().and_then(|v| v.as_i64().ok()).unwrap_or(0);
                 Ok(TableResult::Agg(AggParts::from_count(op, n)))
@@ -1032,7 +1020,7 @@ impl Db2GraphBackend {
                     let sql = build_select(table, &[], conjuncts, Some("COUNT(*)"));
                     let rs = self
                         .dialect
-                        .query_at(&self.stats, &self.profiler, &sql, params, pattern, self.read_view.as_ref())
+                        .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
                         .map_err(GraphError::Db)?;
                     let n = rs.scalar().and_then(|v| v.as_i64().ok()).unwrap_or(0);
                     return Ok(TableResult::Agg(AggParts::from_count(op, n)));
@@ -1049,7 +1037,7 @@ impl Db2GraphBackend {
                     let sql = build_select(table, &[], conjuncts, Some(&func));
                     let rs = self
                         .dialect
-                        .query_at(&self.stats, &self.profiler, &sql, params, pattern, self.read_view.as_ref())
+                        .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
                         .map_err(GraphError::Db)?;
                     let row = rs.rows.first();
                     let all_long = matches!(column_type(k), Some(DataType::Bigint));
@@ -1123,11 +1111,11 @@ impl Db2GraphBackend {
         }
         let candidates: Vec<usize> = match hint {
             Some(i) => {
-                self.stats.record_considered(1);
+                self.registry().tables_considered.add(1);
                 vec![i]
             }
             None => {
-                self.stats.record_considered(self.topo.vertex_tables.len() as u64);
+                self.registry().tables_considered.add(self.topo.vertex_tables.len() as u64);
                 (0..self.topo.vertex_tables.len()).collect()
             }
         };
@@ -1171,7 +1159,7 @@ impl Db2GraphBackend {
         }
         let pruned =
             chunks_pruned.values().filter(|&&n| n == chunks.len()).count() as u64;
-        self.stats.record_pruned(pruned);
+        self.registry().tables_pruned.add(pruned);
         Ok(out)
     }
 
@@ -1199,7 +1187,7 @@ impl Db2GraphBackend {
             }
         }
         v.provenance = Some(vt.name.clone());
-        self.stats.record_vertex_from_edge(1);
+        self.registry().vertices_from_edges.add(1);
         Some(v)
     }
 
@@ -1593,9 +1581,10 @@ impl Db2GraphBackend {
             Some(labels) => self.topo.edge_tables_for_labels(labels),
             None => (0..self.topo.edge_tables.len()).collect(),
         };
-        self.stats.record_considered(self.topo.edge_tables.len() as u64);
-        self.stats
-            .record_pruned((self.topo.edge_tables.len() - candidates.len()) as u64);
+        self.registry().tables_considered.add(self.topo.edge_tables.len() as u64);
+        self.registry()
+            .tables_pruned
+            .add((self.topo.edge_tables.len() - candidates.len()) as u64);
         if self.profiler.is_enabled() {
             for (i, et) in self.topo.edge_tables.iter().enumerate() {
                 if !candidates.contains(&i) {
@@ -1693,7 +1682,7 @@ impl Db2GraphBackend {
                 }
                 for dir_out in dirs {
                     if !passes(dir_out) {
-                        self.stats.record_pruned(1);
+                        self.registry().tables_pruned.add(1);
                         if self.profiler.is_enabled() {
                             self.profiler.record_table(
                                 &et.name,

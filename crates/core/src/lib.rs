@@ -73,7 +73,6 @@ pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod sql_dialect;
-pub mod stats;
 pub mod strategies;
 pub mod topology;
 pub mod trace;
@@ -89,14 +88,13 @@ pub use events::{
 pub use graph::{Db2Graph, GraphOptions};
 pub use graph_structure::Db2GraphBackend;
 pub use metrics::{
-    step_kind, ExplainReport, Histogram, HistogramSet, MetricsRegistry, MetricsSnapshot,
-    ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, StepExplain, StepProfile, TableAction,
-    TableExplain, TablePlan,
+    step_kind, ExplainReport, Histogram, HistogramSet, MetricKind, MetricRow, MetricsRegistry,
+    MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, StepExplain,
+    StepProfile, TableAction, TableExplain, TablePlan,
 };
 pub use sql_dialect::{IndexSuggestion, SqlDialect, WorkloadReport};
 pub use trace::{
     Span, SpanHandle, SpanKind, TraceSink, TracedSpan, Tracer, DEFAULT_TRACE_CAPACITY,
 };
-pub use stats::{OverlayStats, OverlayStatsSnapshot};
 pub use strategies::StrategyConfig;
 pub use topology::Topology;

@@ -18,7 +18,8 @@
 //!   Produced without touching any data.
 //! * [`MetricsRegistry`] — *what has this graph done so far?* Cheap atomic
 //!   counters aggregated across all queries, snapshot at any time (the
-//!   bench harness exports one per run).
+//!   bench harness exports one per run). Each metric is declared once, as
+//!   a row of a [`metric_table!`](crate::metric_table).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +29,6 @@ use gremlin::observe::TraversalObserver;
 use parking_lot::{Mutex, RwLock};
 
 use crate::json::Json;
-use crate::stats::OverlayStatsSnapshot;
 use crate::trace::{SpanKind, Tracer};
 
 /// Default capacity of the slow-query log (worst-N entries retained).
@@ -984,65 +984,258 @@ impl SlowQueryLog {
     }
 }
 
-// --------------------------------------------------------------- metrics
+// --------------------------------------------------------- metric tables
 
-/// Process-lifetime counters for one graph, shared by every query. All
-/// atomic; safe to read concurrently with query execution.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    traversals: AtomicU64,
-    sql_statements: AtomicU64,
-    sql_wall_nanos: AtomicU64,
-    rows_returned: AtomicU64,
-    template_hits: AtomicU64,
-    template_misses: AtomicU64,
-    template_evictions: AtomicU64,
-    template_invalidations: AtomicU64,
-    pattern_evictions: AtomicU64,
-    slow_queries: AtomicU64,
-    vacuum_runs: AtomicU64,
-    vacuumed_versions: AtomicU64,
-    adj_cache_hits: AtomicU64,
-    adj_cache_misses: AtomicU64,
-    adj_cache_evictions: AtomicU64,
-    adj_cache_invalidations: AtomicU64,
-    query_latency: Histogram,
-    sql_latency: Histogram,
-    sql_templates: HistogramSet,
-    step_kinds: HistogramSet,
+/// How a scalar metric behaves over a window: a counter only grows, so its
+/// value over a window is a difference; a gauge is a level, so a window
+/// reports the latest reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    Counter,
+    Gauge,
 }
 
-impl MetricsRegistry {
-    pub fn record_traversal(&self) {
-        self.traversals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_template(&self, hit: bool) {
-        if hit {
-            self.template_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.template_misses.fetch_add(1, Ordering::Relaxed);
+impl MetricKind {
+    /// The value over the window from `earlier` to `now`.
+    pub fn since(self, now: u64, earlier: u64) -> u64 {
+        match self {
+            MetricKind::Counter => now - earlier,
+            MetricKind::Gauge => now,
         }
     }
 
-    pub fn record_template_eviction(&self) {
-        self.template_evictions.fetch_add(1, Ordering::Relaxed);
+    /// The Prometheus `# TYPE` of a metric of this kind.
+    pub fn prometheus_type(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One scalar of a `/metrics` section: its key, kind and value. The JSON
+/// form and the Prometheus exposition are both rendered from these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricRow {
+    pub name: &'static str,
+    pub kind: MetricKind,
+    pub value: u64,
+}
+
+/// `rows` as JSON object fields, in row order.
+pub fn json_fields(rows: &[MetricRow]) -> Vec<(&'static str, Json)> {
+    rows.iter().map(|r| (r.name, Json::u64(r.value))).collect()
+}
+
+/// The atomic cell behind one metric row. Relaxed ordering throughout:
+/// metrics are read for reporting, never to synchronise.
+#[derive(Debug, Default)]
+pub struct Slot(AtomicU64);
+
+impl Slot {
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A cached template was re-prepared because DDL moved the catalog
-    /// generation past the one it was compiled under.
-    pub fn record_template_invalidation(&self) {
-        self.template_invalidations.fetch_add(1, Ordering::Relaxed);
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
-    pub fn record_pattern_eviction(&self) {
-        self.pattern_evictions.fetch_add(1, Ordering::Relaxed);
+    pub fn set(&self, value: u64) {
+        self.0.store(value, Ordering::Relaxed);
     }
 
-    pub fn record_statement(&self, rows: u64, nanos: u64) {
-        self.sql_statements.fetch_add(1, Ordering::Relaxed);
-        self.rows_returned.fetch_add(rows, Ordering::Relaxed);
-        self.sql_wall_nanos.fetch_add(nanos, Ordering::Relaxed);
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Declares one `/metrics` section as a table of rows, each
+/// `/// doc` then `name: Counter | Gauge,`. From the table it generates:
+///
+/// * the live struct: one public [`Slot`] per row (recorded through
+///   `add` / `sub` / `set`), a getter per row, the hand-written fields
+///   listed under `with { .. }`, and `load()`, which reads every slot;
+/// * the snapshot struct: one `u64` per row carrying the row's doc;
+///   `since` (counters subtract, gauges carry the latest value), `rows`
+///   and `to_json`, both in row order, and `from_fn`.
+#[macro_export]
+macro_rules! metric_table {
+    (
+        $(#[$live_meta:meta])*
+        pub struct $live:ident;
+        $(#[$snap_meta:meta])*
+        pub struct $snap:ident {
+            $( $(#[doc = $doc:literal])* $name:ident: $kind:ident, )+
+        }
+        $( with { $( $(#[$extra_meta:meta])* $extra:ident: $extra_ty:ty, )+ } )?
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug, Default)]
+        pub struct $live {
+            $( $(#[doc = $doc])* pub $name: $crate::metrics::Slot, )+
+            $( $( $(#[$extra_meta])* $extra: $extra_ty, )+ )?
+        }
+
+        impl $live {
+            $( $(#[doc = $doc])* pub fn $name(&self) -> u64 { self.$name.get() } )+
+
+            /// Every row's current value.
+            pub fn load(&self) -> $snap {
+                $snap { $( $name: self.$name.get(), )+ }
+            }
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snap {
+            $( $(#[doc = $doc])* pub $name: u64, )+
+        }
+
+        impl $snap {
+            /// A snapshot whose every row holds `value(name)`.
+            pub fn from_fn(mut value: impl FnMut(&'static str) -> u64) -> $snap {
+                $snap { $( $name: value(stringify!($name)), )+ }
+            }
+
+            /// The rows over the window since `earlier`: counters are
+            /// deltas, gauges carry this snapshot's value.
+            pub fn since(&self, earlier: &$snap) -> $snap {
+                $snap {
+                    $( $name: $crate::metrics::MetricKind::$kind
+                        .since(self.$name, earlier.$name), )+
+                }
+            }
+
+            /// Every row, in table order.
+            pub fn rows(&self) -> Vec<$crate::metrics::MetricRow> {
+                vec![$(
+                    $crate::metrics::MetricRow {
+                        name: stringify!($name),
+                        kind: $crate::metrics::MetricKind::$kind,
+                        value: self.$name,
+                    },
+                )+]
+            }
+
+            pub fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj($crate::metrics::json_fields(&self.rows()))
+            }
+        }
+    };
+}
+
+// --------------------------------------------------------------- metrics
+
+metric_table! {
+    /// Process-lifetime metrics for one graph, shared by every query. All
+    /// atomic; safe to read concurrently with query execution.
+    pub struct MetricsRegistry;
+    /// Point-in-time metrics for one graph: the `graph` section of
+    /// `/metrics`. Gauges kept outside the registry read 0 in a bare
+    /// [`MetricsRegistry::snapshot`]; [`Db2Graph::metrics`] fills them.
+    ///
+    /// [`Db2Graph::metrics`]: crate::Db2Graph::metrics
+    pub struct MetricsSnapshot {
+        /// Traversals run (every `run` and `profile` call).
+        traversals: Counter,
+        /// SQL statements executed by the SQL Dialect.
+        sql_statements: Counter,
+        /// Summed wall time of those statements, in nanoseconds.
+        sql_wall_nanos: Counter,
+        /// Rows those statements returned.
+        rows_returned: Counter,
+        /// Statements served by an already-prepared template.
+        template_hits: Counter,
+        /// Statements that had to prepare their template.
+        template_misses: Counter,
+        /// Prepared templates dropped because the cache hit its size cap.
+        template_evictions: Counter,
+        /// Cached templates re-prepared because DDL changed the catalog.
+        template_invalidations: Counter,
+        /// Workload patterns dropped because the tracker hit its size cap.
+        pattern_evictions: Counter,
+        /// Completed queries whose wall time crossed the slow-query threshold.
+        slow_queries: Counter,
+        /// `Database::vacuum` passes run by the vacuum daemon.
+        vacuum_runs: Counter,
+        /// Dead row versions reclaimed across those passes.
+        vacuumed_versions: Counter,
+        /// Spans retained in the trace ring buffer (0 when tracing is off).
+        trace_spans: Gauge,
+        /// Spans evicted because the trace ring buffer wrapped.
+        dropped_spans: Gauge,
+        /// The database's highest published commit epoch.
+        commit_epoch: Gauge,
+        /// The oldest epoch a live snapshot pins — the vacuum horizon. A
+        /// horizon far behind `commit_epoch` means a snapshot is holding
+        /// garbage alive.
+        snapshot_horizon: Gauge,
+        /// Currently registered snapshots.
+        active_snapshots: Gauge,
+        /// WAL records appended since the database opened (0 in memory).
+        wal_records: Gauge,
+        /// WAL bytes appended since the database opened.
+        wal_bytes: Gauge,
+        /// Checkpoints completed since the database opened.
+        checkpoints: Gauge,
+        /// Commit epochs the last `Database::open` replayed from the WAL
+        /// during crash recovery.
+        recovery_replayed_epochs: Gauge,
+        /// End-to-end traversal latency p50 (log2-bucket upper bound).
+        query_p50_nanos: Gauge,
+        /// End-to-end traversal latency p90.
+        query_p90_nanos: Gauge,
+        /// End-to-end traversal latency p99.
+        query_p99_nanos: Gauge,
+        /// Per-SQL-statement latency p50 (log2-bucket upper bound).
+        sql_p50_nanos: Gauge,
+        /// Per-SQL-statement latency p90.
+        sql_p90_nanos: Gauge,
+        /// Per-SQL-statement latency p99.
+        sql_p99_nanos: Gauge,
+        /// Overlay tables graph operations considered before pruning.
+        tables_considered: Counter,
+        /// Tables eliminated before any SQL by the runtime optimisations
+        /// (labels, prefixed ids, property names, src/dst table links).
+        tables_pruned: Counter,
+        /// Vertices built straight from edge rows with no SQL (the "vertex
+        /// table is also an edge table" optimisation).
+        vertices_from_edges: Counter,
+        /// Frontier sources expanded straight from the adjacency cache.
+        adj_cache_hits: Counter,
+        /// Frontier sources that fell back to the batched-SQL path.
+        adj_cache_misses: Counter,
+        /// Cache segments dropped to stay within the byte budget.
+        adj_cache_evictions: Counter,
+        /// Cache segments dropped as stale (commit epoch or schema change).
+        adj_cache_invalidations: Counter,
+        /// Resident adjacency-cache bytes.
+        adj_cache_bytes: Gauge,
+    }
+    with {
+        query_latency: Histogram,
+        sql_latency: Histogram,
+        sql_templates: HistogramSet,
+        step_kinds: HistogramSet,
+    }
+}
+
+impl MetricsRegistry {
+    /// One executed SQL statement: its template-cache outcome, the rows it
+    /// returned and its wall time, in the counters and in the aggregate
+    /// and per-template latency histograms.
+    pub fn record_statement(&self, template: &str, template_hit: bool, rows: u64, nanos: u64) {
+        if template_hit {
+            self.template_hits.add(1);
+        } else {
+            self.template_misses.add(1);
+        }
+        self.sql_statements.add(1);
+        self.rows_returned.add(rows);
+        self.sql_wall_nanos.add(nanos);
+        self.sql_latency.record(nanos);
+        self.sql_templates.record(template, nanos);
     }
 
     /// End-to-end wall time of one complete traversal.
@@ -1050,51 +1243,9 @@ impl MetricsRegistry {
         self.query_latency.record(nanos);
     }
 
-    /// Wall time of one SQL statement, both in the aggregate histogram and
-    /// under its template's keyed histogram.
-    pub fn record_sql_latency(&self, template: &str, nanos: u64) {
-        self.sql_latency.record(nanos);
-        self.sql_templates.record(template, nanos);
-    }
-
     /// Wall time of one executor step, keyed by step kind (`has`, `outE`, …).
     pub fn record_step_latency(&self, kind: &str, nanos: u64) {
         self.step_kinds.record(kind, nanos);
-    }
-
-    pub fn record_slow_query(&self) {
-        self.slow_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `n` frontier sources served straight from the adjacency cache (no
-    /// SQL generated).
-    pub fn record_adj_cache_hits(&self, n: u64) {
-        self.adj_cache_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` frontier sources that missed the adjacency cache and fell back
-    /// to the batched-SQL path.
-    pub fn record_adj_cache_misses(&self, n: u64) {
-        self.adj_cache_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` cache segments dropped to stay within the byte budget.
-    pub fn record_adj_cache_evictions(&self, n: u64) {
-        self.adj_cache_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `n` cache segments dropped because a commit or DDL statement made
-    /// them stale (MVCC epoch / schema-generation invalidation).
-    pub fn record_adj_cache_invalidations(&self, n: u64) {
-        self.adj_cache_invalidations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// One `Database::vacuum` pass reclaimed `versions` dead row versions
-    /// (recorded by the vacuum daemon so MVCC garbage collection shows up
-    /// in `/metrics`).
-    pub fn record_vacuum(&self, versions: u64) {
-        self.vacuum_runs.fetch_add(1, Ordering::Relaxed);
-        self.vacuumed_versions.fetch_add(versions, Ordering::Relaxed);
     }
 
     pub fn query_latency(&self) -> &Histogram {
@@ -1124,203 +1275,14 @@ impl MetricsRegistry {
         ])
     }
 
-    /// Snapshot combined with the overlay's table-elimination counters.
-    pub fn snapshot_with(&self, overlay: OverlayStatsSnapshot) -> MetricsSnapshot {
-        let (query_p50, query_p90, query_p99) = self.query_latency.percentiles();
-        let (sql_p50, sql_p90, sql_p99) = self.sql_latency.percentiles();
-        MetricsSnapshot {
-            traversals: self.traversals.load(Ordering::Relaxed),
-            sql_statements: self.sql_statements.load(Ordering::Relaxed),
-            sql_wall_nanos: self.sql_wall_nanos.load(Ordering::Relaxed),
-            rows_returned: self.rows_returned.load(Ordering::Relaxed),
-            template_hits: self.template_hits.load(Ordering::Relaxed),
-            template_misses: self.template_misses.load(Ordering::Relaxed),
-            template_evictions: self.template_evictions.load(Ordering::Relaxed),
-            template_invalidations: self.template_invalidations.load(Ordering::Relaxed),
-            pattern_evictions: self.pattern_evictions.load(Ordering::Relaxed),
-            slow_queries: self.slow_queries.load(Ordering::Relaxed),
-            vacuum_runs: self.vacuum_runs.load(Ordering::Relaxed),
-            vacuumed_versions: self.vacuumed_versions.load(Ordering::Relaxed),
-            trace_spans: 0,
-            dropped_spans: 0,
-            commit_epoch: 0,
-            snapshot_horizon: 0,
-            active_snapshots: 0,
-            wal_records: 0,
-            wal_bytes: 0,
-            checkpoints: 0,
-            recovery_replayed_epochs: 0,
-            query_p50_nanos: query_p50,
-            query_p90_nanos: query_p90,
-            query_p99_nanos: query_p99,
-            sql_p50_nanos: sql_p50,
-            sql_p90_nanos: sql_p90,
-            sql_p99_nanos: sql_p99,
-            tables_considered: overlay.tables_considered,
-            tables_pruned: overlay.tables_pruned,
-            vertices_from_edges: overlay.vertices_from_edges,
-            adj_cache_hits: self.adj_cache_hits.load(Ordering::Relaxed),
-            adj_cache_misses: self.adj_cache_misses.load(Ordering::Relaxed),
-            adj_cache_evictions: self.adj_cache_evictions.load(Ordering::Relaxed),
-            adj_cache_invalidations: self.adj_cache_invalidations.load(Ordering::Relaxed),
-            adj_cache_bytes: 0,
-        }
-    }
-}
-
-/// Point-in-time metrics for one graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    pub traversals: u64,
-    pub sql_statements: u64,
-    pub sql_wall_nanos: u64,
-    pub rows_returned: u64,
-    pub template_hits: u64,
-    pub template_misses: u64,
-    /// Prepared templates dropped because the cache hit its size cap.
-    pub template_evictions: u64,
-    /// Cached templates re-prepared because DDL changed the catalog.
-    pub template_invalidations: u64,
-    /// Workload patterns dropped because the tracker hit its size cap.
-    pub pattern_evictions: u64,
-    /// Completed queries whose wall time crossed the slow-query threshold.
-    pub slow_queries: u64,
-    /// `Database::vacuum` passes run by the vacuum daemon (or manually
-    /// recorded via [`MetricsRegistry::record_vacuum`]).
-    pub vacuum_runs: u64,
-    /// Dead row versions reclaimed across those passes.
-    pub vacuumed_versions: u64,
-    /// Spans retained in the trace ring buffer (0 when tracing is off).
-    pub trace_spans: u64,
-    /// Spans evicted because the trace ring buffer wrapped.
-    pub dropped_spans: u64,
-    /// Gauge: the database's highest published commit epoch (filled by
-    /// [`Db2Graph::metrics`]; 0 from a bare registry snapshot).
-    pub commit_epoch: u64,
-    /// Gauge: the oldest epoch a live snapshot pins — the vacuum horizon.
-    /// A horizon far behind `commit_epoch` means a snapshot is holding
-    /// garbage alive.
-    pub snapshot_horizon: u64,
-    /// Gauge: currently registered snapshots.
-    pub active_snapshots: u64,
-    /// Gauge: WAL records appended since the database opened (filled by
-    /// [`Db2Graph::metrics`]; 0 for an in-memory database).
-    pub wal_records: u64,
-    /// Gauge: WAL bytes appended since the database opened.
-    pub wal_bytes: u64,
-    /// Gauge: checkpoints completed since the database opened.
-    pub checkpoints: u64,
-    /// Gauge: commit epochs the last `Database::open` replayed from the
-    /// WAL during crash recovery.
-    pub recovery_replayed_epochs: u64,
-    /// End-to-end traversal latency percentiles (log2-bucket upper bounds).
-    pub query_p50_nanos: u64,
-    pub query_p90_nanos: u64,
-    pub query_p99_nanos: u64,
-    /// Per-SQL-statement latency percentiles (log2-bucket upper bounds).
-    pub sql_p50_nanos: u64,
-    pub sql_p90_nanos: u64,
-    pub sql_p99_nanos: u64,
-    pub tables_considered: u64,
-    pub tables_pruned: u64,
-    pub vertices_from_edges: u64,
-    /// Frontier sources expanded straight from the adjacency cache.
-    pub adj_cache_hits: u64,
-    /// Frontier sources that fell back to the batched-SQL path.
-    pub adj_cache_misses: u64,
-    /// Cache segments dropped to stay within the byte budget.
-    pub adj_cache_evictions: u64,
-    /// Cache segments dropped as stale (commit epoch or schema change).
-    pub adj_cache_invalidations: u64,
-    /// Gauge: resident adjacency-cache bytes (filled by
-    /// [`Db2Graph::metrics`]; 0 from a bare registry snapshot).
-    pub adj_cache_bytes: u64,
-}
-
-impl MetricsSnapshot {
-    /// Counter deltas since `earlier`. Percentile fields are not deltas —
-    /// they carry the latest (self) values, since histogram quantiles do
-    /// not subtract meaningfully.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            traversals: self.traversals - earlier.traversals,
-            sql_statements: self.sql_statements - earlier.sql_statements,
-            sql_wall_nanos: self.sql_wall_nanos - earlier.sql_wall_nanos,
-            rows_returned: self.rows_returned - earlier.rows_returned,
-            template_hits: self.template_hits - earlier.template_hits,
-            template_misses: self.template_misses - earlier.template_misses,
-            template_evictions: self.template_evictions - earlier.template_evictions,
-            template_invalidations: self.template_invalidations - earlier.template_invalidations,
-            pattern_evictions: self.pattern_evictions - earlier.pattern_evictions,
-            slow_queries: self.slow_queries - earlier.slow_queries,
-            vacuum_runs: self.vacuum_runs - earlier.vacuum_runs,
-            vacuumed_versions: self.vacuumed_versions - earlier.vacuumed_versions,
-            trace_spans: self.trace_spans,
-            dropped_spans: self.dropped_spans,
-            // Gauges carry the latest values, like the percentiles.
-            commit_epoch: self.commit_epoch,
-            snapshot_horizon: self.snapshot_horizon,
-            active_snapshots: self.active_snapshots,
-            wal_records: self.wal_records,
-            wal_bytes: self.wal_bytes,
-            checkpoints: self.checkpoints,
-            recovery_replayed_epochs: self.recovery_replayed_epochs,
-            query_p50_nanos: self.query_p50_nanos,
-            query_p90_nanos: self.query_p90_nanos,
-            query_p99_nanos: self.query_p99_nanos,
-            sql_p50_nanos: self.sql_p50_nanos,
-            sql_p90_nanos: self.sql_p90_nanos,
-            sql_p99_nanos: self.sql_p99_nanos,
-            tables_considered: self.tables_considered - earlier.tables_considered,
-            tables_pruned: self.tables_pruned - earlier.tables_pruned,
-            vertices_from_edges: self.vertices_from_edges - earlier.vertices_from_edges,
-            adj_cache_hits: self.adj_cache_hits - earlier.adj_cache_hits,
-            adj_cache_misses: self.adj_cache_misses - earlier.adj_cache_misses,
-            adj_cache_evictions: self.adj_cache_evictions - earlier.adj_cache_evictions,
-            adj_cache_invalidations: self.adj_cache_invalidations
-                - earlier.adj_cache_invalidations,
-            adj_cache_bytes: self.adj_cache_bytes,
-        }
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("traversals", Json::u64(self.traversals)),
-            ("sql_statements", Json::u64(self.sql_statements)),
-            ("sql_wall_nanos", Json::u64(self.sql_wall_nanos)),
-            ("rows_returned", Json::u64(self.rows_returned)),
-            ("template_hits", Json::u64(self.template_hits)),
-            ("template_misses", Json::u64(self.template_misses)),
-            ("template_evictions", Json::u64(self.template_evictions)),
-            ("template_invalidations", Json::u64(self.template_invalidations)),
-            ("pattern_evictions", Json::u64(self.pattern_evictions)),
-            ("slow_queries", Json::u64(self.slow_queries)),
-            ("vacuum_runs", Json::u64(self.vacuum_runs)),
-            ("vacuumed_versions", Json::u64(self.vacuumed_versions)),
-            ("trace_spans", Json::u64(self.trace_spans)),
-            ("dropped_spans", Json::u64(self.dropped_spans)),
-            ("commit_epoch", Json::u64(self.commit_epoch)),
-            ("snapshot_horizon", Json::u64(self.snapshot_horizon)),
-            ("active_snapshots", Json::u64(self.active_snapshots)),
-            ("wal_records", Json::u64(self.wal_records)),
-            ("wal_bytes", Json::u64(self.wal_bytes)),
-            ("checkpoints", Json::u64(self.checkpoints)),
-            ("recovery_replayed_epochs", Json::u64(self.recovery_replayed_epochs)),
-            ("query_p50_nanos", Json::u64(self.query_p50_nanos)),
-            ("query_p90_nanos", Json::u64(self.query_p90_nanos)),
-            ("query_p99_nanos", Json::u64(self.query_p99_nanos)),
-            ("sql_p50_nanos", Json::u64(self.sql_p50_nanos)),
-            ("sql_p90_nanos", Json::u64(self.sql_p90_nanos)),
-            ("sql_p99_nanos", Json::u64(self.sql_p99_nanos)),
-            ("tables_considered", Json::u64(self.tables_considered)),
-            ("tables_pruned", Json::u64(self.tables_pruned)),
-            ("vertices_from_edges", Json::u64(self.vertices_from_edges)),
-            ("adj_cache_hits", Json::u64(self.adj_cache_hits)),
-            ("adj_cache_misses", Json::u64(self.adj_cache_misses)),
-            ("adj_cache_evictions", Json::u64(self.adj_cache_evictions)),
-            ("adj_cache_invalidations", Json::u64(self.adj_cache_invalidations)),
-            ("adj_cache_bytes", Json::u64(self.adj_cache_bytes)),
-        ])
+    /// Every slot, plus the latency percentiles read from the histograms.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.load();
+        (snap.query_p50_nanos, snap.query_p90_nanos, snap.query_p99_nanos) =
+            self.query_latency.percentiles();
+        (snap.sql_p50_nanos, snap.sql_p90_nanos, snap.sql_p99_nanos) =
+            self.sql_latency.percentiles();
+        snap
     }
 }
 
@@ -1402,26 +1364,39 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_and_diff() {
+    fn every_row_follows_its_kind() {
+        // Walk the whole table: counters subtract in `since`, gauges carry
+        // the later value, and the JSON keys come out in row order.
+        let earlier = MetricsSnapshot::from_fn(|name| name.len() as u64);
+        let later = MetricsSnapshot::from_fn(|name| 1_000 + 2 * name.len() as u64);
+        let window = later.since(&earlier);
+        for (row, earlier) in window.rows().iter().zip(earlier.rows()) {
+            let want = match row.kind {
+                MetricKind::Counter => 1_000 + earlier.value,
+                MetricKind::Gauge => 1_000 + 2 * earlier.value,
+            };
+            assert_eq!(row.value, want, "{} is a {:?}", row.name, row.kind);
+        }
+        // The benchmark subtracts these two itself, so they must carry.
+        assert_eq!(window.wal_bytes, later.wal_bytes);
+        assert_eq!(window.checkpoints, later.checkpoints);
+        let json = Json::parse(&later.to_json().to_compact()).unwrap();
+        let keys: Vec<&str> = json.as_object().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let names: Vec<&str> = later.rows().iter().map(|r| r.name).collect();
+        assert_eq!(keys, names);
+    }
+
+    #[test]
+    fn one_call_records_a_statement() {
         let m = MetricsRegistry::default();
-        m.record_traversal();
-        m.record_template(true);
-        m.record_template(false);
-        m.record_statement(5, 1000);
-        let a = m.snapshot_with(OverlayStatsSnapshot::default());
-        assert_eq!(a.traversals, 1);
-        assert_eq!(a.sql_statements, 1);
-        assert_eq!(a.rows_returned, 5);
-        assert_eq!(a.template_hits, 1);
-        assert_eq!(a.template_misses, 1);
-        m.record_statement(2, 500);
-        let b = m.snapshot_with(OverlayStatsSnapshot::default());
-        let d = b.since(&a);
-        assert_eq!(d.sql_statements, 1);
-        assert_eq!(d.rows_returned, 2);
-        assert_eq!(d.sql_wall_nanos, 500);
-        let json = b.to_json().to_compact();
-        assert!(json.contains("\"template_hits\":1"), "{json}");
+        m.traversals.add(1);
+        m.record_statement("SELECT 1", false, 5, 1_000);
+        m.record_statement("SELECT 1", true, 2, 500);
+        let s = m.snapshot();
+        assert_eq!((s.traversals, s.sql_statements, s.rows_returned), (1, 2, 7));
+        assert_eq!((s.template_hits, s.template_misses, s.sql_wall_nanos), (1, 1, 1_500));
+        assert_eq!(m.sql_latency().count(), 2);
+        assert_eq!(m.sql_templates().entries().len(), 1);
     }
 
     #[test]
@@ -1521,11 +1496,11 @@ mod tests {
         for _ in 0..10 {
             m.record_query_latency(1_000); // bucket 10 → upper 1023
         }
-        m.record_sql_latency("SELECT 1", 100);
-        m.record_sql_latency("SELECT 2", 200);
+        m.record_statement("SELECT 1", true, 0, 100);
+        m.record_statement("SELECT 2", true, 0, 200);
         m.record_step_latency("outE", 50);
-        m.record_slow_query();
-        let snap = m.snapshot_with(OverlayStatsSnapshot::default());
+        m.slow_queries.add(1);
+        let snap = m.snapshot();
         assert_eq!(snap.query_p50_nanos, 1023);
         assert_eq!(snap.query_p99_nanos, 1023);
         assert_eq!(snap.sql_p50_nanos, 127);

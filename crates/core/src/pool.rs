@@ -255,10 +255,10 @@ mod tests {
         // A morsel's output need not be one-per-item (adjacency fans out).
         let items: Vec<usize> = (0..100).collect();
         let out = run_morsels(4, &items, 16, |_, slice| {
-            slice.iter().flat_map(|&v| std::iter::repeat(v).take(v % 3)).collect()
+            slice.iter().flat_map(|&v| std::iter::repeat_n(v, v % 3)).collect()
         });
         let expect: Vec<usize> =
-            items.iter().flat_map(|&v| std::iter::repeat(v).take(v % 3)).collect();
+            items.iter().flat_map(|&v| std::iter::repeat_n(v, v % 3)).collect();
         assert_eq!(out, expect);
     }
 

@@ -24,7 +24,6 @@ use reldb::{Database, DbResult, Prepared, RowSet, Snapshot, Value};
 
 use crate::json::Json;
 use crate::metrics::{MetricsRegistry, Profiler};
-use crate::stats::OverlayStats;
 
 /// Frontiers larger than this are split into multiple statements instead of
 /// one gigantic `IN (...)`: the template for 2^k placeholders past this
@@ -229,23 +228,20 @@ impl SqlDialect {
     /// count and wall time.
     pub fn query(
         &self,
-        stats: &OverlayStats,
         profiler: &Profiler,
         template: &str,
         params: &[Value],
         pattern: Option<(&str, &[String])>,
     ) -> DbResult<RowSet> {
-        self.query_at(stats, profiler, template, params, pattern, None)
+        self.query_at(profiler, template, params, pattern, None)
     }
 
     /// Like [`SqlDialect::query`], but when `snapshot` is given every read
     /// in the statement is pinned to that committed epoch. This is how a
     /// multi-statement traversal keeps all of its generated SQL — across
     /// every parallel worker — on one consistent database state.
-    #[allow(clippy::too_many_arguments)]
     pub fn query_at(
         &self,
-        stats: &OverlayStats,
         profiler: &Profiler,
         template: &str,
         params: &[Value],
@@ -273,7 +269,7 @@ impl SqlDialect {
                             .map(|(k, _)| k.clone())
                         {
                             write.remove(&victim);
-                            self.registry.record_pattern_eviction();
+                            self.registry.pattern_evictions.add(1);
                             profiler.record_pattern_eviction();
                         }
                     }
@@ -292,10 +288,7 @@ impl SqlDialect {
         let (prepared, cache_hit) = {
             let hit = self.templates.read().get(template).map(|t| t.prepared.clone());
             match hit {
-                Some(p) => {
-                    stats.record_template_hit();
-                    (p, true)
-                }
+                Some(p) => (p, true),
                 None => {
                     let p = Arc::new(self.db.prepare(template)?);
                     let mut write = self.templates.write();
@@ -310,7 +303,7 @@ impl SqlDialect {
                                 .map(|(k, _)| k.clone())
                             {
                                 write.remove(&victim);
-                                self.registry.record_template_eviction();
+                                self.registry.template_evictions.add(1);
                                 profiler.record_template_eviction();
                             }
                         }
@@ -324,7 +317,6 @@ impl SqlDialect {
                 }
             }
         };
-        self.registry.record_template(cache_hit);
         // A cached template prepared before a DDL statement carries a stale
         // catalog generation: re-prepare and replace it so a
         // dropped-and-recreated table can never be read through its old
@@ -335,7 +327,7 @@ impl SqlDialect {
             if let Some(entry) = self.templates.write().get_mut(template) {
                 entry.prepared = fresh.clone();
             }
-            self.registry.record_template_invalidation();
+            self.registry.template_invalidations.add(1);
             profiler.record_template_invalidation();
             fresh
         } else {
@@ -345,7 +337,6 @@ impl SqlDialect {
         if let Some(hook) = hook {
             hook(template);
         }
-        stats.record_sql();
         let start = std::time::Instant::now();
         let result = match snapshot {
             Some(s) => self.db.execute_prepared_at(&prepared, params, s),
@@ -353,8 +344,7 @@ impl SqlDialect {
         };
         let nanos = start.elapsed().as_nanos() as u64;
         let rows = result.as_ref().map(|rs| rs.rows.len()).unwrap_or(0);
-        self.registry.record_statement(rows as u64, nanos);
-        self.registry.record_sql_latency(template, nanos);
+        self.registry.record_statement(template, cache_hit, rows as u64, nanos);
         if let Some(acc) = pattern_nanos {
             acc.fetch_add(nanos, Ordering::Relaxed);
         }
@@ -659,13 +649,12 @@ mod tests {
     fn bucketed_in_list_results_match_exact() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db);
-        let stats = OverlayStats::default();
         // Padded params (repeating the last id) return the same rows as the
         // exact-arity statement.
         let mut padded = vec![Value::Bigint(1), Value::Bigint(2), Value::Bigint(3)];
         let sql = in_list_bucketed("id", &mut padded);
         let rs = dialect
-            .query(&stats, &Profiler::disabled(), &format!("SELECT id FROM t WHERE {sql}"), &padded, None)
+            .query(&Profiler::disabled(), &format!("SELECT id FROM t WHERE {sql}"), &padded, None)
             .unwrap();
         assert_eq!(rs.rows.len(), 3);
     }
@@ -674,10 +663,9 @@ mod tests {
     fn template_cache_cap_evicts_oldest() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db).with_caps(3, 2);
-        let stats = OverlayStats::default();
         for i in 0..5 {
             let sql = format!("SELECT id FROM t WHERE id = {i}");
-            dialect.query(&stats, &Profiler::disabled(), &sql, &[], None).unwrap();
+            dialect.query(&Profiler::disabled(), &sql, &[], None).unwrap();
         }
         assert_eq!(dialect.template_count(), 3);
         let texts = dialect.template_texts();
@@ -685,12 +673,12 @@ mod tests {
         assert!(!texts.contains(&"SELECT id FROM t WHERE id = 0".to_string()), "{texts:?}");
         assert!(!texts.contains(&"SELECT id FROM t WHERE id = 1".to_string()), "{texts:?}");
         assert!(texts.contains(&"SELECT id FROM t WHERE id = 4".to_string()), "{texts:?}");
-        let snap = dialect.registry().snapshot_with(Default::default());
+        let snap = dialect.registry().snapshot();
         assert_eq!(snap.template_evictions, 2);
         // A re-query of an evicted template still works (it is re-prepared
         // and re-admitted).
         dialect
-            .query(&stats, &Profiler::disabled(), "SELECT id FROM t WHERE id = 0", &[], None)
+            .query(&Profiler::disabled(), "SELECT id FROM t WHERE id = 0", &[], None)
             .unwrap();
         assert_eq!(dialect.template_count(), 3);
     }
@@ -699,12 +687,10 @@ mod tests {
     fn pattern_tracker_cap_evicts_least_seen() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db).with_caps(64, 2).with_threshold(2);
-        let stats = OverlayStats::default();
         let run = |cols: &[&str]| {
             let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
             dialect
                 .query(
-                    &stats,
                     &Profiler::disabled(),
                     "SELECT id FROM t",
                     &[],
@@ -724,7 +710,7 @@ mod tests {
             frequent.iter().any(|((t, c), n)| t == "t" && c == &vec!["src".to_string()] && *n >= 3),
             "{frequent:?}"
         );
-        let snap = dialect.registry().snapshot_with(Default::default());
+        let snap = dialect.registry().snapshot();
         assert_eq!(snap.pattern_evictions, 1);
     }
 
@@ -732,15 +718,14 @@ mod tests {
     fn template_cache_hits() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db);
-        let stats = OverlayStats::default();
         let sql = "SELECT name FROM t WHERE id = ?";
-        let r1 = dialect.query(&stats, &Profiler::disabled(), sql, &[Value::Bigint(1)], None).unwrap();
-        let r2 = dialect.query(&stats, &Profiler::disabled(), sql, &[Value::Bigint(2)], None).unwrap();
+        let r1 = dialect.query(&Profiler::disabled(), sql, &[Value::Bigint(1)], None).unwrap();
+        let r2 = dialect.query(&Profiler::disabled(), sql, &[Value::Bigint(2)], None).unwrap();
         assert_eq!(r1.scalar(), Some(&Value::Varchar("n1".into())));
         assert_eq!(r2.scalar(), Some(&Value::Varchar("n2".into())));
         assert_eq!(dialect.template_count(), 1);
-        let snap = stats.snapshot();
-        assert_eq!(snap.sql_queries, 2);
+        let snap = dialect.registry().snapshot();
+        assert_eq!(snap.sql_statements, 2);
         assert_eq!(snap.template_hits, 1);
     }
 
@@ -748,12 +733,10 @@ mod tests {
     fn frequent_patterns_drive_index_suggestions() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db.clone()).with_threshold(5);
-        let stats = OverlayStats::default();
         // Query on the unindexed 'src' column repeatedly.
         for i in 0..6 {
             dialect
                 .query(
-                    &stats,
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE src = ?",
                     &[Value::Bigint(i)],
@@ -774,7 +757,6 @@ mod tests {
         for i in 0..5 {
             dialect
                 .query(
-                    &stats,
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE name = ?",
                     &[Value::Varchar(format!("n{i}"))],
@@ -822,11 +804,9 @@ mod tests {
     fn below_threshold_patterns_not_suggested() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db).with_threshold(100);
-        let stats = OverlayStats::default();
         for _ in 0..5 {
             dialect
                 .query(
-                    &stats,
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE src = ?",
                     &[Value::Bigint(0)],
@@ -842,10 +822,8 @@ mod tests {
     fn indexed_patterns_not_resuggested() {
         let db = db_with_table();
         let dialect = SqlDialect::new(db).with_threshold(1);
-        let stats = OverlayStats::default();
         dialect
             .query(
-                &stats,
                 &Profiler::disabled(),
                 "SELECT * FROM t WHERE id = ?",
                 &[Value::Bigint(0)],

@@ -215,17 +215,17 @@ mod tests {
         let data = generate(&LinkBenchConfig::small().with_vertices(300));
         let (db, _) = materialize(&data).unwrap();
         let graph = Db2Graph::open(db, &overlay_config()).unwrap();
-        let before = graph.stats();
+        let before = graph.metrics();
         let id = data.nodes[5].id;
         let label = &data.nodes[5].label;
         graph.run(&format!("g.V({id}).hasLabel('{label}')")).unwrap();
-        let d = graph.stats().since(&before);
-        assert_eq!(d.sql_queries, 1, "label should pin one table: {d:?}");
+        let d = graph.metrics().since(&before);
+        assert_eq!(d.sql_statements, 1, "label should pin one table: {d:?}");
         // Without a label, all ten node tables must be searched.
-        let before = graph.stats();
+        let before = graph.metrics();
         graph.run(&format!("g.V({id})")).unwrap();
-        let d = graph.stats().since(&before);
-        assert_eq!(d.sql_queries, NUM_TYPES as u64, "{d:?}");
+        let d = graph.metrics().since(&before);
+        assert_eq!(d.sql_statements, NUM_TYPES as u64, "{d:?}");
     }
 
     #[test]

@@ -671,7 +671,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 // A persistent accept error (e.g. EMFILE under an fd
                 // flood) would otherwise spin this loop at 100% CPU;
                 // count it, then pause briefly before retrying.
-                shared.metrics.record_accept_error();
+                shared.metrics.accept_errors.add(1);
                 std::thread::sleep(Duration::from_millis(50));
                 continue;
             }
@@ -681,7 +681,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             // admitting. Admitted work is still drained by the workers.
             return;
         }
-        shared.metrics.record_accepted();
+        shared.metrics.accepted.add(1);
         let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.len() >= shared.config.queue_depth.max(1) {
             drop(q);
@@ -690,7 +690,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         q.push_back(stream);
         drop(q);
-        shared.metrics.record_admitted();
+        shared.metrics.admitted.add(1);
         shared.queue_cv.notify_one();
     }
 }
@@ -707,7 +707,7 @@ const MAX_SHED_THREADS: usize = 32;
 /// input makes the kernel send RST, which discards the in-flight 429 —
 /// and the acceptor cannot afford to block on a client's upload.
 fn shed(shared: &Arc<Shared>, stream: TcpStream) {
-    shared.metrics.record_rejected();
+    shared.metrics.rejected.add(1);
     if shared.shedding.fetch_add(1, Ordering::SeqCst) >= MAX_SHED_THREADS {
         shared.shedding.fetch_sub(1, Ordering::SeqCst);
         return;
@@ -745,7 +745,7 @@ fn answer_429(shared: &Shared, mut stream: TcpStream) {
         shared.config.read_timeout,
         &mut Vec::new(),
     ) {
-        shared.metrics.record_bytes_in(req.wire_bytes);
+        shared.metrics.bytes_in.add(req.wire_bytes);
         shed_req = Some(req);
     }
     let request_id = shared.request_id(shed_req.as_ref());
@@ -770,7 +770,7 @@ fn answer_429(shared: &Shared, mut stream: TcpStream) {
         true,
         &[("X-Request-Id", &request_id), ("Retry-After", &retry_after)],
     ) {
-        shared.metrics.record_bytes_out(n);
+        shared.metrics.bytes_out.add(n);
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
     shared.events.emit(
@@ -945,10 +945,10 @@ fn serve_one(
     ) {
         Ok(req) => {
             if served > 0 {
-                shared.metrics.record_admitted();
-                shared.metrics.record_keepalive_reuse();
+                shared.metrics.admitted.add(1);
+                shared.metrics.keepalive_reuses.add(1);
             }
-            shared.metrics.record_bytes_in(req.wire_bytes);
+            shared.metrics.bytes_in.add(req.wire_bytes);
             head_only = req.method == "HEAD";
             method = req.method.clone();
             endpoint = endpoint_label(&req.path).to_string();
@@ -966,7 +966,7 @@ fn serve_one(
             // queue admission, so balance it; a reused connection going
             // quiet costs nothing.
             if served == 0 {
-                shared.metrics.record_completed();
+                shared.metrics.completed.add(1);
             }
             return false;
         }
@@ -975,8 +975,8 @@ fn serve_one(
             // the connection cannot be reused.
             close = true;
             if served > 0 {
-                shared.metrics.record_admitted();
-                shared.metrics.record_keepalive_reuse();
+                shared.metrics.admitted.add(1);
+                shared.metrics.keepalive_reuses.add(1);
             }
             let (status, msg) = match e {
                 HttpError::Timeout => (408, "request read timed out".to_string()),
@@ -988,7 +988,7 @@ fn serve_one(
                 HttpError::Closed => unreachable!("handled above"),
             };
             if status == 400 || status == 413 || status == 431 {
-                shared.metrics.record_bad_request();
+                shared.metrics.bad_requests.add(1);
             }
             (status, Payload::Json(Json::obj(vec![("error", Json::str(msg))])))
         }
@@ -1001,7 +1001,7 @@ fn serve_one(
     // Every error response carries the correlation id in its JSON body as
     // well as the header, so a copy-pasted error alone is traceable.
     let payload = if status >= 400 {
-        shared.metrics.record_error_response();
+        shared.metrics.error_responses.add(1);
         match payload {
             Payload::Json(Json::Obj(mut fields)) => {
                 if !fields.iter().any(|(k, _)| k == "request_id") {
@@ -1035,11 +1035,11 @@ fn serve_one(
     let mut keep = !close;
     match http::write_response_with(stream, status, content_type, &body, head_only, close, &extra)
     {
-        Ok(n) => shared.metrics.record_bytes_out(n),
+        Ok(n) => shared.metrics.bytes_out.add(n),
         // A client that vanished mid-response cannot be served further.
         Err(_) => keep = false,
     }
-    shared.metrics.record_completed();
+    shared.metrics.completed.add(1);
     let latency_nanos = started.elapsed().as_nanos() as u64;
     shared.metrics.record_endpoint_latency(&endpoint, latency_nanos);
     shared.events.emit(
@@ -1085,11 +1085,11 @@ fn extract_gremlin(body: &[u8]) -> Result<String, String> {
 fn graph_error_response(shared: &Shared, e: GraphError) -> (u16, Json) {
     let status = match &e {
         GraphError::Timeout => {
-            shared.metrics.record_query_timeout();
+            shared.metrics.query_timeouts.add(1);
             503
         }
         GraphError::Gremlin(_) | GraphError::Config(_) => {
-            shared.metrics.record_bad_request();
+            shared.metrics.bad_requests.add(1);
             400
         }
         GraphError::Db(_) => 500,
@@ -1132,20 +1132,16 @@ fn wants_prometheus(req: &Request) -> bool {
     req.header("accept").is_some_and(|a| a.contains("text/plain"))
 }
 
-/// The Prometheus rendering of `/metrics`, built from the *same* JSON
-/// sections the JSON form serves (see [`promtext::render`]).
+/// The Prometheus rendering of `/metrics`, built from the *same* metric
+/// rows the JSON form serves (see [`promtext::render`]).
 fn render_prometheus(shared: &Shared) -> String {
     let queued = shared.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
-    let graph_json = shared.graph.metrics().to_json();
-    let server_json = shared.metrics.to_json(queued);
-    let replication_json =
-        shared.replica.as_ref().map(|rep| (rep.primary.as_str(), rep.metrics.to_json(&rep.primary)));
     promtext::render(
-        &graph_json,
-        &server_json,
-        replication_json.as_ref().map(|(p, j)| (*p, j)),
-        shared.graph.dialect().registry().as_ref(),
+        &shared.graph.metrics(),
+        shared.graph.dialect().registry(),
         &shared.metrics,
+        queued,
+        shared.replica.as_ref().map(|rep| (rep.primary.as_str(), rep.metrics.as_ref())),
         shared.graph.database().as_ref(),
         shared.events.as_ref(),
         shared.started.elapsed().as_secs(),
@@ -1355,7 +1351,8 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
                 );
             }
             let sid = shared.sessions.begin(shared.graph.database());
-            shared.metrics.record_session_began();
+            shared.metrics.sessions_began.add(1);
+            shared.metrics.sessions_open.add(1);
             shared.events.emit("session_began", vec![("session", Json::str(sid.clone()))]);
             (200, Json::obj(vec![("session", Json::str(sid))]))
         }
@@ -1370,11 +1367,12 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
             match shared.sessions.end(sid, shared.graph.database(), commit) {
                 Err(e) => session_error_response(e),
                 Ok(Ok(())) => {
+                    shared.metrics.sessions_open.sub(1);
                     let (kind, field) = if commit {
-                        shared.metrics.record_session_committed();
+                        shared.metrics.sessions_committed.add(1);
                         ("session_committed", "committed")
                     } else {
-                        shared.metrics.record_session_rolled_back();
+                        shared.metrics.sessions_rolled_back.add(1);
                         ("session_rolled_back", "rolled_back")
                     };
                     shared.events.emit(kind, vec![("session", Json::str(sid.to_string()))]);
@@ -1383,7 +1381,8 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
                 Ok(Err(e)) => {
                     // The transaction is over either way: a failed commit
                     // rolled its writes back.
-                    shared.metrics.record_session_rolled_back();
+                    shared.metrics.sessions_open.sub(1);
+                    shared.metrics.sessions_rolled_back.add(1);
                     shared
                         .events
                         .emit("session_rolled_back", vec![("session", Json::str(sid.to_string()))]);
@@ -1445,7 +1444,7 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
 }
 
 fn bad_request(shared: &Shared, msg: String) -> (u16, Json) {
-    shared.metrics.record_bad_request();
+    shared.metrics.bad_requests.add(1);
     (400, Json::obj(vec![("error", Json::str(msg))]))
 }
 

@@ -2,67 +2,73 @@
 //! these measure the network surface (admission, shedding, deadlines,
 //! bytes), not query execution.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use db2graph_core::json::Json;
-use db2graph_core::HistogramSet;
+use db2graph_core::metrics::json_fields;
+use db2graph_core::{HistogramSet, MetricKind, MetricRow};
 
 /// Key-set cap for the per-endpoint latency histograms: the endpoint
 /// namespace is fixed and tiny, so anything past this is `<other>`.
 const ENDPOINT_HISTOGRAM_KEYS: usize = 32;
 
-/// Atomic counters shared by the acceptor, every worker, and `/metrics`.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Connections the acceptor pulled off the listener.
-    accepted: AtomicU64,
-    /// Connections admitted into the bounded queue.
-    admitted: AtomicU64,
-    /// Connections shed with 429 because the queue was full.
-    rejected: AtomicU64,
-    /// Requests a worker finished (response written or write failed);
-    /// after a graceful shutdown `completed == admitted` — zero dropped
-    /// in-flight queries.
-    completed: AtomicU64,
-    /// Requests answered 4xx (malformed HTTP, bad JSON, bad Gremlin).
-    bad_requests: AtomicU64,
-    /// Queries aborted by the per-request deadline (503).
-    query_timeouts: AtomicU64,
-    /// Request bytes read off the wire.
-    bytes_in: AtomicU64,
-    /// Response bytes written to the wire.
-    bytes_out: AtomicU64,
-    /// Gauge: requests currently being handled by workers.
-    in_flight: AtomicU64,
-    /// `accept()` calls that failed (fd exhaustion, transient network
-    /// errors) — previously only backed off, never counted.
-    accept_errors: AtomicU64,
-    /// Responses written with a 4xx/5xx status (shed 429s count under
-    /// `rejected`, not here). The SLO monitor's error rate reads this.
-    error_responses: AtomicU64,
-    /// Wall-time latency per endpoint path, for per-endpoint p99 SLOs and
-    /// the Prometheus exposition.
-    endpoints: EndpointHistograms,
-    /// Requests served on an already-used connection (request ≥ 2 of a
-    /// keep-alive connection) — the churn the persistent loop saves.
-    keepalive_reuses: AtomicU64,
-    /// 429/503 sheds that carried a computed `Retry-After` hint (every
-    /// shed should; a gap between this and `rejected` is a bug).
-    retry_after_hints: AtomicU64,
-    /// Sessions begun via `POST /session`.
-    sessions_began: AtomicU64,
-    /// Sessions ended by an explicit commit.
-    sessions_committed: AtomicU64,
-    /// Sessions ended by an explicit rollback.
-    sessions_rolled_back: AtomicU64,
-    /// Abandoned sessions the idle reaper rolled back.
-    sessions_reaped: AtomicU64,
-    /// Gauge: sessions currently open (begun, not yet ended).
-    sessions_open: AtomicU64,
-    /// Completion-rate sample backing the `Retry-After` estimate.
-    drain: Mutex<Option<DrainSample>>,
+db2graph_core::metric_table! {
+    /// Atomic counters shared by the acceptor, every worker, and `/metrics`.
+    pub struct ServerMetrics;
+    /// A point-in-time copy of every [`ServerMetrics`] row.
+    pub struct ServerSnapshot {
+        /// Connections the acceptor pulled off the listener.
+        accepted: Counter,
+        /// Requests admitted into the bounded queue (request ≥ 2 of a
+        /// keep-alive connection is admitted without queueing).
+        admitted: Counter,
+        /// Connections shed with 429 because the queue was full.
+        rejected: Counter,
+        /// Requests a worker finished (response written or write failed);
+        /// after a graceful shutdown `completed == admitted` — zero dropped
+        /// in-flight queries.
+        completed: Counter,
+        /// Requests answered 4xx (malformed HTTP, bad JSON, bad Gremlin).
+        bad_requests: Counter,
+        /// Queries aborted by the per-request deadline (503).
+        query_timeouts: Counter,
+        /// Request bytes read off the wire.
+        bytes_in: Counter,
+        /// Response bytes written to the wire.
+        bytes_out: Counter,
+        /// Requests currently being handled by workers.
+        in_flight: Gauge,
+        /// `accept()` calls that failed (fd exhaustion, transient network
+        /// errors).
+        accept_errors: Counter,
+        /// Responses written with a 4xx/5xx status (shed 429s count under
+        /// `rejected`, not here). The SLO monitor's error rate reads this.
+        error_responses: Counter,
+        /// Requests served on an already-used connection (request ≥ 2 of a
+        /// keep-alive connection) — the churn the persistent loop saves.
+        keepalive_reuses: Counter,
+        /// 429/503 sheds that carried a computed `Retry-After` hint (every
+        /// shed should; a gap between this and `rejected` is a bug).
+        retry_after_hints: Counter,
+        /// Sessions begun via `POST /session`.
+        sessions_began: Counter,
+        /// Sessions ended by an explicit commit.
+        sessions_committed: Counter,
+        /// Sessions ended by an explicit rollback.
+        sessions_rolled_back: Counter,
+        /// Abandoned sessions the idle reaper rolled back.
+        sessions_reaped: Counter,
+        /// Sessions currently open (begun, not yet ended).
+        sessions_open: Gauge,
+    }
+    with {
+        /// Wall-time latency per endpoint path, for per-endpoint p99 SLOs
+        /// and the Prometheus exposition.
+        endpoints: EndpointHistograms,
+        /// Completion-rate sample backing the `Retry-After` estimate.
+        drain: Mutex<Option<DrainSample>>,
+    }
 }
 
 /// One observation of the completion counter, plus the rate derived from
@@ -96,18 +102,6 @@ impl Default for EndpointHistograms {
 }
 
 impl ServerMetrics {
-    pub fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_error_response(&self) {
-        self.error_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one served request's wall time against its endpoint path.
     pub fn record_endpoint_latency(&self, endpoint: &str, nanos: u64) {
         self.endpoints.0.record(endpoint, nanos);
@@ -116,58 +110,6 @@ impl ServerMetrics {
     /// The per-endpoint latency histograms (path → log2 histogram).
     pub fn endpoint_histograms(&self) -> &HistogramSet {
         &self.endpoints.0
-    }
-
-    pub fn record_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_completed(&self) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_bad_request(&self) {
-        self.bad_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_query_timeout(&self) {
-        self.query_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_bytes_in(&self, n: u64) {
-        self.bytes_in.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_bytes_out(&self, n: u64) {
-        self.bytes_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn record_keepalive_reuse(&self) {
-        self.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_session_began(&self) {
-        self.sessions_began.fetch_add(1, Ordering::Relaxed);
-        self.sessions_open.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_session_committed(&self) {
-        self.sessions_committed.fetch_add(1, Ordering::Relaxed);
-        self.sessions_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn record_session_rolled_back(&self) {
-        self.sessions_rolled_back.fetch_add(1, Ordering::Relaxed);
-        self.sessions_open.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn record_session_reaped(&self) {
-        self.sessions_reaped.fetch_add(1, Ordering::Relaxed);
-        self.sessions_open.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Compute the `Retry-After` hint for one shed, against the queue
@@ -180,7 +122,7 @@ impl ServerMetrics {
     /// (cold start, or a fully wedged pool) the honest answer is "soon,
     /// try again": 1 second, rather than a fabricated larger number.
     pub fn retry_after_secs(&self, queued: u64) -> u64 {
-        self.retry_after_hints.fetch_add(1, Ordering::Relaxed);
+        self.retry_after_hints.add(1);
         let now = Instant::now();
         let completed = self.completed();
         let mut slot = self.drain.lock().unwrap_or_else(|e| e.into_inner());
@@ -212,99 +154,26 @@ impl ServerMetrics {
     /// RAII in-flight gauge increment; decrements on drop so early
     /// returns and write failures can't leak the gauge.
     pub fn enter(&self) -> InFlight<'_> {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.in_flight.add(1);
         InFlight { metrics: self }
     }
 
-    pub fn accepted(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed)
+    /// The scalar rows of the `server` section of `/metrics`: the table,
+    /// plus `queued` after `in_flight` — passed in by the caller, which
+    /// owns the admission queue.
+    pub fn rows(&self, queued: usize) -> Vec<MetricRow> {
+        let mut rows = self.load().rows();
+        let at = rows.iter().position(|r| r.name == "in_flight").map_or(rows.len(), |i| i + 1);
+        let queued = MetricRow { name: "queued", kind: MetricKind::Gauge, value: queued as u64 };
+        rows.insert(at, queued);
+        rows
     }
 
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    pub fn bad_requests(&self) -> u64 {
-        self.bad_requests.load(Ordering::Relaxed)
-    }
-
-    pub fn query_timeouts(&self) -> u64 {
-        self.query_timeouts.load(Ordering::Relaxed)
-    }
-
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    pub fn accept_errors(&self) -> u64 {
-        self.accept_errors.load(Ordering::Relaxed)
-    }
-
-    pub fn error_responses(&self) -> u64 {
-        self.error_responses.load(Ordering::Relaxed)
-    }
-
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load(Ordering::Relaxed)
-    }
-
-    pub fn retry_after_hints(&self) -> u64 {
-        self.retry_after_hints.load(Ordering::Relaxed)
-    }
-
-    pub fn sessions_began(&self) -> u64 {
-        self.sessions_began.load(Ordering::Relaxed)
-    }
-
-    pub fn sessions_committed(&self) -> u64 {
-        self.sessions_committed.load(Ordering::Relaxed)
-    }
-
-    pub fn sessions_rolled_back(&self) -> u64 {
-        self.sessions_rolled_back.load(Ordering::Relaxed)
-    }
-
-    pub fn sessions_reaped(&self) -> u64 {
-        self.sessions_reaped.load(Ordering::Relaxed)
-    }
-
-    pub fn sessions_open(&self) -> u64 {
-        self.sessions_open.load(Ordering::Relaxed)
-    }
-
-    /// JSON for the `server` section of `/metrics`. `queued` is passed in
-    /// by the caller, which owns the admission queue.
+    /// JSON for the `server` section of `/metrics`.
     pub fn to_json(&self, queued: usize) -> Json {
-        Json::obj(vec![
-            ("accepted", Json::u64(self.accepted())),
-            ("admitted", Json::u64(self.admitted())),
-            ("rejected", Json::u64(self.rejected())),
-            ("completed", Json::u64(self.completed())),
-            ("bad_requests", Json::u64(self.bad_requests())),
-            ("query_timeouts", Json::u64(self.query_timeouts())),
-            ("bytes_in", Json::u64(self.bytes_in.load(Ordering::Relaxed))),
-            ("bytes_out", Json::u64(self.bytes_out.load(Ordering::Relaxed))),
-            ("in_flight", Json::u64(self.in_flight())),
-            ("queued", Json::u64(queued as u64)),
-            ("accept_errors", Json::u64(self.accept_errors())),
-            ("error_responses", Json::u64(self.error_responses())),
-            ("keepalive_reuses", Json::u64(self.keepalive_reuses())),
-            ("retry_after_hints", Json::u64(self.retry_after_hints())),
-            ("sessions_began", Json::u64(self.sessions_began())),
-            ("sessions_committed", Json::u64(self.sessions_committed())),
-            ("sessions_rolled_back", Json::u64(self.sessions_rolled_back())),
-            ("sessions_reaped", Json::u64(self.sessions_reaped())),
-            ("sessions_open", Json::u64(self.sessions_open())),
-            ("endpoint_latency", self.endpoints.0.to_json()),
-        ])
+        let mut fields = json_fields(&self.rows(queued));
+        fields.push(("endpoint_latency", self.endpoints.0.to_json()));
+        Json::obj(fields)
     }
 }
 
@@ -315,6 +184,6 @@ pub struct InFlight<'a> {
 
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
-        self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.in_flight.sub(1);
     }
 }

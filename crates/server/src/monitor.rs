@@ -15,7 +15,6 @@
 //! retained one — no per-request bookkeeping on the hot path.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -195,7 +194,7 @@ fn evaluate(shared: &Shared, targets: &SloTargets, now: &Sample, base: &Sample) 
     }
     if let Some(limit) = targets.max_replica_lag {
         if let Some(rep) = &shared.replica {
-            let lag = rep.metrics.lag_records.load(Ordering::Relaxed);
+            let lag = rep.metrics.replication_lag_records();
             if lag > limit {
                 violations.push(format!(
                     "DB2GRAPH_MAX_REPLICA_LAG: {lag} records behind {} > {limit}",

@@ -1,16 +1,17 @@
 //! Hand-rolled Prometheus text exposition (format version 0.0.4) for
 //! `GET /metrics` with `Accept: text/plain` or `?format=prometheus`.
 //!
-//! The JSON form of `/metrics` stays the source of truth and its schema
-//! is untouched; this module *re-renders* the same numbers so a stock
-//! Prometheus scraper can consume them without a sidecar exporter — the
-//! paper's retrofit argument applied to operations: the graph layer must
-//! plug into the host fleet's standard monitoring, not ship its own.
+//! This module renders the same metric rows the JSON form of `/metrics`
+//! serves, so a stock Prometheus scraper can consume them without a
+//! sidecar exporter — the paper's retrofit argument applied to
+//! operations: the graph layer must plug into the host fleet's standard
+//! monitoring, not ship its own.
 //!
 //! Mapping rules:
-//! * every numeric leaf of a JSON section becomes
-//!   `db2graph_<section>_<key>` (so a metric added to the JSON later is
-//!   automatically exposed here — coverage can't silently drift);
+//! * every scalar row of a section's metric table becomes
+//!   `db2graph_<section>_<key>`, its `# TYPE` the row's declared kind (so
+//!   a row added to a table later is exposed here with the right type —
+//!   coverage can't silently drift);
 //! * the log2 latency histograms become native Prometheus histograms in
 //!   seconds: cumulative `le` buckets (bucket upper bounds are the
 //!   `2^i - 1` nanosecond boundaries), terminated by `+Inf`, plus `_sum`
@@ -18,30 +19,10 @@
 //! * keyed histogram sets (`sql_templates`, `step_kinds`, per-endpoint
 //!   latency) become one labeled histogram series each.
 
-use db2graph_core::json::Json;
-use db2graph_core::{EventLog, Histogram, HistogramSet, MetricsRegistry};
+use db2graph_core::{EventLog, Histogram, HistogramSet, MetricRow, MetricsRegistry, MetricsSnapshot};
 
 use crate::metrics::ServerMetrics;
-
-/// Gauge-typed metric names (per section); everything else numeric is
-/// exposed as a counter. Misclassifying a name costs only the `# TYPE`
-/// annotation, never the value.
-fn is_gauge(key: &str) -> bool {
-    matches!(
-        key,
-        "in_flight"
-            | "queued"
-            | "commit_epoch"
-            | "snapshot_horizon"
-            | "active_snapshots"
-            | "trace_spans"
-            | "replica_applied_epoch"
-            | "replication_lag_records"
-            | "uptime_seconds"
-            | "sessions_open"
-            | "adj_cache_bytes"
-    ) || key.ends_with("_nanos")
-}
+use crate::replica::ReplicaMetrics;
 
 /// Escape a label value per the exposition format.
 fn escape_label(v: &str) -> String {
@@ -77,16 +58,11 @@ fn push_metric(out: &mut String, name: &str, kind: &str, value: f64) {
     out.push('\n');
 }
 
-/// Render every numeric leaf of a `/metrics` JSON section as
-/// `db2graph_<section>_<key>`. Nested objects are skipped — those are the
-/// keyed histograms, exposed natively by the callers below.
-fn push_section(out: &mut String, section: &str, json: &Json) {
-    let Some(fields) = json.as_object() else { return };
-    for (key, value) in fields {
-        if let Json::Num(n) = value {
-            let name = format!("db2graph_{section}_{key}");
-            push_metric(out, &name, if is_gauge(key) { "gauge" } else { "counter" }, *n);
-        }
+/// Render every row of a `/metrics` section as `db2graph_<section>_<key>`.
+fn push_rows(out: &mut String, section: &str, rows: &[MetricRow]) {
+    for row in rows {
+        let name = format!("db2graph_{section}_{}", row.name);
+        push_metric(out, &name, row.kind.prometheus_type(), row.value as f64);
     }
 }
 
@@ -145,26 +121,26 @@ fn push_histogram_set(out: &mut String, name: &str, label: &str, set: &Histogram
     }
 }
 
-/// Everything `/metrics` knows, in Prometheus text format. `graph_json`,
-/// `server_json`, and `replication_json` are the exact JSON sections the
+/// Everything `/metrics` knows, in Prometheus text format: the same
+/// `graph`, `server` (with its `queued` depth) and `replication` rows the
 /// JSON form serves, so the two formats can never disagree on a value's
-/// name or meaning.
+/// name or meaning, plus the full histograms.
 #[allow(clippy::too_many_arguments)]
 pub fn render(
-    graph_json: &Json,
-    server_json: &Json,
-    replication_json: Option<(&str, &Json)>,
+    graph: &MetricsSnapshot,
     registry: &MetricsRegistry,
     server: &ServerMetrics,
+    queued: usize,
+    replication: Option<(&str, &ReplicaMetrics)>,
     db: &reldb::Database,
     events: &EventLog,
     uptime_seconds: u64,
 ) -> String {
     let mut out = String::with_capacity(8 * 1024);
-    push_section(&mut out, "graph", graph_json);
-    push_section(&mut out, "server", server_json);
-    if let Some((primary, json)) = replication_json {
-        push_section(&mut out, "replication", json);
+    push_rows(&mut out, "graph", &graph.rows());
+    push_rows(&mut out, "server", &server.rows(queued));
+    if let Some((primary, replica)) = replication {
+        push_rows(&mut out, "replication", &replica.load().rows());
         out.push_str("# TYPE db2graph_replication_info gauge\n");
         out.push_str(&format!(
             "db2graph_replication_info{{primary=\"{}\"}} 1\n",
@@ -215,20 +191,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sections_render_numeric_leaves_and_skip_nested() {
-        let json = Json::obj(vec![
-            ("traversals", Json::u64(7)),
-            ("in_flight", Json::u64(2)),
-            ("nested", Json::obj(vec![("x", Json::u64(1))])),
-            ("name", Json::str("not a number")),
-        ]);
+    fn rows_render_with_their_declared_type() {
         let mut out = String::new();
-        push_section(&mut out, "graph", &json);
+        push_rows(&mut out, "server", &ServerMetrics::default().rows(3));
+        assert!(out.contains("# TYPE db2graph_server_accepted counter\n"), "{out}");
+        assert!(out.contains("# TYPE db2graph_server_in_flight gauge\n"), "{out}");
+        assert!(out.contains("# TYPE db2graph_server_queued gauge\ndb2graph_server_queued 3\n"));
+        let mut out = String::new();
+        let graph = MetricsSnapshot { traversals: 7, ..Default::default() };
+        push_rows(&mut out, "graph", &graph.rows());
         assert!(out.contains("# TYPE db2graph_graph_traversals counter\n"), "{out}");
         assert!(out.contains("db2graph_graph_traversals 7\n"), "{out}");
-        assert!(out.contains("# TYPE db2graph_graph_in_flight gauge\n"), "{out}");
-        assert!(!out.contains("nested"), "{out}");
-        assert!(!out.contains("not a number"), "{out}");
+        assert!(out.contains("# TYPE db2graph_graph_sql_wall_nanos counter\n"), "{out}");
+        assert!(out.contains("# TYPE db2graph_graph_wal_bytes gauge\n"), "{out}");
+        let mut out = String::new();
+        push_rows(&mut out, "replication", &ReplicaMetrics::default().load().rows());
+        assert!(out.contains("# TYPE db2graph_replication_replica_applied_epoch gauge\n"));
+        assert!(out.contains("# TYPE db2graph_replication_replica_reconnects counter\n"));
     }
 
     #[test]

@@ -24,12 +24,12 @@
 //! the graph overlay reads its catalog. See `docs/REPLICATION.md`.
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use db2graph_core::json::Json;
+use db2graph_core::metrics::json_fields;
 use db2graph_core::EventLog;
 use reldb::{Database, WalTail};
 
@@ -44,34 +44,32 @@ pub const SHIP_HEADER_LEN: usize = 32;
 /// up over multiple polls instead of one giant body.
 pub const MAX_SHIP_BYTES: usize = 4 << 20;
 
-/// Gauges and counters for the replication section of `/metrics`.
-#[derive(Debug, Default)]
-pub struct ReplicaMetrics {
-    /// Gauge: highest commit epoch the follower has published locally.
-    pub applied_epoch: AtomicU64,
-    /// Gauge: records the primary had beyond our position at the last
-    /// successful poll (`primary_next_seq - next_seq`).
-    pub lag_records: AtomicU64,
-    /// Polls that failed at the transport layer (primary down or
-    /// unreachable) and entered backoff.
-    pub reconnects: AtomicU64,
-    /// Checkpoint-image installs (first contact and 410-triggered).
-    pub bootstraps: AtomicU64,
-    /// Total WAL records applied.
-    pub applied_records: AtomicU64,
+db2graph_core::metric_table! {
+    /// Gauges and counters for the replication section of `/metrics`.
+    pub struct ReplicaMetrics;
+    /// A point-in-time copy of every [`ReplicaMetrics`] row.
+    pub struct ReplicaSnapshot {
+        /// Highest commit epoch the follower has published locally.
+        replica_applied_epoch: Gauge,
+        /// Records the primary had beyond our position at the last
+        /// successful poll (`primary_next_seq - next_seq`).
+        replication_lag_records: Gauge,
+        /// Polls that failed at the transport layer (primary down or
+        /// unreachable) and entered backoff.
+        replica_reconnects: Counter,
+        /// Checkpoint-image installs (first contact and 410-triggered).
+        replica_bootstraps: Counter,
+        /// Total WAL records applied.
+        replica_applied_records: Counter,
+    }
 }
 
 impl ReplicaMetrics {
     /// JSON for the `replication` section of `/metrics`.
     pub fn to_json(&self, primary: &str) -> Json {
-        Json::obj(vec![
-            ("primary", Json::str(primary)),
-            ("replica_applied_epoch", Json::u64(self.applied_epoch.load(Ordering::Relaxed))),
-            ("replication_lag_records", Json::u64(self.lag_records.load(Ordering::Relaxed))),
-            ("replica_reconnects", Json::u64(self.reconnects.load(Ordering::Relaxed))),
-            ("replica_bootstraps", Json::u64(self.bootstraps.load(Ordering::Relaxed))),
-            ("replica_applied_records", Json::u64(self.applied_records.load(Ordering::Relaxed))),
-        ])
+        let mut fields = vec![("primary", Json::str(primary))];
+        fields.extend(json_fields(&self.load().rows()));
+        Json::obj(fields)
     }
 }
 
@@ -198,15 +196,15 @@ pub fn replicate_step(
                 .apply_wal_frames(from, &batch.frames)
                 .map_err(|e| StepError::Protocol(format!("apply shipped frames: {e}")))?;
             let lag = batch.primary_next_seq.saturating_sub(from + applied);
-            metrics.applied_records.fetch_add(applied, Ordering::Relaxed);
-            metrics.applied_epoch.store(db.commit_epoch(), Ordering::Relaxed);
-            metrics.lag_records.store(lag, Ordering::Relaxed);
+            metrics.replica_applied_records.add(applied);
+            metrics.replica_applied_epoch.set(db.commit_epoch());
+            metrics.replication_lag_records.set(lag);
             Ok(StepOutcome::Applied { records: applied, lag })
         }
         410 => {
             bootstrap(db, primary, timeout)?;
-            metrics.bootstraps.fetch_add(1, Ordering::Relaxed);
-            metrics.applied_epoch.store(db.commit_epoch(), Ordering::Relaxed);
+            metrics.replica_bootstraps.add(1);
+            metrics.replica_applied_epoch.set(db.commit_epoch());
             Ok(StepOutcome::Bootstrapped)
         }
         s => Err(StepError::Protocol(format!(
@@ -251,7 +249,7 @@ const MAX_BACKOFF: Duration = Duration::from_secs(3);
 /// Background apply loop: polls the primary at `poll` cadence while
 /// caught up, streams continuously while behind, and on primary loss
 /// retries with exponential backoff (counted in
-/// [`ReplicaMetrics::reconnects`]) — the follower keeps serving reads at
+/// [`ReplicaMetrics::replica_reconnects`]) — the follower keeps serving reads at
 /// its last applied epoch throughout.
 pub struct ReplicaDaemon {
     stop: Arc<(Mutex<bool>, Condvar)>,
@@ -309,7 +307,7 @@ impl ReplicaDaemon {
                                 poll
                             }
                             Err(e) => {
-                                metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+                                metrics.replica_reconnects.add(1);
                                 if was_connected {
                                     events.emit(
                                         "replica_reconnect",
@@ -337,7 +335,7 @@ impl ReplicaDaemon {
                                     if let Err(e) = bootstrap(&db, &primary, timeout) {
                                         let _ = e; // primary still down; backoff covers it
                                     } else {
-                                        metrics.bootstraps.fetch_add(1, Ordering::Relaxed);
+                                        metrics.replica_bootstraps.add(1);
                                         events.emit(
                                             "replica_bootstrap",
                                             vec![

@@ -212,7 +212,8 @@ impl SessionReaper {
                     let run_pass = |everything: bool| {
                         let db = shared.graph.database();
                         for id in shared.sessions.reap(db, everything) {
-                            shared.metrics.record_session_reaped();
+                            shared.metrics.sessions_open.sub(1);
+                            shared.metrics.sessions_reaped.add(1);
                             shared
                                 .events
                                 .emit("session_reaped", vec![("session", Json::str(id))]);

@@ -57,7 +57,8 @@ impl VacuumDaemon {
                     loop {
                         let mut run_pass = |reclaimed: &AtomicU64, final_pass: bool| {
                             let n = db.vacuum() as u64;
-                            registry.record_vacuum(n);
+                            registry.vacuum_runs.add(1);
+                            registry.vacuumed_versions.add(n);
                             reclaimed.fetch_add(n, Ordering::Relaxed);
                             // Idle ticks reclaim nothing; logging them
                             // would only drown real events.

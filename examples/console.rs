@@ -69,7 +69,7 @@ fn main() {
             break;
         }
         if line == "\\stats" {
-            println!("{:?}", graph.stats());
+            println!("{}", graph.metrics().to_json().to_pretty());
             continue;
         }
         if let Some(rest) = line.strip_prefix("\\plan ") {

@@ -73,6 +73,5 @@ fn main() {
         "\nOptimized plan for g.V(10).in('hasDisease').count():\n  {}",
         graph.explain("g.V(10).in('hasDisease').count()").unwrap()
     );
-    let stats = graph.stats();
-    println!("\nOverlay stats: {stats:?}");
+    println!("\nMetrics: {}", graph.metrics().to_json().to_compact());
 }

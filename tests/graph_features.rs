@@ -332,10 +332,10 @@ fn composite_primary_key_vertices() {
     // dest = ?) and pins the row.
     let out = g.run("g.V('route::ZRH::OSL').values('miles')").unwrap();
     assert_eq!(out, vec![GValue::Long(1010)]);
-    let before = g.stats();
+    let before = g.metrics();
     g.run("g.V('route::OSL::NRT')").unwrap();
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1);
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1);
     // Wrong arity or prefix finds nothing.
     assert!(g.run("g.V('route::ZRH')").unwrap().is_empty());
     assert!(g.run("g.V('flight::ZRH::OSL')").unwrap().is_empty());

@@ -227,35 +227,35 @@ fn rolled_back_updates_are_not_visible() {
 fn label_pruning_is_observable_in_stats() {
     let db = healthcare_db();
     let g = open(&db);
-    let before = g.stats();
+    let before = g.metrics();
     g.run("g.V().hasLabel('patient').count()").unwrap();
-    let d = g.stats().since(&before);
+    let d = g.metrics().since(&before);
     // Disease table pruned by its fixed label.
     assert!(d.tables_pruned >= 1, "{d:?}");
     // Exactly one SQL query (COUNT pushed down on Patient only).
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    assert_eq!(d.sql_statements, 1, "{d:?}");
 }
 
 #[test]
 fn prefixed_id_pins_single_table() {
     let db = healthcare_db();
     let g = open(&db);
-    let before = g.stats();
+    let before = g.metrics();
     g.run("g.V('patient::2')").unwrap();
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "prefixed id should query only Patient: {d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "prefixed id should query only Patient: {d:?}");
 }
 
 #[test]
 fn mutation_strategy_skips_vertex_scan() {
     let db = healthcare_db();
     let g = open(&db);
-    let before = g.stats();
+    let before = g.metrics();
     // g.V(id).outE(label): with the mutation this is ONE SQL query on the
     // edge table, no Patient query at all.
     g.run("g.V('patient::1').outE('hasDisease')").unwrap();
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     // Plan shows the rewritten shape.
     let plan = g.explain("g.V('patient::1').outE('hasDisease')").unwrap();
     assert!(plan.contains("src_ids"), "{plan}");
@@ -266,11 +266,11 @@ fn mutation_strategy_skips_vertex_scan() {
 fn count_links_is_one_aggregate_query() {
     let db = healthcare_db();
     let g = open(&db);
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V('patient::1').outE('hasDisease').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(1)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     let plan = g.explain("g.V('patient::1').outE('hasDisease').count()").unwrap();
     assert!(plan.contains("agg"), "{plan}");
 }
@@ -310,12 +310,12 @@ fn strategies_off_still_correct() {
         assert_eq!(a, b, "query {q} differs with strategies off");
     }
     // But the optimized version issues fewer SQL queries.
-    let b_on = g_on.stats();
+    let b_on = g_on.metrics();
     g_on.run("g.V('patient::1').outE('hasDisease').count()").unwrap();
-    let on_q = g_on.stats().since(&b_on).sql_queries;
-    let b_off = g_off.stats();
+    let on_q = g_on.metrics().since(&b_on).sql_statements;
+    let b_off = g_off.metrics();
     g_off.run("g.V('patient::1').outE('hasDisease').count()").unwrap();
-    let off_q = g_off.stats().since(&b_off).sql_queries;
+    let off_q = g_off.metrics().since(&b_off).sql_statements;
     assert!(on_q < off_q, "optimized {on_q} vs unoptimized {off_q}");
 }
 
@@ -430,11 +430,11 @@ fn aggregate_pushdowns_sum_mean_min_max() {
     let db = healthcare_db();
     let g = open(&db);
     // values+aggregate over vertex properties pushes SUM into SQL.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V().hasLabel('patient').values('subscriptionID').sum()").unwrap();
     assert_eq!(out, vec![GValue::Long(100 + 101 + 102 + 103)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     let out = g.run("g.V().hasLabel('patient').values('patientID').mean()").unwrap();
     assert_eq!(out, vec![GValue::Double(2.5)]);
     let out = g.run("g.V().hasLabel('patient').values('patientID').min()").unwrap();

@@ -20,9 +20,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use db2graph::core::json::Json;
-use db2graph::core::{Db2Graph, GraphOptions, OverlayConfig, VTableConfig};
+use db2graph::core::{Db2Graph, GraphOptions, MetricsSnapshot, OverlayConfig, VTableConfig};
 use db2graph::reldb::Database;
+use db2graph::server::metrics::ServerMetrics;
 use db2graph::server::monitor::SloTargets;
+use db2graph::server::replica::ReplicaMetrics;
 use db2graph::server::{
     http_call, http_call_with_headers, GraphServer, ServerConfig, ServerHandle,
 };
@@ -333,10 +335,34 @@ fn split_labels(body: &str) -> Vec<String> {
     out
 }
 
+/// The declared `# TYPE` of every `db2graph_{graph,server,replication}_*`
+/// metric: each section's table rows, plus the two scalars rendered
+/// outside a table.
+fn declared_types() -> std::collections::HashMap<String, &'static str> {
+    let sections = [
+        ("graph", MetricsSnapshot::default().rows()),
+        ("server", ServerMetrics::default().rows(0)),
+        ("replication", ReplicaMetrics::default().load().rows()),
+    ];
+    let mut types: std::collections::HashMap<String, &'static str> = sections
+        .iter()
+        .flat_map(|(section, rows)| {
+            rows.iter().map(move |r| {
+                (format!("db2graph_{section}_{}", r.name), r.kind.prometheus_type())
+            })
+        })
+        .collect();
+    types.insert("db2graph_server_uptime_seconds".into(), "gauge");
+    types.insert("db2graph_replication_info".into(), "gauge");
+    types
+}
+
 /// The exposition-format lint: every line parses, every histogram's
-/// buckets are cumulative and end with `+Inf` equal to its `_count`.
+/// buckets are cumulative and end with `+Inf` equal to its `_count`, and
+/// every section scalar is typed as its table row declares.
 fn lint_prometheus(text: &str) {
     use std::collections::HashMap;
+    let declared = declared_types();
     let mut buckets: HashMap<String, Vec<(Option<String>, f64)>> = HashMap::new();
     let mut counts: HashMap<String, f64> = HashMap::new();
     for line in text.lines() {
@@ -352,6 +378,13 @@ fn lint_prometheus(text: &str) {
                 matches!(kind, "counter" | "gauge" | "histogram"),
                 "unknown metric kind: {line}"
             );
+            if ["db2graph_graph_", "db2graph_server_", "db2graph_replication_"]
+                .iter()
+                .any(|p| name.starts_with(p))
+            {
+                let want = declared.get(name).copied();
+                assert_eq!(want, Some(kind), "{name} is not typed as its table row");
+            }
             continue;
         }
         assert!(!line.starts_with('#'), "only TYPE comments are emitted: {line}");

@@ -90,16 +90,16 @@ fn social_overlay() -> OverlayConfig {
 fn prefixed_ids_pin_tables_and_decompose() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V('person::1').values('name')").unwrap();
     assert_eq!(out, vec![GValue::Str("Ann".into())]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "prefix must pin Person only: {d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "prefix must pin Person only: {d:?}");
     // Wrong-prefix ids return nothing and touch no table at all.
-    let before = g.stats();
+    let before = g.metrics();
     assert!(g.run("g.V('warehouse::1')").unwrap().is_empty());
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 0, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 0, "{d:?}");
     assert_eq!(d.tables_pruned, 2, "{d:?}");
 }
 
@@ -108,19 +108,19 @@ fn src_dst_table_links_prune_edge_tables() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
     // out('worksAt') from a person: label pruning leaves WorksAt only.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V('person::1').out('worksAt').values('cname')").unwrap();
     assert_eq!(out, vec![GValue::Str("Initech".into())]);
-    let d = g.stats().since(&before);
+    let d = g.metrics().since(&before);
     // 1 SQL for Person (V(id)), wait - mutation rewrites V(id).out into
     // edge scan + endpoint lookup: 1 SQL on WorksAt + 1 on Company.
-    assert_eq!(d.sql_queries, 2, "{d:?}");
+    assert_eq!(d.sql_statements, 2, "{d:?}");
     // in('worksAt') from a company touches WorksAt by dst + Person lookup.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V('company::1').in('worksAt').dedup().count()").unwrap();
     assert_eq!(out, vec![GValue::Long(2)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 2, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 2, "{d:?}");
 }
 
 #[test]
@@ -128,29 +128,29 @@ fn property_name_elimination() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
     // 'sector' only exists on Company: Person is eliminated without SQL.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V().has('sector', 'tech').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(1)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     assert!(d.tables_pruned >= 1, "{d:?}");
     // Projection pushdown on a single-table property also prunes.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.V().values('sector').dedup().count()").unwrap();
     assert_eq!(out, vec![GValue::Long(2)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "{d:?}");
 }
 
 #[test]
 fn label_elimination_on_edges() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.E().hasLabel('knows').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(4)]);
-    let d = g.stats().since(&before);
-    assert_eq!(d.sql_queries, 1, "only Knows queried: {d:?}");
+    let d = g.metrics().since(&before);
+    assert_eq!(d.sql_statements, 1, "only Knows queried: {d:?}");
 }
 
 #[test]
@@ -160,14 +160,14 @@ fn combined_strategy_example_from_section_6_2() {
     //   -> SELECT COUNT(*) FROM Knows WHERE a IN (...) AND metIn = 'US'
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
-    let before = g.stats();
+    let before = g.metrics();
     let out = g
         .run("g.V('person::1', 'person::2').outE().has('metIn', 'US').count()")
         .unwrap();
     assert_eq!(out, vec![GValue::Long(2)]);
-    let d = g.stats().since(&before);
+    let d = g.metrics().since(&before);
     // metIn exists only on Knows -> WorksAt pruned; single aggregate SQL.
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     let plan = g
         .explain("g.V('person::1').outE().has('metIn', 'US').count()")
         .unwrap();
@@ -227,12 +227,12 @@ fn vertex_from_edge_shortcut_when_table_is_both() {
     let g = Db2Graph::open(db, &cfg).unwrap();
     // e.outV(): source vertex table == edge table, vertex props (total)
     // subsumed by edge props -> constructed from the edge, zero SQL.
-    let before = g.stats();
+    let before = g.metrics();
     let out = g.run("g.E().hasLabel('placedBy').outV().values('total').sum()").unwrap();
     assert_eq!(out, vec![GValue::Double(141.5)]);
-    let d = g.stats().since(&before);
+    let d = g.metrics().since(&before);
     assert!(d.vertices_from_edges >= 3, "{d:?}");
-    assert_eq!(d.sql_queries, 1, "only the edge fetch needs SQL: {d:?}");
+    assert_eq!(d.sql_statements, 1, "only the edge fetch needs SQL: {d:?}");
     // The constructed vertices carry the right ids and label.
     let out = g.run("g.E().hasLabel('placedBy').outV().hasLabel('order').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(3)]);
@@ -271,7 +271,7 @@ fn template_cache_reuses_prepared_statements() {
     for pid in [1, 2, 3, 4, 1, 2] {
         g.run(&format!("g.V('person::{pid}').values('name')")).unwrap();
     }
-    let stats = g.stats();
+    let stats = g.metrics();
     // Six queries, but after the first the SQL template is cached.
     assert!(stats.template_hits >= 5, "{stats:?}");
     assert!(g.dialect().template_count() <= 2, "{}", g.dialect().template_count());
@@ -281,14 +281,14 @@ fn template_cache_reuses_prepared_statements() {
 fn implicit_edge_id_decomposition_pins_table_and_row() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
-    let before = g.stats();
+    let before = g.metrics();
     let out = g
         .run("g.E('person::1::knows::person::2').values('metIn')")
         .unwrap();
     assert_eq!(out, vec![GValue::Str("US".into())]);
-    let d = g.stats().since(&before);
+    let d = g.metrics().since(&before);
     // The embedded label eliminates WorksAt; parts become predicates.
-    assert_eq!(d.sql_queries, 1, "{d:?}");
+    assert_eq!(d.sql_statements, 1, "{d:?}");
     assert!(d.tables_pruned >= 1, "{d:?}");
     // An id embedding a label of the *other* table returns nothing.
     assert!(g.run("g.E('person::1::worksFor::person::2')").unwrap().is_empty());

@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use db2graph::core::json::Json;
 use db2graph::core::{Db2Graph, GraphOptions, OverlayConfig, VTableConfig};
@@ -29,6 +29,9 @@ use db2graph::server::{http_call, GraphServer, ServerConfig};
 const ACCOUNTS: i64 = 16;
 const TOTAL: u64 = ACCOUNTS as u64 * 100;
 const TIMEOUT: Duration = Duration::from_secs(10);
+/// How long the mixed-client test waits for its writers before failing
+/// (it normally finishes in well under a second).
+const WRITERS_DEADLINE: Duration = Duration::from_secs(120);
 
 fn stress_rounds() -> usize {
     std::env::var("DB2GRAPH_STRESS_ROUNDS")
@@ -99,28 +102,35 @@ fn sixteen_mixed_clients_observe_one_committed_state_each() {
     let rounds = stress_rounds();
     let stop = Arc::new(AtomicBool::new(false));
     let reads = Arc::new(AtomicUsize::new(0));
-    std::thread::scope(|s| {
-        let writers: Vec<_> = (0..4usize)
-            .map(|w| {
-                let db = db.clone();
-                s.spawn(move || {
-                    for r in 0..rounds {
-                        let from = (r as i64 + w as i64) % ACCOUNTS;
-                        let to = (r as i64 * 7 + w as i64 * 3 + 1) % ACCOUNTS;
-                        db.transaction(|db| {
-                            db.execute(&format!(
-                                "UPDATE Account SET balance = balance - 1 WHERE aid = {from}"
-                            ))?;
-                            db.execute(&format!(
-                                "UPDATE Account SET balance = balance + 1 WHERE aid = {to}"
-                            ))?;
-                            Ok(())
-                        })
-                        .unwrap();
-                    }
-                })
+    // Writers are detached threads rather than scoped ones, so a writer
+    // that never finishes fails the test at the deadline instead of
+    // hanging it.
+    let progress: Arc<Vec<AtomicUsize>> = Arc::new((0..4).map(|_| AtomicUsize::new(0)).collect());
+    let writers: Vec<_> = (0..4usize)
+        .map(|w| {
+            let db = db.clone();
+            let progress = progress.clone();
+            std::thread::spawn(move || {
+                for r in 0..rounds {
+                    let from = (r as i64 + w as i64) % ACCOUNTS;
+                    let to = (r as i64 * 7 + w as i64 * 3 + 1) % ACCOUNTS;
+                    db.transaction(|db| {
+                        db.execute(&format!(
+                            "UPDATE Account SET balance = balance - 1 WHERE aid = {from}"
+                        ))?;
+                        db.execute(&format!(
+                            "UPDATE Account SET balance = balance + 1 WHERE aid = {to}"
+                        ))?;
+                        Ok(())
+                    })
+                    .unwrap();
+                    progress[w].fetch_add(1, Ordering::Relaxed);
+                }
             })
-            .collect();
+        })
+        .collect();
+    let deadline = Instant::now() + WRITERS_DEADLINE;
+    std::thread::scope(|s| {
         for _ in 0..12usize {
             let stop = stop.clone();
             let reads = reads.clone();
@@ -146,11 +156,24 @@ fn sixteen_mixed_clients_observe_one_committed_state_each() {
                 }
             });
         }
-        for w in writers {
-            w.join().unwrap();
+        while !writers.iter().all(|w| w.is_finished()) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
         }
         stop.store(true, Ordering::Relaxed);
     });
+    if !writers.iter().all(|w| w.is_finished()) {
+        let done: Vec<usize> = progress.iter().map(|p| p.load(Ordering::Relaxed)).collect();
+        // A stuck writer may hold locks the server's shutdown needs:
+        // leak the server so the failure is reported instead of hanging.
+        std::mem::forget(handle);
+        panic!(
+            "writers unfinished after {WRITERS_DEADLINE:?}: \
+             rounds done per writer {done:?} of {rounds}"
+        );
+    }
+    for w in writers {
+        w.join().expect("writer panicked");
+    }
     assert!(reads.load(Ordering::Relaxed) >= 12, "every reader completed at least one read");
 
     // Quiesced end state conserves, and the daemon actually reclaimed the
