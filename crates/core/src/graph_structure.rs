@@ -242,48 +242,55 @@ impl Db2GraphBackend {
         self.threads
     }
 
-    /// Fan independent probe jobs out over the worker pool.
+    /// Fan independent table reads out over the worker pool.
     ///
     /// Each job runs against a shallow backend clone whose profiler is a
-    /// fresh fork; after the pool joins, the forks are absorbed back into
-    /// this backend's profiler **in job order**, so `.profile()` output is
-    /// identical to sequential execution modulo timing. Results likewise
-    /// come back in job order, and the first error in job order wins —
-    /// callers observe no scheduling effects.
+    /// fresh fork; after the batch finishes, the forks are absorbed back
+    /// into this backend's profiler **in job order**, so `.profile()`
+    /// output is identical to sequential execution modulo timing. Results
+    /// likewise come back in job order, and the first error in job order
+    /// wins — callers observe no scheduling effects.
     ///
     /// When tracing is enabled each job runs inside a `worker` span on its
     /// fork's tracer; absorbing re-parents those spans under whatever span
     /// is open at the fan-out site (the executor step), so trace structure
     /// is the same at any thread count.
-    fn fan_out<T, F>(&self, jobs: Vec<F>) -> GraphResult<Vec<T>>
-    where
-        T: Send,
-        F: FnOnce(&Db2GraphBackend) -> GraphResult<T> + Send,
-    {
-        let clones: Vec<Db2GraphBackend> =
-            jobs.iter().map(|_| self.with_profiler(self.profiler.fork())).collect();
+    fn fan_out(&self, jobs: Vec<TableJob>) -> GraphResult<Vec<TableResult>> {
+        let forks: Vec<Profiler> = jobs.iter().map(|_| self.profiler.fork()).collect();
         let work: Vec<_> = jobs
             .into_iter()
-            .zip(&clones)
+            .zip(&forks)
             .enumerate()
-            .map(|(i, (job, be))| {
+            .map(|(i, (job, fork))| {
+                let be = self.with_profiler(fork.clone());
                 move || {
                     let tracer = be.profiler.tracer();
                     let span = tracer
                         .start_with("worker", crate::trace::SpanKind::Worker, || {
                             vec![("job".to_string(), i.to_string())]
                         });
-                    let out = job(be);
+                    let out = be.run_table_job(&job);
                     tracer.end(span);
                     out
                 }
             })
             .collect();
         let results = pool::run_ordered(self.threads, work);
-        for be in &clones {
-            self.profiler.absorb(&be.profiler);
+        for fork in &forks {
+            self.profiler.absorb(fork);
         }
         results.into_iter().collect()
+    }
+
+    fn run_table_job(&self, job: &TableJob) -> GraphResult<TableResult> {
+        match job.kind {
+            ElementKind::Vertices => {
+                self.query_vertex_table(&self.topo.vertex_tables[job.table], &job.filter, job.pinned)
+            }
+            ElementKind::Edges => {
+                self.query_edge_table(&self.topo.edge_tables[job.table], &job.filter)
+            }
+        }
     }
 
     /// The always-on aggregate counters shared with the SQL dialect.
@@ -440,13 +447,11 @@ impl Db2GraphBackend {
         let mut pruned = 0u64;
 
         // One scan job per vertex table; merged in table order.
-        let results = self.fan_out(
-            self.topo
-                .vertex_tables
-                .iter()
-                .map(|vt| move |be: &Db2GraphBackend| be.query_vertex_table(vt, filter, false))
-                .collect(),
-        )?;
+        let results = self.fan_out(TableJob::every_table(
+            ElementKind::Vertices,
+            self.topo.vertex_tables.len(),
+            filter,
+        ))?;
         for r in results {
             match r {
                 TableResult::Pruned => pruned += 1,
@@ -726,13 +731,11 @@ impl Db2GraphBackend {
         let mut agg = AggCombiner::new(filter.aggregate);
         let mut pruned = 0u64;
         // One scan job per edge table; merged in table order.
-        let results = self.fan_out(
-            self.topo
-                .edge_tables
-                .iter()
-                .map(|et| move |be: &Db2GraphBackend| be.query_edge_table(et, filter))
-                .collect(),
-        )?;
+        let results = self.fan_out(TableJob::every_table(
+            ElementKind::Edges,
+            self.topo.edge_tables.len(),
+            filter,
+        ))?;
         for r in results {
             match r {
                 TableResult::Pruned => pruned += 1,
@@ -1122,29 +1125,26 @@ impl Db2GraphBackend {
         // One job per (candidate table × id chunk); large frontiers split
         // so each statement stays within the template bucket ceiling.
         let chunks: Vec<&[ElementId]> = unique_ids.chunks(MAX_FRONTIER_CHUNK).collect();
-        let mut jobs: Vec<(usize, &[ElementId])> = Vec::new();
+        let mut jobs: Vec<TableJob> = Vec::new();
         for &ti in &candidates {
             for chunk in &chunks {
-                jobs.push((ti, chunk));
+                let mut sub = filter.clone();
+                sub.ids = Some(chunk.to_vec());
+                sub.projection = None;
+                sub.aggregate = None;
+                jobs.push(TableJob {
+                    kind: ElementKind::Vertices,
+                    table: ti,
+                    filter: Arc::new(sub),
+                    pinned: hint.is_some(),
+                });
             }
         }
-        let results = self.fan_out(
-            jobs.iter()
-                .map(|&(ti, chunk)| {
-                    move |be: &Db2GraphBackend| {
-                        let vt = &be.topo.vertex_tables[ti];
-                        let mut sub = filter.clone();
-                        sub.ids = Some(chunk.to_vec());
-                        sub.projection = None;
-                        sub.aggregate = None;
-                        be.query_vertex_table(vt, &sub, hint.is_some())
-                    }
-                })
-                .collect(),
-        )?;
+        let tables: Vec<usize> = jobs.iter().map(|j| j.table).collect();
+        let results = self.fan_out(jobs)?;
         // A table counts as pruned only when every one of its chunks was.
         let mut chunks_pruned: HashMap<usize, usize> = HashMap::new();
-        for (&(ti, _), r) in jobs.iter().zip(results) {
+        for (ti, r) in tables.into_iter().zip(results) {
             match r {
                 TableResult::Pruned => *chunks_pruned.entry(ti).or_insert(0) += 1,
                 TableResult::Elements(es) => {
@@ -1461,6 +1461,27 @@ enum TableResult {
     Agg(AggParts),
 }
 
+/// One unit of [`Db2GraphBackend::fan_out`]: read one overlay table under
+/// a filter. Owned, so it can run on a resident pool thread.
+struct TableJob {
+    kind: ElementKind,
+    /// Index into the topology's vertex or edge tables, per `kind`.
+    table: usize,
+    filter: Arc<ElementFilter>,
+    /// Profile a vertex-table access as pinned rather than queried.
+    pinned: bool,
+}
+
+impl TableJob {
+    /// One job per table of `kind`, all sharing `filter`, in table order.
+    fn every_table(kind: ElementKind, tables: usize, filter: &ElementFilter) -> Vec<TableJob> {
+        let filter = Arc::new(filter.clone());
+        (0..tables)
+            .map(|table| TableJob { kind, table, filter: filter.clone(), pinned: false })
+            .collect()
+    }
+}
+
 /// Everything needed to scan one table: WHERE conjuncts (with `?`
 /// placeholders), their parameters, and the predicate columns for the
 /// dialect's pattern tracking.
@@ -1638,10 +1659,6 @@ impl Db2GraphBackend {
         // (table × group × direction) becomes one *unit*: its cache-hit
         // sources expand in memory, its misses fall back to the batched
         // SQL path with the exact chunking the pure-SQL path uses.
-        struct ProbeSpec {
-            et_idx: usize,
-            sub: ElementFilter,
-        }
         struct Unit {
             et_idx: usize,
             via_out: bool,
@@ -1657,7 +1674,7 @@ impl Db2GraphBackend {
             populate: bool,
         }
         let mut units: Vec<Unit> = Vec::new();
-        let mut probes: Vec<ProbeSpec> = Vec::new();
+        let mut probes: Vec<TableJob> = Vec::new();
         for &ei in &candidates {
             let et = &self.topo.edge_tables[ei];
             for (vt_idx, ids) in &by_table {
@@ -1743,7 +1760,12 @@ impl Db2GraphBackend {
                         } else {
                             intersect(&mut sub.dst_ids);
                         }
-                        probes.push(ProbeSpec { et_idx: ei, sub });
+                        probes.push(TableJob {
+                            kind: ElementKind::Edges,
+                            table: ei,
+                            filter: Arc::new(sub),
+                            pinned: false,
+                        });
                         miss_chunks.push(chunk.to_vec());
                     }
                     units.push(Unit {
@@ -1760,20 +1782,8 @@ impl Db2GraphBackend {
 
         // Phase 2 (parallel): run the independent cache-miss probes;
         // results come back in probe order.
-        let mut results: Vec<Option<TableResult>> = self
-            .fan_out(
-                probes
-                    .iter()
-                    .map(|p| {
-                        move |be: &Db2GraphBackend| {
-                            be.query_edge_table(&be.topo.edge_tables[p.et_idx], &p.sub)
-                        }
-                    })
-                    .collect(),
-            )?
-            .into_iter()
-            .map(Some)
-            .collect();
+        let mut results: Vec<Option<TableResult>> =
+            self.fan_out(probes)?.into_iter().map(Some).collect();
 
         // Phase 3: merge — units in probe nesting order; within a unit,
         // cache hits (expanded in-memory on work-stealing morsels, no
@@ -1783,12 +1793,13 @@ impl Db2GraphBackend {
         // pure SQL path's — the cache changes *where* a group's edges come
         // from, never their content or order.
         let mut found: Vec<FoundEdge> = Vec::new();
-        for unit in &units {
+        for unit in &mut units {
             if !unit.hits.is_empty() {
+                let morsel = pool::morsel_size(unit.hits.len());
                 let expanded: Vec<Edge> = pool::run_morsels(
                     self.threads,
-                    &unit.hits,
-                    pool::morsel_size(unit.hits.len()),
+                    std::mem::take(&mut unit.hits),
+                    morsel,
                     |_, spans| {
                         spans
                             .iter()

@@ -1,4 +1,4 @@
-//! A small scoped worker pool for intra-query parallelism.
+//! A process-wide resident worker pool for intra-query parallelism.
 //!
 //! One Gremlin step over the SQL overlay expands into a set of *independent*
 //! probes — one per (edge table, source table, direction) for adjacency, one
@@ -7,20 +7,33 @@
 //! `Database` takes `&self` everywhere, and every worker reads the one
 //! storage snapshot its query pinned at entry — see `docs/CONSISTENCY.md`),
 //! so they can run on worker threads without any coordination beyond
-//! joining, and concurrent writers never change what any worker observes.
+//! waiting for the batch, and concurrent writers never change what any
+//! worker observes.
 //!
-//! The pool is deliberately minimal: [`run_ordered`] executes a batch of
-//! closures on up to `threads` scoped threads (`std::thread::scope`, so
-//! borrows of the caller's stack work and nothing outlives the call) and
-//! returns the results **in the order the jobs were given**, regardless of
-//! which thread finished first. Determinism of merged query results falls
-//! out of that ordering guarantee; callers never see scheduling effects.
+//! [`run_ordered`] runs a batch of owned (`'static`) jobs and returns the
+//! results **in the order the jobs were given**, regardless of which thread
+//! finished first; [`run_morsels`] does the same for contiguous morsels of
+//! an owned frontier. Determinism of merged query results falls out of that
+//! ordering guarantee; callers never see scheduling effects.
+//!
+//! The threads are resident: helpers start lazily, park on a condvar
+//! between batches, and the pool grows to `max(threads) - 1` helpers over
+//! every `threads` value ever asked for, never shrinking. No query spawns a
+//! thread. The calling thread claims tasks from the same atomic cursor as
+//! the helpers, so a batch always finishes — even when every helper is busy
+//! with other queries or with the job that submitted this (nested) batch.
+//! At most `threads - 1` helpers join any one batch, so `threads` keeps
+//! meaning "how many threads one query may use".
 //!
 //! Thread count resolution: explicit configuration wins, then the
 //! `DB2GRAPH_THREADS` environment variable, then the machine's available
 //! parallelism. A count of 1 (or a batch of 1 job) short-circuits to plain
-//! inline execution with zero threading overhead — the sequential and
+//! inline execution and never touches the pool — the sequential and
 //! parallel paths are the same code.
+//!
+//! A panicking job does not take its thread down: the panic is caught, the
+//! rest of the batch still runs, and the first payload in job order is
+//! re-raised on the caller once the batch has finished.
 //!
 //! Observability: the pool itself records nothing. Callers that need
 //! per-job telemetry (the backend's `fan_out`) give each job a forked
@@ -29,91 +42,55 @@
 //! that makes results deterministic makes the absorbed span *tree*
 //! deterministic at any thread count (see `docs/OBSERVABILITY.md`).
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Environment variable overriding the worker count for query execution.
 pub const THREADS_ENV: &str = "DB2GRAPH_THREADS";
 
 /// The worker count to use when none is configured explicitly:
-/// `DB2GRAPH_THREADS` if set and parseable, otherwise the machine's
-/// available parallelism (at least 1).
+/// `DB2GRAPH_THREADS` if set to a positive integer, otherwise the
+/// machine's available parallelism (at least 1). Any other value of the
+/// variable — including 0 — records a `config_warning` and falls back.
 pub fn configured_threads() -> usize {
     let auto = || std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        match v.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => {
-                let fallback = auto();
-                crate::events::record_config_warning(
-                    THREADS_ENV,
-                    &v,
-                    &format!("available parallelism ({fallback})"),
-                );
-                return fallback;
-            }
-        }
-    }
-    auto()
+    let Ok(raw) = std::env::var(THREADS_ENV) else { return auto() };
+    parse_threads(&raw).unwrap_or_else(|| {
+        let fallback = auto();
+        crate::events::record_config_warning(
+            THREADS_ENV,
+            &raw,
+            &format!("available parallelism ({fallback})"),
+        );
+        fallback
+    })
 }
 
-/// Run `jobs` on up to `threads` scoped worker threads, returning results
-/// in job order. With `threads <= 1` or fewer than two jobs, runs inline on
-/// the calling thread — no spawn, no locks.
+/// A `DB2GRAPH_THREADS` value as a worker count: a positive integer, or
+/// `None` for anything unusable (0 would silently serialise every query).
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
+/// The process-wide pool every query shares.
+static POOL: Pool = Pool::new();
+
+/// Run `jobs` on up to `threads` threads (the caller and up to
+/// `threads - 1` resident helpers), returning results in job order. With
+/// `threads <= 1` or fewer than two jobs, runs inline on the calling
+/// thread without touching the pool.
 ///
-/// Panics in a job propagate to the caller (after all workers have been
-/// joined), matching inline execution semantics closely enough for our use:
-/// a panicking probe aborts the query either way.
+/// A panic in a job is re-raised on the caller after every other job of
+/// the batch has finished — the first panic in job order wins.
 pub fn run_ordered<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where
-    T: Send,
-    F: FnOnce() -> T + Send,
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
 {
-    let n = jobs.len();
-    if threads <= 1 || n <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    // Each slot holds the pending job going in and the result coming out;
-    // workers claim slots through one shared atomic cursor, so a slow probe
-    // never blocks the others (work stealing degenerates to work sharing).
-    let cells: Vec<Mutex<JobCell<T, F>>> =
-        jobs.into_iter().map(|j| Mutex::new(JobCell::Pending(j))).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut cell = cells[i].lock();
-                if let JobCell::Pending(job) = std::mem::replace(&mut *cell, JobCell::Empty) {
-                    let out = {
-                        // Run without holding the lock: nobody else can
-                        // claim index i (the cursor is monotonic), and the
-                        // result write re-acquires below.
-                        drop(cell);
-                        job()
-                    };
-                    *cells[i].lock() = JobCell::Done(out);
-                }
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .map(|c| match c.into_inner() {
-            JobCell::Done(v) => v,
-            _ => unreachable!("worker pool joined with unfinished job"),
-        })
-        .collect()
-}
-
-enum JobCell<T, F> {
-    Pending(F),
-    Empty,
-    Done(T),
+    POOL.run_ordered(threads, jobs)
 }
 
 /// Morsel size for a frontier of `n` items: a function of the frontier
@@ -126,53 +103,258 @@ pub fn morsel_size(n: usize) -> usize {
     (n / 64).clamp(16, 1024)
 }
 
-/// Morsel-driven execution over a frontier: workers pull contiguous
-/// `[start, start+morsel)` ranges of `items` from one shared atomic
-/// cursor (work stealing: a fast worker takes more morsels, a slow one is
-/// never waited on mid-frontier), run `f(start, slice)` on each, and the
-/// per-morsel outputs are concatenated **in morsel order** — so the
-/// result is byte-identical to running `f` over the whole frontier
-/// inline, at any thread count. With `threads <= 1` or a single-morsel
-/// frontier, runs inline with zero threading overhead.
-pub fn run_morsels<T, R, F>(threads: usize, items: &[T], morsel: usize, f: F) -> Vec<R>
+/// Morsel-driven execution over a frontier the pool takes ownership of:
+/// the caller and the helpers pull contiguous `[start, start+morsel)`
+/// ranges of `items` from one shared atomic cursor (work stealing: a fast
+/// thread takes more morsels, a slow one is never waited on
+/// mid-frontier), run `f(start, slice)` on each, and the per-morsel
+/// outputs are concatenated **in morsel order** — so the result is
+/// byte-identical to running `f` over the whole frontier inline, at any
+/// thread count. With `threads <= 1` or a single-morsel frontier, runs
+/// inline without touching the pool.
+pub fn run_morsels<T, R, F>(threads: usize, items: Vec<T>, morsel: usize, f: F) -> Vec<R>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
+    T: Send + Sync + 'static,
+    R: Send + 'static,
+    F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
+    POOL.run_morsels(threads, items, morsel, f)
+}
+
+/// Resident helper threads plus the batches they may join.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a batch is opened; idle helpers park here.
+    wake: Condvar,
+}
+
+struct PoolState {
+    /// Batches helpers may still join, oldest first. The submitting caller
+    /// removes its batch once the cursor is exhausted.
+    open: Vec<Arc<dyn Joinable>>,
+    helpers: usize,
+}
+
+/// The type-erased face of a [`Batch`] that helpers see.
+trait Joinable: Send + Sync {
+    /// Take one of the batch's helper places, if it has unclaimed tasks
+    /// and a place left under its thread cap. Called under the pool lock.
+    fn admit(&self) -> bool;
+    /// Claim and run tasks until the cursor passes the end.
+    fn work(&self);
+}
+
+/// One submitted batch: `len` tasks `task(0..len)`, claimed through an
+/// atomic cursor, each result landing in its own slot.
+struct Batch<R> {
+    task: Box<dyn Fn(usize) -> R + Send + Sync>,
+    len: usize,
+    cursor: AtomicUsize,
+    /// Helper places left (`min(threads, len) - 1` at submission); taken
+    /// only under the pool lock, never returned, so at most `threads`
+    /// distinct threads ever run the batch.
+    places: AtomicUsize,
+    results: Vec<Mutex<Option<std::thread::Result<R>>>>,
+    /// Tasks not yet finished; the caller waits on `finished` for zero.
+    unfinished: Mutex<usize>,
+    finished: Condvar,
+}
+
+impl<R: Send + 'static> Joinable for Batch<R> {
+    fn admit(&self) -> bool {
+        self.cursor.load(Ordering::Relaxed) < self.len
+            && self
+                .places
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| p.checked_sub(1))
+                .is_ok()
     }
-    let m = morsel.max(1);
-    if threads <= 1 || n <= m {
-        return f(0, items);
-    }
-    let slots = n.div_ceil(m);
-    let results: Vec<Mutex<Option<Vec<R>>>> = (0..slots).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(slots) {
-            scope.spawn(|| loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                if k >= slots {
-                    break;
-                }
-                let start = k * m;
-                let end = (start + m).min(n);
-                *results[k].lock() = Some(f(start, &items[start..end]));
-            });
+
+    fn work(&self) {
+        loop {
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                return;
+            }
+            let out = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(i)));
+            *self.results[i].lock() = Some(out);
+            let mut left = self.unfinished.lock();
+            *left -= 1;
+            if *left == 0 {
+                self.finished.notify_all();
+            }
         }
-    });
-    results
-        .into_iter()
-        .flat_map(|c| c.into_inner().expect("morsel pool joined with unfinished morsel"))
-        .collect()
+    }
+}
+
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            state: Mutex::new(PoolState { open: Vec::new(), helpers: 0 }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn run_ordered<T, F>(&'static self, threads: usize, jobs: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        if threads <= 1 || jobs.len() <= 1 {
+            return jobs.into_iter().map(|j| j()).collect();
+        }
+        let len = jobs.len();
+        // The cursor hands out each index once, so each slot is taken once.
+        let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        self.run(threads, len, move |i| {
+            let job = slots[i].lock().take().expect("job claimed once");
+            job()
+        })
+    }
+
+    fn run_morsels<T, R, F>(&'static self, threads: usize, items: Vec<T>, morsel: usize, f: F) -> Vec<R>
+    where
+        T: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
+    {
+        let n = items.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let m = morsel.max(1);
+        if threads <= 1 || n <= m {
+            return f(0, &items);
+        }
+        let per_morsel = self.run(threads, n.div_ceil(m), move |k| {
+            let start = k * m;
+            f(start, &items[start..(start + m).min(n)])
+        });
+        per_morsel.into_iter().flatten().collect()
+    }
+
+    /// Run `task(0..len)` on the caller plus up to `threads - 1` helpers;
+    /// results in index order. Requires `threads >= 2`, `len >= 2`.
+    fn run<R, F>(&'static self, threads: usize, len: usize, task: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(usize) -> R + Send + Sync + 'static,
+    {
+        let places = threads.min(len) - 1;
+        let batch = Arc::new(Batch {
+            task: Box::new(task),
+            len,
+            cursor: AtomicUsize::new(0),
+            places: AtomicUsize::new(places),
+            results: (0..len).map(|_| Mutex::new(None)).collect(),
+            unfinished: Mutex::new(len),
+            finished: Condvar::new(),
+        });
+        {
+            let mut state = self.state.lock();
+            self.grow(&mut state, threads - 1);
+            state.open.push(batch.clone());
+        }
+        for _ in 0..places {
+            self.wake.notify_one();
+        }
+        // The caller works too, so the batch completes even if no helper
+        // ever joins it.
+        batch.work();
+        let handle: Arc<dyn Joinable> = batch.clone();
+        self.state.lock().open.retain(|b| !Arc::ptr_eq(b, &handle));
+        let mut left = batch.unfinished.lock();
+        while *left > 0 {
+            left = wait(&batch.finished, left);
+        }
+        drop(left);
+
+        let mut out = Vec::with_capacity(len);
+        let mut panicked = None;
+        for slot in &batch.results {
+            match slot.lock().take().expect("batch finished with an empty slot") {
+                Ok(v) => out.push(v),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
+        out
+    }
+
+    /// Start helpers until there are `want`. A failed spawn leaves the
+    /// pool smaller; callers still finish their batches themselves.
+    /// Helpers live as long as the process and never unwind (every task
+    /// runs under `catch_unwind`), so their join handles are not kept.
+    fn grow(&'static self, state: &mut PoolState, want: usize) {
+        while state.helpers < want {
+            let spawned = std::thread::Builder::new()
+                .name("db2graph-pool".into())
+                .spawn(move || self.help());
+            if spawned.is_err() {
+                return;
+            }
+            state.helpers += 1;
+        }
+    }
+
+    /// A helper's life: join the oldest open batch with room, work it
+    /// until its cursor runs out, repeat; park while there is none.
+    fn help(&self) {
+        let mut state = self.state.lock();
+        loop {
+            match state.open.iter().find(|b| b.admit()).cloned() {
+                Some(batch) => {
+                    drop(state);
+                    batch.work();
+                    drop(batch);
+                    state = self.state.lock();
+                }
+                None => state = wait(&self.wake, state),
+            }
+        }
+    }
+}
+
+/// `Condvar::wait` that, like the rest of the pool's locks, ignores
+/// poisoning (no pool lock is ever held across a job).
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    /// A pool of its own, so other tests in the binary cannot grow it or
+    /// occupy its helpers.
+    fn private_pool() -> &'static Pool {
+        Box::leak(Box::new(Pool::new()))
+    }
+
+    /// Two jobs that each wait for the other: the caller takes one, so the
+    /// other can only run on a helper. Returns that helper's id.
+    fn rendezvous(pool: &'static Pool) -> ThreadId {
+        let barrier = Arc::new(Barrier::new(2));
+        let jobs: Vec<_> = (0..2)
+            .map(|_| {
+                let barrier = barrier.clone();
+                move || {
+                    barrier.wait();
+                    std::thread::current().id()
+                }
+            })
+            .collect();
+        let me = std::thread::current().id();
+        let ids = pool.run_ordered(2, jobs);
+        assert!(ids.contains(&me));
+        *ids.iter().find(|&&t| t != me).expect("a helper ran the other job")
+    }
 
     #[test]
     fn preserves_job_order() {
@@ -217,9 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn borrows_caller_state() {
-        let data: Vec<usize> = (0..10).collect();
-        let jobs: Vec<_> = data.iter().map(|v| move || *v + 1).collect();
+    fn jobs_share_caller_state_by_arc() {
+        // Jobs are owned; caller state reaches them through shared handles.
+        let data: Arc<Vec<usize>> = Arc::new((0..10).collect());
+        let jobs: Vec<_> = (0..data.len())
+            .map(|i| {
+                let data = data.clone();
+                move || data[i] + 1
+            })
+            .collect();
         let out = run_ordered(4, jobs);
         assert_eq!(out, (1..11usize).collect::<Vec<_>>());
     }
@@ -227,6 +415,94 @@ mod tests {
     #[test]
     fn configured_threads_is_positive() {
         assert!(configured_threads() >= 1);
+    }
+
+    #[test]
+    fn threads_knob_accepts_only_positive_counts() {
+        assert_eq!(parse_threads("4"), Some(4));
+        assert_eq!(parse_threads(" 2\n"), Some(2));
+        assert_eq!(parse_threads("1"), Some(1));
+        for bad in ["0", " 0 ", "", "-1", "two", "1.5"] {
+            assert_eq!(parse_threads(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn helpers_are_resident_across_calls() {
+        let pool = private_pool();
+        let mut seen = HashSet::new();
+        for _ in 0..200 {
+            let jobs: Vec<_> = (0..8).map(|_| || std::thread::current().id()).collect();
+            seen.extend(pool.run_ordered(4, jobs));
+        }
+        assert!(seen.len() <= 4, "{} distinct threads ran jobs", seen.len());
+        assert_eq!(pool.state.lock().helpers, 3);
+    }
+
+    #[test]
+    fn panic_reraises_after_the_batch_and_helpers_survive() {
+        let pool = private_pool();
+        let helper = rendezvous(pool);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<_> = (0..8)
+            .map(|i| {
+                let ran = ran.clone();
+                move || {
+                    if i == 2 {
+                        panic::panic_any("job 2 failed");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .collect();
+        let err = panic::catch_unwind(AssertUnwindSafe(|| pool.run_ordered(2, jobs)))
+            .expect_err("the job's panic reaches the caller");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"job 2 failed"));
+        assert_eq!(ran.load(Ordering::SeqCst), 7, "every other job finished first");
+        assert_eq!(rendezvous(pool), helper);
+        assert_eq!(pool.state.lock().helpers, 1);
+    }
+
+    #[test]
+    fn nested_batches_complete_while_every_helper_is_busy() {
+        let pool = private_pool();
+        let barrier = Arc::new(Barrier::new(2));
+        let outer: Vec<_> = (0..2usize)
+            .map(|o| {
+                let barrier = barrier.clone();
+                move || {
+                    // Both threads of the pool are inside an outer job now.
+                    barrier.wait();
+                    let inner: Vec<_> = (0..16usize).map(|i| move || o * 100 + i).collect();
+                    pool.run_ordered(2, inner)
+                }
+            })
+            .collect();
+        let out = pool.run_ordered(2, outer);
+        for (o, inner) in out.into_iter().enumerate() {
+            assert_eq!(inner, (0..16).map(|i| o * 100 + i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn one_query_never_uses_more_than_its_threads() {
+        let pool = private_pool();
+        let jobs: Vec<_> = (0..8).map(|_| || ()).collect();
+        pool.run_ordered(8, jobs);
+        assert_eq!(pool.state.lock().helpers, 7);
+        for _ in 0..50 {
+            let jobs: Vec<_> = (0..16)
+                .map(|_| {
+                    || {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        std::thread::current().id()
+                    }
+                })
+                .collect();
+            let ids: HashSet<ThreadId> = pool.run_ordered(2, jobs).into_iter().collect();
+            assert!(ids.len() <= 2, "{} threads ran one threads=2 batch", ids.len());
+        }
     }
 
     #[test]
@@ -242,10 +518,11 @@ mod tests {
         let items: Vec<usize> = (0..1000).collect();
         let expect: Vec<usize> = items.iter().map(|v| v * 3).collect();
         for threads in [1, 2, 8] {
-            let out = run_morsels(threads, &items, morsel_size(items.len()), |start, slice| {
-                assert_eq!(slice[0], start);
-                slice.iter().map(|v| v * 3).collect()
-            });
+            let out =
+                run_morsels(threads, items.clone(), morsel_size(items.len()), |start, slice| {
+                    assert_eq!(slice[0], start);
+                    slice.iter().map(|v| v * 3).collect()
+                });
             assert_eq!(out, expect);
         }
     }
@@ -254,7 +531,7 @@ mod tests {
     fn morsels_allow_variable_output_cardinality() {
         // A morsel's output need not be one-per-item (adjacency fans out).
         let items: Vec<usize> = (0..100).collect();
-        let out = run_morsels(4, &items, 16, |_, slice| {
+        let out = run_morsels(4, items.clone(), 16, |_, slice| {
             slice.iter().flat_map(|&v| std::iter::repeat_n(v, v % 3)).collect()
         });
         let expect: Vec<usize> =
@@ -265,7 +542,7 @@ mod tests {
     #[test]
     fn empty_frontier_short_circuits() {
         let none: Vec<usize> = Vec::new();
-        let out = run_morsels(8, &none, 16, |_, s| s.to_vec());
+        let out = run_morsels(8, none, 16, |_, s| s.to_vec());
         assert!(out.is_empty());
     }
 }
