@@ -247,6 +247,10 @@ impl Db2Graph {
         snap.commit_epoch = self.db.commit_epoch();
         snap.snapshot_horizon = self.db.snapshot_horizon();
         snap.active_snapshots = self.db.active_snapshots() as u64;
+        // Vacuum passes are counted by the database, so the inline sweep a
+        // commit triggers and a daemon's scheduled pass both show up.
+        snap.vacuum_runs = self.db.vacuum_runs();
+        snap.vacuumed_versions = self.db.vacuumed_versions();
         // Durability gauges (all zero for an in-memory database): WAL
         // volume, checkpoints completed, and what the last recovery did.
         snap.wal_records = self.db.wal_records();
@@ -645,4 +649,40 @@ impl TableFunction for GraphQueryFunction {
 /// of elements only.
 pub fn all_elements(values: &[GValue]) -> bool {
     values.iter().all(|v| v.as_element().map(|_: Element| true).unwrap_or(false))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::VTableConfig;
+
+    #[test]
+    fn inline_vacuum_is_counted_without_a_daemon() {
+        let db = Arc::new(Database::new());
+        db.execute("CREATE TABLE Account (aid BIGINT PRIMARY KEY, balance BIGINT)").unwrap();
+        let rows: Vec<String> = (0..16).map(|i| format!("({i}, 0)")).collect();
+        db.execute(&format!("INSERT INTO Account VALUES {}", rows.join(", "))).unwrap();
+        let overlay = OverlayConfig {
+            v_tables: vec![VTableConfig {
+                table_name: "Account".into(),
+                prefixed_id: true,
+                id: "'acct'::aid".into(),
+                fix_label: true,
+                label: "'acct'".into(),
+                properties: Some(vec!["balance".into()]),
+            }],
+            e_tables: vec![],
+        };
+        let graph = Db2Graph::open_with_options(db.clone(), &overlay, GraphOptions::default())
+            .unwrap();
+        let before = graph.metrics();
+        // 300 passes over 16 rows supersede 4 800 versions: past the
+        // garbage threshold at which a commit sweeps inline.
+        for _ in 0..300 {
+            db.execute("UPDATE Account SET balance = balance + 1").unwrap();
+        }
+        let d = graph.metrics().since(&before);
+        assert!(d.vacuum_runs >= 1, "{d:?}");
+        assert!(d.vacuumed_versions > 0, "{d:?}");
+    }
 }

@@ -1157,7 +1157,9 @@ metric_table! {
         pattern_evictions: Counter,
         /// Completed queries whose wall time crossed the slow-query threshold.
         slow_queries: Counter,
-        /// `Database::vacuum` passes run by the vacuum daemon.
+        /// `Database::vacuum` passes run: the inline sweep a commit
+        /// triggers and the server's vacuum daemon alike. Read from the
+        /// database by `Db2Graph::metrics`; 0 in a bare registry snapshot.
         vacuum_runs: Counter,
         /// Dead row versions reclaimed across those passes.
         vacuumed_versions: Counter,

@@ -117,14 +117,13 @@ impl std::fmt::Debug for Snapshot {
     }
 }
 
-/// Per-statement write context: the stamp writes are marked with, and where
-/// their undo records go. Statements inside an open transaction join its
-/// stamp and shared log; standalone statements get a private stamp and log,
-/// committed (or rolled back — statement atomicity) when the statement
-/// ends.
+/// Per-statement write context: the stamp writes are marked with, and the
+/// statement's undo records. A statement run inside an adopted transaction
+/// joins its stamp and hands the records to its log when the statement
+/// ends; a standalone statement gets a private stamp, committed (or rolled
+/// back — statement atomicity) when the statement ends.
 pub(crate) struct WriteCtx {
     stamp: u64,
-    joined: bool,
     local: UndoLog,
 }
 
@@ -147,18 +146,20 @@ pub struct Database {
     tables: RwLock<BTreeMap<String, Arc<Table>>>,
     views: RwLock<BTreeMap<String, ViewDef>>,
     functions: RwLock<BTreeMap<String, Arc<dyn TableFunction>>>,
-    active_txn: Mutex<Option<TxnState>>,
-    /// Session transactions: multi-statement transactions that outlive a
-    /// single thread's attention, keyed by their stamp (the session
-    /// token). `None` marks a checked-out entry — some thread has adopted
-    /// it via [`Database::with_session_txn`] and is executing inside it
-    /// right now, so commit/rollback/reap must wait (they error with
-    /// "busy" rather than block). Unlike `active_txn`, any number of
-    /// session transactions may be open concurrently; writes race under
-    /// the same first-writer-wins conflict rules as auto-commit units.
-    session_txns: Mutex<HashMap<u64, Option<TxnState>>>,
-    /// Serializes engine-level transactions (`transaction()` blocks here
-    /// while another writer's closure runs, instead of erroring).
+    /// Process-unique key of this database's thread adoptions (`ADOPTED`):
+    /// unlike an address, it survives moves and is never reused.
+    id: u64,
+    /// Every open multi-statement transaction — sessions, SQL `BEGIN`s and
+    /// `transaction()` closures — keyed by its stamp (a session's token).
+    /// `None` marks an adopted entry: some thread is executing inside it
+    /// right now, so commit/rollback/reap of a session must wait (they
+    /// error with "busy" rather than block). A `BEGIN` or `transaction()`
+    /// entry is adopted for its whole life. Any number may be open at once;
+    /// writes race under the same first-writer-wins conflict rules as
+    /// auto-commit units.
+    txns: Mutex<HashMap<u64, Option<TxnState>>>,
+    /// Serializes `transaction()` closures: a caller blocks here while
+    /// another caller's closure runs, instead of losing a write conflict.
     txn_gate: Mutex<()>,
     /// Serializes commit publication so each commit gets a unique epoch and
     /// readers can never observe a half-finalized transaction at an epoch
@@ -174,6 +175,10 @@ pub struct Database {
     snapshots: Arc<SnapshotTracker>,
     /// Approximate dead versions created since the last vacuum.
     garbage_hint: AtomicUsize,
+    /// [`Database::vacuum`] passes run by any caller — the inline sweep in
+    /// `commit_ops`, a daemon, a test — and the versions they reclaimed.
+    vacuum_runs: AtomicU64,
+    vacuumed_versions: AtomicU64,
     enforce_foreign_keys: AtomicBool,
     stats: ExecStats,
     /// WAL + checkpoint machinery; `None` for a purely in-memory database
@@ -243,54 +248,72 @@ impl std::fmt::Debug for Database {
     }
 }
 
-// ------------------------------------------------- session transactions
+// --------------------------------------------------------- transactions
 //
-// A session transaction lives in `Database::session_txns` between network
-// requests and is *adopted* by whichever worker thread executes the next
-// request (`Database::with_session_txn`). Adoption parks the transaction's
-// state in this thread-local so the ordinary owner-aware paths
-// (`current_stamp`, `begin_stmt_write`, `record_write`) route reads and
-// writes to it without consulting thread identity — the registry slot
-// holds `None` while adopted, so commit/rollback/reap observe "busy"
-// instead of racing an in-flight request.
+// Every multi-statement transaction lives in `Database::txns` and is
+// *adopted* by the thread executing inside it: adoption parks its state in
+// this thread-local, keyed by database, so reads (`current_stamp`) and
+// writes (`begin_stmt_write`, `end_stmt_write`) find it here alone — no
+// database-wide lock, no thread identity. The registry slot holds `None`
+// while adopted, so ending a session observes "busy" instead of racing an
+// in-flight request. A thread adopts at most one transaction per database.
 thread_local! {
-    static ADOPTED: RefCell<Option<Adopted>> = const { RefCell::new(None) };
+    static ADOPTED: RefCell<Vec<Adopted>> = const { RefCell::new(Vec::new()) };
+}
+
+static NEXT_DB_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Who adopted a transaction onto the thread, which decides how it ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Opener {
+    /// [`Database::with_session_txn`]: parked again when the closure exits.
+    Session,
+    /// [`Database::transaction`]: settled when the closure exits.
+    Closure,
+    /// SQL `BEGIN`: adopted until `COMMIT`/`ROLLBACK` on the same thread.
+    Begin,
 }
 
 struct Adopted {
-    /// Identity of the adopting database (its address), so two databases
-    /// used from one thread can never confuse each other's sessions.
-    db: usize,
-    token: u64,
+    db: u64,
+    opener: Opener,
     state: TxnState,
 }
 
-/// Returns an adopted session transaction to its registry slot when the
-/// `with_session_txn` closure exits — by any path, including a panic, so
-/// a crashed request leaves the session intact for an explicit rollback
-/// or the reaper rather than stranding it checked-out forever.
+/// Ends a closure's adoption however the closure exits, including a panic:
+/// a session goes back to its registry slot (intact for an explicit
+/// rollback or the reaper), an unwound `transaction()` is rolled back.
+/// After a normal `transaction()` return it finds nothing to do.
 struct AdoptionGuard<'a> {
     db: &'a Database,
 }
 
 impl Drop for AdoptionGuard<'_> {
     fn drop(&mut self) {
-        let ident = self.db.ident();
-        let adopted = ADOPTED.with(|a| {
-            let mut slot = a.borrow_mut();
-            if slot.as_ref().is_some_and(|ad| ad.db == ident) { slot.take() } else { None }
-        });
-        if let Some(ad) = adopted {
-            if let Some(slot) = self.db.session_txns.lock().get_mut(&ad.token) {
-                *slot = Some(ad.state);
-            } else {
-                // The registry entry vanished while adopted — impossible
-                // through the public API (commit/rollback/reap refuse busy
-                // sessions) — but settle the log anyway rather than strand
-                // permanent uncommitted markers.
+        let Some(ad) = self.db.unadopt() else { return };
+        let mut txns = self.db.txns.lock();
+        match txns.get_mut(&ad.state.stamp) {
+            Some(slot) if ad.opener == Opener::Session => *slot = Some(ad.state),
+            // An unwound closure (or a session entry gone while adopted,
+            // impossible through the public API): never strand markers.
+            _ => {
+                txns.remove(&ad.state.stamp);
+                drop(txns);
                 let _ = self.db.rollback_ops(ad.state.log, ad.state.stamp);
             }
         }
+    }
+}
+
+impl Drop for Database {
+    /// Free a `BEGIN` this thread left open on the dropped database.
+    fn drop(&mut self) {
+        let id = self.id;
+        let _ = ADOPTED.try_with(|a| {
+            if let Ok(mut adopted) = a.try_borrow_mut() {
+                adopted.retain(|ad| ad.db != id);
+            }
+        });
     }
 }
 
@@ -300,8 +323,8 @@ impl Database {
             tables: RwLock::new(BTreeMap::new()),
             views: RwLock::new(BTreeMap::new()),
             functions: RwLock::new(BTreeMap::new()),
-            active_txn: Mutex::new(None),
-            session_txns: Mutex::new(HashMap::new()),
+            id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
+            txns: Mutex::new(HashMap::new()),
             txn_gate: Mutex::new(()),
             commit_lock: Mutex::new(()),
             commit_epoch: AtomicU64::new(0),
@@ -309,6 +332,8 @@ impl Database {
             schema_gen: AtomicU64::new(0),
             snapshots: Arc::new(SnapshotTracker::default()),
             garbage_hint: AtomicUsize::new(0),
+            vacuum_runs: AtomicU64::new(0),
+            vacuumed_versions: AtomicU64::new(0),
             enforce_foreign_keys: AtomicBool::new(true),
             stats: ExecStats::default(),
             durability: None,
@@ -371,10 +396,9 @@ impl Database {
         let epoch = self.commit_epoch.load(Ordering::Acquire);
         *active.entry(epoch).or_insert(0) += 1;
         drop(active);
-        // A snapshot pinned while a transaction is open on this thread
-        // (a session adoption, or a thread-owned txn) carries the txn's
-        // stamp, so pinned reads — including fan-out clones — keep seeing
-        // the transaction's own uncommitted writes.
+        // A snapshot pinned while this thread has a transaction adopted
+        // carries the txn's stamp, so pinned reads — including fan-out
+        // clones — keep seeing the transaction's own uncommitted writes.
         Snapshot::register_preincremented(epoch, self.current_stamp(), tracker)
     }
 
@@ -414,18 +438,11 @@ impl Database {
         self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The open transaction's stamp — but only for its owning thread.
-    /// Any other thread gets 0 (matching no uncommitted marker), so a
-    /// concurrent plain read never observes a foreign transaction's
-    /// uncommitted writes. A thread that has adopted a session
-    /// transaction (see [`Database::with_session_txn`]) gets that
-    /// session's stamp.
+    /// The stamp of the transaction this thread has adopted, or 0
+    /// (matching no uncommitted marker) — so a plain read never observes
+    /// another thread's uncommitted writes.
     fn current_stamp(&self) -> u64 {
-        if let Some(stamp) = self.adopted_stamp() {
-            return stamp;
-        }
-        let me = std::thread::current().id();
-        self.active_txn.lock().as_ref().filter(|t| t.owner == me).map_or(0, |t| t.stamp)
+        self.adopted().map_or(0, |(_, stamp)| stamp)
     }
 
     /// The view plain (unpinned) statements read under: the highest
@@ -445,7 +462,9 @@ impl Database {
 
     /// Reclaim committed-dead versions no registered snapshot can see.
     /// Runs automatically once enough garbage accumulates; callable
-    /// directly for tests and maintenance. Returns versions reclaimed.
+    /// directly for tests and maintenance. Returns versions reclaimed;
+    /// every pass, whoever runs it, counts in [`Database::vacuum_runs`] /
+    /// [`Database::vacuumed_versions`].
     pub fn vacuum(&self) -> usize {
         let mut horizon = {
             let active = self.snapshots.active.lock();
@@ -460,7 +479,20 @@ impl Database {
             horizon = horizon.min(d.checkpoint_floor.load(Ordering::Acquire));
         }
         let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
-        tables.iter().map(|t| t.vacuum(horizon)).sum()
+        let reclaimed: usize = tables.iter().map(|t| t.vacuum(horizon)).sum();
+        self.vacuum_runs.fetch_add(1, Ordering::Relaxed);
+        self.vacuumed_versions.fetch_add(reclaimed as u64, Ordering::Relaxed);
+        reclaimed
+    }
+
+    /// [`Database::vacuum`] passes run since open.
+    pub fn vacuum_runs(&self) -> u64 {
+        self.vacuum_runs.load(Ordering::Relaxed)
+    }
+
+    /// Dead row versions reclaimed by those passes.
+    pub fn vacuumed_versions(&self) -> u64 {
+        self.vacuumed_versions.load(Ordering::Relaxed)
     }
 
     // ---------------------------------------------------------- durability
@@ -1165,46 +1197,43 @@ impl Database {
                 self.run_update(table, sets, where_clause.as_ref())
             }
             Stmt::Delete { table, where_clause } => self.run_delete(table, where_clause.as_ref()),
-            Stmt::Begin => {
-                if self.adopted_stamp().is_some() {
-                    return Err(DbError::Txn(
-                        "BEGIN is not allowed inside a session transaction".into(),
-                    ));
+            Stmt::Begin => match self.adopted() {
+                None => {
+                    self.begin_adopted(Opener::Begin);
+                    Ok(count_result(0))
                 }
-                let mut txn = self.active_txn.lock();
-                if txn.is_some() {
-                    return Err(DbError::Txn("transaction already in progress".into()));
+                Some((Opener::Session, _)) => {
+                    Err(DbError::Txn("BEGIN is not allowed inside a session transaction".into()))
                 }
-                *txn = Some(TxnState::new(self.alloc_stamp()));
-                Ok(count_result(0))
-            }
+                Some(_) => Err(DbError::Txn("transaction already in progress".into())),
+            },
             Stmt::Commit => {
-                if self.adopted_stamp().is_some() {
-                    return Err(DbError::Txn(
-                        "COMMIT is not allowed inside a session transaction; \
-                         end the session instead"
-                            .into(),
-                    ));
-                }
-                let st = self.take_owned_txn("COMMIT")?;
-                match self.commit_ops(&st.log, st.stamp) {
-                    Ok(()) => Ok(count_result(0)),
-                    Err(e) => Err(self.rollback_preserving(st.log, st.stamp, e)),
-                }
+                let st = self.end_begun_txn("COMMIT")?;
+                self.settle(st.log, st.stamp, Ok(count_result(0)))
             }
             Stmt::Rollback => {
-                if self.adopted_stamp().is_some() {
-                    return Err(DbError::Txn(
-                        "ROLLBACK is not allowed inside a session transaction; \
-                         end the session instead"
-                            .into(),
-                    ));
-                }
-                let st = self.take_owned_txn("ROLLBACK")?;
+                let st = self.end_begun_txn("ROLLBACK")?;
                 self.rollback_ops(st.log, st.stamp)?;
                 Ok(count_result(0))
             }
         }
+    }
+
+    /// Detach the transaction SQL `BEGIN` adopted onto this thread, for
+    /// `COMMIT`/`ROLLBACK`. Refused inside a closure-scoped transaction:
+    /// the closure's owner ends it.
+    fn end_begun_txn(&self, verb: &str) -> DbResult<TxnState> {
+        let refusal = match self.end_adopted(Opener::Begin) {
+            Ok(st) => return Ok(st),
+            Err(None) => "no transaction in progress".to_string(),
+            Err(Some(Opener::Session)) => format!(
+                "{verb} is not allowed inside a session transaction; end the session instead"
+            ),
+            Err(Some(_)) => format!(
+                "{verb} is not allowed inside transaction(); return from the closure instead"
+            ),
+        };
+        Err(DbError::Txn(refusal))
     }
 
     /// Render the execution plan of a SELECT.
@@ -1217,87 +1246,89 @@ impl Database {
 
     /// Run `f` inside a transaction: committed on `Ok`, rolled back on `Err`.
     ///
-    /// Concurrent callers from other threads *block* on an internal gate and
-    /// run one after another instead of erroring, so multi-threaded writers
-    /// can all use this safely. A re-entrant call from the thread that
-    /// already holds a transaction (including an open SQL `BEGIN`) errors.
+    /// Concurrent `transaction()` callers from other threads *block* on an
+    /// internal gate and run one after another instead of erroring, so
+    /// multi-threaded writers can all use this safely. (The gate does not
+    /// cover SQL `BEGIN` or sessions: those settle write conflicts
+    /// first-writer-wins.) A re-entrant call from a thread that already has
+    /// a transaction adopted (including an open SQL `BEGIN`) errors.
     pub fn transaction<T>(&self, f: impl FnOnce(&Database) -> DbResult<T>) -> DbResult<T> {
-        let me = std::thread::current().id();
-        if self.adopted_stamp().is_some()
-            || self.active_txn.lock().as_ref().is_some_and(|t| t.owner == me)
-        {
+        // Checked before the gate, which this thread may itself be holding.
+        if self.in_transaction() {
             return Err(DbError::Txn("transaction already in progress".into()));
         }
         let _gate = self.txn_gate.lock();
-        {
-            let mut txn = self.active_txn.lock();
-            if txn.is_some() {
-                // An open SQL-level BEGIN; the gate only serializes other
-                // `transaction()` calls.
-                return Err(DbError::Txn("transaction already in progress".into()));
-            }
-            *txn = Some(TxnState::new(self.alloc_stamp()));
-        }
-        match f(self) {
-            Ok(v) => {
-                if let Some(st) = self.active_txn.lock().take() {
-                    if let Err(e) = self.commit_ops(&st.log, st.stamp) {
-                        return Err(self.rollback_preserving(st.log, st.stamp, e));
-                    }
-                }
-                Ok(v)
-            }
-            Err(e) => {
-                let st = self.active_txn.lock().take();
-                match st {
-                    Some(st) => Err(self.rollback_preserving(st.log, st.stamp, e)),
-                    None => Err(e),
-                }
-            }
+        self.begin_adopted(Opener::Closure);
+        let _unwind = AdoptionGuard { db: self };
+        let result = f(self);
+        match self.end_adopted(Opener::Closure) {
+            Ok(st) => self.settle(st.log, st.stamp, result),
+            Err(_) => result,
         }
     }
 
-    /// Take the open transaction for COMMIT/ROLLBACK — but only on the
-    /// thread that opened it, consistent with the owner-aware stamp and
-    /// write-context model. A stray COMMIT from another thread must not
-    /// publish a transaction its owner is still mid-way through.
-    fn take_owned_txn(&self, verb: &str) -> DbResult<TxnState> {
-        let mut txn = self.active_txn.lock();
-        match txn.as_ref() {
-            None => Err(DbError::Txn("no transaction in progress".into())),
-            Some(t) if t.owner != std::thread::current().id() => Err(DbError::Txn(format!(
-                "{verb}: the open transaction belongs to another thread"
-            ))),
-            Some(_) => Ok(txn.take().expect("checked above")),
+    /// True while this thread has a transaction open on this database: a
+    /// SQL `BEGIN` awaiting `COMMIT`/`ROLLBACK`, or inside a
+    /// [`Database::transaction`] or [`Database::with_session_txn`] closure.
+    pub fn in_transaction(&self) -> bool {
+        self.adopted().is_some()
+    }
+
+    // ------------------------------------------------------------ adoption
+
+    /// Opener and stamp of the transaction this thread has adopted on this
+    /// database, if any.
+    fn adopted(&self) -> Option<(Opener, u64)> {
+        ADOPTED.with(|a| {
+            let adopted = a.borrow();
+            adopted.iter().find(|ad| ad.db == self.id).map(|ad| (ad.opener, ad.state.stamp))
+        })
+    }
+
+    /// Detach this thread's adoption on this database, whoever opened it.
+    fn unadopt(&self) -> Option<Adopted> {
+        ADOPTED.with(|a| {
+            let mut adopted = a.borrow_mut();
+            let i = adopted.iter().position(|ad| ad.db == self.id)?;
+            Some(adopted.swap_remove(i))
+        })
+    }
+
+    /// Begin a transaction adopted onto this thread from birth.
+    fn begin_adopted(&self, opener: Opener) {
+        let stamp = self.alloc_stamp();
+        self.txns.lock().insert(stamp, None);
+        let state = TxnState::new(stamp);
+        ADOPTED.with(|a| a.borrow_mut().push(Adopted { db: self.id, opener, state }));
+    }
+
+    /// End this thread's adoption on this database and unregister the
+    /// transaction for the caller to settle — provided `opener` opened it.
+    /// Otherwise the adoption stays and the error names its opener (`None`:
+    /// nothing adopted).
+    fn end_adopted(&self, opener: Opener) -> Result<TxnState, Option<Opener>> {
+        let found = self.adopted().map(|(o, _)| o);
+        if found != Some(opener) {
+            return Err(found);
         }
+        let ad = self.unadopt().ok_or(None)?;
+        self.txns.lock().remove(&ad.state.stamp);
+        Ok(ad.state)
     }
 
     // ------------------------------------------------ session transactions
 
-    fn ident(&self) -> usize {
-        self as *const Database as usize
-    }
-
-    /// The stamp of the session transaction this thread has adopted from
-    /// *this* database, if any.
-    fn adopted_stamp(&self) -> Option<u64> {
-        let ident = self.ident();
-        ADOPTED
-            .with(|a| a.borrow().as_ref().filter(|ad| ad.db == ident).map(|ad| ad.state.stamp))
-    }
-
-    /// Begin a session transaction: one that lives *between* calls in a
-    /// registry rather than on a thread, so a network session can stretch
-    /// a single transaction across requests served by different worker
-    /// threads. Returns the token (== the transaction's stamp) naming it
-    /// for [`Database::with_session_txn`] /
+    /// Begin a session transaction: one that lives *between* calls in the
+    /// registry rather than adopted by one thread, so a network session
+    /// can stretch a single transaction across requests served by
+    /// different worker threads. Returns the token (== the transaction's
+    /// stamp) naming it for [`Database::with_session_txn`] /
     /// [`Database::commit_session_txn`] /
     /// [`Database::rollback_session_txn`]. Any number may be open
-    /// concurrently; conflicting writers settle first-writer-wins exactly
-    /// like thread-owned transactions.
+    /// concurrently; conflicting writers settle first-writer-wins.
     pub fn begin_session_txn(&self) -> u64 {
         let stamp = self.alloc_stamp();
-        self.session_txns.lock().insert(stamp, Some(TxnState::new(stamp)));
+        self.txns.lock().insert(stamp, Some(TxnState::new(stamp)));
         stamp
     }
 
@@ -1306,33 +1337,23 @@ impl Database {
     /// see the session's uncommitted writes, its writes land in the
     /// session's undo log. Errors if the token is unknown (already
     /// committed, rolled back, or reaped), if the session is busy on
-    /// another thread, or if this thread already has any transaction open
-    /// (no nesting).
+    /// another thread, or if this thread already has a transaction open on
+    /// this database (no nesting).
     pub fn with_session_txn<R>(&self, token: u64, f: impl FnOnce(&Database) -> R) -> DbResult<R> {
-        let me = std::thread::current().id();
-        if self.adopted_stamp().is_some()
-            || self.active_txn.lock().as_ref().is_some_and(|t| t.owner == me)
-        {
+        if self.in_transaction() {
             return Err(DbError::Txn(
                 "cannot adopt a session transaction inside another transaction".into(),
             ));
         }
-        let state = {
-            let mut map = self.session_txns.lock();
-            match map.get_mut(&token) {
-                None => return Err(DbError::Txn(format!("no session transaction {token}"))),
-                Some(slot) => match slot.take() {
-                    None => {
-                        return Err(DbError::Txn(format!(
-                            "session transaction {token} is busy on another thread"
-                        )))
-                    }
-                    Some(state) => state,
-                },
-            }
+        let state = match self.txns.lock().get_mut(&token) {
+            None => return Err(DbError::Txn(format!("no session transaction {token}"))),
+            Some(slot) => slot.take().ok_or_else(|| {
+                DbError::Txn(format!("session transaction {token} is busy on another thread"))
+            })?,
         };
-        ADOPTED.with(|a| *a.borrow_mut() = Some(Adopted { db: self.ident(), token, state }));
-        let _guard = AdoptionGuard { db: self };
+        let opener = Opener::Session;
+        ADOPTED.with(|a| a.borrow_mut().push(Adopted { db: self.id, opener, state }));
+        let _park = AdoptionGuard { db: self };
         Ok(f(self))
     }
 
@@ -1340,7 +1361,7 @@ impl Database {
     /// commit/rollback/reap. Errors if unknown or currently adopted by an
     /// in-flight request — ending a session never races its own work.
     fn take_session_txn(&self, token: u64, verb: &str) -> DbResult<TxnState> {
-        let mut map = self.session_txns.lock();
+        let mut map = self.txns.lock();
         match map.get(&token) {
             None => Err(DbError::Txn(format!("no session transaction {token}"))),
             Some(None) => Err(DbError::Txn(format!(
@@ -1355,10 +1376,7 @@ impl Database {
     /// session is over either way.
     pub fn commit_session_txn(&self, token: u64) -> DbResult<()> {
         let st = self.take_session_txn(token, "commit")?;
-        match self.commit_ops(&st.log, st.stamp) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(self.rollback_preserving(st.log, st.stamp, e)),
-        }
+        self.settle(st.log, st.stamp, Ok(()))
     }
 
     /// Roll back session transaction `token`, undoing every write it made.
@@ -1367,27 +1385,10 @@ impl Database {
         self.rollback_ops(st.log, st.stamp)
     }
 
-    /// Number of open session transactions (parked or adopted).
+    /// Number of open registry transactions: sessions (parked or adopted)
+    /// plus open SQL `BEGIN`s and running `transaction()` closures.
     pub fn session_txn_count(&self) -> usize {
-        self.session_txns.lock().len()
-    }
-
-    /// Move `op` into the adopted session transaction's log if this thread
-    /// has adopted one with `stamp`; hand the op back otherwise. (An
-    /// explicit `Option` round-trip: a closure cannot both move the op and
-    /// fall through with it.)
-    fn try_record_adopted(&self, stamp: u64, op: UndoOp) -> Option<UndoOp> {
-        let ident = self.ident();
-        ADOPTED.with(|a| {
-            let mut slot = a.borrow_mut();
-            match slot.as_mut() {
-                Some(ad) if ad.db == ident && ad.state.stamp == stamp => {
-                    ad.state.log.record(op);
-                    None
-                }
-                _ => Some(op),
-            }
-        })
+        self.txns.lock().len()
     }
 
     /// Publish a transaction's writes: under the commit lock, seal the
@@ -1487,71 +1488,48 @@ impl Database {
         }
     }
 
+    /// Commit `log` when `result` is `Ok`, roll it back when it is `Err`
+    /// or the commit itself fails; the caller's value or error passes
+    /// through.
+    fn settle<T>(&self, log: UndoLog, stamp: u64, result: DbResult<T>) -> DbResult<T> {
+        match result {
+            Ok(v) => match self.commit_ops(&log, stamp) {
+                Ok(()) => Ok(v),
+                Err(e) => Err(self.rollback_preserving(log, stamp, e)),
+            },
+            Err(e) => Err(self.rollback_preserving(log, stamp, e)),
+        }
+    }
+
     /// Open the write context for one DML statement: join the transaction
-    /// this thread has open if any, otherwise start an auto-commit unit
+    /// this thread has adopted if any, otherwise start an auto-commit unit
     /// with a fresh stamp.
     fn begin_stmt_write(&self) -> WriteCtx {
-        if let Some(stamp) = self.adopted_stamp() {
-            // Joined to the adopted session transaction; `record_write`
-            // routes the ops into its log.
-            return WriteCtx { stamp, joined: true, local: UndoLog::default() };
-        }
-        let me = std::thread::current().id();
-        let txn = self.active_txn.lock();
-        match txn.as_ref().filter(|t| t.owner == me) {
-            Some(st) => WriteCtx { stamp: st.stamp, joined: true, local: UndoLog::default() },
-            None => {
-                WriteCtx { stamp: self.alloc_stamp(), joined: false, local: UndoLog::default() }
-            }
-        }
+        let stamp = self.adopted().map_or_else(|| self.alloc_stamp(), |(_, stamp)| stamp);
+        WriteCtx { stamp, local: UndoLog::default() }
     }
 
-    /// Record an undo op into the statement's context: the shared
-    /// transaction log when joined, the statement-private log otherwise.
-    fn record_write(&self, ctx: &mut WriteCtx, op: UndoOp) {
-        if ctx.joined {
-            let op = match self.try_record_adopted(ctx.stamp, op) {
-                None => return,
-                Some(op) => op,
-            };
-            if let Some(st) = self.active_txn.lock().as_mut() {
-                if st.stamp == ctx.stamp {
-                    st.log.record(op);
-                    return;
-                }
-            }
-            ctx.local.record(op);
-            return;
-        }
-        ctx.local.record(op);
-    }
-
-    /// Close the statement's write context. Auto-commit units commit on
-    /// success and roll back on failure — so a multi-row INSERT that fails
-    /// half-way leaves nothing behind (statement atomicity). Joined
-    /// statements leave commit/rollback to the enclosing transaction.
+    /// Close the statement's write context. A statement that joined an
+    /// adopted transaction hands its undo records to that transaction's
+    /// log, to be settled with the rest. Any other unit — auto-commit, or
+    /// one whose transaction ended mid-statement — commits on success and
+    /// rolls back on failure, so a multi-row INSERT that fails half-way
+    /// leaves nothing behind (statement atomicity).
     fn end_stmt_write<T>(&self, ctx: WriteCtx, result: DbResult<T>) -> DbResult<T> {
-        if ctx.joined {
-            // Normally empty — ops went to the shared log. If the
-            // transaction vanished mid-statement, settle the leftovers so
-            // they cannot linger as permanent uncommitted markers.
-            if !ctx.local.is_empty() {
-                return match result {
-                    Ok(v) => match self.commit_ops(&ctx.local, ctx.stamp) {
-                        Ok(()) => Ok(v),
-                        Err(e) => Err(self.rollback_preserving(ctx.local, ctx.stamp, e)),
-                    },
-                    Err(e) => Err(self.rollback_preserving(ctx.local, ctx.stamp, e)),
-                };
+        let WriteCtx { stamp, local } = ctx;
+        let unowned = ADOPTED.with(|a| {
+            let mut adopted = a.borrow_mut();
+            match adopted.iter_mut().find(|ad| ad.db == self.id && ad.state.stamp == stamp) {
+                Some(ad) => {
+                    ad.state.log.append(local);
+                    None
+                }
+                None => Some(local),
             }
-            return result;
-        }
-        match result {
-            Ok(v) => match self.commit_ops(&ctx.local, ctx.stamp) {
-                Ok(()) => Ok(v),
-                Err(e) => Err(self.rollback_preserving(ctx.local, ctx.stamp, e)),
-            },
-            Err(e) => Err(self.rollback_preserving(ctx.local, ctx.stamp, e)),
+        });
+        match unowned {
+            Some(log) => self.settle(log, stamp, result),
+            None => result,
         }
     }
 
@@ -1615,7 +1593,7 @@ impl Database {
             self.check_foreign_keys(table, &row, ReadView::latest(ctx.stamp))?;
         }
         let rid = table.insert(row, ctx.stamp)?;
-        self.record_write(ctx, UndoOp::Insert { table: table.schema.name.clone(), rid });
+        ctx.local.record(UndoOp::Insert { table: table.schema.name.clone(), rid });
         Ok(rid)
     }
 
@@ -1777,7 +1755,7 @@ impl Database {
                     new_row[*pos] = eval(e, &env)?;
                 }
                 let old = t.update(rid, new_row, ctx.stamp)?;
-                self.record_write(&mut ctx, UndoOp::Update { table: t.schema.name.clone(), rid, old });
+                ctx.local.record(UndoOp::Update { table: t.schema.name.clone(), rid, old });
                 n += 1;
             }
             Ok(count_result(n))
@@ -1793,7 +1771,7 @@ impl Database {
             let mut n = 0i64;
             for (rid, _) in matches {
                 let row = t.delete(rid, ctx.stamp)?;
-                self.record_write(&mut ctx, UndoOp::Delete { table: t.schema.name.clone(), rid, row });
+                ctx.local.record(UndoOp::Delete { table: t.schema.name.clone(), rid, row });
                 n += 1;
             }
             Ok(count_result(n))
@@ -2368,6 +2346,131 @@ mod tests {
         let rs = db.execute("SELECT name FROM Patient ORDER BY patientID").unwrap();
         assert_eq!(rs.get(0, "name"), Some(&Value::Varchar("A".into())));
         assert_eq!(rs.get(1, "name"), Some(&Value::Varchar("Bob".into())));
+    }
+
+    fn count(db: &Database, sql: &str) -> Value {
+        db.execute(sql).unwrap().scalar().unwrap().clone()
+    }
+
+    #[test]
+    fn sql_begin_on_two_threads_at_once_commits_both() {
+        let db = setup();
+        let insert = |id: i64| format!("INSERT INTO Patient VALUES ({id}, 'P{id}', NULL, NULL)");
+        assert!(!db.in_transaction());
+        db.execute("BEGIN").unwrap();
+        assert!(db.in_transaction());
+        db.execute(&insert(40)).unwrap();
+        // A second BEGIN on another thread while this one is open.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!db.in_transaction());
+                db.execute("BEGIN").unwrap();
+                db.execute(&insert(41)).unwrap();
+                assert_eq!(count(&db, "SELECT COUNT(*) FROM Patient"), Value::Bigint(4));
+                db.execute("COMMIT").unwrap();
+            });
+        });
+        // Its commit is visible here; our own row only to us until COMMIT.
+        assert_eq!(count(&db, "SELECT COUNT(*) FROM Patient"), Value::Bigint(5));
+        db.execute("COMMIT").unwrap();
+        assert!(!db.in_transaction());
+        let ours = count(&db, "SELECT COUNT(*) FROM Patient WHERE patientID >= 40");
+        assert_eq!(ours, Value::Bigint(2));
+        assert_eq!(db.session_txn_count(), 0);
+    }
+
+    #[test]
+    fn sql_begin_writers_of_one_row_settle_first_writer_wins() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, n BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 0)").unwrap();
+        db.execute("BEGIN").unwrap();
+        db.execute("UPDATE t SET n = 1 WHERE id = 1").unwrap();
+        let (tried_tx, tried_rx) = std::sync::mpsc::channel();
+        let (committed_tx, committed_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let db = &db;
+            s.spawn(move || {
+                db.execute("BEGIN").unwrap();
+                let err = db.execute("UPDATE t SET n = 2 WHERE id = 1").unwrap_err();
+                assert!(matches!(err, DbError::Txn(_)), "{err}");
+                tried_tx.send(()).unwrap();
+                committed_rx.recv().unwrap();
+                db.execute("ROLLBACK").unwrap();
+            });
+            tried_rx.recv().unwrap();
+            db.execute("COMMIT").unwrap();
+            committed_tx.send(()).unwrap();
+        });
+        assert_eq!(count(&db, "SELECT n FROM t WHERE id = 1"), Value::Bigint(1));
+        db.execute("UPDATE t SET n = 3 WHERE id = 1").unwrap();
+        assert_eq!(count(&db, "SELECT n FROM t WHERE id = 1"), Value::Bigint(3));
+    }
+
+    #[test]
+    fn two_databases_keep_separate_adoptions_on_one_thread() {
+        let (db1, db2) = (setup(), setup());
+        let patients = "SELECT COUNT(*) FROM Patient WHERE patientID >= 40";
+        // A session on db2 adopted inside a session on db1.
+        let (t1, t2) = (db1.begin_session_txn(), db2.begin_session_txn());
+        db1.with_session_txn(t1, |db1| {
+            db1.execute("INSERT INTO Patient VALUES (40, 'A', NULL, NULL)").unwrap();
+            db2.with_session_txn(t2, |db2| {
+                db2.execute("INSERT INTO Patient VALUES (41, 'B', NULL, NULL)").unwrap();
+                assert_eq!(count(db2, patients), Value::Bigint(1));
+            })
+            .unwrap();
+            // Still inside db1's session after db2's ended.
+            db1.execute("INSERT INTO Patient VALUES (42, 'C', NULL, NULL)").unwrap();
+            assert_eq!(count(db1, patients), Value::Bigint(2));
+        })
+        .unwrap();
+        assert_eq!(count(&db1, patients), Value::Bigint(0));
+        db1.commit_session_txn(t1).unwrap();
+        db2.commit_session_txn(t2).unwrap();
+        assert_eq!(count(&db1, patients), Value::Bigint(2));
+        assert_eq!(count(&db2, patients), Value::Bigint(1));
+        // SQL BEGIN on db1 around a session on db2.
+        db1.execute("BEGIN").unwrap();
+        db1.execute("INSERT INTO Patient VALUES (50, 'D', NULL, NULL)").unwrap();
+        let t = db2.begin_session_txn();
+        db2.with_session_txn(t, |db2| {
+            db2.execute("INSERT INTO Patient VALUES (51, 'E', NULL, NULL)").unwrap();
+            assert_eq!(count(db2, patients), Value::Bigint(2));
+        })
+        .unwrap();
+        db1.execute("INSERT INTO Patient VALUES (52, 'F', NULL, NULL)").unwrap();
+        db1.execute("COMMIT").unwrap();
+        db2.commit_session_txn(t).unwrap();
+        assert_eq!(count(&db1, patients), Value::Bigint(4));
+        assert_eq!(count(&db2, patients), Value::Bigint(2));
+    }
+
+    #[test]
+    fn open_begin_follows_the_database_when_it_moves() {
+        let db = setup();
+        db.execute("BEGIN").unwrap();
+        db.execute("INSERT INTO Patient VALUES (60, 'Moved', NULL, NULL)").unwrap();
+        let db = Arc::new(db);
+        db.execute("COMMIT").unwrap();
+        assert_eq!(count(&db, "SELECT COUNT(*) FROM Patient"), Value::Bigint(4));
+    }
+
+    #[test]
+    fn panicking_transaction_closure_rolls_back() {
+        let db = setup();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.transaction(|db| -> DbResult<()> {
+                db.execute("INSERT INTO Patient VALUES (70, 'Boom', NULL, NULL)")?;
+                panic!("closure panicked");
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(!db.in_transaction());
+        assert_eq!(count(&db, "SELECT COUNT(*) FROM Patient"), Value::Bigint(3));
+        db.transaction(|db| db.execute("INSERT INTO Patient VALUES (70, 'Ok', NULL, NULL)"))
+            .unwrap();
+        assert_eq!(count(&db, "SELECT COUNT(*) FROM Patient"), Value::Bigint(4));
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Transaction support: write stamps plus an undo log.
 //!
-//! The engine runs statements in auto-commit mode unless a transaction is
-//! open (`BEGIN` ... `COMMIT`/`ROLLBACK`, or [`crate::db::Database::transaction`]).
-//! Every transaction — including the implicit one wrapping a single
-//! auto-commit statement — gets a unique *stamp*; its writes carry the
-//! stamp as an uncommitted marker in the version chains (see
-//! [`crate::storage`]) and append an undo record here. Commit walks the log
-//! forward finalizing markers to one freshly allocated epoch (so the whole
-//! transaction becomes visible atomically); rollback replays the log in
-//! reverse, surgically removing or re-opening exactly the versions the
-//! stamp touched. This gives the atomicity and snapshot-consistent reads
-//! the paper highlights as "the strongest suit for RDBMSs" that Db2 Graph
-//! inherits (Section 1); the full isolation model is documented in
-//! `docs/CONSISTENCY.md`.
+//! A statement runs in auto-commit mode unless its thread has adopted a
+//! transaction — a SQL `BEGIN`, a [`crate::db::Database::transaction`]
+//! closure, or a session inside `with_session_txn` — which are one
+//! mechanism: a [`TxnState`] registered under its stamp and adopted by the
+//! thread executing inside it (see `crate::db`). Every transaction, even
+//! the implicit one around an auto-commit statement, gets a unique *stamp*;
+//! its writes carry the stamp as an uncommitted marker in the version
+//! chains (see [`crate::storage`]) and append an undo record here. Commit
+//! walks the log forward finalizing markers to one fresh epoch (so the
+//! whole transaction becomes visible atomically); rollback replays it in
+//! reverse, removing or re-opening exactly the versions the stamp touched.
+//! This is the atomicity the paper calls "the strongest suit for RDBMSs"
+//! (Section 1); `docs/CONSISTENCY.md` documents the isolation model.
 
 use crate::index::RowId;
 use crate::row::Row;
@@ -67,6 +67,11 @@ impl UndoLog {
         self.ops.push(op);
     }
 
+    /// Move every operation of `other` onto the end of this log.
+    pub fn append(&mut self, other: UndoLog) {
+        self.ops.extend(other.ops);
+    }
+
     pub fn len(&self) -> usize {
         self.ops.len()
     }
@@ -88,19 +93,17 @@ impl UndoLog {
     }
 }
 
-/// State of an open engine-level transaction: its write stamp, undo log,
-/// and the thread that opened it (so re-entrant `transaction()` calls can
-/// error instead of self-deadlocking on the writer gate).
+/// State of an open multi-statement transaction: its write stamp and undo
+/// log. Which thread may use it is decided by adoption, not recorded here.
 #[derive(Debug)]
 pub struct TxnState {
     pub stamp: u64,
     pub log: UndoLog,
-    pub owner: std::thread::ThreadId,
 }
 
 impl TxnState {
     pub fn new(stamp: u64) -> TxnState {
-        TxnState { stamp, log: UndoLog::default(), owner: std::thread::current().id() }
+        TxnState { stamp, log: UndoLog::default() }
     }
 }
 

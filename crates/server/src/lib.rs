@@ -413,7 +413,6 @@ impl GraphServer {
         let vacuum = config.vacuum_interval.map(|interval| {
             VacuumDaemon::start(
                 graph.database().clone(),
-                graph.dialect().registry().clone(),
                 events.clone(),
                 interval,
                 config.checkpoint_interval,
@@ -1311,7 +1310,25 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
             if sql.trim().is_empty() {
                 return bad_request(shared, "empty SQL body".into());
             }
-            in_session(shared, req, || match shared.graph.database().execute_script(sql) {
+            let db = shared.graph.database();
+            let in_a_session = req.header("x-db2graph-session").is_some();
+            in_session(shared, req, || match db.execute_script(sql) {
+                // A transaction outlives a request only as a session: one a
+                // script leaves open (no COMMIT, or a statement after BEGIN
+                // failed) would stay adopted by this worker thread, and the
+                // next request it serves would run inside it.
+                result if !in_a_session && db.in_transaction() => {
+                    let _ = db.execute("ROLLBACK");
+                    let failure = result.err().map_or(String::new(), |e| format!("{e}; "));
+                    bad_request(
+                        shared,
+                        format!(
+                            "{failure}the script left a transaction open, so it was rolled \
+                             back; end it with COMMIT in the same script, or use POST /session \
+                             for a transaction spanning requests"
+                        ),
+                    )
+                }
                 Ok(rs) => {
                     let columns: Vec<Json> =
                         rs.columns.iter().map(|c| Json::str(c.clone())).collect();

@@ -3,21 +3,20 @@
 //! the database is durable and a cadence is configured — writes
 //! checkpoints so the WAL stays short and recovery stays fast.
 //!
-//! PR 4 added `Database::vacuum()` but nothing scheduled it — under a
-//! steady write load the version chains only ever grew between the
-//! opportunistic per-table threshold sweeps. The serving layer owns the
-//! process lifecycle, so it owns the schedule too; each pass's reclaimed
-//! count lands in the graph's metrics registry as `vacuumed_versions`,
-//! and checkpoint counts surface through the database's own durability
-//! counters (`checkpoints` in `/metrics`).
+//! Without a schedule, version chains under a steady write load grow
+//! between the opportunistic threshold sweeps commits trigger. The
+//! serving layer owns the process lifecycle, so it owns the schedule
+//! too. The database counts
+//! every pass it runs — these and the inline sweeps alike — and
+//! `/metrics` reports them as `vacuum_runs` / `vacuumed_versions`;
+//! checkpoint counts surface the same way (`checkpoints`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use db2graph_core::json::Json;
-use db2graph_core::{EventLog, MetricsRegistry};
+use db2graph_core::EventLog;
 use reldb::Database;
 
 /// Periodically calls [`Database::vacuum`] (and, on its own slower
@@ -28,26 +27,22 @@ use reldb::Database;
 pub struct VacuumDaemon {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,
-    reclaimed: Arc<AtomicU64>,
 }
 
 impl VacuumDaemon {
     pub fn start(
         db: Arc<Database>,
-        registry: Arc<MetricsRegistry>,
         events: Arc<EventLog>,
         interval: Duration,
         checkpoint_interval: Option<Duration>,
     ) -> VacuumDaemon {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let reclaimed = Arc::new(AtomicU64::new(0));
         // Checkpoints only make sense against a durable database; a
         // cadence on an in-memory one is ignored rather than erroring
         // every tick.
         let checkpoint_interval = checkpoint_interval.filter(|_| db.is_durable());
         let handle = {
             let stop = stop.clone();
-            let reclaimed = reclaimed.clone();
             std::thread::Builder::new()
                 .name("vacuum-daemon".into())
                 .spawn(move || {
@@ -55,11 +50,8 @@ impl VacuumDaemon {
                     let mut last_checkpoint = Instant::now();
                     let mut stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
                     loop {
-                        let mut run_pass = |reclaimed: &AtomicU64, final_pass: bool| {
+                        let mut run_pass = |final_pass: bool| {
                             let n = db.vacuum() as u64;
-                            registry.vacuum_runs.add(1);
-                            registry.vacuumed_versions.add(n);
-                            reclaimed.fetch_add(n, Ordering::Relaxed);
                             // Idle ticks reclaim nothing; logging them
                             // would only drown real events.
                             if n > 0 {
@@ -81,7 +73,7 @@ impl VacuumDaemon {
                             }
                         };
                         if *stopped {
-                            run_pass(&reclaimed, true);
+                            run_pass(true);
                             return;
                         }
                         let (guard, _) = cv
@@ -89,18 +81,13 @@ impl VacuumDaemon {
                             .unwrap_or_else(|e| e.into_inner());
                         stopped = guard;
                         if !*stopped {
-                            run_pass(&reclaimed, false);
+                            run_pass(false);
                         }
                     }
                 })
                 .expect("spawn vacuum daemon")
         };
-        VacuumDaemon { stop, handle: Some(handle), reclaimed }
-    }
-
-    /// Total versions this daemon has reclaimed.
-    pub fn reclaimed(&self) -> u64 {
-        self.reclaimed.load(Ordering::Relaxed)
+        VacuumDaemon { stop, handle: Some(handle) }
     }
 
     /// Signal the thread, wait for its final pass, and join it.

@@ -335,6 +335,35 @@ fn session_misuse_answers_structured_errors() {
     handle.shutdown();
 }
 
+/// A plain `/sql` script may not leave a transaction open: it would stay
+/// with the worker thread, and the next request that worker served — from
+/// any client — would read its uncommitted rows and write into it. With
+/// one worker every later request lands on that thread.
+#[test]
+fn sql_script_cannot_leave_a_transaction_open_on_a_worker() {
+    let (_db, graph) = account_graph();
+    let handle = GraphServer::start(graph, ServerConfig { workers: 1, ..config() }).unwrap();
+    let addr = handle.addr();
+    let sql = |body: &str| http_call(addr, "POST", "/sql", body, TIMEOUT).unwrap();
+    let committed_sum = || {
+        let sum = "g.V().values('balance').sum()";
+        summed_balance(&http_call(addr, "POST", "/query", sum, TIMEOUT).unwrap().body)
+    };
+
+    let r = sql("BEGIN; INSERT INTO Account VALUES (100, 1)");
+    assert_eq!(r.status, 400, "no COMMIT: {}", r.body);
+    assert!(r.body.contains("POST /session"), "{}", r.body);
+    let r = sql("BEGIN; INSERT INTO Account VALUES (101, 1); INSERT INTO Nope VALUES (1); COMMIT");
+    assert_eq!(r.status, 400, "failed statement after BEGIN: {}", r.body);
+    assert!(r.body.contains("Nope"), "the statement's own error is kept: {}", r.body);
+    assert_eq!(committed_sum(), TOTAL, "both scripts were rolled back");
+
+    let r = sql("BEGIN; INSERT INTO Account VALUES (102, 1), (103, 1); COMMIT");
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(committed_sum(), TOTAL + 2);
+    handle.shutdown();
+}
+
 fn http_call_with_session(addr: std::net::SocketAddr, path: &str, sid: &str) -> (u16, String) {
     let body = if path == "/query" { "g.V().count()" } else { "" };
     let r = db2graph::server::http_call_bytes_with_headers(
