@@ -214,7 +214,7 @@ impl Expr {
     }
 
     /// Walk the expression tree, visiting every node.
-    pub fn walk(&self, f: &mut dyn FnMut(&Expr)) {
+    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.walk(f),
