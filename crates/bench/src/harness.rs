@@ -370,7 +370,7 @@ impl BenchEnv {
     /// second expands a real frontier through the Graph Structure
     /// module's adjacency path): `cold` opens the overlay with the cache
     /// disabled (`adj_cache_mb = 0`), `warm` opens it with the default
-    /// budget and eagerly builds complete CSR segments via
+    /// budget and eagerly builds complete adjacency segments via
     /// `warm_adjacency_cache()` before measuring, so the frontier
     /// expansion is served from memory with zero SQL. Prints one
     /// comparison line and returns `(cold, warm)` mean latencies for the

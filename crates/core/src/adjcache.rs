@@ -1,16 +1,20 @@
-//! Columnar CSR adjacency cache.
+//! Adjacency cache: the rows adjacency SQL returned, kept per (edge table
+//! × direction) and grouped by source vertex.
 //!
 //! Every adjacency step the Graph Structure module executes turns into SQL
 //! against the overlaid edge tables — correct, but a traversal workload
 //! re-expands the same frontiers over and over, paying statement dispatch
 //! and row materialization each time. GRAPHITE-style systems answer
-//! traversals from columnar in-engine adjacency instead; this module
-//! retrofits that idea *behind* the SQL path: a per-(edge-table ×
-//! direction) cache of CSR-shaped columns (offsets + neighbor-ids +
-//! edge-ids, all `Vec<i64>`) that [`Db2GraphBackend`] consults before
-//! generating adjacency SQL. Cache-hit sources expand entirely in memory;
-//! misses fall back to the unchanged batched-SQL path, whose results
-//! lazily populate the cache for next time.
+//! traversals from in-engine adjacency instead; this module retrofits that
+//! idea *behind* the SQL path. [`Db2GraphBackend`] consults it before
+//! generating adjacency SQL: cache-hit sources read their rows from
+//! memory, misses fall back to the unchanged batched-SQL path, whose rows
+//! lazily populate the cache for next time. The cache holds the edge
+//! table's rows exactly as the probe selected them, not built elements:
+//! hits and misses go through one decoder, which builds only what the step
+//! asks for (two endpoint ids for a vertex hop, an `Edge` for an edge hop).
+//!
+//! [`Db2GraphBackend`]: crate::graph_structure::Db2GraphBackend
 //!
 //! ## MVCC correctness (the epoch-invalidation rule)
 //!
@@ -33,32 +37,37 @@
 //! captured and the state the query reads. Otherwise the segment is
 //! dropped (stale) or bypassed (query older than the last change) — never
 //! served. Tables that predate the hook installation use the installation
-//! epoch as a conservative watermark. Queries running inside a session
-//! transaction (a stamped snapshot: they see their own uncommitted
-//! writes) and profiled/observed runs bypass the cache entirely — see
-//! `docs/VECTORIZED.md`.
+//! epoch as a conservative watermark. Queries running inside a transaction
+//! (a stamped snapshot: they see their own uncommitted writes) bypass the
+//! cache. Observed runs — `profile()`, `.profile()`, tracing, the
+//! slow-query log — use it like any other run, and their profile records
+//! each served hop as `TableAction::CacheHit` — see `docs/VECTORIZED.md`.
+//!
+//! [`Snapshot`]: reldb::Snapshot
 //!
 //! ## Layout
 //!
-//! A segment interns `ElementId`s into dense `i64` dictionary codes and
-//! stores classic CSR columns: `sources[i]` spans
-//! `neighbors[offsets[i]..offsets[i+1]]` (opposite-endpoint codes) and
-//! `edge_rows[..]` (rows in an append-only edge arena). The arena holds
-//! materialized [`Edge`]s in immutable `Arc` chunks, so serving resolves
-//! spans under the cache lock but materializes (clones) edges outside it
-//! — which is what lets the backend expand hits on work-stealing morsels
-//! (`pool::run_morsels`) without holding the cache lock.
+//! A segment maps each cached source id to a [`RowSpan`]: a range of one
+//! immutable `Arc<Vec<Row>>` chunk. Each population batch becomes one
+//! chunk, its rows grouped by source and kept in SQL order within a
+//! source. A lookup clones the spans' `Arc`s under the cache lock; the
+//! rows are decoded outside it, on work-stealing morsels
+//! (`pool::run_morsels`).
 //!
 //! Memory is bounded: `DB2GRAPH_ADJ_CACHE_MB` (default
 //! [`DEFAULT_ADJ_CACHE_MB`], `0` disables the cache) caps the resident
-//! estimate, enforced by LRU eviction at segment granularity.
+//! estimate, enforced by LRU eviction at segment granularity. The estimate
+//! charges each row its slot in the chunk, its value buffer as allocated
+//! and each string's buffer, plus each cached source its hash-table slot
+//! and the text of a string id; every heap allocation also pays the
+//! allocator's bookkeeping.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use gremlin::structure::{Edge, ElementId, GValue};
+use gremlin::structure::ElementId;
 use parking_lot::{Mutex, RwLock};
-use reldb::Database;
+use reldb::{Database, Row, Value};
 
 use crate::metrics::MetricsRegistry;
 
@@ -72,7 +81,7 @@ pub const DEFAULT_ADJ_CACHE_MB: usize = 64;
 
 /// Key of one cache segment: (edge-table index, direction), where `true`
 /// means outgoing (source = the edge's src endpoint).
-type SegKey = (usize, bool);
+pub type SegKey = (usize, bool);
 
 /// Per-table last-modified watermarks, maintained by the change hook.
 struct Watermarks {
@@ -90,31 +99,23 @@ impl Watermarks {
     }
 }
 
-/// One cache-resident edge, resolvable without the cache lock: an `Arc`
-/// to its immutable arena chunk plus its index there. Materialization
-/// (the `Edge` clone) is the expensive part, deferred to morsel workers.
+/// One source's cached adjacency: rows `lo..hi` of an immutable chunk.
+/// Readable without the cache lock.
 #[derive(Clone)]
-pub struct EdgeRef {
-    chunk: Arc<Vec<Edge>>,
-    idx: usize,
+pub struct RowSpan {
+    chunk: Arc<Vec<Row>>,
+    lo: usize,
+    hi: usize,
 }
 
-impl EdgeRef {
-    pub fn materialize(&self) -> Edge {
-        self.chunk[self.idx].clone()
+impl RowSpan {
+    /// The source's rows, in the order SQL returned them.
+    pub fn rows(&self) -> &[Row] {
+        &self.chunk[self.lo..self.hi]
     }
 }
 
-/// The cache's answer for one frontier source id.
-pub enum Probe {
-    /// Complete adjacency for this source at the query's epoch (possibly
-    /// empty). No SQL needed.
-    Hit(Vec<EdgeRef>),
-    /// Unknown: fall back to the batched-SQL path.
-    Miss,
-}
-
-/// One CSR segment: the cached adjacency of one (edge table, direction).
+/// One segment: the cached adjacency of one (edge table, direction).
 struct Segment {
     /// Lowercased edge-table name — the watermark key.
     table: String,
@@ -122,28 +123,11 @@ struct Segment {
     built_epoch: u64,
     /// Catalog generation at build time; any DDL invalidates.
     schema_gen: u64,
-    /// Built from a full scan: sources absent from the dictionary are
-    /// known to have empty adjacency (a hit), not unknown (a miss).
+    /// Built from a full scan: sources absent from `spans` are known to
+    /// have empty adjacency (a hit), not unknown (a miss).
     complete: bool,
-    /// `ElementId` -> dense dictionary code.
-    dict: HashMap<ElementId, i64>,
-    /// Reverse dictionary: code -> `ElementId`.
-    ids: Vec<ElementId>,
-    /// Source code -> row in the CSR columns below.
-    src_row: HashMap<i64, usize>,
-    /// CSR columns: `sources[i]` spans
-    /// `neighbors/edge_rows[offsets[i] as usize .. offsets[i+1] as usize]`.
-    sources: Vec<i64>,
-    offsets: Vec<i64>,
-    /// Opposite-endpoint dictionary codes.
-    neighbors: Vec<i64>,
-    /// Global arena row of each adjacency entry.
-    edge_rows: Vec<i64>,
-    /// Append-only arena of materialized edges, in immutable chunks (one
-    /// per population batch). `arena_starts[k]` is the global row of
-    /// chunk `k`'s first edge.
-    arena: Vec<Arc<Vec<Edge>>>,
-    arena_starts: Vec<i64>,
+    /// Source id -> its rows.
+    spans: HashMap<ElementId, RowSpan>,
     /// Resident-size estimate for the budget.
     bytes: usize,
     /// LRU clock value of the last lookup touching this segment.
@@ -151,97 +135,41 @@ struct Segment {
 }
 
 impl Segment {
-    fn new(table: String, built_epoch: u64, schema_gen: u64, complete: bool) -> Segment {
-        Segment {
-            table,
-            built_epoch,
-            schema_gen,
-            complete,
-            dict: HashMap::new(),
-            ids: Vec::new(),
-            src_row: HashMap::new(),
-            sources: Vec::new(),
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            edge_rows: Vec::new(),
-            arena: Vec::new(),
-            arena_starts: Vec::new(),
-            bytes: SEGMENT_BASE_BYTES,
-            last_used: 0,
+    /// The adjacency of one source id, if cached.
+    fn span(&self, id: &ElementId) -> Option<RowSpan> {
+        match self.spans.get(id) {
+            Some(span) => Some(span.clone()),
+            None => self.complete.then(|| RowSpan { chunk: Arc::default(), lo: 0, hi: 0 }),
         }
     }
 
-    fn intern(&mut self, id: &ElementId) -> i64 {
-        if let Some(&c) = self.dict.get(id) {
-            return c;
-        }
-        let code = self.ids.len() as i64;
-        self.dict.insert(id.clone(), code);
-        self.ids.push(id.clone());
-        self.bytes += approx_id_bytes(id) * 2 + 48;
-        code
-    }
-
-    /// Resolve one adjacency entry to a lock-free edge reference.
-    fn edge_ref(&self, global_row: i64) -> EdgeRef {
-        // arena_starts is sorted; find the chunk containing the row.
-        let k = match self.arena_starts.binary_search(&global_row) {
-            Ok(k) => k,
-            Err(k) => k - 1,
-        };
-        EdgeRef {
-            chunk: self.arena[k].clone(),
-            idx: (global_row - self.arena_starts[k]) as usize,
-        }
-    }
-
-    /// The adjacency span of one source id, if cached.
-    fn span(&self, id: &ElementId) -> Option<Vec<EdgeRef>> {
-        let code = match self.dict.get(id) {
-            Some(c) => c,
-            None => return self.complete.then(Vec::new),
-        };
-        let row = match self.src_row.get(code) {
-            Some(&r) => r,
-            None => return self.complete.then(Vec::new),
-        };
-        let (lo, hi) = (self.offsets[row] as usize, self.offsets[row + 1] as usize);
-        Some(self.edge_rows[lo..hi].iter().map(|&g| self.edge_ref(g)).collect())
-    }
-
-    /// Append the complete adjacency of `probed_ids` (grouped from one
-    /// unconstrained probe's result rows, order preserved).
-    fn append(&mut self, probed_ids: &[ElementId], out: bool, edges: &[&Edge]) {
-        // Group result edges by their probed endpoint, preserving row
-        // order within each source — the order SQL produced them.
-        let mut per_source: HashMap<&ElementId, Vec<&Edge>> = HashMap::new();
-        for e in edges {
-            let anchor = if out { &e.src } else { &e.dst };
-            per_source.entry(anchor).or_default().push(e);
-        }
-        let mut chunk: Vec<Edge> = Vec::new();
-        let global_base = self.arena_starts.last().map_or(0, |&s| s + self.arena.last().map_or(0, |c| c.len() as i64));
-        for id in probed_ids {
-            let code = self.intern(id);
-            if self.src_row.contains_key(&code) {
-                continue; // already cached (identical state — same epoch)
-            }
-            let own = per_source.get(id).map(|v| v.as_slice()).unwrap_or(&[]);
-            self.src_row.insert(code, self.sources.len());
-            self.sources.push(code);
-            for e in own {
-                let ncode = self.intern(if out { &e.dst } else { &e.src });
-                self.neighbors.push(ncode);
-                self.edge_rows.push(global_base + chunk.len() as i64);
-                self.bytes += approx_edge_bytes(e) + 24;
-                chunk.push((*e).clone());
-            }
-            self.offsets.push(self.neighbors.len() as i64);
-            self.bytes += 48;
-        }
-        if !chunk.is_empty() {
-            self.arena_starts.push(global_base);
-            self.arena.push(Arc::new(chunk));
+    /// Append the complete adjacency of `probed_ids`: `rows` in SQL order,
+    /// `anchors[i]` the probed endpoint of `rows[i]`. Rows of sources
+    /// already cached (identical state — same epoch rule) are dropped.
+    fn append(&mut self, probed_ids: &[ElementId], rows: Vec<Row>, anchors: &[&ElementId]) {
+        let fresh: Vec<&ElementId> =
+            probed_ids.iter().filter(|id| !self.spans.contains_key(*id)).collect();
+        let slot: HashMap<&ElementId, usize> =
+            fresh.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        // A stable sort groups rows by source and keeps SQL order within one.
+        let mut keyed: Vec<(usize, Row)> = rows
+            .into_iter()
+            .zip(anchors)
+            .filter_map(|(row, anchor)| Some((*slot.get(anchor)?, row)))
+            .collect();
+        keyed.sort_by_key(|&(k, _)| k);
+        let keys: Vec<usize> = keyed.iter().map(|&(k, _)| k).collect();
+        // Extended, not collected: an in-place collect would keep the
+        // larger `(usize, Row)` buffer.
+        let mut chunk = Vec::with_capacity(keyed.len());
+        chunk.extend(keyed.into_iter().map(|(_, row)| row));
+        self.bytes += chunk.iter().map(row_bytes).sum::<usize>();
+        let chunk = Arc::new(chunk);
+        for (k, id) in fresh.into_iter().enumerate() {
+            let lo = keys.partition_point(|&x| x < k);
+            let hi = keys.partition_point(|&x| x <= k);
+            self.bytes += source_bytes(id);
+            self.spans.insert(id.clone(), RowSpan { chunk: chunk.clone(), lo, hi });
         }
     }
 }
@@ -250,36 +178,37 @@ impl Segment {
 /// against the budget.
 const SEGMENT_BASE_BYTES: usize = 512;
 
-fn approx_id_bytes(id: &ElementId) -> usize {
-    match id {
-        ElementId::Long(_) => 16,
-        ElementId::Str(s) => 24 + s.len(),
-    }
+/// Allocator bookkeeping charged per heap allocation: its header and the
+/// rounding up to the allocator's granule.
+const ALLOC_BYTES: usize = 16;
+
+/// Per cached source: its hash-table slot (the id and the span, 48 bytes,
+/// and a control byte) with the table's spare capacity.
+const SOURCE_BYTES: usize = 64;
+
+/// Resident-size estimate of one cached source: its slot, and the text of
+/// a string id.
+fn source_bytes(id: &ElementId) -> usize {
+    SOURCE_BYTES
+        + match id {
+            ElementId::Long(_) => 0,
+            ElementId::Str(s) => ALLOC_BYTES + s.capacity(),
+        }
 }
 
-fn approx_gvalue_bytes(v: &GValue) -> usize {
-    match v {
-        GValue::Str(s) => 24 + s.len(),
-        _ => 16,
-    }
-}
-
-/// Resident-size estimate of one materialized edge (id + endpoints +
-/// label + properties).
-fn approx_edge_bytes(e: &Edge) -> usize {
-    let mut n = 96
-        + approx_id_bytes(&e.id)
-        + approx_id_bytes(&e.src)
-        + approx_id_bytes(&e.dst)
-        + 24
-        + e.label.len();
-    for (k, v) in &e.properties {
-        n += 48 + k.len() + approx_gvalue_bytes(v);
-    }
-    if let Some(p) = &e.provenance {
-        n += 24 + p.len();
-    }
-    n
+/// Resident-size estimate of one cached row: its slot in the chunk, its
+/// value buffer as allocated (SQL rows may carry spare capacity), and each
+/// string's buffer.
+fn row_bytes(row: &Row) -> usize {
+    let strings: usize = row
+        .iter()
+        .map(|v| match v {
+            Value::Varchar(s) => ALLOC_BYTES + s.capacity(),
+            _ => 0,
+        })
+        .sum();
+    let values = ALLOC_BYTES + row.capacity() * std::mem::size_of::<Value>();
+    std::mem::size_of::<Row>() + values + strings
 }
 
 struct CacheInner {
@@ -306,6 +235,14 @@ impl AdjCache {
     /// the graph (and its cache) degenerates the hook to a no-op rather
     /// than leaking the cache through the database.
     pub fn new(db: Arc<Database>, budget_mb: usize, registry: Arc<MetricsRegistry>) -> Arc<AdjCache> {
+        Self::with_budget_bytes(db, budget_mb.saturating_mul(1024 * 1024), registry)
+    }
+
+    fn with_budget_bytes(
+        db: Arc<Database>,
+        budget_bytes: usize,
+        registry: Arc<MetricsRegistry>,
+    ) -> Arc<AdjCache> {
         let watermarks = Arc::new(RwLock::new(Watermarks {
             // Read before hook registration: every epoch at or below this
             // may contain unseen changes, and every commit after
@@ -315,7 +252,7 @@ impl AdjCache {
         }));
         let cache = Arc::new(AdjCache {
             db: db.clone(),
-            budget_bytes: budget_mb.saturating_mul(1024 * 1024),
+            budget_bytes,
             registry,
             watermarks: watermarks.clone(),
             inner: Mutex::new(CacheInner { segments: HashMap::new(), bytes: 0, tick: 0 }),
@@ -342,22 +279,16 @@ impl AdjCache {
         self.inner.lock().segments.len()
     }
 
-    /// The per-table watermark a serve/populate decision would use now.
-    fn watermark(&self, table: &str) -> u64 {
-        self.watermarks.read().get(table)
-    }
-
-    /// Look up the adjacency of `ids` in segment `(et_idx, out)` for a
-    /// query pinned at `epoch`. Returns one [`Probe`] per id, in order.
-    /// Stale segments are dropped here (counted as invalidations), never
-    /// served.
-    pub fn lookup(&self, et_idx: usize, out: bool, ids: &[ElementId], epoch: u64) -> Vec<Probe> {
-        let all_miss = |n: usize| (0..n).map(|_| Probe::Miss).collect::<Vec<_>>();
+    /// Look up the adjacency of `ids` in segment `key` for a query pinned
+    /// at `epoch`. Returns one entry per id, in order: a span for a hit
+    /// (possibly empty), `None` for a miss. Stale segments are dropped
+    /// here (counted as invalidations), never served.
+    pub fn lookup(&self, key: SegKey, ids: &[ElementId], epoch: u64) -> Vec<Option<RowSpan>> {
+        let all_miss = |n: usize| vec![None; n];
         let schema_gen = self.db.schema_generation();
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let key = (et_idx, out);
         let Some(seg) = inner.segments.get_mut(&key) else {
             self.registry.adj_cache_misses.add(ids.len() as u64);
             return all_miss(ids.len());
@@ -380,70 +311,57 @@ impl AdjCache {
             return all_miss(ids.len());
         }
         seg.last_used = tick;
-        let mut hits = 0u64;
-        let probes: Vec<Probe> = ids
-            .iter()
-            .map(|id| match seg.span(id) {
-                Some(refs) => {
-                    hits += 1;
-                    Probe::Hit(refs)
-                }
-                None => Probe::Miss,
-            })
-            .collect();
+        let spans: Vec<Option<RowSpan>> = ids.iter().map(|id| seg.span(id)).collect();
+        let hits = spans.iter().filter(|s| s.is_some()).count() as u64;
         self.registry.adj_cache_hits.add(hits);
         self.registry.adj_cache_misses.add(ids.len() as u64 - hits);
-        probes
+        spans
     }
 
-    /// Populate from one unconstrained probe's result: `edges` is the
-    /// complete adjacency of `probed_ids` in `table` for direction `out`,
-    /// read at committed epoch `epoch`. No-op if a concurrent commit
-    /// already made that state unservable.
+    /// Populate from one unconstrained probe's result: `rows` (SQL order)
+    /// are the complete adjacency of `probed_ids` in `table` for segment
+    /// `key`, read at committed epoch `epoch`; `anchors[i]` is the probed
+    /// endpoint of `rows[i]`. No-op if a concurrent commit already made
+    /// that state unservable.
     pub fn insert(
         &self,
-        et_idx: usize,
-        out: bool,
+        key: SegKey,
         table: &str,
         probed_ids: &[ElementId],
-        edges: &[&Edge],
+        rows: Vec<Row>,
+        anchors: &[&ElementId],
         epoch: u64,
     ) {
-        self.insert_inner(et_idx, out, table, probed_ids, edges, epoch, false)
+        self.insert_inner(key, table, probed_ids, rows, anchors, epoch, false)
     }
 
     /// Populate from a full scan of `table`: like [`AdjCache::insert`],
     /// but the resulting segment is *complete* — sources not present are
-    /// known to have empty adjacency, so they hit (with no edges) instead
+    /// known to have empty adjacency, so they hit (with no rows) instead
     /// of missing. Replaces any existing segment.
     pub fn insert_complete(
         &self,
-        et_idx: usize,
-        out: bool,
+        key: SegKey,
         table: &str,
-        edges: &[&Edge],
+        rows: Vec<Row>,
+        anchors: &[&ElementId],
         epoch: u64,
     ) {
         // A full scan defines its own source universe.
         let mut seen: std::collections::HashSet<&ElementId> = std::collections::HashSet::new();
-        let mut sources: Vec<ElementId> = Vec::new();
-        for e in edges {
-            let anchor = if out { &e.src } else { &e.dst };
-            if seen.insert(anchor) {
-                sources.push(anchor.clone());
-            }
-        }
-        self.insert_inner(et_idx, out, table, &sources, edges, epoch, true)
+        let sources: Vec<ElementId> =
+            anchors.iter().filter(|a| seen.insert(**a)).map(|a| (*a).clone()).collect();
+        self.insert_inner(key, table, &sources, rows, anchors, epoch, true)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn insert_inner(
         &self,
-        et_idx: usize,
-        out: bool,
+        key: SegKey,
         table: &str,
         probed_ids: &[ElementId],
-        edges: &[&Edge],
+        rows: Vec<Row>,
+        anchors: &[&ElementId],
         epoch: u64,
         complete: bool,
     ) {
@@ -452,7 +370,7 @@ impl AdjCache {
         }
         let table = table.to_ascii_lowercase();
         let schema_gen = self.db.schema_generation();
-        let wm = self.watermark(&table);
+        let wm = self.watermarks.read().get(&table);
         if wm > epoch {
             // The table changed after this data was read; caching it
             // would serve a superseded state.
@@ -461,7 +379,6 @@ impl AdjCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let key = (et_idx, out);
         if let Some(seg) = inner.segments.get(&key) {
             let drop_existing = seg.schema_gen != schema_gen
                 || wm > seg.built_epoch
@@ -478,17 +395,22 @@ impl AdjCache {
             }
         }
         let existed = inner.segments.contains_key(&key);
-        let seg = inner
-            .segments
-            .entry(key)
-            .or_insert_with(|| Segment::new(table, epoch, schema_gen, complete));
+        let seg = inner.segments.entry(key).or_insert_with(|| Segment {
+            table,
+            built_epoch: epoch,
+            schema_gen,
+            complete,
+            spans: HashMap::new(),
+            bytes: SEGMENT_BASE_BYTES,
+            last_used: 0,
+        });
         let before = if existed { seg.bytes } else { 0 };
         // Appending rows read at a different epoch is sound only because
         // wm <= min(built_epoch, epoch) — the table did not change
         // between the two states, so they are the same state.
         seg.built_epoch = seg.built_epoch.min(epoch);
         seg.last_used = tick;
-        seg.append(probed_ids, out, edges);
+        seg.append(probed_ids, rows, anchors);
         let after = seg.bytes;
         inner.bytes = inner.bytes - before + after;
         self.enforce_budget(&mut inner);
@@ -531,15 +453,22 @@ impl AdjCache {
 mod tests {
     use super::*;
 
-    fn edge(src: i64, dst: i64, n: i64) -> Edge {
-        let mut e = Edge::new(
-            ElementId::Str(format!("e{src}-{dst}-{n}")),
-            "knows",
-            ElementId::Long(src),
-            ElementId::Long(dst),
-        );
-        e.provenance = Some("knows".into());
-        e
+    /// An adjacency row of a `knows(src, dst, n)` edge table.
+    fn row(src: i64, dst: i64, n: i64) -> Row {
+        vec![Value::Bigint(src), Value::Bigint(dst), Value::Bigint(n)]
+    }
+
+    /// The out-direction anchors (src ids) of `rows`.
+    fn anchors(rows: &[Row]) -> Vec<ElementId> {
+        rows.iter().map(|r| ElementId::Long(r[0].as_i64().unwrap())).collect()
+    }
+
+    /// Insert `rows` as the complete out-adjacency of `ids` into segment
+    /// `(et, true)`.
+    fn insert(cache: &AdjCache, et: usize, ids: &[ElementId], rows: Vec<Row>, epoch: u64) {
+        let owned = anchors(&rows);
+        let refs: Vec<&ElementId> = owned.iter().collect();
+        cache.insert((et, true), "knows", ids, rows, &refs, epoch);
     }
 
     fn cache(db: &Arc<Database>, mb: usize) -> (Arc<AdjCache>, Arc<MetricsRegistry>) {
@@ -559,35 +488,23 @@ mod tests {
         db
     }
 
-    fn hits_of(probes: &[Probe]) -> Vec<Option<Vec<Edge>>> {
-        probes
-            .iter()
-            .map(|p| match p {
-                Probe::Hit(refs) => Some(refs.iter().map(|r| r.materialize()).collect()),
-                Probe::Miss => None,
-            })
-            .collect()
+    fn hits_of(spans: &[Option<RowSpan>]) -> Vec<Option<Vec<Row>>> {
+        spans.iter().map(|s| s.as_ref().map(|s| s.rows().to_vec())).collect()
     }
 
     #[test]
     fn populate_then_hit_same_epoch() {
         let db = test_db();
         let (cache, _) = cache(&db, 4);
-        let e1 = edge(1, 2, 0);
-        let e2 = edge(1, 3, 1);
         let epoch = db.commit_epoch();
         let ids = vec![ElementId::Long(1), ElementId::Long(9)];
-        cache.insert(0, true, "knows", &ids, &[&e1, &e2], epoch);
-        let probes = cache.lookup(0, true, &ids, epoch);
-        let hits = hits_of(&probes);
-        assert_eq!(hits[0].as_ref().map(|v| v.len()), Some(2));
-        assert_eq!(hits[0].as_ref().unwrap()[0], e1);
-        assert_eq!(hits[0].as_ref().unwrap()[1], e2);
+        insert(&cache, 0, &ids, vec![row(1, 2, 0), row(1, 3, 1)], epoch);
+        let hits = hits_of(&cache.lookup((0, true), &ids, epoch));
+        assert_eq!(hits[0], Some(vec![row(1, 2, 0), row(1, 3, 1)]));
         // Probed id with no edges: cached as empty adjacency (a hit).
-        assert_eq!(hits[1].as_ref().map(|v| v.len()), Some(0));
+        assert_eq!(hits[1], Some(vec![]));
         // An unprobed id is a miss (segment is not complete).
-        let probes = cache.lookup(0, true, &[ElementId::Long(5)], epoch);
-        assert!(matches!(probes[0], Probe::Miss));
+        assert!(cache.lookup((0, true), &[ElementId::Long(5)], epoch)[0].is_none());
     }
 
     #[test]
@@ -596,14 +513,12 @@ mod tests {
         let (cache, registry) = cache(&db, 4);
         let epoch = db.commit_epoch();
         let ids = vec![ElementId::Long(1)];
-        cache.insert(0, true, "knows", &ids, &[&edge(1, 2, 0)], epoch);
+        insert(&cache, 0, &ids, vec![row(1, 2, 0)], epoch);
         commit_touching(&db, "knows");
-        let new_epoch = db.commit_epoch();
-        let probes = cache.lookup(0, true, &ids, new_epoch);
-        assert!(matches!(probes[0], Probe::Miss));
-        let snap = registry.snapshot();
-        assert_eq!(snap.adj_cache_invalidations, 1);
+        assert!(cache.lookup((0, true), &ids, db.commit_epoch())[0].is_none());
+        assert_eq!(registry.snapshot().adj_cache_invalidations, 1);
         assert_eq!(cache.segment_count(), 0);
+        assert_eq!(cache.bytes(), 0);
     }
 
     #[test]
@@ -612,10 +527,9 @@ mod tests {
         let (cache, _) = cache(&db, 4);
         let epoch = db.commit_epoch();
         let ids = vec![ElementId::Long(1)];
-        cache.insert(0, true, "knows", &ids, &[&edge(1, 2, 0)], epoch);
+        insert(&cache, 0, &ids, vec![row(1, 2, 0)], epoch);
         commit_touching(&db, "other");
-        let probes = cache.lookup(0, true, &ids, db.commit_epoch());
-        assert!(matches!(probes[0], Probe::Hit(_)));
+        assert!(cache.lookup((0, true), &ids, db.commit_epoch())[0].is_some());
     }
 
     #[test]
@@ -626,17 +540,14 @@ mod tests {
         commit_touching(&db, "knows");
         let new_epoch = db.commit_epoch();
         let ids = vec![ElementId::Long(1)];
-        cache.insert(0, true, "knows", &ids, &[&edge(1, 2, 0)], new_epoch);
+        insert(&cache, 0, &ids, vec![row(1, 2, 0)], new_epoch);
         // A snapshot from before the commit must not see the newer state.
-        let probes = cache.lookup(0, true, &ids, old_epoch);
-        assert!(matches!(probes[0], Probe::Miss));
+        assert!(cache.lookup((0, true), &ids, old_epoch)[0].is_none());
         // ... but the segment still serves current snapshots.
-        let probes = cache.lookup(0, true, &ids, new_epoch);
-        assert!(matches!(probes[0], Probe::Hit(_)));
+        assert!(cache.lookup((0, true), &ids, new_epoch)[0].is_some());
         // And the old snapshot's results never populate over newer data.
-        cache.insert(0, true, "knows", &[ElementId::Long(7)], &[], old_epoch);
-        let probes = cache.lookup(0, true, &[ElementId::Long(7)], new_epoch);
-        assert!(matches!(probes[0], Probe::Miss));
+        insert(&cache, 0, &[ElementId::Long(7)], vec![], old_epoch);
+        assert!(cache.lookup((0, true), &[ElementId::Long(7)], new_epoch)[0].is_none());
     }
 
     #[test]
@@ -645,12 +556,10 @@ mod tests {
         let (cache, registry) = cache(&db, 4);
         let epoch = db.commit_epoch();
         let ids = vec![ElementId::Long(1)];
-        cache.insert(0, true, "knows", &ids, &[&edge(1, 2, 0)], epoch);
+        insert(&cache, 0, &ids, vec![row(1, 2, 0)], epoch);
         db.execute("CREATE TABLE later (x BIGINT)").unwrap();
-        let probes = cache.lookup(0, true, &ids, db.commit_epoch());
-        assert!(matches!(probes[0], Probe::Miss));
-        let snap = registry.snapshot();
-        assert_eq!(snap.adj_cache_invalidations, 1);
+        assert!(cache.lookup((0, true), &ids, db.commit_epoch())[0].is_none());
+        assert_eq!(registry.snapshot().adj_cache_invalidations, 1);
     }
 
     #[test]
@@ -658,13 +567,13 @@ mod tests {
         let db = test_db();
         let (cache, _) = cache(&db, 4);
         let epoch = db.commit_epoch();
-        let e1 = edge(1, 2, 0);
-        cache.insert_complete(0, true, "knows", &[&e1], epoch);
-        let probes =
-            cache.lookup(0, true, &[ElementId::Long(1), ElementId::Long(42)], epoch);
-        let hits = hits_of(&probes);
-        assert_eq!(hits[0].as_ref().map(|v| v.len()), Some(1));
-        assert_eq!(hits[1].as_ref().map(|v| v.len()), Some(0));
+        let rows = vec![row(1, 2, 0)];
+        let owned = anchors(&rows);
+        let refs: Vec<&ElementId> = owned.iter().collect();
+        cache.insert_complete((0, true), "knows", rows, &refs, epoch);
+        let ids = [ElementId::Long(1), ElementId::Long(42)];
+        let hits = hits_of(&cache.lookup((0, true), &ids, epoch));
+        assert_eq!(hits, vec![Some(vec![row(1, 2, 0)]), Some(vec![])]);
     }
 
     #[test]
@@ -673,54 +582,64 @@ mod tests {
         // A zero-MB budget disables caching outright.
         let (disabled, _) = cache(&db, 0);
         let epoch = db.commit_epoch();
-        disabled.insert(0, true, "knows", &[ElementId::Long(1)], &[&edge(1, 2, 0)], epoch);
+        insert(&disabled, 0, &[ElementId::Long(1)], vec![row(1, 2, 0)], epoch);
         assert_eq!(disabled.segment_count(), 0);
 
         // Tiny budgets evict whole segments, least recently used first.
         let registry = Arc::new(MetricsRegistry::default());
-        let tight = AdjCache {
-            db: db.clone(),
-            budget_bytes: 16 * 1024,
-            registry: registry.clone(),
-            watermarks: Arc::new(RwLock::new(Watermarks {
-                floor: db.commit_epoch(),
-                by_table: HashMap::new(),
-            })),
-            inner: Mutex::new(CacheInner { segments: HashMap::new(), bytes: 0, tick: 0 }),
-        };
+        let tight = AdjCache::with_budget_bytes(db.clone(), 8 * 1024, registry.clone());
         for et in 0..8usize {
             let ids: Vec<ElementId> = (0..16).map(ElementId::Long).collect();
-            let edges: Vec<Edge> = (0..16).map(|i| edge(i, i + 1, i)).collect();
-            let refs: Vec<&Edge> = edges.iter().collect();
-            tight.insert(et, true, "knows", &ids, &refs, epoch);
+            insert(&tight, et, &ids, (0..16).map(|i| row(i, i + 1, i)).collect(), epoch);
         }
-        assert!(tight.bytes() <= 16 * 1024);
+        assert!(tight.bytes() <= 8 * 1024);
         assert!(tight.segment_count() < 8);
         let snap = registry.snapshot();
         assert!(snap.adj_cache_evictions > 0, "{}", snap.adj_cache_evictions);
         // The most recently inserted segment survives.
-        let probes = tight.lookup(7, true, &[ElementId::Long(0)], epoch);
-        assert!(matches!(probes[0], Probe::Hit(_)));
+        assert!(tight.lookup((7, true), &[ElementId::Long(0)], epoch)[0].is_some());
     }
 
     #[test]
-    fn csr_columns_stay_consistent_across_batches() {
+    fn rows_group_by_source_in_sql_order_across_batches() {
         let db = test_db();
         let (cache, _) = cache(&db, 16);
         let epoch = db.commit_epoch();
-        // Two population batches into the same segment.
-        let batch1: Vec<Edge> = vec![edge(1, 2, 0), edge(1, 3, 1)];
-        let refs1: Vec<&Edge> = batch1.iter().collect();
-        cache.insert(0, true, "knows", &[ElementId::Long(1)], &refs1, epoch);
-        let batch2: Vec<Edge> = vec![edge(4, 1, 2)];
-        let refs2: Vec<&Edge> = batch2.iter().collect();
-        cache.insert(0, true, "knows", &[ElementId::Long(4), ElementId::Long(5)], &refs2, epoch);
-        let ids =
-            vec![ElementId::Long(1), ElementId::Long(4), ElementId::Long(5), ElementId::Long(9)];
-        let hits = hits_of(&cache.lookup(0, true, &ids, epoch));
-        assert_eq!(hits[0].as_ref().unwrap().as_slice(), batch1.as_slice());
-        assert_eq!(hits[1].as_ref().unwrap().as_slice(), batch2.as_slice());
-        assert_eq!(hits[2].as_ref().map(|v| v.len()), Some(0));
-        assert!(hits[3].is_none());
+        // SQL may interleave sources; each span keeps its source's rows
+        // in the order they arrived.
+        let ids = [ElementId::Long(1), ElementId::Long(4)];
+        let rows = vec![row(4, 9, 0), row(1, 2, 1), row(4, 8, 2), row(1, 3, 3)];
+        insert(&cache, 0, &ids, rows, epoch);
+        // A second batch into the same segment, with an empty source.
+        insert(&cache, 0, &[ElementId::Long(5), ElementId::Long(6)], vec![row(6, 1, 4)], epoch);
+        let ids: Vec<ElementId> = [1, 4, 5, 6, 9].into_iter().map(ElementId::Long).collect();
+        let hits = hits_of(&cache.lookup((0, true), &ids, epoch));
+        assert_eq!(hits[0], Some(vec![row(1, 2, 1), row(1, 3, 3)]));
+        assert_eq!(hits[1], Some(vec![row(4, 9, 0), row(4, 8, 2)]));
+        assert_eq!(hits[2], Some(vec![]));
+        assert_eq!(hits[3], Some(vec![row(6, 1, 4)]));
+        assert!(hits[4].is_none());
+    }
+
+    #[test]
+    fn bytes_of_a_two_row_segment_match_a_hand_count() {
+        let db = test_db();
+        let (cache, _) = cache(&db, 4);
+        let epoch = db.commit_epoch();
+        let rows = vec![
+            vec![Value::Bigint(1), Value::Bigint(2), Value::Varchar("ab".into())],
+            vec![Value::Bigint(1), Value::Bigint(3), Value::Varchar("xyz".into())],
+        ];
+        let src = ElementId::Str("node::1".into());
+        cache.insert((0, true), "knows", std::slice::from_ref(&src), rows, &[&src, &src], epoch);
+        let value = std::mem::size_of::<Value>();
+        let segment = 512;
+        // One source: its 64-byte slot and its id's text ("node::1", 7
+        // bytes, in its own allocation).
+        let source = 64 + (16 + 7);
+        // Two rows: each a 24-byte slot in the chunk and an allocation of
+        // three values, plus the allocations of "ab" and "xyz".
+        let rows = 2 * (24 + 16 + 3 * value) + (16 + 2) + (16 + 3);
+        assert_eq!(cache.bytes(), segment + source + rows);
     }
 }

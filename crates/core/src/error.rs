@@ -17,18 +17,9 @@ pub enum GraphError {
     /// An error from the Gremlin layer.
     Gremlin(GremlinError),
     /// The query's deadline expired; execution was aborted between
-    /// statements (see [`Db2Graph::run_for_request`]).
+    /// statements (see [`crate::RunRequest::deadline`]).
     Timeout,
 }
-
-/// Marker message used to round-trip [`GraphError::Timeout`] through the
-/// `GraphBackend` trait, which erases backend errors into
-/// `GremlinError::Backend(String)`. [`from_gremlin`] maps it back. The
-/// `__db2graph_timeout__` prefix keeps an ordinary Db/backend error whose
-/// rendered message happens to say "query deadline exceeded" from being
-/// misclassified as a timeout; the marker never reaches clients —
-/// [`GraphError::Timeout`] renders the human-readable message instead.
-pub(crate) const TIMEOUT_MARKER: &str = "__db2graph_timeout__";
 
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -49,31 +40,27 @@ impl From<DbError> for GraphError {
     }
 }
 
+/// The inverse of [`to_gremlin`]: a timeout that crossed the
+/// `GraphBackend` trait comes back as [`GraphError::Timeout`].
 impl From<GremlinError> for GraphError {
     fn from(e: GremlinError) -> Self {
-        GraphError::Gremlin(e)
+        match e {
+            GremlinError::Timeout => GraphError::Timeout,
+            other => GraphError::Gremlin(other),
+        }
     }
 }
 
 /// Result alias for the crate.
 pub type GraphResult<T> = Result<T, GraphError>;
 
-/// Convert a graph error into a Gremlin backend error (used inside the
+/// Convert a graph error into a Gremlin error (used inside the
 /// `GraphBackend` implementation, whose trait returns `GResult`).
 pub fn to_gremlin(e: GraphError) -> GremlinError {
     match e {
         GraphError::Gremlin(g) => g,
-        GraphError::Timeout => GremlinError::Backend(TIMEOUT_MARKER.into()),
+        GraphError::Timeout => GremlinError::Timeout,
         other => GremlinError::Backend(other.to_string()),
-    }
-}
-
-/// Recover a [`GraphError`] from the Gremlin layer, un-erasing the timeout
-/// marker that [`to_gremlin`] collapsed into a backend-error string.
-pub(crate) fn from_gremlin(e: GremlinError) -> GraphError {
-    match e {
-        GremlinError::Backend(ref m) if m == TIMEOUT_MARKER => GraphError::Timeout,
-        other => GraphError::Gremlin(other),
     }
 }
 
@@ -96,12 +83,15 @@ mod tests {
     #[test]
     fn timeout_round_trips_through_the_backend_trait() {
         let g = to_gremlin(GraphError::Timeout);
-        assert_eq!(from_gremlin(g), GraphError::Timeout);
-        // Non-marker backend errors stay Gremlin errors — even one whose
-        // rendered message coincides with the human-readable timeout text.
-        let e = from_gremlin(GremlinError::Backend("disk on fire".into()));
+        assert_eq!(GraphError::from(g), GraphError::Timeout);
+        // Backend errors stay Gremlin errors whatever their text — the
+        // human-readable timeout message and the retired string marker
+        // included.
+        let e = GraphError::from(GremlinError::Backend("disk on fire".into()));
         assert!(matches!(e, GraphError::Gremlin(GremlinError::Backend(_))));
-        let e = from_gremlin(GremlinError::Backend("query deadline exceeded".into()));
+        let e = GraphError::from(GremlinError::Backend("query deadline exceeded".into()));
+        assert!(matches!(e, GraphError::Gremlin(GremlinError::Backend(_))));
+        let e = GraphError::from(GremlinError::Backend("__db2graph_timeout__".into()));
         assert!(matches!(e, GraphError::Gremlin(GremlinError::Backend(_))));
     }
 }

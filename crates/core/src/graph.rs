@@ -1,5 +1,12 @@
 //! The `Db2Graph` entry point: open a graph over a database, run Gremlin,
 //! and register the `graphQuery` polymorphic table function.
+//!
+//! Every query — [`Db2Graph::run`], [`Db2Graph::profile`], a `.profile()`
+//! terminator, a traced or slow-logged run, an HTTP request — goes through
+//! one path, [`Db2Graph::execute`]. Observation (the per-query
+//! [`Profiler`] and its tracer) is attached to that path when something
+//! will read it and is otherwise disabled; it records what the run did and
+//! never changes how it runs.
 
 use std::sync::Arc;
 
@@ -11,7 +18,7 @@ use reldb::{DataType, Database, DbError, DbResult, RowSet, TableFunction, Value}
 
 use crate::adjcache::{AdjCache, ADJ_CACHE_MB_ENV, DEFAULT_ADJ_CACHE_MB};
 use crate::config::OverlayConfig;
-use crate::error::{from_gremlin, GraphError, GraphResult};
+use crate::error::{GraphError, GraphResult};
 use crate::events::record_config_warning;
 use crate::graph_structure::{to_value, Db2GraphBackend};
 use crate::metrics::{
@@ -57,10 +64,27 @@ pub struct GraphOptions {
     /// Durability mode for the data directory. `None` defers to
     /// `DB2GRAPH_DURABILITY` (`always`/`batch`/`off`), then `always`.
     pub durability: Option<reldb::Durability>,
-    /// Byte budget (MiB) for the columnar adjacency cache; `Some(0)`
+    /// Byte budget (MiB) for the adjacency cache; `Some(0)`
     /// disables it. `None` defers to `DB2GRAPH_ADJ_CACHE_MB`, then
     /// [`DEFAULT_ADJ_CACHE_MB`].
     pub adj_cache_mb: Option<usize>,
+}
+
+/// Per-query parameters of [`Db2Graph::execute`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunRequest<'a> {
+    /// Cooperative deadline: once it passes, the next SQL-issuing
+    /// operation (in any traversal step, statement, or fan-out worker)
+    /// aborts the script with [`GraphError::Timeout`] instead of touching
+    /// storage; the snapshot pinned at entry is released like on any other
+    /// error path. `None` never times out.
+    pub deadline: Option<std::time::Instant>,
+    /// The serving layer's request id, stamped on the trace root span and
+    /// the slow-query entry so one id correlates the HTTP response with
+    /// both. Unused when neither is configured.
+    pub request_id: Option<&'a str>,
+    /// Collect and return the structured profile report.
+    pub profile: bool,
 }
 
 impl GraphOptions {
@@ -113,7 +137,7 @@ pub struct Db2Graph {
     trace_path: Option<String>,
     /// Present when a slow-query threshold is configured.
     slow_log: Option<Arc<SlowQueryLog>>,
-    /// The columnar adjacency cache, when enabled (budget > 0).
+    /// The adjacency cache, when enabled (budget > 0).
     adj_cache: Option<Arc<AdjCache>>,
 }
 
@@ -263,26 +287,20 @@ impl Db2Graph {
         snap
     }
 
-    /// The columnar adjacency cache, when enabled.
+    /// The adjacency cache, when enabled.
     pub fn adj_cache(&self) -> Option<&Arc<AdjCache>> {
         self.adj_cache.as_ref()
     }
 
     /// Eagerly build complete adjacency-cache segments for every edge
     /// table by scanning them once at a fresh snapshot (the explicit warm
-    /// call; lazy population happens on every plain query anyway).
+    /// call; lazy population happens on every query anyway).
     /// Returns the number of edges cached — 0 when the cache is disabled.
     pub fn warm_adjacency_cache(&self) -> GraphResult<usize> {
         if self.adj_cache.is_none() {
             return Ok(0);
         }
-        self.backend.with_snapshot(Some(self.db.snapshot())).warm_adj_cache()
-    }
-
-    /// True when every query runs through the observing pipeline (tracing
-    /// or the slow-query log is configured).
-    fn observing(&self) -> bool {
-        self.sink.is_some() || self.slow_log.is_some()
+        self.backend.bind(Some(self.db.snapshot()), None, Profiler::disabled()).warm_adj_cache()
     }
 
     /// Run a Gremlin script; returns the final statement's results.
@@ -294,110 +312,76 @@ impl Db2Graph {
     /// `docs/CONSISTENCY.md`). A nested `graphQuery` call issued *by SQL*
     /// pins its own snapshot at its own start time.
     pub fn run(&self, gremlin: &str) -> GraphResult<Vec<GValue>> {
-        self.run_for_request(gremlin, None, None)
+        Ok(self.execute(gremlin, &RunRequest::default())?.0)
     }
 
     /// Run a Gremlin script with profiling enabled; returns the results
     /// and the structured per-step report (strategy rewrites, step
     /// timings, table decisions, SQL statements).
     pub fn profile(&self, gremlin: &str) -> GraphResult<(Vec<GValue>, ProfileReport)> {
-        self.profile_for_request(gremlin, None, None)
+        let (values, report) =
+            self.execute(gremlin, &RunRequest { profile: true, ..Default::default() })?;
+        Ok((values, report.unwrap_or_default()))
     }
 
-    /// [`Self::run`] under a cooperative deadline, carrying the serving
-    /// layer's request id.
+    /// The one run path behind [`Self::run`], [`Self::profile`] and the
+    /// server: parse once, pin a snapshot, execute, and hand what the
+    /// observers collected to the slow-query log and the trace sink.
     ///
-    /// Once `deadline` passes, the next SQL-issuing operation (in any
-    /// traversal step, statement, or fan-out worker) aborts the script
-    /// with [`GraphError::Timeout`] instead of touching storage; the
-    /// snapshot pinned at entry is released on abort like on any other
-    /// error path. `None` never times out.
-    ///
-    /// The observed pipeline stamps `request_id` on the trace span root
-    /// and the slow-query entry, so one id correlates the HTTP response
-    /// with its spans and its slow-query record. On the fast
-    /// (non-observing) path the id has nothing to attach to and is simply
-    /// unused.
-    pub fn run_for_request(
+    /// A per-query [`Profiler`] observes the run only when something will
+    /// read it: `req.profile`, a `.profile()` terminator in the script,
+    /// tracing, or the slow-query log. Otherwise it is
+    /// [`Profiler::disabled`], which costs one null check per event.
+    /// Observing never changes the plan: the adjacency cache serves
+    /// observed and plain runs alike. Returns the final statement's
+    /// results, and the profile report when `req.profile` asked for one.
+    pub fn execute(
         &self,
         gremlin: &str,
-        deadline: Option<std::time::Instant>,
-        request_id: Option<&str>,
-    ) -> GraphResult<Vec<GValue>> {
-        self.backend.registry().traversals.add(1);
-        // A `.profile()` terminator needs an observing pipeline; the
-        // substring check may rarely false-positive (e.g. inside a string
-        // literal), which only costs the observation overhead. Tracing and
-        // the slow-query log likewise need per-step observation.
-        if gremlin.contains(".profile()") || self.observing() {
-            return self.run_observed(gremlin, deadline, request_id).map(|(values, _)| values);
-        }
+        req: &RunRequest,
+    ) -> GraphResult<(Vec<GValue>, Option<ProfileReport>)> {
+        let registry = self.backend.registry();
+        registry.traversals.add(1);
         let start = std::time::Instant::now();
-        let backend = self
-            .backend
-            .with_snapshot(Some(self.db.snapshot()))
-            .with_deadline(deadline);
-        let runner = ScriptRunner::new(&backend)
-            .with_strategies(self.registry.clone())
-            .with_options(self.options.exec.clone());
-        let out = runner.run(gremlin).map_err(from_gremlin);
-        self.backend.registry().record_query_latency(start.elapsed().as_nanos() as u64);
-        out
-    }
-
-    /// [`Self::profile`] under a cooperative deadline, carrying the
-    /// serving layer's request id (see [`Self::run_for_request`]).
-    pub fn profile_for_request(
-        &self,
-        gremlin: &str,
-        deadline: Option<std::time::Instant>,
-        request_id: Option<&str>,
-    ) -> GraphResult<(Vec<GValue>, ProfileReport)> {
-        self.backend.registry().traversals.add(1);
-        self.run_observed(gremlin, deadline, request_id)
-    }
-
-    /// The observing pipeline behind [`Self::profile`], `.profile()`,
-    /// tracing, and the slow-query log: a per-query `Profiler` (carrying a
-    /// `Tracer` when a sink exists) observes strategies, steps, table
-    /// decisions and SQL; afterwards the span batch lands in the sink and
-    /// the query is offered to the slow-query log with its full report.
-    fn run_observed(
-        &self,
-        gremlin: &str,
-        deadline: Option<std::time::Instant>,
-        request_id: Option<&str>,
-    ) -> GraphResult<(Vec<GValue>, ProfileReport)> {
         let tracer = if self.sink.is_some() { Tracer::enabled() } else { Tracer::disabled() };
-        let profiler = Profiler::enabled().with_tracer(tracer.clone());
         let root = tracer.start_with("query", SpanKind::Query, || {
             let mut attrs = vec![("gremlin".to_string(), gremlin.to_string())];
-            if let Some(id) = request_id {
+            if let Some(id) = req.request_id {
                 attrs.push(("request_id".to_string(), id.to_string()));
             }
             attrs
         });
-        let backend = self
-            .backend
-            .with_snapshot(Some(self.db.snapshot()))
-            .with_deadline(deadline)
-            .with_profiler(profiler.clone());
-        let runner = ScriptRunner::new(&backend)
+        let script = gremlin::parser::parse(gremlin);
+        let observed = req.profile
+            || self.sink.is_some()
+            || self.slow_log.is_some()
+            || script.as_ref().is_ok_and(|s| s.profiles());
+        let profiler = if observed {
+            Profiler::enabled().with_tracer(tracer.clone())
+        } else {
+            Profiler::disabled()
+        };
+        let backend =
+            self.backend.bind(Some(self.db.snapshot()), req.deadline, profiler.clone());
+        let mut runner = ScriptRunner::new(&backend)
             .with_strategies(self.registry.clone())
-            .with_options(self.options.exec.clone())
-            .with_observer(Arc::new(profiler.clone()));
-        let start = std::time::Instant::now();
-        let result = runner.run(gremlin).map_err(from_gremlin);
+            .with_options(self.options.exec.clone());
+        if observed {
+            runner = runner.with_observer(Arc::new(profiler.clone()));
+        }
+        let result = script.and_then(|s| runner.run_script(&s)).map_err(GraphError::from);
         let wall_nanos = start.elapsed().as_nanos() as u64;
         tracer.end(root);
-        let registry = self.backend.registry();
         registry.record_query_latency(wall_nanos);
+        if !observed {
+            return Ok((result?, None));
+        }
         let report = profiler.report();
         for step in &report.steps {
             registry.record_step_latency(step_kind(&step.description), step.nanos);
         }
         if let Some(log) = &self.slow_log {
-            if log.offer_with_id(gremlin, wall_nanos, &report, request_id) {
+            if log.offer_with_id(gremlin, wall_nanos, &report, req.request_id) {
                 registry.slow_queries.add(1);
             }
         }
@@ -405,7 +389,7 @@ impl Db2Graph {
             // finish() also closes spans left open by an error mid-step.
             sink.push_batch(tracer.finish());
         }
-        Ok((result?, report))
+        Ok((result?, req.profile.then_some(report)))
     }
 
     /// The trace sink, when tracing is enabled.

@@ -25,16 +25,16 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Instant;
 
 use gremlin::backend::{
     AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
-    PropPred,
 };
 use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
 use gremlin::GResult;
-use reldb::{Database, DataType, Row, RowSet, Snapshot, Value};
+use reldb::{Database, DataType, Row, Snapshot, Value};
 
-use crate::adjcache::{AdjCache, EdgeRef, Probe};
+use crate::adjcache::{AdjCache, RowSpan};
 use crate::error::{to_gremlin, GraphError, GraphResult};
 use crate::ids::{implicit_edge_id, split_implicit_edge_id, EdgeIdDef, IdDef};
 use crate::metrics::{MetricsRegistry, Profiler, TableAction, TableExplain, TablePlan};
@@ -88,26 +88,26 @@ fn coerce_id_text(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
 pub struct Db2GraphBackend {
     pub(crate) topo: Arc<Topology>,
     pub(crate) dialect: Arc<SqlDialect>,
-    /// Per-query event sink. Disabled by default; [`Self::with_profiler`]
-    /// produces an observing clone for `profile()` runs.
+    /// Per-query event sink. Disabled by default; [`Self::bind`] attaches
+    /// a collecting one for observed runs.
     pub(crate) profiler: Profiler,
     /// Worker threads for intra-query fan-out (1 = fully sequential).
     pub(crate) threads: usize,
     /// The pinned storage snapshot every generated SQL statement reads.
-    /// `None` only for backends not yet bound to a query; [`Graph::run`]
-    /// and friends bind one via [`Self::with_snapshot`] so multi-statement
+    /// `None` only for backends not yet bound to a query;
+    /// `Db2Graph::execute` binds one via [`Self::bind`] so multi-statement
     /// traversals observe a single committed database state even while
     /// writers commit concurrently.
     pub(crate) read_view: Option<Snapshot>,
     /// Cooperative cancellation point: when set, every SQL-issuing
     /// operation checks the clock before touching storage and aborts with
     /// [`GraphError::Timeout`] once the instant has passed. Bound per
-    /// query by [`Db2Graph::run_for_request`]; the serving layer uses it
-    /// to shed requests that outlive their budget.
-    pub(crate) deadline: Option<std::time::Instant>,
-    /// Columnar CSR adjacency cache consulted before generating adjacency
-    /// SQL (`None` = disabled). Shared across all shallow clones; only
-    /// plain runs pinned to an unstamped snapshot use it — see
+    /// query from [`crate::RunRequest::deadline`]; the serving layer uses
+    /// it to shed requests that outlive their budget.
+    pub(crate) deadline: Option<Instant>,
+    /// Adjacency cache consulted before generating adjacency SQL (`None`
+    /// = disabled). Shared across all shallow clones; every run pinned to
+    /// an unstamped snapshot uses it, observed or not — see
     /// `docs/VECTORIZED.md`.
     pub(crate) adj_cache: Option<Arc<AdjCache>>,
 }
@@ -127,52 +127,30 @@ impl Db2GraphBackend {
         }
     }
 
-    /// A shallow clone sharing all caches and the metrics registry,
-    /// but recording per-query events into `profiler`.
-    pub fn with_profiler(&self, profiler: Profiler) -> Db2GraphBackend {
+    /// A shallow clone, sharing all caches and the metrics registry, bound
+    /// to one query: every SQL statement it generates (including fan-out
+    /// jobs, which inherit the binding) reads `read_view`, aborts with
+    /// [`GraphError::Timeout`] once `deadline` passes, and reports to
+    /// `profiler`. A `None` read view reads the latest committed data per
+    /// statement; a `None` deadline never times out.
+    pub fn bind(
+        &self,
+        read_view: Option<Snapshot>,
+        deadline: Option<Instant>,
+        profiler: Profiler,
+    ) -> Db2GraphBackend {
         Db2GraphBackend {
             topo: self.topo.clone(),
             dialect: self.dialect.clone(),
             profiler,
             threads: self.threads,
-            read_view: self.read_view.clone(),
-            deadline: self.deadline,
-            adj_cache: self.adj_cache.clone(),
-        }
-    }
-
-    /// A shallow clone pinned to `snapshot`: every SQL statement the clone
-    /// generates (including fan-out worker jobs, which inherit the pin via
-    /// [`Self::with_profiler`]) reads that committed state. Pass `None` to
-    /// unpin and read the latest committed data per statement.
-    pub fn with_snapshot(&self, snapshot: Option<Snapshot>) -> Db2GraphBackend {
-        Db2GraphBackend {
-            topo: self.topo.clone(),
-            dialect: self.dialect.clone(),
-            profiler: self.profiler.clone(),
-            threads: self.threads,
-            read_view: snapshot,
-            deadline: self.deadline,
-            adj_cache: self.adj_cache.clone(),
-        }
-    }
-
-    /// A shallow clone whose SQL-issuing operations abort with
-    /// [`GraphError::Timeout`] once `deadline` passes. `None` removes any
-    /// deadline.
-    pub fn with_deadline(&self, deadline: Option<std::time::Instant>) -> Db2GraphBackend {
-        Db2GraphBackend {
-            topo: self.topo.clone(),
-            dialect: self.dialect.clone(),
-            profiler: self.profiler.clone(),
-            threads: self.threads,
-            read_view: self.read_view.clone(),
+            read_view,
             deadline,
             adj_cache: self.adj_cache.clone(),
         }
     }
 
-    /// Attach (or detach) the columnar adjacency cache. Installed once by
+    /// Attach (or detach) the adjacency cache. Installed once by
     /// [`crate::graph::Db2Graph`] at open; per-query shallow clones then
     /// share the one instance.
     pub fn with_adj_cache(mut self, cache: Option<Arc<AdjCache>>) -> Db2GraphBackend {
@@ -192,28 +170,24 @@ impl Db2GraphBackend {
     /// cache is disabled or the backend is unpinned/stamped.
     pub fn warm_adj_cache(&self) -> GraphResult<usize> {
         let Some(cache) = &self.adj_cache else { return Ok(0) };
-        let Some(snap) = &self.read_view else { return Ok(0) };
-        if snap.stamp() != 0 || self.profiler.is_enabled() {
-            return Ok(0);
-        }
+        let Some(snap) = self.read_view.as_ref().filter(|s| s.stamp() == 0) else { return Ok(0) };
         let epoch = snap.epoch();
-        let filter = ElementFilter::default();
         let mut cached = 0usize;
         for (ei, et) in self.topo.edge_tables.iter().enumerate() {
-            let edges: Vec<Edge> = match self.query_edge_table(et, &filter)? {
-                TableResult::Elements(es) => es
-                    .into_iter()
-                    .filter_map(|el| match el {
-                        Element::Edge(e) => Some(e),
-                        _ => None,
-                    })
-                    .collect(),
-                _ => Vec::new(),
+            let TableResult::Rows(rows) = self.probe_edge_rows(et, &ElementFilter::default())?
+            else {
+                continue;
             };
-            let refs: Vec<&Edge> = edges.iter().collect();
-            cache.insert_complete(ei, true, &et.name, &refs, epoch);
-            cache.insert_complete(ei, false, &et.name, &refs, epoch);
-            cached += edges.len();
+            let shape = EdgeShape::new(et, None);
+            let ends: Vec<(ElementId, ElementId)> = rows
+                .iter()
+                .map(|row| Ok((shape.endpoint(row, true)?, shape.endpoint(row, false)?)))
+                .collect::<GraphResult<_>>()?;
+            let srcs: Vec<&ElementId> = ends.iter().map(|(src, _)| src).collect();
+            let dsts: Vec<&ElementId> = ends.iter().map(|(_, dst)| dst).collect();
+            cached += rows.len();
+            cache.insert_complete((ei, false), &et.name, rows.clone(), &dsts, epoch);
+            cache.insert_complete((ei, true), &et.name, rows, &srcs, epoch);
         }
         Ok(cached)
     }
@@ -262,7 +236,7 @@ impl Db2GraphBackend {
             .zip(&forks)
             .enumerate()
             .map(|(i, (job, fork))| {
-                let be = self.with_profiler(fork.clone());
+                let be = self.bind(self.read_view.clone(), self.deadline, fork.clone());
                 move || {
                     let tracer = be.profiler.tracer();
                     let span = tracer
@@ -284,11 +258,14 @@ impl Db2GraphBackend {
 
     fn run_table_job(&self, job: &TableJob) -> GraphResult<TableResult> {
         match job.kind {
-            ElementKind::Vertices => {
-                self.query_vertex_table(&self.topo.vertex_tables[job.table], &job.filter, job.pinned)
-            }
-            ElementKind::Edges => {
-                self.query_edge_table(&self.topo.edge_tables[job.table], &job.filter)
+            JobKind::Vertices | JobKind::PinnedVertices => self.query_vertex_table(
+                &self.topo.vertex_tables[job.table],
+                &job.filter,
+                job.kind == JobKind::PinnedVertices,
+            ),
+            JobKind::Edges => self.query_edge_table(&self.topo.edge_tables[job.table], &job.filter),
+            JobKind::Adjacency => {
+                self.probe_edge_rows(&self.topo.edge_tables[job.table], &job.filter)
             }
         }
     }
@@ -333,28 +310,23 @@ impl Db2GraphBackend {
         (cols, props)
     }
 
-    /// Materialize a vertex from a result row.
-    fn vertex_from_row(&self, vt: &VertexTable, rs: &RowSet, row: &Row) -> GraphResult<Vertex> {
+    /// Materialize a vertex from a result row selected with `cols`.
+    fn vertex_from_row(&self, vt: &VertexTable, cols: &[String], row: &Row) -> GraphResult<Vertex> {
+        let col = |name: &str| cols.iter().position(|c| c.eq_ignore_ascii_case(name));
         let id_vals: Vec<Value> = vt
             .id
             .columns()
             .iter()
-            .map(|c| {
-                let i = rs.column_index(c).expect("id column selected");
-                row[i].clone()
-            })
+            .map(|c| row[col(c).expect("id column selected")].clone())
             .collect();
         let id = vt.id.encode(&id_vals)?;
         let label = match &vt.label {
             LabelDef::Fixed(l) => l.clone(),
-            LabelDef::Column(c) => {
-                let i = rs.column_index(c).expect("label column selected");
-                row[i].to_string()
-            }
+            LabelDef::Column(c) => row[col(c).expect("label column selected")].to_string(),
         };
         let mut v = Vertex::new(id, label);
         for p in &vt.properties {
-            if let Some(i) = rs.column_index(p) {
+            if let Some(i) = col(p) {
                 if !row[i].is_null() {
                     v.properties.insert(p.clone(), to_gvalue(&row[i]));
                 }
@@ -439,25 +411,29 @@ impl Db2GraphBackend {
         }
     }
 
-    fn fetch_vertices(&self, filter: &ElementFilter) -> GraphResult<BackendOutput> {
-        self.registry().tables_considered.add(self.topo.vertex_tables.len() as u64);
+    /// A `V()`/`E()` step: one scan job per table of `kind`, merged in
+    /// table order.
+    fn fetch_elements(
+        &self,
+        kind: ElementKind,
+        filter: &ElementFilter,
+    ) -> GraphResult<BackendOutput> {
+        let (job, tables) = match kind {
+            ElementKind::Vertices => (JobKind::Vertices, self.topo.vertex_tables.len()),
+            ElementKind::Edges => (JobKind::Edges, self.topo.edge_tables.len()),
+        };
+        self.registry().tables_considered.add(tables as u64);
         let mut outputs: Vec<Element> = Vec::new();
         let mut values: Vec<GValue> = Vec::new();
         let mut agg = AggCombiner::new(filter.aggregate);
         let mut pruned = 0u64;
-
-        // One scan job per vertex table; merged in table order.
-        let results = self.fan_out(TableJob::every_table(
-            ElementKind::Vertices,
-            self.topo.vertex_tables.len(),
-            filter,
-        ))?;
-        for r in results {
+        for r in self.fan_out(TableJob::every_table(job, tables, filter))? {
             match r {
                 TableResult::Pruned => pruned += 1,
                 TableResult::Elements(es) => outputs.extend(es),
                 TableResult::Values(vs) => values.extend(vs),
                 TableResult::Agg(parts) => agg.add(parts),
+                TableResult::Rows(_) => unreachable!("table scans decode their rows"),
             }
         }
         self.registry().tables_pruned.add(pruned);
@@ -580,26 +556,16 @@ impl Db2GraphBackend {
         pinned: bool,
     ) -> GraphResult<TableResult> {
         self.check_deadline()?;
-        let ScanPlan { conjuncts, params, mut pattern_cols, .. } =
-            match self.vertex_table_access(vt, filter)? {
-                TableAccess::Pruned(reason) => {
-                    self.profiler.record_table(&vt.name, TableAction::Pruned(reason));
-                    return Ok(TableResult::Pruned);
-                }
-                TableAccess::Scan(plan) => plan,
-            };
-        self.profiler.record_table(
-            &vt.name,
-            if pinned { TableAction::Pinned } else { TableAction::Queried },
-        );
+        let action = if pinned { TableAction::Pinned } else { TableAction::Queried };
+        let Some(plan) = self.admit(&vt.name, self.vertex_table_access(vt, filter)?, action) else {
+            return Ok(TableResult::Pruned);
+        };
 
         // Aggregate pushdown.
         if let Some(op) = filter.aggregate {
             return self.run_aggregate(
                 &vt.name,
-                &conjuncts,
-                &params,
-                &pattern_cols,
+                &plan,
                 op,
                 filter.projection.as_deref(),
                 |k| vt.has_property(k),
@@ -608,27 +574,16 @@ impl Db2GraphBackend {
         }
 
         let (cols, props) = self.vertex_columns(vt, filter.projection.as_deref());
-        let sql = build_select(&vt.name, &cols, &conjuncts, None);
-        pattern_cols.sort();
-        pattern_cols.dedup();
-        let rs = self
-            .dialect
-            .query_at(
-                &self.profiler,
-                &sql,
-                &params,
-                Some((&vt.name, &pattern_cols)),
-                self.read_view.as_ref(),
-            )
-            .map_err(GraphError::Db)?;
+        let rows = self.fetch_rows(&vt.name, &cols, plan)?;
+        let col = |name: &str| cols.iter().position(|c| c.eq_ignore_ascii_case(name));
 
         if let Some(keys) = &filter.projection {
             // Projection pushdown: emit scalar values in requested order.
             let mut out = Vec::new();
-            for row in &rs.rows {
+            for row in &rows {
                 for k in keys {
                     if props.iter().any(|p| p.eq_ignore_ascii_case(k)) {
-                        if let Some(i) = rs.column_index(k) {
+                        if let Some(i) = col(k) {
                             if !row[i].is_null() {
                                 out.push(to_gvalue(&row[i]));
                             }
@@ -639,9 +594,9 @@ impl Db2GraphBackend {
             return Ok(TableResult::Values(out));
         }
 
-        let mut out = Vec::with_capacity(rs.rows.len());
-        for row in &rs.rows {
-            let v = self.vertex_from_row(vt, &rs, row)?;
+        let mut out = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let v = self.vertex_from_row(vt, &cols, row)?;
             let el = Element::Vertex(v);
             // Residual check covers anything not pushed to SQL.
             if filter.matches(&el) {
@@ -652,107 +607,6 @@ impl Db2GraphBackend {
     }
 
     // ------------------------------------------------------------- edges
-
-    fn edge_columns(&self, et: &EdgeTable, projection: Option<&[String]>) -> (Vec<String>, Vec<String>) {
-        let mut cols: Vec<String> = Vec::new();
-        let push = |c: &str, cols: &mut Vec<String>| {
-            if !cols.iter().any(|x| x.eq_ignore_ascii_case(c)) {
-                cols.push(c.to_string());
-            }
-        };
-        for c in et.src_v.columns() {
-            push(c, &mut cols);
-        }
-        for c in et.dst_v.columns() {
-            push(c, &mut cols);
-        }
-        if let EdgeIdDef::Explicit(def) = &et.id {
-            for c in def.columns() {
-                push(c, &mut cols);
-            }
-        }
-        if let LabelDef::Column(c) = &et.label {
-            push(c, &mut cols);
-        }
-        let props: Vec<String> = match projection {
-            Some(keys) => et
-                .properties
-                .iter()
-                .filter(|p| keys.iter().any(|k| k.eq_ignore_ascii_case(p)))
-                .cloned()
-                .collect(),
-            None => et.properties.clone(),
-        };
-        for p in &props {
-            push(p, &mut cols);
-        }
-        (cols, props)
-    }
-
-    fn edge_from_row(&self, et: &EdgeTable, rs: &RowSet, row: &Row) -> GraphResult<Edge> {
-        let get_vals = |def: &IdDef| -> Vec<Value> {
-            def.columns()
-                .iter()
-                .map(|c| {
-                    let i = rs.column_index(c).expect("endpoint column selected");
-                    row[i].clone()
-                })
-                .collect()
-        };
-        let src = et.src_v.encode(&get_vals(&et.src_v))?;
-        let dst = et.dst_v.encode(&get_vals(&et.dst_v))?;
-        let label = match &et.label {
-            LabelDef::Fixed(l) => l.clone(),
-            LabelDef::Column(c) => {
-                let i = rs.column_index(c).expect("label column selected");
-                row[i].to_string()
-            }
-        };
-        let id = match &et.id {
-            EdgeIdDef::Explicit(def) => def.encode(&get_vals(def))?,
-            EdgeIdDef::Implicit => implicit_edge_id(&src, &label, &dst),
-        };
-        let mut e = Edge::new(id, label, src, dst);
-        for p in &et.properties {
-            if let Some(i) = rs.column_index(p) {
-                if !row[i].is_null() {
-                    e.properties.insert(p.clone(), to_gvalue(&row[i]));
-                }
-            }
-        }
-        e.provenance = Some(et.name.clone());
-        Ok(e)
-    }
-
-    fn fetch_edges(&self, filter: &ElementFilter) -> GraphResult<BackendOutput> {
-        self.registry().tables_considered.add(self.topo.edge_tables.len() as u64);
-        let mut outputs: Vec<Element> = Vec::new();
-        let mut values: Vec<GValue> = Vec::new();
-        let mut agg = AggCombiner::new(filter.aggregate);
-        let mut pruned = 0u64;
-        // One scan job per edge table; merged in table order.
-        let results = self.fan_out(TableJob::every_table(
-            ElementKind::Edges,
-            self.topo.edge_tables.len(),
-            filter,
-        ))?;
-        for r in results {
-            match r {
-                TableResult::Pruned => pruned += 1,
-                TableResult::Elements(es) => outputs.extend(es),
-                TableResult::Values(vs) => values.extend(vs),
-                TableResult::Agg(parts) => agg.add(parts),
-            }
-        }
-        self.registry().tables_pruned.add(pruned);
-        if filter.aggregate.is_some() {
-            return Ok(agg.finish());
-        }
-        if filter.projection.is_some() {
-            return Ok(BackendOutput::Values(values));
-        }
-        Ok(BackendOutput::Elements(outputs))
-    }
 
     /// Edge-table counterpart of [`Self::vertex_table_access`]: decide,
     /// without executing, whether the table is eliminated or how it would
@@ -910,25 +764,37 @@ impl Db2GraphBackend {
         Ok(TableAccess::Scan(plan))
     }
 
-    fn query_edge_table(&self, et: &EdgeTable, filter: &ElementFilter) -> GraphResult<TableResult> {
+    /// The access decision for one edge table, recorded in the profile:
+    /// the scan plan, or `None` when the table is pruned.
+    fn plan_edge_table(
+        &self,
+        et: &EdgeTable,
+        filter: &ElementFilter,
+    ) -> GraphResult<Option<ScanPlan>> {
         self.check_deadline()?;
-        let ScanPlan { conjuncts, params, mut pattern_cols, post_filter_ids } =
-            match self.edge_table_access(et, filter)? {
-                TableAccess::Pruned(reason) => {
-                    self.profiler.record_table(&et.name, TableAction::Pruned(reason));
-                    return Ok(TableResult::Pruned);
-                }
-                TableAccess::Scan(plan) => plan,
-            };
-        self.profiler.record_table(&et.name, TableAction::Queried);
+        Ok(self.admit(&et.name, self.edge_table_access(et, filter)?, TableAction::Queried))
+    }
 
+    /// An adjacency probe: the rows of `et` under `filter`, selected with
+    /// every column a hop decodes — the shape the adjacency cache holds.
+    fn probe_edge_rows(&self, et: &EdgeTable, filter: &ElementFilter) -> GraphResult<TableResult> {
+        let Some(plan) = self.plan_edge_table(et, filter)? else {
+            return Ok(TableResult::Pruned);
+        };
+        let rows = self.fetch_rows(&et.name, &EdgeShape::new(et, None).cols, plan)?;
+        Ok(TableResult::Rows(rows))
+    }
+
+    fn query_edge_table(&self, et: &EdgeTable, filter: &ElementFilter) -> GraphResult<TableResult> {
+        let Some(plan) = self.plan_edge_table(et, filter)? else {
+            return Ok(TableResult::Pruned);
+        };
         if let Some(op) = filter.aggregate {
-            if !post_filter_ids {
+            // A post-filtered id check forces materialization.
+            if !plan.post_filter_ids {
                 return self.run_aggregate(
                     &et.name,
-                    &conjuncts,
-                    &params,
-                    &pattern_cols,
+                    &plan,
                     op,
                     filter.projection.as_deref(),
                     |k| et.has_property(k),
@@ -936,32 +802,14 @@ impl Db2GraphBackend {
                 );
             }
         }
-
-        let (cols, props) = self.edge_columns(et, filter.projection.as_deref());
-        let sql = build_select(&et.name, &cols, &conjuncts, None);
-        pattern_cols.sort();
-        pattern_cols.dedup();
-        let rs = self
-            .dialect
-            .query_at(
-                &self.profiler,
-                &sql,
-                &params,
-                Some((&et.name, &pattern_cols)),
-                self.read_view.as_ref(),
-            )
-            .map_err(GraphError::Db)?;
-
-        let mut elements: Vec<Element> = Vec::with_capacity(rs.rows.len());
-        for row in &rs.rows {
-            let e = self.edge_from_row(et, &rs, row)?;
-            let el = Element::Edge(e);
+        let shape = EdgeShape::new(et, filter.projection.as_deref());
+        let mut elements: Vec<Element> = Vec::new();
+        for row in self.fetch_rows(&et.name, &shape.cols, plan)? {
+            // Residual check: anything not pushed to SQL, and computed ids
+            // when they could not be pushed.
+            let el = Element::Edge(shape.edge(&row)?);
             if filter.matches(&el) {
                 elements.push(el);
-            } else if !post_filter_ids {
-                // filter.matches re-checks ids; when ids were pushed to SQL
-                // this should never reject.
-                continue;
             }
         }
 
@@ -972,11 +820,9 @@ impl Db2GraphBackend {
         if let Some(keys) = &filter.projection {
             let mut out = Vec::new();
             for el in &elements {
-                for k in keys {
-                    if props.iter().any(|p| p.eq_ignore_ascii_case(k)) {
-                        if let Some(v) = el.properties().get(k) {
-                            out.push(v.clone());
-                        }
+                for k in keys.iter().filter(|k| et.has_property(k)) {
+                    if let Some(v) = el.properties().get(k) {
+                        out.push(v.clone());
                     }
                 }
             }
@@ -985,22 +831,51 @@ impl Db2GraphBackend {
         Ok(TableResult::Elements(elements))
     }
 
+    /// Record the access decision for `table` in the profile — `action`
+    /// when it is scanned, the reason when it is pruned — and return the
+    /// scan plan, or `None` when pruned.
+    fn admit(&self, table: &str, access: TableAccess, action: TableAction) -> Option<ScanPlan> {
+        match access {
+            TableAccess::Pruned(reason) => {
+                self.profiler.record_table(table, TableAction::Pruned(reason));
+                None
+            }
+            TableAccess::Scan(plan) => {
+                self.profiler.record_table(table, action);
+                Some(plan)
+            }
+        }
+    }
+
+    /// Select `cols` from `table` under `plan`'s conjuncts, at this
+    /// backend's read view.
+    fn fetch_rows(&self, table: &str, cols: &[String], plan: ScanPlan) -> GraphResult<Vec<Row>> {
+        let sql = build_select(table, cols, &plan.conjuncts, None);
+        let rs = self
+            .dialect
+            .query_at(
+                &self.profiler,
+                &sql,
+                &plan.params,
+                Some((table, &plan.pattern())),
+                self.read_view.as_ref(),
+            )
+            .map_err(GraphError::Db)?;
+        Ok(rs.rows)
+    }
+
     /// Run an aggregate-pushdown query for one table.
-    #[allow(clippy::too_many_arguments)]
     fn run_aggregate(
         &self,
         table: &str,
-        conjuncts: &[String],
-        params: &[Value],
-        pattern_cols: &[String],
+        plan: &ScanPlan,
         op: AggOp,
         projection: Option<&[String]>,
         has_property: impl Fn(&str) -> bool,
         column_type: impl Fn(&str) -> Option<DataType>,
     ) -> GraphResult<TableResult> {
-        let mut pattern_cols = pattern_cols.to_vec();
-        pattern_cols.sort();
-        pattern_cols.dedup();
+        let (conjuncts, params) = (&plan.conjuncts, &plan.params);
+        let pattern_cols = plan.pattern();
         let pattern = Some((table, pattern_cols.as_slice()));
         match (op, projection) {
             (AggOp::Count, None) => {
@@ -1133,10 +1008,9 @@ impl Db2GraphBackend {
                 sub.projection = None;
                 sub.aggregate = None;
                 jobs.push(TableJob {
-                    kind: ElementKind::Vertices,
+                    kind: if hint.is_some() { JobKind::PinnedVertices } else { JobKind::Vertices },
                     table: ti,
                     filter: Arc::new(sub),
-                    pinned: hint.is_some(),
                 });
             }
         }
@@ -1283,8 +1157,8 @@ impl Db2GraphBackend {
                             Self::aggregate_sqls(&et.name, &plan.conjuncts, op, &keys)
                         }
                         _ => {
-                            let (cols, _) = self.edge_columns(et, filter.projection.as_deref());
-                            vec![build_select(&et.name, &cols, &plan.conjuncts, None)]
+                            let shape = EdgeShape::new(et, filter.projection.as_deref());
+                            vec![build_select(&et.name, &shape.cols, &plan.conjuncts, None)]
                         }
                     };
                     out.push(TableExplain {
@@ -1459,26 +1333,178 @@ enum TableResult {
     Elements(Vec<Element>),
     Values(Vec<GValue>),
     Agg(AggParts),
+    /// An adjacency probe's rows, undecoded.
+    Rows(Vec<Row>),
+}
+
+/// What one [`TableJob`] reads.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum JobKind {
+    /// Vertices of a table considered among all vertex tables.
+    Vertices,
+    /// Vertices of the one table a src/dst link selected (profiled as
+    /// pinned rather than queried).
+    PinnedVertices,
+    /// Edges, as elements, values or an aggregate.
+    Edges,
+    /// An adjacency probe: the edge table's rows.
+    Adjacency,
 }
 
 /// One unit of [`Db2GraphBackend::fan_out`]: read one overlay table under
 /// a filter. Owned, so it can run on a resident pool thread.
 struct TableJob {
-    kind: ElementKind,
+    kind: JobKind,
     /// Index into the topology's vertex or edge tables, per `kind`.
     table: usize,
     filter: Arc<ElementFilter>,
-    /// Profile a vertex-table access as pinned rather than queried.
-    pinned: bool,
 }
 
 impl TableJob {
     /// One job per table of `kind`, all sharing `filter`, in table order.
-    fn every_table(kind: ElementKind, tables: usize, filter: &ElementFilter) -> Vec<TableJob> {
+    fn every_table(kind: JobKind, tables: usize, filter: &ElementFilter) -> Vec<TableJob> {
         let filter = Arc::new(filter.clone());
-        (0..tables)
-            .map(|table| TableJob { kind, table, filter: filter.clone(), pinned: false })
-            .collect()
+        (0..tables).map(|table| TableJob { kind, table, filter: filter.clone() }).collect()
+    }
+}
+
+/// An edge table's SELECT list, and where each part of an edge sits in
+/// the rows it returns — so decoding a row indexes it instead of looking
+/// columns up by name.
+struct EdgeShape<'a> {
+    et: &'a EdgeTable,
+    /// The selected columns: endpoints, explicit id, label column, then
+    /// the (projected) properties, each once.
+    cols: Vec<String>,
+    src: Vec<usize>,
+    dst: Vec<usize>,
+    /// Explicit-id columns (empty for implicit ids).
+    id: Vec<usize>,
+    /// The label column, for column-labelled tables.
+    label: Option<usize>,
+    /// Each property whose column is selected, with that column.
+    props: Vec<(&'a str, usize)>,
+}
+
+impl<'a> EdgeShape<'a> {
+    fn new(et: &'a EdgeTable, projection: Option<&[String]>) -> EdgeShape<'a> {
+        let mut cols: Vec<String> = Vec::new();
+        let mut at = |c: &str| match cols.iter().position(|x| x.eq_ignore_ascii_case(c)) {
+            Some(i) => i,
+            None => {
+                cols.push(c.to_string());
+                cols.len() - 1
+            }
+        };
+        let src: Vec<usize> = et.src_v.columns().into_iter().map(&mut at).collect();
+        let dst: Vec<usize> = et.dst_v.columns().into_iter().map(&mut at).collect();
+        let id: Vec<usize> = match &et.id {
+            EdgeIdDef::Explicit(def) => def.columns().into_iter().map(&mut at).collect(),
+            EdgeIdDef::Implicit => Vec::new(),
+        };
+        let label = match &et.label {
+            LabelDef::Column(c) => Some(at(c)),
+            LabelDef::Fixed(_) => None,
+        };
+        for p in &et.properties {
+            if projection.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p))) {
+                at(p);
+            }
+        }
+        let props = et
+            .properties
+            .iter()
+            .filter_map(|p| {
+                let i = cols.iter().position(|c| c.eq_ignore_ascii_case(p))?;
+                Some((p.as_str(), i))
+            })
+            .collect();
+        EdgeShape { et, cols, src, dst, id, label, props }
+    }
+
+    /// The id encoded from columns `at` of `row` under `def`.
+    fn encode(def: &IdDef, at: &[usize], row: &Row) -> GraphResult<ElementId> {
+        def.encode(&at.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
+    }
+
+    /// The src (`out`) or dst endpoint id of `row`.
+    fn endpoint(&self, row: &Row, out: bool) -> GraphResult<ElementId> {
+        if out {
+            Self::encode(&self.et.src_v, &self.src, row)
+        } else {
+            Self::encode(&self.et.dst_v, &self.dst, row)
+        }
+    }
+
+    /// Materialize the edge of `row`.
+    fn edge(&self, row: &Row) -> GraphResult<Edge> {
+        let et = self.et;
+        let (src, dst) = (self.endpoint(row, true)?, self.endpoint(row, false)?);
+        let label = match &et.label {
+            LabelDef::Fixed(l) => l.clone(),
+            LabelDef::Column(_) => row[self.label.expect("label column selected")].to_string(),
+        };
+        let id = match &et.id {
+            EdgeIdDef::Explicit(def) => Self::encode(def, &self.id, row)?,
+            EdgeIdDef::Implicit => implicit_edge_id(&src, &label, &dst),
+        };
+        let mut e = Edge::new(id, label, src, dst);
+        for &(p, i) in &self.props {
+            if !row[i].is_null() {
+                e.properties.insert(p.to_string(), to_gvalue(&row[i]));
+            }
+        }
+        e.provenance = Some(et.name.clone());
+        Ok(e)
+    }
+
+    /// The one decoder for adjacency rows, cached or fresh: a vertex hop
+    /// decodes only the two endpoint ids, an edge hop builds the edge.
+    /// `out` says which endpoint is on the frontier side; a cache hit
+    /// already knows that id (`anchor`, the span's key) and skips it.
+    fn hop(
+        &self,
+        row: &Row,
+        out: bool,
+        to: ElementKind,
+        anchor: Option<&ElementId>,
+    ) -> GraphResult<Hop> {
+        Ok(match to {
+            ElementKind::Vertices => Hop::Vertex {
+                anchor: match anchor {
+                    Some(id) => id.clone(),
+                    None => self.endpoint(row, out)?,
+                },
+                target: self.endpoint(row, !out)?,
+            },
+            ElementKind::Edges => Hop::Edge(self.edge(row)?),
+        })
+    }
+}
+
+/// One decoded adjacency row.
+enum Hop {
+    /// A vertex hop: the frontier-side endpoint and the far one.
+    Vertex { anchor: ElementId, target: ElementId },
+    /// An edge hop: the edge itself.
+    Edge(Edge),
+}
+
+/// A decoded row together with the (edge table, direction) it came from.
+struct Found {
+    hop: Hop,
+    et_idx: usize,
+    via_out: bool,
+}
+
+impl Found {
+    /// The frontier-side endpoint: the source this row is adjacency of.
+    fn anchor(&self) -> &ElementId {
+        match &self.hop {
+            Hop::Vertex { anchor, .. } => anchor,
+            Hop::Edge(e) if self.via_out => &e.src,
+            Hop::Edge(e) => &e.dst,
+        }
     }
 }
 
@@ -1495,6 +1521,17 @@ struct ScanPlan {
     post_filter_ids: bool,
 }
 
+impl ScanPlan {
+    /// The predicate columns, sorted and deduplicated: the key of the
+    /// dialect's pattern tracking.
+    fn pattern(&self) -> Vec<String> {
+        let mut cols = self.pattern_cols.clone();
+        cols.sort();
+        cols.dedup();
+        cols
+    }
+}
+
 /// The data-independent access decision for one table.
 enum TableAccess {
     /// Eliminated before any SQL, with the reason.
@@ -1506,11 +1543,7 @@ enum TableAccess {
 
 impl GraphBackend for Db2GraphBackend {
     fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
-        let r = match kind {
-            ElementKind::Vertices => self.fetch_vertices(filter),
-            ElementKind::Edges => self.fetch_edges(filter),
-        };
-        r.map_err(to_gremlin)
+        self.fetch_elements(kind, filter).map_err(to_gremlin)
     }
 
     fn adjacent(
@@ -1619,19 +1652,17 @@ impl Db2GraphBackend {
 
         // Edge-level filter for the SQL query (only when edges are the
         // output; vertex filters apply after endpoint resolution).
-        let edge_filter_preds: Vec<PropPred> =
+        let edge_filter_preds =
             if to == ElementKind::Edges { filter.predicates.clone() } else { Vec::new() };
 
-        // Adjacency-cache context. The CSR cache is consulted (and fed)
-        // only for plain runs pinned to an unstamped snapshot: profiled
-        // runs must reproduce the exact SQL-path profile at any thread
-        // count, and stamped snapshots observe session-private writes the
-        // shared cache must not hold. `epoch` is the snapshot's pin — the
-        // cache's validity rule keys off it (docs/VECTORIZED.md).
-        let cache_ctx: Option<(Arc<AdjCache>, u64)> = match (&self.adj_cache, &self.read_view) {
-            (Some(c), Some(snap)) if snap.stamp() == 0 && !self.profiler.is_enabled() => {
-                Some((c.clone(), snap.epoch()))
-            }
+        // Adjacency-cache context: every run pinned to an unstamped
+        // snapshot consults and feeds the cache, observed or not — the
+        // profile records what it served (`TableAction::CacheHit`). Stamped
+        // snapshots observe transaction-private writes the shared cache
+        // must not hold. `epoch` is the snapshot's pin — the cache's
+        // validity rule keys off it (docs/VECTORIZED.md).
+        let cache_ctx: Option<(&AdjCache, u64)> = match (&self.adj_cache, &self.read_view) {
+            (Some(c), Some(snap)) if snap.stamp() == 0 => Some((c, snap.epoch())),
             _ => None,
         };
         // A probe context is cacheable only when its SQL is unconstrained
@@ -1646,31 +1677,26 @@ impl Db2GraphBackend {
                     && filter.src_ids.is_none()
                     && filter.dst_ids.is_none()));
 
-        struct FoundEdge {
-            edge: Edge,
-            et_idx: usize,
-            via_out: bool,
-        }
-
         // Phase 1 (sequential, cheap): expand the probe space —
         // (edge table × source-table group × direction × frontier chunk) —
-        // recording the pruning decisions on the coordinator thread so the
-        // profile stream is ordered like sequential execution. Each
-        // (table × group × direction) becomes one *unit*: its cache-hit
-        // sources expand in memory, its misses fall back to the batched
-        // SQL path with the exact chunking the pure-SQL path uses.
+        // recording the pruning and cache decisions on the coordinator
+        // thread so the profile stream is ordered like sequential
+        // execution. Each (table × group × direction) becomes one *unit*:
+        // its cache-hit sources decode from memory, its misses fall back
+        // to the batched SQL path with the exact chunking the pure-SQL
+        // path uses.
         struct Unit {
             et_idx: usize,
             via_out: bool,
-            /// Cache-hit adjacency spans, one per hit source, frontier
-            /// order. Expanded on work-stealing morsels — no SQL.
-            hits: Vec<Vec<EdgeRef>>,
+            /// Cache-hit sources with their spans, frontier order.
+            /// Decoded on work-stealing morsels — no SQL.
+            hits: Vec<(ElementId, RowSpan)>,
             /// Frontier ids that missed, chunked exactly like the pure
             /// SQL path chunks them; aligned 1:1 with this unit's probes.
             miss_chunks: Vec<Vec<ElementId>>,
             /// This unit's probes are `probes[probe_start..][..miss_chunks.len()]`.
             probe_start: usize,
-            /// Feed this unit's SQL results back into the cache.
+            /// Feed this unit's SQL rows back into the cache.
             populate: bool,
         }
         let mut units: Vec<Unit> = Vec::new();
@@ -1688,16 +1714,12 @@ impl Db2GraphBackend {
                         _ => true,
                     }
                 };
-                let mut dirs: Vec<bool> = Vec::new();
-                match direction {
-                    Direction::Out => dirs.push(true),
-                    Direction::In => dirs.push(false),
-                    Direction::Both => {
-                        dirs.push(true);
-                        dirs.push(false);
-                    }
-                }
-                for dir_out in dirs {
+                let dirs: &[bool] = match direction {
+                    Direction::Out => &[true],
+                    Direction::In => &[false],
+                    Direction::Both => &[true, false],
+                };
+                for &dir_out in dirs {
                     if !passes(dir_out) {
                         self.registry().tables_pruned.add(1);
                         if self.profiler.is_enabled() {
@@ -1711,26 +1733,27 @@ impl Db2GraphBackend {
                         }
                         continue;
                     }
-                    // Serve what the cache can: hit sources expand without
+                    // Serve what the cache can: hit sources decode without
                     // SQL, miss sources continue to the probe path below.
-                    let unit_cacheable = ctx_cacheable
+                    let populate = ctx_cacheable
                         && (label_filter.is_none() || et.fixed_label().is_some());
-                    let (hits, remaining): (Vec<Vec<EdgeRef>>, Vec<ElementId>) =
-                        match (&cache_ctx, unit_cacheable) {
-                            (Some((cache, epoch)), true) => {
-                                let mut hits = Vec::new();
-                                let mut miss = Vec::new();
-                                let served = cache.lookup(ei, dir_out, ids, *epoch);
-                                for (id, probe) in ids.iter().zip(served) {
-                                    match probe {
-                                        Probe::Hit(refs) => hits.push(refs),
-                                        Probe::Miss => miss.push(id.clone()),
-                                    }
+                    let mut hits = Vec::new();
+                    let mut remaining = Vec::new();
+                    match cache_ctx {
+                        Some((cache, epoch)) if populate => {
+                            let spans = cache.lookup((ei, dir_out), ids, epoch);
+                            for (id, span) in ids.iter().zip(spans) {
+                                match span {
+                                    Some(span) => hits.push((id.clone(), span)),
+                                    None => remaining.push(id.clone()),
                                 }
-                                (hits, miss)
                             }
-                            _ => (Vec::new(), ids.clone()),
-                        };
+                        }
+                        _ => remaining.clone_from(ids),
+                    }
+                    if !hits.is_empty() {
+                        self.profiler.record_table(&et.name, TableAction::CacheHit);
+                    }
                     let probe_start = probes.len();
                     let mut miss_chunks: Vec<Vec<ElementId>> = Vec::new();
                     // Chunked so one statement never exceeds the template
@@ -1761,10 +1784,9 @@ impl Db2GraphBackend {
                             intersect(&mut sub.dst_ids);
                         }
                         probes.push(TableJob {
-                            kind: ElementKind::Edges,
+                            kind: JobKind::Adjacency,
                             table: ei,
                             filter: Arc::new(sub),
-                            pinned: false,
                         });
                         miss_chunks.push(chunk.to_vec());
                     }
@@ -1774,7 +1796,7 @@ impl Db2GraphBackend {
                         hits,
                         miss_chunks,
                         probe_start,
-                        populate: unit_cacheable,
+                        populate,
                     });
                 }
             }
@@ -1785,74 +1807,84 @@ impl Db2GraphBackend {
         let mut results: Vec<Option<TableResult>> =
             self.fan_out(probes)?.into_iter().map(Some).collect();
 
-        // Phase 3: merge — units in probe nesting order; within a unit,
-        // cache hits (expanded in-memory on work-stealing morsels, no
-        // SQL) before its SQL-probe results. Each source's edges come
-        // wholly from one hit span or one SQL chunk, in SQL row order
-        // either way, so every per-source group below is identical to the
-        // pure SQL path's — the cache changes *where* a group's edges come
-        // from, never their content or order.
-        let mut found: Vec<FoundEdge> = Vec::new();
+        // Phase 3: decode — units in probe nesting order; within a unit,
+        // cache hits (on work-stealing morsels, no SQL) before its SQL-probe
+        // rows. Both go through one decoder (`EdgeShape::hop`), and each
+        // source's rows come wholly from one span or one SQL chunk, in SQL
+        // row order either way — so every per-source group below is
+        // identical to the pure SQL path's: the cache changes *where* a
+        // group's rows come from, never their content or order.
+        let mut found: Vec<Found> = Vec::new();
         for unit in &mut units {
+            let (et_idx, via_out) = (unit.et_idx, unit.via_out);
             if !unit.hits.is_empty() {
+                let topo = self.topo.clone();
                 let morsel = pool::morsel_size(unit.hits.len());
-                let expanded: Vec<Edge> = pool::run_morsels(
+                let hops = pool::run_morsels(
                     self.threads,
                     std::mem::take(&mut unit.hits),
                     morsel,
-                    |_, spans| {
-                        spans
-                            .iter()
-                            .flat_map(|refs| refs.iter().map(EdgeRef::materialize))
+                    move |_, hits| {
+                        let shape = EdgeShape::new(&topo.edge_tables[et_idx], None);
+                        hits.iter()
+                            .flat_map(|(anchor, span)| {
+                                span.rows().iter().map(move |row| (anchor, row))
+                            })
+                            .map(|(anchor, row)| shape.hop(row, via_out, to, Some(anchor)))
                             .collect()
                     },
                 );
-                found.extend(expanded.into_iter().map(|edge| FoundEdge {
-                    edge,
-                    et_idx: unit.et_idx,
-                    via_out: unit.via_out,
-                }));
+                for hop in hops {
+                    found.push(Found { hop: hop?, et_idx, via_out });
+                }
             }
+            let et = &self.topo.edge_tables[et_idx];
+            let shape = EdgeShape::new(et, None);
             for (k, chunk) in unit.miss_chunks.iter().enumerate() {
-                let r = results[unit.probe_start + k].take().expect("probe result consumed once");
-                let edges: Vec<Edge> = match r {
+                let rows = match results[unit.probe_start + k].take() {
                     // A pruned unconstrained probe means the chunk's ids
                     // cannot exist in this table: their adjacency here is
                     // known empty, which is itself cacheable.
-                    TableResult::Pruned => Vec::new(),
-                    TableResult::Elements(es) => es
-                        .into_iter()
-                        .filter_map(|el| match el {
-                            Element::Edge(e) => Some(e),
-                            _ => None,
-                        })
-                        .collect(),
-                    _ => unreachable!("no projection/aggregate in sub-filter"),
+                    Some(TableResult::Pruned) => Vec::new(),
+                    Some(TableResult::Rows(rows)) => rows,
+                    _ => unreachable!("each adjacency probe yields rows once"),
                 };
-                if unit.populate {
-                    if let Some((cache, epoch)) = &cache_ctx {
-                        let refs: Vec<&Edge> = edges.iter().collect();
-                        let table = &self.topo.edge_tables[unit.et_idx].name;
-                        cache.insert(unit.et_idx, unit.via_out, table, chunk, &refs, *epoch);
-                    }
+                let start = found.len();
+                for row in &rows {
+                    found.push(Found { hop: shape.hop(row, via_out, to, None)?, et_idx, via_out });
                 }
-                found.extend(edges.into_iter().map(|edge| FoundEdge {
-                    edge,
-                    et_idx: unit.et_idx,
-                    via_out: unit.via_out,
-                }));
+                if let (true, Some((cache, epoch))) = (unit.populate, cache_ctx) {
+                    let anchors: Vec<&ElementId> =
+                        found[start..].iter().map(Found::anchor).collect();
+                    cache.insert((et_idx, via_out), &et.name, chunk, rows, &anchors, epoch);
+                }
             }
         }
 
         match to {
             ElementKind::Edges => {
+                // What the probe SQL was not trusted with is re-checked on
+                // each built edge, cached or fresh; membership in the
+                // frontier is the position lookup.
+                let leftover = ElementFilter {
+                    labels: label_filter,
+                    predicates: edge_filter_preds,
+                    src_ids: filter.src_ids.clone(),
+                    dst_ids: filter.dst_ids.clone(),
+                    ..Default::default()
+                };
                 for f in found {
-                    let anchor = if f.via_out { &f.edge.src } else { &f.edge.dst };
-                    if let Some(positions) = src_positions.get(anchor) {
-                        for &p in positions {
-                            groups[p].push(Element::Edge(f.edge.clone()));
-                        }
+                    let Some(positions) = src_positions.get(f.anchor()) else { continue };
+                    let Hop::Edge(edge) = f.hop else { unreachable!("an edge hop decodes edges") };
+                    let el = Element::Edge(edge);
+                    if !leftover.matches(&el) {
+                        continue;
                     }
+                    let (&last, rest) = positions.split_last().expect("positions are non-empty");
+                    for &p in rest {
+                        groups[p].push(el.clone());
+                    }
+                    groups[last].push(el);
                 }
             }
             ElementKind::Vertices => {
@@ -1864,8 +1896,12 @@ impl Db2GraphBackend {
                 let mut need_of: HashMap<(usize, bool), usize> = HashMap::new();
                 let mut need_seen: Vec<HashSet<ElementId>> = Vec::new();
                 for f in &found {
-                    let target =
-                        if f.via_out { f.edge.dst.clone() } else { f.edge.src.clone() };
+                    let Hop::Vertex { anchor, target } = &f.hop else {
+                        unreachable!("a vertex hop decodes endpoint ids")
+                    };
+                    if !src_positions.contains_key(anchor) {
+                        continue;
+                    }
                     let key = (f.et_idx, f.via_out);
                     let gi = *need_of.entry(key).or_insert_with(|| {
                         need.push((key, Vec::new()));
@@ -1873,7 +1909,7 @@ impl Db2GraphBackend {
                         need.len() - 1
                     });
                     if need_seen[gi].insert(target.clone()) {
-                        need[gi].1.push(target);
+                        need[gi].1.push(target.clone());
                     }
                 }
                 // Each lookup fans out internally (table × chunk jobs), so
@@ -1887,16 +1923,14 @@ impl Db2GraphBackend {
                     resolved.extend(m);
                 }
                 for f in found {
-                    let (anchor, target) = if f.via_out {
-                        (&f.edge.src, &f.edge.dst)
-                    } else {
-                        (&f.edge.dst, &f.edge.src)
+                    let Hop::Vertex { anchor, target } = f.hop else {
+                        unreachable!("a vertex hop decodes endpoint ids")
                     };
-                    if let Some(v) = resolved.get(target) {
-                        if let Some(positions) = src_positions.get(anchor) {
-                            for &p in positions {
-                                groups[p].push(Element::Vertex(v.clone()));
-                            }
+                    if let (Some(v), Some(positions)) =
+                        (resolved.get(&target), src_positions.get(&anchor))
+                    {
+                        for &p in positions {
+                            groups[p].push(Element::Vertex(v.clone()));
                         }
                     }
                 }

@@ -7,6 +7,8 @@
 //! optimization — lets the runtime *pin down the exact table* an id belongs
 //! to and decompose the id into conjunctive column predicates.
 
+use std::fmt::Write;
+
 use gremlin::ElementId;
 use reldb::{DataType, Value};
 
@@ -87,11 +89,10 @@ impl IdDef {
     /// A single-column definition with an integer value stays numeric
     /// (`ElementId::Long`); everything else becomes the `::`-joined text.
     pub fn encode(&self, values: &[Value]) -> GraphResult<ElementId> {
-        let cols = self.columns();
-        if values.len() != cols.len() {
+        let arity = self.parts.iter().filter(|p| matches!(p, IdPart::Column(_))).count();
+        if values.len() != arity {
             return Err(GraphError::Config(format!(
-                "id encode expects {} values, got {}",
-                cols.len(),
+                "id encode expects {arity} values, got {}",
                 values.len()
             )));
         }
@@ -109,7 +110,7 @@ impl IdDef {
             match part {
                 IdPart::Const(c) => out.push_str(c),
                 IdPart::Column(_) => {
-                    out.push_str(&values[vi].to_string());
+                    write!(out, "{}", values[vi]).expect("writing to a String cannot fail");
                     vi += 1;
                 }
             }

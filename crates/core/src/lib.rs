@@ -85,7 +85,7 @@ pub use events::{
     drain_config_warnings, record_config_warning, ConfigWarning, Event, EventLog,
     DEFAULT_EVENT_CAPACITY, DEFAULT_ROTATE_BYTES,
 };
-pub use graph::{Db2Graph, GraphOptions};
+pub use graph::{Db2Graph, GraphOptions, RunRequest};
 pub use graph_structure::Db2GraphBackend;
 pub use metrics::{
     step_kind, ExplainReport, Histogram, HistogramSet, MetricKind, MetricRow, MetricsRegistry,

@@ -78,6 +78,21 @@ pub enum TableAction {
     Pinned,
     /// The table was eliminated before any SQL, for the given reason.
     Pruned(String),
+    /// Part of an adjacency hop over this edge table (one direction) was
+    /// answered from the adjacency cache, with no SQL for those sources.
+    CacheHit,
+}
+
+impl TableAction {
+    /// The action's name in the profile JSON and trace, and its reason.
+    fn parts(&self) -> (&'static str, Option<&str>) {
+        match self {
+            TableAction::Queried => ("queried", None),
+            TableAction::Pinned => ("pinned", None),
+            TableAction::Pruned(r) => ("pruned", Some(r)),
+            TableAction::CacheHit => ("cache_hit", None),
+        }
+    }
 }
 
 /// One SQL statement executed by the dialect on behalf of the query.
@@ -208,14 +223,10 @@ impl Profiler {
 
     pub fn record_table(&self, table: &str, action: TableAction) {
         self.tracer.event(table, SpanKind::Table, || {
-            let (act, reason) = match &action {
-                TableAction::Queried => ("queried", None),
-                TableAction::Pinned => ("pinned", None),
-                TableAction::Pruned(r) => ("pruned", Some(r.clone())),
-            };
+            let (act, reason) = action.parts();
             let mut attrs = vec![("action".to_string(), act.to_string())];
             if let Some(r) = reason {
-                attrs.push(("reason".to_string(), r));
+                attrs.push(("reason".to_string(), r.to_string()));
             }
             attrs
         });
@@ -337,8 +348,8 @@ pub fn step_kind(description: &str) -> &str {
 }
 
 impl ProfileReport {
-    /// Tables the graph-structure layer looked at (queried + pinned +
-    /// pruned decisions).
+    /// Tables the graph-structure layer looked at (queried, pinned,
+    /// pruned and cache-hit decisions).
     pub fn tables_considered(&self) -> usize {
         self.tables.len()
     }
@@ -411,11 +422,7 @@ impl ProfileReport {
                     self.tables
                         .iter()
                         .map(|d| {
-                            let (action, reason) = match &d.action {
-                                TableAction::Queried => ("queried", None),
-                                TableAction::Pinned => ("pinned", None),
-                                TableAction::Pruned(r) => ("pruned", Some(r.clone())),
-                            };
+                            let (action, reason) = d.action.parts();
                             let mut fields = vec![
                                 ("table", Json::str(&d.table)),
                                 ("action", Json::str(action)),
@@ -507,10 +514,9 @@ impl std::fmt::Display for ProfileReport {
             self.tables_pruned()
         )?;
         for d in &self.tables {
-            match &d.action {
-                TableAction::Queried => writeln!(f, "    {}: queried", d.table)?,
-                TableAction::Pinned => writeln!(f, "    {}: pinned", d.table)?,
-                TableAction::Pruned(r) => writeln!(f, "    {}: pruned ({r})", d.table)?,
+            match d.action.parts() {
+                (action, Some(r)) => writeln!(f, "    {}: {action} ({r})", d.table)?,
+                (action, None) => writeln!(f, "    {}: {action}", d.table)?,
             }
         }
         write!(

@@ -18,6 +18,13 @@ pub struct Script {
     pub statements: Vec<Statement>,
 }
 
+impl Script {
+    /// True when some statement ends in `.profile()`.
+    pub fn profiles(&self) -> bool {
+        self.statements.iter().any(|s| s.terminal == Some(Terminal::Profile))
+    }
+}
+
 /// One statement: an optional assignment target plus a rooted traversal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Statement {

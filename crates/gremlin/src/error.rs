@@ -13,6 +13,8 @@ pub enum GremlinError {
     Execution(String),
     /// A failure reported by the graph backend (e.g. the SQL layer).
     Backend(String),
+    /// The backend stopped the traversal because its deadline passed.
+    Timeout,
 }
 
 impl fmt::Display for GremlinError {
@@ -22,6 +24,7 @@ impl fmt::Display for GremlinError {
             GremlinError::Unsupported(m) => write!(f, "unsupported gremlin: {m}"),
             GremlinError::Execution(m) => write!(f, "traversal error: {m}"),
             GremlinError::Backend(m) => write!(f, "backend error: {m}"),
+            GremlinError::Timeout => write!(f, "query deadline exceeded"),
         }
     }
 }

@@ -2,10 +2,10 @@
 
 use std::sync::Arc;
 
-use crate::ast::Terminal;
+use crate::ast::{Script, Terminal};
 use crate::compile::{compile, VarEnv};
 use crate::error::{GremlinError, GResult};
-use crate::exec::{ExecOptions, Executor, SideEffects};
+use crate::exec::{ExecOptions, Executor};
 use crate::backend::GraphBackend;
 use crate::observe::TraversalObserver;
 use crate::step::Traversal;
@@ -56,18 +56,14 @@ impl<'a> ScriptRunner<'a> {
     /// Parse, compile, optimize, and execute a script. Returns the final
     /// statement's results.
     pub fn run(&self, script_text: &str) -> GResult<Vec<GValue>> {
-        self.run_with_side_effects(script_text).map(|(values, _)| values)
+        self.run_script(&crate::parser::parse(script_text)?)
     }
 
-    /// Like [`Self::run`] but also returns the final statement's
-    /// side-effect store.
-    pub fn run_with_side_effects(
-        &self,
-        script_text: &str,
-    ) -> GResult<(Vec<GValue>, SideEffects)> {
-        let script = crate::parser::parse(script_text)?;
+    /// Compile, optimize, and execute an already-parsed script. Returns
+    /// the final statement's results.
+    pub fn run_script(&self, script: &Script) -> GResult<Vec<GValue>> {
         let mut env = VarEnv::new();
-        let mut last: Option<(Vec<GValue>, SideEffects)> = None;
+        let mut last: Option<Vec<GValue>> = None;
         for stmt in &script.statements {
             let mut traversal = compile(&stmt.traversal, &env)?;
             self.strategies.apply_all_observed(&mut traversal, self.observer.as_deref());
@@ -79,14 +75,14 @@ impl<'a> ScriptRunner<'a> {
                 if let Some(name) = &stmt.assign {
                     env.insert(name.clone(), GValue::Str(text.clone()));
                 }
-                last = Some((vec![GValue::Str(text)], SideEffects::default()));
+                last = Some(vec![GValue::Str(text)]);
                 continue;
             }
             let mut executor = Executor::with_options(self.backend, self.options.clone());
             if let Some(obs) = self.observer.as_deref() {
                 executor = executor.with_observer(obs);
             }
-            let (values, side_effects) = executor.run(&traversal)?;
+            let (values, _) = executor.run(&traversal)?;
             let result_value = match stmt.terminal {
                 Some(Terminal::Next) => values.first().cloned().unwrap_or(GValue::Null),
                 Some(Terminal::Iterate) => GValue::List(Vec::new()),
@@ -111,7 +107,7 @@ impl<'a> ScriptRunner<'a> {
                 }
                 _ => values,
             };
-            last = Some((final_values, side_effects));
+            last = Some(final_values);
         }
         last.ok_or_else(|| GremlinError::Parse("script produced no statements".into()))
     }

@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use db2graph_core::json::Json;
-use db2graph_core::{Db2Graph, EventLog, GraphError};
+use db2graph_core::{Db2Graph, EventLog, GraphError, RunRequest};
 
 use crate::gjson::gvalue_to_json;
 use crate::http::{HttpError, Request};
@@ -1226,18 +1226,24 @@ fn route_checkpoint(shared: &Shared) -> (u16, Payload) {
 fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) -> (u16, Json) {
     let deadline = shared.config.query_timeout.map(|t| Instant::now() + t);
     match (method, req.path.as_str()) {
-        ("POST", "/query") => match extract_gremlin(&req.body) {
+        ("POST", path @ ("/query" | "/profile")) => match extract_gremlin(&req.body) {
             Ok(g) => in_session(shared, req, || {
-                match shared.graph.run_for_request(&g, deadline, Some(request_id)) {
-                    Ok(values) => {
+                let run = RunRequest {
+                    deadline,
+                    request_id: Some(request_id),
+                    profile: path == "/profile",
+                };
+                match shared.graph.execute(&g, &run) {
+                    Ok((values, report)) => {
                         let results: Vec<Json> = values.iter().map(gvalue_to_json).collect();
-                        (
-                            200,
-                            Json::obj(vec![
-                                ("count", Json::u64(results.len() as u64)),
-                                ("result", Json::arr(results)),
-                            ]),
-                        )
+                        let mut body = vec![
+                            ("count", Json::u64(results.len() as u64)),
+                            ("result", Json::arr(results)),
+                        ];
+                        if let Some(report) = report {
+                            body.push(("profile", report.to_json()));
+                        }
+                        (200, Json::obj(body))
                     }
                     Err(e) => graph_error_response(shared, e),
                 }
@@ -1249,25 +1255,6 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
                 Ok(report) => (200, report.to_json()),
                 Err(e) => graph_error_response(shared, e),
             },
-            Err(m) => bad_request(shared, m),
-        },
-        ("POST", "/profile") => match extract_gremlin(&req.body) {
-            Ok(g) => in_session(shared, req, || {
-                match shared.graph.profile_for_request(&g, deadline, Some(request_id)) {
-                    Ok((values, report)) => {
-                        let results: Vec<Json> = values.iter().map(gvalue_to_json).collect();
-                        (
-                            200,
-                            Json::obj(vec![
-                                ("count", Json::u64(results.len() as u64)),
-                                ("result", Json::arr(results)),
-                                ("profile", report.to_json()),
-                            ]),
-                        )
-                    }
-                    Err(e) => graph_error_response(shared, e),
-                }
-            }),
             Err(m) => bad_request(shared, m),
         },
         ("POST", "/sql") => {

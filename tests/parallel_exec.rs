@@ -6,7 +6,9 @@
 
 use std::sync::Arc;
 
-use db2graph::core::{Db2Graph, ETableConfig, GraphOptions, OverlayConfig, VTableConfig};
+use db2graph::core::{
+    Db2Graph, ETableConfig, GraphOptions, OverlayConfig, ProfileReport, TableAction, VTableConfig,
+};
 use db2graph::gremlin::GValue;
 use db2graph::reldb::Database;
 
@@ -171,11 +173,12 @@ fn parallel_profile_matches_sequential_modulo_timing() {
 fn cold_warm_and_disabled_caches_agree_on_corpus() {
     // The adjacency cache must be invisible to results: every corpus query
     // returns the same values from a cold cache (lazily populating), a warm
-    // cache (serving from CSR segments), an explicitly warmed cache
+    // cache (serving from cached rows), an explicitly warmed cache
     // (complete segments from a full scan), and no cache at all. Profiled
-    // runs bypass the cache entirely, so `.profile()` reports must also be
-    // identical with the cache on and off — at every thread count.
+    // runs use the cache too, and their profiles say exactly what it
+    // served — at every thread count.
     let db = social_db();
+    let mut served_anywhere = false;
     for threads in [1, 2, 8] {
         let g_off = open_no_cache(db.clone(), threads);
         let g_on = open_with_threads(db.clone(), threads);
@@ -190,15 +193,15 @@ fn cold_warm_and_disabled_caches_agree_on_corpus() {
             assert_eq!(warm, reference, "threads={threads}: warm cache diverges for {q}");
             assert_eq!(warmed, reference, "threads={threads}: warmed cache diverges for {q}");
 
-            let (v_off, p_off) = g_off.profile(q).unwrap();
-            let (v_on, p_on) = g_on.profile(q).unwrap();
-            assert_eq!(v_off, v_on, "threads={threads}: profiled results diverge for {q}");
-            let shape = |p: &db2graph::core::ProfileReport| {
+            let steps = |p: &ProfileReport| {
+                p.steps
+                    .iter()
+                    .map(|s| (s.index, s.description.clone(), s.in_count, s.out_count))
+                    .collect::<Vec<_>>()
+            };
+            let shape = |p: &ProfileReport| {
                 (
-                    p.steps
-                        .iter()
-                        .map(|s| (s.index, s.description.clone(), s.in_count, s.out_count))
-                        .collect::<Vec<_>>(),
+                    steps(p),
                     p.tables
                         .iter()
                         .map(|t| (t.table.clone(), t.action.clone()))
@@ -209,11 +212,33 @@ fn cold_warm_and_disabled_caches_agree_on_corpus() {
                         .collect::<Vec<_>>(),
                 )
             };
+            // A cold-cache profile is the cache-off profile exactly: misses
+            // are chunked like the SQL path, so steps, table decisions and
+            // statements all match.
+            let (v_off, p_off) = g_off.profile(q).unwrap();
+            let g_cold = open_with_threads(db.clone(), threads);
+            let (v_cold, p_cold) = g_cold.profile(q).unwrap();
+            assert_eq!(v_off, v_cold, "threads={threads}: profiled results diverge for {q}");
             assert_eq!(
                 shape(&p_off),
-                shape(&p_on),
-                "threads={threads}: profile diverges between cache off/on for {q}"
+                shape(&p_cold),
+                "threads={threads}: cold-cache profile differs from cache-off for {q}"
             );
+            // A warm profile has the same steps and results; its CacheHit
+            // entries name the served tables, and no adjacency statement
+            // reaches them.
+            let (v_warm, p_warm) = g_cold.profile(q).unwrap();
+            assert_eq!(v_warm, v_off, "threads={threads}: warm profiled results diverge for {q}");
+            assert_eq!(steps(&p_warm), steps(&p_off), "threads={threads}: steps diverge for {q}");
+            for t in p_warm.tables.iter().filter(|t| t.action == TableAction::CacheHit) {
+                served_anywhere = true;
+                let probe = format!("FROM {} WHERE", t.table);
+                assert!(
+                    !p_warm.statements.iter().any(|s| s.sql.contains(&probe)),
+                    "threads={threads}: {} served from the cache but probed for {q}:\n{p_warm}",
+                    t.table
+                );
+            }
         }
         // The warm passes really were served from the cache.
         let m = g_on.metrics();
@@ -225,6 +250,7 @@ fn cold_warm_and_disabled_caches_agree_on_corpus() {
         let m = g_off.metrics();
         assert_eq!(m.adj_cache_hits + m.adj_cache_misses + m.adj_cache_bytes, 0, "{m:?}");
     }
+    assert!(served_anywhere, "no warm profile recorded a CacheHit");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use db2graph_core::config::healthcare_example_json;
-use db2graph_core::{Db2Graph, TableAction, TablePlan};
+use db2graph_core::{Db2Graph, GraphOptions, OverlayConfig, TableAction, TablePlan};
 use gremlin::GValue;
 use reldb::Database;
 
@@ -207,6 +207,28 @@ fn repeated_traversals_hit_template_cache() {
     // Aggregate view: the registry counted those hits too.
     assert!(delta.template_hits >= second.template_hits() as u64);
     assert_eq!(delta.template_misses, 0);
+
+    // Observation does not change the plan: with the slow-query log on
+    // (every query observed), a repeated 2-hop is served from the
+    // adjacency cache, and its profile says so.
+    let observed = Db2Graph::open_with_options(
+        db.clone(),
+        &OverlayConfig::from_json(healthcare_example_json()).unwrap(),
+        GraphOptions { slow_query_nanos: Some(0), ..Default::default() },
+    )
+    .unwrap();
+    let two_hop = "g.V().hasLabel('patient').out('hasDisease').in('hasDisease').values('name')";
+    let cold = observed.run(two_hop).unwrap();
+    assert_eq!(cold, vec![GValue::Str("Alice".into()), GValue::Str("Bob".into())]);
+    assert_eq!(observed.metrics().adj_cache_hits, 0);
+    assert_eq!(observed.run(two_hop).unwrap(), cold);
+    assert!(observed.metrics().adj_cache_hits > 0, "{:?}", observed.metrics());
+    let (values, warm) = observed.profile(two_hop).unwrap();
+    assert_eq!(values, cold);
+    let served = warm.tables.iter().filter(|d| d.action == TableAction::CacheHit);
+    assert_eq!(served.map(|d| d.table.as_str()).collect::<Vec<_>>(), ["HasDisease"; 2], "{warm}");
+    assert!(!warm.statements.iter().any(|s| s.sql.contains("FROM HasDisease")), "{warm}");
+    assert!(warm.to_string().contains("HasDisease: cache_hit"), "{warm}");
 }
 
 /// The aggregate snapshot accumulates across queries and diffs cleanly.
@@ -244,6 +266,15 @@ fn metrics_snapshot_accumulates() {
     assert_eq!(after.dropped_spans, 0);
     assert!(json.contains("\"query_p50_nanos\":"), "{json}");
     assert!(json.contains("\"sql_p99_nanos\":"), "{json}");
+
+    // Only a parsed `.profile()` terminator turns observation on; the same
+    // text inside a string literal is data. Unobserved runs record no
+    // per-step-kind latency.
+    let out = g.run("g.V().has('name', '.profile()').count()").unwrap();
+    assert_eq!(out, vec![GValue::Long(0)]);
+    let steps = g.histogram_report();
+    let steps = steps.get("step_kinds").and_then(|s| s.as_object()).unwrap();
+    assert!(steps.is_empty(), "unobserved runs recorded step latencies: {steps:?}");
 }
 
 /// Profiling is opt-in: plain runs leave no per-query residue and return

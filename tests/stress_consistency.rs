@@ -27,9 +27,30 @@ fn open_with_threads(
     overlay: &OverlayConfig,
     threads: usize,
 ) -> Arc<Db2Graph> {
-    let options = GraphOptions { threads: Some(threads), ..Default::default() };
+    open_observed(db, overlay, threads, false)
+}
+
+/// Like [`open_with_threads`]; `observed` turns the slow-query log on for
+/// every query, so each run carries a collecting profiler — the shape
+/// production runs in. Observed runs must pass the same invariants.
+fn open_observed(
+    db: Arc<Database>,
+    overlay: &OverlayConfig,
+    threads: usize,
+    observed: bool,
+) -> Arc<Db2Graph> {
+    let options = GraphOptions {
+        threads: Some(threads),
+        slow_query_nanos: observed.then_some(0),
+        ..Default::default()
+    };
     Db2Graph::open_with_options(db, overlay, options).unwrap()
 }
+
+/// The reader configurations of the cached-adjacency proofs: each thread
+/// count, plain and observed.
+const READERS: [(usize, bool); 6] =
+    [(1, false), (2, false), (8, false), (1, true), (2, true), (8, true)];
 
 // --------------------------------------------------------- value conservation
 
@@ -291,10 +312,10 @@ fn tree_invariant_holds_at_every_snapshot_under_churn() {
 /// segment must be dropped and the expansion re-probed through SQL at the
 /// pinned snapshot: the running query must NOT see the new edge — neither
 /// from SQL nor, crucially, from a stale cache segment — while a fresh
-/// query must.
+/// query must. Plain and observed runs alike, at every thread count.
 #[test]
 fn commit_mid_traversal_invalidates_cached_adjacency_without_leaks() {
-    for threads in [1usize, 2, 8] {
+    for (threads, observed) in READERS {
         let db = Arc::new(Database::new());
         db.execute_script(
             "CREATE TABLE Node (nid BIGINT PRIMARY KEY, val BIGINT);
@@ -304,7 +325,7 @@ fn commit_mid_traversal_invalidates_cached_adjacency_without_leaks() {
         )
         .unwrap();
         let overlay = tree_overlay();
-        let g = open_with_threads(db.clone(), &overlay, threads);
+        let g = open_observed(db.clone(), &overlay, threads, observed);
         assert!(g.warm_adjacency_cache().unwrap() > 0);
 
         // Sanity: the warmed cache serves this adjacency without SQL.
@@ -312,7 +333,7 @@ fn commit_mid_traversal_invalidates_cached_adjacency_without_leaks() {
         assert_eq!(g.run("g.V().out().count()").unwrap(), vec![GValue::Long(2)]);
         assert!(
             g.metrics().adj_cache_hits > before.adj_cache_hits,
-            "warmed lookup did not hit the cache (threads={threads})"
+            "warmed lookup did not hit the cache (threads={threads}, observed={observed})"
         );
 
         let fired = Arc::new(AtomicBool::new(false));
@@ -331,15 +352,20 @@ fn commit_mid_traversal_invalidates_cached_adjacency_without_leaks() {
         })));
         let out = g.run("g.V().out().count()").unwrap();
         g.dialect().set_statement_hook(None);
-        assert!(fired.load(Ordering::SeqCst), "the writer never ran (threads={threads})");
+        assert!(
+            fired.load(Ordering::SeqCst),
+            "the writer never ran (threads={threads}, observed={observed})"
+        );
         assert_eq!(
             out,
             vec![GValue::Long(2)],
-            "a post-snapshot edge leaked into a pinned traversal (threads={threads})"
+            "a post-snapshot edge leaked into a pinned traversal \
+             (threads={threads}, observed={observed})"
         );
         assert!(
             g.metrics().adj_cache_invalidations >= 1,
-            "the commit did not invalidate the warmed segment (threads={threads})"
+            "the commit did not invalidate the warmed segment \
+             (threads={threads}, observed={observed})"
         );
         // A fresh query pins a snapshot after the commit: it must see the
         // new edge (and may repopulate the cache at the new watermark).
@@ -378,8 +404,8 @@ fn churn_overlay() -> OverlayConfig {
 /// vertex table — `Stable` is never written (so its warmed segment stays
 /// valid and every read of it must be a cache hit) and `Churn` takes a
 /// stream of transactional edge-pair inserts/deletes (so its segments are
-/// invalidated over and over). Readers at several fan-out widths assert
-/// two conserved invariants on every single read:
+/// invalidated over and over). Readers at several fan-out widths, plain
+/// and observed, assert two conserved invariants on every single read:
 ///
 /// * the stable out-degree of the root is always exactly 4;
 /// * the churned out-degree is always even, because writers only ever
@@ -387,8 +413,8 @@ fn churn_overlay() -> OverlayConfig {
 ///   cache segment from one committed state with SQL from another.
 ///
 /// This is the workload behind the `adjcache-stress` CI job; set
-/// `DB2GRAPH_METRICS_SNAPSHOT_PATH` to export the 8-thread graph's final
-/// metrics snapshot as a JSON artifact.
+/// `DB2GRAPH_METRICS_SNAPSHOT_PATH` to export the plain 8-thread graph's
+/// final metrics snapshot as a JSON artifact.
 #[test]
 fn cached_adjacency_stays_consistent_under_writer_churn() {
     let db = Arc::new(Database::new());
@@ -402,8 +428,10 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
     .unwrap();
 
     let overlay = churn_overlay();
-    let graphs: Vec<Arc<Db2Graph>> =
-        [1, 2, 8].iter().map(|&t| open_with_threads(db.clone(), &overlay, t)).collect();
+    let graphs: Vec<Arc<Db2Graph>> = READERS
+        .iter()
+        .map(|&(t, observed)| open_observed(db.clone(), &overlay, t, observed))
+        .collect();
     for g in &graphs {
         // Warm both edge tables (Churn warms to a complete-but-empty
         // segment), so the very first post-commit read must invalidate.
@@ -447,7 +475,7 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
                 })
             })
             .collect();
-        for g in &graphs {
+        for (g, (threads, observed)) in graphs.iter().zip(READERS) {
             let g = g.clone();
             let stop = stop.clone();
             s.spawn(move || {
@@ -457,16 +485,15 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
                     assert_eq!(
                         stable,
                         4,
-                        "the never-written table changed under a reader (threads={})",
-                        g.threads()
+                        "the never-written table changed under a reader \
+                         (threads={threads}, observed={observed})"
                     );
                     let churn = count_of(&g, "g.V().out('churn').count()");
                     assert_eq!(
                         churn % 2,
                         0,
                         "a read mixed two committed states: odd churn degree {churn} \
-                         (threads={})",
-                        g.threads()
+                         (threads={threads}, observed={observed})"
                     );
                     looked = true;
                 }
@@ -478,7 +505,7 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
         stop.store(true, Ordering::Relaxed);
     });
 
-    for g in &graphs {
+    for (g, (threads, observed)) in graphs.iter().zip(READERS) {
         // One quiesced read per graph: if no reader happened to probe the
         // churn table after the last commit, this read finds the stale
         // segment and invalidates it now.
@@ -486,13 +513,10 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
         assert_eq!(churn % 2, 0);
         assert_eq!(count_of(g, "g.V().out('stable').count()"), 4);
         let m = g.metrics();
-        assert!(m.adj_cache_hits > 0, "no cache hits under churn (threads={})", g.threads());
-        assert!(
-            m.adj_cache_invalidations >= 1,
-            "writer churn never invalidated a segment (threads={})",
-            g.threads()
-        );
-        assert!(m.adj_cache_bytes > 0, "cache empty after churn (threads={})", g.threads());
+        let who = format!("threads={threads}, observed={observed}");
+        assert!(m.adj_cache_hits > 0, "no cache hits under churn ({who})");
+        assert!(m.adj_cache_invalidations >= 1, "writer churn never invalidated a segment ({who})");
+        assert!(m.adj_cache_bytes > 0, "cache empty after churn ({who})");
     }
     if let Ok(path) = std::env::var("DB2GRAPH_METRICS_SNAPSHOT_PATH") {
         let snap = graphs[2].metrics().to_json().to_string();
