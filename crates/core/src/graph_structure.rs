@@ -2,28 +2,45 @@
 //! structure API.
 //!
 //! Every graph operation here turns into SQL against the overlaid tables,
-//! generated through the SQL Dialect module. The data-dependent runtime
+//! generated through the SQL Dialect module. One planner serves vertex and
+//! edge tables alike: `table_access` decides per table whether it is
+//! eliminated or read, and with which pushed conjuncts; `TableRead` turns
+//! that plan into the statements that both execution and `explain()` use;
+//! `Shape` decodes the rows of either kind. The data-dependent runtime
 //! optimizations of Section 6.3 are all implemented:
 //!
-//! 1. **Using source/destination vertex tables** — adjacency queries skip
+//! 1. **Using source/destination vertex tables** — `plan_probes` skips
 //!    edge tables whose `src_v_table`/`dst_v_table` cannot match the source
-//!    vertices' table, and endpoint lookups go straight to the one declared
-//!    vertex table.
-//! 2. **When a vertex table is also an edge table** — `outV()`/`inV()`
-//!    construct the vertex from the edge itself (no SQL) when the endpoint
-//!    vertex table is the edge's own table and its properties are subsumed
-//!    by the edge's.
-//! 3. **Using property names in pushdown information** — tables lacking a
-//!    pushed-down predicate/projection property are eliminated.
-//! 4. **Using label values** — fixed-label tables not matching the query
-//!    labels are eliminated; column-label tables are always searched.
-//! 5. **Using prefixed id values** — a prefixed id pins the exact table,
-//!    and composite ids decompose into conjunctive column predicates.
-//! 6. **Using implicit edge id values** — `src::label::dst` ids are broken
-//!    apart, the embedded label eliminates tables, and the parts become
-//!    conjunctive predicates.
+//!    vertices' table, and `lookup_vertices` goes straight to the one
+//!    declared vertex table.
+//! 2. **When a vertex table is also an edge table** — `vertex_from_edge`:
+//!    `outV()`/`inV()` construct the vertex from the edge itself (no SQL)
+//!    when the endpoint vertex table is the edge's own table and its
+//!    properties are subsumed by the edge's.
+//! 3. **Using property names in pushdown information** — `table_access`
+//!    eliminates tables lacking a pushed-down predicate/projection property.
+//! 4. **Using label values** — `table_access` eliminates fixed-label tables
+//!    not matching the query labels; column-label tables are always
+//!    searched (`Topology::tables_for_labels` for adjacency steps).
+//! 5. **Using prefixed id values** — in `table_access`, a prefixed id pins
+//!    the exact table, and composite ids decompose into conjunctive column
+//!    predicates (`id_conjunct_for`).
+//! 6. **Using implicit edge id values** — `push_implicit_ids`:
+//!    `src::label::dst` ids are broken apart, the embedded label eliminates
+//!    tables, and the parts become conjunctive predicates.
+//!
+//! **The exact-plan rule.** A plan is *exact* when its conjuncts express
+//! the whole filter, so SQL returns exactly the matching elements. Only an
+//! exact plan pushes a projection (a narrowed SELECT list) or an aggregate
+//! (`COUNT`/`SUM`/`MIN`/`MAX` per table) into SQL. A plan is inexact when
+//! part of the filter has no SQL form here: an `id` predicate that did not
+//! fold into `hasId`, a predicate value SQL cannot hold or an empty
+//! `within()`, implicit edge ids on a column-labelled table, or implicit
+//! ids spanning several endpoints on both sides. An inexact plan reads
+//! whole elements, keeps those `ElementFilter::matches` accepts, and folds
+//! the projection or aggregate per table in Rust.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -32,17 +49,17 @@ use gremlin::backend::{
 };
 use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
 use gremlin::GResult;
-use reldb::{Database, DataType, Row, Snapshot, Value};
+use reldb::{Database, DataType, Row, RowSet, Snapshot, Value};
 
 use crate::adjcache::{AdjCache, RowSpan};
 use crate::error::{to_gremlin, GraphError, GraphResult};
-use crate::ids::{implicit_edge_id, split_implicit_edge_id, EdgeIdDef, IdDef};
+use crate::ids::{implicit_edge_id, split_implicit_edge_id, IdDef};
 use crate::metrics::{MetricsRegistry, Profiler, TableAction, TableExplain, TablePlan};
 use crate::pool;
 use crate::sql_dialect::{
     build_select, composite_in_bucketed, ident, in_list_bucketed, SqlDialect, MAX_FRONTIER_CHUNK,
 };
-use crate::topology::{EdgeTable, LabelDef, Topology, VertexTable};
+use crate::topology::{LabelDef, OverlayTable, Topology};
 
 /// Convert a relational value into a Gremlin value.
 pub fn to_gvalue(v: &Value) -> GValue {
@@ -64,23 +81,6 @@ pub fn to_value(v: &GValue) -> Option<Value> {
         GValue::Str(s) => Some(Value::Varchar(s.clone())),
         GValue::Bool(b) => Some(Value::Boolean(*b)),
         _ => None,
-    }
-}
-
-/// Coerce an id text fragment to a column's type; view columns (unknown
-/// type) use a numeric-looking heuristic.
-fn coerce_id_text(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
-    match ty {
-        Some(t) => IdDef::coerce(text, t),
-        None => {
-            if !text.is_empty()
-                && text.chars().enumerate().all(|(i, c)| c.is_ascii_digit() || (i == 0 && c == '-'))
-            {
-                Ok(Value::Bigint(text.parse().unwrap_or(0)))
-            } else {
-                Ok(Value::Varchar(text.to_string()))
-            }
-        }
     }
 }
 
@@ -173,12 +173,12 @@ impl Db2GraphBackend {
         let Some(snap) = self.read_view.as_ref().filter(|s| s.stamp() == 0) else { return Ok(0) };
         let epoch = snap.epoch();
         let mut cached = 0usize;
-        for (ei, et) in self.topo.edge_tables.iter().enumerate() {
-            let TableResult::Rows(rows) = self.probe_edge_rows(et, &ElementFilter::default())?
+        for ei in 0..self.topo.edge_tables.len() {
+            let TableResult::Rows(rows) = self.probe_edge_rows(ei, &ElementFilter::default())?
             else {
                 continue;
             };
-            let shape = EdgeShape::new(et, None);
+            let shape = Shape::new(&self.topo, ElementKind::Edges, ei, None);
             let ends: Vec<(ElementId, ElementId)> = rows
                 .iter()
                 .map(|row| Ok((shape.endpoint(row, true)?, shape.endpoint(row, false)?)))
@@ -186,8 +186,9 @@ impl Db2GraphBackend {
             let srcs: Vec<&ElementId> = ends.iter().map(|(src, _)| src).collect();
             let dsts: Vec<&ElementId> = ends.iter().map(|(_, dst)| dst).collect();
             cached += rows.len();
-            cache.insert_complete((ei, false), &et.name, rows.clone(), &dsts, epoch);
-            cache.insert_complete((ei, true), &et.name, rows, &srcs, epoch);
+            let table = &shape.table.name;
+            cache.insert_complete((ei, false), table, rows.clone(), &dsts, epoch);
+            cache.insert_complete((ei, true), table, rows, &srcs, epoch);
         }
         Ok(cached)
     }
@@ -257,17 +258,12 @@ impl Db2GraphBackend {
     }
 
     fn run_table_job(&self, job: &TableJob) -> GraphResult<TableResult> {
-        match job.kind {
-            JobKind::Vertices | JobKind::PinnedVertices => self.query_vertex_table(
-                &self.topo.vertex_tables[job.table],
-                &job.filter,
-                job.kind == JobKind::PinnedVertices,
-            ),
-            JobKind::Edges => self.query_edge_table(&self.topo.edge_tables[job.table], &job.filter),
-            JobKind::Adjacency => {
-                self.probe_edge_rows(&self.topo.edge_tables[job.table], &job.filter)
-            }
-        }
+        let (kind, action) = match job.kind {
+            JobKind::Adjacency => return self.probe_edge_rows(job.table, &job.filter),
+            JobKind::Read(kind) => (kind, TableAction::Queried),
+            JobKind::PinnedVertices => (ElementKind::Vertices, TableAction::Pinned),
+        };
+        self.query_table(kind, job.table, &job.filter, action)
     }
 
     /// The always-on aggregate counters shared with the SQL dialect.
@@ -283,62 +279,11 @@ impl Db2GraphBackend {
         &self.topo
     }
 
-    // ---------------------------------------------------------- vertices
-
-    /// Columns to SELECT for vertices of `vt` under an optional projection.
-    fn vertex_columns(&self, vt: &VertexTable, projection: Option<&[String]>) -> (Vec<String>, Vec<String>) {
-        let mut cols: Vec<String> = vt.id.columns().iter().map(|c| c.to_string()).collect();
-        if let LabelDef::Column(c) = &vt.label {
-            if !cols.iter().any(|x| x.eq_ignore_ascii_case(c)) {
-                cols.push(c.clone());
-            }
-        }
-        let props: Vec<String> = match projection {
-            Some(keys) => vt
-                .properties
-                .iter()
-                .filter(|p| keys.iter().any(|k| k.eq_ignore_ascii_case(p)))
-                .cloned()
-                .collect(),
-            None => vt.properties.clone(),
-        };
-        for p in &props {
-            if !cols.iter().any(|x| x.eq_ignore_ascii_case(p)) {
-                cols.push(p.clone());
-            }
-        }
-        (cols, props)
-    }
-
-    /// Materialize a vertex from a result row selected with `cols`.
-    fn vertex_from_row(&self, vt: &VertexTable, cols: &[String], row: &Row) -> GraphResult<Vertex> {
-        let col = |name: &str| cols.iter().position(|c| c.eq_ignore_ascii_case(name));
-        let id_vals: Vec<Value> = vt
-            .id
-            .columns()
-            .iter()
-            .map(|c| row[col(c).expect("id column selected")].clone())
-            .collect();
-        let id = vt.id.encode(&id_vals)?;
-        let label = match &vt.label {
-            LabelDef::Fixed(l) => l.clone(),
-            LabelDef::Column(c) => row[col(c).expect("label column selected")].to_string(),
-        };
-        let mut v = Vertex::new(id, label);
-        for p in &vt.properties {
-            if let Some(i) = col(p) {
-                if !row[i].is_null() {
-                    v.properties.insert(p.clone(), to_gvalue(&row[i]));
-                }
-            }
-        }
-        v.provenance = Some(vt.name.clone());
-        Ok(v)
-    }
+    // ---------------------------------------------------------- planner
 
     /// Translate a property predicate into a SQL conjunct for a table that
-    /// has the column. Returns `None` when it cannot be pushed (the caller
-    /// must post-filter).
+    /// has the column. Returns `None` when it cannot be pushed (the plan
+    /// is then inexact and the predicate is checked on the elements).
     fn pred_to_sql(col: &str, pred: &Pred) -> Option<(String, Vec<Value>)> {
         let conv = |g: &GValue| to_value(g);
         Some(match pred {
@@ -365,75 +310,63 @@ impl Db2GraphBackend {
         })
     }
 
-    /// Build id-based conjuncts for a vertex table from a set of element
-    /// ids. Returns `None` when no id can belong to this table (table is
+    /// Build the conjunct selecting the ids `def` encodes in table `t`.
+    /// Returns `None` when no id can belong to this table (the table is
     /// eliminated).
     fn id_conjunct_for(
         def: &IdDef,
-        column_type: impl Fn(&str) -> Option<DataType>,
+        t: &OverlayTable,
         ids: &[ElementId],
-    ) -> GraphResult<Option<(String, Vec<Value>)>> {
+    ) -> Option<(String, Vec<Value>)> {
         let cols = def.columns();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        for id in ids {
-            if let Some(parts) = def.decode(id) {
-                let mut key = Vec::with_capacity(parts.len());
-                let mut ok = true;
-                for (text, col) in parts.iter().zip(&cols) {
-                    match coerce_id_text(text, column_type(col)) {
-                        Ok(v) => key.push(v),
-                        Err(_) => {
-                            // Type mismatch (e.g. text fragment for a
-                            // BIGINT column): this id can't be here.
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    keys.push(key);
-                }
-            }
-        }
+        // An id whose parts do not fit the columns' types (e.g. a text
+        // fragment for a BIGINT column) cannot be in this table.
+        let mut keys: Vec<Vec<Value>> = ids
+            .iter()
+            .filter_map(|id| def.decode(id))
+            .filter_map(|parts| {
+                parts
+                    .iter()
+                    .zip(&cols)
+                    .map(|(text, col)| IdDef::coerce_column(text, t.column_type(col)).ok())
+                    .collect()
+            })
+            .collect();
         if keys.is_empty() {
-            return Ok(None);
+            return None;
         }
         // Bucketed arity: the generated template depends only on
         // log2(|ids|), so frontier-size jitter reuses prepared statements.
         if cols.len() == 1 {
             let mut params: Vec<Value> = keys.into_iter().map(|mut k| k.remove(0)).collect();
             let sql = in_list_bucketed(cols[0], &mut params);
-            Ok(Some((sql, params)))
+            Some((sql, params))
         } else {
             let sql = composite_in_bucketed(&cols, &mut keys);
-            let params: Vec<Value> = keys.into_iter().flatten().collect();
-            Ok(Some((sql, params)))
+            Some((sql, keys.into_iter().flatten().collect()))
         }
     }
 
-    /// A `V()`/`E()` step: one scan job per table of `kind`, merged in
+    /// A `V()`/`E()` step: one read job per table of `kind`, merged in
     /// table order.
     fn fetch_elements(
         &self,
         kind: ElementKind,
         filter: &ElementFilter,
     ) -> GraphResult<BackendOutput> {
-        let (job, tables) = match kind {
-            ElementKind::Vertices => (JobKind::Vertices, self.topo.vertex_tables.len()),
-            ElementKind::Edges => (JobKind::Edges, self.topo.edge_tables.len()),
-        };
+        let tables = self.topo.table_count(kind);
         self.registry().tables_considered.add(tables as u64);
         let mut outputs: Vec<Element> = Vec::new();
         let mut values: Vec<GValue> = Vec::new();
         let mut agg = AggCombiner::new(filter.aggregate);
         let mut pruned = 0u64;
-        for r in self.fan_out(TableJob::every_table(job, tables, filter))? {
+        for r in self.fan_out(TableJob::every_table(JobKind::Read(kind), tables, filter))? {
             match r {
                 TableResult::Pruned => pruned += 1,
                 TableResult::Elements(es) => outputs.extend(es),
                 TableResult::Values(vs) => values.extend(vs),
                 TableResult::Agg(parts) => agg.add(parts),
-                TableResult::Rows(_) => unreachable!("table scans decode their rows"),
+                TableResult::Rows(_) => unreachable!("table reads decode their rows"),
             }
         }
         self.registry().tables_pruned.add(pruned);
@@ -446,396 +379,166 @@ impl Db2GraphBackend {
         Ok(BackendOutput::Elements(outputs))
     }
 
-    /// Decide how a vertex table would be accessed for a filter, without
-    /// executing anything: eliminated (with the reason) or scanned with
-    /// the given conjuncts. Shared by the execution path and `explain()`.
-    fn vertex_table_access(
-        &self,
-        vt: &VertexTable,
-        filter: &ElementFilter,
-    ) -> GraphResult<TableAccess> {
+    /// The one planner: decide how table `ti` of `kind` would be read
+    /// under `filter`, without executing anything — eliminated (with the
+    /// reason), or read with the pushed conjuncts. Every table read uses
+    /// it: `V()`/`E()` scans, adjacency probes, endpoint lookups and
+    /// `explain()`. Only the id blocks differ between the kinds.
+    fn table_access(&self, kind: ElementKind, ti: usize, filter: &ElementFilter) -> TableAccess {
+        let t = self.topo.table(kind, ti);
         // --- Using Label Values: eliminate fixed-label mismatches.
-        if let (Some(labels), Some(fixed)) = (&filter.labels, vt.fixed_label()) {
+        if let (Some(labels), Some(fixed)) = (&filter.labels, t.fixed_label()) {
             if !labels.iter().any(|l| l == fixed) {
-                return Ok(TableAccess::Pruned(format!(
+                return TableAccess::Pruned(format!(
                     "fixed label '{fixed}' not in requested labels"
-                )));
+                ));
             }
         }
         // --- Using Property Names: predicates and projections require the
-        // property to exist on this table.
-        for p in &filter.predicates {
-            if p.key != "label" && p.key != "id" && !vt.has_property(&p.key) {
-                // hasNot on a property the table doesn't have is trivially
-                // satisfied; anything else eliminates the table.
-                if !matches!(p.pred, Pred::Absent) {
-                    return Ok(TableAccess::Pruned(format!(
-                        "no property column for '{}'",
-                        p.key
-                    )));
-                }
-            }
+        // property to exist on this table. hasNot on a property the table
+        // doesn't have is trivially satisfied; anything else eliminates it.
+        if let Some(p) = filter.predicates.iter().find(|p| {
+            p.key != "label"
+                && p.key != "id"
+                && !t.has_property(&p.key)
+                && !matches!(p.pred, Pred::Absent)
+        }) {
+            return TableAccess::Pruned(format!("no property column for '{}'", p.key));
         }
         if let Some(keys) = &filter.projection {
-            if !keys.iter().any(|k| vt.has_property(k)) {
-                return Ok(TableAccess::Pruned("no projected property column".into()));
+            if !keys.iter().any(|k| t.has_property(k)) {
+                return TableAccess::Pruned("no projected property column".into());
             }
         }
 
-        let mut plan = ScanPlan::default();
-
-        // --- Using Prefixed Id Values: decode ids; prune on no match.
+        let mut plan = ScanPlan { exact: true, ..Default::default() };
+        let id_def = match kind {
+            ElementKind::Vertices => Some(&self.topo.vertex_tables[ti].id),
+            ElementKind::Edges => self.topo.edge_tables[ti].id.explicit(),
+        };
         if let Some(ids) = &filter.ids {
-            match Self::id_conjunct_for(&vt.id, |c| vt.column_type(c), ids)? {
+            match id_def {
+                // --- Using Prefixed Id Values: decode ids; prune on no match.
+                Some(def) => match Self::id_conjunct_for(def, t, ids) {
+                    Some(c) => plan.push(c, def.columns()),
+                    None => {
+                        return TableAccess::Pruned(
+                            "no requested id fits this table (id prefix or type mismatch)".into(),
+                        )
+                    }
+                },
                 None => {
-                    return Ok(TableAccess::Pruned(
-                        "no requested id fits this table (id prefix or type mismatch)".into(),
-                    ))
+                    if let Err(reason) = self.push_implicit_ids(&mut plan, ti, ids) {
+                        return TableAccess::Pruned(reason);
+                    }
                 }
-                Some((sql, mut p)) => {
-                    plan.conjuncts.push(sql);
-                    plan.params.append(&mut p);
-                    plan.pattern_cols.extend(vt.id.columns().iter().map(|c| c.to_string()));
+            }
+        }
+        // --- src/dst id constraints (GraphStep::VertexStep mutation).
+        if kind == ElementKind::Edges {
+            let et = &self.topo.edge_tables[ti];
+            for (def, ids, which) in
+                [(&et.src_v, &filter.src_ids, "src"), (&et.dst_v, &filter.dst_ids, "dst")]
+            {
+                let Some(ids) = ids else { continue };
+                match Self::id_conjunct_for(def, t, ids) {
+                    Some(c) => plan.push(c, def.columns()),
+                    None => {
+                        return TableAccess::Pruned(format!(
+                            "no {which} endpoint id fits this table"
+                        ))
+                    }
                 }
             }
         }
         // Label predicate on a label column.
-        if let Some(labels) = &filter.labels {
-            if let LabelDef::Column(c) = &vt.label {
-                let mut vals: Vec<Value> =
-                    labels.iter().map(|l| Value::Varchar(l.clone())).collect();
-                plan.conjuncts.push(in_list_bucketed(c, &mut vals));
-                plan.params.extend(vals);
-                plan.pattern_cols.push(c.clone());
-            }
+        if let (Some(labels), LabelDef::Column(c)) = (&filter.labels, &t.label) {
+            let mut vals: Vec<Value> = labels.iter().map(|l| Value::Varchar(l.clone())).collect();
+            let sql = in_list_bucketed(c, &mut vals);
+            plan.push((sql, vals), [c.as_str()]);
         }
         // Property predicates.
         for p in &filter.predicates {
-            let col = match (p.key.as_str(), &vt.label) {
-                ("label", LabelDef::Column(c)) => c.clone(),
+            let col = match (p.key.as_str(), &t.label) {
+                ("label", LabelDef::Column(c)) => c.as_str(),
                 ("label", LabelDef::Fixed(fixed)) => {
                     // Evaluate against the constant now.
                     if !p.pred.test(Some(&GValue::Str(fixed.clone()))) {
-                        return Ok(TableAccess::Pruned(format!(
+                        return TableAccess::Pruned(format!(
                             "fixed label '{fixed}' fails the label predicate"
-                        )));
+                        ));
                     }
                     continue;
                 }
+                // Id predicates that did not fold into `filter.ids`.
                 ("id", _) => {
-                    // hasId predicates that weren't folded into filter.ids:
-                    // post-filter below.
+                    plan.exact = false;
                     continue;
                 }
-                _ => p.key.clone(),
+                // hasNot on a property this table lacks holds for every row.
+                (key, _) if !t.has_property(key) => continue,
+                (key, _) => key,
             };
-            if !vt.has_column(&col) {
-                // Only reachable for hasNot on an absent column: trivially
-                // true, nothing to push.
-                continue;
-            }
-            match Self::pred_to_sql(&col, &p.pred) {
-                Some((sql, mut ps)) => {
-                    plan.conjuncts.push(sql);
-                    plan.params.append(&mut ps);
-                    plan.pattern_cols.push(col);
-                }
-                None => { /* post-filtered below */ }
+            match Self::pred_to_sql(col, &p.pred) {
+                Some(c) => plan.push(c, [col]),
+                None => plan.exact = false,
             }
         }
-        Ok(TableAccess::Scan(plan))
+        TableAccess::Scan(plan)
     }
 
-    /// `pinned` marks accesses where the table was selected directly (the
-    /// src/dst vertex table optimization) instead of considered among all
-    /// tables; it only affects how the decision is profiled.
-    fn query_vertex_table(
+    /// --- Using Implicit Edge Id Values: the label inside a
+    /// `src::label::dst` id eliminates tables, and the endpoint parts
+    /// become conjuncts. `Err` carries the reason the table is pruned.
+    fn push_implicit_ids(
         &self,
-        vt: &VertexTable,
-        filter: &ElementFilter,
-        pinned: bool,
-    ) -> GraphResult<TableResult> {
-        self.check_deadline()?;
-        let action = if pinned { TableAction::Pinned } else { TableAction::Queried };
-        let Some(plan) = self.admit(&vt.name, self.vertex_table_access(vt, filter)?, action) else {
-            return Ok(TableResult::Pruned);
+        plan: &mut ScanPlan,
+        ei: usize,
+        ids: &[ElementId],
+    ) -> Result<(), String> {
+        let et = &self.topo.edge_tables[ei];
+        let Some(fixed) = et.table.fixed_label() else {
+            // A column label cannot be split off the id without knowing
+            // it: the computed ids are checked on the elements.
+            plan.exact = false;
+            return Ok(());
         };
-
-        // Aggregate pushdown.
-        if let Some(op) = filter.aggregate {
-            return self.run_aggregate(
-                &vt.name,
-                &plan,
-                op,
-                filter.projection.as_deref(),
-                |k| vt.has_property(k),
-                |k| vt.column_type(k),
-            );
+        let (src_ids, dst_ids): (Vec<ElementId>, Vec<ElementId>) = ids
+            .iter()
+            .filter_map(|id| split_implicit_edge_id(id, fixed))
+            .map(|(s, d)| (ElementId::Str(s), ElementId::Str(d)))
+            .unzip();
+        if src_ids.is_empty() {
+            return Err(format!("no implicit edge id embeds label '{fixed}'"));
         }
-
-        let (cols, props) = self.vertex_columns(vt, filter.projection.as_deref());
-        let rows = self.fetch_rows(&vt.name, &cols, plan)?;
-        let col = |name: &str| cols.iter().position(|c| c.eq_ignore_ascii_case(name));
-
-        if let Some(keys) = &filter.projection {
-            // Projection pushdown: emit scalar values in requested order.
-            let mut out = Vec::new();
-            for row in &rows {
-                for k in keys {
-                    if props.iter().any(|p| p.eq_ignore_ascii_case(k)) {
-                        if let Some(i) = col(k) {
-                            if !row[i].is_null() {
-                                out.push(to_gvalue(&row[i]));
-                            }
-                        }
-                    }
-                }
-            }
-            return Ok(TableResult::Values(out));
-        }
-
-        let mut out = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let v = self.vertex_from_row(vt, &cols, row)?;
-            let el = Element::Vertex(v);
-            // Residual check covers anything not pushed to SQL.
-            if filter.matches(&el) {
-                out.push(el);
-            }
-        }
-        Ok(TableResult::Elements(out))
+        let (Some(src), Some(dst)) = (
+            Self::id_conjunct_for(&et.src_v, &et.table, &src_ids),
+            Self::id_conjunct_for(&et.dst_v, &et.table, &dst_ids),
+        ) else {
+            return Err("implicit edge id endpoints do not fit this table".into());
+        };
+        // `src IN (..) AND dst IN (..)` selects every src × dst pair: exact
+        // only while one side is a single endpoint.
+        let single = |ids: &[ElementId]| ids.windows(2).all(|w| w[0] == w[1]);
+        plan.exact &= single(&src_ids) || single(&dst_ids);
+        plan.push(src, et.src_v.columns());
+        plan.push(dst, et.dst_v.columns());
+        Ok(())
     }
 
-    // ------------------------------------------------------------- edges
-
-    /// Edge-table counterpart of [`Self::vertex_table_access`]: decide,
-    /// without executing, whether the table is eliminated or how it would
-    /// be scanned.
-    fn edge_table_access(
+    /// The access decision for one table, recorded in the profile —
+    /// `action` when it is read, the reason when it is pruned: the plan,
+    /// or `None` when pruned.
+    fn plan_table(
         &self,
-        et: &EdgeTable,
+        kind: ElementKind,
+        ti: usize,
         filter: &ElementFilter,
-    ) -> GraphResult<TableAccess> {
-        if let (Some(labels), Some(fixed)) = (&filter.labels, et.fixed_label()) {
-            if !labels.iter().any(|l| l == fixed) {
-                return Ok(TableAccess::Pruned(format!(
-                    "fixed label '{fixed}' not in requested labels"
-                )));
-            }
-        }
-        for p in &filter.predicates {
-            if p.key != "label"
-                && p.key != "id"
-                && !et.has_property(&p.key)
-                && !matches!(p.pred, Pred::Absent)
-            {
-                return Ok(TableAccess::Pruned(format!(
-                    "no property column for '{}'",
-                    p.key
-                )));
-            }
-        }
-        if let Some(keys) = &filter.projection {
-            if !keys.iter().any(|k| et.has_property(k)) {
-                return Ok(TableAccess::Pruned("no projected property column".into()));
-            }
-        }
-
-        let mut plan = ScanPlan::default();
-
-        // --- Edge ids (explicit or implicit).
-        if let Some(ids) = &filter.ids {
-            match &et.id {
-                EdgeIdDef::Explicit(def) => {
-                    match Self::id_conjunct_for(def, |c| et.column_type(c), ids)? {
-                        None => {
-                            return Ok(TableAccess::Pruned(
-                                "no requested id fits this table (id prefix or type mismatch)"
-                                    .into(),
-                            ))
-                        }
-                        Some((sql, mut p)) => {
-                            plan.conjuncts.push(sql);
-                            plan.params.append(&mut p);
-                            plan.pattern_cols.extend(def.columns().iter().map(|c| c.to_string()));
-                        }
-                    }
-                }
-                EdgeIdDef::Implicit => {
-                    if let Some(fixed) = et.fixed_label() {
-                        // --- Using Implicit Edge Id Values: label inside the
-                        // id eliminates tables; parts become predicates.
-                        let mut src_ids = Vec::new();
-                        let mut dst_ids = Vec::new();
-                        for id in ids {
-                            if let Some((s, d)) = split_implicit_edge_id(id, fixed) {
-                                src_ids.push(ElementId::Str(s));
-                                dst_ids.push(ElementId::Str(d));
-                            }
-                        }
-                        if src_ids.is_empty() {
-                            return Ok(TableAccess::Pruned(format!(
-                                "no implicit edge id embeds label '{fixed}'"
-                            )));
-                        }
-                        let src_c =
-                            Self::id_conjunct_for(&et.src_v, |c| et.column_type(c), &src_ids)?;
-                        let dst_c =
-                            Self::id_conjunct_for(&et.dst_v, |c| et.column_type(c), &dst_ids)?;
-                        match (src_c, dst_c) {
-                            (Some((s_sql, mut s_p)), Some((d_sql, mut d_p))) => {
-                                plan.conjuncts.push(s_sql);
-                                plan.params.append(&mut s_p);
-                                plan.conjuncts.push(d_sql);
-                                plan.params.append(&mut d_p);
-                                plan.pattern_cols
-                                    .extend(et.src_v.columns().iter().map(|c| c.to_string()));
-                                plan.pattern_cols
-                                    .extend(et.dst_v.columns().iter().map(|c| c.to_string()));
-                            }
-                            _ => {
-                                return Ok(TableAccess::Pruned(
-                                    "implicit edge id endpoints do not fit this table".into(),
-                                ))
-                            }
-                        }
-                    } else {
-                        // Column label: cannot decompose without knowing the
-                        // label; fetch and post-filter by computed id.
-                        plan.post_filter_ids = true;
-                    }
-                }
-            }
-        }
-
-        // --- src/dst id constraints (GraphStep::VertexStep mutation).
-        for (def, ids_opt, which) in [
-            (&et.src_v, &filter.src_ids, "src"),
-            (&et.dst_v, &filter.dst_ids, "dst"),
-        ] {
-            if let Some(ids) = ids_opt {
-                match Self::id_conjunct_for(def, |c| et.column_type(c), ids)? {
-                    None => {
-                        return Ok(TableAccess::Pruned(format!(
-                            "no {which} endpoint id fits this table"
-                        )))
-                    }
-                    Some((sql, mut p)) => {
-                        plan.conjuncts.push(sql);
-                        plan.params.append(&mut p);
-                        plan.pattern_cols.extend(def.columns().iter().map(|c| c.to_string()));
-                    }
-                }
-            }
-        }
-
-        if let Some(labels) = &filter.labels {
-            if let LabelDef::Column(c) = &et.label {
-                let mut vals: Vec<Value> =
-                    labels.iter().map(|l| Value::Varchar(l.clone())).collect();
-                plan.conjuncts.push(in_list_bucketed(c, &mut vals));
-                plan.params.extend(vals);
-                plan.pattern_cols.push(c.clone());
-            }
-        }
-        for p in &filter.predicates {
-            let col = match (p.key.as_str(), &et.label) {
-                ("label", LabelDef::Column(c)) => c.clone(),
-                ("label", LabelDef::Fixed(fixed)) => {
-                    if !p.pred.test(Some(&GValue::Str(fixed.clone()))) {
-                        return Ok(TableAccess::Pruned(format!(
-                            "fixed label '{fixed}' fails the label predicate"
-                        )));
-                    }
-                    continue;
-                }
-                ("id", _) => continue,
-                _ => p.key.clone(),
-            };
-            if !et.has_column(&col) {
-                continue;
-            }
-            if let Some((sql, mut ps)) = Self::pred_to_sql(&col, &p.pred) {
-                plan.conjuncts.push(sql);
-                plan.params.append(&mut ps);
-                plan.pattern_cols.push(col);
-            }
-        }
-        Ok(TableAccess::Scan(plan))
-    }
-
-    /// The access decision for one edge table, recorded in the profile:
-    /// the scan plan, or `None` when the table is pruned.
-    fn plan_edge_table(
-        &self,
-        et: &EdgeTable,
-        filter: &ElementFilter,
+        action: TableAction,
     ) -> GraphResult<Option<ScanPlan>> {
         self.check_deadline()?;
-        Ok(self.admit(&et.name, self.edge_table_access(et, filter)?, TableAction::Queried))
-    }
-
-    /// An adjacency probe: the rows of `et` under `filter`, selected with
-    /// every column a hop decodes — the shape the adjacency cache holds.
-    fn probe_edge_rows(&self, et: &EdgeTable, filter: &ElementFilter) -> GraphResult<TableResult> {
-        let Some(plan) = self.plan_edge_table(et, filter)? else {
-            return Ok(TableResult::Pruned);
-        };
-        let rows = self.fetch_rows(&et.name, &EdgeShape::new(et, None).cols, plan)?;
-        Ok(TableResult::Rows(rows))
-    }
-
-    fn query_edge_table(&self, et: &EdgeTable, filter: &ElementFilter) -> GraphResult<TableResult> {
-        let Some(plan) = self.plan_edge_table(et, filter)? else {
-            return Ok(TableResult::Pruned);
-        };
-        if let Some(op) = filter.aggregate {
-            // A post-filtered id check forces materialization.
-            if !plan.post_filter_ids {
-                return self.run_aggregate(
-                    &et.name,
-                    &plan,
-                    op,
-                    filter.projection.as_deref(),
-                    |k| et.has_property(k),
-                    |k| et.column_type(k),
-                );
-            }
-        }
-        let shape = EdgeShape::new(et, filter.projection.as_deref());
-        let mut elements: Vec<Element> = Vec::new();
-        for row in self.fetch_rows(&et.name, &shape.cols, plan)? {
-            // Residual check: anything not pushed to SQL, and computed ids
-            // when they could not be pushed.
-            let el = Element::Edge(shape.edge(&row)?);
-            if filter.matches(&el) {
-                elements.push(el);
-            }
-        }
-
-        if let Some(op) = filter.aggregate {
-            // Post-filtered aggregate fallback.
-            return Ok(TableResult::Agg(AggParts::from_count(op, elements.len() as i64)));
-        }
-        if let Some(keys) = &filter.projection {
-            let mut out = Vec::new();
-            for el in &elements {
-                for k in keys.iter().filter(|k| et.has_property(k)) {
-                    if let Some(v) = el.properties().get(k) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-            return Ok(TableResult::Values(out));
-        }
-        Ok(TableResult::Elements(elements))
-    }
-
-    /// Record the access decision for `table` in the profile — `action`
-    /// when it is scanned, the reason when it is pruned — and return the
-    /// scan plan, or `None` when pruned.
-    fn admit(&self, table: &str, access: TableAccess, action: TableAction) -> Option<ScanPlan> {
-        match access {
+        let table = &self.topo.table(kind, ti).name;
+        Ok(match self.table_access(kind, ti, filter) {
             TableAccess::Pruned(reason) => {
                 self.profiler.record_table(table, TableAction::Pruned(reason));
                 None
@@ -844,116 +547,119 @@ impl Db2GraphBackend {
                 self.profiler.record_table(table, action);
                 Some(plan)
             }
-        }
+        })
     }
 
-    /// Select `cols` from `table` under `plan`'s conjuncts, at this
-    /// backend's read view.
-    fn fetch_rows(&self, table: &str, cols: &[String], plan: ScanPlan) -> GraphResult<Vec<Row>> {
-        let sql = build_select(table, cols, &plan.conjuncts, None);
-        let rs = self
-            .dialect
+    /// An adjacency probe: the rows of edge table `ei` under `filter`,
+    /// selected with every column a hop decodes — the shape the adjacency
+    /// cache holds.
+    fn probe_edge_rows(&self, ei: usize, filter: &ElementFilter) -> GraphResult<TableResult> {
+        let Some(plan) = self.plan_table(ElementKind::Edges, ei, filter, TableAction::Queried)?
+        else {
+            return Ok(TableResult::Pruned);
+        };
+        let shape = Shape::new(&self.topo, ElementKind::Edges, ei, None);
+        let sql = build_select(&shape.table.name, &shape.cols, &plan.conjuncts, None);
+        Ok(TableResult::Rows(self.query(&shape.table.name, &sql, &plan)?.rows))
+    }
+
+    /// One table's part of a `V()`/`E()` read: its elements, projected
+    /// values or aggregate parts. `action` is how the read is profiled.
+    /// An exact plan pushes the projection or aggregate into SQL; an
+    /// inexact one reads whole elements, keeps those the filter matches,
+    /// and folds the projection or aggregate here.
+    fn query_table(
+        &self,
+        kind: ElementKind,
+        ti: usize,
+        filter: &ElementFilter,
+        action: TableAction,
+    ) -> GraphResult<TableResult> {
+        let Some(plan) = self.plan_table(kind, ti, filter, action)? else {
+            return Ok(TableResult::Pruned);
+        };
+        let t = self.topo.table(kind, ti);
+        let (shape, sql) = match TableRead::new(&self.topo, kind, ti, &plan, filter) {
+            TableRead::Aggregate(op, statements) => {
+                return self.run_aggregate(t, &plan, op, statements)
+            }
+            TableRead::Select(shape, sql) => (shape, sql),
+        };
+        let rows = self.query(&t.name, &sql, &plan)?.rows;
+        if let (true, Some(keys)) = (plan.exact, &filter.projection) {
+            // Projection pushdown: scalar values straight from the rows.
+            let values = rows.iter().flat_map(|row| shape.values(row, keys)).collect();
+            return Ok(TableResult::Values(values));
+        }
+        let mut elements = Vec::with_capacity(rows.len());
+        for row in &rows {
+            let el = shape.element(row)?;
+            // Residual check: anything the plan did not push to SQL.
+            if filter.matches(&el) {
+                elements.push(el);
+            }
+        }
+        let keys = filter.projection.as_deref();
+        Ok(match (filter.aggregate, keys) {
+            (Some(op), keys) => TableResult::Agg(AggParts::fold(op, keys, &elements)),
+            (None, Some(keys)) => TableResult::Values(
+                elements
+                    .iter()
+                    .flat_map(|el| keys.iter().filter_map(|k| el.properties().get(k)))
+                    .cloned()
+                    .collect(),
+            ),
+            (None, None) => TableResult::Elements(elements),
+        })
+    }
+
+    /// Run one statement of a read of `table` with `plan`'s parameters, at
+    /// this backend's read view.
+    fn query(&self, table: &str, sql: &str, plan: &ScanPlan) -> GraphResult<RowSet> {
+        self.dialect
             .query_at(
                 &self.profiler,
-                &sql,
+                sql,
                 &plan.params,
                 Some((table, &plan.pattern())),
                 self.read_view.as_ref(),
             )
-            .map_err(GraphError::Db)?;
-        Ok(rs.rows)
+            .map_err(GraphError::Db)
     }
 
-    /// Run an aggregate-pushdown query for one table.
+    /// Run a table's aggregate-pushdown statements and combine their
+    /// results into the table's aggregate parts.
     fn run_aggregate(
         &self,
-        table: &str,
+        t: &OverlayTable,
         plan: &ScanPlan,
         op: AggOp,
-        projection: Option<&[String]>,
-        has_property: impl Fn(&str) -> bool,
-        column_type: impl Fn(&str) -> Option<DataType>,
+        statements: Vec<(String, Option<&str>)>,
     ) -> GraphResult<TableResult> {
-        let (conjuncts, params) = (&plan.conjuncts, &plan.params);
-        let pattern_cols = plan.pattern();
-        let pattern = Some((table, pattern_cols.as_slice()));
-        match (op, projection) {
-            (AggOp::Count, None) => {
-                let sql = build_select(table, &[], conjuncts, Some("COUNT(*)"));
-                let rs = self
-                    .dialect
-                    .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
-                    .map_err(GraphError::Db)?;
-                let n = rs.scalar().and_then(|v| v.as_i64().ok()).unwrap_or(0);
-                Ok(TableResult::Agg(AggParts::from_count(op, n)))
-            }
-            (op, keys) => {
-                // Aggregate over projected property values: per key, issue
-                // the aggregate + count so mean combines across tables.
-                let keys: Vec<String> = keys
-                    .map(|ks| ks.iter().filter(|k| has_property(k)).cloned().collect())
-                    .unwrap_or_default();
-                if keys.is_empty() {
-                    // count() over elements.
-                    let sql = build_select(table, &[], conjuncts, Some("COUNT(*)"));
-                    let rs = self
-                        .dialect
-                        .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
-                        .map_err(GraphError::Db)?;
-                    let n = rs.scalar().and_then(|v| v.as_i64().ok()).unwrap_or(0);
-                    return Ok(TableResult::Agg(AggParts::from_count(op, n)));
+        let mut parts = AggParts::empty(op);
+        for (sql, key) in statements {
+            let rs = self.query(&t.name, &sql, plan)?;
+            let Some(row) = rs.rows.first() else { continue };
+            match (op, key) {
+                (AggOp::Count, _) | (_, None) => parts.count += row[0].as_i64().unwrap_or(0),
+                (AggOp::Sum | AggOp::Mean, Some(k)) => {
+                    if let Ok(s) = row[0].as_f64() {
+                        parts.sum += s;
+                        parts.saw_values = true;
+                    }
+                    if op == AggOp::Mean {
+                        parts.count += row[1].as_i64().unwrap_or(0);
+                    }
+                    parts.all_long &= matches!(t.column_type(k), Some(DataType::Bigint));
                 }
-                let mut parts = AggParts::empty(op);
-                for k in &keys {
-                    let func = match op {
-                        AggOp::Count => format!("COUNT({})", ident(k)),
-                        AggOp::Sum => format!("SUM({})", ident(k)),
-                        AggOp::Mean => format!("SUM({0}), COUNT({0})", ident(k)),
-                        AggOp::Min => format!("MIN({})", ident(k)),
-                        AggOp::Max => format!("MAX({})", ident(k)),
-                    };
-                    let sql = build_select(table, &[], conjuncts, Some(&func));
-                    let rs = self
-                        .dialect
-                        .query_at(&self.profiler, &sql, params, pattern, self.read_view.as_ref())
-                        .map_err(GraphError::Db)?;
-                    let row = rs.rows.first();
-                    let all_long = matches!(column_type(k), Some(DataType::Bigint));
-                    match op {
-                        AggOp::Count => {
-                            let n = row
-                                .and_then(|r| r.first())
-                                .and_then(|v| v.as_i64().ok())
-                                .unwrap_or(0);
-                            parts.count += n;
-                        }
-                        AggOp::Sum | AggOp::Mean => {
-                            if let Some(r) = row {
-                                if let Ok(s) = r[0].as_f64() {
-                                    parts.sum += s;
-                                    parts.saw_values = true;
-                                }
-                                if op == AggOp::Mean {
-                                    parts.count += r[1].as_i64().unwrap_or(0);
-                                } else {
-                                    parts.count += 1;
-                                }
-                                parts.all_long &= all_long;
-                            }
-                        }
-                        AggOp::Min | AggOp::Max => {
-                            if let Some(r) = row {
-                                if !r[0].is_null() {
-                                    let v = to_gvalue(&r[0]);
-                                    parts.merge_minmax(op, v);
-                                }
-                            }
-                        }
+                (AggOp::Min | AggOp::Max, Some(_)) => {
+                    if !row[0].is_null() {
+                        parts.merge_minmax(op, to_gvalue(&row[0]));
                     }
                 }
-                Ok(TableResult::Agg(parts))
             }
         }
+        Ok(TableResult::Agg(parts))
     }
 
     // --------------------------------------------------- vertex lookups
@@ -1008,7 +714,10 @@ impl Db2GraphBackend {
                 sub.projection = None;
                 sub.aggregate = None;
                 jobs.push(TableJob {
-                    kind: if hint.is_some() { JobKind::PinnedVertices } else { JobKind::Vertices },
+                    kind: match hint {
+                        Some(_) => JobKind::PinnedVertices,
+                        None => JobKind::Read(ElementKind::Vertices),
+                    },
                     table: ti,
                     filter: Arc::new(sub),
                 });
@@ -1041,7 +750,7 @@ impl Db2GraphBackend {
     /// vertex directly from the edge when the vertex table *is* the edge's
     /// table and the vertex's properties are subsumed by the edge's.
     fn vertex_from_edge(&self, edge: &Edge, endpoint: &ElementId, vt_idx: usize) -> Option<Vertex> {
-        let vt = &self.topo.vertex_tables[vt_idx];
+        let vt = &self.topo.vertex_tables[vt_idx].table;
         let et_name = edge.provenance.as_deref()?;
         if !vt.name.eq_ignore_ascii_case(et_name) {
             return None;
@@ -1049,8 +758,8 @@ impl Db2GraphBackend {
         let label = vt.fixed_label()?;
         // Vertex property columns must be subsumed by the edge's
         // configured property columns.
-        let et_idx = self.topo.edge_table_index(et_name)?;
-        let et = &self.topo.edge_tables[et_idx];
+        let et_idx = self.topo.table_index(ElementKind::Edges, et_name)?;
+        let et = self.topo.table(ElementKind::Edges, et_idx);
         if !vt.properties.iter().all(|p| et.properties.iter().any(|q| q.eq_ignore_ascii_case(p))) {
             return None;
         }
@@ -1067,108 +776,20 @@ impl Db2GraphBackend {
 
     // ----------------------------------------------------------- explain
 
-    /// The SQL statements an aggregate pushdown would issue, mirroring the
-    /// shapes [`Self::run_aggregate`] executes.
-    fn aggregate_sqls(table: &str, conjuncts: &[String], op: AggOp, keys: &[String]) -> Vec<String> {
-        if keys.is_empty() {
-            return vec![build_select(table, &[], conjuncts, Some("COUNT(*)"))];
-        }
-        keys.iter()
-            .map(|k| {
-                let func = match op {
-                    AggOp::Count => format!("COUNT({})", ident(k)),
-                    AggOp::Sum => format!("SUM({})", ident(k)),
-                    AggOp::Mean => format!("SUM({0}), COUNT({0})", ident(k)),
-                    AggOp::Min => format!("MIN({})", ident(k)),
-                    AggOp::Max => format!("MAX({})", ident(k)),
-                };
-                build_select(table, &[], conjuncts, Some(&func))
-            })
-            .collect()
-    }
-
     /// Dry-run a `V()`/`E()` step: per table, either the SQL it would
-    /// generate or the reason it is eliminated. No data is touched.
-    pub fn explain_elements(
-        &self,
-        kind: ElementKind,
-        filter: &ElementFilter,
-    ) -> GraphResult<Vec<TableExplain>> {
-        let mut out = Vec::new();
-        match kind {
-            ElementKind::Vertices => {
-                for vt in &self.topo.vertex_tables {
-                    let plan = match self.vertex_table_access(vt, filter)? {
-                        TableAccess::Pruned(reason) => {
-                            out.push(TableExplain {
-                                table: vt.name.clone(),
-                                plan: TablePlan::Pruned { reason },
-                            });
-                            continue;
-                        }
-                        TableAccess::Scan(p) => p,
-                    };
-                    let sql = match filter.aggregate {
-                        Some(op) => {
-                            let keys: Vec<String> = filter
-                                .projection
-                                .as_deref()
-                                .map(|ks| {
-                                    ks.iter().filter(|k| vt.has_property(k)).cloned().collect()
-                                })
-                                .unwrap_or_default();
-                            Self::aggregate_sqls(&vt.name, &plan.conjuncts, op, &keys)
-                        }
-                        None => {
-                            let (cols, _) =
-                                self.vertex_columns(vt, filter.projection.as_deref());
-                            vec![build_select(&vt.name, &cols, &plan.conjuncts, None)]
-                        }
-                    };
-                    out.push(TableExplain {
-                        table: vt.name.clone(),
-                        plan: TablePlan::Query { sql },
-                    });
-                }
-            }
-            ElementKind::Edges => {
-                for et in &self.topo.edge_tables {
-                    let plan = match self.edge_table_access(et, filter)? {
-                        TableAccess::Pruned(reason) => {
-                            out.push(TableExplain {
-                                table: et.name.clone(),
-                                plan: TablePlan::Pruned { reason },
-                            });
-                            continue;
-                        }
-                        TableAccess::Scan(p) => p,
-                    };
-                    let sql = match filter.aggregate {
-                        // A post-filtered id check forces materialization,
-                        // as in query_edge_table.
-                        Some(op) if !plan.post_filter_ids => {
-                            let keys: Vec<String> = filter
-                                .projection
-                                .as_deref()
-                                .map(|ks| {
-                                    ks.iter().filter(|k| et.has_property(k)).cloned().collect()
-                                })
-                                .unwrap_or_default();
-                            Self::aggregate_sqls(&et.name, &plan.conjuncts, op, &keys)
-                        }
-                        _ => {
-                            let shape = EdgeShape::new(et, filter.projection.as_deref());
-                            vec![build_select(&et.name, &shape.cols, &plan.conjuncts, None)]
-                        }
-                    };
-                    out.push(TableExplain {
-                        table: et.name.clone(),
-                        plan: TablePlan::Query { sql },
-                    });
-                }
-            }
-        }
-        Ok(out)
+    /// generate — built by the same [`TableRead`] execution runs — or the
+    /// reason it is eliminated. No data is touched.
+    pub fn explain_elements(&self, kind: ElementKind, filter: &ElementFilter) -> Vec<TableExplain> {
+        let explain = |ti: usize| {
+            let plan = match self.table_access(kind, ti, filter) {
+                TableAccess::Pruned(reason) => TablePlan::Pruned { reason },
+                TableAccess::Scan(plan) => TablePlan::Query {
+                    sql: TableRead::new(&self.topo, kind, ti, &plan, filter).sqls(),
+                },
+            };
+            TableExplain { table: self.topo.table(kind, ti).name.clone(), plan }
+        };
+        (0..self.topo.table_count(kind)).map(explain).collect()
     }
 
     /// Dry-run an adjacency step: which edge tables remain candidates
@@ -1178,7 +799,7 @@ impl Db2GraphBackend {
         let label_filter: Option<Vec<String>> =
             if edge_labels.is_empty() { None } else { Some(edge_labels.to_vec()) };
         let candidates: Vec<usize> = match &label_filter {
-            Some(labels) => self.topo.edge_tables_for_labels(labels),
+            Some(labels) => self.topo.tables_for_labels(ElementKind::Edges, labels),
             None => (0..self.topo.edge_tables.len()).collect(),
         };
         self.topo
@@ -1194,10 +815,11 @@ impl Db2GraphBackend {
                             " (declared src/dst vertex table links can skip it per direction)",
                         );
                     }
-                    TableExplain { table: et.name.clone(), plan: TablePlan::Candidate { detail } }
+                    let table = et.table.name.clone();
+                    TableExplain { table, plan: TablePlan::Candidate { detail } }
                 } else {
                     TableExplain {
-                        table: et.name.clone(),
+                        table: et.table.name.clone(),
                         plan: TablePlan::Pruned {
                             reason: "label not served by this table".into(),
                         },
@@ -1212,7 +834,7 @@ impl Db2GraphBackend {
     pub fn explain_compiled_step(&self, step: &gremlin::step::Step) -> Vec<TableExplain> {
         use gremlin::step::Step;
         match step {
-            Step::Graph(g) => self.explain_elements(g.kind, &g.filter).unwrap_or_default(),
+            Step::Graph(g) => self.explain_elements(g.kind, &g.filter),
             Step::Vertex(v) => self.explain_adjacency(&v.edge_labels),
             Step::EdgeVertex(_) => vec![TableExplain {
                 table: "<edge endpoints>".into(),
@@ -1245,10 +867,35 @@ impl AggParts {
         AggParts { op, count: 0, sum: 0.0, all_long: true, saw_values: false, minmax: None }
     }
 
-    fn from_count(op: AggOp, n: i64) -> AggParts {
-        let mut p = AggParts::empty(op);
-        p.count = n;
-        p
+    /// The parts of `op` over elements already read and filtered: the
+    /// aggregate of an inexact plan. Without a projection it counts the
+    /// elements; with one it folds each present value of the projected
+    /// properties, as the pushed-down SQL aggregates their columns.
+    fn fold(op: AggOp, keys: Option<&[String]>, elements: &[Element]) -> AggParts {
+        let mut parts = AggParts::empty(op);
+        let Some(keys) = keys else {
+            parts.count = elements.len() as i64;
+            return parts;
+        };
+        for v in elements.iter().flat_map(|el| keys.iter().filter_map(|k| el.properties().get(k))) {
+            let number = match v {
+                GValue::Long(x) => Some(*x as f64),
+                GValue::Double(x) => Some(*x),
+                _ => None,
+            };
+            match (op, number) {
+                (AggOp::Count, _) => parts.count += 1,
+                (AggOp::Min | AggOp::Max, _) => parts.merge_minmax(op, v.clone()),
+                (AggOp::Sum | AggOp::Mean, Some(x)) => {
+                    parts.sum += x;
+                    parts.count += 1;
+                    parts.saw_values = true;
+                    parts.all_long &= matches!(v, GValue::Long(_));
+                }
+                (AggOp::Sum | AggOp::Mean, None) => {}
+            }
+        }
+        parts
     }
 
     fn merge_minmax(&mut self, op: AggOp, v: GValue) {
@@ -1340,13 +987,12 @@ enum TableResult {
 /// What one [`TableJob`] reads.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum JobKind {
-    /// Vertices of a table considered among all vertex tables.
-    Vertices,
+    /// Elements of a table considered among all tables of its kind: as
+    /// elements, values or an aggregate.
+    Read(ElementKind),
     /// Vertices of the one table a src/dst link selected (profiled as
     /// pinned rather than queried).
     PinnedVertices,
-    /// Edges, as elements, values or an aggregate.
-    Edges,
     /// An adjacency probe: the edge table's rows.
     Adjacency,
 }
@@ -1368,26 +1014,43 @@ impl TableJob {
     }
 }
 
-/// An edge table's SELECT list, and where each part of an edge sits in
-/// the rows it returns — so decoding a row indexes it instead of looking
-/// columns up by name.
-struct EdgeShape<'a> {
-    et: &'a EdgeTable,
-    /// The selected columns: endpoints, explicit id, label column, then
-    /// the (projected) properties, each once.
+/// An id definition with the ordinals of its columns in a [`Shape`].
+type IdCols<'a> = (&'a IdDef, Vec<usize>);
+
+/// A table's SELECT list, and where each part of an element sits in the
+/// rows it returns — so decoding a row indexes it instead of looking
+/// columns up by name. One shape serves both kinds: only edges have
+/// endpoints, and only implicit edge ids have no id columns.
+struct Shape<'a> {
+    table: &'a OverlayTable,
+    /// The selected columns: endpoints (edges), explicit id, label column,
+    /// then the (projected) properties, each once.
     cols: Vec<String>,
-    src: Vec<usize>,
-    dst: Vec<usize>,
-    /// Explicit-id columns (empty for implicit ids).
-    id: Vec<usize>,
+    /// An edge's src and dst definitions; `None` for vertices.
+    ends: Option<[IdCols<'a>; 2]>,
+    /// The explicit id definition; `None` for implicit edge ids.
+    id: Option<IdCols<'a>>,
     /// The label column, for column-labelled tables.
     label: Option<usize>,
     /// Each property whose column is selected, with that column.
     props: Vec<(&'a str, usize)>,
 }
 
-impl<'a> EdgeShape<'a> {
-    fn new(et: &'a EdgeTable, projection: Option<&[String]>) -> EdgeShape<'a> {
+impl<'a> Shape<'a> {
+    fn new(
+        topo: &'a Topology,
+        kind: ElementKind,
+        ti: usize,
+        projection: Option<&[String]>,
+    ) -> Shape<'a> {
+        let (ends, id) = match kind {
+            ElementKind::Vertices => (None, Some(&topo.vertex_tables[ti].id)),
+            ElementKind::Edges => {
+                let et = &topo.edge_tables[ti];
+                (Some([&et.src_v, &et.dst_v]), et.id.explicit())
+            }
+        };
+        let table = topo.table(kind, ti);
         let mut cols: Vec<String> = Vec::new();
         let mut at = |c: &str| match cols.iter().position(|x| x.eq_ignore_ascii_case(c)) {
             Some(i) => i,
@@ -1396,22 +1059,19 @@ impl<'a> EdgeShape<'a> {
                 cols.len() - 1
             }
         };
-        let src: Vec<usize> = et.src_v.columns().into_iter().map(&mut at).collect();
-        let dst: Vec<usize> = et.dst_v.columns().into_iter().map(&mut at).collect();
-        let id: Vec<usize> = match &et.id {
-            EdgeIdDef::Explicit(def) => def.columns().into_iter().map(&mut at).collect(),
-            EdgeIdDef::Implicit => Vec::new(),
-        };
-        let label = match &et.label {
+        let mut place = |def: &'a IdDef| (def, def.columns().into_iter().map(&mut at).collect());
+        let ends = ends.map(|defs| defs.map(&mut place));
+        let id = id.map(&mut place);
+        let label = match &table.label {
             LabelDef::Column(c) => Some(at(c)),
             LabelDef::Fixed(_) => None,
         };
-        for p in &et.properties {
+        for p in &table.properties {
             if projection.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p))) {
                 at(p);
             }
         }
-        let props = et
+        let props = table
             .properties
             .iter()
             .filter_map(|p| {
@@ -1419,43 +1079,68 @@ impl<'a> EdgeShape<'a> {
                 Some((p.as_str(), i))
             })
             .collect();
-        EdgeShape { et, cols, src, dst, id, label, props }
+        Shape { table, cols, ends, id, label, props }
     }
 
-    /// The id encoded from columns `at` of `row` under `def`.
-    fn encode(def: &IdDef, at: &[usize], row: &Row) -> GraphResult<ElementId> {
+    /// The id `def` encodes from its columns of `row`.
+    fn encode((def, at): &IdCols, row: &Row) -> GraphResult<ElementId> {
         def.encode(&at.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
     }
 
-    /// The src (`out`) or dst endpoint id of `row`.
+    /// The src (`out`) or dst endpoint id of an edge `row`.
     fn endpoint(&self, row: &Row, out: bool) -> GraphResult<ElementId> {
-        if out {
-            Self::encode(&self.et.src_v, &self.src, row)
-        } else {
-            Self::encode(&self.et.dst_v, &self.dst, row)
+        let ends = self.ends.as_ref().expect("only edge shapes have endpoints");
+        Self::encode(&ends[usize::from(!out)], row)
+    }
+
+    fn label(&self, row: &Row) -> String {
+        match &self.table.label {
+            LabelDef::Fixed(l) => l.clone(),
+            LabelDef::Column(_) => row[self.label.expect("label column selected")].to_string(),
         }
+    }
+
+    /// The non-null selected properties of `row`.
+    fn properties(&self, row: &Row) -> BTreeMap<String, GValue> {
+        let mut properties = BTreeMap::new();
+        for &(p, i) in &self.props {
+            if !row[i].is_null() {
+                properties.insert(p.to_string(), to_gvalue(&row[i]));
+            }
+        }
+        properties
     }
 
     /// Materialize the edge of `row`.
     fn edge(&self, row: &Row) -> GraphResult<Edge> {
-        let et = self.et;
         let (src, dst) = (self.endpoint(row, true)?, self.endpoint(row, false)?);
-        let label = match &et.label {
-            LabelDef::Fixed(l) => l.clone(),
-            LabelDef::Column(_) => row[self.label.expect("label column selected")].to_string(),
+        let label = self.label(row);
+        let id = match &self.id {
+            Some(id) => Self::encode(id, row)?,
+            None => implicit_edge_id(&src, &label, &dst),
         };
-        let id = match &et.id {
-            EdgeIdDef::Explicit(def) => Self::encode(def, &self.id, row)?,
-            EdgeIdDef::Implicit => implicit_edge_id(&src, &label, &dst),
-        };
-        let mut e = Edge::new(id, label, src, dst);
-        for &(p, i) in &self.props {
-            if !row[i].is_null() {
-                e.properties.insert(p.to_string(), to_gvalue(&row[i]));
-            }
+        let (properties, provenance) = (self.properties(row), Some(self.table.name.clone()));
+        Ok(Edge { id, label, src, dst, properties, provenance })
+    }
+
+    /// Materialize the vertex or edge of `row`.
+    fn element(&self, row: &Row) -> GraphResult<Element> {
+        if self.ends.is_some() {
+            return Ok(Element::Edge(self.edge(row)?));
         }
-        e.provenance = Some(et.name.clone());
-        Ok(e)
+        let id = Self::encode(self.id.as_ref().expect("vertex ids are explicit"), row)?;
+        let (label, properties) = (self.label(row), self.properties(row));
+        let provenance = Some(self.table.name.clone());
+        Ok(Element::Vertex(Vertex { id, label, properties, provenance }))
+    }
+
+    /// The non-null values of `keys` in `row`, in key order: projection
+    /// pushdown, with no element built.
+    fn values<'r>(&'r self, row: &'r Row, keys: &'r [String]) -> impl Iterator<Item = GValue> + 'r {
+        keys.iter()
+            .filter_map(|k| self.props.iter().find(|(p, _)| p.eq_ignore_ascii_case(k)))
+            .filter(|&&(_, i)| !row[i].is_null())
+            .map(|&(_, i)| to_gvalue(&row[i]))
     }
 
     /// The one decoder for adjacency rows, cached or fresh: a vertex hop
@@ -1508,20 +1193,32 @@ impl Found {
     }
 }
 
-/// Everything needed to scan one table: WHERE conjuncts (with `?`
-/// placeholders), their parameters, and the predicate columns for the
-/// dialect's pattern tracking.
+/// Everything needed to read one table: WHERE conjuncts (with `?`
+/// placeholders), their parameters, the predicate columns for the
+/// dialect's pattern tracking, and whether the conjuncts are exact.
 #[derive(Default)]
 struct ScanPlan {
     conjuncts: Vec<String>,
     params: Vec<Value>,
     pattern_cols: Vec<String>,
-    /// Edge tables with a column label and implicit ids cannot push an id
-    /// filter to SQL; the computed ids are checked after materialization.
-    post_filter_ids: bool,
+    /// The conjuncts express the whole filter, so SQL returns exactly the
+    /// matching elements and may project or aggregate them. An inexact
+    /// plan's rows are a superset, checked on the materialized elements.
+    exact: bool,
 }
 
 impl ScanPlan {
+    /// Add one conjunct with its parameters, over predicate columns `cols`.
+    fn push<'c>(
+        &mut self,
+        (sql, mut params): (String, Vec<Value>),
+        cols: impl IntoIterator<Item = &'c str>,
+    ) {
+        self.conjuncts.push(sql);
+        self.params.append(&mut params);
+        self.pattern_cols.extend(cols.into_iter().map(str::to_string));
+    }
+
     /// The predicate columns, sorted and deduplicated: the key of the
     /// dialect's pattern tracking.
     fn pattern(&self) -> Vec<String> {
@@ -1537,6 +1234,66 @@ enum TableAccess {
     /// Eliminated before any SQL, with the reason.
     Pruned(String),
     Scan(ScanPlan),
+}
+
+/// The statements one table's part of a `V()`/`E()` read issues, built
+/// once for execution and `explain()` alike.
+enum TableRead<'a> {
+    /// Aggregate pushdown, on exact plans only: one statement per
+    /// projected property the table has, with that property, or one
+    /// `COUNT(*)` without a projection.
+    Aggregate(AggOp, Vec<(String, Option<&'a str>)>),
+    /// One SELECT of the shape's columns: projected on an exact plan,
+    /// whole elements otherwise.
+    Select(Shape<'a>, String),
+}
+
+impl<'a> TableRead<'a> {
+    fn new(
+        topo: &'a Topology,
+        kind: ElementKind,
+        ti: usize,
+        plan: &ScanPlan,
+        filter: &'a ElementFilter,
+    ) -> TableRead<'a> {
+        let t = topo.table(kind, ti);
+        let (table, conjuncts) = (&t.name, &plan.conjuncts);
+        let Some(op) = filter.aggregate.filter(|_| plan.exact) else {
+            let projection = filter.projection.as_deref().filter(|_| plan.exact);
+            let shape = Shape::new(topo, kind, ti, projection);
+            let sql = build_select(table, &shape.cols, conjuncts, None);
+            return TableRead::Select(shape, sql);
+        };
+        let Some(keys) = &filter.projection else {
+            let sql = build_select(table, &[], conjuncts, Some("COUNT(*)"));
+            return TableRead::Aggregate(op, vec![(sql, None)]);
+        };
+        let statements = keys
+            .iter()
+            .filter(|k| t.has_property(k))
+            .map(|k| {
+                let func = match op {
+                    AggOp::Count => format!("COUNT({})", ident(k)),
+                    AggOp::Sum => format!("SUM({})", ident(k)),
+                    AggOp::Mean => format!("SUM({0}), COUNT({0})", ident(k)),
+                    AggOp::Min => format!("MIN({})", ident(k)),
+                    AggOp::Max => format!("MAX({})", ident(k)),
+                };
+                (build_select(table, &[], conjuncts, Some(&func)), Some(k.as_str()))
+            })
+            .collect();
+        TableRead::Aggregate(op, statements)
+    }
+
+    /// The statements' SQL text, in execution order.
+    fn sqls(self) -> Vec<String> {
+        match self {
+            TableRead::Aggregate(_, statements) => {
+                statements.into_iter().map(|(sql, _)| sql).collect()
+            }
+            TableRead::Select(_, sql) => vec![sql],
+        }
+    }
 }
 
 // ------------------------------------------------------ GraphBackend impl
@@ -1589,7 +1346,182 @@ impl GraphBackend for Db2GraphBackend {
     }
 }
 
+/// One (edge table × source-table group × direction) of an adjacency
+/// step: the sources the cache serves, and the SQL probes for the rest.
+struct Unit {
+    et_idx: usize,
+    via_out: bool,
+    /// Cache-hit sources with their spans, frontier order. Decoded on
+    /// work-stealing morsels — no SQL.
+    hits: Vec<(ElementId, RowSpan)>,
+    /// Frontier ids that missed, chunked exactly like the pure SQL path
+    /// chunks them; aligned 1:1 with this unit's probes.
+    miss_chunks: Vec<Vec<ElementId>>,
+    /// This unit's probes are `probes[probe_start..][..miss_chunks.len()]`.
+    probe_start: usize,
+    /// Feed this unit's SQL rows back into the cache.
+    populate: bool,
+}
+
+/// An adjacency step's probe plan: its units, and the SQL probes of their
+/// cache misses in unit order.
+struct ProbePlan {
+    units: Vec<Unit>,
+    probes: Vec<TableJob>,
+}
+
 impl Db2GraphBackend {
+    /// Phase 1 of an adjacency step (sequential, cheap): expand the probe
+    /// space — (edge table × source-table group × direction × frontier
+    /// chunk) — recording the pruning and cache decisions on the
+    /// coordinator thread so the profile stream is ordered like sequential
+    /// execution. Each (table × group × direction) becomes one [`Unit`]:
+    /// its cache-hit sources decode from memory, its misses fall back to
+    /// the batched SQL path with the exact chunking the pure-SQL path
+    /// uses. `edge_filter` is what the probe SQL filters on besides the
+    /// frontier ids.
+    fn plan_probes(
+        &self,
+        sources: &[Element],
+        direction: Direction,
+        edge_filter: &ElementFilter,
+        cache_ctx: Option<(&AdjCache, u64)>,
+    ) -> ProbePlan {
+        // Group source ids by their provenance vertex table (for the
+        // src/dst vertex table elimination). Insertion-ordered groups with
+        // set-backed dedup: frontier order decides probe order, and a 10k
+        // frontier no longer pays a quadratic `Vec::contains` scan.
+        let mut by_table: Vec<(Option<usize>, Vec<ElementId>)> = Vec::new();
+        let mut group_of: HashMap<Option<usize>, usize> = HashMap::new();
+        let mut group_seen: Vec<HashSet<ElementId>> = Vec::new();
+        for s in sources {
+            let vt_idx =
+                s.provenance().and_then(|t| self.topo.table_index(ElementKind::Vertices, t));
+            let gi = *group_of.entry(vt_idx).or_insert_with(|| {
+                by_table.push((vt_idx, Vec::new()));
+                group_seen.push(HashSet::new());
+                by_table.len() - 1
+            });
+            if group_seen[gi].insert(s.id().clone()) {
+                by_table[gi].1.push(s.id().clone());
+            }
+        }
+
+        // Candidate edge tables by label.
+        let tables = self.topo.edge_tables.len();
+        let candidates: Vec<usize> = match &edge_filter.labels {
+            Some(labels) => self.topo.tables_for_labels(ElementKind::Edges, labels),
+            None => (0..tables).collect(),
+        };
+        self.registry().tables_considered.add(tables as u64);
+        self.registry().tables_pruned.add((tables - candidates.len()) as u64);
+        if self.profiler.is_enabled() {
+            for (i, et) in self.topo.edge_tables.iter().enumerate() {
+                if !candidates.contains(&i) {
+                    self.profiler.record_table(
+                        &et.table.name,
+                        TableAction::Pruned("label not served by this table".into()),
+                    );
+                }
+            }
+        }
+
+        // A probe is cacheable only when its SQL is unconstrained beyond
+        // the frontier ids — then each probed id's rows are its *complete*
+        // adjacency, so the cached entry can serve any later query without
+        // post-filtering. A label filter stays cacheable only through
+        // fixed-label tables (the candidate list already did the
+        // elimination; the SQL adds no row constraint there).
+        let ctx_cacheable = cache_ctx.is_some()
+            && edge_filter.predicates.is_empty()
+            && edge_filter.src_ids.is_none()
+            && edge_filter.dst_ids.is_none();
+
+        let dirs: &[bool] = match direction {
+            Direction::Out => &[true],
+            Direction::In => &[false],
+            Direction::Both => &[true, false],
+        };
+        let mut plan = ProbePlan { units: Vec::new(), probes: Vec::new() };
+        for &ei in &candidates {
+            let et = &self.topo.edge_tables[ei];
+            for (vt_idx, ids) in &by_table {
+                for &dir_out in dirs {
+                    // Source table link optimization: skip when the edge
+                    // table's declared endpoint table differs from the
+                    // sources' table.
+                    let declared = if dir_out { et.src_v_table } else { et.dst_v_table };
+                    if matches!((declared, vt_idx), (Some(d), Some(v)) if d != *v) {
+                        self.registry().tables_pruned.add(1);
+                        if self.profiler.is_enabled() {
+                            self.profiler.record_table(
+                                &et.table.name,
+                                TableAction::Pruned(format!(
+                                    "declared {} vertex table differs from sources' table",
+                                    if dir_out { "src" } else { "dst" }
+                                )),
+                            );
+                        }
+                        continue;
+                    }
+                    // Serve what the cache can: hit sources decode without
+                    // SQL, miss sources continue to the probe path below.
+                    let populate = ctx_cacheable
+                        && (edge_filter.labels.is_none() || et.table.fixed_label().is_some());
+                    let mut hits = Vec::new();
+                    let mut remaining = Vec::new();
+                    match cache_ctx {
+                        Some((cache, epoch)) if populate => {
+                            let spans = cache.lookup((ei, dir_out), ids, epoch);
+                            for (id, span) in ids.iter().zip(spans) {
+                                match span {
+                                    Some(span) => hits.push((id.clone(), span)),
+                                    None => remaining.push(id.clone()),
+                                }
+                            }
+                        }
+                        _ => remaining.clone_from(ids),
+                    }
+                    if !hits.is_empty() {
+                        self.profiler.record_table(&et.table.name, TableAction::CacheHit);
+                    }
+                    let probe_start = plan.probes.len();
+                    let mut miss_chunks: Vec<Vec<ElementId>> = Vec::new();
+                    // Chunked so one statement never exceeds the template
+                    // bucket ceiling; chunks partition the ids, so an edge
+                    // matches exactly one chunk per direction.
+                    for chunk in remaining.chunks(MAX_FRONTIER_CHUNK) {
+                        // Endpoint constraints folded into the step's
+                        // filter (e.g. a getLink-style `filter(inV().id()
+                        // == x)`) combine with the frontier ids.
+                        let mut sub = edge_filter.clone();
+                        let chunk_set: HashSet<&ElementId> = chunk.iter().collect();
+                        let slot = if dir_out { &mut sub.src_ids } else { &mut sub.dst_ids };
+                        match slot {
+                            None => *slot = Some(chunk.to_vec()),
+                            Some(existing) => existing.retain(|i| chunk_set.contains(i)),
+                        }
+                        plan.probes.push(TableJob {
+                            kind: JobKind::Adjacency,
+                            table: ei,
+                            filter: Arc::new(sub),
+                        });
+                        miss_chunks.push(chunk.to_vec());
+                    }
+                    plan.units.push(Unit {
+                        et_idx: ei,
+                        via_out: dir_out,
+                        hits,
+                        miss_chunks,
+                        probe_start,
+                        populate,
+                    });
+                }
+            }
+        }
+        plan
+    }
+
     fn adjacent_impl(
         &self,
         sources: &[Element],
@@ -1609,52 +1541,18 @@ impl Db2GraphBackend {
         for (i, s) in sources.iter().enumerate() {
             src_positions.entry(s.id().clone()).or_default().push(i);
         }
-        // Group source ids by their provenance vertex table (for the
-        // src/dst vertex table elimination). Insertion-ordered groups with
-        // set-backed dedup: frontier order decides probe order, and a 10k
-        // frontier no longer pays a quadratic `Vec::contains` scan.
-        let mut by_table: Vec<(Option<usize>, Vec<ElementId>)> = Vec::new();
-        let mut group_of: HashMap<Option<usize>, usize> = HashMap::new();
-        let mut group_seen: Vec<HashSet<ElementId>> = Vec::new();
-        for s in sources {
-            let vt_idx = s.provenance().and_then(|t| self.topo.vertex_table_index(t));
-            let gi = *group_of.entry(vt_idx).or_insert_with(|| {
-                by_table.push((vt_idx, Vec::new()));
-                group_seen.push(HashSet::new());
-                by_table.len() - 1
-            });
-            if group_seen[gi].insert(s.id().clone()) {
-                by_table[gi].1.push(s.id().clone());
-            }
-        }
-
-        // Candidate edge tables by label.
-        let label_filter: Option<Vec<String>> =
-            if edge_labels.is_empty() { None } else { Some(edge_labels.to_vec()) };
-        let candidates: Vec<usize> = match &label_filter {
-            Some(labels) => self.topo.edge_tables_for_labels(labels),
-            None => (0..self.topo.edge_tables.len()).collect(),
+        // The edge-level filter: the edge labels, plus the step's
+        // predicates and endpoint constraints when edges are the output
+        // (vertex filters apply after endpoint resolution).
+        let mut edge_filter = ElementFilter {
+            labels: (!edge_labels.is_empty()).then(|| edge_labels.to_vec()),
+            ..Default::default()
         };
-        self.registry().tables_considered.add(self.topo.edge_tables.len() as u64);
-        self.registry()
-            .tables_pruned
-            .add((self.topo.edge_tables.len() - candidates.len()) as u64);
-        if self.profiler.is_enabled() {
-            for (i, et) in self.topo.edge_tables.iter().enumerate() {
-                if !candidates.contains(&i) {
-                    self.profiler.record_table(
-                        &et.name,
-                        TableAction::Pruned("label not served by this table".into()),
-                    );
-                }
-            }
+        if to == ElementKind::Edges {
+            edge_filter.predicates = filter.predicates.clone();
+            edge_filter.src_ids = filter.src_ids.clone();
+            edge_filter.dst_ids = filter.dst_ids.clone();
         }
-
-        // Edge-level filter for the SQL query (only when edges are the
-        // output; vertex filters apply after endpoint resolution).
-        let edge_filter_preds =
-            if to == ElementKind::Edges { filter.predicates.clone() } else { Vec::new() };
-
         // Adjacency-cache context: every run pinned to an unstamped
         // snapshot consults and feeds the cache, observed or not — the
         // profile records what it served (`TableAction::CacheHit`). Stamped
@@ -1665,153 +1563,19 @@ impl Db2GraphBackend {
             (Some(c), Some(snap)) if snap.stamp() == 0 => Some((c, snap.epoch())),
             _ => None,
         };
-        // A probe context is cacheable only when its SQL is unconstrained
-        // beyond the frontier ids — then each probed id's rows are its
-        // *complete* adjacency, so the cached entry can serve any later
-        // query without post-filtering. A label filter stays cacheable
-        // only through fixed-label tables (the candidate list already did
-        // the elimination; the SQL adds no row constraint there).
-        let ctx_cacheable = cache_ctx.is_some()
-            && (to == ElementKind::Vertices
-                || (edge_filter_preds.is_empty()
-                    && filter.src_ids.is_none()
-                    && filter.dst_ids.is_none()));
-
-        // Phase 1 (sequential, cheap): expand the probe space —
-        // (edge table × source-table group × direction × frontier chunk) —
-        // recording the pruning and cache decisions on the coordinator
-        // thread so the profile stream is ordered like sequential
-        // execution. Each (table × group × direction) becomes one *unit*:
-        // its cache-hit sources decode from memory, its misses fall back
-        // to the batched SQL path with the exact chunking the pure-SQL
-        // path uses.
-        struct Unit {
-            et_idx: usize,
-            via_out: bool,
-            /// Cache-hit sources with their spans, frontier order.
-            /// Decoded on work-stealing morsels — no SQL.
-            hits: Vec<(ElementId, RowSpan)>,
-            /// Frontier ids that missed, chunked exactly like the pure
-            /// SQL path chunks them; aligned 1:1 with this unit's probes.
-            miss_chunks: Vec<Vec<ElementId>>,
-            /// This unit's probes are `probes[probe_start..][..miss_chunks.len()]`.
-            probe_start: usize,
-            /// Feed this unit's SQL rows back into the cache.
-            populate: bool,
-        }
-        let mut units: Vec<Unit> = Vec::new();
-        let mut probes: Vec<TableJob> = Vec::new();
-        for &ei in &candidates {
-            let et = &self.topo.edge_tables[ei];
-            for (vt_idx, ids) in &by_table {
-                let passes = |dir_out: bool| -> bool {
-                    // Source table link optimization: skip when the edge
-                    // table's declared endpoint table differs from the
-                    // sources' table.
-                    let declared = if dir_out { et.src_v_table } else { et.dst_v_table };
-                    match (declared, vt_idx) {
-                        (Some(d), Some(v)) => d == *v,
-                        _ => true,
-                    }
-                };
-                let dirs: &[bool] = match direction {
-                    Direction::Out => &[true],
-                    Direction::In => &[false],
-                    Direction::Both => &[true, false],
-                };
-                for &dir_out in dirs {
-                    if !passes(dir_out) {
-                        self.registry().tables_pruned.add(1);
-                        if self.profiler.is_enabled() {
-                            self.profiler.record_table(
-                                &et.name,
-                                TableAction::Pruned(format!(
-                                    "declared {} vertex table differs from sources' table",
-                                    if dir_out { "src" } else { "dst" }
-                                )),
-                            );
-                        }
-                        continue;
-                    }
-                    // Serve what the cache can: hit sources decode without
-                    // SQL, miss sources continue to the probe path below.
-                    let populate = ctx_cacheable
-                        && (label_filter.is_none() || et.fixed_label().is_some());
-                    let mut hits = Vec::new();
-                    let mut remaining = Vec::new();
-                    match cache_ctx {
-                        Some((cache, epoch)) if populate => {
-                            let spans = cache.lookup((ei, dir_out), ids, epoch);
-                            for (id, span) in ids.iter().zip(spans) {
-                                match span {
-                                    Some(span) => hits.push((id.clone(), span)),
-                                    None => remaining.push(id.clone()),
-                                }
-                            }
-                        }
-                        _ => remaining.clone_from(ids),
-                    }
-                    if !hits.is_empty() {
-                        self.profiler.record_table(&et.name, TableAction::CacheHit);
-                    }
-                    let probe_start = probes.len();
-                    let mut miss_chunks: Vec<Vec<ElementId>> = Vec::new();
-                    // Chunked so one statement never exceeds the template
-                    // bucket ceiling; chunks partition the ids, so an edge
-                    // matches exactly one chunk per direction.
-                    for chunk in remaining.chunks(MAX_FRONTIER_CHUNK) {
-                        let mut sub = ElementFilter {
-                            labels: label_filter.clone(),
-                            predicates: edge_filter_preds.clone(),
-                            ..Default::default()
-                        };
-                        // Endpoint constraints folded into the step's filter
-                        // (e.g. a getLink-style `filter(inV().id() == x)`)
-                        // combine with the frontier ids.
-                        if to == ElementKind::Edges {
-                            sub.src_ids = filter.src_ids.clone();
-                            sub.dst_ids = filter.dst_ids.clone();
-                        }
-                        let chunk_set: HashSet<&ElementId> = chunk.iter().collect();
-                        let intersect =
-                            |slot: &mut Option<Vec<ElementId>>| match slot {
-                                None => *slot = Some(chunk.to_vec()),
-                                Some(existing) => existing.retain(|i| chunk_set.contains(i)),
-                            };
-                        if dir_out {
-                            intersect(&mut sub.src_ids);
-                        } else {
-                            intersect(&mut sub.dst_ids);
-                        }
-                        probes.push(TableJob {
-                            kind: JobKind::Adjacency,
-                            table: ei,
-                            filter: Arc::new(sub),
-                        });
-                        miss_chunks.push(chunk.to_vec());
-                    }
-                    units.push(Unit {
-                        et_idx: ei,
-                        via_out: dir_out,
-                        hits,
-                        miss_chunks,
-                        probe_start,
-                        populate,
-                    });
-                }
-            }
-        }
+        let ProbePlan { mut units, probes } =
+            self.plan_probes(sources, direction, &edge_filter, cache_ctx);
 
         // Phase 2 (parallel): run the independent cache-miss probes;
         // results come back in probe order.
         let mut results: Vec<Option<TableResult>> =
             self.fan_out(probes)?.into_iter().map(Some).collect();
 
-        // Phase 3: decode — units in probe nesting order; within a unit,
-        // cache hits (on work-stealing morsels, no SQL) before its SQL-probe
-        // rows. Both go through one decoder (`EdgeShape::hop`), and each
-        // source's rows come wholly from one span or one SQL chunk, in SQL
-        // row order either way — so every per-source group below is
+        // Phase 3: one decode loop — units in probe nesting order; within a
+        // unit, cache hits (on work-stealing morsels, no SQL) before its
+        // SQL-probe rows. Both go through one decoder (`Shape::hop`), and
+        // each source's rows come wholly from one span or one SQL chunk, in
+        // SQL row order either way — so every per-source group below is
         // identical to the pure SQL path's: the cache changes *where* a
         // group's rows come from, never their content or order.
         let mut found: Vec<Found> = Vec::new();
@@ -1825,7 +1589,7 @@ impl Db2GraphBackend {
                     std::mem::take(&mut unit.hits),
                     morsel,
                     move |_, hits| {
-                        let shape = EdgeShape::new(&topo.edge_tables[et_idx], None);
+                        let shape = Shape::new(&topo, ElementKind::Edges, et_idx, None);
                         hits.iter()
                             .flat_map(|(anchor, span)| {
                                 span.rows().iter().map(move |row| (anchor, row))
@@ -1838,8 +1602,7 @@ impl Db2GraphBackend {
                     found.push(Found { hop: hop?, et_idx, via_out });
                 }
             }
-            let et = &self.topo.edge_tables[et_idx];
-            let shape = EdgeShape::new(et, None);
+            let shape = Shape::new(&self.topo, ElementKind::Edges, et_idx, None);
             for (k, chunk) in unit.miss_chunks.iter().enumerate() {
                 let rows = match results[unit.probe_start + k].take() {
                     // A pruned unconstrained probe means the chunk's ids
@@ -1856,7 +1619,8 @@ impl Db2GraphBackend {
                 if let (true, Some((cache, epoch))) = (unit.populate, cache_ctx) {
                     let anchors: Vec<&ElementId> =
                         found[start..].iter().map(Found::anchor).collect();
-                    cache.insert((et_idx, via_out), &et.name, chunk, rows, &anchors, epoch);
+                    let table = &shape.table.name;
+                    cache.insert((et_idx, via_out), table, chunk, rows, &anchors, epoch);
                 }
             }
         }
@@ -1866,18 +1630,11 @@ impl Db2GraphBackend {
                 // What the probe SQL was not trusted with is re-checked on
                 // each built edge, cached or fresh; membership in the
                 // frontier is the position lookup.
-                let leftover = ElementFilter {
-                    labels: label_filter,
-                    predicates: edge_filter_preds,
-                    src_ids: filter.src_ids.clone(),
-                    dst_ids: filter.dst_ids.clone(),
-                    ..Default::default()
-                };
                 for f in found {
                     let Some(positions) = src_positions.get(f.anchor()) else { continue };
                     let Hop::Edge(edge) = f.hop else { unreachable!("an edge hop decodes edges") };
                     let el = Element::Edge(edge);
-                    if !leftover.matches(&el) {
+                    if !edge_filter.matches(&el) {
                         continue;
                     }
                     let (&last, rest) = positions.split_last().expect("positions are non-empty");
@@ -1973,7 +1730,8 @@ impl Db2GraphBackend {
         let mut need_of: HashMap<Option<usize>, usize> = HashMap::new();
         let mut need_seen: Vec<HashSet<ElementId>> = Vec::new();
         for (e, ids) in edges.iter().zip(&wanted) {
-            let et_idx = e.provenance.as_deref().and_then(|t| self.topo.edge_table_index(t));
+            let et_idx =
+                e.provenance.as_deref().and_then(|t| self.topo.table_index(ElementKind::Edges, t));
             for id in ids {
                 if resolved.contains_key(id) {
                     continue;

@@ -165,6 +165,32 @@ impl IdDef {
             DataType::Boolean => Value::Boolean(text.eq_ignore_ascii_case("true")),
         })
     }
+
+    /// [`Self::coerce`] for a column whose type may be unknown: the
+    /// catalog does not type view columns, so numeric-looking text is
+    /// taken as a BIGINT and anything else as VARCHAR. Digits that
+    /// overflow a BIGINT are an error, so such an id matches no row.
+    pub fn coerce_column(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
+        let numeric = |text: &str| {
+            !text.is_empty()
+                && text.chars().enumerate().all(|(i, c)| c.is_ascii_digit() || (i == 0 && c == '-'))
+        };
+        match ty {
+            Some(t) => Self::coerce(text, t),
+            None if numeric(text) => Self::coerce(text, DataType::Bigint),
+            None => Ok(Value::Varchar(text.to_string())),
+        }
+    }
+}
+
+impl EdgeIdDef {
+    /// The explicit definition, or `None` for implicit ids.
+    pub fn explicit(&self) -> Option<&IdDef> {
+        match self {
+            EdgeIdDef::Explicit(def) => Some(def),
+            EdgeIdDef::Implicit => None,
+        }
+    }
 }
 
 /// How an edge table defines its edge ids.
@@ -275,6 +301,21 @@ mod tests {
         assert_eq!(IdDef::coerce("42", DataType::Bigint).unwrap(), Value::Bigint(42));
         assert_eq!(IdDef::coerce("x", DataType::Varchar).unwrap(), Value::Varchar("x".into()));
         assert!(IdDef::coerce("notanint", DataType::Bigint).is_err());
+    }
+
+    #[test]
+    fn untyped_columns_coerce_by_shape_and_reject_overflow() {
+        assert_eq!(IdDef::coerce_column("42", None).unwrap(), Value::Bigint(42));
+        assert_eq!(IdDef::coerce_column("-7", None).unwrap(), Value::Bigint(-7));
+        assert_eq!(IdDef::coerce_column("a1", None).unwrap(), Value::Varchar("a1".into()));
+        assert_eq!(
+            IdDef::coerce_column("42", Some(DataType::Varchar)).unwrap(),
+            Value::Varchar("42".into())
+        );
+        // Too large for a BIGINT: no row can carry it, so it must not
+        // collapse onto some other value.
+        assert!(IdDef::coerce_column("99999999999999999999", None).is_err());
+        assert!(IdDef::coerce_column("-", None).is_err());
     }
 
     #[test]

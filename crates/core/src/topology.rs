@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use gremlin::backend::ElementKind;
 use reldb::{Database, DataType};
 
 use crate::config::{parse_label_constant, ETableConfig, OverlayConfig, VTableConfig};
@@ -26,26 +27,32 @@ pub enum LabelDef {
     Column(String),
 }
 
-/// A resolved vertex table mapping.
+/// What vertex and edge tables share: the table, its label and its
+/// properties.
 #[derive(Debug, Clone)]
-pub struct VertexTable {
+pub struct OverlayTable {
     pub name: String,
     pub is_view: bool,
-    pub id: IdDef,
-    pub prefixed_id: bool,
     pub label: LabelDef,
-    /// Property names (== column names) exposed on vertices of this table.
+    /// Property names (== column names) exposed on this table's elements.
     pub properties: Vec<String>,
     /// All columns with their types (`None` for view columns, whose types
     /// are not tracked by the catalog).
     pub columns: Vec<(String, Option<DataType>)>,
 }
 
+/// A resolved vertex table mapping.
+#[derive(Debug, Clone)]
+pub struct VertexTable {
+    pub table: OverlayTable,
+    pub id: IdDef,
+    pub prefixed_id: bool,
+}
+
 /// A resolved edge table mapping.
 #[derive(Debug, Clone)]
 pub struct EdgeTable {
-    pub name: String,
-    pub is_view: bool,
+    pub table: OverlayTable,
     /// Index into `Topology::vertex_tables` when `src_v_table` was
     /// configured.
     pub src_v_table: Option<usize>,
@@ -53,36 +60,9 @@ pub struct EdgeTable {
     pub dst_v_table: Option<usize>,
     pub dst_v: IdDef,
     pub id: EdgeIdDef,
-    pub label: LabelDef,
-    pub properties: Vec<String>,
-    pub columns: Vec<(String, Option<DataType>)>,
 }
 
-impl VertexTable {
-    pub fn column_type(&self, name: &str) -> Option<DataType> {
-        self.columns
-            .iter()
-            .find(|(c, _)| c.eq_ignore_ascii_case(name))
-            .and_then(|(_, t)| *t)
-    }
-
-    pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|(c, _)| c.eq_ignore_ascii_case(name))
-    }
-
-    pub fn has_property(&self, name: &str) -> bool {
-        self.properties.iter().any(|p| p.eq_ignore_ascii_case(name))
-    }
-
-    pub fn fixed_label(&self) -> Option<&str> {
-        match &self.label {
-            LabelDef::Fixed(l) => Some(l),
-            LabelDef::Column(_) => None,
-        }
-    }
-}
-
-impl EdgeTable {
+impl OverlayTable {
     pub fn column_type(&self, name: &str) -> Option<DataType> {
         self.columns
             .iter()
@@ -126,7 +106,7 @@ impl Topology {
         let name_to_idx: HashMap<String, usize> = vertex_tables
             .iter()
             .enumerate()
-            .map(|(i, t)| (t.name.to_ascii_lowercase(), i))
+            .map(|(i, t)| (t.table.name.to_ascii_lowercase(), i))
             .collect();
         let mut edge_tables = Vec::with_capacity(config.e_tables.len());
         for e in &config.e_tables {
@@ -135,42 +115,37 @@ impl Topology {
         Ok(Topology { vertex_tables, edge_tables })
     }
 
-    /// Vertex tables that might contain vertices with one of the given
+    /// The number of tables holding elements of `kind`.
+    pub fn table_count(&self, kind: ElementKind) -> usize {
+        match kind {
+            ElementKind::Vertices => self.vertex_tables.len(),
+            ElementKind::Edges => self.edge_tables.len(),
+        }
+    }
+
+    /// What table `i` of `kind` shares with the other kind.
+    pub fn table(&self, kind: ElementKind, i: usize) -> &OverlayTable {
+        match kind {
+            ElementKind::Vertices => &self.vertex_tables[i].table,
+            ElementKind::Edges => &self.edge_tables[i].table,
+        }
+    }
+
+    /// Tables of `kind` that might contain elements with one of the given
     /// labels: fixed-label tables matching, plus every column-label table
     /// ("the implementation still has to search all the tables without
     /// fixed labels", Section 6.3).
-    pub fn vertex_tables_for_labels(&self, labels: &[String]) -> Vec<usize> {
-        self.vertex_tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t.fixed_label() {
-                Some(l) => labels.iter().any(|x| x == l),
-                None => true,
+    pub fn tables_for_labels(&self, kind: ElementKind, labels: &[String]) -> Vec<usize> {
+        (0..self.table_count(kind))
+            .filter(|&i| {
+                self.table(kind, i).fixed_label().is_none_or(|l| labels.iter().any(|x| x == l))
             })
-            .map(|(i, _)| i)
             .collect()
     }
 
-    pub fn edge_tables_for_labels(&self, labels: &[String]) -> Vec<usize> {
-        self.edge_tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t.fixed_label() {
-                Some(l) => labels.iter().any(|x| x == l),
-                None => true,
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Index of a vertex table by name.
-    pub fn vertex_table_index(&self, name: &str) -> Option<usize> {
-        self.vertex_tables.iter().position(|t| t.name.eq_ignore_ascii_case(name))
-    }
-
-    /// Index of an edge table by name.
-    pub fn edge_table_index(&self, name: &str) -> Option<usize> {
-        self.edge_tables.iter().position(|t| t.name.eq_ignore_ascii_case(name))
+    /// Index of a table of `kind` by name.
+    pub fn table_index(&self, kind: ElementKind, name: &str) -> Option<usize> {
+        (0..self.table_count(kind)).find(|&i| self.table(kind, i).name.eq_ignore_ascii_case(name))
     }
 }
 
@@ -267,13 +242,9 @@ fn resolve_vertex(db: &Arc<Database>, v: &VTableConfig) -> GraphResult<VertexTab
         }
     };
     Ok(VertexTable {
-        name: v.table_name.clone(),
-        is_view,
+        table: OverlayTable { name: v.table_name.clone(), is_view, label, properties, columns },
         id,
         prefixed_id: v.prefixed_id,
-        label,
-        properties,
-        columns,
     })
 }
 
@@ -365,16 +336,12 @@ fn resolve_edge(
     };
 
     Ok(EdgeTable {
-        name: e.table_name.clone(),
-        is_view,
+        table: OverlayTable { name: e.table_name.clone(), is_view, label, properties, columns },
         src_v_table: src_idx,
         src_v,
         dst_v_table: dst_idx,
         dst_v,
         id,
-        label,
-        properties,
-        columns,
     })
 }
 
@@ -410,7 +377,7 @@ pub(crate) mod tests {
         assert_eq!(topo.edge_tables.len(), 2);
 
         let patient = &topo.vertex_tables[0];
-        assert_eq!(patient.fixed_label(), Some("patient"));
+        assert_eq!(patient.table.fixed_label(), Some("patient"));
         assert!(patient.prefixed_id);
         assert_eq!(patient.id.prefix(), Some("patient"));
 
@@ -419,11 +386,11 @@ pub(crate) mod tests {
         assert_eq!(hd.dst_v_table, Some(1));
         assert_eq!(hd.id, EdgeIdDef::Implicit);
         // Properties defaulted to the remaining column.
-        assert_eq!(hd.properties, vec!["description".to_string()]);
+        assert_eq!(hd.table.properties, vec!["description".to_string()]);
 
         let onto = &topo.edge_tables[0];
-        assert_eq!(onto.fixed_label(), None);
-        assert!(matches!(onto.label, LabelDef::Column(ref c) if c == "type"));
+        assert_eq!(onto.table.fixed_label(), None);
+        assert!(matches!(onto.table.label, LabelDef::Column(ref c) if c == "type"));
     }
 
     #[test]
@@ -431,13 +398,17 @@ pub(crate) mod tests {
         let db = healthcare_db();
         let cfg = OverlayConfig::from_json(healthcare_example_json()).unwrap();
         let topo = Topology::resolve(&db, &cfg).unwrap();
-        assert_eq!(topo.vertex_tables_for_labels(&["patient".into()]), vec![0]);
-        assert_eq!(topo.vertex_tables_for_labels(&["disease".into()]), vec![1]);
-        assert!(topo.vertex_tables_for_labels(&["nope".into()]).is_empty());
+        let (v, e) = (ElementKind::Vertices, ElementKind::Edges);
+        assert_eq!(topo.tables_for_labels(v, &["patient".into()]), vec![0]);
+        assert_eq!(topo.tables_for_labels(v, &["disease".into()]), vec![1]);
+        assert!(topo.tables_for_labels(v, &["nope".into()]).is_empty());
         // Edge label 'isa' comes from a column-label table, which must
         // always be searched.
-        assert_eq!(topo.edge_tables_for_labels(&["isa".into()]), vec![0]);
-        assert_eq!(topo.edge_tables_for_labels(&["hasDisease".into()]), vec![0, 1]);
+        assert_eq!(topo.tables_for_labels(e, &["isa".into()]), vec![0]);
+        assert_eq!(topo.tables_for_labels(e, &["hasDisease".into()]), vec![0, 1]);
+        assert_eq!(topo.table_index(v, "DISEASE"), Some(1));
+        assert_eq!(topo.table_index(e, "hasdisease"), Some(1));
+        assert_eq!(topo.table_index(e, "Patient"), None);
     }
 
     #[test]
@@ -487,9 +458,10 @@ pub(crate) mod tests {
             e_tables: vec![],
         };
         let topo = Topology::resolve(&db, &cfg).unwrap();
-        assert!(topo.vertex_tables[0].is_view);
-        assert_eq!(topo.vertex_tables[0].properties, vec!["name".to_string()]);
+        let view = &topo.vertex_tables[0].table;
+        assert!(view.is_view);
+        assert_eq!(view.properties, vec!["name".to_string()]);
         // View columns have no catalog type.
-        assert_eq!(topo.vertex_tables[0].column_type("name"), None);
+        assert_eq!(view.column_type("name"), None);
     }
 }

@@ -38,10 +38,10 @@ fn main() {
 
     println!("== overlay topology ==");
     for vt in &graph.topology().vertex_tables {
-        println!("  vertex table {:12} label={:?}", vt.name, vt.label);
+        println!("  vertex table {:12} label={:?}", vt.table.name, vt.table.label);
     }
     for et in &graph.topology().edge_tables {
-        println!("  edge table   {:12} label={:?}", et.name, et.label);
+        println!("  edge table   {:12} label={:?}", et.table.name, et.table.label);
     }
 
     // 3. Gremlin queries run as SQL against the live tables.

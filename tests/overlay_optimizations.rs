@@ -293,3 +293,81 @@ fn implicit_edge_id_decomposition_pins_table_and_row() {
     // An id embedding a label of the *other* table returns nothing.
     assert!(g.run("g.E('person::1::worksFor::person::2')").unwrap().is_empty());
 }
+
+/// An edge table with a label column and implicit ids cannot push an id
+/// filter into SQL (the label inside `src::label::dst` is not known per
+/// table), so its plan is inexact: aggregates over the matching edges are
+/// folded from the materialized edges, not answered by counting rows.
+#[test]
+fn implicit_ids_on_a_label_column_aggregate_the_matching_edges() {
+    let db = Arc::new(Database::new());
+    db.execute_script(
+        "CREATE TABLE N (id BIGINT PRIMARY KEY);
+         CREATE TABLE L (s BIGINT, d BIGINT, t VARCHAR, w BIGINT);
+         INSERT INTO N VALUES (1), (2), (3);
+         INSERT INTO L VALUES (1, 2, 'a', 10), (1, 3, 'a', 20), (1, 2, 'b', 5), (2, 3, 'a', 40);",
+    )
+    .unwrap();
+    let cfg = OverlayConfig {
+        v_tables: vec![VTableConfig {
+            table_name: "N".into(),
+            prefixed_id: false,
+            id: "id".into(),
+            fix_label: true,
+            label: "'n'".into(),
+            properties: None,
+        }],
+        e_tables: vec![ETableConfig {
+            table_name: "L".into(),
+            src_v_table: Some("N".into()),
+            src_v: "s".into(),
+            dst_v_table: Some("N".into()),
+            dst_v: "d".into(),
+            prefixed_edge_id: false,
+            implicit_edge_id: true,
+            id: None,
+            fix_label: false,
+            label: "t".into(),
+            properties: Some(vec!["w".into()]),
+        }],
+    };
+    let g = Db2Graph::open(db, &cfg).unwrap();
+    let ids = "g.E('1::a::2', '1::a::3')";
+    let run = |tail: &str| g.run(&format!("{ids}{tail}")).unwrap();
+    assert_eq!(run(".count()"), vec![GValue::Long(2)]);
+    assert_eq!(run(".values('w').sum()"), vec![GValue::Long(30)]);
+    assert_eq!(run(".values('w').max()"), vec![GValue::Long(20)]);
+    assert_eq!(run(".values('w').min()"), vec![GValue::Long(10)]);
+    assert_eq!(run(".values('w').mean()"), vec![GValue::Double(15.0)]);
+    assert_eq!(run(".values('w').count()"), vec![GValue::Long(2)]);
+    let mut ws = run(".values('w')");
+    ws.sort_by(|a, b| a.total_cmp(b));
+    assert_eq!(ws, vec![GValue::Long(10), GValue::Long(20)]);
+}
+
+/// View columns carry no catalog type, so id text is coerced by its shape.
+/// Digits too large for a BIGINT name no row, not some other id's row.
+#[test]
+fn oversized_ids_on_view_columns_match_no_row() {
+    let db = social_db();
+    db.execute_script(
+        "INSERT INTO Person VALUES (0, 'Zed', 50);
+         CREATE VIEW PersonView AS SELECT pid, name FROM Person;",
+    )
+    .unwrap();
+    let cfg = OverlayConfig {
+        v_tables: vec![VTableConfig {
+            table_name: "PersonView".into(),
+            prefixed_id: false,
+            id: "pid".into(),
+            fix_label: true,
+            label: "'person'".into(),
+            properties: None,
+        }],
+        e_tables: vec![],
+    };
+    let g = Db2Graph::open(db, &cfg).unwrap();
+    assert_eq!(g.run("g.V('0').values('name')").unwrap(), vec![GValue::Str("Zed".into())]);
+    assert!(g.run("g.V('99999999999999999999')").unwrap().is_empty());
+    assert_eq!(g.run("g.V('99999999999999999999').count()").unwrap(), vec![GValue::Long(0)]);
+}
