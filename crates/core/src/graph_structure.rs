@@ -39,7 +39,16 @@
 //! ids spanning several endpoints on both sides. An inexact plan reads
 //! whole elements, keeps those `ElementFilter::matches` accepts, and folds
 //! the projection or aggregate per table in Rust.
+//!
+//! **Set-at-a-time hops.** A hop resolves the far endpoints of its whole
+//! frontier in one lookup per vertex-table hint (`IdGroups`), so each
+//! vertex table is read once per id chunk. An exact read selects only the
+//! properties later steps read (`ElementFilter::properties`) plus those
+//! its pushed predicates test (`selected_keys`); for an intermediate hop
+//! that is the id column alone — the existence semi-join that drops edges
+//! whose endpoint row is missing.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -1024,7 +1033,7 @@ type IdCols<'a> = (&'a IdDef, Vec<usize>);
 struct Shape<'a> {
     table: &'a OverlayTable,
     /// The selected columns: endpoints (edges), explicit id, label column,
-    /// then the (projected) properties, each once.
+    /// then the selected properties, each once.
     cols: Vec<String>,
     /// An edge's src and dst definitions; `None` for vertices.
     ends: Option<[IdCols<'a>; 2]>,
@@ -1037,11 +1046,13 @@ struct Shape<'a> {
 }
 
 impl<'a> Shape<'a> {
+    /// The shape of table `ti` of `kind`, selecting the properties among
+    /// `keys`, or all of them for `None`.
     fn new(
         topo: &'a Topology,
         kind: ElementKind,
         ti: usize,
-        projection: Option<&[String]>,
+        keys: Option<&[String]>,
     ) -> Shape<'a> {
         let (ends, id) = match kind {
             ElementKind::Vertices => (None, Some(&topo.vertex_tables[ti].id)),
@@ -1067,7 +1078,7 @@ impl<'a> Shape<'a> {
             LabelDef::Fixed(_) => None,
         };
         for p in &table.properties {
-            if projection.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p))) {
+            if keys.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p))) {
                 at(p);
             }
         }
@@ -1082,9 +1093,13 @@ impl<'a> Shape<'a> {
         Shape { table, cols, ends, id, label, props }
     }
 
-    /// The id `def` encodes from its columns of `row`.
+    /// The id `def` encodes from its columns of `row`; a one-column id
+    /// encodes from the borrowed value.
     fn encode((def, at): &IdCols, row: &Row) -> GraphResult<ElementId> {
-        def.encode(&at.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
+        match at[..] {
+            [i] => def.encode(std::slice::from_ref(&row[i])),
+            _ => def.encode(&at.iter().map(|&i| row[i].clone()).collect::<Vec<_>>()),
+        }
     }
 
     /// The src (`out`) or dst endpoint id of an edge `row`.
@@ -1175,6 +1190,30 @@ enum Hop {
     Edge(Edge),
 }
 
+/// Ids grouped by a vertex-table index (`None` = no known table): groups
+/// in insertion order, each id once per group. Discovery order, not
+/// hashing, decides the order of the probes and lookups built from them,
+/// and a large frontier pays no quadratic `Vec::contains`.
+#[derive(Default)]
+struct IdGroups {
+    groups: Vec<(Option<usize>, Vec<ElementId>)>,
+    of: HashMap<Option<usize>, usize>,
+    seen: Vec<HashSet<ElementId>>,
+}
+
+impl IdGroups {
+    fn add(&mut self, table: Option<usize>, id: &ElementId) {
+        let gi = *self.of.entry(table).or_insert_with(|| {
+            self.groups.push((table, Vec::new()));
+            self.seen.push(HashSet::new());
+            self.groups.len() - 1
+        });
+        if self.seen[gi].insert(id.clone()) {
+            self.groups[gi].1.push(id.clone());
+        }
+    }
+}
+
 /// A decoded row together with the (edge table, direction) it came from.
 struct Found {
     hop: Hop,
@@ -1236,6 +1275,21 @@ enum TableAccess {
     Scan(ScanPlan),
 }
 
+/// The properties an exact read under `filter` selects: the projection, or
+/// the properties later steps read plus the keys of the pushed predicates,
+/// which the residual `ElementFilter::matches` reads; `None` selects all.
+pub(crate) fn selected_keys(filter: &ElementFilter) -> Option<Cow<'_, [String]>> {
+    if let Some(keys) = &filter.projection {
+        return Some(Cow::Borrowed(keys));
+    }
+    let keys = filter.properties.as_deref()?;
+    if filter.predicates.is_empty() {
+        return Some(Cow::Borrowed(keys));
+    }
+    let predicate_keys = filter.predicates.iter().map(|p| p.key.clone());
+    Some(Cow::Owned(keys.iter().cloned().chain(predicate_keys).collect()))
+}
+
 /// The statements one table's part of a `V()`/`E()` read issues, built
 /// once for execution and `explain()` alike.
 enum TableRead<'a> {
@@ -1243,8 +1297,8 @@ enum TableRead<'a> {
     /// projected property the table has, with that property, or one
     /// `COUNT(*)` without a projection.
     Aggregate(AggOp, Vec<(String, Option<&'a str>)>),
-    /// One SELECT of the shape's columns: projected on an exact plan,
-    /// whole elements otherwise.
+    /// One SELECT of the shape's columns: on an exact plan only the
+    /// properties [`selected_keys`] names, whole elements otherwise.
     Select(Shape<'a>, String),
 }
 
@@ -1259,8 +1313,8 @@ impl<'a> TableRead<'a> {
         let t = topo.table(kind, ti);
         let (table, conjuncts) = (&t.name, &plan.conjuncts);
         let Some(op) = filter.aggregate.filter(|_| plan.exact) else {
-            let projection = filter.projection.as_deref().filter(|_| plan.exact);
-            let shape = Shape::new(topo, kind, ti, projection);
+            let keys = if plan.exact { selected_keys(filter) } else { None };
+            let shape = Shape::new(topo, kind, ti, keys.as_deref());
             let sql = build_select(table, &shape.cols, conjuncts, None);
             return TableRead::Select(shape, sql);
         };
@@ -1388,23 +1442,13 @@ impl Db2GraphBackend {
         cache_ctx: Option<(&AdjCache, u64)>,
     ) -> ProbePlan {
         // Group source ids by their provenance vertex table (for the
-        // src/dst vertex table elimination). Insertion-ordered groups with
-        // set-backed dedup: frontier order decides probe order, and a 10k
-        // frontier no longer pays a quadratic `Vec::contains` scan.
-        let mut by_table: Vec<(Option<usize>, Vec<ElementId>)> = Vec::new();
-        let mut group_of: HashMap<Option<usize>, usize> = HashMap::new();
-        let mut group_seen: Vec<HashSet<ElementId>> = Vec::new();
+        // src/dst vertex table elimination); frontier order decides probe
+        // order.
+        let mut by_table = IdGroups::default();
         for s in sources {
             let vt_idx =
                 s.provenance().and_then(|t| self.topo.table_index(ElementKind::Vertices, t));
-            let gi = *group_of.entry(vt_idx).or_insert_with(|| {
-                by_table.push((vt_idx, Vec::new()));
-                group_seen.push(HashSet::new());
-                by_table.len() - 1
-            });
-            if group_seen[gi].insert(s.id().clone()) {
-                by_table[gi].1.push(s.id().clone());
-            }
+            by_table.add(vt_idx, s.id());
         }
 
         // Candidate edge tables by label.
@@ -1445,7 +1489,7 @@ impl Db2GraphBackend {
         let mut plan = ProbePlan { units: Vec::new(), probes: Vec::new() };
         for &ei in &candidates {
             let et = &self.topo.edge_tables[ei];
-            for (vt_idx, ids) in &by_table {
+            for (vt_idx, ids) in &by_table.groups {
                 for &dir_out in dirs {
                     // Source table link optimization: skip when the edge
                     // table's declared endpoint table differs from the
@@ -1645,13 +1689,13 @@ impl Db2GraphBackend {
                 }
             }
             ElementKind::Vertices => {
-                // Resolve opposite endpoints, batched per edge table +
-                // direction (so the dst_v_table hint applies).
-                // Insertion-ordered groups with set-backed dedup, so the
-                // lookups run in discovery order regardless of hashing.
-                let mut need: Vec<((usize, bool), Vec<ElementId>)> = Vec::new();
-                let mut need_of: HashMap<(usize, bool), usize> = HashMap::new();
-                let mut need_seen: Vec<HashSet<ElementId>> = Vec::new();
+                // Resolve the far endpoints of the whole hop at once, one
+                // group per vertex-table hint (the edge table's declared
+                // `dst_v_table`/`src_v_table`, or none): each vertex table
+                // is read once per id chunk, however many edge tables and
+                // directions led to it. With `filter.properties` empty the
+                // read is the id semi-join that drops dangling edges.
+                let mut need = IdGroups::default();
                 for f in &found {
                     let Hop::Vertex { anchor, target } = &f.hop else {
                         unreachable!("a vertex hop decodes endpoint ids")
@@ -1659,25 +1703,14 @@ impl Db2GraphBackend {
                     if !src_positions.contains_key(anchor) {
                         continue;
                     }
-                    let key = (f.et_idx, f.via_out);
-                    let gi = *need_of.entry(key).or_insert_with(|| {
-                        need.push((key, Vec::new()));
-                        need_seen.push(HashSet::new());
-                        need.len() - 1
-                    });
-                    if need_seen[gi].insert(target.clone()) {
-                        need[gi].1.push(target.clone());
-                    }
+                    let et = &self.topo.edge_tables[f.et_idx];
+                    need.add(if f.via_out { et.dst_v_table } else { et.src_v_table }, target);
                 }
                 // Each lookup fans out internally (table × chunk jobs), so
-                // the group loop itself stays sequential — no nested
-                // thread explosion.
+                // the group loop stays sequential: no nested fan-out.
                 let mut resolved: HashMap<ElementId, Vertex> = HashMap::new();
-                for ((et_idx, via_out), ids) in need {
-                    let et = &self.topo.edge_tables[et_idx];
-                    let hint = if via_out { et.dst_v_table } else { et.src_v_table };
-                    let m = self.lookup_vertices(&ids, hint, filter)?;
-                    resolved.extend(m);
+                for (hint, ids) in need.groups {
+                    resolved.extend(self.lookup_vertices(&ids, hint, filter)?);
                 }
                 for f in found {
                     let Hop::Vertex { anchor, target } = f.hop else {
@@ -1722,13 +1755,9 @@ impl Db2GraphBackend {
             wanted.push(ids);
         }
         // Try the vertex-from-edge shortcut; collect the rest per edge
-        // table endpoint hint. Need-groups are insertion-ordered with
-        // set-backed dedup (no quadratic `Vec::contains`, no HashMap
-        // iteration-order nondeterminism in the lookup sequence).
+        // table endpoint hint.
         let mut resolved: HashMap<ElementId, Vertex> = HashMap::new();
-        let mut need: Vec<(Option<usize>, Vec<ElementId>)> = Vec::new();
-        let mut need_of: HashMap<Option<usize>, usize> = HashMap::new();
-        let mut need_seen: Vec<HashSet<ElementId>> = Vec::new();
+        let mut need = IdGroups::default();
         for (e, ids) in edges.iter().zip(&wanted) {
             let et_idx =
                 e.provenance.as_deref().and_then(|t| self.topo.table_index(ElementKind::Edges, t));
@@ -1755,20 +1784,11 @@ impl Db2GraphBackend {
                         continue;
                     }
                 }
-                let gi = *need_of.entry(hint).or_insert_with(|| {
-                    need.push((hint, Vec::new()));
-                    need_seen.push(HashSet::new());
-                    need.len() - 1
-                });
-                if need_seen[gi].insert(id.clone()) {
-                    need[gi].1.push(id.clone());
-                }
+                need.add(hint, id);
             }
         }
-        // lookup_vertices fans out internally per (table × chunk).
-        for (hint, ids) in need {
-            let m = self.lookup_vertices(&ids, hint, filter)?;
-            resolved.extend(m);
+        for (hint, ids) in need.groups {
+            resolved.extend(self.lookup_vertices(&ids, hint, filter)?);
         }
         let mut out = Vec::with_capacity(edges.len());
         for ids in wanted {

@@ -8,7 +8,11 @@
 //!   conjuncts.
 //! * **Projection pushdown with properties steps** — a `values(...)` step
 //!   immediately after a GraphStep sets the step's projection, shrinking
-//!   the SQL select list to exactly the needed columns.
+//!   the SQL select list to exactly the needed columns. The same strategy
+//!   records on each GSA step which properties the steps after it read
+//!   (`ElementFilter::properties`): a hop into `count()`, `id()`,
+//!   `label()` or another hop reads ids only, so its vertex lookup
+//!   selects the id column alone.
 //! * **Aggregate pushdown with aggregation steps** — `count()`/`sum()`/...
 //!   after a GraphStep turns into `SELECT COUNT(*)`/`SUM(col)` in SQL.
 //! * **GraphStep::VertexStep mutation** — `g.V(ids).outE()` drops the
@@ -18,10 +22,14 @@
 //!
 //! Each strategy can be disabled independently (the Figure 4 ablation).
 
-use gremlin::backend::{ElementKind, Pred};
+use std::borrow::Cow;
+
+use gremlin::backend::{AggOp, ElementKind, Pred};
 use gremlin::step::{EdgeVertexStep, GraphStep, Step, Traversal};
 use gremlin::structure::{value_to_id, GValue};
 use gremlin::{Direction, EdgeEnd, TraversalStrategy};
+
+use crate::graph_structure::selected_keys;
 
 /// Which optimized strategies to enable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +209,9 @@ fn merge_ids(slot: &mut Option<Vec<gremlin::ElementId>>, ids: Vec<gremlin::Eleme
 // ----------------------------------------------------- projection pushdown
 
 /// Fold a `values(keys)` step immediately following a GraphStep into the
-/// step's projection, so SQL selects only those columns.
+/// step's projection, so SQL selects only those columns; then record on
+/// every GSA step which properties the steps after it read
+/// ([`ElementFilter::properties`]), so its table reads select only those.
 pub struct ProjectionPushdown;
 
 impl TraversalStrategy for ProjectionPushdown {
@@ -210,23 +220,78 @@ impl TraversalStrategy for ProjectionPushdown {
     }
 
     fn apply(&self, traversal: &mut Traversal) {
-        let mut out: Vec<Step> = Vec::with_capacity(traversal.steps.len());
-        for step in traversal.steps.drain(..) {
-            match step {
-                Step::Values(keys) if !keys.is_empty() => {
-                    if let Some(Step::Graph(g)) = out.last_mut() {
-                        if g.filter.projection.is_none() && g.filter.aggregate.is_none() {
-                            g.filter.projection = Some(keys);
-                            continue;
-                        }
-                    }
-                    out.push(Step::Values(keys));
-                }
-                other => out.push(other),
-            }
+        fold_values(traversal);
+        // A path holds whole elements of every step it passes.
+        if !traversal.needs_paths() {
+            record_reads(&mut traversal.steps);
         }
-        traversal.steps = out;
     }
+
+    /// A nested traversal's elements can reach the enclosing traversal's
+    /// path, so only the `values` fold applies there.
+    fn apply_nested(&self, traversal: &mut Traversal) {
+        fold_values(traversal);
+    }
+}
+
+fn fold_values(traversal: &mut Traversal) {
+    let mut out: Vec<Step> = Vec::with_capacity(traversal.steps.len());
+    for step in traversal.steps.drain(..) {
+        match step {
+            Step::Values(keys) if !keys.is_empty() => {
+                if let Some(Step::Graph(g)) = out.last_mut() {
+                    if g.filter.projection.is_none() && g.filter.aggregate.is_none() {
+                        g.filter.projection = Some(keys);
+                        continue;
+                    }
+                }
+                out.push(Step::Values(keys));
+            }
+            other => out.push(other),
+        }
+    }
+    traversal.steps = out;
+}
+
+/// Set `properties` on each GraphStep without projection or aggregate,
+/// each VertexStep that returns vertices and each EdgeVertexStep, from
+/// the steps after it. Runs back to front, so an EdgeVertexStep's set is
+/// known when the step before it asks.
+fn record_reads(steps: &mut [Step]) {
+    for i in (0..steps.len()).rev() {
+        let (head, rest) = steps.split_at_mut(i + 1);
+        let filter = match &mut head[i] {
+            Step::Graph(g) if g.filter.projection.is_none() && g.filter.aggregate.is_none() => {
+                &mut g.filter
+            }
+            Step::Vertex(v) if v.to == ElementKind::Vertices => &mut v.filter,
+            Step::EdgeVertex(e) => &mut e.filter,
+            _ => continue,
+        };
+        filter.properties = reads(rest);
+    }
+}
+
+/// Which properties `rest` reads of the elements entering it: `Some(keys)`
+/// when only those (besides id and label) on a whitelist of steps,
+/// `None` when any may be read.
+fn reads(rest: &[Step]) -> Option<Vec<String>> {
+    for step in rest {
+        match step {
+            Step::Dedup | Step::Limit(_) | Step::Range(..) => continue,
+            Step::Vertex(_) | Step::Aggregate(AggOp::Count) | Step::Id | Step::Label => {
+                return Some(Vec::new())
+            }
+            Step::Values(keys) if !keys.is_empty() => return Some(keys.clone()),
+            // `vertex_from_edge` may build the endpoint from the edge's
+            // properties, so an edge carries what its endpoint's read
+            // selects: the keys later steps read and those its own
+            // predicates test.
+            Step::EdgeVertex(e) => return selected_keys(&e.filter).map(Cow::into_owned),
+            _ => return None,
+        }
+    }
+    None
 }
 
 // ------------------------------------------------------ aggregate pushdown
@@ -248,7 +313,7 @@ impl TraversalStrategy for AggregatePushdown {
                 Step::Aggregate(op) => {
                     if let Some(Step::Graph(g)) = out.last_mut() {
                         let can_push = match op {
-                            gremlin::AggOp::Count => true,
+                            AggOp::Count => true,
                             // sum/mean/min/max need a pushed projection to
                             // know which column to aggregate.
                             _ => g.filter.projection.is_some(),
@@ -550,6 +615,109 @@ mod tests {
                 assert_eq!(g.filter.aggregate, Some(AggOp::Count));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    fn compile(gremlin: &str) -> Traversal {
+        let script = gremlin::parser::parse(gremlin).unwrap();
+        let env = gremlin::compile::VarEnv::new();
+        gremlin::compile::compile(&script.statements[0].traversal, &env).unwrap()
+    }
+
+    /// Each GSA step of `gremlin` after `config`'s strategies, as
+    /// `description: reads`, where reads is `*` for every property and
+    /// otherwise the recorded keys joined by commas (empty for ids only).
+    fn reads_of(config: StrategyConfig, gremlin: &str) -> Vec<String> {
+        apply(config, compile(gremlin))
+            .steps
+            .iter()
+            .filter_map(|s| {
+                let filter = match s {
+                    Step::Graph(g) => &g.filter,
+                    Step::Vertex(v) => &v.filter,
+                    Step::EdgeVertex(e) => &e.filter,
+                    _ => return None,
+                };
+                let reads = filter.properties.as_ref().map_or("*".into(), |keys| keys.join(","));
+                Some(format!("{}: {reads}", s.describe()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn projection_pushdown_records_what_later_steps_read() {
+        let cases: &[(&str, &[&str])] = &[
+            // A hop into a count, id, label or a next hop reads ids only;
+            // the final hop's elements are the answer.
+            (
+                "g.V(1).out().out().count()",
+                &["Graph(E|src_ids): ", "EdgeVertex(In): ", "Vertex(out): "],
+            ),
+            ("g.V(1).out().out()", &["Graph(E|src_ids): ", "EdgeVertex(In): ", "Vertex(out): *"]),
+            (
+                "g.V().hasLabel('a').out().dedup().limit(2).label()",
+                &["Graph(V|labels): ", "Vertex(out): "],
+            ),
+            // values(k) reads k; an edge carries what its endpoint step
+            // reads, since the endpoint may be built from the edge.
+            (
+                "g.V(1).out().out().values('data')",
+                &["Graph(E|src_ids): ", "EdgeVertex(In): ", "Vertex(out): data"],
+            ),
+            ("g.V(1).out().values('data')", &["Graph(E|src_ids): data", "EdgeVertex(In): data"]),
+            ("g.V(1).outE().inV().id()", &["Graph(E|src_ids): ", "EdgeVertex(In): "]),
+            // The endpoint's own predicates read their keys too, so the
+            // edge before it carries them.
+            (
+                "g.V(1).out().has('total', gt(50)).count()",
+                &["Graph(E|src_ids): total", "EdgeVertex(In): "],
+            ),
+            (
+                "g.V(1).outE().inV().has('total', gt(50)).values('w')",
+                &["Graph(E|src_ids): w,total", "EdgeVertex(In): w"],
+            ),
+            ("g.V(1).outE()", &["Graph(E|src_ids): *"]),
+            // Anything off the whitelist, and any traversal with a path,
+            // reads everything.
+            (
+                "g.V(1).out().order().by('time').limit(3).id()",
+                &["Graph(E|src_ids): *", "EdgeVertex(In): *"],
+            ),
+            (
+                "g.V(1).out().out().path()",
+                &["Graph(E|src_ids): *", "EdgeVertex(In): *", "Vertex(out): *"],
+            ),
+            (
+                "g.V().as('a').out().out().select('a')",
+                &["Graph(V): *", "Vertex(out): ", "Vertex(out): *"],
+            ),
+            // A projected or aggregated GraphStep selects its own columns.
+            ("g.V().values('name')", &["Graph(V|proj): *"]),
+            ("g.V().values('w').sum()", &["Graph(V|proj+agg): *"]),
+        ];
+        for (gremlin, expected) in cases {
+            assert_eq!(reads_of(StrategyConfig::default(), gremlin), *expected, "{gremlin}");
+        }
+        // With projection pushdown off (the Figure 4 ablation) nothing is
+        // recorded.
+        let config = StrategyConfig { projection_pushdown: false, ..Default::default() };
+        assert_eq!(
+            reads_of(config, "g.V(1).out().out().count()"),
+            ["Graph(E|src_ids): *", "EdgeVertex(In): *", "Vertex(out): *"]
+        );
+    }
+
+    #[test]
+    fn nested_traversals_record_no_reads() {
+        // A repeat body's elements reach the enclosing path, so its hops
+        // keep whole elements even where the body alone would not need them.
+        let t = compile("g.V(1).repeat(out().out()).times(2).path()");
+        let t = apply(StrategyConfig::default(), t);
+        let Some(Step::Repeat { body, .. }) = t.steps.get(1) else { panic!("{}", t.describe()) };
+        assert_eq!(body.steps.len(), 2, "{}", body.describe());
+        for step in &body.steps {
+            let Step::Vertex(v) = step else { panic!("{}", body.describe()) };
+            assert_eq!(v.filter.properties, None, "{}", body.describe());
         }
     }
 

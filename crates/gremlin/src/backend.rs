@@ -134,6 +134,11 @@ pub struct ElementFilter {
     /// For edges: restrict to edges whose destination vertex id is in this
     /// set.
     pub dst_ids: Option<Vec<ElementId>>,
+    /// The properties the steps after this one read of its elements (set
+    /// by projection pushdown): `None` means all of them, `Some([])` only
+    /// id and label. A read hint, not a constraint: a backend may return
+    /// more, and only the SQL overlay narrows its reads by it.
+    pub properties: Option<Vec<String>>,
 }
 
 impl ElementFilter {
@@ -141,7 +146,8 @@ impl ElementFilter {
         ElementFilter { ids: Some(ids), ..Default::default() }
     }
 
-    /// True when the filter constrains nothing.
+    /// True when the filter constrains nothing (`properties` selects no
+    /// elements, so it does not count).
     pub fn is_empty(&self) -> bool {
         self.ids.is_none()
             && self.labels.is_none()

@@ -18,6 +18,14 @@ pub trait TraversalStrategy: Send + Sync {
     fn name(&self) -> &str;
     /// Mutate the traversal in place. Must preserve query semantics.
     fn apply(&self, traversal: &mut Traversal);
+    /// Mutate a nested traversal (a repeat body, a branch, a filter) in
+    /// place. Its elements can flow on into the enclosing traversal — into
+    /// a path, say — so a strategy that reasons about what the rest of a
+    /// traversal does with its elements rewrites less here. Defaults to
+    /// [`Self::apply`].
+    fn apply_nested(&self, traversal: &mut Traversal) {
+        self.apply(traversal)
+    }
 }
 
 /// An ordered collection of strategies.
@@ -71,23 +79,34 @@ impl StrategyRegistry {
                 }
             }
         }
-        // Nested traversals are rewritten without observation: their
-        // rewrites are implementation detail of the enclosing step.
+        self.apply_to_nested(traversal);
+    }
+
+    /// Rewrite every traversal nested in `traversal`'s steps, recursively,
+    /// with [`TraversalStrategy::apply_nested`]. Unobserved: these rewrites
+    /// are implementation detail of the enclosing step.
+    fn apply_to_nested(&self, traversal: &mut Traversal) {
+        let rewrite = |t: &mut Traversal| {
+            for s in &self.strategies {
+                s.apply_nested(t);
+            }
+            self.apply_to_nested(t);
+        };
         for step in &mut traversal.steps {
             match step {
                 Step::Repeat { body, until, .. } => {
-                    self.apply_all(body);
+                    rewrite(body);
                     if let Some(u) = until {
-                        self.apply_all(u);
+                        rewrite(u);
                     }
                 }
                 Step::Union(branches) | Step::Coalesce(branches) => {
                     for b in branches {
-                        self.apply_all(b);
+                        rewrite(b);
                     }
                 }
-                Step::Filter(spec) | Step::Where(spec) => self.apply_all(&mut spec.traversal),
-                Step::Not(t) => self.apply_all(t),
+                Step::Filter(spec) | Step::Where(spec) => rewrite(&mut spec.traversal),
+                Step::Not(t) => rewrite(t),
                 _ => {}
             }
         }

@@ -127,6 +127,18 @@ fn full_battery_agrees_across_systems() {
         "g.V().has('id', gt(150)).values('version').sum()".to_string(),
         "g.V().has('version', within()).count()".to_string(),
         "g.E().has('version', within()).values('version').count()".to_string(),
+        // Hops whose elements later steps read for ids only select no
+        // vertex property columns (the benchmark's three 2-hop shapes
+        // among them); a pushed predicate still reads its own column.
+        format!("g.V({}).out().out().count()", hot.id1),
+        format!("g.V({}).out().out().values('data')", hot.id1),
+        format!("g.V({}).out('et1','et2','et3').out('et1','et2','et3').dedup().count()", hot.id1),
+        format!("g.V({}).out().label()", hot.id1),
+        format!("g.V({}).out().has('version', gt(3)).out().count()", hot.id1),
+        format!("g.V({}).out().has('version', gt(3)).out().id()", hot.id1),
+        format!("g.V({}).outE().inV().out().id()", hot.id1),
+        format!("g.V({}).in().in().count()", hot.id2),
+        format!("g.V({}).both().both().dedup().count()", hot.id1),
     ];
     for q in &queries {
         sys.assert_agree(q);

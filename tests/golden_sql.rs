@@ -170,7 +170,7 @@ fn golden_explain_text_traversal() {
     let expected = "\
 plan: Graph(V|labels) -> Vertex(out) -> Values(conceptName)
 step 0: Graph(V|labels)
-  Patient: SELECT patientID, name, address, subscriptionID FROM Patient
+  Patient: SELECT patientID FROM Patient
   Disease: pruned (fixed label 'disease' not in requested labels)
 step 1: Vertex(out)
   DiseaseOntology: candidate; queried per frontier batch of source ids (declared src/dst vertex table links can skip it per direction)

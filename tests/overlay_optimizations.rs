@@ -236,6 +236,12 @@ fn vertex_from_edge_shortcut_when_table_is_both() {
     // The constructed vertices carry the right ids and label.
     let out = g.run("g.E().hasLabel('placedBy').outV().hasLabel('order').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(3)]);
+    // A predicate on the constructed vertex reads a column the edge read
+    // must select, though no later step reads it.
+    let out = g.run("g.E().hasLabel('placedBy').outV().has('total', gt(50)).count()").unwrap();
+    assert_eq!(out, vec![GValue::Long(1)]);
+    let out = g.run("g.V('person::1').in('placedBy').has('total', gt(50)).count()").unwrap();
+    assert_eq!(out, vec![GValue::Long(1)]);
     // inV() goes to a different table -> needs SQL, no shortcut.
     let out = g.run("g.E().hasLabel('placedBy').inV().dedup().values('name')").unwrap();
     assert_eq!(out.len(), 2);

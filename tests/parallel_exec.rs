@@ -14,23 +14,30 @@ use db2graph::reldb::Database;
 
 /// A social graph with a self-loop: Ann knows herself.
 fn social_db() -> Arc<Database> {
+    social_db_with_knows(
+        ",
+            FOREIGN KEY (a) REFERENCES Person(pid),
+            FOREIGN KEY (b) REFERENCES Person(pid)",
+    )
+}
+
+/// [`social_db`] with `constraints` closing the Knows column list.
+fn social_db_with_knows(constraints: &str) -> Arc<Database> {
     let db = Arc::new(Database::new());
-    db.execute_script(
+    db.execute_script(&format!(
         "CREATE TABLE Person (pid BIGINT PRIMARY KEY, name VARCHAR, age BIGINT);
          CREATE TABLE Company (cid BIGINT PRIMARY KEY, cname VARCHAR);
          CREATE TABLE WorksAt (pid BIGINT, cid BIGINT, since BIGINT,
             FOREIGN KEY (pid) REFERENCES Person(pid),
             FOREIGN KEY (cid) REFERENCES Company(cid));
-         CREATE TABLE Knows (a BIGINT, b BIGINT, metIn VARCHAR,
-            FOREIGN KEY (a) REFERENCES Person(pid),
-            FOREIGN KEY (b) REFERENCES Person(pid));
+         CREATE TABLE Knows (a BIGINT, b BIGINT, metIn VARCHAR{constraints});
          CREATE INDEX ix_knows_a ON Knows (a);
          CREATE INDEX ix_knows_b ON Knows (b);
          INSERT INTO Person VALUES (1, 'Ann', 34), (2, 'Bo', 28), (3, 'Cy', 45), (4, 'Di', 31);
          INSERT INTO Company VALUES (1, 'Initech'), (2, 'Globex');
          INSERT INTO WorksAt VALUES (1, 1, 2015), (2, 1, 2020), (3, 2, 2010);
          INSERT INTO Knows VALUES (1, 1, 'XX'), (1, 2, 'US'), (2, 3, 'DE'), (1, 3, 'US'), (3, 4, 'FR');",
-    )
+    ))
     .unwrap();
     db
 }
@@ -342,6 +349,79 @@ fn duplicate_frontier_vertices_keep_their_positions() {
             ],
             "threads={threads}"
         );
+    }
+}
+
+#[test]
+fn id_only_hops_keep_the_dangling_edge_guard() {
+    // Two Knows rows whose Person endpoint 99 does not exist (this Knows
+    // has no foreign keys): 1 -> 99 and 99 -> 2. A hop whose elements
+    // later steps read only for ids (count, id, dedup, a next hop) reads
+    // no vertex properties, but still resolves its targets against the
+    // vertex table; that semi-join drops 99. So each traversal must count
+    // exactly the elements the same traversal without its terminal step
+    // returns, at every thread count, with the adjacency cache off, lazily
+    // filled, and warmed.
+    let db = social_db_with_knows("");
+    db.execute("INSERT INTO Knows VALUES (1, 99, 'ZZ'), (99, 2, 'ZZ')").unwrap();
+    // (traversal, the same without its terminal step, expected size)
+    let cases: &[(&str, &str, usize)] = &[
+        ("g.V('person::1').out('knows').count()", "g.V('person::1').out('knows')", 3),
+        ("g.V('person::1').out('knows').id()", "g.V('person::1').out('knows')", 3),
+        (
+            "g.V('person::1').out('knows').dedup().count()",
+            "g.V('person::1').out('knows').dedup()",
+            3,
+        ),
+        (
+            "g.V('person::1').outE('knows').inV().count()",
+            "g.V('person::1').outE('knows').inV()",
+            3,
+        ),
+        (
+            "g.V('person::1').out('knows').out('knows').count()",
+            "g.V('person::1').out('knows').out('knows')",
+            5,
+        ),
+        (
+            "g.V('person::1').out('knows').out('knows').dedup().count()",
+            "g.V('person::1').out('knows').out('knows').dedup()",
+            4,
+        ),
+        (
+            "g.V().hasLabel('person').out('knows').count()",
+            "g.V().hasLabel('person').out('knows')",
+            5,
+        ),
+        ("g.V('person::2').both('knows').count()", "g.V('person::2').both('knows')", 2),
+    ];
+    let size = |q: &str, values: Vec<GValue>| match (q.ends_with(".count()"), &values[..]) {
+        (true, [GValue::Long(n)]) => *n as usize,
+        (true, other) => panic!("{q}: not one count: {other:?}"),
+        (false, _) => values.len(),
+    };
+    for threads in [1, 2, 8] {
+        let lazy = open_with_threads(db.clone(), threads);
+        let warmed = open_with_threads(db.clone(), threads);
+        assert!(warmed.warm_adjacency_cache().unwrap() > 0);
+        let off = open_no_cache(db.clone(), threads);
+        let graphs = [("off", off), ("lazy", lazy), ("warmed", warmed)];
+        for (cache, g) in &graphs {
+            // Twice: the lazy cache is cold on the first pass, warm on the
+            // second.
+            for pass in 0..2 {
+                for &(q, elements, expected) in cases {
+                    let at = format!("threads={threads}, cache {cache}, pass {pass}: {q}");
+                    let whole = g.run(elements).unwrap();
+                    assert!(
+                        whole.iter().all(|v| matches!(v, GValue::Vertex(_))),
+                        "{at}: {whole:?}"
+                    );
+                    assert_eq!(whole.len(), expected, "{at}: elements {whole:?}");
+                    assert_eq!(size(q, g.run(q).unwrap()), expected, "{at}");
+                }
+            }
+        }
     }
 }
 
