@@ -330,30 +330,37 @@ impl Db2GraphBackend {
         let cols = def.columns();
         // An id whose parts do not fit the columns' types (e.g. a text
         // fragment for a BIGINT column) cannot be in this table.
-        let mut keys: Vec<Vec<Value>> = ids
-            .iter()
-            .filter_map(|id| def.decode(id))
-            .filter_map(|parts| {
-                parts
-                    .iter()
-                    .zip(&cols)
-                    .map(|(text, col)| IdDef::coerce_column(text, t.column_type(col)).ok())
-                    .collect()
-            })
-            .collect();
+        let via_text = |id: &ElementId| -> Option<Vec<Value>> {
+            let parts = def.decode(id)?;
+            parts
+                .iter()
+                .zip(&cols)
+                .map(|(text, col)| IdDef::coerce_column(text, t.column_type(col)).ok())
+                .collect()
+        };
+        // Bucketed arity: the generated template depends only on
+        // log2(|ids|), so frontier-size jitter reuses prepared statements.
+        if let [col] = cols[..] {
+            let ty = t.column_type(col);
+            let mut params: Vec<Value> = ids
+                .iter()
+                .filter_map(|id| match def.single_column_value(id, ty) {
+                    Some(value) => value,
+                    None => via_text(id).and_then(|mut key| key.pop()),
+                })
+                .collect();
+            if params.is_empty() {
+                return None;
+            }
+            let sql = in_list_bucketed(col, &mut params);
+            return Some((sql, params));
+        }
+        let mut keys: Vec<Vec<Value>> = ids.iter().filter_map(via_text).collect();
         if keys.is_empty() {
             return None;
         }
-        // Bucketed arity: the generated template depends only on
-        // log2(|ids|), so frontier-size jitter reuses prepared statements.
-        if cols.len() == 1 {
-            let mut params: Vec<Value> = keys.into_iter().map(|mut k| k.remove(0)).collect();
-            let sql = in_list_bucketed(cols[0], &mut params);
-            Some((sql, params))
-        } else {
-            let sql = composite_in_bucketed(&cols, &mut keys);
-            Some((sql, keys.into_iter().flatten().collect()))
-        }
+        let sql = composite_in_bucketed(&cols, &mut keys);
+        Some((sql, keys.into_iter().flatten().collect()))
     }
 
     /// A `V()`/`E()` step: one read job per table of `kind`, merged in

@@ -152,6 +152,33 @@ impl IdDef {
         }
     }
 
+    /// The value `id` binds to the column of a bare single-column
+    /// definition, straight from the id: always equal to [`Self::decode`]
+    /// followed by [`Self::coerce_column`], but a numeric id never becomes
+    /// text and back. `Some(None)` when the id fits no row of a column of
+    /// type `ty`; `None` declines a prefixed or composite definition, whose
+    /// ids go through `decode`.
+    pub fn single_column_value(
+        &self,
+        id: &ElementId,
+        ty: Option<DataType>,
+    ) -> Option<Option<Value>> {
+        if !self.is_single_column() {
+            return None;
+        }
+        Some(match (id, ty) {
+            (ElementId::Long(v), None | Some(DataType::Bigint)) => Some(Value::Bigint(*v)),
+            // Both this cast and parsing the decimal text round to nearest.
+            (ElementId::Long(v), Some(DataType::Double)) => Some(Value::Double(*v as f64)),
+            (ElementId::Long(v), Some(DataType::Varchar)) => Some(Value::Varchar(v.to_string())),
+            (ElementId::Long(v), Some(DataType::Boolean)) => {
+                Self::coerce(&v.to_string(), DataType::Boolean).ok()
+            }
+            (ElementId::Str(s), _) if s.contains("::") => None,
+            (ElementId::Str(s), ty) => Self::coerce_column(s, ty).ok(),
+        })
+    }
+
     /// Coerce decoded text back to a typed value for a SQL predicate.
     pub fn coerce(text: &str, ty: DataType) -> GraphResult<Value> {
         Ok(match ty {
@@ -316,6 +343,70 @@ mod tests {
         // collapse onto some other value.
         assert!(IdDef::coerce_column("99999999999999999999", None).is_err());
         assert!(IdDef::coerce_column("-", None).is_err());
+    }
+
+    #[test]
+    fn single_column_value_equals_decode_then_coerce() {
+        let via_text = |def: &IdDef, id: &ElementId, ty: Option<DataType>| -> Option<Value> {
+            let parts = def.decode(id)?;
+            IdDef::coerce_column(&parts[0], ty).ok()
+        };
+        let ids = [
+            ElementId::Long(0),
+            ElementId::Long(42),
+            ElementId::Long(-7),
+            ElementId::Long(i64::MAX),
+            ElementId::Long(i64::MIN),
+            // Not exactly representable as a double: both sides round.
+            ElementId::Long((1 << 53) + 1),
+            ElementId::Long(-(1 << 53) - 3),
+            ElementId::Str("42".into()),
+            ElementId::Str("-7".into()),
+            ElementId::Str("007".into()),
+            ElementId::Str("4.5".into()),
+            ElementId::Str("x1".into()),
+            ElementId::Str("".into()),
+            ElementId::Str("-".into()),
+            ElementId::Str("true".into()),
+            ElementId::Str("1::2".into()),
+            ElementId::Str("patient::1".into()),
+            // Overflows a BIGINT: the text path drops it on typed and
+            // untyped columns alike.
+            ElementId::Str("99999999999999999999".into()),
+        ];
+        let types = [
+            None,
+            Some(DataType::Bigint),
+            Some(DataType::Double),
+            Some(DataType::Varchar),
+            Some(DataType::Boolean),
+        ];
+        let single = IdDef::parse("id").unwrap();
+        for id in &ids {
+            for ty in types {
+                let direct = single.single_column_value(id, ty).expect("a bare column binds");
+                let expected = via_text(&single, id, ty);
+                // `Value`'s equality is numeric across types; compare the
+                // variants too.
+                assert_eq!(
+                    direct.as_ref().map(|v| (v.data_type(), v.to_sql_literal())),
+                    expected.as_ref().map(|v| (v.data_type(), v.to_sql_literal())),
+                    "{id:?} on {ty:?}"
+                );
+            }
+        }
+        assert_eq!(
+            single.single_column_value(&ElementId::Long(-7), None),
+            Some(Some(Value::Bigint(-7)))
+        );
+        assert_eq!(single.single_column_value(&ElementId::Str("1::2".into()), None), Some(None));
+        // Prefixed and composite definitions decline.
+        for spec in ["'patient'::id", "a::b", "'o'::a::b"] {
+            let def = IdDef::parse(spec).unwrap();
+            for id in &ids {
+                assert_eq!(def.single_column_value(id, Some(DataType::Bigint)), None, "{spec}");
+            }
+        }
     }
 
     #[test]

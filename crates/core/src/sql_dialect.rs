@@ -27,8 +27,10 @@ use crate::metrics::{MetricsRegistry, Profiler};
 
 /// Frontiers larger than this are split into multiple statements instead of
 /// one gigantic `IN (...)`: the template for 2^k placeholders past this
-/// point would be prepared once and reused almost never, and very wide
-/// IN-lists defeat the relational engine's index probing anyway.
+/// point would be prepared once and reused almost never. The split is about
+/// template reuse and statement size, not probe speed: reldb probes an
+/// IN-list key by key through its index, so its cost grows with the number
+/// of ids, whatever the chunking.
 pub const MAX_FRONTIER_CHUNK: usize = 1024;
 
 /// Default cap on distinct cached prepared templates (see

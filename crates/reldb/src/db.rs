@@ -1626,7 +1626,7 @@ impl Database {
             let found = if let Some(ix) = guard.find_index(&fk.ref_columns) {
                 // Index entries may be stale under versioned storage, so
                 // verify each candidate against the row it resolves to.
-                ix.lookup_eq(&vals).into_iter().any(|rid| {
+                ix.lookup_eq(&vals).iter().any(|&rid| {
                     guard.row_at(rid, &view).is_some_and(|r| {
                         positions.iter().zip(&vals).all(|(&p, v)| r[p].sql_eq(v) == Some(true))
                     })

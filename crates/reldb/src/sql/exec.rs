@@ -216,13 +216,16 @@ fn scan(
     let guard = table.read();
     let probed = match choose_access_path(&guard, &preds).0 {
         AccessPath::FullScan => None,
-        AccessPath::IndexEq { index, key } => Some((1, find_index(&guard, &index)?.lookup_eq(&key))),
+        AccessPath::IndexEq { index, key } => {
+            Some((1, Cow::Borrowed(find_index(&guard, &index)?.lookup_eq(&key))))
+        }
         AccessPath::IndexIn { index, keys } => {
-            Some((keys.len(), dedup_rids(find_index(&guard, &index)?.lookup_in(&keys))))
+            let (rids, probes) = find_index(&guard, &index)?.lookup_in(&keys);
+            Some((probes, Cow::Owned(dedup_rids(rids))))
         }
         AccessPath::IndexRange { index, low, high } => {
             let ix = find_index(&guard, &index)?;
-            Some((1, dedup_rids(ix.lookup_range(low.as_ref(), high.as_ref()))))
+            Some((1, Cow::Owned(dedup_rids(ix.lookup_range(low.as_ref(), high.as_ref())))))
         }
     };
     let mut read = 0;
@@ -233,7 +236,7 @@ fn scan(
         }
         Some((probes, rids)) => {
             db.stats().record_index_probe(probes as u64);
-            let visible = rids.into_iter().filter_map(|rid| guard.row_at(rid, view).map(|r| (rid, r)));
+            let visible = rids.iter().filter_map(|&rid| guard.row_at(rid, view).map(|r| (rid, r)));
             drain(visible, filter, &mut read, &mut sink)
         }
     };
@@ -1203,6 +1206,18 @@ mod tests {
                 vec![Value::Bigint(1), Value::Bigint(3)]
             );
         }
+    }
+
+    #[test]
+    fn index_probes_count_the_keys_probed_not_the_padding() {
+        let db = Database::new();
+        db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)").unwrap();
+        // Three ids padded to a bucket of four by repeating the last one.
+        let before = db.stats().snapshot();
+        let rs = db.execute("SELECT v FROM t WHERE id IN (1, 2, 3, 3)").unwrap();
+        assert_eq!(rs.len(), 3);
+        assert_eq!(db.stats().snapshot().since(&before).index_probes, 3);
     }
 
     #[test]

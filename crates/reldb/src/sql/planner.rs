@@ -5,6 +5,11 @@
 //! dominated by `id = ?` point probes and `src_v IN (...)` list probes, so
 //! these two access paths are what make graph traversal fast; the paper's
 //! SQL Dialect module suggests exactly these indexes (Section 6.1).
+//!
+//! An IN-list path carries the list's literals as one flat key list, which
+//! [`Index::lookup_in`](crate::index::Index::lookup_in) probes key by key
+//! without building a key per member. Whatever the path, the executor
+//! re-checks the whole WHERE clause on each visible version.
 
 use std::ops::Bound;
 
@@ -19,8 +24,8 @@ pub enum AccessPath {
     FullScan,
     /// Probe an index for one exact key.
     IndexEq { index: String, key: Vec<Value> },
-    /// Probe an index for each key in a list (IN-list).
-    IndexIn { index: String, keys: Vec<Vec<Value>> },
+    /// Probe a single-column index for each key in a list (IN-list).
+    IndexIn { index: String, keys: Vec<Value> },
     /// Range scan on the leading column of an index.
     IndexRange {
         index: String,
@@ -172,8 +177,7 @@ pub fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (AccessPath
     for p in preds {
         if let SimplePred::In(col, vals) = p {
             if let Some(ix) = data.find_index(std::slice::from_ref(col)) {
-                let keys = vals.iter().map(|v| vec![v.clone()]).collect();
-                return (AccessPath::IndexIn { index: ix.def.name.clone(), keys }, 1);
+                return (AccessPath::IndexIn { index: ix.def.name.clone(), keys: vals.clone() }, 1);
             }
         }
     }

@@ -218,7 +218,7 @@ impl TableData {
     fn key_occupied(&self, ix_pos: usize, key: &[Value], exclude: Option<RowId>, stamp: u64) -> bool {
         let own_delete = TXN_BIT | stamp;
         let ix = &self.indexes[ix_pos];
-        ix.lookup_eq(key).into_iter().any(|rid| {
+        ix.lookup_eq(key).iter().any(|&rid| {
             if exclude == Some(rid) {
                 return false;
             }

@@ -176,7 +176,20 @@ impl Value {
     /// Total ordering used by indexes and ORDER BY. NULLs sort first, then
     /// values are grouped by a type rank; numerics of either type compare
     /// together so a BIGINT index probe can find DOUBLE-coerced keys.
+    ///
+    /// Two BIGINTs, the graph layer's ids, compare inline: every B-tree
+    /// comparison of an index probe goes through here. Every other pair
+    /// takes the out-of-line [`Value::total_cmp_slow`].
+    #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
+        match (self, other) {
+            (Value::Bigint(a), Value::Bigint(b)) => a.cmp(b),
+            _ => self.total_cmp_slow(other),
+        }
+    }
+
+    #[inline(never)]
+    fn total_cmp_slow(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
                 Value::Null => 0,
@@ -189,16 +202,11 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Boolean(a), Value::Boolean(b)) => a.cmp(b),
             (Value::Varchar(a), Value::Varchar(b)) => a.cmp(b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                // Both numeric.
-                match (a, b) {
-                    (Value::Bigint(x), Value::Bigint(y)) => x.cmp(y),
-                    _ => a
-                        .as_f64()
-                        .unwrap_or(f64::NAN)
-                        .total_cmp(&b.as_f64().unwrap_or(f64::NAN)),
-                }
-            }
+            // Mixed numerics compare as doubles.
+            (a, b) if rank(a) == 2 && rank(b) == 2 => a
+                .as_f64()
+                .unwrap_or(f64::NAN)
+                .total_cmp(&b.as_f64().unwrap_or(f64::NAN)),
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
@@ -222,6 +230,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
@@ -229,11 +238,13 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         self.total_cmp(other)
     }
@@ -357,6 +368,18 @@ mod tests {
         assert_eq!(vals[2], Value::Double(1.5));
         assert_eq!(vals[3], Value::Bigint(2));
         assert_eq!(vals[4], Value::Varchar("a".into()));
+    }
+
+    #[test]
+    fn bigints_compare_exactly_and_mixed_numerics_as_doubles() {
+        // Both round to the same double: only the inline BIGINT path
+        // tells them apart.
+        assert_eq!(Value::Bigint(i64::MAX).cmp(&Value::Bigint(i64::MAX - 1)), Ordering::Greater);
+        assert_eq!(Value::Bigint(-3).cmp(&Value::Bigint(2)), Ordering::Less);
+        assert_eq!(Value::Bigint(2).cmp(&Value::Double(2.5)), Ordering::Less);
+        assert_eq!(Value::Double(2.0).cmp(&Value::Bigint(2)), Ordering::Equal);
+        assert_eq!(Value::Bigint(0).cmp(&Value::Null), Ordering::Greater);
+        assert_eq!(Value::Bigint(0).cmp(&Value::Varchar("0".into())), Ordering::Less);
     }
 
     #[test]

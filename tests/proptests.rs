@@ -277,6 +277,131 @@ proptest! {
     }
 }
 
+/// One IN-list parameter as the overlay binds it: mostly BIGINT keys, some
+/// DOUBLEs that equal a key, some that equal none, and NULL.
+fn arb_in_param() -> impl Strategy<Value = Value> {
+    (0u8..10, 0i64..90).prop_map(|(kind, x)| match kind {
+        0..=5 => Value::Bigint(x),
+        6 | 7 => Value::Double(x as f64),
+        8 => Value::Double(x as f64 + 0.5),
+        _ => Value::Null,
+    })
+}
+
+/// `rows` sorted, so results compare as multisets.
+fn multiset(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort();
+    rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn in_list_probe_equals_full_scan(
+        keys in prop::collection::vec(0i64..45, 1..60),
+        vs in prop::collection::vec(0i64..44, 60..61),
+        list in prop::collection::vec(arb_in_param(), 1..40),
+        bump_below in 0i64..40,
+    ) {
+        // Bound IN-lists through prepared statements, as the overlay sends
+        // them, on a PRIMARY KEY table (single-column index) and on a table
+        // with a two-column index, each against an unindexed twin. Keys are
+        // even, so `k + 1` never collides with another key; the UPDATE
+        // leaves a stale posting under each old key. Generated `v` values
+        // of 40 and up are NULL.
+        let mut keys: Vec<i64> = keys.iter().map(|k| 2 * k).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let sql = |v: i64| if v < 40 { v.to_string() } else { "NULL".to_string() };
+        let db = Database::new();
+        db.execute("CREATE TABLE pk_ix (k BIGINT PRIMARY KEY, v BIGINT)").unwrap();
+        db.execute("CREATE TABLE pk_scan (k BIGINT, v BIGINT)").unwrap();
+        db.execute("CREATE TABLE pair_ix (k BIGINT, j BIGINT, v BIGINT)").unwrap();
+        db.execute("CREATE TABLE pair_scan (k BIGINT, j BIGINT, v BIGINT)").unwrap();
+        db.execute("CREATE INDEX ix_kj ON pair_ix (k, j)").unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            let v = sql(vs[i]);
+            for t in ["pk_ix", "pk_scan"] {
+                db.execute(&format!("INSERT INTO {t} VALUES ({k}, {v})")).unwrap();
+            }
+            for t in ["pair_ix", "pair_scan"] {
+                db.execute(&format!("INSERT INTO {t} VALUES ({k}, {}, {v})", k % 3)).unwrap();
+            }
+        }
+        for t in ["pk_ix", "pk_scan", "pair_ix", "pair_scan"] {
+            db.execute(&format!("UPDATE {t} SET k = k + 1 WHERE v < {bump_below}")).unwrap();
+        }
+
+        // The list as generated, with a distant duplicate of its first
+        // member, padded to a power of two by repeating its last member,
+        // as the overlay buckets its lists.
+        let mut params = list.clone();
+        params.push(list[0].clone());
+        let last = params.last().cloned().unwrap();
+        params.resize(params.len().next_power_of_two(), last);
+        let marks = vec!["?"; params.len()].join(", ");
+        let run = |sql: &str, params: &[Value]| {
+            let prepared = db.prepare(sql).unwrap();
+            multiset(db.execute_prepared(&prepared, params).unwrap().rows)
+        };
+        let queries = [
+            (format!("SELECT k, v FROM {{}} WHERE k IN ({marks})"), params.clone()),
+            (format!("SELECT k FROM {{}} WHERE k IN ({marks})"), params.clone()),
+            (format!("SELECT k, v FROM {{}} WHERE k IN ({marks}) AND v < ?"), {
+                let mut p = params.clone();
+                p.push(Value::Bigint(bump_below));
+                p
+            }),
+            (format!("SELECT COUNT(*), SUM(v) FROM {{}} WHERE k IN ({marks})"), params.clone()),
+            (format!("SELECT k, v FROM {{}} WHERE k NOT IN ({marks})"), params.clone()),
+        ];
+        for (query, params) in &queries {
+            for (ix, scan) in [("pk_ix", "pk_scan"), ("pair_ix", "pair_scan")] {
+                let a = run(&query.replace("{}", ix), params);
+                let b = run(&query.replace("{}", scan), params);
+                prop_assert_eq!(a, b, "{} on {}", query, ix);
+            }
+        }
+        // The composite index answers full keys, OR-ed as the overlay
+        // writes composite ids.
+        let pairs = vec!["(k = ? AND j = ?)"; params.len()].join(" OR ");
+        let pair_params: Vec<Value> = params
+            .iter()
+            .flat_map(|p| [p.clone(), Value::Bigint(p.as_i64().unwrap_or(0).rem_euclid(3))])
+            .collect();
+        for (query, params) in [
+            (format!("SELECT k, j, v FROM {{}} WHERE ({pairs})"), pair_params),
+            (
+                "SELECT k, j, v FROM {} WHERE k = ? AND j = ?".to_string(),
+                vec![params[0].clone(), Value::Bigint(1)],
+            ),
+        ] {
+            let a = run(&query.replace("{}", "pair_ix"), &params);
+            let b = run(&query.replace("{}", "pair_scan"), &params);
+            prop_assert_eq!(a, b, "{}", query);
+        }
+
+        // A Rust oracle for the IN-list, so the twins cannot be wrong
+        // together: NULL members match nothing, DOUBLEs match equal keys.
+        let current: Vec<i64> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| if vs[i] < bump_below { k + 1 } else { k })
+            .collect();
+        let listed = |k: i64| params.iter().any(|p| p.as_f64().is_ok_and(|x| x == k as f64));
+        let expect = multiset(
+            current.iter().filter(|&&k| listed(k)).map(|&k| vec![Value::Bigint(k)]).collect(),
+        );
+        let sql = format!("SELECT k FROM {{}} WHERE k IN ({marks})");
+        for t in ["pk_ix", "pair_ix"] {
+            prop_assert_eq!(run(&sql.replace("{}", t), &params), expect.clone(), "{}", t);
+        }
+        // And the PRIMARY KEY table probed its index for the list.
+        let plan = db.explain(&format!("SELECT k FROM pk_ix WHERE k IN ({})", current[0])).unwrap();
+        prop_assert!(plan.contains("INDEX"), "{}", plan);
+    }
+}
+
 // -------------------------------------------------------------------- LIKE
 
 /// Reference LIKE implementation via dynamic programming.
