@@ -31,14 +31,19 @@
 //!
 //! **The exact-plan rule.** A plan is *exact* when its conjuncts express
 //! the whole filter, so SQL returns exactly the matching elements. Only an
-//! exact plan pushes a projection (a narrowed SELECT list) or an aggregate
-//! (`COUNT`/`SUM`/`MIN`/`MAX` per table) into SQL. A plan is inexact when
-//! part of the filter has no SQL form here: an `id` predicate that did not
-//! fold into `hasId`, a predicate value SQL cannot hold or an empty
-//! `within()`, implicit edge ids on a column-labelled table, or implicit
-//! ids spanning several endpoints on both sides. An inexact plan reads
+//! exact plan pushes a projection (a narrowed SELECT list), an aggregate
+//! (`COUNT`/`SUM`/`MIN`/`MAX` per table) or a read bound (a `LIMIT` from
+//! `ElementFilter::first`, rounded up to a power of two) into SQL: each
+//! table's bounded statement returns a prefix of the rows its unbounded one
+//! would, and the `limit`/`range` step still trims the union across
+//! tables. A plan is inexact when part of the filter has no SQL form here:
+//! an `id` predicate that did not fold into `hasId`, a predicate value SQL
+//! cannot hold or an empty `within()`, implicit edge ids on a
+//! column-labelled table, or implicit ids spanning several endpoints on
+//! both sides. An inexact plan reads
 //! whole elements, keeps those `ElementFilter::matches` accepts, and folds
-//! the projection or aggregate per table in Rust.
+//! the projection or aggregate per table in Rust; it reads every row, since
+//! the residual check may drop some.
 //!
 //! **Set-at-a-time hops.** A hop resolves the far endpoints of its whole
 //! frontier in one lookup per vertex-table hint (`IdGroups`), so each
@@ -1305,7 +1310,9 @@ enum TableRead<'a> {
     /// `COUNT(*)` without a projection.
     Aggregate(AggOp, Vec<(String, Option<&'a str>)>),
     /// One SELECT of the shape's columns: on an exact plan only the
-    /// properties [`selected_keys`] names, whole elements otherwise.
+    /// properties [`selected_keys`] names and at most the rows
+    /// `ElementFilter::first` asks for, whole elements and every row
+    /// otherwise.
     Select(Shape<'a>, String),
 }
 
@@ -1322,7 +1329,14 @@ impl<'a> TableRead<'a> {
         let Some(op) = filter.aggregate.filter(|_| plan.exact) else {
             let keys = if plan.exact { selected_keys(filter) } else { None };
             let shape = Shape::new(topo, kind, ti, keys.as_deref());
-            let sql = build_select(table, &shape.cols, conjuncts, None);
+            let mut sql = build_select(table, &shape.cols, conjuncts, None);
+            // The read bound, rounded up to a power of two so bounds share
+            // templates. `limit(-1)` compiles to `u64::MAX`, which has no
+            // such power and stays unbounded.
+            let bound = filter.first.filter(|_| plan.exact);
+            if let Some(b) = bound.and_then(u64::checked_next_power_of_two) {
+                sql.push_str(&format!(" LIMIT {b}"));
+            }
             return TableRead::Select(shape, sql);
         };
         let Some(keys) = &filter.projection else {

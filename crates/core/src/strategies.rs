@@ -12,7 +12,11 @@
 //!   records on each GSA step which properties the steps after it read
 //!   (`ElementFilter::properties`): a hop into `count()`, `id()`,
 //!   `label()` or another hop reads ids only, so its vertex lookup
-//!   selects the id column alone.
+//!   selects the id column alone. A GraphStep followed directly by
+//!   `limit(n)` or `range(_, n)` also records that read bound
+//!   (`ElementFilter::first`), which exact table reads turn into a SQL
+//!   `LIMIT`; the `limit`/`range` step stays and trims the union across
+//!   tables.
 //! * **Aggregate pushdown with aggregation steps** — `count()`/`sum()`/...
 //!   after a GraphStep turns into `SELECT COUNT(*)`/`SUM(col)` in SQL.
 //! * **GraphStep::VertexStep mutation** — `g.V(ids).outE()` drops the
@@ -26,7 +30,7 @@ use std::borrow::Cow;
 
 use gremlin::backend::{AggOp, ElementKind, Pred};
 use gremlin::step::{EdgeVertexStep, GraphStep, Step, Traversal};
-use gremlin::structure::{value_to_id, GValue};
+use gremlin::structure::value_to_id;
 use gremlin::{Direction, EdgeEnd, TraversalStrategy};
 
 use crate::graph_structure::selected_keys;
@@ -255,13 +259,18 @@ fn fold_values(traversal: &mut Traversal) {
 
 /// Set `properties` on each GraphStep without projection or aggregate,
 /// each VertexStep that returns vertices and each EdgeVertexStep, from
-/// the steps after it. Runs back to front, so an EdgeVertexStep's set is
-/// known when the step before it asks.
+/// the steps after it; on such a GraphStep also set `first` when the next
+/// step is a `limit`/`range`. Runs back to front, so an EdgeVertexStep's
+/// set is known when the step before it asks.
 fn record_reads(steps: &mut [Step]) {
     for i in (0..steps.len()).rev() {
         let (head, rest) = steps.split_at_mut(i + 1);
         let filter = match &mut head[i] {
             Step::Graph(g) if g.filter.projection.is_none() && g.filter.aggregate.is_none() => {
+                g.filter.first = match rest.first() {
+                    Some(Step::Limit(n) | Step::Range(_, n)) => Some(*n),
+                    _ => None,
+                };
                 &mut g.filter
             }
             Step::Vertex(v) if v.to == ElementKind::Vertices => &mut v.filter,
@@ -404,18 +413,12 @@ impl TraversalStrategy for GraphStepVertexStepMutation {
     }
 }
 
-/// Translate a GValue into a display-stable string (labels are strings).
-#[allow(dead_code)]
-fn label_string(v: &GValue) -> String {
-    v.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gremlin::backend::ElementFilter;
     use gremlin::step::VertexStep;
-    use gremlin::structure::ElementId;
+    use gremlin::structure::{ElementId, GValue};
     use gremlin::{AggOp, PropPred, StrategyRegistry};
 
     fn apply(config: StrategyConfig, mut t: Traversal) -> Traversal {
@@ -705,6 +708,35 @@ mod tests {
             reads_of(config, "g.V(1).out().out().count()"),
             ["Graph(E|src_ids): *", "EdgeVertex(In): *", "Vertex(out): *"]
         );
+    }
+
+    #[test]
+    fn projection_pushdown_bounds_a_graphstep_read_by_the_next_limit() {
+        let first_of = |config: StrategyConfig, gremlin: &str| {
+            match apply(config, compile(gremlin)).steps.first() {
+                Some(Step::Graph(g)) => g.filter.first,
+                other => panic!("{gremlin}: {other:?}"),
+            }
+        };
+        let first = |gremlin: &str| first_of(StrategyConfig::default(), gremlin);
+        assert_eq!(first("g.V().limit(2)"), Some(2));
+        assert_eq!(first("g.V().hasLabel('a').has('w', 3).range(1, 5).values('w')"), Some(5));
+        assert_eq!(first("g.E().range(4, 2)"), Some(2));
+        // -1 compiles to u64::MAX, which the SQL overlay leaves unbounded.
+        assert_eq!(first("g.V().limit(-1)"), Some(u64::MAX));
+        // Only a limit right after the GraphStep, on its elements.
+        for gremlin in [
+            "g.V()",
+            "g.V().values('w').limit(1)",
+            "g.V().dedup().limit(1)",
+            "g.V().order().by('w').limit(1)",
+            "g.V().out().limit(1)",
+            "g.V().as('a').limit(1).select('a')",
+        ] {
+            assert_eq!(first(gremlin), None, "{gremlin}");
+        }
+        let config = StrategyConfig { projection_pushdown: false, ..Default::default() };
+        assert_eq!(first_of(config, "g.V().limit(2)"), None);
     }
 
     #[test]

@@ -139,6 +139,12 @@ pub struct ElementFilter {
     /// id and label. A read hint, not a constraint: a backend may return
     /// more, and only the SQL overlay narrows its reads by it.
     pub properties: Option<Vec<String>>,
+    /// The steps after this one use at most its first `n` outputs (set by
+    /// projection pushdown from a following `limit(n)` or `range(_, n)`).
+    /// A read hint like `properties`: the step that set it still trims the
+    /// output, so a backend may ignore it; the SQL overlay turns it into a
+    /// per-table `LIMIT` on exact plans.
+    pub first: Option<u64>,
 }
 
 impl ElementFilter {
@@ -146,8 +152,8 @@ impl ElementFilter {
         ElementFilter { ids: Some(ids), ..Default::default() }
     }
 
-    /// True when the filter constrains nothing (`properties` selects no
-    /// elements, so it does not count).
+    /// True when the filter constrains nothing (the read hints `properties`
+    /// and `first` select no elements, so they do not count).
     pub fn is_empty(&self) -> bool {
         self.ids.is_none()
             && self.labels.is_none()

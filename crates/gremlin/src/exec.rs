@@ -343,7 +343,8 @@ impl<'a> Executor<'a> {
             Step::Range(lo, hi) => {
                 let lo = *lo as usize;
                 let hi = (*hi as usize).min(current.len());
-                if lo >= current.len() {
+                // Empty also when `hi < lo`: `range(5, 2)` selects nothing.
+                if lo >= hi {
                     return Ok(Vec::new());
                 }
                 Ok(current[lo..hi].to_vec())

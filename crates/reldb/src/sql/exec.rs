@@ -21,6 +21,14 @@
 //! error run before a row is cloned; the whole WHERE then runs on the
 //! joined rows. Joins are hash joins on equi-keys, falling back to nested
 //! loops, and the joined rows feed the same sinks.
+//!
+//! One shape reads less: a base table and a table function or subquery as
+//! the only two FROM items, linked by a WHERE equi-conjunct — the Section 4
+//! `graphQuery` join. The other side runs first, and the table is read
+//! through its distinct join keys (an index probe when the column is
+//! indexed) instead of in full; the hash join then runs as above on the
+//! same pairs, in the same order ([`KeyedJoin`]). Other join shapes still
+//! build from full rows.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -120,6 +128,11 @@ pub fn explain_select(db: &Database, stmt: &SelectStmt) -> DbResult<Vec<String>>
         if conjuncts > used {
             lines.push("FILTER".to_string());
         }
+    } else if let Some(keyed) = keyed_join(db, stmt) {
+        lines.push(describe_source(db, keyed.other, None)?);
+        lines.push(keyed.describe(stmt));
+        lines.push("CROSS/HASH COMBINE".to_string());
+        lines.push("FILTER".to_string());
     } else {
         for (i, fi) in stmt.from.iter().enumerate() {
             let pushdown = if i == 0 { stmt.where_clause.as_ref() } else { None };
@@ -302,6 +315,9 @@ pub(crate) fn matching_rows(
 // ------------------------------------------------------------------- FROM
 
 fn build_from(db: &Database, stmt: &SelectStmt, view: &ReadView) -> DbResult<Relation> {
+    if let Some(keyed) = keyed_join(db, stmt) {
+        return keyed.execute(db, stmt, view);
+    }
     let mut rel: Option<Relation> = None;
     for (idx, fi) in stmt.from.iter().enumerate() {
         // WHERE conjuncts that reference only the first source can be
@@ -333,6 +349,21 @@ fn read_table(
     pushdown: Option<&Expr>,
     view: &ReadView,
 ) -> DbResult<Relation> {
+    let mut rows = Vec::new();
+    let cols = read_rows(db, table, binding, pushdown, view, |_, row| rows.push(row.clone()))?;
+    Ok(Relation { cols, rows })
+}
+
+/// [`read_table`]'s scan: hands each row that passes the pushed filter to
+/// `keep`, and returns the table's columns.
+fn read_rows(
+    db: &Database,
+    table: &Table,
+    binding: &str,
+    pushdown: Option<&Expr>,
+    view: &ReadView,
+    mut keep: impl FnMut(RowId, &Row),
+) -> DbResult<Vec<ColRef>> {
     let cols = table_cols(binding, &table.schema);
     let names_only_this_table = |conj: &Expr| {
         let (mut refs, mut mine) = (0, 0);
@@ -351,12 +382,11 @@ fn read_table(
         .filter(|c| cannot_fail(c) && names_only_this_table(c))
         .map(|c| compile(c, &cols))
         .reduce(|a, b| Compiled::Binary(BinOp::And, Box::new(a), Box::new(b)));
-    let mut rows = Vec::new();
-    scan(db, table, binding, pushdown, filter.as_ref(), view, |_, row| {
-        rows.push(row.clone());
+    scan(db, table, binding, pushdown, filter.as_ref(), view, |rid, row| {
+        keep(rid, row);
         Ok(ControlFlow::Continue(()))
     })?;
-    Ok(Relation { cols, rows })
+    Ok(cols)
 }
 
 /// Whether evaluating `e` never raises an error: columns, literals, and
@@ -399,7 +429,7 @@ fn resolve_source(
                 return read_table(db, &table, &binding, pushdown, view);
             }
             if let Some(vdef) = db.get_view(name) {
-                let query = push_into_view(db, &vdef.query, &binding, pushdown);
+                let query = push_into_view(&vdef.query, &binding, pushdown);
                 let rs = execute_select(db, &query, view)?;
                 return Ok(relabel(rs, &binding));
             }
@@ -454,7 +484,6 @@ fn relabel(rs: RowSet, binding: &str) -> Relation {
 /// can use indexes. Only conjuncts over simple passthrough columns of a
 /// plain (non-aggregating, non-distinct, non-limited) view are pushed.
 fn push_into_view(
-    _db: &Database,
     view_query: &SelectStmt,
     binding: &str,
     pushdown: Option<&Expr>,
@@ -470,12 +499,11 @@ fn push_into_view(
     }
     // Map of output column name -> inner column expression.
     let mut mapping: HashMap<String, Expr> = HashMap::new();
-    for (i, item) in query.items.iter().enumerate() {
+    for item in &query.items {
         if let SelectItem::Expr { expr: inner @ Expr::Column { name, .. }, alias } = item {
             let out_name = alias.clone().unwrap_or_else(|| name.clone());
             mapping.insert(out_name.to_ascii_lowercase(), inner.clone());
         }
-        let _ = i;
     }
     if mapping.is_empty() {
         return query;
@@ -530,6 +558,174 @@ fn rewrite_for_view(expr: &Expr, binding: &str, mapping: &HashMap<String, Expr>)
             Some(Expr::InList { expr: Box::new(inner), list: list?, negated: false })
         }
         _ => None,
+    }
+}
+
+// ------------------------------------------------------------- keyed join
+
+/// A FROM list of exactly one base table and one table function or
+/// subquery, with no JOIN chains, that a WHERE equi-conjunct links: the
+/// Section 4 shape, a table joined to `graphQuery`. The other source runs
+/// first, and the table is read through the distinct non-NULL values of
+/// its join key: `c IN (keys)` joins the table's pushdown, so an index on
+/// `c` probes them, and the pushed filter re-checks the IN on each visible
+/// version before a row is cloned. The hash join then runs as for any two
+/// FROM items and sees the same pairs: it matches a row only on a key
+/// equal to one of those values, under the `total_cmp` equality that
+/// `Value`'s `Eq`/`Hash` and the index share (`2 = 2.0`; NULL never
+/// joins).
+///
+/// Only a read that would otherwise be a full scan is reduced, and its
+/// rows are handed on in RowId order, the full scan's order, so the result
+/// keeps its rows and their order. Views, LEFT JOINs and a key set larger
+/// than the table are left to the plain path.
+struct KeyedJoin<'s> {
+    table: Arc<Table>,
+    binding: &'s str,
+    /// The table comes first in FROM, so its read takes the WHERE pushdown.
+    table_first: bool,
+    other: &'s TableSource,
+    /// The join column's ordinal in the table, and its partner's in the
+    /// other source's columns.
+    column: usize,
+    key: usize,
+    other_cols: Vec<ColRef>,
+}
+
+/// The [`KeyedJoin`] plan of `stmt`, when it has that shape.
+fn keyed_join<'s>(db: &Database, stmt: &'s SelectStmt) -> Option<KeyedJoin<'s>> {
+    let [a, b] = stmt.from.as_slice() else { return None };
+    if !a.joins.is_empty() || !b.joins.is_empty() {
+        return None;
+    }
+    let named = |s: &TableSource| matches!(s, TableSource::Named { .. });
+    let (source, other, table_first) = match (named(&a.source), named(&b.source)) {
+        (true, false) => (&a.source, &b.source, true),
+        (false, true) => (&b.source, &a.source, false),
+        _ => return None,
+    };
+    let TableSource::Named { name, .. } = source else { return None };
+    let table = db.get_table(name)?;
+    let binding = source.binding_name();
+    let where_clause = stmt.where_clause.as_ref()?;
+    let cols = table_cols(binding, &table.schema);
+    let other_cols = static_cols(db, other)?;
+    let (column, key) = split_conjuncts(where_clause).into_iter().find_map(|conj| {
+        let Expr::Binary { op: BinOp::Eq, left, right } = conj else { return None };
+        let (Expr::Column { qualifier: qa, name: na }, Expr::Column { qualifier: qb, name: nb }) =
+            (left.as_ref(), right.as_ref())
+        else {
+            return None;
+        };
+        let link = |(tq, tn), (oq, on)| {
+            Some((resolve_column(&cols, tq, tn).ok()?, resolve_column(&other_cols, oq, on).ok()?))
+        };
+        link((qa, na), (qb, nb)).or_else(|| link((qb, nb), (qa, na)))
+    })?;
+    let pushdown = Some(where_clause).filter(|_| table_first);
+    let preds = collect_simple_preds(&table, binding, pushdown);
+    if !matches!(choose_access_path(&table.read(), &preds).0, AccessPath::FullScan) {
+        return None;
+    }
+    Some(KeyedJoin { table, binding, table_first, other, column, key, other_cols })
+}
+
+/// The columns a table function or subquery yields, known without running
+/// it: a function's declared list, or a subquery's items with `*` over its
+/// one base table expanded. `None` for any other source.
+fn static_cols(db: &Database, source: &TableSource) -> Option<Vec<ColRef>> {
+    let (names, alias) = match source {
+        TableSource::Function { columns, alias, .. } => {
+            (columns.iter().map(|(n, _)| n.clone()).collect(), alias)
+        }
+        TableSource::Subquery { query, alias } => {
+            let mut names = Vec::new();
+            for (i, item) in query.items.iter().enumerate() {
+                match item {
+                    SelectItem::Expr { expr, alias } => names.push(output_name(expr, alias, i)),
+                    SelectItem::Wildcard => {
+                        let (table, _) = single_table(db, query)?;
+                        names.extend(table.schema.columns.iter().map(|c| c.name.clone()));
+                    }
+                    SelectItem::QualifiedWildcard(_) => return None,
+                }
+            }
+            (names, alias)
+        }
+        TableSource::Named { .. } => return None,
+    };
+    Some(names.iter().map(|n| ColRef::new(Some(alias), n)).collect())
+}
+
+impl KeyedJoin<'_> {
+    fn pushdown<'e>(&self, stmt: &'e SelectStmt) -> Option<&'e Expr> {
+        stmt.where_clause.as_ref().filter(|_| self.table_first)
+    }
+
+    fn execute(&self, db: &Database, stmt: &SelectStmt, view: &ReadView) -> DbResult<Relation> {
+        let other = resolve_source(db, self.other, None, view)?;
+        let mut keys: Vec<&Value> =
+            other.rows.iter().map(|row| &row[self.key]).filter(|v| !v.is_null()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let pushdown = self.pushdown(stmt);
+        let table = if keys.len() > self.table.read().len() {
+            read_table(db, &self.table, self.binding, pushdown, view)?
+        } else {
+            let keys = keys.into_iter().cloned().collect();
+            self.read_keyed(db, keys, pushdown, view)?
+        };
+        let (left, right) = if self.table_first { (table, other) } else { (other, table) };
+        combine(left, right, stmt.where_clause.as_ref())
+    }
+
+    /// The table's rows whose join column holds one of `keys`, in RowId
+    /// order.
+    fn read_keyed(
+        &self,
+        db: &Database,
+        keys: Vec<Value>,
+        pushdown: Option<&Expr>,
+        view: &ReadView,
+    ) -> DbResult<Relation> {
+        if keys.is_empty() {
+            let cols = table_cols(self.binding, &self.table.schema);
+            return Ok(Relation { cols, rows: Vec::new() });
+        }
+        let column = Expr::Column {
+            qualifier: Some(self.binding.to_string()),
+            name: self.table.schema.columns[self.column].name.clone(),
+        };
+        let in_keys = Expr::InList {
+            expr: Box::new(column),
+            list: keys.into_iter().map(Expr::Literal).collect(),
+            negated: false,
+        };
+        let pushdown = match pushdown {
+            Some(w) => w.clone().and(in_keys),
+            None => in_keys,
+        };
+        let mut found = Vec::new();
+        let cols = read_rows(db, &self.table, self.binding, Some(&pushdown), view, |rid, row| {
+            found.push((rid, row.clone()))
+        })?;
+        found.sort_unstable_by_key(|&(rid, _)| rid);
+        Ok(Relation { cols, rows: found.into_iter().map(|(_, row)| row).collect() })
+    }
+
+    /// EXPLAIN's line for the table's read: the access path over the join
+    /// keys, which are known only once the other source has run.
+    fn describe(&self, stmt: &SelectStmt) -> String {
+        let schema = &self.table.schema;
+        let mut preds = collect_simple_preds(&self.table, self.binding, self.pushdown(stmt));
+        preds.push(SimplePred::In(schema.columns[self.column].name.clone(), Vec::new()));
+        let path = match choose_access_path(&self.table.read(), &preds).0 {
+            AccessPath::IndexIn { index, .. } => format!("INDEX-IN {} via {index}", schema.name),
+            other => other.describe(&schema.name),
+        };
+        let key = &self.other_cols[self.key];
+        let qualifier = key.qualifier.as_deref().unwrap_or_default();
+        format!("{path} (join keys of {qualifier}.{})", key.name)
     }
 }
 
@@ -1141,7 +1337,9 @@ fn finish(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Database, Value};
+    use std::sync::Arc;
+
+    use crate::{DataType, Database, DbResult, RowSet, Value};
 
     fn col(rows: Vec<Vec<Value>>) -> Vec<Value> {
         rows.into_iter().map(|mut r| r.remove(0)).collect()
@@ -1218,6 +1416,46 @@ mod tests {
         let rs = db.execute("SELECT v FROM t WHERE id IN (1, 2, 3, 3)").unwrap();
         assert_eq!(rs.len(), 3);
         assert_eq!(db.stats().snapshot().since(&before).index_probes, 3);
+    }
+
+    /// The Section 4 statement: a 1 000-row table joined to the ids a
+    /// table function returns, as SQL joins a table to `graphQuery`.
+    #[test]
+    fn a_table_joined_to_a_function_reads_only_the_matched_rows() {
+        let db = Database::new();
+        db.execute("CREATE TABLE nodes (id BIGINT PRIMARY KEY, version BIGINT)").unwrap();
+        let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i % 100)).collect();
+        db.execute(&format!("INSERT INTO nodes VALUES {}", values.join(", "))).unwrap();
+        // 555 twice, a NULL and an id no row has.
+        let ids = [555, 42, 7, 555, -1, 5000]
+            .map(|i| if i < 0 { Value::Null } else { Value::Bigint(i) });
+        db.register_function(
+            "neighbours",
+            Arc::new(move |_: &[Value], cols: &[(String, DataType)]| -> DbResult<RowSet> {
+                let rows = ids.iter().map(|v| vec![v.clone()]).collect();
+                Ok(RowSet::with_rows(vec![cols[0].0.clone()], rows))
+            }),
+        );
+        let sql = "SELECT COUNT(*), SUM(n.version) FROM nodes AS n, \
+                   TABLE(neighbours()) AS p (vid BIGINT) WHERE n.id = p.vid AND n.version > 10";
+        let before = db.stats().snapshot();
+        let rs = db.execute(sql).unwrap();
+        // 7 fails the version filter; 42 joins once, 555 twice.
+        assert_eq!(rs.rows, vec![vec![Value::Bigint(3), Value::Bigint(42 + 55 + 55)]]);
+        let stats = db.stats().snapshot().since(&before);
+        assert_eq!(stats.rows_read, 3, "read {} rows of 1 000", stats.rows_read);
+        let plan = db.explain(sql).unwrap();
+        let expected = "TABLE-FUNCTION neighbours\n\
+                        INDEX-IN nodes via pk_nodes (join keys of p.vid)\n\
+                        CROSS/HASH COMBINE\nFILTER\nAGGREGATE (0 group keys)";
+        assert_eq!(plan, expected);
+        // The same join over a view of the table reads all of it.
+        db.execute("CREATE VIEW all_nodes AS SELECT id, version FROM nodes").unwrap();
+        let over_view = sql.replace("FROM nodes", "FROM all_nodes");
+        let before = db.stats().snapshot();
+        assert_eq!(db.execute(&over_view).unwrap().rows, rs.rows);
+        assert_eq!(db.stats().snapshot().since(&before).rows_read, 1000);
+        assert!(db.explain(&over_view).unwrap().starts_with("VIEW all_nodes"));
     }
 
     #[test]

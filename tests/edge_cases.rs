@@ -112,6 +112,15 @@ fn limit_zero_and_range_beyond_end() {
     db.execute("INSERT INTO N VALUES (1, 'a', 1.0), (2, 'b', 2.0)").unwrap();
     assert!(g.run("g.V().limit(0)").unwrap().is_empty());
     assert!(g.run("g.V().range(5, 9)").unwrap().is_empty());
+    // An upper bound below the lower one selects nothing. After dedup()
+    // the bound is not pushed into SQL, so the step sees both vertices.
+    assert!(g.run("g.V().range(5, 2)").unwrap().is_empty());
+    assert!(g.run("g.V().range(1, 0)").unwrap().is_empty());
+    assert!(g.run("g.V().dedup().range(1, 0)").unwrap().is_empty());
+    // -1 as the bound means no bound: every element.
+    assert_eq!(g.run("g.V().range(0, -1)").unwrap().len(), 2);
+    assert_eq!(g.run("g.V().limit(-1)").unwrap().len(), 2);
+    assert_eq!(g.run("g.V().range(1, -1)").unwrap().len(), 1);
     let rs = db.execute("SELECT COUNT(*) FROM N LIMIT 0").unwrap();
     assert!(rs.is_empty());
     let rs = db.execute("SELECT COUNT(*) FROM N LIMIT 1").unwrap();

@@ -114,6 +114,25 @@ const GOLDEN: &[(&str, &[&str])] = &[
         "g.V().hasLabel('disease').has('id', gt(1)).count()",
         &["SELECT diseaseID, conceptCode, conceptName FROM Disease"],
     ),
+    // Limit pushdown: a limit right after a GraphStep bounds each table's
+    // read, rounded up to a power of two so bounds share templates.
+    (
+        "g.V().hasLabel('patient').limit(3)",
+        &["SELECT patientID, name, address, subscriptionID FROM Patient LIMIT 4"],
+    ),
+    (
+        "g.V().limit(1).values('name')",
+        &["SELECT patientID, name FROM Patient LIMIT 1", "SELECT diseaseID FROM Disease LIMIT 1"],
+    ),
+    (
+        "g.E().hasLabel('isa').range(2, 5)",
+        &["SELECT sourceID, targetID, type FROM DiseaseOntology WHERE type = ? LIMIT 8"],
+    ),
+    // An inexact plan's residual check may drop rows: no LIMIT.
+    (
+        "g.V().hasLabel('disease').has('id', gt(1)).limit(2)",
+        &["SELECT diseaseID, conceptCode, conceptName FROM Disease"],
+    ),
 ];
 
 #[test]

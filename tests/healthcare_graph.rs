@@ -184,6 +184,16 @@ fn graph_query_table_function_synergy() {
     assert_eq!(rs.get(1, "patientID"), Some(&Value::Bigint(2)));
     assert_eq!(rs.get(1, "avg_steps"), Some(&Value::Double(4000.0)));
     assert_eq!(rs.get(2, "patientID"), Some(&Value::Bigint(4)));
+    // The graph query runs first, and DeviceData is read through the
+    // subscription ids it returned: by index once the column has one.
+    let keyed = "(join keys of P.subscriptionID)";
+    let plan = db.explain(sql).unwrap();
+    let expected = format!("TABLE-FUNCTION graphQuery\nSCAN DeviceData {keyed}\n");
+    assert!(plan.starts_with(&expected), "{plan}");
+    db.execute("CREATE INDEX ix_device_sub ON DeviceData (subscriptionID)").unwrap();
+    let plan = db.explain(sql).unwrap();
+    assert!(plan.contains(&format!("INDEX-IN DeviceData via ix_device_sub {keyed}")), "{plan}");
+    assert_eq!(db.execute(sql).unwrap().rows, rs.rows);
 }
 
 #[test]

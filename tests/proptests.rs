@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use db2graph::core::ids::IdDef;
 use db2graph::core::{generate_overlay, Db2Graph, GraphOptions, StrategyConfig};
 use db2graph::gremlin::{ElementId, GValue};
-use db2graph::reldb::{ColumnDef, DataType, Database, TableSchema, Value};
+use db2graph::reldb::{ColumnDef, DataType, Database, DbResult, RowSet, TableSchema, Value};
 
 // ----------------------------------------------------------------- values
 
@@ -402,6 +402,104 @@ proptest! {
     }
 }
 
+/// One join key as a table function returns it: an id, an id the UPDATE
+/// below moved, a DOUBLE equal to an id or to none, or NULL.
+fn arb_join_key() -> impl Strategy<Value = Value> {
+    (0u8..10, 0i64..90).prop_map(|(kind, x)| match kind {
+        0..=3 => Value::Bigint(x),
+        4 => Value::Bigint(x + 1000),
+        5 | 6 => Value::Double(x as f64),
+        7 => Value::Double(x as f64 + 0.5),
+        _ => Value::Null,
+    })
+}
+
+/// Register `name` as a table function returning `keys`, one per row.
+fn register_keys(db: &Database, name: &str, keys: Vec<Value>) {
+    db.register_function(
+        name,
+        Arc::new(move |_: &[Value], cols: &[(String, DataType)]| -> DbResult<RowSet> {
+            let rows = keys.iter().map(|k| vec![k.clone()]).collect();
+            Ok(RowSet::with_rows(vec![cols[0].0.clone()], rows))
+        }),
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn semi_join_reduction_equals_unreduced_join(
+        ids in prop::collection::btree_set(0i64..90, 1..60),
+        vs in prop::collection::vec(0i64..44, 60..61),
+        keys in prop::collection::vec(arb_join_key(), 0..40),
+        bump_below in 0i64..40,
+        floor in 0i64..40,
+    ) {
+        // A base table joined to a table function or subquery is read
+        // through the other side's join keys. The same statement with the
+        // table wrapped as `(SELECT * FROM t) AS n` has no base table in
+        // FROM, so it runs the plain hash join over the full table: rows
+        // and their order must be equal. `v` values of 40 and up are NULL;
+        // the UPDATE moves some ids by 1 000, leaving a stale posting
+        // under each old id of the PRIMARY KEY table.
+        let db = Database::new();
+        db.execute("CREATE TABLE t_pk (id BIGINT PRIMARY KEY, v BIGINT)").unwrap();
+        db.execute("CREATE TABLE t_scan (id BIGINT, v BIGINT)").unwrap();
+        for (i, id) in ids.iter().enumerate() {
+            let v = if vs[i] < 40 { vs[i].to_string() } else { "NULL".to_string() };
+            for t in ["t_pk", "t_scan"] {
+                db.execute(&format!("INSERT INTO {t} VALUES ({id}, {v})")).unwrap();
+            }
+        }
+        for t in ["t_pk", "t_scan"] {
+            db.execute(&format!("UPDATE {t} SET id = id + 1000 WHERE v < {bump_below}")).unwrap();
+        }
+        let bigints: Vec<Value> =
+            keys.iter().filter(|k| !matches!(k, Value::Double(_))).cloned().collect();
+        let strings: Vec<Value> =
+            bigints.iter().map(|k| Value::Varchar(k.to_string())).collect();
+        register_keys(&db, "keys_d", keys);
+        register_keys(&db, "keys_i", bigints);
+        register_keys(&db, "keys_s", strings);
+        register_keys(&db, "keys_none", Vec::new());
+
+        let queries = [
+            "SELECT n.id, n.v, p.k FROM {n}, TABLE(keys_i()) AS p (k BIGINT) WHERE n.id = p.k"
+                .to_string(),
+            format!(
+                "SELECT n.id, n.v, p.k FROM {{n}}, TABLE(keys_d()) AS p (k DOUBLE) \
+                 WHERE n.id = p.k AND n.v > {floor}"
+            ),
+            format!(
+                "SELECT COUNT(*), SUM(n.v) FROM {{n}}, TABLE(keys_i()) AS p (k BIGINT) \
+                 WHERE n.id = p.k AND n.v > {floor}"
+            ),
+            // The function first in FROM.
+            "SELECT p.k, n.v FROM TABLE(keys_d()) AS p (k DOUBLE), {n} WHERE p.k = n.id"
+                .to_string(),
+            "SELECT n.id FROM {n}, TABLE(keys_none()) AS p (k BIGINT) WHERE n.id = p.k"
+                .to_string(),
+            "SELECT n.id FROM {n}, TABLE(keys_s()) AS p (k VARCHAR) WHERE n.id = p.k".to_string(),
+            // A subquery as the other side.
+            "SELECT q.k, n.id FROM {n}, (SELECT p.k FROM TABLE(keys_d()) AS p (k DOUBLE)) AS q \
+             WHERE q.k = n.id"
+                .to_string(),
+        ];
+        for query in &queries {
+            for t in ["t_pk", "t_scan"] {
+                let reduced = query.replace("{n}", &format!("{t} AS n"));
+                let plain = query.replace("{n}", &format!("(SELECT * FROM {t}) AS n"));
+                let plan = db.explain(&reduced).unwrap();
+                prop_assert!(plan.contains("join keys of"), "{}\n{}", reduced, plan);
+                prop_assert!(!db.explain(&plain).unwrap().contains("join keys of"), "{}", plain);
+                let a = db.execute(&reduced).unwrap().rows;
+                let b = db.execute(&plain).unwrap().rows;
+                prop_assert_eq!(a, b, "{}", reduced);
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------------- LIKE
 
 /// Reference LIKE implementation via dynamic programming.
@@ -465,12 +563,15 @@ proptest! {
     #[test]
     fn strategies_preserve_semantics((verts, edges) in arb_graph_rows(), probe in 0i64..20) {
         let db = Arc::new(Database::new());
-        db.execute("CREATE TABLE vs (id BIGINT PRIMARY KEY, vlabel VARCHAR, w BIGINT)").unwrap();
+        db.execute("CREATE TABLE vs (id BIGINT PRIMARY KEY, vlabel VARCHAR, w BIGINT, x BIGINT)")
+            .unwrap();
         db.execute("CREATE TABLE es (src BIGINT, dst BIGINT, elabel VARCHAR)").unwrap();
         db.execute("CREATE INDEX ix_src ON es (src)").unwrap();
         db.set_enforce_foreign_keys(false);
         for (id, l) in &verts {
-            db.execute(&format!("INSERT INTO vs VALUES ({id}, '{l}', {})", id * 2)).unwrap();
+            // `x` is NULL on two vertices in three.
+            let x = if id % 3 == 2 { id.to_string() } else { "NULL".to_string() };
+            db.execute(&format!("INSERT INTO vs VALUES ({id}, '{l}', {}, {x})", id * 2)).unwrap();
         }
         for (s, d, l) in &edges {
             db.execute(&format!("INSERT INTO es VALUES ({s}, {d}, '{l}')")).unwrap();
@@ -482,7 +583,7 @@ proptest! {
                 id: "id".into(),
                 fix_label: false,
                 label: "vlabel".into(),
-                properties: Some(vec!["w".into()]),
+                properties: Some(vec!["w".into(), "x".into()]),
             }],
             e_tables: vec![db2graph::core::ETableConfig {
                 table_name: "es".into(),
@@ -522,6 +623,41 @@ proptest! {
             b.sort_by_key(key);
             prop_assert_eq!(a, b, "query {} differs under strategies", q);
         }
+
+        // A limit or range right after a GraphStep becomes a per-table SQL
+        // LIMIT on exact plans; each table returns a prefix of its rows, so
+        // the answer is the same sequence, compared unsorted.
+        let mut queries = vec![
+            "g.V().limit(-1)".to_string(),
+            "g.V().range(0, -1)".to_string(),
+            // A NULL `x` yields no value, so values() must not be bounded.
+            "g.V().values('x').limit(1)".to_string(),
+        ];
+        for n in [0, 1, 3, 17] {
+            queries.extend([
+                format!("g.V().limit({n})"),
+                format!("g.E().limit({n})"),
+                format!("g.V().has('w', gte({probe})).limit({n})"),
+                format!("g.V().has('x', gte({probe})).limit({n})"),
+                // An id range is an inexact plan: no LIMIT.
+                format!("g.V().has('id', gt({probe})).limit({n})"),
+                format!("g.V().dedup().limit({n})"),
+                format!("g.V().order().by('w').limit({n})"),
+            ]);
+        }
+        for (lo, hi) in [(0, 1), (1, 3), (2, 17), (5, 9), (12, 15), (5, 2), (3, 0)] {
+            queries.push(format!("g.V().hasLabel('t1').range({lo}, {hi})"));
+        }
+        for q in &queries {
+            let a = g_on.run(q).unwrap();
+            let b = g_off.run(q).unwrap();
+            prop_assert_eq!(a, b, "query {} differs under strategies", q);
+        }
+        let sql = |q: &str| g_on.explain_report(q).unwrap().sql_statements().join("; ");
+        let bounded = sql("g.V().limit(3)");
+        prop_assert!(bounded.ends_with(" LIMIT 4"), "{}", bounded);
+        let inexact = sql(&format!("g.V().has('id', gt({probe})).limit(3)"));
+        prop_assert!(!inexact.contains("LIMIT"), "{}", inexact);
     }
 }
 

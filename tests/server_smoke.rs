@@ -271,6 +271,31 @@ fn slow_loris_drip_cannot_renew_the_read_deadline() {
     handle.shutdown();
 }
 
+/// A `range` whose upper bound is below its lower one is an empty answer,
+/// not a panic: with one worker, a panic would take the only worker down
+/// and the next query would never be served. The graph has four vertices;
+/// after `dedup()` the bound is not pushed into SQL, so the step sees all
+/// of them.
+#[test]
+fn inverted_range_answers_empty_and_the_worker_survives() {
+    let graph = healthcare_graph(Default::default());
+    let handle = GraphServer::start(graph, ServerConfig { workers: 1, ..test_config() }).unwrap();
+    let addr = handle.addr();
+    for query in ["g.V().range(5, 2)", "g.V().dedup().range(3, 1)"] {
+        let r = http_call(addr, "POST", "/query", query, TIMEOUT).unwrap();
+        assert_eq!(r.status, 200, "{query}: {}", r.body);
+        let j = Json::parse(&r.body).unwrap();
+        assert_eq!(j.get("count").and_then(Json::as_u64), Some(0), "{query}: {}", r.body);
+        let result = j.get("result").and_then(Json::as_array);
+        assert_eq!(result.map(|a| a.len()), Some(0), "{query}: {}", r.body);
+    }
+    let r = http_call(addr, "POST", "/query", "g.V().count()", TIMEOUT).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let j = Json::parse(&r.body).unwrap();
+    assert_eq!(j.get("result").unwrap().as_array().unwrap()[0].as_u64(), Some(4), "{}", r.body);
+    handle.shutdown();
+}
+
 /// Full durable round trip over the wire: start a server on a fresh data
 /// directory, seed rows over `POST /sql`, query them, kill the server,
 /// reopen a second server from the *same* directory, and check that (a)
