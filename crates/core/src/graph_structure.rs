@@ -188,10 +188,12 @@ impl Db2GraphBackend {
         let epoch = snap.epoch();
         let mut cached = 0usize;
         for ei in 0..self.topo.edge_tables.len() {
-            let TableResult::Rows(rows) = self.probe_edge_rows(ei, &ElementFilter::default())?
+            let TableAccess::Scan(plan) =
+                self.table_access(ElementKind::Edges, ei, &ElementFilter::default())
             else {
                 continue;
             };
+            let rows = self.probe_edge_rows(ei, &plan)?;
             let shape = Shape::new(&self.topo, ElementKind::Edges, ei, None);
             let ends: Vec<(ElementId, ElementId)> = rows
                 .iter()
@@ -231,26 +233,55 @@ impl Db2GraphBackend {
         self.threads
     }
 
-    /// Fan independent table reads out over the worker pool.
+    /// Plan a batch of table jobs here, then read what the plans keep.
     ///
-    /// Each job runs against a shallow backend clone whose profiler is a
-    /// fresh fork; after the batch finishes, the forks are absorbed back
-    /// into this backend's profiler **in job order**, so `.profile()`
+    /// The coordinator runs `table_access` for every job in job order and
+    /// records each decision — pruned with its reason, or read — on this
+    /// backend's profiler before any SQL runs, so a pruned table costs no
+    /// pool job. Only reads go further, each with its [`ScanPlan`]: a single
+    /// read runs inline on this backend, on the calling thread; two or more
+    /// go to the worker pool. Whether the pool is used depends only on how
+    /// many tables the plan reads, never on the thread count.
+    ///
+    /// Each pooled read runs against a shallow backend clone whose profiler
+    /// is a fresh fork; after the batch finishes, the forks are absorbed
+    /// back into this backend's profiler **in job order**, so `.profile()`
     /// output is identical to sequential execution modulo timing. Results
-    /// likewise come back in job order, and the first error in job order
-    /// wins — callers observe no scheduling effects.
+    /// come back in job order (`TableResult::Pruned` for a pruned job), and
+    /// the first error in job order wins — callers observe no scheduling
+    /// effects.
     ///
-    /// When tracing is enabled each job runs inside a `worker` span on its
-    /// fork's tracer; absorbing re-parents those spans under whatever span
-    /// is open at the fan-out site (the executor step), so trace structure
-    /// is the same at any thread count.
+    /// When tracing is enabled each pooled read runs inside a `worker` span
+    /// on its fork's tracer; absorbing re-parents those spans under whatever
+    /// span is open at the fan-out site (the executor step), so trace
+    /// structure is the same at any thread count.
     fn fan_out(&self, jobs: Vec<TableJob>) -> GraphResult<Vec<TableResult>> {
-        let forks: Vec<Profiler> = jobs.iter().map(|_| self.profiler.fork()).collect();
-        let work: Vec<_> = jobs
+        self.check_deadline()?;
+        let mut results: Vec<TableResult> = Vec::with_capacity(jobs.len());
+        let mut reads: Vec<(usize, TableJob, ScanPlan)> = Vec::new();
+        for (i, job) in jobs.into_iter().enumerate() {
+            let (kind, action) = job.kind.profiled_as();
+            let table = &self.topo.table(kind, job.table).name;
+            results.push(TableResult::Pruned);
+            match self.table_access(kind, job.table, &job.filter) {
+                TableAccess::Pruned(reason) => {
+                    self.profiler.record_table(table, TableAction::Pruned(reason));
+                }
+                TableAccess::Scan(plan) => {
+                    self.profiler.record_table(table, action);
+                    reads.push((i, job, plan));
+                }
+            }
+        }
+        if let [(i, job, plan)] = reads.as_slice() {
+            results[*i] = self.read_table(job, plan)?;
+            return Ok(results);
+        }
+        let forks: Vec<Profiler> = reads.iter().map(|_| self.profiler.fork()).collect();
+        let work: Vec<_> = reads
             .into_iter()
             .zip(&forks)
-            .enumerate()
-            .map(|(i, (job, fork))| {
+            .map(|((i, job, plan), fork)| {
                 let be = self.bind(self.read_view.clone(), self.deadline, fork.clone());
                 move || {
                     let tracer = be.profiler.tracer();
@@ -258,26 +289,32 @@ impl Db2GraphBackend {
                         .start_with("worker", crate::trace::SpanKind::Worker, || {
                             vec![("job".to_string(), i.to_string())]
                         });
-                    let out = be.run_table_job(&job);
+                    let out = be.read_table(&job, &plan);
                     tracer.end(span);
-                    out
+                    (i, out)
                 }
             })
             .collect();
-        let results = pool::run_ordered(self.threads, work);
+        let outs = pool::run_ordered(self.threads, work);
         for fork in &forks {
             self.profiler.absorb(fork);
         }
-        results.into_iter().collect()
+        for (i, out) in outs {
+            results[i] = out?;
+        }
+        Ok(results)
     }
 
-    fn run_table_job(&self, job: &TableJob) -> GraphResult<TableResult> {
-        let (kind, action) = match job.kind {
-            JobKind::Adjacency => return self.probe_edge_rows(job.table, &job.filter),
-            JobKind::Read(kind) => (kind, TableAction::Queried),
-            JobKind::PinnedVertices => (ElementKind::Vertices, TableAction::Pinned),
-        };
-        self.query_table(kind, job.table, &job.filter, action)
+    /// Run one planned read: the SQL of `job` under `plan`.
+    fn read_table(&self, job: &TableJob, plan: &ScanPlan) -> GraphResult<TableResult> {
+        self.check_deadline()?;
+        match job.kind {
+            JobKind::Adjacency => Ok(TableResult::Rows(self.probe_edge_rows(job.table, plan)?)),
+            JobKind::Read(kind) => self.query_table(kind, job.table, &job.filter, plan),
+            JobKind::PinnedVertices => {
+                self.query_table(ElementKind::Vertices, job.table, &job.filter, plan)
+            }
+        }
     }
 
     /// The always-on aggregate counters shared with the SQL dialect.
@@ -547,66 +584,35 @@ impl Db2GraphBackend {
         Ok(())
     }
 
-    /// The access decision for one table, recorded in the profile —
-    /// `action` when it is read, the reason when it is pruned: the plan,
-    /// or `None` when pruned.
-    fn plan_table(
-        &self,
-        kind: ElementKind,
-        ti: usize,
-        filter: &ElementFilter,
-        action: TableAction,
-    ) -> GraphResult<Option<ScanPlan>> {
-        self.check_deadline()?;
-        let table = &self.topo.table(kind, ti).name;
-        Ok(match self.table_access(kind, ti, filter) {
-            TableAccess::Pruned(reason) => {
-                self.profiler.record_table(table, TableAction::Pruned(reason));
-                None
-            }
-            TableAccess::Scan(plan) => {
-                self.profiler.record_table(table, action);
-                Some(plan)
-            }
-        })
-    }
-
-    /// An adjacency probe: the rows of edge table `ei` under `filter`,
+    /// An adjacency probe: the rows of edge table `ei` under `plan`,
     /// selected with every column a hop decodes — the shape the adjacency
     /// cache holds.
-    fn probe_edge_rows(&self, ei: usize, filter: &ElementFilter) -> GraphResult<TableResult> {
-        let Some(plan) = self.plan_table(ElementKind::Edges, ei, filter, TableAction::Queried)?
-        else {
-            return Ok(TableResult::Pruned);
-        };
+    fn probe_edge_rows(&self, ei: usize, plan: &ScanPlan) -> GraphResult<Vec<Row>> {
         let shape = Shape::new(&self.topo, ElementKind::Edges, ei, None);
         let sql = build_select(&shape.table.name, &shape.cols, &plan.conjuncts, None);
-        Ok(TableResult::Rows(self.query(&shape.table.name, &sql, &plan)?.rows))
+        Ok(self.query(&shape.table.name, &sql, plan)?.rows)
     }
 
-    /// One table's part of a `V()`/`E()` read: its elements, projected
-    /// values or aggregate parts. `action` is how the read is profiled.
-    /// An exact plan pushes the projection or aggregate into SQL; an
-    /// inexact one reads whole elements, keeps those the filter matches,
-    /// and folds the projection or aggregate here.
+    /// One table's part of a `V()`/`E()` read under `plan`: its elements,
+    /// projected values or aggregate parts. An exact plan pushes the
+    /// projection or aggregate into SQL; an inexact one reads whole
+    /// elements, keeps those the filter matches, and folds the projection
+    /// or aggregate here.
     fn query_table(
         &self,
         kind: ElementKind,
         ti: usize,
         filter: &ElementFilter,
-        action: TableAction,
+        plan: &ScanPlan,
     ) -> GraphResult<TableResult> {
-        let Some(plan) = self.plan_table(kind, ti, filter, action)? else {
-            return Ok(TableResult::Pruned);
-        };
         let t = self.topo.table(kind, ti);
-        let (shape, sql) = match TableRead::new(&self.topo, kind, ti, &plan, filter) {
+        let (shape, sql) = match TableRead::new(&self.topo, kind, ti, plan, filter) {
             TableRead::Aggregate(op, statements) => {
-                return self.run_aggregate(t, &plan, op, statements)
+                return self.run_aggregate(t, plan, op, statements)
             }
             TableRead::Select(shape, sql) => (shape, sql),
         };
-        let rows = self.query(&t.name, &sql, &plan)?.rows;
+        let rows = self.query(&t.name, &sql, plan)?.rows;
         if let (true, Some(keys)) = (plan.exact, &filter.projection) {
             // Projection pushdown: scalar values straight from the rows.
             let values = rows.iter().flat_map(|row| shape.values(row, keys)).collect();
@@ -1018,8 +1024,20 @@ enum JobKind {
     Adjacency,
 }
 
-/// One unit of [`Db2GraphBackend::fan_out`]: read one overlay table under
-/// a filter. Owned, so it can run on a resident pool thread.
+impl JobKind {
+    /// The kind of table the job reads, and how a read is profiled.
+    fn profiled_as(self) -> (ElementKind, TableAction) {
+        match self {
+            JobKind::Read(kind) => (kind, TableAction::Queried),
+            JobKind::PinnedVertices => (ElementKind::Vertices, TableAction::Pinned),
+            JobKind::Adjacency => (ElementKind::Edges, TableAction::Queried),
+        }
+    }
+}
+
+/// One unit of [`Db2GraphBackend::fan_out`]: one overlay table under a
+/// filter. The coordinator plans it; a job it reads travels with its
+/// [`ScanPlan`], owned, so it can run on a resident pool thread.
 struct TableJob {
     kind: JobKind,
     /// Index into the topology's vertex or edge tables, per `kind`.

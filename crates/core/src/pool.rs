@@ -36,7 +36,8 @@
 //! re-raised on the caller once the batch has finished.
 //!
 //! Observability: the pool itself records nothing. Callers that need
-//! per-job telemetry (the backend's `fan_out`) give each job a forked
+//! per-job telemetry (the backend's `fan_out`, which plans every table on
+//! the caller and pools only its reads) give each job a forked
 //! [`Tracer`](crate::trace::Tracer)/`Profiler` and absorb the forks back in
 //! job order after [`run_ordered`] returns — the same ordering guarantee
 //! that makes results deterministic makes the absorbed span *tree*

@@ -11,8 +11,10 @@
 //! adjacency probes for the native store, KV lookups for the Janus-like
 //! store).
 
+use std::collections::BTreeMap;
+
 use crate::error::GResult;
-use crate::structure::{Edge, Element, ElementId, GValue};
+use crate::structure::{Edge, Element, ElementId, GValue, Vertex};
 
 /// Which element set a graph-level step addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,53 +170,60 @@ impl ElementFilter {
     /// element. Backends that cannot push a filter natively call this to
     /// post-filter.
     pub fn matches(&self, e: &Element) -> bool {
-        if let Some(ids) = &self.ids {
-            if !ids.iter().any(|i| i == e.id()) {
-                return false;
-            }
+        match e {
+            Element::Vertex(v) => self.matches_vertex(v),
+            Element::Edge(edge) => self.matches_edge(edge),
         }
-        if let Some(labels) = &self.labels {
-            if !labels.iter().any(|l| l == e.label()) {
-                return false;
-            }
-        }
-        if let Some(src_ids) = &self.src_ids {
-            match e {
-                Element::Edge(edge) => {
-                    if !src_ids.iter().any(|i| i == &edge.src) {
-                        return false;
-                    }
-                }
-                Element::Vertex(_) => return false,
-            }
-        }
-        if let Some(dst_ids) = &self.dst_ids {
-            match e {
-                Element::Edge(edge) => {
-                    if !dst_ids.iter().any(|i| i == &edge.dst) {
-                        return false;
-                    }
-                }
-                Element::Vertex(_) => return false,
-            }
-        }
-        for p in &self.predicates {
-            let value = element_property(e, &p.key);
-            if !p.pred.test(value.as_ref()) {
-                return false;
-            }
-        }
-        true
+    }
+
+    /// [`Self::matches`] for a borrowed vertex: an endpoint constraint
+    /// rejects every vertex.
+    pub fn matches_vertex(&self, v: &Vertex) -> bool {
+        self.src_ids.is_none()
+            && self.dst_ids.is_none()
+            && self.matches_parts(&v.id, &v.label, &v.properties)
+    }
+
+    /// [`Self::matches`] for a borrowed edge.
+    pub fn matches_edge(&self, e: &Edge) -> bool {
+        let within = |ids: &Option<Vec<ElementId>>, end: &ElementId| {
+            ids.as_ref().is_none_or(|ids| ids.contains(end))
+        };
+        within(&self.src_ids, &e.src)
+            && within(&self.dst_ids, &e.dst)
+            && self.matches_parts(&e.id, &e.label, &e.properties)
+    }
+
+    fn matches_parts(
+        &self,
+        id: &ElementId,
+        label: &str,
+        properties: &BTreeMap<String, GValue>,
+    ) -> bool {
+        self.ids.as_ref().is_none_or(|ids| ids.contains(id))
+            && self.labels.as_ref().is_none_or(|ls| ls.iter().any(|l| l == label))
+            && self.predicates.iter().all(|p| {
+                p.pred.test(property_of(id, label, properties, &p.key).as_ref())
+            })
     }
 }
 
 /// Resolve a property key against an element, treating `id` and `label` as
 /// pseudo-properties like TinkerPop's `T.id`/`T.label`.
 pub fn element_property(e: &Element, key: &str) -> Option<GValue> {
+    property_of(e.id(), e.label(), e.properties(), key)
+}
+
+fn property_of(
+    id: &ElementId,
+    label: &str,
+    properties: &BTreeMap<String, GValue>,
+    key: &str,
+) -> Option<GValue> {
     match key {
-        "id" => Some(crate::structure::id_value(e.id())),
-        "label" => Some(GValue::Str(e.label().to_string())),
-        _ => e.properties().get(key).cloned(),
+        "id" => Some(crate::structure::id_value(id)),
+        "label" => Some(GValue::Str(label.to_string())),
+        _ => properties.get(key).cloned(),
     }
 }
 

@@ -110,22 +110,40 @@ fn apply_output(elements: Vec<Element>, filter: &ElementFilter) -> GResult<Backe
     Ok(BackendOutput::Elements(elements))
 }
 
+/// The elements of `map` that `filter` accepts, in key order, cloning only
+/// those: with `filter.ids` set, a lookup per distinct id instead of a scan.
+fn select<T: Clone>(
+    map: &BTreeMap<ElementId, T>,
+    filter: &ElementFilter,
+    matches: fn(&ElementFilter, &T) -> bool,
+    wrap: fn(T) -> Element,
+) -> Vec<Element> {
+    let Some(ids) = &filter.ids else {
+        return map.values().filter(|x| matches(filter, x)).cloned().map(wrap).collect();
+    };
+    let mut ids: Vec<&ElementId> = ids.iter().collect();
+    ids.sort();
+    ids.dedup();
+    // Every looked-up element has a requested id: check the rest.
+    let rest = ElementFilter { ids: None, ..filter.clone() };
+    ids.into_iter()
+        .filter_map(|id| map.get(id))
+        .filter(|x| matches(&rest, x))
+        .cloned()
+        .map(wrap)
+        .collect()
+}
+
 impl GraphBackend for MemGraph {
     fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
         let inner = self.inner.read().unwrap();
-        let elements: Vec<Element> = match kind {
-            ElementKind::Vertices => inner
-                .vertices
-                .values()
-                .map(|v| Element::Vertex(v.clone()))
-                .filter(|e| filter.matches(e))
-                .collect(),
-            ElementKind::Edges => inner
-                .edges
-                .values()
-                .map(|e| Element::Edge(e.clone()))
-                .filter(|e| filter.matches(e))
-                .collect(),
+        let elements = match kind {
+            ElementKind::Vertices => {
+                select(&inner.vertices, filter, ElementFilter::matches_vertex, Element::Vertex)
+            }
+            ElementKind::Edges => {
+                select(&inner.edges, filter, ElementFilter::matches_edge, Element::Edge)
+            }
         };
         apply_output(elements, filter)
     }
@@ -282,6 +300,26 @@ mod tests {
             BackendOutput::Aggregate(GValue::Long(2)) => {}
             other => panic!("{other:?}"),
         }
+        // Requested ids are looked up once each and come back in key
+        // order; the rest of the filter still applies.
+        let ids = |es: BackendOutput| match es {
+            BackendOutput::Elements(es) => es.iter().map(|e| e.id().clone()).collect::<Vec<_>>(),
+            other => panic!("{other:?}"),
+        };
+        let f = ElementFilter {
+            ids: Some(vec![11i64.into(), "patient::2".into(), 10i64.into(), 11i64.into()]),
+            labels: Some(vec!["disease".into()]),
+            ..Default::default()
+        };
+        let found = ids(g.graph_elements(ElementKind::Vertices, &f).unwrap());
+        assert_eq!(found, vec![ElementId::from(10i64), ElementId::from(11i64)]);
+        let f = ElementFilter {
+            ids: Some(vec!["isa1".into(), "hd2".into(), "hd1".into(), "none".into()]),
+            src_ids: Some(vec!["patient::1".into(), "patient::2".into()]),
+            ..Default::default()
+        };
+        let found = ids(g.graph_elements(ElementKind::Edges, &f).unwrap());
+        assert_eq!(found, vec![ElementId::from("hd1"), ElementId::from("hd2")]);
     }
 
     #[test]

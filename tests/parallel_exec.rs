@@ -10,6 +10,10 @@ use db2graph::core::{
     Db2Graph, ETableConfig, GraphOptions, OverlayConfig, ProfileReport, TableAction, VTableConfig,
 };
 use db2graph::gremlin::GValue;
+use db2graph::linkbench::queries::get_node;
+use db2graph::linkbench::{
+    generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,
+};
 use db2graph::reldb::Database;
 
 /// A social graph with a self-loop: Ann knows herself.
@@ -260,6 +264,15 @@ fn cold_warm_and_disabled_caches_agree_on_corpus() {
     assert!(served_anywhere, "no warm profile recorded a CacheHit");
 }
 
+/// A 500-vertex LinkBench graph: ten fixed-label vertex tables and ten
+/// fixed-label edge tables, the layout of the paper's Table 1 queries.
+fn linkbench_graph(options: GraphOptions) -> (GraphData, Arc<Db2Graph>) {
+    let data = generate(&LinkBenchConfig::small().with_vertices(500));
+    let (db, _) = materialize(&data).unwrap();
+    let g = Db2Graph::open_with_options(db, &overlay_config(), options).unwrap();
+    (data, g)
+}
+
 #[test]
 fn parallel_trace_structure_matches_sequential() {
     // The span *tree* must be deterministic across thread counts: worker
@@ -296,6 +309,80 @@ fn parallel_trace_structure_matches_sequential() {
         "no sql span nested under a worker span:\n{}",
         seq.join("\n")
     );
+
+    // getNode over ten fixed-label vertex tables: the coordinator records
+    // nine pruned tables and one queried, in table order, and the one read
+    // runs inline — the same decisions, statements and span tree at 1, 2
+    // and 8 threads, with no pool job in the trace.
+    let mut reference: Option<(Vec<String>, Vec<String>)> = None;
+    for threads in [1, 2, 8] {
+        let (data, g) = linkbench_graph(GraphOptions {
+            threads: Some(threads),
+            trace: Some(true),
+            trace_capacity: Some(1 << 20),
+            ..Default::default()
+        });
+        let label = data.vertex_label(17).to_string();
+        let (values, p) = g.profile(&get_node(17, &label)).unwrap();
+        assert_eq!(values.len(), 1, "threads={threads}: getNode finds its vertex");
+        let decisions: Vec<(String, bool)> = p
+            .tables
+            .iter()
+            .map(|t| match &t.action {
+                TableAction::Pruned(_) => (t.table.clone(), false),
+                TableAction::Queried => (t.table.clone(), true),
+                other => panic!("threads={threads}: unexpected decision {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(String, bool)> = (0..10)
+            .map(|k| (format!("nodes_vt{k}"), format!("vt{k}") == label))
+            .collect();
+        assert_eq!(decisions, expected, "threads={threads}: table decisions");
+        let statements: Vec<String> = p.statements.iter().map(|s| s.sql.clone()).collect();
+        assert_eq!(statements.len(), 1, "threads={threads}: {statements:?}");
+        let trace = g.trace_sink().unwrap().structure_lines();
+        assert!(
+            !trace.iter().any(|l| l.starts_with("[worker|")),
+            "threads={threads}: a one-table read reached the pool:\n{}",
+            trace.join("\n")
+        );
+        match &reference {
+            None => reference = Some((statements, trace)),
+            Some((stmts, lines)) => {
+                assert_eq!(&statements, stmts, "threads={threads}: statements diverge");
+                assert_eq!(&trace, lines, "threads={threads}: trace structure diverges");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_table_point_queries_run_on_the_calling_thread() {
+    // Table 1's four shapes each read one table after pruning. The
+    // coordinator plans every table, so at 8 threads the one read runs
+    // inline: every statement executes on the thread that called run().
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+    let (data, g) =
+        linkbench_graph(GraphOptions { threads: Some(8), ..Default::default() });
+    let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let hook_ran_on = ran_on.clone();
+    g.dialect().set_statement_hook(Some(Arc::new(move |_: &str| {
+        hook_ran_on.lock().unwrap().push(std::thread::current().id());
+    })));
+    let mut queries = 0;
+    for kind in QueryKind::ALL {
+        for q in QueryStream::new(&data, kind, 11).batch(200) {
+            g.run(&q).unwrap();
+            queries += 1;
+        }
+    }
+    g.dialect().set_statement_hook(None);
+    let caller = std::thread::current().id();
+    let ran_on = ran_on.lock().unwrap();
+    assert!(ran_on.len() >= queries, "{} statements for {queries} queries", ran_on.len());
+    let elsewhere = ran_on.iter().filter(|&&t| t != caller).count();
+    assert_eq!(elsewhere, 0, "{elsewhere} of {} statements left the calling thread", ran_on.len());
 }
 
 #[test]
