@@ -4,9 +4,10 @@
 //! Every query — [`Db2Graph::run`], [`Db2Graph::profile`], a `.profile()`
 //! terminator, a traced or slow-logged run, an HTTP request — goes through
 //! one path, [`Db2Graph::execute`]. Observation (the per-query
-//! [`Profiler`] and its tracer) is attached to that path when something
-//! will read it and is otherwise disabled; it records what the run did and
-//! never changes how it runs.
+//! [`Profiler`], whose one span tree feeds both the profile report and
+//! the trace sink) is attached to that path when something will read it
+//! and is otherwise disabled; it records what the run did and never
+//! changes how it runs.
 
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use crate::metrics::{
 use crate::sql_dialect::{SqlDialect, WorkloadReport};
 use crate::strategies::StrategyConfig;
 use crate::topology::Topology;
-use crate::trace::{SpanKind, TraceSink, Tracer, DEFAULT_TRACE_CAPACITY};
+use crate::trace::{SpanData, TraceSink, DEFAULT_TRACE_CAPACITY};
 
 /// Options controlling a graph's optimizer and executor.
 #[derive(Debug, Clone, Default)]
@@ -299,12 +300,14 @@ impl Db2Graph {
 
     /// The one run path behind [`Self::run`], [`Self::profile`] and the
     /// server: parse once, pin a snapshot, execute, and hand what the
-    /// observers collected to the slow-query log and the trace sink.
+    /// profiler recorded to the slow-query log and the trace sink.
     ///
-    /// A per-query [`Profiler`] observes the run only when something will
+    /// A per-query [`Profiler`] records the run only when something will
     /// read it: `req.profile`, a `.profile()` terminator in the script,
     /// tracing, or the slow-query log. Otherwise it is
-    /// [`Profiler::disabled`], which costs one null check per event.
+    /// [`Profiler::disabled`], which costs one null check per event. Its
+    /// spans reach the trace sink only when tracing is on; the profile
+    /// report is derived from the same spans.
     /// Observing never changes the plan: the adjacency cache serves
     /// observed and plain runs alike. Returns the final statement's
     /// results, and the profile report when `req.profile` asked for one.
@@ -316,24 +319,16 @@ impl Db2Graph {
         let registry = self.backend.registry();
         registry.traversals.add(1);
         let start = std::time::Instant::now();
-        let tracer = if self.sink.is_some() { Tracer::enabled() } else { Tracer::disabled() };
-        let root = tracer.start_with("query", SpanKind::Query, || {
-            let mut attrs = vec![("gremlin".to_string(), gremlin.to_string())];
-            if let Some(id) = req.request_id {
-                attrs.push(("request_id".to_string(), id.to_string()));
-            }
-            attrs
-        });
         let script = gremlin::parser::parse(gremlin);
         let observed = req.profile
             || self.sink.is_some()
             || self.slow_log.is_some()
             || script.as_ref().is_ok_and(|s| s.profiles());
-        let profiler = if observed {
-            Profiler::enabled().with_tracer(tracer.clone())
-        } else {
-            Profiler::disabled()
-        };
+        let profiler = if observed { Profiler::enabled() } else { Profiler::disabled() };
+        let root = profiler.start("query", || SpanData::Query {
+            gremlin: gremlin.to_string(),
+            request_id: req.request_id.map(str::to_string),
+        });
         let backend =
             self.backend.bind(Some(self.db.snapshot()), req.deadline, profiler.clone());
         let mut runner = ScriptRunner::new(&backend)
@@ -344,7 +339,7 @@ impl Db2Graph {
         }
         let result = script.and_then(|s| runner.run_script(&s)).map_err(GraphError::from);
         let wall_nanos = start.elapsed().as_nanos() as u64;
-        tracer.end(root);
+        profiler.end(root);
         registry.record_query_latency(wall_nanos);
         if !observed {
             return Ok((result?, None));
@@ -360,7 +355,7 @@ impl Db2Graph {
         }
         if let Some(sink) = &self.sink {
             // finish() also closes spans left open by an error mid-step.
-            sink.push_batch(tracer.finish());
+            sink.push_batch(profiler.finish());
         }
         Ok((result?, req.profile.then_some(report)))
     }

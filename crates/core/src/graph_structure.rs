@@ -74,6 +74,7 @@ use crate::sql_dialect::{
     build_select, composite_in_bucketed, ident, in_list_bucketed, SqlDialect, MAX_FRONTIER_CHUNK,
 };
 use crate::topology::{LabelDef, OverlayTable, Topology};
+use crate::trace::SpanData;
 
 /// Convert a relational value into a Gremlin value.
 pub fn to_gvalue(v: &Value) -> GValue {
@@ -243,18 +244,15 @@ impl Db2GraphBackend {
     /// go to the worker pool. Whether the pool is used depends only on how
     /// many tables the plan reads, never on the thread count.
     ///
-    /// Each pooled read runs against a shallow backend clone whose profiler
-    /// is a fresh fork; after the batch finishes, the forks are absorbed
-    /// back into this backend's profiler **in job order**, so `.profile()`
-    /// output is identical to sequential execution modulo timing. Results
-    /// come back in job order (`TableResult::Pruned` for a pruned job), and
-    /// the first error in job order wins — callers observe no scheduling
-    /// effects.
-    ///
-    /// When tracing is enabled each pooled read runs inside a `worker` span
-    /// on its fork's tracer; absorbing re-parents those spans under whatever
-    /// span is open at the fan-out site (the executor step), so trace
-    /// structure is the same at any thread count.
+    /// Each pooled read runs, inside a `worker` span, against a shallow
+    /// backend clone whose profiler is a fresh fork; after the batch
+    /// finishes, the forks are absorbed back into this backend's profiler
+    /// **in job order**, re-parented under the span open at the fan-out
+    /// site (the executor step). The span tree, and with it the profile
+    /// derived from it, is identical to sequential execution modulo
+    /// timing. Results come back in job order (`TableResult::Pruned` for a
+    /// pruned job), and the first error in job order wins — callers
+    /// observe no scheduling effects.
     fn fan_out(&self, jobs: Vec<TableJob>) -> GraphResult<Vec<TableResult>> {
         self.check_deadline()?;
         let mut results: Vec<TableResult> = Vec::with_capacity(jobs.len());
@@ -284,13 +282,9 @@ impl Db2GraphBackend {
             .map(|((i, job, plan), fork)| {
                 let be = self.bind(self.read_view.clone(), self.deadline, fork.clone());
                 move || {
-                    let tracer = be.profiler.tracer();
-                    let span = tracer
-                        .start_with("worker", crate::trace::SpanKind::Worker, || {
-                            vec![("job".to_string(), i.to_string())]
-                        });
+                    let span = be.profiler.start("worker", || SpanData::Worker { job: i });
                     let out = be.read_table(&job, &plan);
-                    tracer.end(span);
+                    be.profiler.end(span);
                     (i, out)
                 }
             })

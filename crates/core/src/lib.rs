@@ -89,12 +89,10 @@ pub use graph::{Db2Graph, GraphOptions, RunRequest};
 pub use graph_structure::Db2GraphBackend;
 pub use metrics::{
     step_kind, ExplainReport, Histogram, HistogramSet, MetricKind, MetricRow, MetricsRegistry,
-    MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, StepExplain,
-    StepProfile, TableAction, TableExplain, TablePlan,
+    MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, SpanHandle,
+    StepExplain, StepProfile, TableAction, TableExplain, TablePlan,
 };
 pub use sql_dialect::{IndexSuggestion, SqlDialect, WorkloadReport};
-pub use trace::{
-    Span, SpanHandle, SpanKind, TraceSink, TracedSpan, Tracer, DEFAULT_TRACE_CAPACITY,
-};
+pub use trace::{Span, SpanData, TraceSink, TracedSpan, DEFAULT_TRACE_CAPACITY};
 pub use strategies::StrategyConfig;
 pub use topology::Topology;

@@ -3,15 +3,18 @@
 //!
 //! Three layers, each answering a different question:
 //!
-//! * [`Profiler`] — *what did this query do?* A per-query collector threaded
-//!   through the whole pipeline: the compiler reports which strategies
-//!   rewrote the plan, the executor reports per-step wall time and frontier
-//!   sizes, the graph-structure layer reports every table-elimination
-//!   decision, and the SQL dialect reports each statement it executed with
-//!   its template-cache outcome, row count and wall time. A disabled
-//!   profiler ([`Profiler::disabled`]) is a `None` — every record call is a
-//!   branch on an `Option` and nothing else, so the unprofiled hot path
-//!   pays no locks, no allocation, no timestamps.
+//! * [`Profiler`] — *what did this query do?* The one per-query recorder
+//!   threaded through the whole pipeline: the compiler reports which
+//!   strategies rewrote the plan, the executor reports each step with its
+//!   wall time and frontier sizes, the graph-structure layer reports every
+//!   table decision, and the SQL dialect reports each statement it
+//!   executed with its template-cache outcome, row count and wall time.
+//!   Every event is recorded once, as a span of the query's span tree;
+//!   the [`ProfileReport`] is a view of those spans, and the same spans
+//!   go to the trace sink when tracing is on. A disabled
+//!   profiler ([`Profiler::disabled`]) is a `None`: every record call is
+//!   one branch on an `Option` and nothing else, so the unobserved hot
+//!   path pays no locks, no allocation, no timestamps.
 //! * [`ExplainReport`] — *what would this query do?* A data-independent
 //!   dry-run: the optimized plan plus, per GSA step and per table, either
 //!   the SQL that would be generated or the reason the table is eliminated.
@@ -29,7 +32,7 @@ use gremlin::observe::TraversalObserver;
 use parking_lot::{Mutex, RwLock};
 
 use crate::json::Json;
-use crate::trace::{SpanKind, Tracer};
+use crate::trace::{Span, SpanData, SpanTree};
 
 /// Default capacity of the slow-query log (worst-N entries retained).
 pub const DEFAULT_SLOW_LOG_CAPACITY: usize = 32;
@@ -85,7 +88,7 @@ pub enum TableAction {
 
 impl TableAction {
     /// The action's name in the profile JSON and trace, and its reason.
-    fn parts(&self) -> (&'static str, Option<&str>) {
+    pub(crate) fn parts(&self) -> (&'static str, Option<&str>) {
         match self {
             TableAction::Queried => ("queried", None),
             TableAction::Pinned => ("pinned", None),
@@ -105,187 +108,159 @@ pub struct SqlStatementProfile {
     pub nanos: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ProfileData {
-    strategies: Vec<StrategyRewrite>,
-    steps: Vec<StepProfile>,
-    tables: Vec<TableDecision>,
-    statements: Vec<SqlStatementProfile>,
+/// The per-query counters a report carries beside the spans.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counters {
     template_evictions: u64,
     template_invalidations: u64,
     pattern_evictions: u64,
 }
 
-/// Per-query event collector. Cheap to clone (shared interior); a disabled
-/// profiler records nothing and costs one pointer-null check per event.
-///
-/// A profiler optionally carries a [`Tracer`] ([`Self::with_tracer`]):
-/// every profile event then also lands as a span in the trace, nested
-/// under whatever span is open — the two observability layers share one
-/// conduit through the pipeline, and each stays a single null-check when
-/// its half is disabled.
+impl Counters {
+    fn add(&mut self, other: Counters) {
+        self.template_evictions += other.template_evictions;
+        self.template_invalidations += other.template_invalidations;
+        self.pattern_evictions += other.pattern_evictions;
+    }
+
+    fn since(self, earlier: Counters) -> Counters {
+        Counters {
+            template_evictions: self.template_evictions - earlier.template_evictions,
+            template_invalidations: self.template_invalidations - earlier.template_invalidations,
+            pattern_evictions: self.pattern_evictions - earlier.pattern_evictions,
+        }
+    }
+}
+
+/// What one enabled profiler holds: the span tree, the counters, and
+/// where the running script statement began (the span count and counters
+/// at that point), which bounds what `.profile()` reports.
+#[derive(Default)]
+struct Recording {
+    spans: SpanTree,
+    counters: Counters,
+    statement: (usize, Counters),
+}
+
+/// Handle to an open span; `None` when the profiler is disabled.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanHandle(Option<usize>);
+
+/// The per-query recorder. Cheap to clone (shared interior); a disabled
+/// profiler is a `None` that records nothing and costs one pointer-null
+/// check per event — attribute closures never run.
 #[derive(Clone, Default)]
 pub struct Profiler {
-    inner: Option<Arc<Mutex<ProfileData>>>,
-    tracer: Tracer,
+    inner: Option<Arc<Mutex<Recording>>>,
 }
 
 impl Profiler {
     /// A profiler that drops every event — the default for normal queries.
     pub fn disabled() -> Profiler {
-        Profiler { inner: None, tracer: Tracer::disabled() }
+        Profiler { inner: None }
     }
 
-    /// A collecting profiler (with tracing disabled).
+    /// A recording profiler with a fresh span tree.
     pub fn enabled() -> Profiler {
-        Profiler {
-            inner: Some(Arc::new(Mutex::new(ProfileData::default()))),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Attach a span tracer: profile events double as trace spans.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Profiler {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The attached tracer (disabled unless set via [`Self::with_tracer`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        Profiler { inner: Some(Arc::default()) }
     }
 
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// A fresh profiler with the same enablement: worker threads record
-    /// into their own fork, and the coordinator [`Self::absorb`]s the forks
-    /// in job order — so a parallel run produces the *same* event sequence
-    /// as a sequential one, not an interleaving decided by the scheduler.
-    /// The attached tracer forks alongside (same discipline, see
-    /// [`Tracer::fork`]). Forking a disabled profiler yields a disabled
-    /// (free) one.
-    pub fn fork(&self) -> Profiler {
-        let inner = if self.is_enabled() {
-            Some(Arc::new(Mutex::new(ProfileData::default())))
-        } else {
-            None
-        };
-        Profiler { inner, tracer: self.tracer.fork() }
+    /// Run `f` on the recording — the one null check of every event.
+    fn with(&self, f: impl FnOnce(&mut Recording)) {
+        if let Some(inner) = &self.inner {
+            f(&mut inner.lock());
+        }
     }
 
-    /// Append every event recorded in `other` (draining it), profile data
-    /// and trace spans alike. Each half is a no-op when disabled.
-    pub fn absorb(&self, other: &Profiler) {
-        self.tracer.absorb(&other.tracer);
-        let (Some(inner), Some(theirs)) = (&self.inner, &other.inner) else { return };
-        let mut data = std::mem::take(&mut *theirs.lock());
-        let mut dst = inner.lock();
-        dst.strategies.append(&mut data.strategies);
-        dst.steps.append(&mut data.steps);
-        dst.tables.append(&mut data.tables);
-        dst.statements.append(&mut data.statements);
-        dst.template_evictions += data.template_evictions;
-        dst.template_invalidations += data.template_invalidations;
-        dst.pattern_evictions += data.pattern_evictions;
+    /// A fresh profiler on the same span-tree epoch: a pool worker records
+    /// into its own fork, and the coordinator [`Self::absorb`]s the forks
+    /// in job order, so a parallel run records the *same* span sequence as
+    /// a sequential one. Forking a disabled profiler yields a disabled
+    /// (free) one.
+    pub fn fork(&self) -> Profiler {
+        let inner = self.inner.as_ref().map(|inner| {
+            let spans = inner.lock().spans.fork();
+            Arc::new(Mutex::new(Recording { spans, ..Recording::default() }))
+        });
+        Profiler { inner }
+    }
+
+    /// Append everything `fork` recorded (draining it): its spans nest
+    /// under the span open here, and its counters add to these.
+    pub fn absorb(&self, fork: &Profiler) {
+        let Some(theirs) = &fork.inner else { return };
+        let (spans, counters) = {
+            let mut t = theirs.lock();
+            (t.spans.finish(), std::mem::take(&mut t.counters))
+        };
+        self.with(|r| {
+            r.spans.absorb(spans);
+            r.counters.add(counters);
+        });
+    }
+
+    /// Open a span under the innermost open one; `data` runs only when
+    /// enabled.
+    pub fn start(&self, name: &str, data: impl FnOnce() -> SpanData) -> SpanHandle {
+        let Some(inner) = &self.inner else { return SpanHandle(None) };
+        SpanHandle(Some(inner.lock().spans.start(name, data())))
+    }
+
+    /// Close a span opened by [`Self::start`].
+    pub fn end(&self, handle: SpanHandle) {
+        if let SpanHandle(Some(idx)) = handle {
+            self.with(|r| r.spans.end(idx));
+        }
     }
 
     pub fn record_strategy(&self, strategy: &str, before: &str, after: &str) {
-        self.tracer.event(strategy, SpanKind::Strategy, || {
-            vec![("before".to_string(), before.to_string()), ("after".to_string(), after.to_string())]
-        });
-        let Some(inner) = &self.inner else { return };
-        inner.lock().strategies.push(StrategyRewrite {
-            strategy: strategy.to_string(),
-            before: before.to_string(),
-            after: after.to_string(),
-        });
-    }
-
-    pub fn record_step(
-        &self,
-        index: usize,
-        description: &str,
-        in_count: usize,
-        out_count: usize,
-        nanos: u64,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().steps.push(StepProfile {
-            index,
-            description: description.to_string(),
-            in_count,
-            out_count,
-            nanos,
+        self.with(|r| {
+            let data = SpanData::Strategy { before: before.to_string(), after: after.to_string() };
+            r.spans.record(strategy, 0, data);
         });
     }
 
     pub fn record_table(&self, table: &str, action: TableAction) {
-        self.tracer.event(table, SpanKind::Table, || {
-            let (act, reason) = action.parts();
-            let mut attrs = vec![("action".to_string(), act.to_string())];
-            if let Some(r) = reason {
-                attrs.push(("reason".to_string(), r.to_string()));
-            }
-            attrs
-        });
-        let Some(inner) = &self.inner else { return };
-        inner.lock().tables.push(TableDecision { table: table.to_string(), action });
+        self.with(|r| r.spans.record(table, 0, SpanData::Table(action)));
     }
 
     pub fn record_statement(&self, sql: &str, template_hit: bool, rows: usize, nanos: u64) {
-        // template_hit is deliberately left out of the span attributes:
-        // racing workers may both miss the same template, so hit/miss is
-        // the one profile field that is not deterministic across thread
-        // counts — and trace *structure* must be.
-        self.tracer.span_with_duration(sql, SpanKind::Sql, nanos, || {
-            vec![("rows".to_string(), rows.to_string())]
-        });
-        let Some(inner) = &self.inner else { return };
-        inner.lock().statements.push(SqlStatementProfile {
-            sql: sql.to_string(),
-            template_hit,
-            rows,
-            nanos,
-        });
+        self.with(|r| r.spans.record(sql, nanos, SpanData::Sql { rows, template_hit }));
     }
 
     /// A prepared template was evicted from the dialect cache while this
     /// query executed.
     pub fn record_template_eviction(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().template_evictions += 1;
+        self.with(|r| r.counters.template_evictions += 1);
     }
 
     /// A cached template was re-prepared because DDL moved the catalog
     /// generation past the one it was compiled under.
     pub fn record_template_invalidation(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().template_invalidations += 1;
+        self.with(|r| r.counters.template_invalidations += 1);
     }
 
     /// A tracked workload pattern was evicted while this query executed.
     pub fn record_pattern_eviction(&self) {
-        let Some(inner) = &self.inner else { return };
-        inner.lock().pattern_evictions += 1;
+        self.with(|r| r.counters.pattern_evictions += 1);
     }
 
-    /// The report accumulated so far (empty when disabled).
+    /// The report of everything recorded so far (empty when disabled).
     pub fn report(&self) -> ProfileReport {
-        let data = match &self.inner {
-            Some(inner) => inner.lock().clone(),
-            None => ProfileData::default(),
-        };
-        ProfileReport {
-            strategies: data.strategies,
-            steps: data.steps,
-            tables: data.tables,
-            statements: data.statements,
-            template_evictions: data.template_evictions,
-            template_invalidations: data.template_invalidations,
-            pattern_evictions: data.pattern_evictions,
-        }
+        let Some(inner) = &self.inner else { return ProfileReport::default() };
+        let r = inner.lock();
+        ProfileReport::from_spans(r.spans.spans(), r.counters)
+    }
+
+    /// Drain the recorded spans for the trace sink, closing any span an
+    /// error left open.
+    pub fn finish(&self) -> Vec<Span> {
+        let Some(inner) = &self.inner else { return Vec::new() };
+        inner.lock().spans.finish()
     }
 }
 
@@ -294,14 +269,20 @@ impl TraversalObserver for Profiler {
         self.record_strategy(name, before, after);
     }
 
-    fn step_started(&self, _index: usize, description: &str) {
-        self.tracer.start(description, SpanKind::Step);
+    fn statement_started(&self) {
+        self.with(|r| r.statement = (r.spans.spans().len(), r.counters));
+    }
+
+    fn step_started(&self, index: usize, description: &str) {
+        self.with(|r| {
+            r.spans.start(description, SpanData::Step { index, frontier: None });
+        });
     }
 
     fn step_finished(
         &self,
         index: usize,
-        description: &str,
+        _description: &str,
         in_count: usize,
         out_count: usize,
         nanos: u64,
@@ -309,16 +290,16 @@ impl TraversalObserver for Profiler {
         // Close the span opened by step_started; its children (table
         // decisions, SQL statements, absorbed worker spans) recorded while
         // the step ran and are already nested under it.
-        self.tracer.pop();
-        self.record_step(index, description, in_count, out_count, nanos);
+        let data = SpanData::Step { index, frontier: Some((in_count, out_count)) };
+        self.with(|r| r.spans.end_innermost(nanos, data));
     }
 
     fn take_report(&self) -> Option<String> {
-        if self.is_enabled() {
-            Some(self.report().to_string())
-        } else {
-            None
-        }
+        let inner = self.inner.as_ref()?;
+        let r = inner.lock();
+        let (first, counters) = r.statement;
+        let spans = &r.spans.spans()[first..];
+        Some(ProfileReport::from_spans(spans, r.counters.since(counters)).to_string())
     }
 }
 
@@ -348,6 +329,48 @@ pub fn step_kind(description: &str) -> &str {
 }
 
 impl ProfileReport {
+    /// The report as a view of recorded spans: strategy, finished step,
+    /// table and SQL spans in recording order, plus the counters.
+    fn from_spans(spans: &[Span], counters: Counters) -> ProfileReport {
+        let mut report = ProfileReport {
+            template_evictions: counters.template_evictions,
+            template_invalidations: counters.template_invalidations,
+            pattern_evictions: counters.pattern_evictions,
+            ..ProfileReport::default()
+        };
+        for s in spans {
+            match &s.data {
+                SpanData::Strategy { before, after } => report.strategies.push(StrategyRewrite {
+                    strategy: s.name.clone(),
+                    before: before.clone(),
+                    after: after.clone(),
+                }),
+                &SpanData::Step { index, frontier: Some((in_count, out_count)) } => {
+                    report.steps.push(StepProfile {
+                        index,
+                        description: s.name.clone(),
+                        in_count,
+                        out_count,
+                        nanos: s.dur_nanos,
+                    })
+                }
+                SpanData::Table(action) => report
+                    .tables
+                    .push(TableDecision { table: s.name.clone(), action: action.clone() }),
+                &SpanData::Sql { rows, template_hit } => {
+                    report.statements.push(SqlStatementProfile {
+                        sql: s.name.clone(),
+                        template_hit,
+                        rows,
+                        nanos: s.dur_nanos,
+                    })
+                }
+                SpanData::Query { .. } | SpanData::Step { .. } | SpanData::Worker { .. } => {}
+            }
+        }
+        report
+    }
+
     /// Tables the graph-structure layer looked at (queried, pinned,
     /// pruned and cache-hit decisions).
     pub fn tables_considered(&self) -> usize {
@@ -1298,20 +1321,36 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
 
+    /// The contract the hot path relies on: a disabled profiler is a
+    /// single null check per event — `Option<Arc<..>>` niche-packed to one
+    /// pointer, no attribute closures invoked, nothing recorded.
     #[test]
     fn disabled_profiler_records_nothing() {
+        assert_eq!(
+            std::mem::size_of::<Profiler>(),
+            std::mem::size_of::<usize>(),
+            "Profiler must stay a niche-packed Option<Arc<..>> pointer"
+        );
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
+        let h = p.start("q", || panic!("attr closure must not run when disabled"));
         p.record_strategy("s", "a", "b");
-        p.record_step(0, "x", 1, 2, 3);
+        p.step_started(0, "x");
+        p.step_finished(0, "x", 1, 2, 3);
         p.record_table("t", TableAction::Queried);
         p.record_statement("SELECT 1", false, 1, 10);
+        let fork = p.fork();
+        assert!(!fork.is_enabled());
+        fork.record_template_eviction();
+        p.absorb(&fork);
+        p.end(h);
         let r = p.report();
         assert!(r.strategies.is_empty());
         assert!(r.steps.is_empty());
         assert!(r.tables.is_empty());
         assert!(r.statements.is_empty());
         assert!(p.take_report().is_none());
+        assert!(p.finish().is_empty());
     }
 
     #[test]
@@ -1340,6 +1379,60 @@ mod tests {
             json.get("totals").and_then(|t| t.get("tables_pruned")).and_then(|v| v.as_u64()),
             Some(1)
         );
+    }
+
+    #[test]
+    fn report_is_a_view_of_the_spans() {
+        let p = Profiler::enabled();
+        let root = p.start("query", || SpanData::Query { gremlin: "g".into(), request_id: None });
+        p.record_strategy("S", "a", "b");
+        p.step_started(0, "Graph(V)");
+        let fork = p.fork();
+        let w = fork.start("worker", || SpanData::Worker { job: 0 });
+        fork.record_table("Patient", TableAction::Queried);
+        fork.record_statement("SELECT 1", false, 3, 40);
+        fork.record_template_eviction();
+        fork.end(w);
+        p.absorb(&fork);
+        p.step_finished(0, "Graph(V)", 0, 3, 100);
+        p.step_started(1, "count");
+        p.end(root); // step 1 never finishes: it failed
+        let r = p.report();
+        // Every timing in the report is a span duration set here, so the
+        // text is exact; step 1 failed and is not in it.
+        let text = "profile
+  strategies:
+    S: a => b
+  steps:
+    [0] Graph(V)  in=0 out=3  100ns
+  tables: considered=1 queried=1 pruned=0
+    Patient: queried
+  sql: statements=1 template_hits=0 misses=1 rows=3 total=40ns
+    [40ns, 3 rows, miss] SELECT 1";
+        assert_eq!(r.to_string(), text);
+        assert_eq!(r.template_evictions, 1, "absorb merges the fork's counters");
+        // The same spans, drained for the sink: query, strategy, step,
+        // worker, table, sql, and the failed step closed by finish().
+        let spans = p.finish();
+        let kinds: Vec<&str> = spans.iter().map(Span::kind).collect();
+        assert_eq!(kinds, ["query", "strategy", "step", "worker", "table", "sql", "step"]);
+        assert!(spans[6].dur_nanos > 0);
+    }
+
+    #[test]
+    fn take_report_covers_the_running_statement() {
+        let p = Profiler::enabled();
+        p.statement_started();
+        p.record_table("Disease", TableAction::Queried);
+        p.record_pattern_eviction();
+        p.statement_started();
+        p.record_table("Patient", TableAction::Pinned);
+        let text = p.take_report().unwrap();
+        assert!(text.contains("Patient: pinned"), "{text}");
+        assert!(!text.contains("Disease"), "an earlier statement leaked: {text}");
+        assert!(p.take_report().unwrap().contains("Patient"), "taking keeps the spans");
+        let whole = p.report();
+        assert_eq!((whole.tables.len(), whole.pattern_evictions), (2, 1));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! Observability: the pool itself records nothing. Callers that need
 //! per-job telemetry (the backend's `fan_out`, which plans every table on
 //! the caller and pools only its reads) give each job a forked
-//! [`Tracer`](crate::trace::Tracer)/`Profiler` and absorb the forks back in
+//! [`Profiler`](crate::metrics::Profiler) and absorb the forks back in
 //! job order after [`run_ordered`] returns — the same ordering guarantee
 //! that makes results deterministic makes the absorbed span *tree*
 //! deterministic at any thread count (see `docs/OBSERVABILITY.md`).

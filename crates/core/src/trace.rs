@@ -1,70 +1,59 @@
-//! Hierarchical trace spans: always-on runtime telemetry for the overlay.
+//! Hierarchical trace spans: the one record of what an observed query did.
 //!
-//! Where the [`Profiler`](crate::metrics::Profiler) answers *what did this
-//! one query do* as a flat per-layer report, the tracer answers *where did
-//! the time go, structurally*: every query produces a tree of spans —
-//! query → strategy rewrites → steps → table decisions / SQL statements,
-//! with pool-worker children nested under the step that fanned them out —
-//! which lands in a bounded process-lifetime ring buffer ([`TraceSink`])
-//! and exports as Chrome trace-event JSON (loadable in Perfetto /
-//! `chrome://tracing`) or JSONL.
+//! Every observed query records one tree of spans — query → strategy
+//! rewrites → steps → table decisions / SQL statements, with pool-worker
+//! children nested under the step that fanned them out. Each span carries
+//! the typed values of its event ([`SpanData`]), so one record serves both
+//! readers:
 //!
-//! Two properties are load-bearing and pinned by tests:
+//! * the per-query [`ProfileReport`](crate::metrics::ProfileReport), a pure
+//!   function of the spans (the [`Profiler`](crate::metrics::Profiler)
+//!   records them and derives the report);
+//! * when tracing is on, the bounded process-lifetime ring buffer
+//!   ([`TraceSink`]), exported as Chrome trace-event JSON (loadable in
+//!   Perfetto / `chrome://tracing`) or JSONL.
 //!
-//! * **Disabled tracing is one null-check per event.** A [`Tracer`] is an
-//!   `Option<Arc<...>>`, exactly like the disabled profiler: when `None`,
-//!   every record call branches on the option and returns — no locks, no
-//!   allocation, no timestamps, not even attribute formatting (attributes
-//!   are built by closures that only run when enabled).
-//! * **Trace structure is deterministic at any thread count.** Worker
-//!   threads record into a forked tracer; the coordinator absorbs the
-//!   forks back in job-submission order and re-parents each fork's root
-//!   spans under the span that was open at the fan-out site (the step
-//!   span). The same fork/absorb discipline the profiler uses makes the
-//!   span *tree* identical between `DB2GRAPH_THREADS=1` and `=8` — only
-//!   the timestamps differ.
+//! **Trace structure is deterministic at any thread count**, and a test
+//! pins it: pool workers record into a fork of the query's span tree
+//! ([`Profiler::fork`](crate::metrics::Profiler::fork)), and the
+//! coordinator absorbs the forks in job-submission order, re-parenting
+//! each fork's root spans under the span open at the fan-out site (the
+//! step span). The span *tree* is identical between `DB2GRAPH_THREADS=1`
+//! and `=8`; only timestamps differ, and `template_hit`, which racing
+//! workers decide and which the exports therefore leave out.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::json::Json;
+use crate::metrics::TableAction;
 
 /// Default capacity of the span ring buffer (spans, not bytes).
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// What layer of the pipeline a span came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
+/// What one span records: its kind and the typed values of its event.
+/// The profile report reads these values; exports render them as string
+/// attributes ([`Span::attrs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpanData {
     /// The root span of one Gremlin script execution.
-    Query,
-    /// A compile-time strategy application that changed the plan.
-    Strategy,
-    /// One top-level executor step.
-    Step,
-    /// A Graph Structure table-elimination decision (zero duration).
-    Table,
+    Query { gremlin: String, request_id: Option<String> },
+    /// A compile-time strategy application that changed the plan (the
+    /// span's name is the strategy).
+    Strategy { before: String, after: String },
+    /// One top-level executor step at plan position `index`. `frontier`
+    /// holds the traverser counts in and out once the step finishes, and
+    /// stays `None` for a step that failed.
+    Step { index: usize, frontier: Option<(usize, usize)> },
+    /// A Graph Structure table decision (zero duration).
+    Table(TableAction),
     /// One SQL statement executed by the dialect.
-    Sql,
+    Sql { rows: usize, template_hit: bool },
     /// One fan-out job run on the worker pool.
-    Worker,
-}
-
-impl SpanKind {
-    /// Stable lowercase name (used as the Chrome event category).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SpanKind::Query => "query",
-            SpanKind::Strategy => "strategy",
-            SpanKind::Step => "step",
-            SpanKind::Table => "table",
-            SpanKind::Sql => "sql",
-            SpanKind::Worker => "worker",
-        }
-    }
+    Worker { job: usize },
 }
 
 /// One recorded span. `parent` is an index into the same query's span
@@ -73,226 +62,167 @@ impl SpanKind {
 #[derive(Debug, Clone)]
 pub struct Span {
     pub name: String,
-    pub kind: SpanKind,
     pub parent: Option<usize>,
-    /// Start time in nanoseconds since the tracer's epoch.
+    /// Start time in nanoseconds since the tree's epoch.
     pub start_nanos: u64,
     pub dur_nanos: u64,
     /// Virtual track: 0 for the coordinator, a per-fork number for spans
     /// absorbed from a worker fork. Assigned in absorb order, so it is
     /// deterministic across thread counts.
     pub track: u32,
-    pub attrs: Vec<(String, String)>,
+    pub data: SpanData,
 }
 
-/// Handle to an open span; `None` when the tracer is disabled.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanHandle(Option<usize>);
+impl Span {
+    /// Stable lowercase kind name (the Chrome event category).
+    pub fn kind(&self) -> &'static str {
+        match self.data {
+            SpanData::Query { .. } => "query",
+            SpanData::Strategy { .. } => "strategy",
+            SpanData::Step { .. } => "step",
+            SpanData::Table(_) => "table",
+            SpanData::Sql { .. } => "sql",
+            SpanData::Worker { .. } => "worker",
+        }
+    }
 
-impl SpanHandle {
-    pub fn is_none(&self) -> bool {
-        self.0.is_none()
+    /// The attributes the exports and [`TraceSink::structure_lines`] show.
+    /// Step frontier sizes and `template_hit` stay out: racing workers
+    /// may both miss the same template, so hit/miss is not deterministic
+    /// across thread counts, and trace structure must be.
+    pub fn attrs(&self) -> Vec<(&'static str, String)> {
+        match &self.data {
+            SpanData::Query { gremlin, request_id } => {
+                let mut attrs = vec![("gremlin", gremlin.clone())];
+                attrs.extend(request_id.iter().map(|id| ("request_id", id.clone())));
+                attrs
+            }
+            SpanData::Strategy { before, after } => {
+                vec![("before", before.clone()), ("after", after.clone())]
+            }
+            SpanData::Step { .. } => Vec::new(),
+            SpanData::Table(action) => {
+                let (act, reason) = action.parts();
+                let mut attrs = vec![("action", act.to_string())];
+                attrs.extend(reason.map(|r| ("reason", r.to_string())));
+                attrs
+            }
+            SpanData::Sql { rows, .. } => vec![("rows", rows.to_string())],
+            SpanData::Worker { job } => vec![("job", job.to_string())],
+        }
     }
 }
 
-#[derive(Default)]
-struct TraceData {
+/// One query's span tree under construction, or a pool worker's fork of
+/// it. New spans nest under the innermost open span; every fork shares
+/// the tree's epoch, so absorbed timestamps stay on one axis.
+#[derive(Debug)]
+pub(crate) struct SpanTree {
+    epoch: Instant,
     spans: Vec<Span>,
-    /// Indices of currently open spans, innermost last. New spans parent
-    /// under the top of this stack.
+    /// Indices of currently open spans, innermost last.
     stack: Vec<usize>,
     /// Next virtual track to hand to an absorbed fork.
     next_track: u32,
 }
 
-struct TracerInner {
-    /// All forks of one tracer share this epoch (it is `Copy`), so
-    /// absorbed timestamps stay on one coherent axis.
-    epoch: Instant,
-    data: Mutex<TraceData>,
+impl Default for SpanTree {
+    fn default() -> SpanTree {
+        SpanTree::at(Instant::now())
+    }
 }
 
-/// Per-query span collector. Cheap to clone (shared interior); a disabled
-/// tracer records nothing and costs one pointer-null check per event.
-#[derive(Clone, Default)]
-pub struct Tracer {
-    inner: Option<Arc<TracerInner>>,
-}
-
-impl Tracer {
-    /// A tracer that drops every event — the default for untraced queries.
-    pub fn disabled() -> Tracer {
-        Tracer { inner: None }
+impl SpanTree {
+    fn at(epoch: Instant) -> SpanTree {
+        SpanTree { epoch, spans: Vec::new(), stack: Vec::new(), next_track: 1 }
     }
 
-    /// A collecting tracer with a fresh epoch.
-    pub fn enabled() -> Tracer {
-        Tracer {
-            inner: Some(Arc::new(TracerInner {
-                epoch: Instant::now(),
-                data: Mutex::new(TraceData { spans: Vec::new(), stack: Vec::new(), next_track: 1 }),
-            })),
+    /// An empty tree on this tree's epoch, for one pool worker.
+    pub fn fork(&self) -> SpanTree {
+        SpanTree::at(self.epoch)
+    }
+
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// The spans recorded so far, in recording order.
+    pub fn spans(&self) -> &[Span] {
+        &self.spans
+    }
+
+    fn push(&mut self, name: &str, start_nanos: u64, dur_nanos: u64, data: SpanData) -> usize {
+        let idx = self.spans.len();
+        let parent = self.stack.last().copied();
+        let name = name.to_string();
+        self.spans.push(Span { name, parent, start_nanos, dur_nanos, track: 0, data });
+        idx
+    }
+
+    /// Open a span as a child of the innermost open span; returns its
+    /// index for [`Self::end`].
+    pub fn start(&mut self, name: &str, data: SpanData) -> usize {
+        let idx = self.push(name, self.now(), 0, data);
+        self.stack.push(idx);
+        idx
+    }
+
+    /// Close the span `idx` opened by [`Self::start`], setting its
+    /// duration. Spans opened inside it and left open (a step that
+    /// failed) stay open until [`Self::finish`].
+    pub fn end(&mut self, idx: usize) {
+        let now = self.now();
+        let s = &mut self.spans[idx];
+        s.dur_nanos = now.saturating_sub(s.start_nanos);
+        self.stack.retain(|&i| i != idx);
+    }
+
+    /// Close the innermost open span with a duration the caller measured
+    /// and its final data (a finished executor step).
+    pub fn end_innermost(&mut self, nanos: u64, data: SpanData) {
+        if let Some(idx) = self.stack.pop() {
+            let s = &mut self.spans[idx];
+            s.dur_nanos = nanos;
+            s.data = data;
         }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn now(inner: &TracerInner) -> u64 {
-        inner.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Open a span as a child of the innermost open span.
-    pub fn start(&self, name: &str, kind: SpanKind) -> SpanHandle {
-        self.start_with(name, kind, Vec::new)
-    }
-
-    /// [`Self::start`] with attributes; the closure runs only when enabled.
-    pub fn start_with<F>(&self, name: &str, kind: SpanKind, attrs: F) -> SpanHandle
-    where
-        F: FnOnce() -> Vec<(String, String)>,
-    {
-        let Some(inner) = &self.inner else { return SpanHandle(None) };
-        let now = Self::now(inner);
-        let mut d = inner.data.lock();
-        let parent = d.stack.last().copied();
-        let idx = d.spans.len();
-        d.spans.push(Span {
-            name: name.to_string(),
-            kind,
-            parent,
-            start_nanos: now,
-            dur_nanos: 0,
-            track: 0,
-            attrs: attrs(),
-        });
-        d.stack.push(idx);
-        SpanHandle(Some(idx))
-    }
-
-    /// Close a span opened by [`Self::start`], setting its duration.
-    pub fn end(&self, handle: SpanHandle) {
-        let Some(inner) = &self.inner else { return };
-        let SpanHandle(Some(idx)) = handle else { return };
-        let now = Self::now(inner);
-        let mut d = inner.data.lock();
-        if let Some(s) = d.spans.get_mut(idx) {
-            s.dur_nanos = now.saturating_sub(s.start_nanos);
-        }
-        if d.stack.last() == Some(&idx) {
-            d.stack.pop();
-        } else {
-            d.stack.retain(|&i| i != idx);
-        }
-    }
-
-    /// Close the innermost open span (used by strictly nested callers that
-    /// cannot carry the handle, like observer callbacks).
-    pub fn pop(&self) {
-        let Some(inner) = &self.inner else { return };
-        let now = Self::now(inner);
-        let mut d = inner.data.lock();
-        if let Some(idx) = d.stack.pop() {
-            let s = &mut d.spans[idx];
-            s.dur_nanos = now.saturating_sub(s.start_nanos);
-        }
-    }
-
-    /// Record a zero-duration child of the innermost open span (e.g. a
-    /// table-elimination decision). The closure runs only when enabled.
-    pub fn event<F>(&self, name: &str, kind: SpanKind, attrs: F)
-    where
-        F: FnOnce() -> Vec<(String, String)>,
-    {
-        self.span_with_duration(name, kind, 0, attrs);
     }
 
     /// Record an already-measured span (e.g. a SQL statement timed by the
     /// dialect): it ends now and started `nanos` ago, parented under the
-    /// innermost open span. The closure runs only when enabled.
-    pub fn span_with_duration<F>(&self, name: &str, kind: SpanKind, nanos: u64, attrs: F)
-    where
-        F: FnOnce() -> Vec<(String, String)>,
-    {
-        let Some(inner) = &self.inner else { return };
-        let now = Self::now(inner);
-        let mut d = inner.data.lock();
-        let parent = d.stack.last().copied();
-        d.spans.push(Span {
-            name: name.to_string(),
-            kind,
-            parent,
-            start_nanos: now.saturating_sub(nanos),
-            dur_nanos: nanos,
-            track: 0,
-            attrs: attrs(),
-        });
+    /// innermost open span.
+    pub fn record(&mut self, name: &str, nanos: u64, data: SpanData) {
+        self.push(name, self.now().saturating_sub(nanos), nanos, data);
     }
 
-    /// A fresh tracer with the same enablement **and the same epoch**:
-    /// worker threads record into their own fork, and the coordinator
-    /// [`Self::absorb`]s the forks in job order — the span tree is the
-    /// same at any thread count. Forking a disabled tracer is free.
-    pub fn fork(&self) -> Tracer {
-        match &self.inner {
-            None => Tracer { inner: None },
-            Some(inner) => Tracer {
-                inner: Some(Arc::new(TracerInner {
-                    epoch: inner.epoch,
-                    data: Mutex::new(TraceData {
-                        spans: Vec::new(),
-                        stack: Vec::new(),
-                        next_track: 1,
-                    }),
-                })),
-            },
-        }
-    }
-
-    /// Append every span recorded in `other` (draining it). Root spans of
-    /// the fork (those with no parent inside it) are re-parented under the
-    /// innermost span currently open here — the step span at the fan-out
-    /// site — and the whole fork is assigned the next virtual track.
-    pub fn absorb(&self, other: &Tracer) {
-        let (Some(inner), Some(theirs)) = (&self.inner, &other.inner) else { return };
-        let forked = {
-            let mut t = theirs.data.lock();
-            t.stack.clear();
-            std::mem::take(&mut t.spans)
-        };
+    /// Append a fork's drained spans. The fork's root spans (no parent
+    /// inside it) re-parent under the innermost span open here — the step
+    /// span at the fan-out site — and the whole fork gets the next track.
+    pub fn absorb(&mut self, forked: Vec<Span>) {
         if forked.is_empty() {
             return;
         }
-        let mut d = inner.data.lock();
-        let offset = d.spans.len();
-        let parent_here = d.stack.last().copied();
-        let track = d.next_track;
-        d.next_track += 1;
-        for mut s in forked {
-            s.parent = match s.parent {
-                Some(p) => Some(p + offset),
-                None => parent_here,
-            };
+        let offset = self.spans.len();
+        let parent_here = self.stack.last().copied();
+        let track = self.next_track;
+        self.next_track += 1;
+        self.spans.extend(forked.into_iter().map(|mut s| {
+            s.parent = s.parent.map_or(parent_here, |p| Some(p + offset));
             s.track = track;
-            d.spans.push(s);
-        }
+            s
+        }));
     }
 
     /// Drain the recorded spans, closing any still-open span (a query that
     /// errored mid-step leaves its step span open) at the current time.
-    pub fn finish(&self) -> Vec<Span> {
-        let Some(inner) = &self.inner else { return Vec::new() };
-        let now = Self::now(inner);
-        let mut d = inner.data.lock();
-        let stack = std::mem::take(&mut d.stack);
-        for idx in stack {
-            let s = &mut d.spans[idx];
+    pub fn finish(&mut self) -> Vec<Span> {
+        let now = self.now();
+        for idx in std::mem::take(&mut self.stack) {
+            let s = &mut self.spans[idx];
             if s.dur_nanos == 0 {
                 s.dur_nanos = now.saturating_sub(s.start_nanos);
             }
         }
-        std::mem::take(&mut d.spans)
+        std::mem::take(&mut self.spans)
     }
 }
 
@@ -313,7 +243,8 @@ struct SinkInner {
 
 /// Bounded, lock-cheap ring buffer of completed spans, shared by every
 /// query of one graph. One lock acquisition per *query* (spans arrive as a
-/// batch from [`Tracer::finish`]); when the ring wraps, the oldest spans
+/// batch from [`Profiler::finish`](crate::metrics::Profiler::finish)); when
+/// the ring wraps, the oldest spans
 /// are dropped and counted.
 pub struct TraceSink {
     capacity: usize,
@@ -400,10 +331,10 @@ impl TraceSink {
                 .unwrap_or_default();
             let path = format!("{prefix}{}", ts.span.name);
             let attrs: Vec<String> =
-                ts.span.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                ts.span.attrs().iter().map(|(k, v)| format!("{k}={v}")).collect();
             out.push(format!(
                 "[{}|t{}] {path} {{{}}}",
-                ts.span.kind.as_str(),
+                ts.span.kind(),
                 ts.span.track,
                 attrs.join(",")
             ));
@@ -450,12 +381,12 @@ fn chrome_event(ts: &TracedSpan) -> Json {
     if let Some(p) = ts.parent {
         args.push(("parent".to_string(), Json::u64(p)));
     }
-    for (k, v) in &ts.span.attrs {
-        args.push((k.clone(), Json::str(v)));
+    for (k, v) in ts.span.attrs() {
+        args.push((k.to_string(), Json::str(v)));
     }
     Json::obj(vec![
         ("name", Json::str(&ts.span.name)),
-        ("cat", Json::str(ts.span.kind.as_str())),
+        ("cat", Json::str(ts.span.kind())),
         ("ph", Json::str("X")),
         ("ts", Json::num(ts.span.start_nanos as f64 / 1_000.0)),
         ("dur", Json::num(ts.span.dur_nanos as f64 / 1_000.0)),
@@ -469,7 +400,7 @@ fn jsonl_event(ts: &TracedSpan) -> Json {
     let mut fields = vec![
         ("id", Json::u64(ts.id)),
         ("name", Json::str(&ts.span.name)),
-        ("kind", Json::str(ts.span.kind.as_str())),
+        ("kind", Json::str(ts.span.kind())),
         ("start_nanos", Json::u64(ts.span.start_nanos)),
         ("dur_nanos", Json::u64(ts.span.dur_nanos)),
         ("track", Json::u64(ts.span.track as u64)),
@@ -478,7 +409,7 @@ fn jsonl_event(ts: &TracedSpan) -> Json {
         fields.insert(1, ("parent", Json::u64(p)));
     }
     let attrs: Vec<(String, Json)> =
-        ts.span.attrs.iter().map(|(k, v)| (k.clone(), Json::str(v))).collect();
+        ts.span.attrs().into_iter().map(|(k, v)| (k.to_string(), Json::str(v))).collect();
     fields.push(("attrs", Json::Obj(attrs)));
     Json::obj(fields)
 }
@@ -487,42 +418,27 @@ fn jsonl_event(ts: &TracedSpan) -> Json {
 mod tests {
     use super::*;
 
-    /// The contract the hot path relies on: a disabled tracer is a single
-    /// null-check per event — `Option<Arc<..>>` niche-packed to one
-    /// pointer, no attribute closures invoked, nothing recorded.
-    #[test]
-    fn disabled_tracer_is_one_null_check() {
-        assert_eq!(
-            std::mem::size_of::<Tracer>(),
-            std::mem::size_of::<usize>(),
-            "Tracer must stay a niche-packed Option<Arc<..>> pointer"
-        );
-        let t = Tracer::disabled();
-        assert!(!t.is_enabled());
-        let h = t.start_with("q", SpanKind::Query, || {
-            panic!("attr closure must not run when disabled")
-        });
-        assert!(h.is_none());
-        t.event("e", SpanKind::Table, || panic!("attr closure must not run when disabled"));
-        t.span_with_duration("s", SpanKind::Sql, 10, || {
-            panic!("attr closure must not run when disabled")
-        });
-        t.end(h);
-        t.pop();
-        let fork = t.fork();
-        assert!(!fork.is_enabled());
-        t.absorb(&fork);
-        assert!(t.finish().is_empty());
+    fn sql(rows: usize) -> SpanData {
+        SpanData::Sql { rows, template_hit: false }
+    }
+
+    fn query(gremlin: &str) -> SpanData {
+        SpanData::Query { gremlin: gremlin.into(), request_id: None }
+    }
+
+    fn step(index: usize) -> SpanData {
+        SpanData::Step { index, frontier: None }
     }
 
     #[test]
     fn spans_nest_under_open_parent() {
-        let t = Tracer::enabled();
-        let q = t.start("query", SpanKind::Query);
-        t.event("Strategy", SpanKind::Strategy, || vec![("a".into(), "b".into())]);
-        let s = t.start("Step", SpanKind::Step);
-        t.span_with_duration("SELECT 1", SpanKind::Sql, 5, Vec::new);
-        t.end(s);
+        let mut t = SpanTree::default();
+        let q = t.start("query", query("g.V()"));
+        let strategy = SpanData::Strategy { before: "a".into(), after: "b".into() };
+        t.record("Strategy", 0, strategy);
+        t.start("Step", step(0));
+        t.record("SELECT 1", 5, sql(1));
+        t.end_innermost(7, SpanData::Step { index: 0, frontier: Some((0, 1)) });
         t.end(q);
         let spans = t.finish();
         assert_eq!(spans.len(), 4);
@@ -531,23 +447,26 @@ mod tests {
         assert_eq!(spans[2].parent, Some(0)); // step under query
         assert_eq!(spans[3].parent, Some(2)); // sql under step
         assert_eq!(spans[3].dur_nanos, 5);
-        assert_eq!(spans[1].attrs, vec![("a".to_string(), "b".to_string())]);
+        assert_eq!(spans[2].dur_nanos, 7, "a step keeps the executor's duration");
+        assert_eq!(spans[2].data, SpanData::Step { index: 0, frontier: Some((0, 1)) });
+        assert_eq!(spans[1].attrs(), vec![("before", "a".to_string()), ("after", "b".to_string())]);
     }
 
     #[test]
     fn fork_absorb_reparents_under_fanout_site() {
-        let t = Tracer::enabled();
-        let q = t.start("query", SpanKind::Query);
-        let step = t.start("Step", SpanKind::Step);
-        let forks: Vec<Tracer> = (0..2).map(|_| t.fork()).collect();
-        for (i, f) in forks.iter().enumerate() {
-            let w = f.start_with("worker", SpanKind::Worker, || {
-                vec![("job".into(), i.to_string())]
-            });
-            f.span_with_duration("SELECT x", SpanKind::Sql, 1, Vec::new);
-            f.end(w);
-        }
-        for f in &forks {
+        let mut t = SpanTree::default();
+        let q = t.start("query", query("g.V()"));
+        let step = t.start("Step", step(0));
+        let forks: Vec<Vec<Span>> = (0..2)
+            .map(|job| {
+                let mut f = t.fork();
+                let w = f.start("worker", SpanData::Worker { job });
+                f.record("SELECT x", 1, sql(0));
+                f.end(w);
+                f.finish()
+            })
+            .collect();
+        for f in forks {
             t.absorb(f);
         }
         t.end(step);
@@ -564,12 +483,37 @@ mod tests {
         assert_eq!(spans[5].parent, Some(4));
     }
 
+    /// Untraced queries record through a disabled profiler: one pointer,
+    /// one null check per event, no span data built, and nothing reaches
+    /// the sink.
+    #[test]
+    fn disabled_tracer_is_one_null_check() {
+        use crate::metrics::Profiler;
+        assert_eq!(std::mem::size_of::<Profiler>(), std::mem::size_of::<usize>());
+        let p = Profiler::disabled();
+        let q = p.start("query", || panic!("span data must not be built when disabled"));
+        let h = p.start("Step", || panic!("span data must not be built when disabled"));
+        let fork = p.fork();
+        assert!(!fork.is_enabled(), "forking a disabled recorder is free");
+        fork.record_statement("SELECT x", false, 1, 10);
+        p.absorb(&fork);
+        p.record_table("t", TableAction::Queried);
+        p.end(h);
+        p.end(q);
+        let sink = TraceSink::new(4);
+        sink.push_batch(p.finish());
+        assert!(sink.is_empty());
+        assert_eq!((sink.total(), sink.dropped()), (0, 0));
+    }
+
     #[test]
     fn finish_closes_dangling_spans() {
-        let t = Tracer::enabled();
-        t.start("query", SpanKind::Query);
-        t.start("Step", SpanKind::Step);
+        let mut t = SpanTree::default();
+        let q = t.start("query", query("g.V()"));
+        t.start("Step", step(0));
         std::thread::sleep(std::time::Duration::from_millis(1));
+        // Ending the root leaves the failed step open for finish().
+        t.end(q);
         let spans = t.finish();
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.dur_nanos > 0), "{spans:?}");
@@ -578,9 +522,9 @@ mod tests {
     #[test]
     fn ring_buffer_wraps_in_order_and_counts_drops() {
         let sink = TraceSink::new(4);
-        let t = Tracer::enabled();
+        let mut t = SpanTree::default();
         for i in 0..6 {
-            t.event(&format!("e{i}"), SpanKind::Sql, Vec::new);
+            t.record(&format!("e{i}"), 0, sql(0));
         }
         sink.push_batch(t.finish());
         assert_eq!(sink.len(), 4);
@@ -592,8 +536,8 @@ mod tests {
         let ids: Vec<u64> = sink.snapshot().iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![2, 3, 4, 5], "global ids survive the wrap");
         // A second batch keeps wrapping.
-        let t2 = Tracer::enabled();
-        t2.event("late", SpanKind::Sql, Vec::new);
+        let mut t2 = SpanTree::default();
+        t2.record("late", 0, sql(0));
         sink.push_batch(t2.finish());
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.dropped(), 3);
@@ -604,9 +548,9 @@ mod tests {
     fn sink_rewrites_parents_to_global_ids() {
         let sink = TraceSink::new(16);
         for _ in 0..2 {
-            let t = Tracer::enabled();
-            let q = t.start("query", SpanKind::Query);
-            t.event("child", SpanKind::Table, Vec::new);
+            let mut t = SpanTree::default();
+            let q = t.start("query", query("g.V()"));
+            t.record("child", 0, SpanData::Table(TableAction::Queried));
             t.end(q);
             sink.push_batch(t.finish());
         }
@@ -620,11 +564,9 @@ mod tests {
     #[test]
     fn chrome_export_parses_and_carries_hierarchy() {
         let sink = TraceSink::new(16);
-        let t = Tracer::enabled();
-        let q = t.start_with("query", SpanKind::Query, || {
-            vec![("gremlin".into(), "g.V()".into())]
-        });
-        t.span_with_duration("SELECT 1", SpanKind::Sql, 1_500, Vec::new);
+        let mut t = SpanTree::default();
+        let q = t.start("query", query("g.V()"));
+        t.record("SELECT 1", 1_500, SpanData::Sql { rows: 2, template_hit: true });
         t.end(q);
         sink.push_batch(t.finish());
         let json = Json::parse(&sink.to_chrome_json().to_compact()).unwrap();
@@ -636,12 +578,19 @@ mod tests {
                 assert!(e.get(key).is_some(), "missing {key} in {e:?}");
             }
         }
+        assert_eq!(
+            events[0].get("args").and_then(|a| a.get("gremlin")).and_then(|g| g.as_str()),
+            Some("g.V()")
+        );
         let sql = &events[1];
         assert_eq!(sql.get("cat").and_then(|c| c.as_str()), Some("sql"));
         assert_eq!(
             sql.get("args").and_then(|a| a.get("parent")).and_then(|p| p.as_u64()),
             events[0].get("args").and_then(|a| a.get("id")).and_then(|p| p.as_u64()),
         );
+        let args = sql.get("args").unwrap();
+        assert_eq!(args.get("rows").and_then(|r| r.as_str()), Some("2"));
+        assert!(args.get("template_hit").is_none(), "template_hit stays out of exports");
         // JSONL: one parseable object per line.
         let jsonl = sink.to_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
@@ -654,15 +603,15 @@ mod tests {
     #[test]
     fn structure_lines_are_timing_free_paths() {
         let sink = TraceSink::new(16);
-        let t = Tracer::enabled();
-        let q = t.start("query", SpanKind::Query);
-        let s = t.start("Step", SpanKind::Step);
-        t.end(s);
+        let mut t = SpanTree::default();
+        let q = t.start("query", query("g.V()"));
+        t.start("Step", step(0));
+        t.end_innermost(3, SpanData::Step { index: 0, frontier: Some((0, 3)) });
         t.end(q);
         sink.push_batch(t.finish());
         let lines = sink.structure_lines();
         assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0], "[query|t0] query {}");
+        assert_eq!(lines[0], "[query|t0] query {gremlin=g.V()}");
         assert_eq!(lines[1], "[step|t0] query > Step {}");
     }
 }

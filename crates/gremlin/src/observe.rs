@@ -1,10 +1,13 @@
 //! Query observability hooks.
 //!
-//! A [`TraversalObserver`] receives events from the compile pipeline (which
-//! strategies rewrote the plan) and the interpreter (per-step wall time and
-//! traverser counts). The overlay backend in `db2graph-core` implements it
-//! with its `Profiler`, which additionally collects backend-side events
-//! (table elimination decisions, generated SQL, template cache hits).
+//! A [`TraversalObserver`] receives events from the script runner (where
+//! each statement starts), the compile pipeline (which strategies rewrote
+//! the plan) and the interpreter (per-step wall time and traverser
+//! counts). It observes the one traversal; it is not a second pipeline.
+//! The overlay backend in `db2graph-core` implements it with its
+//! `Profiler`, which records these events and the backend's own (table
+//! decisions, generated SQL, template cache hits) as one span tree and
+//! derives the profile report from it.
 //!
 //! The trait lives here — below the backend crates — so the gremlin layer
 //! never depends on a particular backend's metrics representation. All
@@ -13,6 +16,10 @@
 
 /// Receiver for compile-time and run-time traversal events.
 pub trait TraversalObserver: Send + Sync {
+    /// A script statement is about to compile and run; what follows, up
+    /// to the next call, belongs to it.
+    fn statement_started(&self) {}
+
     /// A strategy changed the plan. `before`/`after` are
     /// [`crate::step::Traversal::describe`] renderings; called only when
     /// they differ.
@@ -40,9 +47,12 @@ pub trait TraversalObserver: Send + Sync {
     ) {
     }
 
-    /// Render and clear the accumulated per-query report, if this observer
-    /// builds one. Used by the script-level `.profile()` terminal, which
-    /// must return the report as a traversal result.
+    /// Render the report of the running statement — the events since the
+    /// last [`statement_started`] — if this observer builds one. Used by
+    /// the script-level `.profile()` terminal, which must return the report
+    /// as a traversal result.
+    ///
+    /// [`statement_started`]: TraversalObserver::statement_started
     fn take_report(&self) -> Option<String> {
         None
     }

@@ -65,6 +65,9 @@ impl<'a> ScriptRunner<'a> {
         let mut env = VarEnv::new();
         let mut last: Option<Vec<GValue>> = None;
         for stmt in &script.statements {
+            if let Some(obs) = self.observer.as_deref() {
+                obs.statement_started();
+            }
             let mut traversal = compile(&stmt.traversal, &env)?;
             self.strategies.apply_all_observed(&mut traversal, self.observer.as_deref());
             if stmt.terminal == Some(Terminal::Explain) {

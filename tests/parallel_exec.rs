@@ -181,6 +181,35 @@ fn parallel_profile_matches_sequential_modulo_timing() {
 }
 
 #[test]
+fn tracing_does_not_change_the_profile() {
+    // The profile is derived from the same spans whether or not they then
+    // reach the trace sink, so a traced graph profiles every corpus query
+    // exactly like an untraced one, modulo timing and template_hit.
+    let db = social_db();
+    let open = |trace: bool| {
+        let options = GraphOptions { threads: Some(4), trace: Some(trace), ..Default::default() };
+        Db2Graph::open_with_options(db.clone(), &social_overlay(), options).unwrap()
+    };
+    let (traced, untraced) = (open(true), open(false));
+    assert!(traced.trace_sink().is_some() && untraced.trace_sink().is_none());
+    let timeless = |mut p: ProfileReport| {
+        p.steps.iter_mut().for_each(|s| s.nanos = 0);
+        for s in &mut p.statements {
+            (s.nanos, s.template_hit) = (0, false);
+        }
+        p.to_json().to_pretty()
+    };
+    for q in CORPUS {
+        let (v_traced, p_traced) = traced.profile(q).unwrap();
+        let (v_untraced, p_untraced) = untraced.profile(q).unwrap();
+        assert_eq!(v_traced, v_untraced, "results diverge for {q}");
+        assert!(!p_traced.steps.is_empty(), "empty profile for {q}");
+        assert_eq!(timeless(p_traced), timeless(p_untraced), "profiles diverge for {q}");
+    }
+    assert!(traced.trace_sink().unwrap().total() > 0);
+}
+
+#[test]
 fn cold_warm_and_disabled_caches_agree_on_corpus() {
     // The adjacency cache must be invisible to results: every corpus query
     // returns the same values from a cold cache (lazily populating), a warm

@@ -186,6 +186,39 @@ fn profile_terminator_returns_report_text() {
     assert!(text.contains("sql: statements="), "{text}");
 }
 
+/// In a multi-statement script, `.profile()` reports its own statement
+/// only: the statements before it leave their steps, table decisions and
+/// SQL out of the report.
+#[test]
+fn profile_terminator_reports_only_its_statement() {
+    let db = healthcare_db();
+    let g = open(&db);
+    let profiled = "g.V().hasLabel('patient').count().profile()";
+    let alone = g.run(profiled).unwrap();
+    let script = format!("g.V().hasLabel('patient').out('hasDisease').count(); {profiled}");
+    let out = g.run(&script).unwrap();
+    let (GValue::Str(alone), GValue::Str(text)) = (&alone[0], &out[0]) else {
+        panic!("expected report text, got {alone:?} and {out:?}")
+    };
+    // Timing and template-cache outcomes differ between the runs; the
+    // shape of the report must not.
+    let shape = |t: &str| -> Vec<String> {
+        t.lines()
+            .map(|l| match l.trim_start() {
+                l if l.starts_with("sql: ") => l.split(" template_hits=").next().unwrap(),
+                // A statement: `[time, rows, hit|miss] SQL` keeps its SQL.
+                l if l.contains(" rows, ") => l.split_once("] ").unwrap().1,
+                // A step: `[index] step  in=.. out=..  time` drops its time.
+                l if l.starts_with('[') => l.rsplit_once("  ").unwrap().0,
+                l => l,
+            })
+            .map(str::to_string)
+            .collect()
+    };
+    assert_eq!(shape(text), shape(alone), "\n{text}\n--- alone ---\n{alone}");
+    assert!(!text.contains("HasDisease"), "an earlier statement leaked:\n{text}");
+}
+
 /// Repeated identical traversals re-use prepared templates: the second run
 /// hits the cache for every statement the first run prepared.
 #[test]
