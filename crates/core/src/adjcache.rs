@@ -54,8 +54,9 @@
 //! rows are decoded outside it, on work-stealing morsels
 //! (`pool::run_morsels`).
 //!
-//! Memory is bounded: `DB2GRAPH_ADJ_CACHE_MB` (default
-//! [`DEFAULT_ADJ_CACHE_MB`], `0` disables the cache) caps the resident
+//! Memory is bounded: the budget the graph resolves at open
+//! (`GraphOptions.adj_cache_mb`, then `DB2GRAPH_ADJ_CACHE_MB`, then
+//! [`DEFAULT_ADJ_CACHE_MB`]; `0` disables the cache) caps the resident
 //! estimate, enforced by LRU eviction at segment granularity. The estimate
 //! charges each row its slot in the chunk, its value buffer as allocated
 //! and each string's buffer, plus each cached source its hash-table slot
@@ -71,12 +72,9 @@ use reldb::{Database, Row, Value};
 
 use crate::metrics::MetricsRegistry;
 
-/// Environment knob: adjacency-cache budget in mebibytes. `0` disables
-/// the cache.
-pub const ADJ_CACHE_MB_ENV: &str = "DB2GRAPH_ADJ_CACHE_MB";
-
-/// Default cache budget when neither `GraphOptions.adj_cache_mb` nor the
-/// environment sets one.
+/// Default cache budget (MiB) when neither `GraphOptions.adj_cache_mb` nor
+/// `DB2GRAPH_ADJ_CACHE_MB` sets one; both are resolved by
+/// [`GraphOptions::with_lookup`](crate::GraphOptions::with_lookup).
 pub const DEFAULT_ADJ_CACHE_MB: usize = 64;
 
 /// Key of one cache segment: (edge-table index, direction), where `true`

@@ -21,8 +21,9 @@
 //! Emission must never fail the hot path: file-sink errors are counted
 //! (`dropped_writes`) and otherwise swallowed.
 //!
-//! Every `DB2GRAPH_*` environment knob is read through [`env_knob`], so
-//! a value that does not parse always becomes a typed `config_warning`.
+//! Every `DB2GRAPH_*` environment knob is parsed by one function
+//! (`lookup_knob`, which [`env_knob`] wraps for the process environment),
+//! so a value that does not parse always becomes a typed `config_warning`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -243,22 +244,40 @@ static CONFIG_WARNINGS: Mutex<Vec<ConfigWarning>> = Mutex::new(Vec::new());
 /// [`EventLog`], so warnings buffer in a process-global queue; an embedder
 /// with a log drains them via [`EventLog::emit_config_warnings`]. Also
 /// printed to stderr immediately so library users see it regardless.
+/// The same bad value read again before anything drained the queue (one
+/// program opening a database and then a graph resolves the graph knobs
+/// twice) is one warning, not two.
 pub fn record_config_warning(knob: &str, raw: &str, fallback: &str) {
-    eprintln!("db2graph: ignoring invalid {knob}={raw:?}; using {fallback}");
-    CONFIG_WARNINGS.lock().unwrap().push(ConfigWarning {
+    let warning = ConfigWarning {
         knob: knob.to_string(),
         raw: raw.to_string(),
         fallback: fallback.to_string(),
-    });
+    };
+    let mut pending = CONFIG_WARNINGS.lock().unwrap();
+    if !pending.contains(&warning) {
+        eprintln!("db2graph: ignoring invalid {knob}={raw:?}; using {fallback}");
+        pending.push(warning);
+    }
 }
 
-/// Read the environment knob `name` — the one place a `DB2GRAPH_*` value
-/// is read and parsed. `None` when unset. A set value is trimmed and
-/// handed to `parse`; when `parse` rejects it, a config warning naming
-/// `fallback` is recorded and the result is `None`, so the caller's
-/// default applies.
+/// Read the knob `name` from the process environment. `None` when unset.
+/// A set value is trimmed and handed to `parse`; when `parse` rejects it,
+/// a config warning naming `fallback` is recorded and the result is
+/// `None`, so the caller's default applies.
 pub fn env_knob<T>(name: &str, fallback: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-    let raw = std::env::var(name).ok()?;
+    lookup_knob(&|name| std::env::var(name).ok(), name, fallback, parse)
+}
+
+/// [`env_knob`] reading `name` from `get` instead of the process
+/// environment — the seam [`crate::GraphOptions::with_lookup`] resolves
+/// through, so tests never touch the environment.
+pub(crate) fn lookup_knob<T>(
+    get: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    fallback: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    let raw = get(name)?;
     let parsed = parse(raw.trim());
     if parsed.is_none() {
         record_config_warning(name, &raw, fallback);

@@ -11,31 +11,36 @@
 
 use std::sync::Arc;
 
-use gremlin::exec::ExecOptions;
 use gremlin::strategy::{IdentityRemoval, StrategyRegistry};
 use gremlin::structure::{Element, GValue};
 use gremlin::ScriptRunner;
 use reldb::{DataType, Database, DbError, DbResult, RowSet, TableFunction, Value};
 
-use crate::adjcache::{AdjCache, ADJ_CACHE_MB_ENV, DEFAULT_ADJ_CACHE_MB};
+use crate::adjcache::{AdjCache, DEFAULT_ADJ_CACHE_MB};
 use crate::config::OverlayConfig;
 use crate::error::{GraphError, GraphResult};
-use crate::events::{env_knob, env_parse, env_string};
+use crate::events::lookup_knob;
 use crate::graph_structure::{to_value, Db2GraphBackend};
 use crate::metrics::{
     step_kind, ExplainReport, MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry,
     SlowQueryLog, StepExplain, DEFAULT_SLOW_LOG_CAPACITY,
 };
+use crate::pool;
 use crate::sql_dialect::{SqlDialect, WorkloadReport};
 use crate::strategies::StrategyConfig;
 use crate::topology::Topology;
 use crate::trace::{SpanData, TraceSink, DEFAULT_TRACE_CAPACITY};
 
 /// Options controlling a graph's optimizer and executor.
+///
+/// Every knob that has a `DB2GRAPH_*` variable resolves the same way:
+/// the field when set, then the variable, then the built-in default.
+/// [`GraphOptions::with_env`] is the one place the graph layer reads its
+/// environment; [`Db2Graph::open_with_options`] and
+/// [`GraphOptions::open_database`] call it.
 #[derive(Debug, Clone, Default)]
 pub struct GraphOptions {
     pub strategies: StrategyConfig,
-    pub exec: ExecOptions,
     /// Intra-query worker threads for the backend's probe fan-out.
     /// `None` defers to `DB2GRAPH_THREADS` / available parallelism;
     /// `Some(1)` forces fully sequential execution.
@@ -89,24 +94,55 @@ pub struct RunRequest<'a> {
 }
 
 impl GraphOptions {
+    /// Fill the knobs left `None` from the process environment:
+    /// [`Self::with_lookup`] over `std::env::var`.
+    pub fn with_env(self) -> GraphOptions {
+        self.with_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Fill each knob left `None` from its variable as `get` reports it:
+    /// `threads` from `DB2GRAPH_THREADS`, `adj_cache_mb` from
+    /// `DB2GRAPH_ADJ_CACHE_MB`, `trace_path` from `DB2GRAPH_TRACE`,
+    /// `slow_query_nanos` from `DB2GRAPH_SLOW_QUERY_MS`, `data_dir` from
+    /// `DB2GRAPH_DATA_DIR` and `durability` from `DB2GRAPH_DURABILITY`.
+    /// A set field is never looked up. A value that does not parse
+    /// records one `config_warning` and leaves the field `None`, so the
+    /// built-in default applies.
+    pub fn with_lookup(mut self, get: impl Fn(&str) -> Option<String>) -> GraphOptions {
+        fn fill<T>(
+            field: &mut Option<T>,
+            get: &dyn Fn(&str) -> Option<String>,
+            name: &str,
+            fallback: &str,
+            parse: impl FnOnce(&str) -> Option<T>,
+        ) {
+            if field.is_none() {
+                *field = lookup_knob(get, name, fallback, parse);
+            }
+        }
+        let text = |v: &str| Some(v.to_owned()).filter(|s| !s.is_empty());
+        let millis = |v: &str| v.parse::<u64>().ok().map(|ms| ms.saturating_mul(1_000_000));
+        let threads = format!("available parallelism ({})", pool::default_threads());
+        let budget = format!("default budget ({DEFAULT_ADJ_CACHE_MB} MiB)");
+        let (no_log, always) = ("no slow-query log", "default durability (always)");
+        fill(&mut self.threads, &get, "DB2GRAPH_THREADS", &threads, pool::parse_threads);
+        fill(&mut self.adj_cache_mb, &get, "DB2GRAPH_ADJ_CACHE_MB", &budget, |v| v.parse().ok());
+        fill(&mut self.trace_path, &get, "DB2GRAPH_TRACE", "", text);
+        fill(&mut self.slow_query_nanos, &get, "DB2GRAPH_SLOW_QUERY_MS", no_log, millis);
+        fill(&mut self.data_dir, &get, "DB2GRAPH_DATA_DIR", "", text);
+        fill(&mut self.durability, &get, "DB2GRAPH_DURABILITY", always, reldb::Durability::parse);
+        self
+    }
+
     /// Open the database these options describe: durable (with crash
     /// recovery) when a data directory is configured here or via
     /// `DB2GRAPH_DATA_DIR`, in-memory otherwise.
     pub fn open_database(&self) -> DbResult<Arc<Database>> {
-        let Some(dir) = self.data_dir.clone().or_else(|| env_string("DB2GRAPH_DATA_DIR")) else {
+        let options = self.clone().with_env();
+        let Some(dir) = options.data_dir else {
             return Ok(Arc::new(Database::new()));
         };
-        let mode = self
-            .durability
-            .or_else(|| {
-                env_knob(
-                    "DB2GRAPH_DURABILITY",
-                    "default durability (always)",
-                    reldb::Durability::parse,
-                )
-            })
-            .unwrap_or_default();
-        Ok(Arc::new(Database::open_with(dir, mode)?))
+        Ok(Arc::new(Database::open_with(dir, options.durability.unwrap_or_default())?))
     }
 }
 
@@ -122,7 +158,6 @@ pub struct Db2Graph {
     db: Arc<Database>,
     backend: Arc<Db2GraphBackend>,
     registry: StrategyRegistry,
-    options: GraphOptions,
     /// Present when tracing is on; every query's span batch lands here.
     sink: Option<Arc<TraceSink>>,
     /// Where the Chrome trace JSON is written when the graph drops.
@@ -145,28 +180,19 @@ impl Db2Graph {
         Self::open(db, &config)
     }
 
-    /// Open with explicit optimizer/executor options.
+    /// Open with explicit optimizer/executor options; the knobs left
+    /// `None` resolve through [`GraphOptions::with_env`].
     pub fn open_with_options(
         db: Arc<Database>,
         config: &OverlayConfig,
         options: GraphOptions,
     ) -> GraphResult<Arc<Db2Graph>> {
+        let options = options.with_env();
         let topo = Arc::new(Topology::resolve(&db, config)?);
-        let mut backend = Db2GraphBackend::new(db.clone(), topo);
-        if let Some(n) = options.threads {
-            backend = backend.with_threads(n);
-        }
-        // Adjacency-cache budget: explicit option wins, then the
-        // environment, then the default. 0 MiB disables the cache.
-        let adj_cache_mb = options
-            .adj_cache_mb
-            .or_else(|| {
-                env_parse(
-                    ADJ_CACHE_MB_ENV,
-                    &format!("default budget ({DEFAULT_ADJ_CACHE_MB} MiB)"),
-                )
-            })
-            .unwrap_or(DEFAULT_ADJ_CACHE_MB);
+        let threads = options.threads.unwrap_or_else(pool::default_threads);
+        let backend = Db2GraphBackend::new(db.clone(), topo, threads);
+        // 0 MiB disables the adjacency cache.
+        let adj_cache_mb = options.adj_cache_mb.unwrap_or(DEFAULT_ADJ_CACHE_MB);
         let adj_cache = (adj_cache_mb > 0).then(|| {
             AdjCache::new(db.clone(), adj_cache_mb, backend.registry().clone())
         });
@@ -176,22 +202,12 @@ impl Db2Graph {
         for s in options.strategies.build() {
             registry.add(s);
         }
-        // Telemetry knobs: explicit options win, then the environment.
-        let env_trace_path = env_string("DB2GRAPH_TRACE");
-        let trace_enabled = options
-            .trace
-            .unwrap_or(options.trace_path.is_some() || env_trace_path.is_some());
-        let sink = trace_enabled.then(|| {
+        let sink = options.trace.unwrap_or(options.trace_path.is_some()).then(|| {
             Arc::new(TraceSink::new(
                 options.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY),
             ))
         });
-        let trace_path = options.trace_path.clone().or(env_trace_path);
-        let slow_query_nanos = options.slow_query_nanos.or_else(|| {
-            env_parse::<u64>("DB2GRAPH_SLOW_QUERY_MS", "no slow-query log")
-                .map(|ms| ms.saturating_mul(1_000_000))
-        });
-        let slow_log = slow_query_nanos.map(|threshold| {
+        let slow_log = options.slow_query_nanos.map(|threshold| {
             Arc::new(SlowQueryLog::new(
                 threshold,
                 options.slow_log_capacity.unwrap_or(DEFAULT_SLOW_LOG_CAPACITY),
@@ -201,9 +217,8 @@ impl Db2Graph {
             db,
             backend,
             registry,
-            options,
             sink,
-            trace_path,
+            trace_path: options.trace_path,
             slow_log,
             adj_cache,
         }))
@@ -307,7 +322,8 @@ impl Db2Graph {
     /// tracing, or the slow-query log. Otherwise it is
     /// [`Profiler::disabled`], which costs one null check per event. Its
     /// spans reach the trace sink only when tracing is on; the profile
-    /// report is derived from the same spans.
+    /// report is derived from the same spans, and only when `req.profile`
+    /// asks for it or the query is past the slow-log threshold.
     /// Observing never changes the plan: the adjacency cache serves
     /// observed and plain runs alike. Returns the final statement's
     /// results, and the profile report when `req.profile` asked for one.
@@ -331,9 +347,7 @@ impl Db2Graph {
         });
         let backend =
             self.backend.bind(Some(self.db.snapshot()), req.deadline, profiler.clone());
-        let mut runner = ScriptRunner::new(&backend)
-            .with_strategies(self.registry.clone())
-            .with_options(self.options.exec.clone());
+        let mut runner = ScriptRunner::new(&backend).with_strategies(self.registry.clone());
         if observed {
             runner = runner.with_observer(Arc::new(profiler.clone()));
         }
@@ -344,20 +358,22 @@ impl Db2Graph {
         if !observed {
             return Ok((result?, None));
         }
-        let report = profiler.report();
-        for step in &report.steps {
-            registry.record_step_latency(step_kind(&step.description), step.nanos);
-        }
-        if let Some(log) = &self.slow_log {
-            if log.offer_with_id(gremlin, wall_nanos, &report, req.request_id) {
-                registry.slow_queries.add(1);
-            }
+        profiler.for_each_step(|description, nanos| {
+            registry.record_step_latency(step_kind(description), nanos);
+        });
+        // The report is built only for a reader: the caller, or the slow
+        // log once the query is past its threshold.
+        let slow_log = self.slow_log.as_ref().filter(|log| wall_nanos >= log.threshold_nanos());
+        let report = (req.profile || slow_log.is_some()).then(|| profiler.report());
+        if let (Some(log), Some(report)) = (slow_log, &report) {
+            log.offer_with_id(gremlin, wall_nanos, report, req.request_id);
+            registry.slow_queries.add(1);
         }
         if let Some(sink) = &self.sink {
             // finish() also closes spans left open by an error mid-step.
             sink.push_batch(profiler.finish());
         }
-        Ok((result?, req.profile.then_some(report)))
+        Ok((result?, report.filter(|_| req.profile)))
     }
 
     /// The trace sink, when tracing is enabled.
@@ -417,9 +433,8 @@ impl Db2Graph {
 
     /// The optimized step plan for a single-statement script.
     pub fn plan(&self, gremlin: &str) -> GraphResult<gremlin::Traversal> {
-        let runner = ScriptRunner::new(self.backend.as_ref())
-            .with_strategies(self.registry.clone())
-            .with_options(self.options.exec.clone());
+        let runner =
+            ScriptRunner::new(self.backend.as_ref()).with_strategies(self.registry.clone());
         runner.plan(gremlin).map_err(GraphError::Gremlin)
     }
 
@@ -536,18 +551,6 @@ impl Db2Graph {
         let graph = Arc::downgrade(self);
         self.db.register_function(name, Arc::new(GraphQueryFunction { graph }));
     }
-
-    /// Convert a list of elements into their ids (convenience for callers).
-    pub fn element_ids(values: &[GValue]) -> Vec<GValue> {
-        values
-            .iter()
-            .map(|v| match v {
-                GValue::Vertex(vx) => gremlin::structure::id_value(&vx.id),
-                GValue::Edge(e) => gremlin::structure::id_value(&e.id),
-                other => other.clone(),
-            })
-            .collect()
-    }
 }
 
 impl Drop for Db2Graph {
@@ -608,8 +611,8 @@ mod tests {
     use super::*;
     use crate::config::VTableConfig;
 
-    #[test]
-    fn inline_vacuum_is_counted_without_a_daemon() {
+    /// Sixteen `acct` vertices over one table, each with a balance of 0.
+    fn accounts() -> (Arc<Database>, OverlayConfig) {
         let db = Arc::new(Database::new());
         db.execute("CREATE TABLE Account (aid BIGINT PRIMARY KEY, balance BIGINT)").unwrap();
         let rows: Vec<String> = (0..16).map(|i| format!("({i}, 0)")).collect();
@@ -625,6 +628,44 @@ mod tests {
             }],
             e_tables: vec![],
         };
+        (db, overlay)
+    }
+
+    #[test]
+    fn step_latencies_do_not_need_the_slow_log_report() {
+        let queries = [
+            "g.V().hasLabel('acct').values('balance')",
+            "g.V().has('balance', 0).count()",
+            "g.V().hasLabel('acct').limit(3).id()",
+        ];
+        let step_counts = |threshold: u64| {
+            let (db, overlay) = accounts();
+            let options = GraphOptions { slow_query_nanos: Some(threshold), ..Default::default() };
+            let graph = Db2Graph::open_with_options(db, &overlay, options).unwrap();
+            for q in queries {
+                graph.run(q).unwrap();
+            }
+            let counts: Vec<(String, u64)> = graph
+                .backend
+                .registry()
+                .step_kinds()
+                .entries()
+                .into_iter()
+                .map(|(kind, h)| (kind, h.count()))
+                .collect();
+            (counts, graph.slow_queries().len(), graph.metrics().slow_queries)
+        };
+        let (never, never_logged, never_counted) = step_counts(u64::MAX);
+        let (always, always_logged, always_counted) = step_counts(0);
+        assert!(!never.is_empty());
+        assert_eq!(never, always);
+        assert_eq!((never_logged, never_counted), (0, 0));
+        assert_eq!((always_logged, always_counted), (queries.len(), queries.len() as u64));
+    }
+
+    #[test]
+    fn inline_vacuum_is_counted_without_a_daemon() {
+        let (db, overlay) = accounts();
         let graph = Db2Graph::open_with_options(db.clone(), &overlay, GraphOptions::default())
             .unwrap();
         let before = graph.metrics();

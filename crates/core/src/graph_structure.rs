@@ -128,14 +128,16 @@ pub struct Db2GraphBackend {
 }
 
 impl Db2GraphBackend {
-    pub fn new(db: Arc<Database>, topo: Arc<Topology>) -> Db2GraphBackend {
+    /// A backend over `topo` whose fan-out uses up to `threads` threads
+    /// (clamped to at least 1; 1 = fully sequential).
+    pub fn new(db: Arc<Database>, topo: Arc<Topology>, threads: usize) -> Db2GraphBackend {
         let registry = Arc::new(MetricsRegistry::default());
         let dialect = Arc::new(SqlDialect::with_registry(db, registry));
         Db2GraphBackend {
             topo,
             dialect,
             profiler: Profiler::disabled(),
-            threads: pool::configured_threads(),
+            threads: threads.max(1),
             read_view: None,
             deadline: None,
             adj_cache: None,
@@ -220,13 +222,6 @@ impl Db2GraphBackend {
             Some(d) if std::time::Instant::now() >= d => Err(GraphError::Timeout),
             _ => Ok(()),
         }
-    }
-
-    /// Override the intra-query worker count (clamped to at least 1). The
-    /// default comes from `DB2GRAPH_THREADS` / available parallelism.
-    pub fn with_threads(mut self, threads: usize) -> Db2GraphBackend {
-        self.threads = threads.max(1);
-        self
     }
 
     /// The effective intra-query worker count.

@@ -77,7 +77,7 @@ pub mod strategies;
 pub mod topology;
 pub mod trace;
 
-pub use adjcache::{AdjCache, ADJ_CACHE_MB_ENV, DEFAULT_ADJ_CACHE_MB};
+pub use adjcache::{AdjCache, DEFAULT_ADJ_CACHE_MB};
 pub use auto_overlay::{auto_overlay, generate_overlay, identify_tables};
 pub use config::{ETableConfig, OverlayConfig, VTableConfig};
 pub use error::{GraphError, GraphResult};

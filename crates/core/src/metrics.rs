@@ -256,6 +256,19 @@ impl Profiler {
         ProfileReport::from_spans(r.spans.spans(), r.counters)
     }
 
+    /// Call `f(description, nanos)` for every finished step, in recording
+    /// order — the per-step-kind latency histograms read this, not a
+    /// report.
+    pub fn for_each_step(&self, mut f: impl FnMut(&str, u64)) {
+        self.with(|r| {
+            for s in r.spans.spans() {
+                if let SpanData::Step { frontier: Some(_), .. } = s.data {
+                    f(&s.name, s.dur_nanos);
+                }
+            }
+        });
+    }
+
     /// Drain the recorded spans for the trace sink, closing any span an
     /// error left open.
     pub fn finish(&self) -> Vec<Span> {

@@ -25,11 +25,13 @@
 //! At most `threads - 1` helpers join any one batch, so `threads` keeps
 //! meaning "how many threads one query may use".
 //!
-//! Thread count resolution: explicit configuration wins, then the
-//! `DB2GRAPH_THREADS` environment variable, then the machine's available
-//! parallelism. A count of 1 (or a batch of 1 job) short-circuits to plain
-//! inline execution and never touches the pool — the sequential and
-//! parallel paths are the same code.
+//! The pool reads no configuration: every call is given its thread count.
+//! A graph resolves its count once at open, in
+//! [`GraphOptions::with_lookup`](crate::GraphOptions::with_lookup) —
+//! `GraphOptions.threads`, then `DB2GRAPH_THREADS` (parsed by
+//! `parse_threads`), then `default_threads`. A count of 1 (or a batch
+//! of 1 job) short-circuits to plain inline execution and never touches
+//! the pool — the sequential and parallel paths are the same code.
 //!
 //! A panicking job does not take its thread down: the panic is caught, the
 //! rest of the batch still runs, and the first payload in job order is
@@ -49,22 +51,15 @@ use std::sync::{Arc, Condvar, PoisonError};
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Environment variable overriding the worker count for query execution.
-pub const THREADS_ENV: &str = "DB2GRAPH_THREADS";
-
-/// The worker count to use when none is configured explicitly:
-/// `DB2GRAPH_THREADS` if set to a positive integer, otherwise the
-/// machine's available parallelism (at least 1). Any other value of the
-/// variable — including 0 — records a `config_warning` and falls back.
-pub fn configured_threads() -> usize {
-    let auto = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let fallback = format!("available parallelism ({auto})");
-    crate::events::env_knob(THREADS_ENV, &fallback, parse_threads).unwrap_or(auto)
+/// The built-in worker count: the machine's available parallelism (at
+/// least 1).
+pub(crate) fn default_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// A `DB2GRAPH_THREADS` value as a worker count: a positive integer, or
 /// `None` for anything unusable (0 would silently serialise every query).
-fn parse_threads(raw: &str) -> Option<usize> {
+pub(crate) fn parse_threads(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
@@ -406,8 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
     }
 
     #[test]

@@ -227,21 +227,11 @@ impl SqlDialect {
     /// Execute a parameterized SQL template through the prepared cache.
     /// `pattern` records the access shape for index advising; `profiler`
     /// (when enabled) receives the statement text, cache outcome, row
-    /// count and wall time.
-    pub fn query(
-        &self,
-        profiler: &Profiler,
-        template: &str,
-        params: &[Value],
-        pattern: Option<(&str, &[String])>,
-    ) -> DbResult<RowSet> {
-        self.query_at(profiler, template, params, pattern, None)
-    }
-
-    /// Like [`SqlDialect::query`], but when `snapshot` is given every read
-    /// in the statement is pinned to that committed epoch. This is how a
-    /// multi-statement traversal keeps all of its generated SQL — across
-    /// every parallel worker — on one consistent database state.
+    /// count and wall time. When `snapshot` is given every read in the
+    /// statement is pinned to that committed epoch — how a multi-statement
+    /// traversal keeps all of its generated SQL, across every parallel
+    /// worker, on one consistent database state; `None` reads the latest
+    /// committed data.
     pub fn query_at(
         &self,
         profiler: &Profiler,
@@ -655,9 +645,8 @@ mod tests {
         // exact-arity statement.
         let mut padded = vec![Value::Bigint(1), Value::Bigint(2), Value::Bigint(3)];
         let sql = in_list_bucketed("id", &mut padded);
-        let rs = dialect
-            .query(&Profiler::disabled(), &format!("SELECT id FROM t WHERE {sql}"), &padded, None)
-            .unwrap();
+        let sql = format!("SELECT id FROM t WHERE {sql}");
+        let rs = dialect.query_at(&Profiler::disabled(), &sql, &padded, None, None).unwrap();
         assert_eq!(rs.rows.len(), 3);
     }
 
@@ -667,7 +656,7 @@ mod tests {
         let dialect = SqlDialect::new(db).with_caps(3, 2);
         for i in 0..5 {
             let sql = format!("SELECT id FROM t WHERE id = {i}");
-            dialect.query(&Profiler::disabled(), &sql, &[], None).unwrap();
+            dialect.query_at(&Profiler::disabled(), &sql, &[], None, None).unwrap();
         }
         assert_eq!(dialect.template_count(), 3);
         let texts = dialect.template_texts();
@@ -680,7 +669,7 @@ mod tests {
         // A re-query of an evicted template still works (it is re-prepared
         // and re-admitted).
         dialect
-            .query(&Profiler::disabled(), "SELECT id FROM t WHERE id = 0", &[], None)
+            .query_at(&Profiler::disabled(), "SELECT id FROM t WHERE id = 0", &[], None, None)
             .unwrap();
         assert_eq!(dialect.template_count(), 3);
     }
@@ -692,11 +681,12 @@ mod tests {
         let run = |cols: &[&str]| {
             let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
             dialect
-                .query(
+                .query_at(
                     &Profiler::disabled(),
                     "SELECT id FROM t",
                     &[],
                     Some(("t", &cols)),
+                    None,
                 )
                 .unwrap();
         };
@@ -721,8 +711,8 @@ mod tests {
         let db = db_with_table();
         let dialect = SqlDialect::new(db);
         let sql = "SELECT name FROM t WHERE id = ?";
-        let r1 = dialect.query(&Profiler::disabled(), sql, &[Value::Bigint(1)], None).unwrap();
-        let r2 = dialect.query(&Profiler::disabled(), sql, &[Value::Bigint(2)], None).unwrap();
+        let query = |id| dialect.query_at(&Profiler::disabled(), sql, &[id], None, None).unwrap();
+        let (r1, r2) = (query(Value::Bigint(1)), query(Value::Bigint(2)));
         assert_eq!(r1.scalar(), Some(&Value::Varchar("n1".into())));
         assert_eq!(r2.scalar(), Some(&Value::Varchar("n2".into())));
         assert_eq!(dialect.template_count(), 1);
@@ -738,11 +728,12 @@ mod tests {
         // Query on the unindexed 'src' column repeatedly.
         for i in 0..6 {
             dialect
-                .query(
+                .query_at(
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE src = ?",
                     &[Value::Bigint(i)],
                     Some(("t", &["src".to_string()])),
+                    None,
                 )
                 .unwrap();
         }
@@ -758,11 +749,12 @@ mod tests {
         // assertion is deterministic: 'name' must cost more than 'src'.
         for i in 0..5 {
             dialect
-                .query(
+                .query_at(
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE name = ?",
                     &[Value::Varchar(format!("n{i}"))],
                     Some(("t", &["name".to_string()])),
+                    None,
                 )
                 .unwrap();
         }
@@ -808,11 +800,12 @@ mod tests {
         let dialect = SqlDialect::new(db).with_threshold(100);
         for _ in 0..5 {
             dialect
-                .query(
+                .query_at(
                     &Profiler::disabled(),
                     "SELECT * FROM t WHERE src = ?",
                     &[Value::Bigint(0)],
                     Some(("t", &["src".to_string()])),
+                    None,
                 )
                 .unwrap();
         }
@@ -825,11 +818,12 @@ mod tests {
         let db = db_with_table();
         let dialect = SqlDialect::new(db).with_threshold(1);
         dialect
-            .query(
+            .query_at(
                 &Profiler::disabled(),
                 "SELECT * FROM t WHERE id = ?",
                 &[Value::Bigint(0)],
                 Some(("t", &["id".to_string()])),
+                None,
             )
             .unwrap();
         // id is the PK — already indexed, so nothing to suggest.

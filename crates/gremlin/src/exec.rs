@@ -8,9 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::backend::{
-    element_property, AggOp, BackendOutput, ElementKind, GraphBackend, Pred,
-};
+use crate::backend::{element_property, AggOp, BackendOutput, ElementKind, GraphBackend};
 use crate::error::{GremlinError, GResult};
 use crate::observe::TraversalObserver;
 use crate::step::{CompareOp, FilterSpec, OrderKey, Step, Traversal};
@@ -61,25 +59,12 @@ impl Traverser {
     }
 }
 
-/// Execution limits and switches.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Track paths even when no step requires them.
-    pub always_track_paths: bool,
-    /// Hard cap on repeat() iterations to guard against unbounded loops.
-    pub max_repeat_iterations: u32,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { always_track_paths: false, max_repeat_iterations: 64 }
-    }
-}
+/// Hard cap on repeat() iterations to guard against unbounded loops.
+const MAX_REPEAT_ITERATIONS: u32 = 64;
 
 /// Interpreter over a graph backend.
 pub struct Executor<'a> {
     backend: &'a dyn GraphBackend,
-    opts: ExecOptions,
     observer: Option<&'a dyn TraversalObserver>,
 }
 
@@ -90,11 +75,7 @@ struct Ctx {
 
 impl<'a> Executor<'a> {
     pub fn new(backend: &'a dyn GraphBackend) -> Executor<'a> {
-        Executor { backend, opts: ExecOptions::default(), observer: None }
-    }
-
-    pub fn with_options(backend: &'a dyn GraphBackend, opts: ExecOptions) -> Executor<'a> {
-        Executor { backend, opts, observer: None }
+        Executor { backend, observer: None }
     }
 
     /// Attach an observer receiving per-step timing events for top-level
@@ -109,7 +90,7 @@ impl<'a> Executor<'a> {
     pub fn run(&self, traversal: &Traversal) -> GResult<(Vec<GValue>, SideEffects)> {
         let mut ctx = Ctx {
             side_effects: SideEffects::default(),
-            track_paths: self.opts.always_track_paths || traversal.needs_paths(),
+            track_paths: traversal.needs_paths(),
         };
         let out = match self.observer {
             None => self.run_steps(&traversal.steps, Vec::new(), &mut ctx)?,
@@ -550,10 +531,9 @@ impl<'a> Executor<'a> {
                     break;
                 }
             }
-            if loops >= self.opts.max_repeat_iterations {
+            if loops >= MAX_REPEAT_ITERATIONS {
                 return Err(GremlinError::Execution(format!(
-                    "repeat() exceeded {} iterations",
-                    self.opts.max_repeat_iterations
+                    "repeat() exceeded {MAX_REPEAT_ITERATIONS} iterations"
                 )));
             }
             current = self.run_steps(&body.steps, current, ctx)?;
@@ -696,11 +676,6 @@ fn compute_aggregate(op: AggOp, current: &[Traverser]) -> GResult<Option<GValue>
         AggOp::Count => unreachable!(),
     };
     Ok(Some(v))
-}
-
-/// Check a predicate against a value (re-exported for backend testing).
-pub fn pred_holds(p: &Pred, v: &GValue) -> bool {
-    p.test(Some(v))
 }
 
 #[cfg(test)]

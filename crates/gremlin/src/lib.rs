@@ -60,7 +60,7 @@ pub use backend::{
     PropPred,
 };
 pub use error::{GremlinError, GResult};
-pub use exec::{ExecOptions, Executor, SideEffects, Traverser};
+pub use exec::{Executor, SideEffects, Traverser};
 pub use observe::{NoopObserver, TraversalObserver};
 pub use script::ScriptRunner;
 pub use step::{CompareOp, FilterSpec, GraphStep, Step, Traversal, VertexStep};

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use crate::ast::{Script, Terminal};
 use crate::compile::{compile, VarEnv};
 use crate::error::{GremlinError, GResult};
-use crate::exec::{ExecOptions, Executor};
+use crate::exec::Executor;
 use crate::backend::GraphBackend;
 use crate::observe::TraversalObserver;
 use crate::step::Traversal;
@@ -17,7 +17,6 @@ use crate::structure::GValue;
 pub struct ScriptRunner<'a> {
     backend: &'a dyn GraphBackend,
     strategies: StrategyRegistry,
-    options: ExecOptions,
     observer: Option<Arc<dyn TraversalObserver>>,
 }
 
@@ -26,18 +25,12 @@ impl<'a> ScriptRunner<'a> {
         ScriptRunner {
             backend,
             strategies: StrategyRegistry::new(),
-            options: ExecOptions::default(),
             observer: None,
         }
     }
 
     pub fn with_strategies(mut self, strategies: StrategyRegistry) -> Self {
         self.strategies = strategies;
-        self
-    }
-
-    pub fn with_options(mut self, options: ExecOptions) -> Self {
-        self.options = options;
         self
     }
 
@@ -81,7 +74,7 @@ impl<'a> ScriptRunner<'a> {
                 last = Some(vec![GValue::Str(text)]);
                 continue;
             }
-            let mut executor = Executor::with_options(self.backend, self.options.clone());
+            let mut executor = Executor::new(self.backend);
             if let Some(obs) = self.observer.as_deref() {
                 executor = executor.with_observer(obs);
             }

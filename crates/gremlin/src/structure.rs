@@ -159,10 +159,6 @@ impl Element {
     pub fn is_vertex(&self) -> bool {
         matches!(self, Element::Vertex(_))
     }
-
-    pub fn is_edge(&self) -> bool {
-        matches!(self, Element::Edge(_))
-    }
 }
 
 /// The dynamic value type flowing through a traversal.

@@ -686,11 +686,6 @@ impl Database {
         self.durability.is_some()
     }
 
-    /// The configured durability mode, if durable.
-    pub fn durability_mode(&self) -> Option<Durability> {
-        self.durability.as_ref().map(|d| d.mode)
-    }
-
     /// WAL records appended since open.
     pub fn wal_records(&self) -> u64 {
         self.durability
@@ -771,13 +766,6 @@ impl Database {
     /// Total nanoseconds spent in WAL fsyncs since open.
     pub fn wal_fsync_sum_nanos(&self) -> u64 {
         self.durability.as_ref().map_or(0, |d| d.fsync.sum_nanos())
-    }
-
-    /// The `q`-quantile of WAL fsync latency in nanoseconds (0 when no
-    /// fsync has run). The SLO monitor samples this to catch a stalling
-    /// disk before commit latency degrades visibly.
-    pub fn wal_fsync_percentile(&self, q: f64) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.fsync.percentile(q))
     }
 
     /// Cumulative `(upper_bound_nanos, count)` fsync-latency buckets for
@@ -1004,12 +992,6 @@ impl Database {
     pub fn execute(&self, sql: &str) -> DbResult<RowSet> {
         let stmt = parse_statement(sql)?;
         self.execute_stmt(&stmt)
-    }
-
-    /// Parse and execute one SQL statement with `?` parameters.
-    pub fn execute_params(&self, sql: &str, params: &[Value]) -> DbResult<RowSet> {
-        let prepared = Prepared::new(sql)?;
-        self.execute_prepared(&prepared, params)
     }
 
     /// Execute every statement in a `;`-separated script; returns the last

@@ -91,10 +91,6 @@ impl TableSchema {
         self.column_index(name).map(|i| &self.columns[i])
     }
 
-    pub fn column_names(&self) -> Vec<String> {
-        self.columns.iter().map(|c| c.name.clone()).collect()
-    }
-
     pub fn has_primary_key(&self) -> bool {
         self.primary_key.is_some()
     }

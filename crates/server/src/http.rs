@@ -282,14 +282,6 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete JSON response that closes the connection, returning
-/// the bytes put on the wire. One-shot paths (shed threads, fatal parse
-/// errors) use this; the serving loop uses [`write_response_with`] to
-/// negotiate keep-alive.
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<u64> {
-    write_response_with(stream, status, "application/json", body.as_bytes(), false, true, &[])
-}
-
 /// Write a complete response: explicit content type, optionally
 /// headers-only (a `HEAD` answer: the `Content-Length` still describes
 /// the body a `GET` would have returned, but no body bytes follow), the

@@ -50,6 +50,7 @@ use std::time::{Duration, Instant, SystemTime};
 use db2graph_core::json::Json;
 use db2graph_core::{
     env_knob, env_parse, env_string, Db2Graph, EventLog, GraphError, GraphOptions, RunRequest,
+    DEFAULT_ROTATE_BYTES,
 };
 use reldb::Database;
 
@@ -65,6 +66,10 @@ pub use crate::client::{
     http_call, http_call_bytes, http_call_bytes_with_headers, http_call_with_headers, post_query,
     HttpBytesResponse, HttpClient, HttpResponse,
 };
+
+/// How long a keep-alive connection may sit idle between requests before
+/// the server closes it.
+const KEEPALIVE_IDLE: Duration = Duration::from_secs(5);
 
 /// Serving knobs. `Default` is production-shaped; [`ServerConfig::from_env`]
 /// layers the `DB2GRAPH_*` environment on top.
@@ -92,13 +97,10 @@ pub struct ServerConfig {
     pub max_body_bytes: usize,
     /// Requests one keep-alive connection may serve before the server
     /// closes it (clamped ≥ 1; 1 restores one-request-per-connection).
-    /// The budget — together with `keepalive_idle` — keeps a persistent
+    /// The budget — together with the 5 s idle limit — keeps a persistent
     /// connection from squatting a worker forever.
     /// Env: `DB2GRAPH_KEEPALIVE_REQUESTS`.
     pub keepalive_requests: usize,
-    /// How long a keep-alive connection may sit idle between requests
-    /// before the server closes it. Env: `DB2GRAPH_KEEPALIVE_IDLE_MS`.
-    pub keepalive_idle: Duration,
     /// How long an HTTP session (an open cross-request transaction) may
     /// sit idle before the reaper rolls it back.
     /// Env: `DB2GRAPH_SESSION_IDLE_MS`.
@@ -127,13 +129,10 @@ pub struct ServerConfig {
     /// records (while behind it streams without pausing).
     /// Env: `DB2GRAPH_REPLICA_POLL_MS`.
     pub replica_poll: Duration,
-    /// Mirror every operational event to this JSONL file (size-rotated);
-    /// `None` keeps events in the in-memory ring only.
-    /// Env: `DB2GRAPH_EVENT_LOG`.
+    /// Mirror every operational event to this JSONL file, rotated to
+    /// `<path>.1` once it reaches [`DEFAULT_ROTATE_BYTES`] (8 MiB); `None`
+    /// keeps events in the in-memory ring only. Env: `DB2GRAPH_EVENT_LOG`.
     pub event_log_path: Option<String>,
-    /// Rotate the event log file once it reaches this many bytes.
-    /// Env: `DB2GRAPH_EVENT_LOG_ROTATE_BYTES`.
-    pub event_log_rotate_bytes: u64,
     /// SLO targets for the health monitor; the monitor task runs only
     /// when at least one is set. Envs: `DB2GRAPH_SLO_P99_MS`,
     /// `DB2GRAPH_SLO_ERROR_PCT`, `DB2GRAPH_MAX_REPLICA_LAG`,
@@ -157,7 +156,6 @@ impl Default for ServerConfig {
             max_header_bytes: 8 * 1024,
             max_body_bytes: 1024 * 1024,
             keepalive_requests: 1000,
-            keepalive_idle: Duration::from_secs(5),
             session_idle: Duration::from_secs(30),
             vacuum_interval: Some(Duration::from_secs(1)),
             checkpoint_interval: Some(Duration::from_secs(60)),
@@ -165,7 +163,6 @@ impl Default for ServerConfig {
             replica_of: None,
             replica_poll: Duration::from_millis(100),
             event_log_path: None,
-            event_log_rotate_bytes: db2graph_core::DEFAULT_ROTATE_BYTES,
             slo: SloTargets::default(),
             monitor_interval: Duration::from_millis(500),
             monitor_window: Duration::from_secs(60),
@@ -176,10 +173,9 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// Defaults overridden by `DB2GRAPH_HTTP_ADDR`, `DB2GRAPH_MAX_INFLIGHT`,
     /// `DB2GRAPH_QUERY_TIMEOUT_MS`, `DB2GRAPH_CHECKPOINT_MS`,
-    /// `DB2GRAPH_KEEPALIVE_REQUESTS`, `DB2GRAPH_KEEPALIVE_IDLE_MS`,
-    /// `DB2GRAPH_SESSION_IDLE_MS`, `DB2GRAPH_SQL_ENDPOINT`,
-    /// `DB2GRAPH_REPLICA_OF`, `DB2GRAPH_REPLICA_POLL_MS`,
-    /// `DB2GRAPH_EVENT_LOG`, `DB2GRAPH_EVENT_LOG_ROTATE_BYTES`, the SLO
+    /// `DB2GRAPH_KEEPALIVE_REQUESTS`, `DB2GRAPH_SESSION_IDLE_MS`,
+    /// `DB2GRAPH_SQL_ENDPOINT`, `DB2GRAPH_REPLICA_OF`,
+    /// `DB2GRAPH_REPLICA_POLL_MS`, `DB2GRAPH_EVENT_LOG`, the SLO
     /// targets (`DB2GRAPH_SLO_P99_MS`, `DB2GRAPH_SLO_ERROR_PCT`,
     /// `DB2GRAPH_MAX_REPLICA_LAG`, `DB2GRAPH_SLO_FSYNC_P99_MS`,
     /// `DB2GRAPH_SLO_MAX_SESSIONS`), and the monitor cadence
@@ -204,9 +200,6 @@ impl ServerConfig {
         if let Some(n) = env_parse::<usize>("DB2GRAPH_KEEPALIVE_REQUESTS", DEFAULT) {
             c.keepalive_requests = n.max(1);
         }
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_KEEPALIVE_IDLE_MS", DEFAULT) {
-            c.keepalive_idle = Duration::from_millis(ms.max(1));
-        }
         if let Some(ms) = env_parse::<u64>("DB2GRAPH_SESSION_IDLE_MS", DEFAULT) {
             c.session_idle = Duration::from_millis(ms.max(1));
         }
@@ -220,9 +213,6 @@ impl ServerConfig {
             c.replica_poll = Duration::from_millis(ms.max(1));
         }
         c.event_log_path = env_string("DB2GRAPH_EVENT_LOG");
-        if let Some(n) = env_parse::<u64>("DB2GRAPH_EVENT_LOG_ROTATE_BYTES", DEFAULT) {
-            c.event_log_rotate_bytes = n.max(1024);
-        }
         c.slo.p99_ms = env_parse("DB2GRAPH_SLO_P99_MS", DEFAULT);
         c.slo.error_pct = env_parse("DB2GRAPH_SLO_ERROR_PCT", DEFAULT);
         c.slo.max_replica_lag = env_parse("DB2GRAPH_MAX_REPLICA_LAG", DEFAULT);
@@ -334,7 +324,7 @@ impl GraphServer {
         // (with a stderr note) rather than refusing to serve.
         let events = match &config.event_log_path {
             Some(path) => {
-                match EventLog::new().with_file_sink(path, config.event_log_rotate_bytes) {
+                match EventLog::new().with_file_sink(path, DEFAULT_ROTATE_BYTES) {
                     Ok(log) => Arc::new(log),
                     Err(e) => {
                         eprintln!(
@@ -847,11 +837,11 @@ enum IdleWait {
 }
 
 /// Wait for the first byte of the next request on a kept-alive
-/// connection, bounded by `keepalive_idle`. The wait `peek`s in ≤100 ms
+/// connection, bounded by [`KEEPALIVE_IDLE`]. The wait `peek`s in ≤100 ms
 /// slices so a shutdown is noticed promptly even while a connection
 /// squats idle — a worker parked here must not stall the drain.
 fn wait_for_next_request(shared: &Shared, stream: &mut TcpStream) -> IdleWait {
-    let deadline = Instant::now() + shared.config.keepalive_idle;
+    let deadline = Instant::now() + KEEPALIVE_IDLE;
     let mut byte = [0u8; 1];
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {

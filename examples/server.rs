@@ -13,7 +13,12 @@
 //! anything. `DB2GRAPH_REPLICA_OF=host:port` turns the server into a
 //! log-shipping read replica of a durable primary (see
 //! `docs/REPLICATION.md`) — it bootstraps from the primary instead of
-//! seeding and refuses writes. Then:
+//! seeding and refuses writes. The graph knobs (`DB2GRAPH_THREADS`,
+//! `DB2GRAPH_ADJ_CACHE_MB`, `DB2GRAPH_TRACE`) apply as in any program;
+//! `DB2GRAPH_SLOW_QUERY_MS` does not, because this example sets the
+//! slow-query threshold to 0 explicitly and an explicit option wins. The
+//! full list, with defaults, is the "Knobs" table of `docs/SERVER.md`.
+//! Then:
 //!
 //! ```sh
 //! curl -s localhost:8182/healthz
