@@ -51,8 +51,8 @@
 //! immutable `Arc<Vec<Row>>` chunk. Each population batch becomes one
 //! chunk, its rows grouped by source and kept in SQL order within a
 //! source. A lookup clones the spans' `Arc`s under the cache lock; the
-//! rows are decoded outside it, on work-stealing morsels
-//! (`pool::run_morsels`).
+//! rows are decoded outside it, on the calling thread, by the same
+//! decoder the SQL rows go through.
 //!
 //! Memory is bounded: the budget the graph resolves at open
 //! (`GraphOptions.adj_cache_mb`, then `DB2GRAPH_ADJ_CACHE_MB`, then

@@ -21,9 +21,9 @@
 //! Emission must never fail the hot path: file-sink errors are counted
 //! (`dropped_writes`) and otherwise swallowed.
 //!
-//! Every `DB2GRAPH_*` environment knob is parsed by one function
-//! (`lookup_knob`, which [`env_knob`] wraps for the process environment),
-//! so a value that does not parse always becomes a typed `config_warning`.
+//! Every `DB2GRAPH_*` environment knob is parsed by one function,
+//! [`lookup_knob`], so a value that does not parse always becomes a typed
+//! `config_warning`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -260,18 +260,13 @@ pub fn record_config_warning(knob: &str, raw: &str, fallback: &str) {
     }
 }
 
-/// Read the knob `name` from the process environment. `None` when unset.
-/// A set value is trimmed and handed to `parse`; when `parse` rejects it,
-/// a config warning naming `fallback` is recorded and the result is
-/// `None`, so the caller's default applies.
-pub fn env_knob<T>(name: &str, fallback: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-    lookup_knob(&|name| std::env::var(name).ok(), name, fallback, parse)
-}
-
-/// [`env_knob`] reading `name` from `get` instead of the process
-/// environment — the seam [`crate::GraphOptions::with_lookup`] resolves
-/// through, so tests never touch the environment.
-pub(crate) fn lookup_knob<T>(
+/// Read the knob `name` through `get` (the process environment, or a
+/// test's table). `None` when unset. A set value is trimmed and handed to
+/// `parse`; when `parse` rejects it, a config warning naming `fallback` is
+/// recorded and the result is `None`, so the caller's default applies.
+/// [`crate::GraphOptions::with_lookup`] and the server's
+/// `ServerConfig::with_lookup` resolve every knob through it.
+pub fn lookup_knob<T>(
     get: &dyn Fn(&str) -> Option<String>,
     name: &str,
     fallback: &str,
@@ -283,16 +278,6 @@ pub(crate) fn lookup_knob<T>(
         record_config_warning(name, &raw, fallback);
     }
     parsed
-}
-
-/// [`env_knob`] for a value with a [`FromStr`](std::str::FromStr) parse.
-pub fn env_parse<T: std::str::FromStr>(name: &str, fallback: &str) -> Option<T> {
-    env_knob(name, fallback, |raw| raw.parse().ok())
-}
-
-/// [`env_knob`] for a string value; empty counts as unset.
-pub fn env_string(name: &str) -> Option<String> {
-    env_knob(name, "", |raw| Some(raw.to_owned())).filter(|s| !s.is_empty())
 }
 
 /// Take (and clear) all buffered configuration warnings.

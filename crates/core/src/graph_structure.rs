@@ -812,35 +812,39 @@ impl Db2GraphBackend {
     /// after label elimination. The concrete SQL depends on the runtime
     /// frontier, so candidates carry a description instead of a statement.
     pub fn explain_adjacency(&self, edge_labels: &[String]) -> Vec<TableExplain> {
-        let label_filter: Option<Vec<String>> =
-            if edge_labels.is_empty() { None } else { Some(edge_labels.to_vec()) };
-        let candidates: Vec<usize> = match &label_filter {
-            Some(labels) => self.topo.tables_for_labels(ElementKind::Edges, labels),
-            None => (0..self.topo.edge_tables.len()).collect(),
-        };
+        let labels = (!edge_labels.is_empty()).then_some(edge_labels);
         self.topo
             .edge_tables
             .iter()
-            .enumerate()
-            .map(|(i, et)| {
-                if candidates.contains(&i) {
-                    let mut detail =
-                        String::from("candidate; queried per frontier batch of source ids");
-                    if et.src_v_table.is_some() || et.dst_v_table.is_some() {
-                        detail.push_str(
-                            " (declared src/dst vertex table links can skip it per direction)",
-                        );
+            .zip(self.label_verdicts(labels))
+            .map(|(et, pruned)| {
+                let plan = match pruned {
+                    Some(reason) => TablePlan::Pruned { reason: reason.into() },
+                    None => {
+                        let mut detail =
+                            String::from("candidate; queried per frontier batch of source ids");
+                        if et.src_v_table.is_some() || et.dst_v_table.is_some() {
+                            detail.push_str(
+                                " (declared src/dst vertex table links can skip it per direction)",
+                            );
+                        }
+                        TablePlan::Candidate { detail }
                     }
-                    let table = et.table.name.clone();
-                    TableExplain { table, plan: TablePlan::Candidate { detail } }
-                } else {
-                    TableExplain {
-                        table: et.table.name.clone(),
-                        plan: TablePlan::Pruned {
-                            reason: "label not served by this table".into(),
-                        },
-                    }
-                }
+                };
+                TableExplain { table: et.table.name.clone(), plan }
+            })
+            .collect()
+    }
+
+    /// Label elimination for an adjacency step over `labels` (`None`: no
+    /// label filter): per edge table, `None` when the step searches it, or
+    /// why it is pruned. Execution and explain both decide through this.
+    fn label_verdicts(&self, labels: Option<&[String]>) -> Vec<Option<&'static str>> {
+        let candidates = labels.map(|l| self.topo.tables_for_labels(ElementKind::Edges, l));
+        (0..self.topo.edge_tables.len())
+            .map(|i| match &candidates {
+                Some(c) if !c.contains(&i) => Some("label not served by this table"),
+                _ => None,
             })
             .collect()
     }
@@ -1433,8 +1437,8 @@ impl GraphBackend for Db2GraphBackend {
 struct Unit {
     et_idx: usize,
     via_out: bool,
-    /// Cache-hit sources with their spans, frontier order. Decoded on
-    /// work-stealing morsels — no SQL.
+    /// Cache-hit sources with their spans, frontier order. Decoded on the
+    /// calling thread — no SQL.
     hits: Vec<(ElementId, RowSpan)>,
     /// Frontier ids that missed, chunked exactly like the pure SQL path
     /// chunks them; aligned 1:1 with this unit's probes.
@@ -1480,20 +1484,15 @@ impl Db2GraphBackend {
         }
 
         // Candidate edge tables by label.
-        let tables = self.topo.edge_tables.len();
-        let candidates: Vec<usize> = match &edge_filter.labels {
-            Some(labels) => self.topo.tables_for_labels(ElementKind::Edges, labels),
-            None => (0..tables).collect(),
-        };
+        let verdicts = self.label_verdicts(edge_filter.labels.as_deref());
+        let tables = verdicts.len();
+        let candidates: Vec<usize> = (0..tables).filter(|&i| verdicts[i].is_none()).collect();
         self.registry().tables_considered.add(tables as u64);
         self.registry().tables_pruned.add((tables - candidates.len()) as u64);
         if self.profiler.is_enabled() {
-            for (i, et) in self.topo.edge_tables.iter().enumerate() {
-                if !candidates.contains(&i) {
-                    self.profiler.record_table(
-                        &et.table.name,
-                        TableAction::Pruned("label not served by this table".into()),
-                    );
+            for (et, pruned) in self.topo.edge_tables.iter().zip(verdicts) {
+                if let Some(reason) = pruned {
+                    self.profiler.record_table(&et.table.name, TableAction::Pruned(reason.into()));
                 }
             }
         }
@@ -1635,7 +1634,7 @@ impl Db2GraphBackend {
             (Some(c), Some(snap)) if snap.stamp() == 0 => Some((c, snap.epoch())),
             _ => None,
         };
-        let ProbePlan { mut units, probes } =
+        let ProbePlan { units, probes } =
             self.plan_probes(sources, direction, &edge_filter, cache_ctx);
 
         // Phase 2 (parallel): run the independent cache-miss probes;
@@ -1643,38 +1642,23 @@ impl Db2GraphBackend {
         let mut results: Vec<Option<TableResult>> =
             self.fan_out(probes)?.into_iter().map(Some).collect();
 
-        // Phase 3: one decode loop — units in probe nesting order; within a
-        // unit, cache hits (on work-stealing morsels, no SQL) before its
-        // SQL-probe rows. Both go through one decoder (`Shape::hop`), and
-        // each source's rows come wholly from one span or one SQL chunk, in
-        // SQL row order either way — so every per-source group below is
+        // Phase 3: one decode loop on this thread — units in probe nesting
+        // order; within a unit, cache hits (no SQL) before its SQL-probe
+        // rows. Both go through one decoder (`Shape::hop`), and each
+        // source's rows come wholly from one span or one SQL chunk, in SQL
+        // row order either way — so every per-source group below is
         // identical to the pure SQL path's: the cache changes *where* a
         // group's rows come from, never their content or order.
         let mut found: Vec<Found> = Vec::new();
-        for unit in &mut units {
+        for unit in &units {
             let (et_idx, via_out) = (unit.et_idx, unit.via_out);
-            if !unit.hits.is_empty() {
-                let topo = self.topo.clone();
-                let morsel = pool::morsel_size(unit.hits.len());
-                let hops = pool::run_morsels(
-                    self.threads,
-                    std::mem::take(&mut unit.hits),
-                    morsel,
-                    move |_, hits| {
-                        let shape = Shape::new(&topo, ElementKind::Edges, et_idx, None);
-                        hits.iter()
-                            .flat_map(|(anchor, span)| {
-                                span.rows().iter().map(move |row| (anchor, row))
-                            })
-                            .map(|(anchor, row)| shape.hop(row, via_out, to, Some(anchor)))
-                            .collect()
-                    },
-                );
-                for hop in hops {
-                    found.push(Found { hop: hop?, et_idx, via_out });
+            let shape = Shape::new(&self.topo, ElementKind::Edges, et_idx, None);
+            for (anchor, span) in &unit.hits {
+                for row in span.rows() {
+                    let hop = shape.hop(row, via_out, to, Some(anchor))?;
+                    found.push(Found { hop, et_idx, via_out });
                 }
             }
-            let shape = Shape::new(&self.topo, ElementKind::Edges, et_idx, None);
             for (k, chunk) in unit.miss_chunks.iter().enumerate() {
                 let rows = match results[unit.probe_start + k].take() {
                     // A pruned unconstrained probe means the chunk's ids

@@ -82,8 +82,8 @@ pub use auto_overlay::{auto_overlay, generate_overlay, identify_tables};
 pub use config::{ETableConfig, OverlayConfig, VTableConfig};
 pub use error::{GraphError, GraphResult};
 pub use events::{
-    drain_config_warnings, env_knob, env_parse, env_string, record_config_warning,
-    ConfigWarning, Event, EventLog, DEFAULT_EVENT_CAPACITY, DEFAULT_ROTATE_BYTES,
+    drain_config_warnings, lookup_knob, record_config_warning, ConfigWarning, Event, EventLog,
+    DEFAULT_EVENT_CAPACITY, DEFAULT_ROTATE_BYTES,
 };
 pub use graph::{Db2Graph, GraphOptions, RunRequest};
 pub use graph_structure::Db2GraphBackend;

@@ -953,15 +953,10 @@ impl SlowQueryLog {
         self.threshold_nanos
     }
 
-    /// Offer a completed query; returns whether it crossed the threshold
-    /// (and was therefore counted slow, even if a worse entry kept its
-    /// ring slot).
-    pub fn offer(&self, gremlin: &str, wall_nanos: u64, report: &ProfileReport) -> bool {
-        self.offer_with_id(gremlin, wall_nanos, report, None)
-    }
-
-    /// [`SlowQueryLog::offer`] carrying the serving layer's request id so
-    /// the retained entry stays correlatable with the HTTP response.
+    /// Offer a completed query, with the serving layer's request id so the
+    /// retained entry stays correlatable with the HTTP response; returns
+    /// whether it crossed the threshold (and was therefore counted slow,
+    /// even if a worse entry kept its ring slot).
     pub fn offer_with_id(
         &self,
         gremlin: &str,
@@ -1590,11 +1585,11 @@ mod tests {
     fn slow_query_log_keeps_worst_n() {
         let log = SlowQueryLog::new(100, 2);
         let report = ProfileReport::default();
-        assert!(!log.offer("fast", 99, &report)); // under threshold
-        assert!(log.offer("slow-a", 150, &report));
-        assert!(log.offer("slow-b", 300, &report));
-        assert!(log.offer("slow-c", 200, &report)); // evicts slow-a (fastest)
-        assert!(log.offer("slow-d", 120, &report)); // counted slow, but not retained
+        assert!(!log.offer_with_id("fast", 99, &report, None)); // under threshold
+        assert!(log.offer_with_id("slow-a", 150, &report, None));
+        assert!(log.offer_with_id("slow-b", 300, &report, None));
+        assert!(log.offer_with_id("slow-c", 200, &report, None)); // evicts slow-a (fastest)
+        assert!(log.offer_with_id("slow-d", 120, &report, None)); // counted slow, but not retained
         let entries = log.entries();
         let names: Vec<&str> = entries.iter().map(|e| e.gremlin.as_str()).collect();
         assert_eq!(names, vec!["slow-b", "slow-c"]);

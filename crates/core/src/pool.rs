@@ -10,16 +10,20 @@
 //! waiting for the batch, and concurrent writers never change what any
 //! worker observes.
 //!
-//! [`run_ordered`] runs a batch of owned (`'static`) jobs and returns the
-//! results **in the order the jobs were given**, regardless of which thread
-//! finished first; [`run_morsels`] does the same for contiguous morsels of
-//! an owned frontier. Determinism of merged query results falls out of that
-//! ordering guarantee; callers never see scheduling effects.
+//! [`run_ordered`], the pool's one primitive, runs a batch of owned
+//! (`'static`) jobs and returns the results **in the order the jobs were
+//! given**, regardless of which thread finished first. Determinism of
+//! merged query results falls out of that ordering guarantee; callers
+//! never see scheduling effects. Its one caller is the backend's
+//! `fan_out`, for a step's two or more table reads: the overlay's parallel
+//! work is independent SQL reads, as in the paper, where the RDBMS runs
+//! the concurrent queries. Decoding rows — cached or fresh — stays on the
+//! calling thread.
 //!
 //! The threads are resident: helpers start lazily, park on a condvar
 //! between batches, and the pool grows to `max(threads) - 1` helpers over
 //! every `threads` value ever asked for, never shrinking. No query spawns a
-//! thread. The calling thread claims tasks from the same atomic cursor as
+//! thread. The calling thread claims jobs from the same atomic cursor as
 //! the helpers, so a batch always finishes — even when every helper is busy
 //! with other queries or with the job that submitted this (nested) batch.
 //! At most `threads - 1` helpers join any one batch, so `threads` keeps
@@ -81,34 +85,6 @@ where
     POOL.run_ordered(threads, jobs)
 }
 
-/// Morsel size for a frontier of `n` items: a function of the frontier
-/// *only* (never the thread count), so the morsel boundaries — and with
-/// them every per-morsel result vector — are identical at any thread
-/// count. Targets ~64 morsels per frontier for stealable granularity,
-/// clamped so tiny frontiers aren't over-split and huge ones don't
-/// produce unboundedly large claims.
-pub fn morsel_size(n: usize) -> usize {
-    (n / 64).clamp(16, 1024)
-}
-
-/// Morsel-driven execution over a frontier the pool takes ownership of:
-/// the caller and the helpers pull contiguous `[start, start+morsel)`
-/// ranges of `items` from one shared atomic cursor (work stealing: a fast
-/// thread takes more morsels, a slow one is never waited on
-/// mid-frontier), run `f(start, slice)` on each, and the per-morsel
-/// outputs are concatenated **in morsel order** — so the result is
-/// byte-identical to running `f` over the whole frontier inline, at any
-/// thread count. With `threads <= 1` or a single-morsel frontier, runs
-/// inline without touching the pool.
-pub fn run_morsels<T, R, F>(threads: usize, items: Vec<T>, morsel: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
-{
-    POOL.run_morsels(threads, items, morsel, f)
-}
-
 /// Resident helper threads plus the batches they may join.
 struct Pool {
     state: Mutex<PoolState>,
@@ -125,32 +101,32 @@ struct PoolState {
 
 /// The type-erased face of a [`Batch`] that helpers see.
 trait Joinable: Send + Sync {
-    /// Take one of the batch's helper places, if it has unclaimed tasks
+    /// Take one of the batch's helper places, if it has unclaimed jobs
     /// and a place left under its thread cap. Called under the pool lock.
     fn admit(&self) -> bool;
-    /// Claim and run tasks until the cursor passes the end.
+    /// Claim and run jobs until the cursor passes the end.
     fn work(&self);
 }
 
-/// One submitted batch: `len` tasks `task(0..len)`, claimed through an
-/// atomic cursor, each result landing in its own slot.
-struct Batch<R> {
-    task: Box<dyn Fn(usize) -> R + Send + Sync>,
-    len: usize,
+/// One submitted batch: its jobs, claimed through an atomic cursor,
+/// each result landing in its own slot.
+struct Batch<F, R> {
+    /// The cursor hands out each index once, so each job is taken once.
+    jobs: Vec<Mutex<Option<F>>>,
     cursor: AtomicUsize,
-    /// Helper places left (`min(threads, len) - 1` at submission); taken
+    /// Helper places left (`min(threads, jobs) - 1` at submission); taken
     /// only under the pool lock, never returned, so at most `threads`
     /// distinct threads ever run the batch.
     places: AtomicUsize,
     results: Vec<Mutex<Option<std::thread::Result<R>>>>,
-    /// Tasks not yet finished; the caller waits on `finished` for zero.
+    /// Jobs not yet finished; the caller waits on `finished` for zero.
     unfinished: Mutex<usize>,
     finished: Condvar,
 }
 
-impl<R: Send + 'static> Joinable for Batch<R> {
+impl<F: FnOnce() -> R + Send + 'static, R: Send + 'static> Joinable for Batch<F, R> {
     fn admit(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) < self.len
+        self.cursor.load(Ordering::Relaxed) < self.jobs.len()
             && self
                 .places
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |p| p.checked_sub(1))
@@ -160,10 +136,11 @@ impl<R: Send + 'static> Joinable for Batch<R> {
     fn work(&self) {
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.len {
+            if i >= self.jobs.len() {
                 return;
             }
-            let out = panic::catch_unwind(AssertUnwindSafe(|| (self.task)(i)));
+            let job = self.jobs[i].lock().take().expect("job claimed once");
+            let out = panic::catch_unwind(AssertUnwindSafe(job));
             *self.results[i].lock() = Some(out);
             let mut left = self.unfinished.lock();
             *left -= 1;
@@ -182,55 +159,20 @@ impl Pool {
         }
     }
 
+    /// Run `jobs` on the caller plus up to `threads - 1` helpers;
+    /// results in job order.
     fn run_ordered<T, F>(&'static self, threads: usize, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        if threads <= 1 || jobs.len() <= 1 {
+        let len = jobs.len();
+        if threads <= 1 || len <= 1 {
             return jobs.into_iter().map(|j| j()).collect();
         }
-        let len = jobs.len();
-        // The cursor hands out each index once, so each slot is taken once.
-        let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-        self.run(threads, len, move |i| {
-            let job = slots[i].lock().take().expect("job claimed once");
-            job()
-        })
-    }
-
-    fn run_morsels<T, R, F>(&'static self, threads: usize, items: Vec<T>, morsel: usize, f: F) -> Vec<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &[T]) -> Vec<R> + Send + Sync + 'static,
-    {
-        let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let m = morsel.max(1);
-        if threads <= 1 || n <= m {
-            return f(0, &items);
-        }
-        let per_morsel = self.run(threads, n.div_ceil(m), move |k| {
-            let start = k * m;
-            f(start, &items[start..(start + m).min(n)])
-        });
-        per_morsel.into_iter().flatten().collect()
-    }
-
-    /// Run `task(0..len)` on the caller plus up to `threads - 1` helpers;
-    /// results in index order. Requires `threads >= 2`, `len >= 2`.
-    fn run<R, F>(&'static self, threads: usize, len: usize, task: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(usize) -> R + Send + Sync + 'static,
-    {
         let places = threads.min(len) - 1;
         let batch = Arc::new(Batch {
-            task: Box::new(task),
-            len,
+            jobs: jobs.into_iter().map(|j| Mutex::new(Some(j))).collect(),
             cursor: AtomicUsize::new(0),
             places: AtomicUsize::new(places),
             results: (0..len).map(|_| Mutex::new(None)).collect(),
@@ -274,7 +216,7 @@ impl Pool {
 
     /// Start helpers until there are `want`. A failed spawn leaves the
     /// pool smaller; callers still finish their batches themselves.
-    /// Helpers live as long as the process and never unwind (every task
+    /// Helpers live as long as the process and never unwind (every job
     /// runs under `catch_unwind`), so their join handles are not kept.
     fn grow(&'static self, state: &mut PoolState, want: usize) {
         while state.helpers < want {
@@ -491,46 +433,5 @@ mod tests {
             let ids: HashSet<ThreadId> = pool.run_ordered(2, jobs).into_iter().collect();
             assert!(ids.len() <= 2, "{} threads ran one threads=2 batch", ids.len());
         }
-    }
-
-    #[test]
-    fn morsel_size_is_thread_independent_and_clamped() {
-        assert_eq!(morsel_size(0), 16);
-        assert_eq!(morsel_size(100), 16);
-        assert_eq!(morsel_size(6400), 100);
-        assert_eq!(morsel_size(1 << 20), 1024);
-    }
-
-    #[test]
-    fn morsels_merge_in_item_order_at_any_thread_count() {
-        let items: Vec<usize> = (0..1000).collect();
-        let expect: Vec<usize> = items.iter().map(|v| v * 3).collect();
-        for threads in [1, 2, 8] {
-            let out =
-                run_morsels(threads, items.clone(), morsel_size(items.len()), |start, slice| {
-                    assert_eq!(slice[0], start);
-                    slice.iter().map(|v| v * 3).collect()
-                });
-            assert_eq!(out, expect);
-        }
-    }
-
-    #[test]
-    fn morsels_allow_variable_output_cardinality() {
-        // A morsel's output need not be one-per-item (adjacency fans out).
-        let items: Vec<usize> = (0..100).collect();
-        let out = run_morsels(4, items.clone(), 16, |_, slice| {
-            slice.iter().flat_map(|&v| std::iter::repeat_n(v, v % 3)).collect()
-        });
-        let expect: Vec<usize> =
-            items.iter().flat_map(|&v| std::iter::repeat_n(v, v % 3)).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn empty_frontier_short_circuits() {
-        let none: Vec<usize> = Vec::new();
-        let out = run_morsels(8, none, 16, |_, s| s.to_vec());
-        assert!(out.is_empty());
     }
 }

@@ -49,8 +49,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use db2graph_core::json::Json;
 use db2graph_core::{
-    env_knob, env_parse, env_string, Db2Graph, EventLog, GraphError, GraphOptions, RunRequest,
-    DEFAULT_ROTATE_BYTES,
+    lookup_knob, Db2Graph, EventLog, GraphError, GraphOptions, RunRequest, DEFAULT_ROTATE_BYTES,
 };
 use reldb::Database;
 
@@ -171,60 +170,67 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults overridden by `DB2GRAPH_HTTP_ADDR`, `DB2GRAPH_MAX_INFLIGHT`,
-    /// `DB2GRAPH_QUERY_TIMEOUT_MS`, `DB2GRAPH_CHECKPOINT_MS`,
-    /// `DB2GRAPH_KEEPALIVE_REQUESTS`, `DB2GRAPH_SESSION_IDLE_MS`,
-    /// `DB2GRAPH_SQL_ENDPOINT`, `DB2GRAPH_REPLICA_OF`,
-    /// `DB2GRAPH_REPLICA_POLL_MS`, `DB2GRAPH_EVENT_LOG`, the SLO
-    /// targets (`DB2GRAPH_SLO_P99_MS`, `DB2GRAPH_SLO_ERROR_PCT`,
-    /// `DB2GRAPH_MAX_REPLICA_LAG`, `DB2GRAPH_SLO_FSYNC_P99_MS`,
-    /// `DB2GRAPH_SLO_MAX_SESSIONS`), and the monitor cadence
-    /// (`DB2GRAPH_MONITOR_MS`, `DB2GRAPH_MONITOR_WINDOW_MS`). The data
-    /// directory and durability knobs belong to
-    /// [`GraphOptions::open_database`].
+    /// Defaults overridden by the process environment:
+    /// [`Self::with_lookup`] over `std::env::var`.
     pub fn from_env() -> ServerConfig {
+        ServerConfig::default().with_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Override each field whose variable `get` reports: `DB2GRAPH_HTTP_ADDR`,
+    /// `DB2GRAPH_MAX_INFLIGHT`, `DB2GRAPH_QUERY_TIMEOUT_MS`,
+    /// `DB2GRAPH_CHECKPOINT_MS`, `DB2GRAPH_KEEPALIVE_REQUESTS`,
+    /// `DB2GRAPH_SESSION_IDLE_MS`, `DB2GRAPH_SQL_ENDPOINT`,
+    /// `DB2GRAPH_REPLICA_OF`, `DB2GRAPH_REPLICA_POLL_MS`,
+    /// `DB2GRAPH_EVENT_LOG`, the SLO targets (`DB2GRAPH_SLO_P99_MS`,
+    /// `DB2GRAPH_SLO_ERROR_PCT`, `DB2GRAPH_MAX_REPLICA_LAG`,
+    /// `DB2GRAPH_SLO_FSYNC_P99_MS`, `DB2GRAPH_SLO_MAX_SESSIONS`) and the
+    /// monitor cadence (`DB2GRAPH_MONITOR_MS`, `DB2GRAPH_MONITOR_WINDOW_MS`).
+    /// An unset variable keeps the field; a value that does not parse
+    /// records one `config_warning` and keeps it too. The data directory
+    /// and durability knobs belong to [`GraphOptions::open_database`].
+    pub fn with_lookup(mut self, get: impl Fn(&str) -> Option<String>) -> ServerConfig {
+        use std::str::FromStr;
         const DEFAULT: &str = "built-in default";
-        let mut c = ServerConfig::default();
-        if let Some(addr) = env_string("DB2GRAPH_HTTP_ADDR") {
-            c.addr = addr;
+        fn num<T: FromStr>(get: &dyn Fn(&str) -> Option<String>, name: &str) -> Option<T> {
+            lookup_knob(get, name, DEFAULT, |v| v.parse().ok())
         }
-        if let Some(n) = env_parse::<usize>("DB2GRAPH_MAX_INFLIGHT", DEFAULT) {
-            c.workers = n.max(1);
+        let get: &dyn Fn(&str) -> Option<String> = &get;
+        let ms = |name| num::<u64>(get, name);
+        let text = |name| {
+            lookup_knob(get, name, "", |v| Some(v.to_owned())).filter(|s: &String| !s.is_empty())
+        };
+        let millis = Duration::from_millis;
+        self.addr = text("DB2GRAPH_HTTP_ADDR").unwrap_or(self.addr);
+        self.workers = num(get, "DB2GRAPH_MAX_INFLIGHT").map_or(self.workers, |n: usize| n.max(1));
+        if let Some(ms) = ms("DB2GRAPH_QUERY_TIMEOUT_MS") {
+            self.query_timeout = (ms > 0).then(|| millis(ms));
         }
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_QUERY_TIMEOUT_MS", DEFAULT) {
-            c.query_timeout = (ms > 0).then(|| Duration::from_millis(ms));
+        if let Some(ms) = ms("DB2GRAPH_CHECKPOINT_MS") {
+            self.checkpoint_interval = (ms > 0).then(|| millis(ms));
         }
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_CHECKPOINT_MS", DEFAULT) {
-            c.checkpoint_interval = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(n) = env_parse::<usize>("DB2GRAPH_KEEPALIVE_REQUESTS", DEFAULT) {
-            c.keepalive_requests = n.max(1);
-        }
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_SESSION_IDLE_MS", DEFAULT) {
-            c.session_idle = Duration::from_millis(ms.max(1));
-        }
-        if let Some(on) = env_knob("DB2GRAPH_SQL_ENDPOINT", DEFAULT, |v| {
+        self.keepalive_requests = num(get, "DB2GRAPH_KEEPALIVE_REQUESTS")
+            .map_or(self.keepalive_requests, |n: usize| n.max(1));
+        self.session_idle =
+            ms("DB2GRAPH_SESSION_IDLE_MS").map_or(self.session_idle, |ms| millis(ms.max(1)));
+        let sql = lookup_knob(get, "DB2GRAPH_SQL_ENDPOINT", DEFAULT, |v| {
             Some(matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "yes"))
-        }) {
-            c.sql_endpoint = on;
-        }
-        c.replica_of = env_string("DB2GRAPH_REPLICA_OF");
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_REPLICA_POLL_MS", DEFAULT) {
-            c.replica_poll = Duration::from_millis(ms.max(1));
-        }
-        c.event_log_path = env_string("DB2GRAPH_EVENT_LOG");
-        c.slo.p99_ms = env_parse("DB2GRAPH_SLO_P99_MS", DEFAULT);
-        c.slo.error_pct = env_parse("DB2GRAPH_SLO_ERROR_PCT", DEFAULT);
-        c.slo.max_replica_lag = env_parse("DB2GRAPH_MAX_REPLICA_LAG", DEFAULT);
-        c.slo.fsync_p99_ms = env_parse("DB2GRAPH_SLO_FSYNC_P99_MS", DEFAULT);
-        c.slo.max_sessions = env_parse("DB2GRAPH_SLO_MAX_SESSIONS", DEFAULT);
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_MONITOR_MS", DEFAULT) {
-            c.monitor_interval = Duration::from_millis(ms.max(10));
-        }
-        if let Some(ms) = env_parse::<u64>("DB2GRAPH_MONITOR_WINDOW_MS", DEFAULT) {
-            c.monitor_window = Duration::from_millis(ms.max(100));
-        }
-        c
+        });
+        self.sql_endpoint = sql.unwrap_or(self.sql_endpoint);
+        self.replica_of = text("DB2GRAPH_REPLICA_OF").or(self.replica_of);
+        self.replica_poll =
+            ms("DB2GRAPH_REPLICA_POLL_MS").map_or(self.replica_poll, |ms| millis(ms.max(1)));
+        self.event_log_path = text("DB2GRAPH_EVENT_LOG").or(self.event_log_path);
+        let slo = &mut self.slo;
+        slo.p99_ms = num(get, "DB2GRAPH_SLO_P99_MS").or(slo.p99_ms);
+        slo.error_pct = num(get, "DB2GRAPH_SLO_ERROR_PCT").or(slo.error_pct);
+        slo.max_replica_lag = num(get, "DB2GRAPH_MAX_REPLICA_LAG").or(slo.max_replica_lag);
+        slo.fsync_p99_ms = num(get, "DB2GRAPH_SLO_FSYNC_P99_MS").or(slo.fsync_p99_ms);
+        slo.max_sessions = num(get, "DB2GRAPH_SLO_MAX_SESSIONS").or(slo.max_sessions);
+        self.monitor_interval =
+            ms("DB2GRAPH_MONITOR_MS").map_or(self.monitor_interval, |ms| millis(ms.max(10)));
+        self.monitor_window =
+            ms("DB2GRAPH_MONITOR_WINDOW_MS").map_or(self.monitor_window, |ms| millis(ms.max(100)));
+        self
     }
 
     /// Open the database this configuration describes. A replica

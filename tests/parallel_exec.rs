@@ -772,6 +772,37 @@ fn ten_thousand_vertex_frontier_completes_and_chunks() {
             assert!(placeholders <= 1024, "template exceeds chunk ceiling: {t}");
         }
     }
+
+    // Warm, the whole 10k-source hop is served from the adjacency cache and
+    // decoded on the calling thread: the same values in the same order as
+    // the SQL path, at any thread count, with no edge-table statement.
+    let queries = ["g.V().out('next').values('val')", "g.V().outE('next').id()"];
+    let no_cache = GraphOptions { threads: Some(1), adj_cache_mb: Some(0), ..Default::default() };
+    let off = Db2Graph::open_with_options(db.clone(), &chain_overlay(), no_cache).unwrap();
+    let reference: Vec<Vec<GValue>> = queries.iter().map(|q| off.run(q).unwrap()).collect();
+    for threads in [1, 8] {
+        let options = GraphOptions { threads: Some(threads), ..Default::default() };
+        let g = Db2Graph::open_with_options(db.clone(), &chain_overlay(), options).unwrap();
+        assert!(g.warm_adjacency_cache().unwrap() > 0);
+        for (q, expected) in queries.iter().zip(&reference) {
+            let at = format!("threads={threads}: {q}");
+            assert_eq!(expected.len(), n as usize - 1, "{at}");
+            let (out, profile) = g.profile(q).unwrap();
+            assert_eq!(&out, expected, "{at}");
+            let hit = profile
+                .tables
+                .iter()
+                .any(|t| t.table == "Next" && t.action == TableAction::CacheHit);
+            assert!(hit, "{at}: {:?}", profile.tables);
+            let probes: Vec<&str> = profile
+                .statements
+                .iter()
+                .map(|s| s.sql.as_str())
+                .filter(|sql| sql.contains("FROM Next WHERE"))
+                .collect();
+            assert!(probes.is_empty(), "{at}: {probes:?}");
+        }
+    }
 }
 
 #[test]
