@@ -260,16 +260,18 @@ impl Db2Graph {
         snap.commit_epoch = self.db.commit_epoch();
         snap.snapshot_horizon = self.db.snapshot_horizon();
         snap.active_snapshots = self.db.active_snapshots() as u64;
-        // Vacuum passes are counted by the database, so the inline sweep a
-        // commit triggers and the server's scheduled pass both show up.
-        snap.vacuum_runs = self.db.vacuum_runs();
-        snap.vacuumed_versions = self.db.vacuumed_versions();
-        // Durability gauges (all zero for an in-memory database): WAL
-        // volume, checkpoints completed, and what the last recovery did.
-        snap.wal_records = self.db.wal_records();
-        snap.wal_bytes = self.db.wal_bytes();
-        snap.checkpoints = self.db.checkpoints();
-        snap.recovery_replayed_epochs = self.db.recovery_replayed_epochs();
+        // Rows of the database's own table. Vacuum passes are counted
+        // there, so the inline sweep a commit triggers and the server's
+        // scheduled pass both show up; the durability rows (all zero for
+        // an in-memory database) are WAL volume, checkpoints completed,
+        // and what the last recovery did.
+        let db = self.db.metrics();
+        snap.vacuum_runs = db.vacuum_runs();
+        snap.vacuumed_versions = db.vacuumed_versions();
+        snap.wal_records = db.wal_records();
+        snap.wal_bytes = db.wal_bytes();
+        snap.checkpoints = db.checkpoints();
+        snap.recovery_replayed_epochs = db.recovery_replayed_epochs();
         // Adjacency-cache residency gauge (the hit/miss/eviction/
         // invalidation counters flow through the registry).
         snap.adj_cache_bytes = self.adj_cache.as_ref().map_or(0, |c| c.bytes() as u64);

@@ -87,8 +87,10 @@ pub use events::{
 };
 pub use graph::{Db2Graph, GraphOptions, RunRequest};
 pub use graph_structure::Db2GraphBackend;
+pub use reldb::metric_table;
 pub use metrics::{
-    step_kind, ExplainReport, Histogram, HistogramSet, MetricKind, MetricRow, MetricsRegistry,
+    step_kind, ExplainReport, Histogram, HistogramSet, HistogramSnapshot, MetricKind, MetricRow,
+    MetricsRegistry,
     MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, SpanHandle,
     StepExplain, StepProfile, TableAction, TableExplain, TablePlan,
 };

@@ -22,10 +22,11 @@
 //! * [`MetricsRegistry`] — *what has this graph done so far?* Cheap atomic
 //!   counters aggregated across all queries, snapshot at any time (the
 //!   bench harness exports one per run). Each metric is declared once, as
-//!   a row of a [`metric_table!`](crate::metric_table).
+//!   a row of a [`metric_table!`](crate::metric_table). The macro, its
+//!   rows and the [`Histogram`] live in `reldb::metrics`, the lowest
+//!   layer, and are re-exported here; the JSON forms live here.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gremlin::observe::TraversalObserver;
@@ -33,6 +34,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::json::Json;
 use crate::trace::{Span, SpanData, SpanTree};
+
+pub use reldb::metrics::{Histogram, HistogramSnapshot, MetricKind, MetricRow, Slot};
 
 /// Default capacity of the slow-query log (worst-N entries retained).
 pub const DEFAULT_SLOW_LOG_CAPACITY: usize = 32;
@@ -739,115 +742,16 @@ impl std::fmt::Display for ExplainReport {
 
 // ------------------------------------------------------------ histograms
 
-/// Lock-free log2-bucketed latency histogram: bucket 0 holds exact zeros,
-/// bucket `i >= 1` holds values in `[2^(i-1), 2^i)` — 65 buckets cover the
-/// full `u64` nanosecond range (bucket 64 tops out at `u64::MAX`).
-/// Recording is two relaxed atomic adds; percentiles are estimated as the
-/// upper bound of the bucket the rank falls in.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; 65],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The bucket for a value: 0 for 0, else `64 - leading_zeros` (1 for 1,
-/// 2 for 2..=3, …, 64 for the top half of the u64 range).
-fn bucket_index(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        64 - v.leading_zeros() as usize
-    }
-}
-
-/// Largest value a bucket can hold (the percentile estimate).
-fn bucket_upper(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        64.. => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
-
-impl Histogram {
-    pub fn record(&self, nanos: u64) {
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile (`0.0 < q <= 1.0`) as the upper bound of the
-    /// bucket containing that rank; 0 when empty.
-    pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_upper(i);
-            }
-        }
-        u64::MAX
-    }
-
-    /// (p50, p90, p99).
-    pub fn percentiles(&self) -> (u64, u64, u64) {
-        (self.percentile(0.50), self.percentile(0.90), self.percentile(0.99))
-    }
-
-    /// Cumulative `(upper_bound, count <= upper_bound)` pairs up to and
-    /// including the highest non-empty bucket — the shape a Prometheus
-    /// `le`-bucket exposition needs (the caller appends `+Inf`). Empty
-    /// histograms yield no pairs.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let last = match counts.iter().rposition(|&c| c > 0) {
-            Some(i) => i,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity(last + 1);
-        let mut running = 0u64;
-        for (i, &c) in counts.iter().enumerate().take(last + 1) {
-            running += c;
-            out.push((bucket_upper(i), running));
-        }
-        out
-    }
-
-    /// `{"count", "sum_nanos", "p50_nanos", "p90_nanos", "p99_nanos"}`.
-    pub fn to_json(&self) -> Json {
-        let (p50, p90, p99) = self.percentiles();
-        Json::obj(vec![
-            ("count", Json::u64(self.count())),
-            ("sum_nanos", Json::u64(self.sum())),
-            ("p50_nanos", Json::u64(p50)),
-            ("p90_nanos", Json::u64(p90)),
-            ("p99_nanos", Json::u64(p99)),
-        ])
-    }
+/// `{"count", "sum_nanos", "p50_nanos", "p90_nanos", "p99_nanos"}`.
+pub fn histogram_json(h: &Histogram) -> Json {
+    let (p50, p90, p99) = h.percentiles();
+    Json::obj(vec![
+        ("count", Json::u64(h.count())),
+        ("sum_nanos", Json::u64(h.sum())),
+        ("p50_nanos", Json::u64(p50)),
+        ("p90_nanos", Json::u64(p90)),
+        ("p99_nanos", Json::u64(p99)),
+    ])
 }
 
 /// Keyed histograms (per SQL template, per step kind) with a bounded key
@@ -904,7 +808,7 @@ impl HistogramSet {
     }
 
     pub fn to_json(&self) -> Json {
-        Json::Obj(self.entries().into_iter().map(|(k, h)| (k, h.to_json())).collect())
+        Json::Obj(self.entries().into_iter().map(|(k, h)| (k, histogram_json(&h))).collect())
     }
 }
 
@@ -1023,148 +927,14 @@ impl SlowQueryLog {
 
 // --------------------------------------------------------- metric tables
 
-/// How a scalar metric behaves over a window: a counter only grows, so its
-/// value over a window is a difference; a gauge is a level, so a window
-/// reports the latest reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    Counter,
-    Gauge,
-}
-
-impl MetricKind {
-    /// The value over the window from `earlier` to `now`.
-    pub fn since(self, now: u64, earlier: u64) -> u64 {
-        match self {
-            MetricKind::Counter => now - earlier,
-            MetricKind::Gauge => now,
-        }
-    }
-
-    /// The Prometheus `# TYPE` of a metric of this kind.
-    pub fn prometheus_type(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-        }
-    }
-}
-
-/// One scalar of a `/metrics` section: its key, kind and value. The JSON
-/// form and the Prometheus exposition are both rendered from these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricRow {
-    pub name: &'static str,
-    pub kind: MetricKind,
-    pub value: u64,
-}
-
 /// `rows` as JSON object fields, in row order.
 pub fn json_fields(rows: &[MetricRow]) -> Vec<(&'static str, Json)> {
     rows.iter().map(|r| (r.name, Json::u64(r.value))).collect()
 }
 
-/// The atomic cell behind one metric row. Relaxed ordering throughout:
-/// metrics are read for reporting, never to synchronise.
-#[derive(Debug, Default)]
-pub struct Slot(AtomicU64);
-
-impl Slot {
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Declares one `/metrics` section as a table of rows, each
-/// `/// doc` then `name: Counter | Gauge,`. From the table it generates:
-///
-/// * the live struct: one public [`Slot`] per row (recorded through
-///   `add` / `sub` / `set`), a getter per row, the hand-written fields
-///   listed under `with { .. }`, and `load()`, which reads every slot;
-/// * the snapshot struct: one `u64` per row carrying the row's doc;
-///   `since` (counters subtract, gauges carry the latest value), `rows`
-///   and `to_json`, both in row order, and `from_fn`.
-#[macro_export]
-macro_rules! metric_table {
-    (
-        $(#[$live_meta:meta])*
-        pub struct $live:ident;
-        $(#[$snap_meta:meta])*
-        pub struct $snap:ident {
-            $( $(#[doc = $doc:literal])* $name:ident: $kind:ident, )+
-        }
-        $( with { $( $(#[$extra_meta:meta])* $extra:ident: $extra_ty:ty, )+ } )?
-    ) => {
-        $(#[$live_meta])*
-        #[derive(Debug, Default)]
-        pub struct $live {
-            $( $(#[doc = $doc])* pub $name: $crate::metrics::Slot, )+
-            $( $( $(#[$extra_meta])* $extra: $extra_ty, )+ )?
-        }
-
-        impl $live {
-            $( $(#[doc = $doc])* pub fn $name(&self) -> u64 { self.$name.get() } )+
-
-            /// Every row's current value.
-            pub fn load(&self) -> $snap {
-                $snap { $( $name: self.$name.get(), )+ }
-            }
-        }
-
-        $(#[$snap_meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct $snap {
-            $( $(#[doc = $doc])* pub $name: u64, )+
-        }
-
-        impl $snap {
-            /// A snapshot whose every row holds `value(name)`.
-            pub fn from_fn(mut value: impl FnMut(&'static str) -> u64) -> $snap {
-                $snap { $( $name: value(stringify!($name)), )+ }
-            }
-
-            /// The rows over the window since `earlier`: counters are
-            /// deltas, gauges carry this snapshot's value.
-            pub fn since(&self, earlier: &$snap) -> $snap {
-                $snap {
-                    $( $name: $crate::metrics::MetricKind::$kind
-                        .since(self.$name, earlier.$name), )+
-                }
-            }
-
-            /// Every row, in table order.
-            pub fn rows(&self) -> Vec<$crate::metrics::MetricRow> {
-                vec![$(
-                    $crate::metrics::MetricRow {
-                        name: stringify!($name),
-                        kind: $crate::metrics::MetricKind::$kind,
-                        value: self.$name,
-                    },
-                )+]
-            }
-
-            pub fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::obj($crate::metrics::json_fields(&self.rows()))
-            }
-        }
-    };
-}
-
 // --------------------------------------------------------------- metrics
 
-metric_table! {
+crate::metric_table! {
     /// Process-lifetime metrics for one graph, shared by every query. All
     /// atomic; safe to read concurrently with query execution.
     pub struct MetricsRegistry;
@@ -1260,6 +1030,13 @@ metric_table! {
     }
 }
 
+impl MetricsSnapshot {
+    /// The `graph` section of `/metrics`: every row, in table order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(json_fields(&self.rows()))
+    }
+}
+
 impl MetricsRegistry {
     /// One executed SQL statement: its template-cache outcome, the rows it
     /// returned and its wall time, in the counters and in the aggregate
@@ -1307,8 +1084,8 @@ impl MetricsRegistry {
     /// per-template and per-step-kind keyed histograms.
     pub fn histogram_report(&self) -> Json {
         Json::obj(vec![
-            ("query_latency", self.query_latency.to_json()),
-            ("sql_latency", self.sql_latency.to_json()),
+            ("query_latency", histogram_json(&self.query_latency)),
+            ("sql_latency", histogram_json(&self.sql_latency)),
             ("sql_templates", self.sql_templates.to_json()),
             ("step_kinds", self.step_kinds.to_json()),
         ])
@@ -1514,52 +1291,6 @@ mod tests {
         assert_eq!(fmt_nanos(1_500), "1.5µs");
         assert_eq!(fmt_nanos(2_500_000), "2.50ms");
         assert_eq!(fmt_nanos(3_000_000_000), "3.00s");
-    }
-
-    #[test]
-    fn histogram_bucket_boundaries() {
-        // Values at the extremes land in the right buckets: 0 has its own
-        // exact bucket, 1 is the smallest non-zero bucket, u64::MAX caps
-        // the top bucket.
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        assert_eq!(bucket_index(u64::MAX), 64);
-        assert_eq!(bucket_upper(0), 0);
-        assert_eq!(bucket_upper(1), 1);
-        assert_eq!(bucket_upper(10), 1023);
-        assert_eq!(bucket_upper(64), u64::MAX);
-
-        let h = Histogram::default();
-        h.record(0);
-        assert_eq!(h.percentile(0.5), 0);
-        h.record(1);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.percentile(0.33), 0);
-        assert_eq!(h.percentile(0.5), 1);
-        assert_eq!(h.percentile(0.99), u64::MAX);
-        assert_eq!(h.percentile(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_percentiles_estimate_bucket_upper_bound() {
-        let h = Histogram::default();
-        assert_eq!(h.percentiles(), (0, 0, 0)); // empty
-        for _ in 0..90 {
-            h.record(100); // bucket 7 → upper 127
-        }
-        for _ in 0..10 {
-            h.record(1_000_000); // bucket 20 → upper 2^20 - 1
-        }
-        let (p50, p90, p99) = h.percentiles();
-        assert_eq!(p50, 127);
-        assert_eq!(p90, 127);
-        assert_eq!(p99, (1u64 << 20) - 1);
-        assert_eq!(h.sum(), 90 * 100 + 10 * 1_000_000);
     }
 
     #[test]

@@ -33,8 +33,7 @@ use crate::metrics::{MetricsRegistry, Profiler};
 /// of ids, whatever the chunking.
 pub const MAX_FRONTIER_CHUNK: usize = 1024;
 
-/// Default cap on distinct cached prepared templates (see
-/// [`SqlDialect::with_caps`]).
+/// Default cap on distinct cached prepared templates.
 pub const DEFAULT_TEMPLATE_CAP: usize = 512;
 
 /// Default cap on tracked workload patterns.
@@ -182,10 +181,6 @@ pub struct SqlDialect {
 }
 
 impl SqlDialect {
-    pub fn new(db: Arc<Database>) -> SqlDialect {
-        SqlDialect::with_registry(db, Arc::new(MetricsRegistry::default()))
-    }
-
     /// Build a dialect that reports into an externally owned registry.
     pub fn with_registry(db: Arc<Database>, registry: Arc<MetricsRegistry>) -> SqlDialect {
         SqlDialect {
@@ -209,19 +204,6 @@ impl SqlDialect {
 
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    pub fn with_threshold(mut self, threshold: u64) -> SqlDialect {
-        self.frequency_threshold = threshold;
-        self
-    }
-
-    /// Override the template-cache and pattern-tracker size caps (both
-    /// must be at least 1).
-    pub fn with_caps(mut self, template_cap: usize, pattern_cap: usize) -> SqlDialect {
-        self.template_cap = template_cap.max(1);
-        self.pattern_cap = pattern_cap.max(1);
-        self
     }
 
     /// Execute a parameterized SQL template through the prepared cache.
@@ -560,6 +542,13 @@ pub fn composite_in(cols: &[&str], groups: usize) -> String {
 mod tests {
     use super::*;
 
+    /// A dialect with the default caps, the index-advice threshold
+    /// `threshold` and a registry of its own.
+    fn dialect(db: Arc<Database>, threshold: u64) -> SqlDialect {
+        let defaults = SqlDialect::with_registry(db, Arc::default());
+        SqlDialect { frequency_threshold: threshold, ..defaults }
+    }
+
     fn db_with_table() -> Arc<Database> {
         let db = Arc::new(Database::new());
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, name VARCHAR, src BIGINT)").unwrap();
@@ -640,7 +629,7 @@ mod tests {
     #[test]
     fn bucketed_in_list_results_match_exact() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db);
+        let dialect = dialect(db, 16);
         // Padded params (repeating the last id) return the same rows as the
         // exact-arity statement.
         let mut padded = vec![Value::Bigint(1), Value::Bigint(2), Value::Bigint(3)];
@@ -653,7 +642,7 @@ mod tests {
     #[test]
     fn template_cache_cap_evicts_oldest() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db).with_caps(3, 2);
+        let dialect = SqlDialect { template_cap: 3, pattern_cap: 2, ..dialect(db, 16) };
         for i in 0..5 {
             let sql = format!("SELECT id FROM t WHERE id = {i}");
             dialect.query_at(&Profiler::disabled(), &sql, &[], None, None).unwrap();
@@ -677,7 +666,7 @@ mod tests {
     #[test]
     fn pattern_tracker_cap_evicts_least_seen() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db).with_caps(64, 2).with_threshold(2);
+        let dialect = SqlDialect { template_cap: 64, pattern_cap: 2, ..dialect(db, 2) };
         let run = |cols: &[&str]| {
             let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
             dialect
@@ -709,7 +698,7 @@ mod tests {
     #[test]
     fn template_cache_hits() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db);
+        let dialect = dialect(db, 16);
         let sql = "SELECT name FROM t WHERE id = ?";
         let query = |id| dialect.query_at(&Profiler::disabled(), sql, &[id], None, None).unwrap();
         let (r1, r2) = (query(Value::Bigint(1)), query(Value::Bigint(2)));
@@ -724,7 +713,7 @@ mod tests {
     #[test]
     fn frequent_patterns_drive_index_suggestions() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db.clone()).with_threshold(5);
+        let dialect = dialect(db.clone(), 5);
         // Query on the unindexed 'src' column repeatedly.
         for i in 0..6 {
             dialect
@@ -797,7 +786,7 @@ mod tests {
     #[test]
     fn below_threshold_patterns_not_suggested() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db).with_threshold(100);
+        let dialect = dialect(db, 100);
         for _ in 0..5 {
             dialect
                 .query_at(
@@ -816,7 +805,7 @@ mod tests {
     #[test]
     fn indexed_patterns_not_resuggested() {
         let db = db_with_table();
-        let dialect = SqlDialect::new(db).with_threshold(1);
+        let dialect = dialect(db, 1);
         dialect
             .query_at(
                 &Profiler::disabled(),

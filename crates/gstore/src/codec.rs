@@ -223,14 +223,6 @@ pub fn read_edge(c: &mut Cursor<'_>) -> CodecResult<Edge> {
     Ok(e)
 }
 
-pub fn put_edge(buf: &mut Vec<u8>, e: &Edge) -> CodecResult<()> {
-    put_id(buf, &e.id);
-    put_str(buf, &e.label);
-    put_id(buf, &e.src);
-    put_id(buf, &e.dst);
-    put_properties(buf, &e.properties)
-}
-
 // --------------------------------------------------------------- vertices
 
 /// Serialize a bare vertex (id, label, properties) without adjacency.

@@ -24,6 +24,7 @@ use crate::durability::{
 use crate::error::{DbError, DbResult};
 use crate::func::TableFunction;
 use crate::index::{IndexDef, RowId};
+use crate::metrics::DbMetrics;
 use crate::prepared::Prepared;
 use crate::row::{Row, RowSet};
 use crate::schema::TableSchema;
@@ -32,7 +33,6 @@ use crate::sql::eval::{compile, eval, ColRef, Compiled, RowEnv};
 use crate::sql::exec::{execute_select, explain_select, matching_rows, table_cols};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::sql::render;
-use crate::stats::ExecStats;
 use crate::storage::{ReadView, Table};
 use crate::txn::{TxnState, UndoLog, UndoOp};
 use crate::value::Value;
@@ -174,12 +174,10 @@ pub struct Database {
     snapshots: Arc<SnapshotTracker>,
     /// Approximate dead versions created since the last vacuum.
     garbage_hint: AtomicUsize,
-    /// [`Database::vacuum`] passes run by any caller — the inline sweep in
-    /// `commit_ops`, a daemon, a test — and the versions they reclaimed.
-    vacuum_runs: AtomicU64,
-    vacuumed_versions: AtomicU64,
     enforce_foreign_keys: AtomicBool,
-    stats: ExecStats,
+    /// Every reporting counter of this database, shared with the
+    /// durability layer, which records the WAL rows.
+    metrics: Arc<DbMetrics>,
     /// WAL + checkpoint machinery; `None` for a purely in-memory database
     /// (and during recovery replay, which must not re-log itself).
     durability: Option<Arc<DurabilityState>>,
@@ -187,9 +185,6 @@ pub struct Database {
     /// primary WAL sequence [`Database::apply_wal_frames`] expects. Always
     /// 0 on a primary or standalone database.
     applied_wal_seq: AtomicU64,
-    /// Write conflicts surfaced to statements (`DbError::Txn`), for the
-    /// serving layer's metrics and event log.
-    txn_conflicts: AtomicU64,
     /// Observer for operational events (checkpoints, WAL rotations, txn
     /// conflicts). Installed by an embedding layer — reldb sits below the
     /// observability crates, so the event vocabulary lives here and the
@@ -206,7 +201,7 @@ pub struct Database {
 
 /// Operational events a [`Database`] reports to an installed
 /// [`DbEventHook`]. These are narrative ("a checkpoint just finished"),
-/// not numeric — counters stay in [`crate::stats`] / durability counters.
+/// not numeric — counters are rows of [`Database::metrics`].
 #[derive(Debug, Clone)]
 pub enum DbEvent {
     /// A checkpoint captured its `(epoch, WAL position)` pair and began
@@ -331,13 +326,10 @@ impl Database {
             schema_gen: AtomicU64::new(0),
             snapshots: Arc::new(SnapshotTracker::default()),
             garbage_hint: AtomicUsize::new(0),
-            vacuum_runs: AtomicU64::new(0),
-            vacuumed_versions: AtomicU64::new(0),
             enforce_foreign_keys: AtomicBool::new(true),
-            stats: ExecStats::default(),
+            metrics: Arc::default(),
             durability: None,
             applied_wal_seq: AtomicU64::new(0),
-            txn_conflicts: AtomicU64::new(0),
             event_hook: RwLock::new(None),
             change_hooks: RwLock::new(Vec::new()),
         }
@@ -376,8 +368,10 @@ impl Database {
         self.enforce_foreign_keys.store(on, Ordering::Relaxed);
     }
 
-    pub fn stats(&self) -> &ExecStats {
-        &self.stats
+    /// This database's metric table: statement execution, vacuum,
+    /// conflicts, WAL volume, checkpoints, recovery and fsync latency.
+    pub fn metrics(&self) -> &DbMetrics {
+        &self.metrics
     }
 
     // --------------------------------------------------- snapshots & epochs
@@ -462,8 +456,8 @@ impl Database {
     /// Reclaim committed-dead versions no registered snapshot can see.
     /// Runs automatically once enough garbage accumulates; callable
     /// directly for tests and maintenance. Returns versions reclaimed;
-    /// every pass, whoever runs it, counts in [`Database::vacuum_runs`] /
-    /// [`Database::vacuumed_versions`].
+    /// every pass, whoever runs it, counts in the `vacuum_runs` and
+    /// `vacuumed_versions` rows of [`Database::metrics`].
     pub fn vacuum(&self) -> usize {
         let mut horizon = {
             let active = self.snapshots.active.lock();
@@ -479,19 +473,9 @@ impl Database {
         }
         let tables: Vec<Arc<Table>> = self.tables.read().values().cloned().collect();
         let reclaimed: usize = tables.iter().map(|t| t.vacuum(horizon)).sum();
-        self.vacuum_runs.fetch_add(1, Ordering::Relaxed);
-        self.vacuumed_versions.fetch_add(reclaimed as u64, Ordering::Relaxed);
+        self.metrics.vacuum_runs.add(1);
+        self.metrics.vacuumed_versions.add(reclaimed as u64);
         reclaimed
-    }
-
-    /// [`Database::vacuum`] passes run since open.
-    pub fn vacuum_runs(&self) -> u64 {
-        self.vacuum_runs.load(Ordering::Relaxed)
-    }
-
-    /// Dead row versions reclaimed by those passes.
-    pub fn vacuumed_versions(&self) -> u64 {
-        self.vacuumed_versions.load(Ordering::Relaxed)
     }
 
     // ---------------------------------------------------------- durability
@@ -573,13 +557,10 @@ impl Database {
         // rotate it — otherwise records already folded into a newer image
         // would sit on disk and be replayed on top of it next open,
         // silently reverting checkpointed data.
-        let state = DurabilityState::new(dir, mode, Some(wal));
+        let state = DurabilityState::new(dir, mode, Some(wal), db.metrics.clone());
         state.last_checkpoint_epoch.store(ckpt_epoch, Ordering::Relaxed);
-        state.counters.recovery_replayed_epochs.store(replayed, Ordering::Relaxed);
-        state
-            .counters
-            .recovery_truncated_bytes
-            .store(scan.truncated_bytes, Ordering::Relaxed);
+        db.metrics.recovery_replayed_epochs.set(replayed);
+        db.metrics.recovery_truncated_bytes.set(scan.truncated_bytes);
         db.durability = Some(Arc::new(state));
         Ok(db)
     }
@@ -673,7 +654,7 @@ impl Database {
         d.last_checkpoint_epoch.store(epoch, Ordering::Release);
         d.rotate(wal_seq, wal_off)?;
         self.emit_event(DbEvent::WalRotation { cut_seq: wal_seq });
-        d.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.metrics.checkpoints.add(1);
         self.emit_event(DbEvent::CheckpointEnd {
             epoch,
             wall_nanos: started.elapsed().as_nanos() as u64,
@@ -684,41 +665,6 @@ impl Database {
     /// `true` when this database persists to a data directory.
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
-    }
-
-    /// WAL records appended since open.
-    pub fn wal_records(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.counters.wal_records.load(Ordering::Relaxed))
-    }
-
-    /// WAL bytes appended since open.
-    pub fn wal_bytes(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.counters.wal_bytes.load(Ordering::Relaxed))
-    }
-
-    /// Checkpoints completed since open.
-    pub fn checkpoints(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.counters.checkpoints.load(Ordering::Relaxed))
-    }
-
-    /// Commit epochs replayed from the WAL by the last `open`.
-    pub fn recovery_replayed_epochs(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.counters.recovery_replayed_epochs.load(Ordering::Relaxed))
-    }
-
-    /// Torn/corrupt WAL tail bytes truncated by the last `open`.
-    pub fn recovery_truncated_bytes(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.counters.recovery_truncated_bytes.load(Ordering::Relaxed))
     }
 
     /// Epoch of the last installed checkpoint (0 if none).
@@ -753,25 +699,9 @@ impl Database {
         self.durability.as_ref().map_or(0, |d| d.synced_len.load(Ordering::Acquire))
     }
 
-    /// Write conflicts surfaced to statements since open.
-    pub fn txn_conflicts(&self) -> u64 {
-        self.txn_conflicts.load(Ordering::Relaxed)
-    }
-
     /// WAL fsyncs performed since open (0 on non-durable databases).
     pub fn wal_fsync_count(&self) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.fsync.count())
-    }
-
-    /// Total nanoseconds spent in WAL fsyncs since open.
-    pub fn wal_fsync_sum_nanos(&self) -> u64 {
-        self.durability.as_ref().map_or(0, |d| d.fsync.sum_nanos())
-    }
-
-    /// Cumulative `(upper_bound_nanos, count)` fsync-latency buckets for
-    /// Prometheus-style exposition (empty when no fsync has run).
-    pub fn wal_fsync_buckets(&self) -> Vec<(u64, u64)> {
-        self.durability.as_ref().map_or_else(Vec::new, |d| d.fsync.cumulative_buckets())
+        self.metrics.wal_fsync.count()
     }
 
     // ---------------------------------------------------------- replication
@@ -1050,18 +980,19 @@ impl Database {
     }
 
     /// Execute an already-parsed statement, recording result size and wall
-    /// time into the engine stats. Reads run against `snap` when given.
+    /// time into the metric table. Reads run against `snap` when given.
     fn execute_stmt_at(&self, stmt: &Stmt, snap: Option<&Snapshot>) -> DbResult<RowSet> {
-        self.stats.record_statement();
+        self.metrics.statements.add(1);
         let start = std::time::Instant::now();
         let result = self.execute_stmt_inner(stmt, snap);
         let rows = result.as_ref().map(|rs| rs.rows.len() as u64).unwrap_or(0);
-        self.stats.record_execution(rows, start.elapsed().as_nanos() as u64);
+        self.metrics.rows_returned.add(rows);
+        self.metrics.exec_nanos.add(start.elapsed().as_nanos() as u64);
         if let Err(DbError::Txn(detail)) = &result {
             // `DbError::Txn` also covers BEGIN/COMMIT misuse; only genuine
             // write-write conflicts (see `Table::write_locked`) are events.
             if detail.contains("write-locked") {
-                self.txn_conflicts.fetch_add(1, Ordering::Relaxed);
+                self.metrics.txn_conflicts.add(1);
                 self.emit_event(DbEvent::TxnConflict { detail: detail.clone() });
             }
         }

@@ -27,6 +27,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::error::{DbError, DbResult};
 use crate::index::RowId;
+use crate::metrics::DbMetrics;
 use crate::row::Row;
 use crate::value::Value;
 
@@ -127,102 +128,6 @@ impl fmt::Display for CrashPoint {
 /// lock-free and may (tests use this to race commits and vacuum against a
 /// checkpoint in progress).
 pub type CrashHook = Arc<dyn Fn(CrashPoint) -> bool + Send + Sync>;
-
-// -------------------------------------------------------------- counters
-
-/// Monotonic durability counters, surfaced through `MetricsSnapshot`.
-#[derive(Debug, Default)]
-pub struct DurabilityCounters {
-    pub wal_records: AtomicU64,
-    pub wal_bytes: AtomicU64,
-    pub checkpoints: AtomicU64,
-    pub recovery_replayed_epochs: AtomicU64,
-    pub recovery_truncated_bytes: AtomicU64,
-}
-
-// ------------------------------------------------------- fsync histogram
-
-/// Lock-free log2-bucketed histogram of WAL `sync_data` latency: bucket 0
-/// holds exact zeros, bucket `i >= 1` holds nanos in `[2^(i-1), 2^i)`.
-/// A stalling disk shows up here long before it shows up anywhere else,
-/// which is why the SLO monitor reads it. Mirrors the core crate's
-/// histogram shape (reldb sits below that crate and cannot depend on it).
-#[derive(Debug)]
-pub struct FsyncHistogram {
-    buckets: [AtomicU64; 65],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for FsyncHistogram {
-    fn default() -> FsyncHistogram {
-        FsyncHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl FsyncHistogram {
-    pub fn record(&self, nanos: u64) {
-        let idx = if nanos == 0 { 0 } else { 64 - nanos.leading_zeros() as usize };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    pub fn sum_nanos(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The `q`-quantile as the upper bound of the bucket containing that
-    /// rank; 0 when empty.
-    pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return fsync_bucket_upper(i);
-            }
-        }
-        u64::MAX
-    }
-
-    /// Cumulative `(upper_bound, count <= upper_bound)` pairs up to the
-    /// highest non-empty bucket, for Prometheus-style exposition.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let last = match counts.iter().rposition(|&c| c > 0) {
-            Some(i) => i,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::with_capacity(last + 1);
-        let mut running = 0u64;
-        for (i, &c) in counts.iter().enumerate().take(last + 1) {
-            running += c;
-            out.push((fsync_bucket_upper(i), running));
-        }
-        out
-    }
-}
-
-fn fsync_bucket_upper(i: usize) -> u64 {
-    match i {
-        0 => 0,
-        64.. => u64::MAX,
-        _ => (1u64 << i) - 1,
-    }
-}
 
 // ----------------------------------------------------------------- crc32
 
@@ -600,7 +505,9 @@ pub(crate) struct DurabilityState {
     /// already covers can never be replayed on top of it. `None` only in
     /// unit tests that drive the WAL by hand.
     wal: Mutex<Option<Wal>>,
-    pub counters: DurabilityCounters,
+    /// The database's metric table: appends count WAL records and bytes,
+    /// and every `sync_data` lands in its fsync histogram.
+    metrics: Arc<DbMetrics>,
     crash: RwLock<Option<CrashHook>>,
     /// Set after a simulated crash: all further durable I/O fails, exactly
     /// as if the process were gone.
@@ -618,29 +525,30 @@ pub(crate) struct DurabilityState {
     /// truncates a copied WAL to this length to simulate worst-case OS
     /// loss of the page cache.
     pub synced_len: AtomicU64,
-    /// Latency of every WAL `sync_data`, for the serving layer's SLO
-    /// monitor and Prometheus exposition.
-    pub fsync: FsyncHistogram,
 }
 
 /// No checkpoint in progress.
 pub(crate) const NO_FLOOR: u64 = u64::MAX;
 
 impl DurabilityState {
-    pub fn new(dir: PathBuf, mode: Durability, wal: Option<Wal>) -> DurabilityState {
+    pub fn new(
+        dir: PathBuf,
+        mode: Durability,
+        wal: Option<Wal>,
+        metrics: Arc<DbMetrics>,
+    ) -> DurabilityState {
         let synced = wal.as_ref().map(Wal::byte_len).unwrap_or(0);
         DurabilityState {
             dir,
             mode,
             wal: Mutex::new(wal),
-            counters: DurabilityCounters::default(),
+            metrics,
             crash: RwLock::new(None),
             dead: AtomicBool::new(false),
             checkpoint_floor: AtomicU64::new(NO_FLOOR),
             last_checkpoint_epoch: AtomicU64::new(0),
             checkpoint_gate: Mutex::new(()),
             synced_len: AtomicU64::new(synced),
-            fsync: FsyncHistogram::default(),
         }
     }
 
@@ -648,7 +556,7 @@ impl DurabilityState {
     fn timed_sync(&self, file: &File) -> std::io::Result<()> {
         let start = std::time::Instant::now();
         let out = file.sync_data();
-        self.fsync.record(start.elapsed().as_nanos() as u64);
+        self.metrics.wal_fsync.record(start.elapsed().as_nanos() as u64);
         out
     }
 
@@ -730,8 +638,8 @@ impl DurabilityState {
             }
             Durability::Off => unreachable!(),
         }
-        self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
-        self.counters.wal_bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.metrics.wal_records.add(1);
+        self.metrics.wal_bytes.add(frame.len() as u64);
         if self.fire(CrashPoint::WalSynced) {
             return Err(self.die(CrashPoint::WalSynced));
         }
@@ -1022,7 +930,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let (wal, _) = Wal::open(&dir.join("wal.log"), 5).unwrap();
-        let state = DurabilityState::new(dir.clone(), Durability::Always, Some(wal));
+        let state =
+            DurabilityState::new(dir.clone(), Durability::Always, Some(wal), Arc::default());
         for epoch in 1..=2u64 {
             state.append(&commit_rec(epoch)).unwrap();
         }
@@ -1051,7 +960,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let (wal, _) = Wal::open(&dir.join("wal.log"), 0).unwrap();
-        let state = DurabilityState::new(dir.clone(), Durability::Always, Some(wal));
+        let state =
+            DurabilityState::new(dir.clone(), Durability::Always, Some(wal), Arc::default());
         for epoch in 1..=4u64 {
             state.append(&commit_rec(epoch)).unwrap();
         }
@@ -1098,7 +1008,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
 
-        let state = DurabilityState::new(dir.clone(), Durability::Always, None);
+        let state = DurabilityState::new(dir.clone(), Durability::Always, None, Arc::default());
         let (wal, scan) = Wal::open(&path, 0).unwrap();
         assert!(scan.records.is_empty());
         *state.wal.lock() = Some(wal);

@@ -42,11 +42,11 @@ pub mod durability;
 pub mod error;
 pub mod func;
 pub mod index;
+pub mod metrics;
 pub mod prepared;
 pub mod row;
 pub mod schema;
 pub mod sql;
-pub mod stats;
 pub mod storage;
 pub mod txn;
 pub mod value;
@@ -56,9 +56,11 @@ pub use durability::{CrashHook, CrashPoint, Durability, NetChange, WalTail, WalT
 pub use error::{DbError, DbResult};
 pub use func::TableFunction;
 pub use index::{IndexDef, RowId};
+pub use metrics::{
+    DbMetrics, DbMetricsSnapshot, Histogram, HistogramSnapshot, MetricKind, MetricRow,
+};
 pub use prepared::Prepared;
 pub use row::{Row, RowSet};
 pub use schema::{ColumnDef, ForeignKey, TableSchema};
-pub use stats::{ExecStats, StatsSnapshot};
 pub use storage::{ReadView, Table};
 pub use value::{DataType, Value};

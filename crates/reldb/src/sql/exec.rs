@@ -244,16 +244,17 @@ fn scan(
     let mut read = 0;
     let result = match probed {
         None => {
-            db.stats().record_full_scan(guard.len() as u64);
+            db.metrics().full_scans.add(1);
+            db.metrics().full_scan_rows.add(guard.len() as u64);
             drain(guard.iter_at(*view), filter, &mut read, &mut sink)
         }
         Some((probes, rids)) => {
-            db.stats().record_index_probe(probes as u64);
+            db.metrics().index_probes.add(probes as u64);
             let visible = rids.iter().filter_map(|&rid| guard.row_at(rid, view).map(|r| (rid, r)));
             drain(visible, filter, &mut read, &mut sink)
         }
     };
-    db.stats().record_rows_read(read);
+    db.metrics().rows_read.add(read);
     result
 }
 
@@ -1352,19 +1353,19 @@ mod tests {
         let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", 999 - i)).collect();
         db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
 
-        let before = db.stats().snapshot();
+        let before = db.metrics().load();
         let rs = db.execute("SELECT v FROM t LIMIT 3").unwrap();
         assert_eq!(rs.len(), 3);
-        let read = db.stats().snapshot().since(&before).rows_read;
+        let read = db.metrics().load().since(&before).rows_read;
         assert!(read <= 3, "LIMIT 3 read {read} rows");
         let plan = db.explain("SELECT v FROM t LIMIT 3").unwrap();
         assert!(plan.contains("LIMIT 3 (stops scan)"), "{plan}");
         assert!(!plan.contains("FILTER"), "{plan}");
 
-        let before = db.stats().snapshot();
+        let before = db.metrics().load();
         let rs = db.execute("SELECT v FROM t ORDER BY v LIMIT 3").unwrap();
         assert_eq!(col(rs.rows), vec![Value::Bigint(0), Value::Bigint(1), Value::Bigint(2)]);
-        assert_eq!(db.stats().snapshot().since(&before).rows_read, 1000);
+        assert_eq!(db.metrics().load().since(&before).rows_read, 1000);
         let plan = db.explain("SELECT v FROM t ORDER BY v LIMIT 3").unwrap();
         assert!(plan.contains("LIMIT 3") && !plan.contains("stops scan"), "{plan}");
 
@@ -1412,10 +1413,10 @@ mod tests {
         db.execute("CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)").unwrap();
         // Three ids padded to a bucket of four by repeating the last one.
-        let before = db.stats().snapshot();
+        let before = db.metrics().load();
         let rs = db.execute("SELECT v FROM t WHERE id IN (1, 2, 3, 3)").unwrap();
         assert_eq!(rs.len(), 3);
-        assert_eq!(db.stats().snapshot().since(&before).index_probes, 3);
+        assert_eq!(db.metrics().load().since(&before).index_probes, 3);
     }
 
     /// The Section 4 statement: a 1 000-row table joined to the ids a
@@ -1438,11 +1439,11 @@ mod tests {
         );
         let sql = "SELECT COUNT(*), SUM(n.version) FROM nodes AS n, \
                    TABLE(neighbours()) AS p (vid BIGINT) WHERE n.id = p.vid AND n.version > 10";
-        let before = db.stats().snapshot();
+        let before = db.metrics().load();
         let rs = db.execute(sql).unwrap();
         // 7 fails the version filter; 42 joins once, 555 twice.
         assert_eq!(rs.rows, vec![vec![Value::Bigint(3), Value::Bigint(42 + 55 + 55)]]);
-        let stats = db.stats().snapshot().since(&before);
+        let stats = db.metrics().load().since(&before);
         assert_eq!(stats.rows_read, 3, "read {} rows of 1 000", stats.rows_read);
         let plan = db.explain(sql).unwrap();
         let expected = "TABLE-FUNCTION neighbours\n\
@@ -1452,9 +1453,9 @@ mod tests {
         // The same join over a view of the table reads all of it.
         db.execute("CREATE VIEW all_nodes AS SELECT id, version FROM nodes").unwrap();
         let over_view = sql.replace("FROM nodes", "FROM all_nodes");
-        let before = db.stats().snapshot();
+        let before = db.metrics().load();
         assert_eq!(db.execute(&over_view).unwrap().rows, rs.rows);
-        assert_eq!(db.stats().snapshot().since(&before).rows_read, 1000);
+        assert_eq!(db.metrics().load().since(&before).rows_read, 1000);
         assert!(db.explain(&over_view).unwrap().starts_with("VIEW all_nodes"));
     }
 

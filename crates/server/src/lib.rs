@@ -808,28 +808,42 @@ enum Payload {
     Bytes { content_type: &'static str, data: Vec<u8> },
 }
 
+/// Every endpoint path and the methods it answers (its `Allow` header).
+/// The latency labels, the 405-versus-404 decision and the `Allow` header
+/// all read this one list.
+const ROUTES: [(&str, &str); 15] = [
+    ("/query", "POST"),
+    ("/explain", "POST"),
+    ("/profile", "POST"),
+    ("/sql", "POST"),
+    ("/session", "POST"),
+    ("/session/commit", "POST"),
+    ("/session/rollback", "POST"),
+    ("/metrics", "GET, HEAD"),
+    ("/slow-queries", "GET, HEAD"),
+    ("/workload", "GET, HEAD"),
+    ("/healthz", "GET, HEAD"),
+    ("/readyz", "GET, HEAD"),
+    ("/events", "GET, HEAD"),
+    ("/wal", "GET, HEAD"),
+    ("/checkpoint", "GET, HEAD"),
+];
+
+/// The `Allow` header value for a known path, for 405 responses. `None`
+/// for unknown paths (those 404 instead).
+fn allowed_methods(path: &str) -> Option<&'static str> {
+    ROUTES.iter().find(|(p, _)| *p == path).map(|&(_, methods)| methods)
+}
+
 /// Normalize a request path to a bounded endpoint label for the
 /// per-endpoint latency histograms and events. Unknown paths are
 /// client-controlled strings, so they fold into one bucket rather than
 /// growing the label set.
 fn endpoint_label(path: &str) -> &str {
-    match path {
-        "/query" | "/explain" | "/profile" | "/sql" | "/metrics" | "/slow-queries"
-        | "/workload" | "/healthz" | "/readyz" | "/events" | "/wal" | "/checkpoint"
-        | "/session" | "/session/commit" | "/session/rollback" => path,
-        _ => "<other>",
-    }
-}
-
-/// The `Allow` header value for a known path, for 405 responses. `None`
-/// for unknown paths (those 404 instead).
-fn allowed_methods(path: &str) -> Option<&'static str> {
-    match path {
-        "/query" | "/explain" | "/profile" | "/sql" | "/session" | "/session/commit"
-        | "/session/rollback" => Some("POST"),
-        "/metrics" | "/slow-queries" | "/workload" | "/healthz" | "/readyz" | "/events"
-        | "/wal" | "/checkpoint" => Some("GET, HEAD"),
-        _ => None,
+    if allowed_methods(path).is_some() {
+        path
+    } else {
+        "<other>"
     }
 }
 
@@ -1427,9 +1441,7 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
             let status = if health.degraded { 503 } else { 200 };
             (status, health.to_json())
         }
-        (_, "/query" | "/sql" | "/explain" | "/profile" | "/metrics" | "/slow-queries"
-        | "/workload" | "/healthz" | "/readyz" | "/events" | "/wal" | "/checkpoint"
-        | "/session" | "/session/commit" | "/session/rollback") => (
+        (_, path) if allowed_methods(path).is_some() => (
             405,
             Json::obj(vec![("error", Json::str(format!("method {} not allowed", req.method)))]),
         ),

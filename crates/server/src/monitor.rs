@@ -19,6 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use db2graph_core::json::Json;
+use db2graph_core::HistogramSnapshot;
 
 use crate::background::{Pass, Task};
 use crate::Shared;
@@ -77,73 +78,27 @@ impl Health {
     }
 }
 
-/// One cumulative histogram capture: total count plus cumulative
-/// `(upper_bound_nanos, count)` pairs.
-#[derive(Debug, Clone, Default)]
-struct HistCapture {
-    count: u64,
-    buckets: Vec<(u64, u64)>,
-}
-
-impl HistCapture {
-    /// Cumulative count at or below `upper` (total count past the last
-    /// recorded bucket — cumulative histograms are monotone).
-    fn cum_at(&self, upper: u64) -> u64 {
-        let mut last = 0;
-        for &(u, c) in &self.buckets {
-            if u > upper {
-                return last;
-            }
-            last = c;
-        }
-        last
-    }
-}
-
-/// The q-quantile of the histogram delta `now - base`, as a bucket upper
-/// bound in nanos; `None` when no events landed in the window.
-fn delta_quantile(now: &HistCapture, base: &HistCapture, q: f64) -> Option<u64> {
-    let total = now.count.saturating_sub(base.count);
-    if total == 0 {
-        return None;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    for &(upper, cum_now) in &now.buckets {
-        if cum_now.saturating_sub(base.cum_at(upper)) >= rank {
-            return Some(upper);
-        }
-    }
-    Some(u64::MAX)
-}
-
 /// One tick's capture of every monitored cumulative series.
 struct Sample {
     at: Instant,
     completed: u64,
     rejected: u64,
     error_responses: u64,
-    endpoints: HashMap<String, HistCapture>,
-    fsync: HistCapture,
+    endpoints: HashMap<String, HistogramSnapshot>,
+    fsync: HistogramSnapshot,
 }
 
 fn capture(shared: &Shared) -> Sample {
     let m = &shared.metrics;
-    let endpoints = m
-        .endpoint_histograms()
-        .entries()
-        .into_iter()
-        .map(|(key, h)| {
-            (key, HistCapture { count: h.count(), buckets: h.cumulative_buckets() })
-        })
-        .collect();
-    let db = shared.graph.database();
+    let endpoints =
+        m.endpoint_histograms().entries().into_iter().map(|(key, h)| (key, h.snapshot())).collect();
     Sample {
         at: Instant::now(),
         completed: m.completed(),
         rejected: m.rejected(),
         error_responses: m.error_responses(),
         endpoints,
-        fsync: HistCapture { count: db.wal_fsync_count(), buckets: db.wal_fsync_buckets() },
+        fsync: shared.graph.database().metrics().wal_fsync.snapshot(),
     }
 }
 
@@ -151,27 +106,26 @@ fn ms(nanos: u64) -> f64 {
     nanos as f64 / 1e6
 }
 
-/// Evaluate the window `base → now` against the targets.
+/// Evaluate the window `base → now` against the targets. A latency
+/// window with no values has a p99 of 0, which breaks no ceiling.
 fn evaluate(shared: &Shared, targets: &SloTargets, now: &Sample, base: &Sample) -> Vec<String> {
     let mut violations = Vec::new();
     if let Some(limit_ms) = targets.p99_ms {
         let limit_nanos = (limit_ms * 1e6) as u64;
-        for (endpoint, capture) in &now.endpoints {
+        for (endpoint, snapshot) in &now.endpoints {
             // Health probes are exempt from the latency SLO: a load
             // balancer polling /readyz while degraded must not itself
             // keep the p99 window hot and wedge the server degraded.
             if endpoint == "/healthz" || endpoint == "/readyz" {
                 continue;
             }
-            let empty = HistCapture::default();
-            let earlier = base.endpoints.get(endpoint).unwrap_or(&empty);
-            if let Some(p99) = delta_quantile(capture, earlier, 0.99) {
-                if p99 > limit_nanos {
-                    violations.push(format!(
-                        "DB2GRAPH_SLO_P99_MS: {endpoint} p99 {:.1}ms > {limit_ms}ms",
-                        ms(p99)
-                    ));
-                }
+            let earlier = base.endpoints.get(endpoint).copied().unwrap_or_default();
+            let p99 = snapshot.since(&earlier).percentile(0.99);
+            if p99 > limit_nanos {
+                violations.push(format!(
+                    "DB2GRAPH_SLO_P99_MS: {endpoint} p99 {:.1}ms > {limit_ms}ms",
+                    ms(p99)
+                ));
             }
         }
     }
@@ -210,13 +164,12 @@ fn evaluate(shared: &Shared, targets: &SloTargets, now: &Sample, base: &Sample) 
         }
     }
     if let Some(limit_ms) = targets.fsync_p99_ms {
-        if let Some(p99) = delta_quantile(&now.fsync, &base.fsync, 0.99) {
-            if p99 > (limit_ms * 1e6) as u64 {
-                violations.push(format!(
-                    "DB2GRAPH_SLO_FSYNC_P99_MS: wal fsync p99 {:.1}ms > {limit_ms}ms",
-                    ms(p99)
-                ));
-            }
+        let p99 = now.fsync.since(&base.fsync).percentile(0.99);
+        if p99 > (limit_ms * 1e6) as u64 {
+            violations.push(format!(
+                "DB2GRAPH_SLO_FSYNC_P99_MS: wal fsync p99 {:.1}ms > {limit_ms}ms",
+                ms(p99)
+            ));
         }
     }
     violations
@@ -269,34 +222,5 @@ fn publish(shared: &Shared, violations: Vec<String>) {
                 Json::arr(violations.into_iter().map(Json::str).collect()),
             )],
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_quantile_diffs_cumulative_histograms() {
-        // base: 10 events all <= 1023ns. now: those plus 10 at ~1ms.
-        let base = HistCapture { count: 10, buckets: vec![(1023, 10)] };
-        let now = HistCapture { count: 20, buckets: vec![(1023, 10), (1_048_575, 20)] };
-        let p99 = delta_quantile(&now, &base, 0.99).unwrap();
-        assert_eq!(p99, 1_048_575);
-        // p50 of the delta is also in the millisecond bucket: all 10 new
-        // events landed there.
-        assert_eq!(delta_quantile(&now, &base, 0.50).unwrap(), 1_048_575);
-        // No new events → no verdict.
-        assert!(delta_quantile(&base, &base, 0.99).is_none());
-    }
-
-    #[test]
-    fn cum_at_handles_missing_buckets() {
-        let c = HistCapture { count: 7, buckets: vec![(15, 3), (1023, 7)] };
-        assert_eq!(c.cum_at(7), 0);
-        assert_eq!(c.cum_at(15), 3);
-        assert_eq!(c.cum_at(500), 3);
-        assert_eq!(c.cum_at(1023), 7);
-        assert_eq!(c.cum_at(u64::MAX), 7);
     }
 }

@@ -155,6 +155,7 @@ pub fn render(
         "counter",
         events.dropped_writes() as f64,
     );
+    let db = db.metrics();
     push_metric(&mut out, "db2graph_txn_conflicts_total", "counter", db.txn_conflicts() as f64);
 
     push_histogram(&mut out, "db2graph_query_latency_seconds", registry.query_latency());
@@ -172,17 +173,9 @@ pub fn render(
         "endpoint",
         server.endpoint_histograms(),
     );
-    // WAL fsync latency straight from the durability layer (empty — just
-    // the +Inf bucket — on in-memory databases).
-    out.push_str("# TYPE db2graph_wal_fsync_latency_seconds histogram\n");
-    push_histogram_buckets(
-        &mut out,
-        "db2graph_wal_fsync_latency_seconds",
-        "",
-        &db.wal_fsync_buckets(),
-        db.wal_fsync_count(),
-        db.wal_fsync_sum_nanos(),
-    );
+    // WAL fsync latency from the database's table (empty — just the +Inf
+    // bucket — on in-memory databases).
+    push_histogram(&mut out, "db2graph_wal_fsync_latency_seconds", &db.wal_fsync);
     out
 }
 

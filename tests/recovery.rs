@@ -90,8 +90,8 @@ fn fail_with_diff(label: &str, db: &Database, detail: String) -> ! {
              recovered accounts (aid, balance):\n{}",
             db.commit_epoch(),
             db.last_checkpoint_epoch(),
-            db.recovery_replayed_epochs(),
-            db.recovery_truncated_bytes(),
+            db.metrics().recovery_replayed_epochs(),
+            db.metrics().recovery_truncated_bytes(),
             account_rows(db),
         );
         let _ = std::fs::write(format!("{dir}/{label}.diff.txt"), body);
@@ -173,7 +173,7 @@ fn crash_point_matrix_conserves_balances() {
             if crashed && point == CrashPoint::WalTorn {
                 // The torn half-frame is on disk; recovery must cut it.
                 let db2 = Database::open(&dir).unwrap();
-                assert!(db2.recovery_truncated_bytes() > 0, "{label}: no tail truncated");
+                assert!(db2.metrics().recovery_truncated_bytes() > 0, "{label}: no tail truncated");
                 drop(db2);
             }
             drop(db);
@@ -334,7 +334,7 @@ fn torn_tail_truncation_is_exhaustive() {
             "cut at {cut}: exactly the final record is dropped"
         );
         assert_eq!(total_balance(&db), Some(TOTAL), "cut at {cut}");
-        assert!(db.recovery_truncated_bytes() > 0 || cut == last, "cut at {cut}");
+        assert!(db.metrics().recovery_truncated_bytes() > 0 || cut == last, "cut at {cut}");
     }
     // The untouched image recovers everything.
     let db = open_wal_image("torn-full", &bytes);
@@ -442,7 +442,7 @@ fn off_mode_recovers_to_last_checkpoint() {
     let db = Database::open_with(&dir, Durability::Off).unwrap();
     assert_eq!(db.commit_epoch(), ckpt, "recovered exactly to the checkpoint");
     assert_eq!(total_balance(&db), Some(TOTAL));
-    assert_eq!(db.recovery_replayed_epochs(), 0);
+    assert_eq!(db.metrics().recovery_replayed_epochs(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -473,7 +473,7 @@ fn off_mode_checkpoint_cuts_stale_wal_from_earlier_run() {
     // Third life must recover the image verbatim — zero stale replays.
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.commit_epoch(), ckpt, "stale WAL records replayed over the image");
-    assert_eq!(db.recovery_replayed_epochs(), 0);
+    assert_eq!(db.metrics().recovery_replayed_epochs(), 0);
     assert_eq!(total_balance(&db), Some(TOTAL));
     // And the recovered database logs + recovers normally from here on.
     transfer(&db, 5, 6).unwrap();
@@ -520,14 +520,15 @@ fn ddl_and_counters_survive_recovery() {
     db.checkpoint().unwrap();
     transfer(&db, 5, 6).unwrap(); // exactly one commit past the checkpoint
     let published = db.commit_epoch();
-    assert!(db.wal_records() >= 4);
-    assert!(db.wal_bytes() > 0);
-    assert_eq!(db.checkpoints(), 1);
+    assert!(db.metrics().wal_records() >= 4);
+    assert!(db.metrics().wal_bytes() > 0);
+    assert_eq!(db.metrics().checkpoints(), 1);
     drop(db);
 
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.commit_epoch(), published);
-    assert_eq!(db.recovery_replayed_epochs(), 1, "one commit replayed past the checkpoint");
+    let replayed = db.metrics().recovery_replayed_epochs();
+    assert_eq!(replayed, 1, "one commit replayed past the checkpoint");
     // The secondary index answers (and is actually used for) a probe.
     let rs = db.execute("SELECT COUNT(*) FROM Account WHERE balance = 101").unwrap();
     assert!(matches!(rs.scalar(), Some(Value::Bigint(n)) if *n >= 1));

@@ -500,3 +500,46 @@ fn transfer_encoding_gets_501_and_405_names_allowed_methods() {
     assert_eq!(r.header("allow"), Some("GET, HEAD"));
     handle.shutdown();
 }
+
+/// Every endpoint answers a method it does not serve with 405 and its own
+/// `Allow` header; a path outside the route list is 404 with no `Allow`.
+#[test]
+fn every_route_answers_a_wrong_method_with_405_and_its_allow_header() {
+    const ROUTES: [(&str, &str); 15] = [
+        ("/query", "POST"),
+        ("/explain", "POST"),
+        ("/profile", "POST"),
+        ("/sql", "POST"),
+        ("/session", "POST"),
+        ("/session/commit", "POST"),
+        ("/session/rollback", "POST"),
+        ("/metrics", "GET, HEAD"),
+        ("/slow-queries", "GET, HEAD"),
+        ("/workload", "GET, HEAD"),
+        ("/healthz", "GET, HEAD"),
+        ("/readyz", "GET, HEAD"),
+        ("/events", "GET, HEAD"),
+        ("/wal", "GET, HEAD"),
+        ("/checkpoint", "GET, HEAD"),
+    ];
+    let (_db, graph) = account_graph();
+    let handle = GraphServer::start(graph, config()).unwrap();
+    let addr = handle.addr();
+    for (path, allow) in ROUTES {
+        let wrong =
+            if allow == "POST" { ["GET", "HEAD", "PUT"] } else { ["POST", "PUT", "DELETE"] };
+        for method in wrong {
+            let r = http_call(addr, method, path, "", TIMEOUT).unwrap();
+            assert_eq!(r.status, 405, "{method} {path}");
+            assert_eq!(r.header("allow"), Some(allow), "{method} {path}");
+        }
+    }
+    for path in ["/", "/nope", "/query/", "/session/other", "/metrics/graph"] {
+        for method in ["GET", "POST"] {
+            let r = http_call(addr, method, path, "", TIMEOUT).unwrap();
+            assert_eq!(r.status, 404, "{method} {path}");
+            assert_eq!(r.header("allow"), None, "{method} {path}");
+        }
+    }
+    handle.shutdown();
+}

@@ -371,7 +371,7 @@ fn server_restart_recovers_from_data_dir() {
     // ---- Second life: same directory, recovered purely from disk.
     {
         let db = Arc::new(Database::open(&dir).unwrap());
-        assert!(db.recovery_replayed_epochs() > 0, "WAL had commits to replay");
+        assert!(db.metrics().recovery_replayed_epochs() > 0, "WAL had commits to replay");
         let graph = Db2Graph::open_with_options(db, &overlay, Default::default()).unwrap();
         let handle = GraphServer::start(graph, test_config()).unwrap();
         let addr = handle.addr();

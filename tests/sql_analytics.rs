@@ -96,9 +96,9 @@ fn view_with_pushdown_uses_inner_index() {
     let rs = db.execute("SELECT SUM(amount) FROM store_sales WHERE sid = 12").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Double(280.0)));
     // The pushdown is observable: the probe count rises instead of scans.
-    let before = db.stats().snapshot();
+    let before = db.metrics().load();
     db.execute("SELECT amount FROM store_sales WHERE sid = 12").unwrap();
-    let d = db.stats().snapshot().since(&before);
+    let d = db.metrics().load().since(&before);
     assert!(d.index_probes >= 1, "{d:?}");
 }
 

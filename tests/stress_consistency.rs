@@ -10,6 +10,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 use db2graph::core::{Db2Graph, ETableConfig, GraphOptions, OverlayConfig, VTableConfig};
 use db2graph::gremlin::GValue;
@@ -45,6 +46,19 @@ fn open_observed(
         ..Default::default()
     };
     Db2Graph::open_with_options(db, overlay, options).unwrap()
+}
+
+/// Join every writer, then tell the readers to stop — also when a writer
+/// panicked, so a failing writer fails the test instead of leaving the
+/// readers spinning forever.
+fn join_then_stop(writers: Vec<ScopedJoinHandle<'_, ()>>, stop: &AtomicBool) {
+    let results: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+    stop.store(true, Ordering::Relaxed);
+    for result in results {
+        if let Err(panic) = result {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// The reader configurations of the cached-adjacency proofs: each thread
@@ -132,10 +146,7 @@ fn transfers_conserve_the_total_balance_under_concurrent_readers() {
                 }
             });
         }
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
+        join_then_stop(writers, &stop);
     });
     assert!(reads.load(Ordering::Relaxed) >= 3);
     let sum = graphs[0].run("g.V().values('balance').sum()").unwrap();
@@ -202,14 +213,15 @@ fn tree_invariant_holds_at_every_snapshot_under_churn() {
     let rounds = stress_rounds();
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
-        // Each writer owns a disjoint id range and alternates: attach a
-        // leaf under the root, then remove it — always node+edge in one
-        // transaction, so every commit preserves nodes == edges + 1.
+        // Each writer owns a disjoint id range of `rounds` ids and
+        // alternates: attach a leaf under the root, then remove it — always
+        // node+edge in one transaction, so every commit preserves
+        // nodes == edges + 1.
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let db = db.clone();
                 s.spawn(move || {
-                    let base = 1_000 * (w as i64 + 1);
+                    let base = 1_000 + (w * rounds) as i64;
                     for r in 0..rounds {
                         let nid = base + r as i64;
                         db.transaction(|db| {
@@ -286,10 +298,7 @@ fn tree_invariant_holds_at_every_snapshot_under_churn() {
                 }
             });
         }
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
+        join_then_stop(writers, &stop);
     });
 
     // Quiesced end state still satisfies the invariant, and versions dead
@@ -499,10 +508,7 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
                 }
             });
         }
-        for w in writers {
-            w.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
+        join_then_stop(writers, &stop);
     });
 
     for (g, (threads, observed)) in graphs.iter().zip(READERS) {
