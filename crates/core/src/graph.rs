@@ -272,6 +272,7 @@ impl Db2Graph {
         snap.wal_bytes = db.wal_bytes();
         snap.checkpoints = db.checkpoints();
         snap.recovery_replayed_epochs = db.recovery_replayed_epochs();
+        snap.recovery_truncated_bytes = db.recovery_truncated_bytes();
         // Adjacency-cache residency gauge (the hit/miss/eviction/
         // invalidation counters flow through the registry).
         snap.adj_cache_bytes = self.adj_cache.as_ref().map_or(0, |c| c.bytes() as u64);
@@ -663,6 +664,30 @@ mod tests {
         assert_eq!(never, always);
         assert_eq!((never_logged, never_counted), (0, 0));
         assert_eq!((always_logged, always_counted), (queries.len(), queries.len() as u64));
+    }
+
+    /// Building an element moves each value out of its row, except from a
+    /// column that a later property key reads too: then every key still
+    /// gets the value, and so does the id reading the same column.
+    #[test]
+    fn a_column_read_by_several_keys_reaches_each_of_them() {
+        let (db, mut overlay) = accounts();
+        db.execute("UPDATE Account SET balance = 7 WHERE aid = 3").unwrap();
+        overlay.v_tables[0].properties =
+            Some(vec!["balance".into(), "BALANCE".into(), "aid".into()]);
+        let graph = Db2Graph::open(db, &overlay).unwrap();
+        let out = graph.run("g.V('acct::3')").unwrap();
+        let [GValue::Vertex(v)] = &out[..] else { panic!("{out:?}") };
+        let props: Vec<(&str, &GValue)> = v.properties.iter().map(|(k, v)| (&**k, v)).collect();
+        assert_eq!(
+            props,
+            [
+                ("BALANCE", &GValue::Long(7)),
+                ("aid", &GValue::Long(3)),
+                ("balance", &GValue::Long(7))
+            ]
+        );
+        assert_eq!(v.id, gremlin::ElementId::Str("acct::3".into()));
     }
 
     #[test]

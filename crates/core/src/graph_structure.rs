@@ -54,14 +54,14 @@
 //! whose endpoint row is missing.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use gremlin::backend::{
     AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
 };
-use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
+use gremlin::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 use gremlin::GResult;
 use reldb::{Database, DataType, Row, RowSet, Snapshot, Value};
 
@@ -84,6 +84,15 @@ pub fn to_gvalue(v: &Value) -> GValue {
         Value::Double(x) => GValue::Double(*x),
         Value::Varchar(s) => GValue::Str(s.clone()),
         Value::Boolean(b) => GValue::Bool(*b),
+    }
+}
+
+/// [`to_gvalue`] for an owned value: a string moves instead of being
+/// copied.
+fn into_gvalue(v: Value) -> GValue {
+    match v {
+        Value::Varchar(s) => GValue::Str(s),
+        other => to_gvalue(&other),
     }
 }
 
@@ -510,7 +519,7 @@ impl Db2GraphBackend {
                 ("label", LabelDef::Column(c)) => c.as_str(),
                 ("label", LabelDef::Fixed(fixed)) => {
                     // Evaluate against the constant now.
-                    if !p.pred.test(Some(&GValue::Str(fixed.clone()))) {
+                    if !p.pred.test(Some(&GValue::Str(fixed.to_string()))) {
                         return TableAccess::Pruned(format!(
                             "fixed label '{fixed}' fails the label predicate"
                         ));
@@ -608,8 +617,8 @@ impl Db2GraphBackend {
             return Ok(TableResult::Values(values));
         }
         let mut elements = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let el = shape.element(row)?;
+        for mut row in rows {
+            let el = shape.element(Cells::Owned(&mut row))?;
             // Residual check: anything the plan did not push to SQL.
             if filter.matches(&el) {
                 elements.push(el);
@@ -771,7 +780,7 @@ impl Db2GraphBackend {
         if !vt.name.eq_ignore_ascii_case(et_name) {
             return None;
         }
-        let label = vt.fixed_label()?;
+        let LabelDef::Fixed(label) = &vt.label else { return None };
         // Vertex property columns must be subsumed by the edge's
         // configured property columns.
         let et_idx = self.topo.table_index(ElementKind::Edges, et_name)?;
@@ -779,15 +788,14 @@ impl Db2GraphBackend {
         if !vt.properties.iter().all(|p| et.properties.iter().any(|q| q.eq_ignore_ascii_case(p))) {
             return None;
         }
-        let mut v = Vertex::new(endpoint.clone(), label);
-        for p in &vt.properties {
-            if let Some(val) = edge.properties.get(p) {
-                v.properties.insert(p.clone(), val.clone());
-            }
-        }
-        v.provenance = Some(vt.name.clone());
+        let values = vt.keys.iter().map(|k| edge.properties.get(k).cloned()).collect();
         self.registry().vertices_from_edges.add(1);
-        Some(v)
+        Some(Vertex {
+            id: endpoint.clone(),
+            label: label.clone(),
+            properties: Properties::shared(vt.keys.clone(), values),
+            provenance: Some(vt.provenance.clone()),
+        })
     }
 
     // ----------------------------------------------------------- explain
@@ -1052,7 +1060,9 @@ type IdCols<'a> = (&'a IdDef, Vec<usize>);
 /// A table's SELECT list, and where each part of an element sits in the
 /// rows it returns — so decoding a row indexes it instead of looking
 /// columns up by name. One shape serves both kinds: only edges have
-/// endpoints, and only implicit edge ids have no id columns.
+/// endpoints, and only implicit edge ids have no id columns. Every element
+/// a shape builds shares its table's label and provenance and the shape's
+/// property key list.
 struct Shape<'a> {
     table: &'a OverlayTable,
     /// The selected columns: endpoints (edges), explicit id, label column,
@@ -1064,8 +1074,12 @@ struct Shape<'a> {
     id: Option<IdCols<'a>>,
     /// The label column, for column-labelled tables.
     label: Option<usize>,
-    /// Each property whose column is selected, with that column.
-    props: Vec<(&'a str, usize)>,
+    /// The selected property keys, sorted: every element of this shape
+    /// shares the list.
+    keys: Arc<[Arc<str>]>,
+    /// Per key, its column, and whether it is that column's last reader
+    /// (so an owned row's value may move instead of being copied).
+    props: Vec<(usize, bool)>,
 }
 
 impl<'a> Shape<'a> {
@@ -1100,20 +1114,36 @@ impl<'a> Shape<'a> {
             LabelDef::Column(c) => Some(at(c)),
             LabelDef::Fixed(_) => None,
         };
+        let selected =
+            |p: &str| keys.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p)));
         for p in &table.properties {
-            if keys.is_none_or(|keys| keys.iter().any(|k| k.eq_ignore_ascii_case(p))) {
+            if selected(p) {
                 at(p);
             }
         }
-        let props = table
-            .properties
+        // A whole-table read shares the list the table built when it
+        // opened, and an id-only read the empty one, which allocates nothing.
+        let shared: Arc<[Arc<str>]> = match keys {
+            None => table.keys.clone(),
+            Some(_) => {
+                let kept: Vec<_> = table.keys.iter().filter(|k| selected(k)).cloned().collect();
+                if kept.is_empty() {
+                    Arc::default()
+                } else {
+                    kept.into()
+                }
+            }
+        };
+        let key_cols: Vec<usize> = shared
             .iter()
-            .filter_map(|p| {
-                let i = cols.iter().position(|c| c.eq_ignore_ascii_case(p))?;
-                Some((p.as_str(), i))
-            })
+            .map(|k| cols.iter().position(|c| c.eq_ignore_ascii_case(k)).expect("selected"))
             .collect();
-        Shape { table, cols, ends, id, label, props }
+        let props = key_cols
+            .iter()
+            .enumerate()
+            .map(|(j, &i)| (i, !key_cols[j + 1..].contains(&i)))
+            .collect();
+        Shape { table, cols, ends, id, label, keys: shared, props }
     }
 
     /// The id `def` encodes from its columns of `row`; a one-column id
@@ -1131,44 +1161,46 @@ impl<'a> Shape<'a> {
         Self::encode(&ends[usize::from(!out)], row)
     }
 
-    fn label(&self, row: &Row) -> String {
+    fn label(&self, row: &Row) -> Arc<str> {
         match &self.table.label {
             LabelDef::Fixed(l) => l.clone(),
-            LabelDef::Column(_) => row[self.label.expect("label column selected")].to_string(),
+            LabelDef::Column(_) => match &row[self.label.expect("label column selected")] {
+                Value::Varchar(s) => Arc::from(s.as_str()),
+                other => Arc::from(other.to_string()),
+            },
         }
     }
 
-    /// The non-null selected properties of `row`.
-    fn properties(&self, row: &Row) -> BTreeMap<String, GValue> {
-        let mut properties = BTreeMap::new();
-        for &(p, i) in &self.props {
-            if !row[i].is_null() {
-                properties.insert(p.to_string(), to_gvalue(&row[i]));
-            }
-        }
-        properties
+    /// The selected properties of `row`; NULL columns are absent.
+    fn properties(&self, row: &mut Cells) -> Properties {
+        let values = self.props.iter().map(|&(i, last)| row.value(i, last)).collect();
+        Properties::shared(self.keys.clone(), values)
     }
 
     /// Materialize the edge of `row`.
-    fn edge(&self, row: &Row) -> GraphResult<Edge> {
-        let (src, dst) = (self.endpoint(row, true)?, self.endpoint(row, false)?);
-        let label = self.label(row);
+    fn edge(&self, mut row: Cells) -> GraphResult<Edge> {
+        let r = row.row();
+        let (src, dst) = (self.endpoint(r, true)?, self.endpoint(r, false)?);
+        let label = self.label(r);
         let id = match &self.id {
-            Some(id) => Self::encode(id, row)?,
+            Some(id) => Self::encode(id, r)?,
             None => implicit_edge_id(&src, &label, &dst),
         };
-        let (properties, provenance) = (self.properties(row), Some(self.table.name.clone()));
+        let properties = self.properties(&mut row);
+        let provenance = Some(self.table.provenance.clone());
         Ok(Edge { id, label, src, dst, properties, provenance })
     }
 
     /// Materialize the vertex or edge of `row`.
-    fn element(&self, row: &Row) -> GraphResult<Element> {
+    fn element(&self, mut row: Cells) -> GraphResult<Element> {
         if self.ends.is_some() {
             return Ok(Element::Edge(self.edge(row)?));
         }
-        let id = Self::encode(self.id.as_ref().expect("vertex ids are explicit"), row)?;
-        let (label, properties) = (self.label(row), self.properties(row));
-        let provenance = Some(self.table.name.clone());
+        let r = row.row();
+        let id = Self::encode(self.id.as_ref().expect("vertex ids are explicit"), r)?;
+        let label = self.label(r);
+        let properties = self.properties(&mut row);
+        let provenance = Some(self.table.provenance.clone());
         Ok(Element::Vertex(Vertex { id, label, properties, provenance }))
     }
 
@@ -1176,9 +1208,10 @@ impl<'a> Shape<'a> {
     /// pushdown, with no element built.
     fn values<'r>(&'r self, row: &'r Row, keys: &'r [String]) -> impl Iterator<Item = GValue> + 'r {
         keys.iter()
-            .filter_map(|k| self.props.iter().find(|(p, _)| p.eq_ignore_ascii_case(k)))
-            .filter(|&&(_, i)| !row[i].is_null())
-            .map(|&(_, i)| to_gvalue(&row[i]))
+            .filter_map(|k| self.keys.iter().position(|p| p.eq_ignore_ascii_case(k)))
+            .map(|j| &row[self.props[j].0])
+            .filter(|v| !v.is_null())
+            .map(to_gvalue)
     }
 
     /// The one decoder for adjacency rows, cached or fresh: a vertex hop
@@ -1187,7 +1220,7 @@ impl<'a> Shape<'a> {
     /// already knows that id (`anchor`, the span's key) and skips it.
     fn hop(
         &self,
-        row: &Row,
+        row: Cells,
         out: bool,
         to: ElementKind,
         anchor: Option<&ElementId>,
@@ -1196,12 +1229,39 @@ impl<'a> Shape<'a> {
             ElementKind::Vertices => Hop::Vertex {
                 anchor: match anchor {
                     Some(id) => id.clone(),
-                    None => self.endpoint(row, out)?,
+                    None => self.endpoint(row.row(), out)?,
                 },
-                target: self.endpoint(row, !out)?,
+                target: self.endpoint(row.row(), !out)?,
             },
             ElementKind::Edges => Hop::Edge(self.edge(row)?),
         })
+    }
+}
+
+/// A row being decoded. An owned row gives its values up to the element;
+/// a shared one (an adjacency-cache span, or rows about to be cached) is
+/// copied from.
+enum Cells<'r> {
+    Owned(&'r mut Row),
+    Shared(&'r Row),
+}
+
+impl Cells<'_> {
+    fn row(&self) -> &Row {
+        match self {
+            Cells::Owned(row) => row,
+            Cells::Shared(row) => row,
+        }
+    }
+
+    /// Column `i` as a property value (`None` for NULL); `last` says no
+    /// later property reads the column, so an owned row's value moves.
+    fn value(&mut self, i: usize, last: bool) -> Option<GValue> {
+        let v = match self {
+            Cells::Owned(row) if last => std::mem::replace(&mut row[i], Value::Null),
+            _ => self.row()[i].clone(),
+        };
+        (!v.is_null()).then(|| into_gvalue(v))
     }
 }
 
@@ -1655,12 +1715,12 @@ impl Db2GraphBackend {
             let shape = Shape::new(&self.topo, ElementKind::Edges, et_idx, None);
             for (anchor, span) in &unit.hits {
                 for row in span.rows() {
-                    let hop = shape.hop(row, via_out, to, Some(anchor))?;
+                    let hop = shape.hop(Cells::Shared(row), via_out, to, Some(anchor))?;
                     found.push(Found { hop, et_idx, via_out });
                 }
             }
             for (k, chunk) in unit.miss_chunks.iter().enumerate() {
-                let rows = match results[unit.probe_start + k].take() {
+                let mut rows = match results[unit.probe_start + k].take() {
                     // A pruned unconstrained probe means the chunk's ids
                     // cannot exist in this table: their adjacency here is
                     // known empty, which is itself cacheable.
@@ -1668,11 +1728,19 @@ impl Db2GraphBackend {
                     Some(TableResult::Rows(rows)) => rows,
                     _ => unreachable!("each adjacency probe yields rows once"),
                 };
+                // Rows the cache is about to hold are copied from; the rest
+                // give their values up to the edges.
+                let populate = unit.populate && cache_ctx.is_some();
                 let start = found.len();
-                for row in &rows {
-                    found.push(Found { hop: shape.hop(row, via_out, to, None)?, et_idx, via_out });
+                for row in &mut rows {
+                    let cells = if populate { Cells::Shared(row) } else { Cells::Owned(row) };
+                    found.push(Found {
+                        hop: shape.hop(cells, via_out, to, None)?,
+                        et_idx,
+                        via_out,
+                    });
                 }
-                if let (true, Some((cache, epoch))) = (unit.populate, cache_ctx) {
+                if let (true, Some((cache, epoch))) = (populate, cache_ctx) {
                     let anchors: Vec<&ElementId> =
                         found[start..].iter().map(Found::anchor).collect();
                     let table = &shape.table.name;

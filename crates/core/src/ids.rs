@@ -232,7 +232,18 @@ pub enum EdgeIdDef {
 
 /// Encode an implicit edge id.
 pub fn implicit_edge_id(src: &ElementId, label: &str, dst: &ElementId) -> ElementId {
-    ElementId::Str(format!("{}::{}::{}", src.as_text(), label, dst.as_text()))
+    fn text_len(id: &ElementId) -> usize {
+        match id {
+            ElementId::Long(v) => {
+                let digits = v.unsigned_abs().checked_ilog10().map_or(1, |d| d as usize + 1);
+                digits + usize::from(*v < 0)
+            }
+            ElementId::Str(s) => s.len(),
+        }
+    }
+    let mut id = String::with_capacity(text_len(src) + label.len() + text_len(dst) + 4);
+    write!(id, "{src}::{label}::{dst}").expect("writing to a String cannot fail");
+    ElementId::Str(id)
 }
 
 /// Decompose an implicit edge id given a known label: splits on the first
@@ -415,6 +426,14 @@ mod tests {
         let dst = ElementId::Long(10);
         let id = implicit_edge_id(&src, "hasDisease", &dst);
         assert_eq!(id, ElementId::Str("patient::1::hasDisease::10".into()));
+        // The text is sized exactly up front: one allocation, no growth.
+        for (a, b) in [(0, 9), (10, -1), (99, 100), (i64::MIN, i64::MAX)] {
+            let ElementId::Str(s) = implicit_edge_id(&a.into(), "l", &b.into()) else {
+                panic!("implicit ids are strings")
+            };
+            assert_eq!(s, format!("{a}::l::{b}"));
+            assert_eq!(s.capacity(), s.len(), "{s}");
+        }
         let (s, d) = split_implicit_edge_id(&id, "hasDisease").unwrap();
         assert_eq!(s, "patient::1");
         assert_eq!(d, "10");

@@ -1021,6 +1021,9 @@ crate::metric_table! {
         adj_cache_invalidations: Counter,
         /// Resident adjacency-cache bytes.
         adj_cache_bytes: Gauge,
+        /// Bytes of torn WAL tail the last `Database::open` cut off during
+        /// crash recovery.
+        recovery_truncated_bytes: Gauge,
     }
     with {
         query_latency: Histogram,

@@ -21,8 +21,9 @@ use crate::ids::{EdgeIdDef, IdDef, IdPart};
 /// How a table defines the `label` required field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LabelDef {
-    /// All rows share this constant label (`fix_label: true`).
-    Fixed(String),
+    /// All rows share this constant label (`fix_label: true`); every
+    /// element of the table holds this one `Arc`.
+    Fixed(Arc<str>),
     /// The label comes from this column.
     Column(String),
 }
@@ -39,6 +40,11 @@ pub struct OverlayTable {
     /// All columns with their types (`None` for view columns, whose types
     /// are not tracked by the catalog).
     pub columns: Vec<(String, Option<DataType>)>,
+    /// `name`, shared as the provenance of every element of the table.
+    pub provenance: Arc<str>,
+    /// `properties` sorted and deduplicated: the key list every element
+    /// read with all its properties shares.
+    pub keys: Arc<[Arc<str>]>,
 }
 
 /// A resolved vertex table mapping.
@@ -63,6 +69,27 @@ pub struct EdgeTable {
 }
 
 impl OverlayTable {
+    fn new(
+        name: &str,
+        is_view: bool,
+        label: LabelDef,
+        properties: Vec<String>,
+        columns: Vec<(String, Option<DataType>)>,
+    ) -> OverlayTable {
+        let mut keys: Vec<Arc<str>> = properties.iter().map(|p| Arc::from(p.as_str())).collect();
+        keys.sort();
+        keys.dedup();
+        OverlayTable {
+            name: name.to_string(),
+            is_view,
+            label,
+            properties,
+            columns,
+            provenance: Arc::from(name),
+            keys: keys.into(),
+        }
+    }
+
     pub fn column_type(&self, name: &str) -> Option<DataType> {
         self.columns
             .iter()
@@ -193,7 +220,7 @@ fn require_columns(
 
 fn resolve_label(spec: &str, fix: bool, table: &str, columns: &[(String, Option<DataType>)]) -> GraphResult<LabelDef> {
     match parse_label_constant(spec) {
-        Some(constant) => Ok(LabelDef::Fixed(constant)),
+        Some(constant) => Ok(LabelDef::Fixed(constant.into())),
         None if fix => Err(GraphError::Config(format!(
             "table '{table}': fix_label set but label '{spec}' is not a constant"
         ))),
@@ -242,7 +269,7 @@ fn resolve_vertex(db: &Arc<Database>, v: &VTableConfig) -> GraphResult<VertexTab
         }
     };
     Ok(VertexTable {
-        table: OverlayTable { name: v.table_name.clone(), is_view, label, properties, columns },
+        table: OverlayTable::new(&v.table_name, is_view, label, properties, columns),
         id,
         prefixed_id: v.prefixed_id,
     })
@@ -336,7 +363,7 @@ fn resolve_edge(
     };
 
     Ok(EdgeTable {
-        table: OverlayTable { name: e.table_name.clone(), is_view, label, properties, columns },
+        table: OverlayTable::new(&e.table_name, is_view, label, properties, columns),
         src_v_table: src_idx,
         src_v,
         dst_v_table: dst_idx,

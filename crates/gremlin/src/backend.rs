@@ -11,10 +11,8 @@
 //! adjacency probes for the native store, KV lookups for the Janus-like
 //! store).
 
-use std::collections::BTreeMap;
-
 use crate::error::GResult;
-use crate::structure::{Edge, Element, ElementId, GValue, Vertex};
+use crate::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 
 /// Which element set a graph-level step addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,12 +192,7 @@ impl ElementFilter {
             && self.matches_parts(&e.id, &e.label, &e.properties)
     }
 
-    fn matches_parts(
-        &self,
-        id: &ElementId,
-        label: &str,
-        properties: &BTreeMap<String, GValue>,
-    ) -> bool {
+    fn matches_parts(&self, id: &ElementId, label: &str, properties: &Properties) -> bool {
         self.ids.as_ref().is_none_or(|ids| ids.contains(id))
             && self.labels.as_ref().is_none_or(|ls| ls.iter().any(|l| l == label))
             && self.predicates.iter().all(|p| {
@@ -214,12 +207,7 @@ pub fn element_property(e: &Element, key: &str) -> Option<GValue> {
     property_of(e.id(), e.label(), e.properties(), key)
 }
 
-fn property_of(
-    id: &ElementId,
-    label: &str,
-    properties: &BTreeMap<String, GValue>,
-    key: &str,
-) -> Option<GValue> {
+fn property_of(id: &ElementId, label: &str, properties: &Properties, key: &str) -> Option<GValue> {
     match key {
         "id" => Some(crate::structure::id_value(id)),
         "label" => Some(GValue::Str(label.to_string())),

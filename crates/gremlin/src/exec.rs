@@ -236,7 +236,7 @@ impl<'a> Executor<'a> {
                 for t in &current {
                     let Some(e) = t.value.as_element() else { continue };
                     if keys.is_empty() {
-                        for v in e.properties().values() {
+                        for (_, v) in e.properties() {
                             if !matches!(v, GValue::Null) {
                                 out.push(t.advance(v.clone(), ctx.track_paths));
                             }
@@ -261,7 +261,7 @@ impl<'a> Executor<'a> {
                     let props = e.properties();
                     if keys.is_empty() {
                         for (k, v) in props {
-                            m.insert(k.clone(), v.clone());
+                            m.insert(k.to_string(), v.clone());
                         }
                     } else {
                         for k in keys {
@@ -278,9 +278,9 @@ impl<'a> Executor<'a> {
                 for t in &current {
                     let Some(e) = t.value.as_element() else { continue };
                     for (k, v) in e.properties() {
-                        if keys.is_empty() || keys.iter().any(|x| x == k) {
+                        if keys.is_empty() || keys.iter().any(|x| **x == **k) {
                             let mut m = BTreeMap::new();
-                            m.insert("key".to_string(), GValue::Str(k.clone()));
+                            m.insert("key".to_string(), GValue::Str(k.to_string()));
                             m.insert("value".to_string(), v.clone());
                             out.push(t.advance(GValue::Map(m), ctx.track_paths));
                         }

@@ -171,7 +171,7 @@ impl GraphBackend for MemGraph {
             let mut push_edges = |edge_ids: Option<&Vec<ElementId>>, outgoing: bool| {
                 for eid in edge_ids.into_iter().flatten() {
                     let Some(edge) = inner.edges.get(eid) else { continue };
-                    if !edge_labels.is_empty() && !edge_labels.contains(&edge.label) {
+                    if !edge_labels.is_empty() && !edge_labels.iter().any(|l| **l == *edge.label) {
                         continue;
                     }
                     match to {

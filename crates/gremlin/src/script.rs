@@ -79,13 +79,14 @@ impl<'a> ScriptRunner<'a> {
                 executor = executor.with_observer(obs);
             }
             let (values, _) = executor.run(&traversal)?;
-            let result_value = match stmt.terminal {
-                Some(Terminal::Next) => values.first().cloned().unwrap_or(GValue::Null),
-                Some(Terminal::Iterate) => GValue::List(Vec::new()),
-                _ => GValue::List(values.clone()),
-            };
+            // Only an assignment keeps a copy of the results.
             if let Some(name) = &stmt.assign {
-                env.insert(name.clone(), result_value);
+                let assigned = match stmt.terminal {
+                    Some(Terminal::Next) => values.first().cloned().unwrap_or(GValue::Null),
+                    Some(Terminal::Iterate) => GValue::List(Vec::new()),
+                    _ => GValue::List(values.clone()),
+                };
+                env.insert(name.clone(), assigned);
             }
             let final_values = match stmt.terminal {
                 Some(Terminal::Next) => values.into_iter().take(1).collect(),
@@ -212,6 +213,53 @@ mod tests {
             .run("mids = g.V(1).out('to').id().fold().next(); g.V(mids).out('to').dedup().id()")
             .unwrap();
         assert_eq!(out, vec![GValue::Long(4)]);
+    }
+
+    #[test]
+    fn assigned_statements_feed_later_ones_under_every_terminal() {
+        let g = diamond();
+        let r = ScriptRunner::new(&g);
+        let ids = |script: &str| r.run(script).unwrap();
+        let longs = |xs: &[i64]| xs.iter().map(|&x| GValue::Long(x)).collect::<Vec<_>>();
+        // No terminal and `.toList()` bind the whole result list.
+        assert_eq!(ids("xs = g.V(1).out('to'); g.V(xs).out('to').id()"), longs(&[4, 4]));
+        assert_eq!(ids("xs = g.V(1).out('to').toList(); g.V(xs).id()"), longs(&[2, 3]));
+        // `.next()` binds the first result, or null when there is none.
+        assert_eq!(ids("x = g.V(1).out('to').next(); g.V(x).out('to').id()"), longs(&[4]));
+        assert!(r.run("x = g.V(4).out('to').next(); g.V(x)").is_err());
+        // `.iterate()` binds the empty list, which reads like no ids.
+        assert_eq!(ids("xs = g.V(1).out('to').iterate(); g.V(xs).id()"), longs(&[1, 2, 3, 4]));
+        // A bound element keeps its properties.
+        assert_eq!(
+            ids("xs = g.V(1).out('to').toList(); g.V(xs).values('w')"),
+            vec![GValue::Double(2.0), GValue::Double(3.0)]
+        );
+    }
+
+    #[test]
+    fn unassigned_statements_return_their_results_unchanged() {
+        let g = diamond();
+        let r = ScriptRunner::new(&g);
+        for (alone, terminal) in [
+            ("g.V(1).out('to')", ""),
+            ("g.V(1).out('to')", ".toList()"),
+            ("g.V(1).out('to')", ".next()"),
+            ("g.V(1).out('to')", ".iterate()"),
+            ("g.V(1).outE('to').values('len')", ""),
+        ] {
+            let statement = format!("{alone}{terminal}");
+            let want = r.run(&statement).unwrap();
+            for script in
+                [format!("xs = g.V(4).toList(); {statement}"), format!("g.V(2); {statement}")]
+            {
+                assert_eq!(r.run(&script).unwrap(), want, "{script}");
+            }
+        }
+        let full = r.run("g.V(1).out('to')").unwrap();
+        assert_eq!(full.len(), 2);
+        assert_eq!(r.run("g.V(1).out('to').next()").unwrap(), full[..1]);
+        assert_eq!(r.run("g.V(1).out('to').toList()").unwrap(), full);
+        assert!(r.run("g.V(1).out('to').iterate()").unwrap().is_empty());
     }
 
     #[test]

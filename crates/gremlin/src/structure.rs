@@ -11,6 +11,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Unique identifier of a vertex or edge.
 ///
@@ -20,16 +21,6 @@ use std::hash::{Hash, Hasher};
 pub enum ElementId {
     Long(i64),
     Str(String),
-}
-
-impl ElementId {
-    /// Render in the canonical textual form used by prefixed ids.
-    pub fn as_text(&self) -> String {
-        match self {
-            ElementId::Long(v) => v.to_string(),
-            ElementId::Str(s) => s.clone(),
-        }
-    }
 }
 
 impl fmt::Display for ElementId {
@@ -59,28 +50,148 @@ impl From<String> for ElementId {
     }
 }
 
+/// An element's properties: a key list shared by every element of one
+/// shape (an overlay table, say), sorted by key, plus this element's value
+/// for each key (`None`: absent, e.g. a NULL column). Cloning an element
+/// copies the values, never the keys. Inserting a key the shared list
+/// lacks gives this element a list of its own (copy on write).
+///
+/// Iteration is in ascending key order, like the `BTreeMap` it replaces,
+/// and equality compares contents, not pointers.
+#[derive(Clone, Default)]
+pub struct Properties {
+    keys: Arc<[Arc<str>]>,
+    values: Vec<Option<GValue>>,
+}
+
+impl Properties {
+    /// Properties over a shared, sorted, duplicate-free key list, with one
+    /// value slot per key.
+    pub fn shared(keys: Arc<[Arc<str>]>, values: Vec<Option<GValue>>) -> Properties {
+        debug_assert_eq!(keys.len(), values.len(), "one value slot per key");
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys sorted and unique");
+        Properties { keys, values }
+    }
+
+    fn slot(&self, key: &str) -> Result<usize, usize> {
+        self.keys.binary_search_by(|k| (**k).cmp(key))
+    }
+
+    pub fn get(&self, key: &str) -> Option<&GValue> {
+        self.values[self.slot(key).ok()?].as_ref()
+    }
+
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.get(key).is_some()
+    }
+
+    pub fn len(&self) -> usize {
+        self.values.iter().filter(|v| v.is_some()).count()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.iter().all(Option::is_none)
+    }
+
+    /// The present properties, in ascending key order.
+    pub fn iter(&self) -> PropertiesIter<'_> {
+        PropertiesIter { keys: self.keys.iter(), values: self.values.iter() }
+    }
+
+    /// Set `key`, returning its previous value.
+    pub fn insert(&mut self, key: Arc<str>, value: GValue) -> Option<GValue> {
+        match self.slot(&key) {
+            Ok(i) => self.values[i].replace(value),
+            Err(i) => {
+                let mut keys = self.keys.to_vec();
+                keys.insert(i, key);
+                self.keys = keys.into();
+                self.values.insert(i, Some(value));
+                None
+            }
+        }
+    }
+
+    /// Unset `key`, returning its value. The shared key list is kept.
+    pub fn remove(&mut self, key: &str) -> Option<GValue> {
+        let i = self.slot(key).ok()?;
+        self.values[i].take()
+    }
+}
+
+impl PartialEq for Properties {
+    fn eq(&self, other: &Properties) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Properties {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Into<Arc<str>>> FromIterator<(K, GValue)> for Properties {
+    /// Later duplicates win, as with repeated `insert`.
+    fn from_iter<I: IntoIterator<Item = (K, GValue)>>(iter: I) -> Properties {
+        let sorted: BTreeMap<Arc<str>, GValue> =
+            iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        let (keys, values): (Vec<_>, Vec<_>) =
+            sorted.into_iter().map(|(k, v)| (k, Some(v))).unzip();
+        Properties { keys: keys.into(), values }
+    }
+}
+
+/// Iterator over present properties, in ascending key order.
+pub struct PropertiesIter<'a> {
+    keys: std::slice::Iter<'a, Arc<str>>,
+    values: std::slice::Iter<'a, Option<GValue>>,
+}
+
+impl<'a> Iterator for PropertiesIter<'a> {
+    type Item = (&'a Arc<str>, &'a GValue);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let key = self.keys.next()?;
+            if let Some(value) = self.values.next()? {
+                return Some((key, value));
+            }
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Properties {
+    type Item = (&'a Arc<str>, &'a GValue);
+    type IntoIter = PropertiesIter<'a>;
+
+    fn into_iter(self) -> PropertiesIter<'a> {
+        self.iter()
+    }
+}
+
 /// A vertex of the property graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vertex {
     pub id: ElementId,
-    pub label: String,
-    pub properties: BTreeMap<String, GValue>,
+    pub label: Arc<str>,
+    pub properties: Properties,
     /// Relational table this vertex was materialized from, if any.
-    pub provenance: Option<String>,
+    pub provenance: Option<Arc<str>>,
 }
 
 impl Vertex {
-    pub fn new(id: impl Into<ElementId>, label: impl Into<String>) -> Vertex {
+    pub fn new(id: impl Into<ElementId>, label: impl Into<Arc<str>>) -> Vertex {
         Vertex {
             id: id.into(),
             label: label.into(),
-            properties: BTreeMap::new(),
+            properties: Properties::default(),
             provenance: None,
         }
     }
 
     pub fn with_property(mut self, key: &str, value: impl Into<GValue>) -> Vertex {
-        self.properties.insert(key.to_string(), value.into());
+        self.properties.insert(key.into(), value.into());
         self
     }
 }
@@ -89,18 +200,18 @@ impl Vertex {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Edge {
     pub id: ElementId,
-    pub label: String,
+    pub label: Arc<str>,
     pub src: ElementId,
     pub dst: ElementId,
-    pub properties: BTreeMap<String, GValue>,
+    pub properties: Properties,
     /// Relational table this edge was materialized from, if any.
-    pub provenance: Option<String>,
+    pub provenance: Option<Arc<str>>,
 }
 
 impl Edge {
     pub fn new(
         id: impl Into<ElementId>,
-        label: impl Into<String>,
+        label: impl Into<Arc<str>>,
         src: impl Into<ElementId>,
         dst: impl Into<ElementId>,
     ) -> Edge {
@@ -109,13 +220,13 @@ impl Edge {
             label: label.into(),
             src: src.into(),
             dst: dst.into(),
-            properties: BTreeMap::new(),
+            properties: Properties::default(),
             provenance: None,
         }
     }
 
     pub fn with_property(mut self, key: &str, value: impl Into<GValue>) -> Edge {
-        self.properties.insert(key.to_string(), value.into());
+        self.properties.insert(key.into(), value.into());
         self
     }
 }
@@ -142,7 +253,7 @@ impl Element {
         }
     }
 
-    pub fn properties(&self) -> &BTreeMap<String, GValue> {
+    pub fn properties(&self) -> &Properties {
         match self {
             Element::Vertex(v) => &v.properties,
             Element::Edge(e) => &e.properties,
@@ -420,6 +531,66 @@ impl From<bool> for GValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const KEYS: [&str; 6] = ["a", "b", "c", "data", "time", "version"];
+
+    proptest! {
+        /// `Properties` behaves like the `BTreeMap<String, GValue>` it
+        /// replaced, whether it starts empty or over a shared key list
+        /// (each key: 0 not listed, 1 listed but absent, 2 present), and
+        /// whatever mix of insert, get, remove, len and iterate follows.
+        #[test]
+        fn properties_match_a_btreemap_model(
+            start in prop::collection::vec(0u8..3, 6..7),
+            ops in prop::collection::vec((0u8..4, 0usize..6, any::<i64>()), 0..40),
+        ) {
+            let mut model: BTreeMap<String, GValue> = BTreeMap::new();
+            let mut listed: Vec<Arc<str>> = Vec::new();
+            let mut values = Vec::new();
+            for (k, &state) in KEYS.iter().zip(&start) {
+                if state > 0 {
+                    listed.push(Arc::from(*k));
+                    values.push((state == 2).then_some(GValue::Long(k.len() as i64)));
+                }
+                if state == 2 {
+                    model.insert(k.to_string(), GValue::Long(k.len() as i64));
+                }
+            }
+            let mut props = Properties::shared(listed.into(), values);
+            let (before, model_before) = (props.clone(), model.clone());
+            for (op, k, v) in ops {
+                let key = KEYS[k];
+                match op {
+                    0 => prop_assert_eq!(
+                        props.insert(key.into(), GValue::Long(v)),
+                        model.insert(key.to_string(), GValue::Long(v))
+                    ),
+                    1 => prop_assert_eq!(props.remove(key), model.remove(key)),
+                    2 => {
+                        prop_assert_eq!(props.get(key), model.get(key));
+                        prop_assert_eq!(props.contains_key(key), model.contains_key(key));
+                    }
+                    _ => {
+                        prop_assert_eq!(props.len(), model.len());
+                        prop_assert_eq!(props.is_empty(), model.is_empty());
+                    }
+                }
+                let seen: Vec<(&str, &GValue)> = props.iter().map(|(k, v)| (&**k, v)).collect();
+                let want: Vec<(&str, &GValue)> = model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                prop_assert_eq!(seen, want);
+            }
+            // Equality is by contents, whatever the key lists: a copy built
+            // from the model's entries is equal, and the start state (a
+            // clone, untouched by the writes) equals the end iff the model
+            // came back to where it began.
+            let rebuilt: Properties = model.clone().into_iter().collect();
+            prop_assert_eq!(&props, &rebuilt);
+            let kept: Properties = model_before.clone().into_iter().collect();
+            prop_assert_eq!(&before, &kept);
+            prop_assert_eq!(props == before, model == model_before);
+        }
+    }
 
     #[test]
     fn element_accessors() {

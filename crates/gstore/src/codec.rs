@@ -8,7 +8,7 @@
 //! self-describing (key names and type tags inline), which is also why the
 //! stores' disk usage blows up 6–7× over the relational tables (Table 3).
 
-use gremlin::structure::{Edge, ElementId, GValue, Vertex};
+use gremlin::structure::{Edge, ElementId, GValue, Properties, Vertex};
 
 /// Encoding error (corrupt or truncated buffer).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,10 +168,7 @@ pub fn read_gvalue(c: &mut Cursor<'_>) -> CodecResult<GValue> {
     })
 }
 
-pub fn put_properties(
-    buf: &mut Vec<u8>,
-    props: &std::collections::BTreeMap<String, GValue>,
-) -> CodecResult<()> {
+pub fn put_properties(buf: &mut Vec<u8>, props: &Properties) -> CodecResult<()> {
     put_u32(buf, props.len() as u32);
     for (k, v) in props {
         put_str(buf, k);
@@ -180,17 +177,9 @@ pub fn put_properties(
     Ok(())
 }
 
-pub fn read_properties(
-    c: &mut Cursor<'_>,
-) -> CodecResult<std::collections::BTreeMap<String, GValue>> {
+pub fn read_properties(c: &mut Cursor<'_>) -> CodecResult<Properties> {
     let n = c.read_u32()? as usize;
-    let mut out = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let k = c.read_str()?;
-        let v = read_gvalue(c)?;
-        out.insert(k, v);
-    }
-    Ok(out)
+    (0..n).map(|_| Ok((c.read_str()?, read_gvalue(c)?))).collect()
 }
 
 // ----------------------------------------------------------------- edges

@@ -42,7 +42,7 @@ fn csv_value(v: &GValue) -> String {
 
 /// Render a vertex as a CSV line (id,label,props...).
 fn vertex_csv(v: &Vertex) -> String {
-    let mut cells = vec![v.id.to_string(), v.label.clone()];
+    let mut cells = vec![v.id.to_string(), v.label.to_string()];
     for (k, val) in &v.properties {
         cells.push(format!("{k}={}", csv_value(val)));
     }
@@ -52,7 +52,7 @@ fn vertex_csv(v: &Vertex) -> String {
 fn edge_csv(e: &Edge) -> String {
     let mut cells = vec![
         e.id.to_string(),
-        e.label.clone(),
+        e.label.to_string(),
         e.src.to_string(),
         e.dst.to_string(),
     ];

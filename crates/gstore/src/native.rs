@@ -189,7 +189,7 @@ impl NativeLoader {
         for (ei, e) in self.edges.iter().enumerate() {
             let li = intern(&e.label, &mut edge_labels);
             e_index.insert(e.id.clone(), ei);
-            e_label_index.entry(e.label.clone()).or_default().push(ei);
+            e_label_index.entry(e.label.to_string()).or_default().push(ei);
             if let Some(&s) = v_index.get(&e.src) {
                 out_adj[s].push(AdjEntry { label: li, other: e.dst.clone(), edge_slot: ei as u64 });
             }
@@ -205,7 +205,7 @@ impl NativeLoader {
         let mut vertex_slots = Vec::with_capacity(self.vertices.len());
         let mut v_label_index: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, v) in self.vertices.into_iter().enumerate() {
-            v_label_index.entry(v.label.clone()).or_default().push(i);
+            v_label_index.entry(v.label.to_string()).or_default().push(i);
             let rec = VertexRec {
                 vertex: v,
                 out: std::mem::take(&mut out_adj[i]),

@@ -14,11 +14,12 @@
 //! therefore search all ten tables — exactly the behaviour Section 6.3's
 //! optimizations exist to avoid.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use db2graph_core::{ETableConfig, OverlayConfig, VTableConfig};
-use gremlin::structure::{Edge, Vertex};
+use gremlin::structure::{Edge, Properties, Vertex};
 use reldb::{Database, DbResult, Value};
 
 use crate::gen::GraphData;
@@ -137,31 +138,40 @@ pub fn overlay_config() -> OverlayConfig {
 
 /// Build the equivalent graph directly as vertices/edges (for loading the
 /// baseline stores without going through export, used by unit tests).
-pub fn to_elements(data: &GraphData) -> (Vec<Vertex>, Vec<Edge>) {
+/// Like the overlay's, the elements of one type share their label, and all
+/// vertices (edges) share one sorted key list.
+pub fn to_elements<'d>(data: &'d GraphData) -> (Vec<Vertex>, Vec<Edge>) {
+    let mut labels: HashMap<&str, Arc<str>> = HashMap::new();
+    let mut label = |l: &'d str| labels.entry(l).or_insert_with(|| Arc::from(l)).clone();
+    let keys =
+        |names: &[&str]| -> Arc<[Arc<str>]> { names.iter().map(|&k| Arc::from(k)).collect() };
+    let vertex_keys = keys(&["data", "time", "version"]);
+    let edge_keys = keys(&["data", "time", "version", "visibility"]);
     let vertices: Vec<Vertex> = data
         .nodes
         .iter()
-        .map(|n| {
-            Vertex::new(n.id, n.label.as_str())
-                .with_property("version", n.version)
-                .with_property("time", n.time)
-                .with_property("data", n.data.as_str())
+        .map(|n| Vertex {
+            properties: Properties::shared(
+                vertex_keys.clone(),
+                vec![Some(n.data.as_str().into()), Some(n.time.into()), Some(n.version.into())],
+            ),
+            ..Vertex::new(n.id, label(&n.label))
         })
         .collect();
     let edges: Vec<Edge> = data
         .links
         .iter()
-        .map(|l| {
-            Edge::new(
-                format!("{}::{}::{}", l.id1, l.label, l.id2),
-                l.label.as_str(),
-                l.id1,
-                l.id2,
-            )
-            .with_property("visibility", l.visibility)
-            .with_property("time", l.time)
-            .with_property("version", l.version)
-            .with_property("data", l.data.as_str())
+        .map(|l| Edge {
+            properties: Properties::shared(
+                edge_keys.clone(),
+                vec![
+                    Some(l.data.as_str().into()),
+                    Some(l.time.into()),
+                    Some(l.version.into()),
+                    Some(l.visibility.into()),
+                ],
+            ),
+            ..Edge::new(format!("{}::{}::{}", l.id1, l.label, l.id2), label(&l.label), l.id1, l.id2)
         })
         .collect();
     (vertices, edges)
@@ -236,5 +246,18 @@ mod tests {
         assert_eq!(es.len(), data.links.len());
         assert_eq!(vs[5].properties.len(), 3);
         assert_eq!(es[0].properties.len(), 4);
+        // The shared-shape elements equal ones built a property at a time.
+        let (n, l) = (&data.nodes[5], &data.links[0]);
+        let vertex = Vertex::new(n.id, n.label.as_str())
+            .with_property("version", n.version)
+            .with_property("time", n.time)
+            .with_property("data", n.data.as_str());
+        assert_eq!((&vs[5].label, &vs[5].properties), (&vertex.label, &vertex.properties));
+        let edge = Edge::new(es[0].id.clone(), l.label.as_str(), l.id1, l.id2)
+            .with_property("visibility", l.visibility)
+            .with_property("time", l.time)
+            .with_property("version", l.version)
+            .with_property("data", l.data.as_str());
+        assert_eq!(es[0], edge);
     }
 }

@@ -1,7 +1,7 @@
 //! Wire serialization of Gremlin results using the repo's own JSON type.
 
 use db2graph_core::json::Json;
-use gremlin::structure::{Edge, ElementId, GValue, Vertex};
+use gremlin::structure::{Edge, ElementId, GValue, Properties, Vertex};
 
 fn id_json(id: &ElementId) -> Json {
     match id {
@@ -14,15 +14,16 @@ fn id_json(id: &ElementId) -> Json {
     }
 }
 
+fn properties_json(properties: &Properties) -> Json {
+    Json::Obj(properties.iter().map(|(k, gv)| (k.to_string(), gvalue_to_json(gv))).collect())
+}
+
 fn vertex_json(v: &Vertex) -> Json {
     Json::obj(vec![
         ("type", Json::str("vertex")),
         ("id", id_json(&v.id)),
-        ("label", Json::str(&v.label)),
-        (
-            "properties",
-            Json::Obj(v.properties.iter().map(|(k, gv)| (k.clone(), gvalue_to_json(gv))).collect()),
-        ),
+        ("label", Json::str(&*v.label)),
+        ("properties", properties_json(&v.properties)),
     ])
 }
 
@@ -30,13 +31,10 @@ fn edge_json(e: &Edge) -> Json {
     Json::obj(vec![
         ("type", Json::str("edge")),
         ("id", id_json(&e.id)),
-        ("label", Json::str(&e.label)),
+        ("label", Json::str(&*e.label)),
         ("src", id_json(&e.src)),
         ("dst", id_json(&e.dst)),
-        (
-            "properties",
-            Json::Obj(e.properties.iter().map(|(k, gv)| (k.clone(), gvalue_to_json(gv))).collect()),
-        ),
+        ("properties", properties_json(&e.properties)),
     ])
 }
 
@@ -66,6 +64,10 @@ pub fn gvalue_to_json(v: &GValue) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use db2graph_core::Db2Graph;
+    use gremlin::structure::Edge;
+    use reldb::Database;
+    use std::sync::Arc;
 
     #[test]
     fn scalars_and_structures_round_trip_shape() {
@@ -95,5 +97,57 @@ mod tests {
             j.get("properties").and_then(|p| p.get("name")).and_then(Json::as_str),
             Some("Alice")
         );
+    }
+
+    /// Elements the overlay builds (shared label, provenance and key list,
+    /// values moved out of the rows) encode to the same bytes as the same
+    /// elements built one property at a time.
+    #[test]
+    fn overlay_elements_encode_like_hand_built_ones() {
+        let db = Arc::new(Database::new());
+        for sql in [
+            "CREATE TABLE person (id BIGINT PRIMARY KEY, name VARCHAR, age BIGINT)",
+            "CREATE TABLE knows (src BIGINT, dst BIGINT, since BIGINT, note VARCHAR)",
+            "INSERT INTO person VALUES (1, 'Ann', 41), (2, 'Bo', NULL)",
+            "INSERT INTO knows VALUES (1, 2, 2019, 'met \"at\" work'), (2, 1, 2020, NULL)",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        let overlay = r#"{
+            "v_tables": [{"table_name": "person", "id": "id", "fix_label": true,
+                "label": "'person'", "properties": ["name", "id", "age"]}],
+            "e_tables": [{"table_name": "knows", "src_v_table": "person", "src_v": "src",
+                "dst_v_table": "person", "dst_v": "dst", "implicit_edge_id": true,
+                "fix_label": true, "label": "'knows'"}]
+        }"#;
+        let graph = Db2Graph::open_json(db, overlay).unwrap();
+        let wire =
+            |values: &[GValue]| Json::arr(values.iter().map(gvalue_to_json).collect()).to_compact();
+        let vertices = [
+            Vertex::new(1, "person")
+                .with_property("name", "Ann")
+                .with_property("id", 1i64)
+                .with_property("age", 41i64),
+            Vertex::new(2, "person").with_property("id", 2i64).with_property("name", "Bo"),
+        ];
+        let edges = [
+            Edge::new("1::knows::2", "knows", 1, 2)
+                .with_property("since", 2019i64)
+                .with_property("note", "met \"at\" work"),
+            Edge::new("2::knows::1", "knows", 2, 1).with_property("since", 2020i64),
+        ];
+        let cases = [
+            ("g.V().order().by('id')", vertices.map(GValue::Vertex).to_vec()),
+            ("g.E().order().by('since')", edges.clone().map(GValue::Edge).to_vec()),
+            ("g.V(1).outE('knows')", vec![GValue::Edge(edges[0].clone())]),
+            // An adjacency hop: rows read for the cache, then served by it.
+            ("g.V(2).out('knows').outE('knows')", vec![GValue::Edge(edges[0].clone())]),
+            ("g.V(2).out('knows').outE('knows')", vec![GValue::Edge(edges[0].clone())]),
+        ];
+        for (query, hand_built) in cases {
+            let overlay_built = graph.run(query).unwrap();
+            assert_eq!(overlay_built, hand_built, "{query}");
+            assert_eq!(wire(&overlay_built), wire(&hand_built), "{query}");
+        }
     }
 }

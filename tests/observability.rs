@@ -210,6 +210,7 @@ const GRAPH_KEYS: &[&str] = &[
     "adj_cache_evictions",
     "adj_cache_invalidations",
     "adj_cache_bytes",
+    "recovery_truncated_bytes",
 ];
 
 const SERVER_KEYS: &[&str] = &[

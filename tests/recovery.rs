@@ -16,12 +16,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use db2graph::core::Db2Graph;
 use db2graph::reldb::{CrashPoint, Database, Durability, Value};
 use proptest::{proptest, ProptestConfig, TestRng};
 
 const ACCOUNTS: u64 = 16;
 const INIT: i64 = 100;
 const TOTAL: i64 = ACCOUNTS as i64 * INIT;
+/// A one-table overlay on the accounts, enough to open a graph.
+const ACCOUNT_OVERLAY: &str = r#"{"v_tables": [{"table_name": "Account", "id": "aid",
+    "fix_label": true, "label": "'account'"}], "e_tables": []}"#;
 
 static DIRS: AtomicUsize = AtomicUsize::new(0);
 
@@ -171,10 +175,14 @@ fn crash_point_matrix_conserves_balances() {
                 assert!(crashed, "{label}: the crash point never fired");
             }
             if crashed && point == CrashPoint::WalTorn {
-                // The torn half-frame is on disk; recovery must cut it.
-                let db2 = Database::open(&dir).unwrap();
-                assert!(db2.metrics().recovery_truncated_bytes() > 0, "{label}: no tail truncated");
-                drop(db2);
+                // The torn half-frame is on disk; recovery must cut it, and
+                // the graph's metrics report the cut.
+                let db2 = Arc::new(Database::open(&dir).unwrap());
+                let cut = db2.metrics().recovery_truncated_bytes();
+                assert!(cut > 0, "{label}: no tail truncated");
+                let graph = Db2Graph::open_json(db2, ACCOUNT_OVERLAY).unwrap();
+                assert_eq!(graph.metrics().recovery_truncated_bytes, cut, "{label}");
+                drop(graph);
             }
             drop(db);
             check_recovered(&label, &dir, published, checkpointed);
