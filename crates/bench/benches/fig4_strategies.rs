@@ -25,7 +25,12 @@ fn main() {
     .expect("open unoptimized");
 
     println!("\n=== Figure 4: Db2 Graph with vs without optimized traversal strategies ===");
-    println!("(dataset: {} vertices, {} edges; {} iters/point)\n", data.nodes.len(), data.links.len(), scale.iters);
+    println!(
+        "(dataset: {} vertices, {} edges; {} iters/point)\n",
+        data.nodes.len(),
+        data.links.len(),
+        scale.iters
+    );
 
     let mut rows = Vec::new();
     for kind in QueryKind::ALL {

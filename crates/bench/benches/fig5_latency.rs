@@ -68,6 +68,8 @@ fn main() {
         println!();
     }
     println!("Paper reference: on 10M GDB-X leads (Db2 Graph within 1.5x, better on getNode);");
-    println!("on 100M Db2 Graph beats GDB-X up to 1.7x; JanusGraph up to 2.7x slower than Db2 Graph.\n");
+    println!(
+        "on 100M Db2 Graph beats GDB-X up to 1.7x; JanusGraph up to 2.7x slower than Db2 Graph.\n"
+    );
     report.write();
 }

@@ -15,7 +15,10 @@ fn main() {
     let mut report = BenchReport::new("fig6_throughput");
     report.meta("clients", Json::u64(scale.threads as u64));
     report.meta("cores", Json::u64(cores as u64));
-    println!("\n=== Figure 6: Throughput of LinkBench queries ({} clients, {} cores) ===\n", scale.threads, cores);
+    println!(
+        "\n=== Figure 6: Throughput of LinkBench queries ({} clients, {} cores) ===\n",
+        scale.threads, cores
+    );
     if cores < 4 {
         println!("CAVEAT: only {cores} core(s) available. The paper's Figure 6 measures how");
         println!("systems scale with 50 concurrent clients on 32 cores; with so few cores,");

@@ -8,10 +8,9 @@ fn main() {
     let scale = Scale::from_env();
     println!("\n=== Table 2: LinkBench datasets (scaled; paper used 10M/100M vertices) ===\n");
     let mut rows = Vec::new();
-    for (name, n, seed) in [
-        ("LB-small", scale.small_vertices, 42),
-        ("LB-large", scale.large_vertices, 43),
-    ] {
+    for (name, n, seed) in
+        [("LB-small", scale.small_vertices, 42), ("LB-large", scale.large_vertices, 43)]
+    {
         let cfg = LinkBenchConfig { seed, ..LinkBenchConfig::small().with_vertices(n) };
         let data = generate(&cfg);
         let s = data.stats();
@@ -29,5 +28,7 @@ fn main() {
         &rows,
     );
     println!("\nPaper reference: 10M/43M avg 4.3 max 961,970 CSV 4.3G; 100M/419M avg 4.2 max 962,000 CSV 42G.");
-    println!("Expected shape: avg degree ~4.2-4.3, max degree orders of magnitude above the average.\n");
+    println!(
+        "Expected shape: avg degree ~4.2-4.3, max degree orders of magnitude above the average.\n"
+    );
 }

@@ -22,7 +22,9 @@ use db2graph_core::{Db2Graph, GraphOptions, StrategyConfig};
 use gremlin::strategy::{IdentityRemoval, StrategyRegistry};
 use gremlin::{GraphBackend, ScriptRunner};
 use gstore::{export_graph, load_janus, load_native, open_native, JanusLikeDb, NativeGraphDb};
-use linkbench::{generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream};
+use linkbench::{
+    generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,
+};
 use reldb::Database;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -127,12 +129,8 @@ pub fn build_env(dataset: Dataset, scale: Scale) -> BenchEnv {
     let open_start = Instant::now();
     let graph = Db2Graph::open(db.clone(), &overlay_config()).expect("open overlay");
     let db2_open = open_start.elapsed();
-    let db2_bytes: usize = db
-        .table_names()
-        .iter()
-        .filter_map(|t| db.get_table(t))
-        .map(|t| t.approx_bytes())
-        .sum();
+    let db2_bytes: usize =
+        db.table_names().iter().filter_map(|t| db.get_table(t)).map(|t| t.approx_bytes()).sum();
 
     // Baselines: export from the RDBMS, then load, then open.
     let backend = backend_of(&graph);
@@ -223,10 +221,8 @@ fn backend_of(graph: &Arc<Db2Graph>) -> &dyn GraphBackend {
                 gremlin::ElementKind::Edges => "g.E()",
             };
             let _ = filter;
-            let values = self
-                .0
-                .run(q)
-                .map_err(|e| gremlin::GremlinError::Backend(e.to_string()))?;
+            let values =
+                self.0.run(q).map_err(|e| gremlin::GremlinError::Backend(e.to_string()))?;
             let elements: Vec<gremlin::Element> =
                 values.iter().filter_map(|v| v.as_element()).collect();
             Ok(gremlin::BackendOutput::Elements(elements))
@@ -294,11 +290,7 @@ impl BenchEnv {
     /// pipeline-health report.
     pub fn print_metrics_snapshot(&self) {
         let m = self.graph.metrics();
-        println!(
-            "db2graph metrics [{}]: {}",
-            self.dataset.name(),
-            m.to_json().to_compact()
-        );
+        println!("db2graph metrics [{}]: {}", self.dataset.name(), m.to_json().to_compact());
         // Latency percentiles (log2-bucket upper bounds) alongside the raw
         // counters: end-to-end query wall time plus per-statement SQL time.
         println!(

@@ -44,10 +44,8 @@ impl BenchReport {
     /// failure (read-only CI mount, missing dir) warns instead of
     /// panicking away the run's stdout value.
     pub fn write(self) {
-        let unix_millis = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
+        let unix_millis =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
         let json = Json::Obj(vec![
             ("bench".into(), Json::str(self.name.clone())),
             ("unix_millis".into(), Json::u64(unix_millis)),

@@ -232,7 +232,11 @@ impl AdjCache {
     /// its change hook. The hook holds only a weak reference: dropping
     /// the graph (and its cache) degenerates the hook to a no-op rather
     /// than leaking the cache through the database.
-    pub fn new(db: Arc<Database>, budget_mb: usize, registry: Arc<MetricsRegistry>) -> Arc<AdjCache> {
+    pub fn new(
+        db: Arc<Database>,
+        budget_mb: usize,
+        registry: Arc<MetricsRegistry>,
+    ) -> Arc<AdjCache> {
         Self::with_budget_bytes(db, budget_mb.saturating_mul(1024 * 1024), registry)
     }
 
@@ -475,8 +479,7 @@ mod tests {
     }
 
     fn commit_touching(db: &Database, table: &str) {
-        db.execute(&format!("INSERT INTO {table} VALUES ({})", db.commit_epoch() + 1000))
-            .unwrap();
+        db.execute(&format!("INSERT INTO {table} VALUES ({})", db.commit_epoch() + 1000)).unwrap();
     }
 
     fn test_db() -> Arc<Database> {

@@ -167,11 +167,7 @@ pub fn generate_overlay(tables: &[TableSchema]) -> GraphResult<OverlayConfig> {
 /// Only link `src_v_table`/`dst_v_table` when the referenced table is a
 /// configured vertex table (it always is when it has a primary key).
 fn resolve_vertex_table(roles: &TableRoles, name: &str) -> Option<String> {
-    roles
-        .vertex_tables
-        .iter()
-        .find(|v| v.eq_ignore_ascii_case(name))
-        .cloned()
+    roles.vertex_tables.iter().find(|v| v.eq_ignore_ascii_case(name)).cloned()
 }
 
 /// Generate the overlay for a database, optionally restricted to a subset
@@ -184,8 +180,7 @@ pub fn auto_overlay(db: &Database, include: Option<&[&str]>) -> GraphResult<Over
         // generated overlay is self-contained.
         let names: Vec<String> = schemas.iter().map(|s| s.name.clone()).collect();
         for s in &mut schemas {
-            s.foreign_keys
-                .retain(|fk| names.iter().any(|n| n.eq_ignore_ascii_case(&fk.ref_table)));
+            s.foreign_keys.retain(|fk| names.iter().any(|n| n.eq_ignore_ascii_case(&fk.ref_table)));
         }
     }
     generate_overlay(&schemas)

@@ -85,9 +85,9 @@ fn get_opt_string(obj: &Json, ctx: &str, key: &str) -> GraphResult<Option<String
 fn get_bool(obj: &Json, ctx: &str, key: &str) -> GraphResult<bool> {
     match obj.get(key) {
         None => Ok(false),
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| err(format!("{ctx}: field '{key}' must be a boolean"))),
+        Some(v) => {
+            v.as_bool().ok_or_else(|| err(format!("{ctx}: field '{key}' must be a boolean")))
+        }
     }
 }
 
@@ -273,10 +273,7 @@ impl OverlayConfig {
 /// Parse a label definition: `Some(constant)` when quoted, else `None`
 /// (meaning: it's a column name).
 pub fn parse_label_constant(label: &str) -> Option<String> {
-    label
-        .strip_prefix('\'')
-        .and_then(|s| s.strip_suffix('\''))
-        .map(str::to_string)
+    label.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')).map(str::to_string)
 }
 
 /// The paper's Section 5 example configuration (healthcare overlay), used

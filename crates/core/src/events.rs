@@ -159,10 +159,8 @@ impl EventLog {
     pub fn emit(&self, kind: &str, fields: Vec<(&str, Json)>) -> u64 {
         let fields: Vec<(String, Json)> =
             fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let unix_millis = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
+        let unix_millis =
+            SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
         let event = {
             let mut ring = self.ring.lock().unwrap();
             let event = Event { seq: ring.next_seq, unix_millis, kind: kind.to_string(), fields };
@@ -209,10 +207,7 @@ impl EventLog {
     /// Render `since(seq)` as the `/events` response body.
     pub fn since_json(&self, since: u64) -> Json {
         let events: Vec<Json> = self.since(since).iter().map(Event::to_json).collect();
-        Json::obj(vec![
-            ("last_seq", Json::u64(self.last_seq())),
-            ("events", Json::Arr(events)),
-        ])
+        Json::obj(vec![("last_seq", Json::u64(self.last_seq())), ("events", Json::Arr(events))])
     }
 }
 
@@ -346,9 +341,9 @@ mod tests {
             .iter()
             .find(|e| {
                 e.kind == "config_warning"
-                    && e.fields.iter().any(|(k, v)| {
-                        k == "knob" && v.to_compact().contains("DB2GRAPH_TEST_KNOB")
-                    })
+                    && e.fields
+                        .iter()
+                        .any(|(k, v)| k == "knob" && v.to_compact().contains("DB2GRAPH_TEST_KNOB"))
             })
             .expect("config_warning event present");
         assert!(w.to_json().to_compact().contains("eight"));

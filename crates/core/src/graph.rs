@@ -193,9 +193,8 @@ impl Db2Graph {
         let backend = Db2GraphBackend::new(db.clone(), topo, threads);
         // 0 MiB disables the adjacency cache.
         let adj_cache_mb = options.adj_cache_mb.unwrap_or(DEFAULT_ADJ_CACHE_MB);
-        let adj_cache = (adj_cache_mb > 0).then(|| {
-            AdjCache::new(db.clone(), adj_cache_mb, backend.registry().clone())
-        });
+        let adj_cache = (adj_cache_mb > 0)
+            .then(|| AdjCache::new(db.clone(), adj_cache_mb, backend.registry().clone()));
         let backend = Arc::new(backend.with_adj_cache(adj_cache.clone()));
         let mut registry = StrategyRegistry::new();
         registry.add(Arc::new(IdentityRemoval));
@@ -203,9 +202,7 @@ impl Db2Graph {
             registry.add(s);
         }
         let sink = options.trace.unwrap_or(options.trace_path.is_some()).then(|| {
-            Arc::new(TraceSink::new(
-                options.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY),
-            ))
+            Arc::new(TraceSink::new(options.trace_capacity.unwrap_or(DEFAULT_TRACE_CAPACITY)))
         });
         let slow_log = options.slow_query_nanos.map(|threshold| {
             Arc::new(SlowQueryLog::new(
@@ -348,8 +345,7 @@ impl Db2Graph {
             gremlin: gremlin.to_string(),
             request_id: req.request_id.map(str::to_string),
         });
-        let backend =
-            self.backend.bind(Some(self.db.snapshot()), req.deadline, profiler.clone());
+        let backend = self.backend.bind(Some(self.db.snapshot()), req.deadline, profiler.clone());
         let mut runner = ScriptRunner::new(&backend).with_strategies(self.registry.clone());
         if observed {
             runner = runner.with_observer(Arc::new(profiler.clone()));
@@ -483,12 +479,9 @@ impl Db2Graph {
         }
         let names: Vec<String> = columns.iter().map(|(n, _)| n.clone()).collect();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        let all_maps = !results.is_empty()
-            && results.iter().all(|v| matches!(v, GValue::Map(_)));
+        let all_maps = !results.is_empty() && results.iter().all(|v| matches!(v, GValue::Map(_)));
         let all_elements = !results.is_empty()
-            && results
-                .iter()
-                .all(|v| matches!(v, GValue::Vertex(_) | GValue::Edge(_)));
+            && results.iter().all(|v| matches!(v, GValue::Vertex(_) | GValue::Edge(_)));
         if all_maps {
             for v in &results {
                 let GValue::Map(m) = v else { unreachable!() };
@@ -527,10 +520,8 @@ impl Db2Graph {
                 )));
             }
             for chunk in results.chunks(width) {
-                let row: Vec<Value> = chunk
-                    .iter()
-                    .map(|v| to_value(v).unwrap_or(Value::Null))
-                    .collect();
+                let row: Vec<Value> =
+                    chunk.iter().map(|v| to_value(v).unwrap_or(Value::Null)).collect();
                 rows.push(row);
             }
         }
@@ -597,9 +588,7 @@ impl TableFunction for GraphQueryFunction {
         let graph = self.graph.upgrade().ok_or_else(|| {
             DbError::Execution("graphQuery: the registered graph has been dropped".into())
         })?;
-        graph
-            .query_rows(script, columns)
-            .map_err(|e| DbError::Execution(e.to_string()))
+        graph.query_rows(script, columns).map_err(|e| DbError::Execution(e.to_string()))
     }
 }
 
@@ -693,8 +682,8 @@ mod tests {
     #[test]
     fn inline_vacuum_is_counted_without_a_daemon() {
         let (db, overlay) = accounts();
-        let graph = Db2Graph::open_with_options(db.clone(), &overlay, GraphOptions::default())
-            .unwrap();
+        let graph =
+            Db2Graph::open_with_options(db.clone(), &overlay, GraphOptions::default()).unwrap();
         let before = graph.metrics();
         // 300 passes over 16 rows supersede 4 800 versions: past the
         // garbage threshold at which a commit sweeps inline.

@@ -63,7 +63,7 @@ use gremlin::backend::{
 };
 use gremlin::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 use gremlin::GResult;
-use reldb::{Database, DataType, Row, RowSet, Snapshot, Value};
+use reldb::{DataType, Database, Row, RowSet, Snapshot, Value};
 
 use crate::adjcache::{AdjCache, RowSpan};
 use crate::error::{to_gremlin, GraphError, GraphResult};
@@ -350,10 +350,9 @@ impl Db2GraphBackend {
                 let sql = in_list_bucketed(col, &mut vals);
                 (sql, vals)
             }
-            Pred::Between(lo, hi) => (
-                format!("({c} >= ? AND {c} < ?)", c = ident(col)),
-                vec![conv(lo)?, conv(hi)?],
-            ),
+            Pred::Between(lo, hi) => {
+                (format!("({c} >= ? AND {c} < ?)", c = ident(col)), vec![conv(lo)?, conv(hi)?])
+            }
             Pred::Exists => (format!("{} IS NOT NULL", ident(col)), Vec::new()),
             Pred::Absent => (format!("{} IS NULL", ident(col)), Vec::new()),
         })
@@ -765,8 +764,7 @@ impl Db2GraphBackend {
                 _ => unreachable!("projection/aggregate cleared"),
             }
         }
-        let pruned =
-            chunks_pruned.values().filter(|&&n| n == chunks.len()).count() as u64;
+        let pruned = chunks_pruned.values().filter(|&&n| n == chunks.len()).count() as u64;
         self.registry().tables_pruned.add(pruned);
         Ok(out)
     }
@@ -1085,12 +1083,7 @@ struct Shape<'a> {
 impl<'a> Shape<'a> {
     /// The shape of table `ti` of `kind`, selecting the properties among
     /// `keys`, or all of them for `None`.
-    fn new(
-        topo: &'a Topology,
-        kind: ElementKind,
-        ti: usize,
-        keys: Option<&[String]>,
-    ) -> Shape<'a> {
+    fn new(topo: &'a Topology, kind: ElementKind, ti: usize, keys: Option<&[String]>) -> Shape<'a> {
         let (ends, id) = match kind {
             ElementKind::Vertices => (None, Some(&topo.vertex_tables[ti].id)),
             ElementKind::Edges => {
@@ -1457,8 +1450,7 @@ impl GraphBackend for Db2GraphBackend {
         to: ElementKind,
         filter: &ElementFilter,
     ) -> GResult<Vec<Vec<Element>>> {
-        self.adjacent_impl(sources, direction, edge_labels, to, filter)
-            .map_err(to_gremlin)
+        self.adjacent_impl(sources, direction, edge_labels, to, filter).map_err(to_gremlin)
     }
 
     fn edge_endpoints(
@@ -1479,10 +1471,9 @@ impl GraphBackend for Db2GraphBackend {
         self.explain_compiled_step(step)
             .into_iter()
             .flat_map(|t| match t.plan {
-                TablePlan::Query { sql } => sql
-                    .into_iter()
-                    .map(|q| format!("{}: {q}", t.table))
-                    .collect::<Vec<_>>(),
+                TablePlan::Query { sql } => {
+                    sql.into_iter().map(|q| format!("{}: {q}", t.table)).collect::<Vec<_>>()
+                }
                 TablePlan::Candidate { detail } => vec![format!("{}: {detail}", t.table)],
                 TablePlan::Pruned { reason } => {
                     vec![format!("{}: pruned ({reason})", t.table)]

@@ -306,10 +306,7 @@ mod tests {
         let d = IdDef::parse("diseaseID").unwrap();
         assert_eq!(d.encode(&[Value::Bigint(10)]).unwrap(), ElementId::Long(10));
         let d = IdDef::parse("'patient'::patientID").unwrap();
-        assert_eq!(
-            d.encode(&[Value::Bigint(1)]).unwrap(),
-            ElementId::Str("patient::1".into())
-        );
+        assert_eq!(d.encode(&[Value::Bigint(1)]).unwrap(), ElementId::Str("patient::1".into()));
         let d = IdDef::parse("'o'::a::b").unwrap();
         assert_eq!(
             d.encode(&[Value::Bigint(1), Value::Bigint(2)]).unwrap(),
@@ -439,8 +436,7 @@ mod tests {
         assert_eq!(d, "10");
         assert!(split_implicit_edge_id(&id, "isa").is_none());
         // Label matching across candidates.
-        let (label, s, _) =
-            match_implicit_label(&id, ["isa", "hasDisease"].into_iter()).unwrap();
+        let (label, s, _) = match_implicit_label(&id, ["isa", "hasDisease"].into_iter()).unwrap();
         assert_eq!(label, "hasDisease");
         assert_eq!(s, "patient::1");
     }

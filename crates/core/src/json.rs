@@ -99,22 +99,18 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&format_number(*n)),
             Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write(out, indent, depth + 1);
-                })
-            }
-            Json::Obj(fields) => {
-                write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    let (k, v) = &fields[i];
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                })
-            }
+            Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
+                items[i].write(out, indent, depth + 1);
+            }),
+            Json::Obj(fields) => write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
+                let (k, v) = &fields[i];
+                write_escaped(out, k);
+                out.push(':');
+                if indent.is_some() {
+                    out.push(' ');
+                }
+                v.write(out, indent, depth + 1);
+            }),
         }
     }
 }
@@ -261,9 +257,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         for _ in 0..4 {
                             let (_, h) = chars.next().ok_or("truncated \\u escape")?;
                             code = code * 16
-                                + h.to_digit(16).ok_or_else(|| {
-                                    format!("bad hex digit '{h}' in \\u escape")
-                                })?;
+                                + h.to_digit(16)
+                                    .ok_or_else(|| format!("bad hex digit '{h}' in \\u escape"))?;
                         }
                         // Surrogate pairs are not recombined; the overlay
                         // format never emits them.

@@ -87,14 +87,13 @@ pub use events::{
 };
 pub use graph::{Db2Graph, GraphOptions, RunRequest};
 pub use graph_structure::Db2GraphBackend;
-pub use reldb::metric_table;
 pub use metrics::{
     step_kind, ExplainReport, Histogram, HistogramSet, HistogramSnapshot, MetricKind, MetricRow,
-    MetricsRegistry,
-    MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog, SpanHandle,
-    StepExplain, StepProfile, TableAction, TableExplain, TablePlan,
+    MetricsRegistry, MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog,
+    SpanHandle, StepExplain, StepProfile, TableAction, TableExplain, TablePlan,
 };
+pub use reldb::metric_table;
 pub use sql_dialect::{IndexSuggestion, SqlDialect, WorkloadReport};
-pub use trace::{Span, SpanData, TraceSink, TracedSpan, DEFAULT_TRACE_CAPACITY};
 pub use strategies::StrategyConfig;
 pub use topology::Topology;
+pub use trace::{Span, SpanData, TraceSink, TracedSpan, DEFAULT_TRACE_CAPACITY};

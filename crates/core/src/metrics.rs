@@ -462,10 +462,8 @@ impl ProfileReport {
                         .iter()
                         .map(|d| {
                             let (action, reason) = d.action.parts();
-                            let mut fields = vec![
-                                ("table", Json::str(&d.table)),
-                                ("action", Json::str(action)),
-                            ];
+                            let mut fields =
+                                vec![("table", Json::str(&d.table)), ("action", Json::str(action))];
                             if let Some(r) = reason {
                                 fields.push(("reason", Json::str(r)));
                             }
@@ -679,23 +677,16 @@ impl ExplainReport {
                                                         fields.push((
                                                             "sql",
                                                             Json::arr(
-                                                                sql.iter()
-                                                                    .map(Json::str)
-                                                                    .collect(),
+                                                                sql.iter().map(Json::str).collect(),
                                                             ),
                                                         ));
                                                     }
                                                     TablePlan::Candidate { detail } => {
-                                                        fields.push((
-                                                            "candidate",
-                                                            Json::str(detail),
-                                                        ));
+                                                        fields
+                                                            .push(("candidate", Json::str(detail)));
                                                     }
                                                     TablePlan::Pruned { reason } => {
-                                                        fields.push((
-                                                            "pruned",
-                                                            Json::str(reason),
-                                                        ));
+                                                        fields.push(("pruned", Json::str(reason)));
                                                     }
                                                 }
                                                 Json::obj(fields)
@@ -895,9 +886,7 @@ impl SlowQueryLog {
     /// Retained entries, slowest first (ties broken newest-first).
     pub fn entries(&self) -> Vec<SlowQueryEntry> {
         let mut out = self.inner.lock().entries.clone();
-        out.sort_by(|a, b| {
-            b.wall_nanos.cmp(&a.wall_nanos).then_with(|| b.seq.cmp(&a.seq))
-        });
+        out.sort_by(|a, b| b.wall_nanos.cmp(&a.wall_nanos).then_with(|| b.seq.cmp(&a.seq)));
         out
     }
 

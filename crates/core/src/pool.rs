@@ -153,10 +153,7 @@ impl<F: FnOnce() -> R + Send + 'static, R: Send + 'static> Joinable for Batch<F,
 
 impl Pool {
     const fn new() -> Pool {
-        Pool {
-            state: Mutex::new(PoolState { open: Vec::new(), helpers: 0 }),
-            wake: Condvar::new(),
-        }
+        Pool { state: Mutex::new(PoolState { open: Vec::new(), helpers: 0 }), wake: Condvar::new() }
     }
 
     /// Run `jobs` on the caller plus up to `threads - 1` helpers;
@@ -220,9 +217,8 @@ impl Pool {
     /// runs under `catch_unwind`), so their join handles are not kept.
     fn grow(&'static self, state: &mut PoolState, want: usize) {
         while state.helpers < want {
-            let spawned = std::thread::Builder::new()
-                .name("db2graph-pool".into())
-                .spawn(move || self.help());
+            let spawned =
+                std::thread::Builder::new().name("db2graph-pool".into()).spawn(move || self.help());
             if spawned.is_err() {
                 return;
             }
@@ -306,9 +302,7 @@ mod tests {
     #[test]
     fn single_thread_runs_inline() {
         let tid = std::thread::current().id();
-        let jobs: Vec<_> = (0..4)
-            .map(|i| move || (i, std::thread::current().id()))
-            .collect();
+        let jobs: Vec<_> = (0..4).map(|i| move || (i, std::thread::current().id())).collect();
         for (i, (v, t)) in run_ordered(1, jobs).into_iter().enumerate() {
             assert_eq!(v, i);
             assert_eq!(t, tid);

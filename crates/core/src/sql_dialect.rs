@@ -271,10 +271,8 @@ impl SqlDialect {
                     if !write.contains_key(template) {
                         if write.len() >= self.template_cap {
                             // FIFO eviction: drop the oldest admission.
-                            if let Some(victim) = write
-                                .iter()
-                                .min_by_key(|(_, t)| t.seq)
-                                .map(|(k, _)| k.clone())
+                            if let Some(victim) =
+                                write.iter().min_by_key(|(_, t)| t.seq).map(|(k, _)| k.clone())
                             {
                                 write.remove(&victim);
                                 self.registry.template_evictions.add(1);
@@ -358,9 +356,7 @@ impl SqlDialect {
                 (k.clone(), p.count.load(Ordering::Relaxed), p.nanos.load(Ordering::Relaxed))
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.2.cmp(&a.2).then_with(|| b.1.cmp(&a.1)).then_with(|| a.0.cmp(&b.0))
-        });
+        out.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| b.1.cmp(&a.1)).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
@@ -417,12 +413,8 @@ impl SqlDialect {
                 s.columns.join("_").to_ascii_lowercase()
             );
             let Some(t) = self.db.get_table(&s.table) else { continue };
-            if t.create_index(reldb::IndexDef {
-                name,
-                columns: s.columns.clone(),
-                unique: false,
-            })
-            .is_ok()
+            if t.create_index(reldb::IndexDef { name, columns: s.columns.clone(), unique: false })
+                .is_ok()
             {
                 created += 1;
             }
@@ -525,11 +517,8 @@ pub fn composite_in_bucketed(cols: &[&str], keys: &mut Vec<Vec<Value>>) -> Strin
 /// `((a = ? AND b = ?) OR (a = ? AND b = ?))` for `groups` keys over
 /// `cols`.
 pub fn composite_in(cols: &[&str], groups: usize) -> String {
-    let one: String = cols
-        .iter()
-        .map(|c| format!("{} = ?", ident(c)))
-        .collect::<Vec<_>>()
-        .join(" AND ");
+    let one: String =
+        cols.iter().map(|c| format!("{} = ?", ident(c))).collect::<Vec<_>>().join(" AND ");
     if groups == 1 {
         format!("({one})")
     } else {
@@ -560,18 +549,12 @@ mod tests {
 
     #[test]
     fn sql_builders() {
-        assert_eq!(
-            build_select("T", &["a".into(), "b".into()], &[], None),
-            "SELECT a, b FROM T"
-        );
+        assert_eq!(build_select("T", &["a".into(), "b".into()], &[], None), "SELECT a, b FROM T");
         assert_eq!(
             build_select("T", &[], &["a = ?".into(), "b IN (?, ?)".into()], None),
             "SELECT * FROM T WHERE a = ? AND b IN (?, ?)"
         );
-        assert_eq!(
-            build_select("T", &[], &[], Some("COUNT(*)")),
-            "SELECT COUNT(*) FROM T"
-        );
+        assert_eq!(build_select("T", &[], &[], Some("COUNT(*)")), "SELECT COUNT(*) FROM T");
         assert_eq!(in_list("x", 1), "x = ?");
         assert_eq!(in_list("x", 3), "x IN (?, ?, ?)");
         assert_eq!(composite_in(&["a", "b"], 2), "((a = ? AND b = ?) OR (a = ? AND b = ?))");
@@ -670,13 +653,7 @@ mod tests {
         let run = |cols: &[&str]| {
             let cols: Vec<String> = cols.iter().map(|c| c.to_string()).collect();
             dialect
-                .query_at(
-                    &Profiler::disabled(),
-                    "SELECT id FROM t",
-                    &[],
-                    Some(("t", &cols)),
-                    None,
-                )
+                .query_at(&Profiler::disabled(), "SELECT id FROM t", &[], Some(("t", &cols)), None)
                 .unwrap();
         };
         // "src" recurs; "name" is seen once; a third pattern evicts the

@@ -484,10 +484,7 @@ mod tests {
         let t = apply(StrategyConfig::default(), t);
         match &t.steps[0] {
             Step::Graph(g) => {
-                assert_eq!(
-                    g.filter.ids,
-                    Some(vec![ElementId::Long(1), ElementId::Long(2)])
-                );
+                assert_eq!(g.filter.ids, Some(vec![ElementId::Long(1), ElementId::Long(2)]));
             }
             other => panic!("{other:?}"),
         }
@@ -532,10 +529,7 @@ mod tests {
         match &t.steps[0] {
             Step::Graph(g) => {
                 assert_eq!(g.kind, ElementKind::Edges);
-                assert_eq!(
-                    g.filter.src_ids,
-                    Some(vec![ElementId::Long(1), ElementId::Long(2)])
-                );
+                assert_eq!(g.filter.src_ids, Some(vec![ElementId::Long(1), ElementId::Long(2)]));
                 assert_eq!(g.filter.labels, Some(vec!["l".to_string()]));
             }
             other => panic!("{other:?}"),
@@ -586,7 +580,7 @@ mod tests {
         ]);
         let t = apply(StrategyConfig::default(), t);
         assert_eq!(t.steps.len(), 2); // unchanged
-        // GraphStep without ids is not mutated.
+                                      // GraphStep without ids is not mutated.
         let t = Traversal::new(vec![
             Step::Graph(GraphStep { kind: ElementKind::Vertices, filter: Default::default() }),
             out_e(vec![]),
@@ -712,11 +706,12 @@ mod tests {
 
     #[test]
     fn projection_pushdown_bounds_a_graphstep_read_by_the_next_limit() {
-        let first_of = |config: StrategyConfig, gremlin: &str| {
-            match apply(config, compile(gremlin)).steps.first() {
-                Some(Step::Graph(g)) => g.filter.first,
-                other => panic!("{gremlin}: {other:?}"),
-            }
+        let first_of = |config: StrategyConfig, gremlin: &str| match apply(config, compile(gremlin))
+            .steps
+            .first()
+        {
+            Some(Step::Graph(g)) => g.filter.first,
+            other => panic!("{gremlin}: {other:?}"),
         };
         let first = |gremlin: &str| first_of(StrategyConfig::default(), gremlin);
         assert_eq!(first("g.V().limit(2)"), Some(2));
@@ -758,10 +753,7 @@ mod tests {
         let t = Traversal::new(vec![
             graph_v_ids(vec![1]),
             out_e(vec![]),
-            Step::Has(vec![PropPred {
-                key: "x".into(),
-                pred: Pred::Eq(GValue::Long(1)),
-            }]),
+            Step::Has(vec![PropPred { key: "x".into(), pred: Pred::Eq(GValue::Long(1)) }]),
             Step::Aggregate(AggOp::Count),
         ]);
         let before = t.clone();

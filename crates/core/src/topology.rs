@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use gremlin::backend::ElementKind;
-use reldb::{Database, DataType};
+use reldb::{DataType, Database};
 
 use crate::config::{parse_label_constant, ETableConfig, OverlayConfig, VTableConfig};
 use crate::error::{GraphError, GraphResult};
@@ -91,10 +91,7 @@ impl OverlayTable {
     }
 
     pub fn column_type(&self, name: &str) -> Option<DataType> {
-        self.columns
-            .iter()
-            .find(|(c, _)| c.eq_ignore_ascii_case(name))
-            .and_then(|(_, t)| *t)
+        self.columns.iter().find(|(c, _)| c.eq_ignore_ascii_case(name)).and_then(|(_, t)| *t)
     }
 
     pub fn has_column(&self, name: &str) -> bool {
@@ -182,21 +179,12 @@ type ColumnList = Vec<(String, Option<DataType>)>;
 /// Fetch a table's or view's columns from the catalog.
 fn table_columns(db: &Arc<Database>, name: &str) -> GraphResult<(bool, ColumnList)> {
     if let Some(t) = db.get_table(name) {
-        let cols = t
-            .schema
-            .columns
-            .iter()
-            .map(|c| (c.name.clone(), Some(c.data_type)))
-            .collect();
+        let cols = t.schema.columns.iter().map(|c| (c.name.clone(), Some(c.data_type))).collect();
         return Ok((false, cols));
     }
     if db.get_view(name).is_some() {
-        let cols = db
-            .view_columns(name)
-            .map_err(GraphError::Db)?
-            .into_iter()
-            .map(|c| (c, None))
-            .collect();
+        let cols =
+            db.view_columns(name).map_err(GraphError::Db)?.into_iter().map(|c| (c, None)).collect();
         return Ok((true, cols));
     }
     Err(GraphError::Config(format!("overlay references unknown table or view '{name}'")))
@@ -218,7 +206,12 @@ fn require_columns(
     Ok(())
 }
 
-fn resolve_label(spec: &str, fix: bool, table: &str, columns: &[(String, Option<DataType>)]) -> GraphResult<LabelDef> {
+fn resolve_label(
+    spec: &str,
+    fix: bool,
+    table: &str,
+    columns: &[(String, Option<DataType>)],
+) -> GraphResult<LabelDef> {
     match parse_label_constant(spec) {
         Some(constant) => Ok(LabelDef::Fixed(constant.into())),
         None if fix => Err(GraphError::Config(format!(
@@ -232,10 +225,7 @@ fn resolve_label(spec: &str, fix: bool, table: &str, columns: &[(String, Option<
 }
 
 /// Property defaulting: all columns except those used by required fields.
-fn default_properties(
-    columns: &[(String, Option<DataType>)],
-    used: &[&str],
-) -> Vec<String> {
+fn default_properties(columns: &[(String, Option<DataType>)], used: &[&str]) -> Vec<String> {
     columns
         .iter()
         .map(|(c, _)| c.clone())
@@ -303,7 +293,10 @@ fn resolve_edge(
     require_columns(&e.table_name, &columns, &src_v.columns(), "src_v")?;
     require_columns(&e.table_name, &columns, &dst_v.columns(), "dst_v")?;
 
-    let lookup_vt = |name: &Option<String>, endpoint: &IdDef, which: &str| -> GraphResult<Option<usize>> {
+    let lookup_vt = |name: &Option<String>,
+                     endpoint: &IdDef,
+                     which: &str|
+     -> GraphResult<Option<usize>> {
         match name {
             None => Ok(None),
             Some(n) => {
@@ -469,10 +462,7 @@ pub(crate) mod tests {
     #[test]
     fn views_can_be_overlaid() {
         let db = healthcare_db();
-        db.execute(
-            "CREATE VIEW PatientLite AS SELECT patientID, name FROM Patient",
-        )
-        .unwrap();
+        db.execute("CREATE VIEW PatientLite AS SELECT patientID, name FROM Patient").unwrap();
         let cfg = OverlayConfig {
             v_tables: vec![VTableConfig {
                 table_name: "PatientLite".into(),

@@ -349,10 +349,7 @@ impl TraceSink {
     /// attributes so the hierarchy survives the export machine-readably.
     pub fn to_chrome_json(&self) -> Json {
         let events: Vec<Json> = self.snapshot().iter().map(chrome_event).collect();
-        Json::obj(vec![
-            ("traceEvents", Json::arr(events)),
-            ("displayTimeUnit", Json::str("ms")),
-        ])
+        Json::obj(vec![("traceEvents", Json::arr(events)), ("displayTimeUnit", Json::str("ms"))])
     }
 
     /// One JSON object per span per line, oldest first.
@@ -530,8 +527,7 @@ mod tests {
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.dropped(), 2);
         assert_eq!(sink.total(), 6);
-        let names: Vec<String> =
-            sink.snapshot().iter().map(|s| s.span.name.clone()).collect();
+        let names: Vec<String> = sink.snapshot().iter().map(|s| s.span.name.clone()).collect();
         assert_eq!(names, vec!["e2", "e3", "e4", "e5"], "oldest spans drop first");
         let ids: Vec<u64> = sink.snapshot().iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![2, 3, 4, 5], "global ids survive the wrap");

@@ -83,11 +83,7 @@ pub enum Arg {
     /// A predicate (`eq(...)`, `within(...)`, ...).
     Pred(PredArg),
     /// Comparison sugar: `outV().id() == id2`.
-    Compare {
-        traversal: Vec<StepCall>,
-        op: CompareOp,
-        value: Box<Arg>,
-    },
+    Compare { traversal: Vec<StepCall>, op: CompareOp, value: Box<Arg> },
 }
 
 impl StepCall {

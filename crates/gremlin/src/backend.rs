@@ -195,9 +195,10 @@ impl ElementFilter {
     fn matches_parts(&self, id: &ElementId, label: &str, properties: &Properties) -> bool {
         self.ids.as_ref().is_none_or(|ids| ids.contains(id))
             && self.labels.as_ref().is_none_or(|ls| ls.iter().any(|l| l == label))
-            && self.predicates.iter().all(|p| {
-                p.pred.test(property_of(id, label, properties, &p.key).as_ref())
-            })
+            && self
+                .predicates
+                .iter()
+                .all(|p| p.pred.test(property_of(id, label, properties, &p.key).as_ref()))
     }
 }
 
@@ -394,7 +395,8 @@ mod tests {
         f.ids = Some(vec![ElementId::Long(2)]);
         assert!(!f.matches(&e));
         f.ids = Some(vec![ElementId::Long(1)]);
-        f.predicates.push(PropPred { key: "name".into(), pred: Pred::Eq(GValue::Str("Alice".into())) });
+        f.predicates
+            .push(PropPred { key: "name".into(), pred: Pred::Eq(GValue::Str("Alice".into())) });
         assert!(f.matches(&e));
         f.predicates.push(PropPred { key: "missing".into(), pred: Pred::Exists });
         assert!(!f.matches(&e));

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use crate::ast::*;
 use crate::backend::{AggOp, Direction, EdgeEnd, ElementFilter, ElementKind, Pred, PropPred};
-use crate::error::{GremlinError, GResult};
+use crate::error::{GResult, GremlinError};
 use crate::step::*;
 use crate::structure::{value_to_id, ElementId, GValue};
 
@@ -23,11 +23,8 @@ pub fn compile(source: &SourceCall, env: &VarEnv) -> GResult<Traversal> {
         other => return Err(GremlinError::Unsupported(format!("source step '{other}'"))),
     };
     let ids = args_to_ids(&source.start.args, env)?;
-    let filter = if ids.is_empty() {
-        ElementFilter::default()
-    } else {
-        ElementFilter::with_ids(ids)
-    };
+    let filter =
+        if ids.is_empty() { ElementFilter::default() } else { ElementFilter::with_ids(ids) };
     let mut steps = vec![Step::Graph(GraphStep { kind, filter })];
     compile_calls(&source.steps, env, &mut steps)?;
     Ok(Traversal::new(steps))
@@ -67,7 +64,9 @@ fn resolve_value(arg: &Arg, env: &VarEnv) -> GResult<GValue> {
             .get(name)
             .cloned()
             .ok_or_else(|| GremlinError::Execution(format!("unbound variable '{name}'"))),
-        other => Err(GremlinError::Unsupported(format!("expected a value argument, got {other:?}"))),
+        other => {
+            Err(GremlinError::Unsupported(format!("expected a value argument, got {other:?}")))
+        }
     }
 }
 
@@ -96,11 +95,7 @@ fn int_arg(call: &StepCall, idx: usize, env: &VarEnv) -> GResult<i64> {
 }
 
 fn compile_pred(p: &PredArg, env: &VarEnv) -> GResult<Pred> {
-    let vals: Vec<GValue> = p
-        .args
-        .iter()
-        .map(|a| resolve_value(a, env))
-        .collect::<GResult<_>>()?;
+    let vals: Vec<GValue> = p.args.iter().map(|a| resolve_value(a, env)).collect::<GResult<_>>()?;
     // `within(list)` with a single list argument flattens it.
     let flat = |vals: Vec<GValue>| -> Vec<GValue> {
         if vals.len() == 1 {
@@ -125,9 +120,7 @@ fn compile_pred(p: &PredArg, env: &VarEnv) -> GResult<Pred> {
 
 fn compile_filter_arg(arg: &Arg, env: &VarEnv) -> GResult<FilterSpec> {
     match arg {
-        Arg::Anon(calls) => {
-            Ok(FilterSpec { traversal: compile_anon(calls, env)?, compare: None })
-        }
+        Arg::Anon(calls) => Ok(FilterSpec { traversal: compile_anon(calls, env)?, compare: None }),
         Arg::Compare { traversal, op, value } => Ok(FilterSpec {
             traversal: compile_anon(traversal, env)?,
             compare: Some((*op, resolve_value(value, env)?)),
@@ -167,7 +160,10 @@ fn compile_calls(calls: &[StepCall], env: &VarEnv, out: &mut Vec<Step>) -> GResu
                     "bothV" => EdgeEnd::Both,
                     _ => EdgeEnd::Other,
                 };
-                out.push(Step::EdgeVertex(EdgeVertexStep { end, filter: ElementFilter::default() }));
+                out.push(Step::EdgeVertex(EdgeVertexStep {
+                    end,
+                    filter: ElementFilter::default(),
+                }));
             }
             // ------------------------------------------------------ filters
             "has" => {
@@ -179,9 +175,7 @@ fn compile_calls(calls: &[StepCall], env: &VarEnv, out: &mut Vec<Step>) -> GResu
                         other => Pred::Eq(resolve_value(other, env)?),
                     },
                     n => {
-                        return Err(GremlinError::Unsupported(format!(
-                            "has() with {n} arguments"
-                        )))
+                        return Err(GremlinError::Unsupported(format!("has() with {n} arguments")))
                     }
                 };
                 out.push(Step::Has(vec![PropPred { key, pred }]));
@@ -199,11 +193,8 @@ fn compile_calls(calls: &[StepCall], env: &VarEnv, out: &mut Vec<Step>) -> GResu
                 }]));
             }
             "hasId" => {
-                let ids: Vec<GValue> = call
-                    .args
-                    .iter()
-                    .map(|a| resolve_value(a, env))
-                    .collect::<GResult<_>>()?;
+                let ids: Vec<GValue> =
+                    call.args.iter().map(|a| resolve_value(a, env)).collect::<GResult<_>>()?;
                 out.push(Step::Has(vec![PropPred { key: "id".into(), pred: Pred::Within(ids) }]));
             }
             "filter" => out.push(Step::Filter(compile_filter_arg(&call.args[0], env)?)),

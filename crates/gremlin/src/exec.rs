@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::backend::{element_property, AggOp, BackendOutput, ElementKind, GraphBackend};
-use crate::error::{GremlinError, GResult};
+use crate::error::{GResult, GremlinError};
 use crate::observe::TraversalObserver;
 use crate::step::{CompareOp, FilterSpec, OrderKey, Step, Traversal};
 use crate::structure::{Element, ElementId, GValue};
@@ -88,10 +88,8 @@ impl<'a> Executor<'a> {
     /// Run a traversal from the graph source; returns final values and the
     /// side-effect store.
     pub fn run(&self, traversal: &Traversal) -> GResult<(Vec<GValue>, SideEffects)> {
-        let mut ctx = Ctx {
-            side_effects: SideEffects::default(),
-            track_paths: traversal.needs_paths(),
-        };
+        let mut ctx =
+            Ctx { side_effects: SideEffects::default(), track_paths: traversal.needs_paths() };
         let out = match self.observer {
             None => self.run_steps(&traversal.steps, Vec::new(), &mut ctx)?,
             Some(obs) => {
@@ -131,7 +129,12 @@ impl<'a> Executor<'a> {
         Ok(current)
     }
 
-    fn run_step(&self, step: &Step, current: Vec<Traverser>, ctx: &mut Ctx) -> GResult<Vec<Traverser>> {
+    fn run_step(
+        &self,
+        step: &Step,
+        current: Vec<Traverser>,
+        ctx: &mut Ctx,
+    ) -> GResult<Vec<Traverser>> {
         match step {
             Step::Graph(g) => {
                 let output = self.backend.graph_elements(g.kind, &g.filter)?;
@@ -143,10 +146,7 @@ impl<'a> Executor<'a> {
                     BackendOutput::Aggregate(v) => vec![v],
                 };
                 if current.is_empty() {
-                    Ok(values
-                        .into_iter()
-                        .map(|v| Traverser::new(v, ctx.track_paths))
-                        .collect())
+                    Ok(values.into_iter().map(|v| Traverser::new(v, ctx.track_paths)).collect())
                 } else {
                     // Mid-traversal V(ids): flat-map per incoming traverser.
                     let mut out = Vec::with_capacity(current.len() * values.len());
@@ -170,8 +170,13 @@ impl<'a> Executor<'a> {
                         })
                     })
                     .collect::<GResult<_>>()?;
-                let groups =
-                    self.backend.adjacent(&sources, v.direction, &v.edge_labels, v.to, &v.filter)?;
+                let groups = self.backend.adjacent(
+                    &sources,
+                    v.direction,
+                    &v.edge_labels,
+                    v.to,
+                    &v.filter,
+                )?;
                 if groups.len() != sources.len() {
                     return Err(GremlinError::Backend(format!(
                         "backend returned {} adjacency groups for {} sources",
@@ -311,10 +316,7 @@ impl<'a> Executor<'a> {
             }
             Step::Dedup => {
                 let mut seen: HashSet<GValue> = HashSet::with_capacity(current.len());
-                Ok(current
-                    .into_iter()
-                    .filter(|t| seen.insert(t.value.dedup_key()))
-                    .collect())
+                Ok(current.into_iter().filter(|t| seen.insert(t.value.dedup_key())).collect())
             }
             Step::Limit(n) => {
                 let mut c = current;
@@ -378,10 +380,9 @@ impl<'a> Executor<'a> {
                 }
                 Ok(out)
             }
-            Step::Is(pred) => Ok(current
-                .into_iter()
-                .filter(|t| pred.test(Some(&t.value)))
-                .collect()),
+            Step::Is(pred) => {
+                Ok(current.into_iter().filter(|t| pred.test(Some(&t.value))).collect())
+            }
             Step::Union(branches) => {
                 let mut out = Vec::new();
                 for t in &current {
@@ -449,10 +450,9 @@ impl<'a> Executor<'a> {
                 }
                 Ok(out)
             }
-            Step::Constant(v) => Ok(current
-                .into_iter()
-                .map(|t| t.advance(v.clone(), ctx.track_paths))
-                .collect()),
+            Step::Constant(v) => {
+                Ok(current.into_iter().map(|t| t.advance(v.clone(), ctx.track_paths)).collect())
+            }
             Step::Group(key) | Step::GroupCount(key) => {
                 let counting = matches!(step, Step::GroupCount(_));
                 let mut m: BTreeMap<String, Vec<GValue>> = BTreeMap::new();
@@ -472,11 +472,8 @@ impl<'a> Executor<'a> {
                 let out: BTreeMap<String, GValue> = m
                     .into_iter()
                     .map(|(k, vs)| {
-                        let v = if counting {
-                            GValue::Long(vs.len() as i64)
-                        } else {
-                            GValue::List(vs)
-                        };
+                        let v =
+                            if counting { GValue::Long(vs.len() as i64) } else { GValue::List(vs) };
                         (k, v)
                     })
                     .collect();
@@ -514,9 +511,7 @@ impl<'a> Executor<'a> {
         ctx: &mut Ctx,
     ) -> GResult<Vec<Traverser>> {
         if times.is_none() && until.is_none() {
-            return Err(GremlinError::Unsupported(
-                "repeat() requires times() or until()".into(),
-            ));
+            return Err(GremlinError::Unsupported("repeat() requires times() or until()".into()));
         }
         let mut current = incoming;
         let mut emitted: Vec<Traverser> = Vec::new();
@@ -565,11 +560,7 @@ impl<'a> Executor<'a> {
 
     /// Run a sub-traversal from one traverser; returns result values.
     fn run_sub(&self, t: &Traversal, from: &Traverser, ctx: &mut Ctx) -> GResult<Vec<GValue>> {
-        Ok(self
-            .run_sub_traversers(t, from, ctx)?
-            .into_iter()
-            .map(|t| t.value)
-            .collect())
+        Ok(self.run_sub_traversers(t, from, ctx)?.into_iter().map(|t| t.value).collect())
     }
 
     fn run_sub_traversers(
@@ -704,31 +695,19 @@ mod tests {
         assert_eq!(compute_aggregate(AggOp::Max, &ts).unwrap(), Some(GValue::Long(big)));
         let ts = traversers(vec![GValue::Long(big), GValue::Long(big + 1)]);
         assert_eq!(compute_aggregate(AggOp::Min, &ts).unwrap(), Some(GValue::Long(big)));
-        assert_eq!(
-            compute_aggregate(AggOp::Sum, &ts).unwrap(),
-            Some(GValue::Long(2 * big + 1))
-        );
+        assert_eq!(compute_aggregate(AggOp::Sum, &ts).unwrap(), Some(GValue::Long(2 * big + 1)));
     }
 
     #[test]
     fn long_sum_saturates_instead_of_wrapping() {
         let ts = traversers(vec![GValue::Long(i64::MAX), GValue::Long(i64::MAX)]);
-        assert_eq!(
-            compute_aggregate(AggOp::Sum, &ts).unwrap(),
-            Some(GValue::Long(i64::MAX))
-        );
+        assert_eq!(compute_aggregate(AggOp::Sum, &ts).unwrap(), Some(GValue::Long(i64::MAX)));
     }
 
     #[test]
     fn mixed_numeric_aggregates_stay_double() {
         let ts = traversers(vec![GValue::Long(1), GValue::Double(2.5)]);
-        assert_eq!(
-            compute_aggregate(AggOp::Sum, &ts).unwrap(),
-            Some(GValue::Double(3.5))
-        );
-        assert_eq!(
-            compute_aggregate(AggOp::Mean, &ts).unwrap(),
-            Some(GValue::Double(1.75))
-        );
+        assert_eq!(compute_aggregate(AggOp::Sum, &ts).unwrap(), Some(GValue::Double(3.5)));
+        assert_eq!(compute_aggregate(AggOp::Mean, &ts).unwrap(), Some(GValue::Double(1.75)));
     }
 }

@@ -59,7 +59,7 @@ pub use backend::{
     AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
     PropPred,
 };
-pub use error::{GremlinError, GResult};
+pub use error::{GResult, GremlinError};
 pub use exec::{Executor, SideEffects, Traverser};
 pub use observe::{NoopObserver, TraversalObserver};
 pub use script::ScriptRunner;

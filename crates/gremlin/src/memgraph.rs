@@ -13,7 +13,7 @@ use parking_lot_shim::RwLockShim;
 use crate::backend::{
     AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
 };
-use crate::error::{GremlinError, GResult};
+use crate::error::{GResult, GremlinError};
 use crate::structure::{Edge, Element, ElementId, GValue, Vertex};
 
 /// Minimal internal RwLock wrapper so this crate stays dependency-free.
@@ -84,7 +84,9 @@ fn apply_output(elements: Vec<Element>, filter: &ElementFilter) -> GResult<Backe
                 let v = match op {
                     AggOp::Sum => GValue::Double(nums.iter().sum()),
                     AggOp::Mean => GValue::Double(nums.iter().sum::<f64>() / nums.len() as f64),
-                    AggOp::Min => GValue::Double(nums.iter().cloned().fold(f64::INFINITY, f64::min)),
+                    AggOp::Min => {
+                        GValue::Double(nums.iter().cloned().fold(f64::INFINITY, f64::min))
+                    }
                     AggOp::Max => {
                         GValue::Double(nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
                     }
@@ -162,9 +164,7 @@ impl GraphBackend for MemGraph {
             let vid = match src {
                 Element::Vertex(v) => &v.id,
                 Element::Edge(_) => {
-                    return Err(GremlinError::Execution(
-                        "adjacency from an edge element".into(),
-                    ))
+                    return Err(GremlinError::Execution("adjacency from an edge element".into()))
                 }
             };
             let mut group: Vec<Element> = Vec::new();
@@ -270,9 +270,7 @@ mod tests {
                 .with_property("patientID", 2i64)
                 .with_property("name", "Bob"),
         );
-        g.add_vertex(
-            Vertex::new(10i64, "disease").with_property("conceptName", "type 2 diabetes"),
-        );
+        g.add_vertex(Vertex::new(10i64, "disease").with_property("conceptName", "type 2 diabetes"));
         g.add_vertex(Vertex::new(11i64, "disease").with_property("conceptName", "diabetes"));
         g.add_edge(Edge::new("hd1", "hasDisease", "patient::1", 10i64));
         g.add_edge(Edge::new("hd2", "hasDisease", "patient::2", 11i64));

@@ -1,7 +1,7 @@
 //! Lexer and recursive-descent parser for the Gremlin subset.
 
 use crate::ast::*;
-use crate::error::{GremlinError, GResult};
+use crate::error::{GResult, GremlinError};
 use crate::step::CompareOp;
 use crate::structure::GValue;
 
@@ -129,7 +129,9 @@ fn tokenize(input: &str) -> GResult<Vec<Token>> {
                 while i < bytes.len() {
                     match bytes[i] {
                         b'0'..=b'9' => i += 1,
-                        b'.' if !is_float && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) => {
+                        b'.' if !is_float
+                            && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit()) =>
+                        {
                             is_float = true;
                             i += 1;
                         }
@@ -148,13 +150,15 @@ fn tokenize(input: &str) -> GResult<Vec<Token>> {
                     return Err(GremlinError::Parse("stray '-'".into()));
                 }
                 if is_float {
-                    out.push(Token::Float(text.parse().map_err(|_| {
-                        GremlinError::Parse(format!("bad float '{text}'"))
-                    })?));
+                    out.push(Token::Float(
+                        text.parse()
+                            .map_err(|_| GremlinError::Parse(format!("bad float '{text}'")))?,
+                    ));
                 } else {
-                    out.push(Token::Int(text.parse().map_err(|_| {
-                        GremlinError::Parse(format!("bad integer '{text}'"))
-                    })?));
+                    out.push(Token::Int(
+                        text.parse()
+                            .map_err(|_| GremlinError::Parse(format!("bad integer '{text}'")))?,
+                    ));
                 }
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
@@ -331,7 +335,9 @@ impl Parser {
     fn step_call_inner(&mut self) -> GResult<StepCall> {
         let name = match self.next() {
             Some(Token::Ident(n)) => n,
-            other => return Err(GremlinError::Parse(format!("expected step name, found {other:?}"))),
+            other => {
+                return Err(GremlinError::Parse(format!("expected step name, found {other:?}")))
+            }
         };
         self.expect(&Token::LParen)?;
         let mut args = Vec::new();
@@ -361,11 +367,7 @@ impl Parser {
             if let Some(op) = op {
                 self.next();
                 let value = self.arg_base()?;
-                return Ok(Arg::Compare {
-                    traversal: trav.clone(),
-                    op,
-                    value: Box::new(value),
-                });
+                return Ok(Arg::Compare { traversal: trav.clone(), op, value: Box::new(value) });
             }
         }
         Ok(base)

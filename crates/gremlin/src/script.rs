@@ -3,10 +3,10 @@
 use std::sync::Arc;
 
 use crate::ast::{Script, Terminal};
-use crate::compile::{compile, VarEnv};
-use crate::error::{GremlinError, GResult};
-use crate::exec::Executor;
 use crate::backend::GraphBackend;
+use crate::compile::{compile, VarEnv};
+use crate::error::{GResult, GremlinError};
+use crate::exec::Executor;
 use crate::observe::TraversalObserver;
 use crate::step::Traversal;
 use crate::strategy::StrategyRegistry;
@@ -22,11 +22,7 @@ pub struct ScriptRunner<'a> {
 
 impl<'a> ScriptRunner<'a> {
     pub fn new(backend: &'a dyn GraphBackend) -> ScriptRunner<'a> {
-        ScriptRunner {
-            backend,
-            strategies: StrategyRegistry::new(),
-            observer: None,
-        }
+        ScriptRunner { backend, strategies: StrategyRegistry::new(), observer: None }
     }
 
     pub fn with_strategies(mut self, strategies: StrategyRegistry) -> Self {
@@ -131,10 +127,8 @@ impl<'a> ScriptRunner<'a> {
     /// executing it (used by tests and plan inspection).
     pub fn plan(&self, script_text: &str) -> GResult<crate::step::Traversal> {
         let script = crate::parser::parse(script_text)?;
-        let stmt = script
-            .statements
-            .first()
-            .ok_or_else(|| GremlinError::Parse("empty script".into()))?;
+        let stmt =
+            script.statements.first().ok_or_else(|| GremlinError::Parse("empty script".into()))?;
         let mut traversal = compile(&stmt.traversal, &VarEnv::new())?;
         self.strategies.apply_all(&mut traversal);
         Ok(traversal)

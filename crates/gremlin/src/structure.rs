@@ -317,9 +317,7 @@ impl GValue {
     /// by value.
     pub fn dedup_key(&self) -> GValue {
         match self {
-            GValue::Vertex(v) => {
-                GValue::List(vec![GValue::Str("v".into()), id_value(&v.id)])
-            }
+            GValue::Vertex(v) => GValue::List(vec![GValue::Str("v".into()), id_value(&v.id)]),
             GValue::Edge(e) => GValue::List(vec![GValue::Str("e".into()), id_value(&e.id)]),
             other => other.clone(),
         }
@@ -403,9 +401,7 @@ impl GValue {
                 a.as_f64().unwrap().total_cmp(&b.as_f64().unwrap())
             }
             (GValue::List(a), GValue::List(b)) | (GValue::Path(a), GValue::Path(b)) => a.cmp(b),
-            (GValue::Map(a), GValue::Map(b)) => a
-                .iter()
-                .cmp(b.iter()),
+            (GValue::Map(a), GValue::Map(b)) => a.iter().cmp(b.iter()),
             (GValue::Vertex(a), GValue::Vertex(b)) => a.id.cmp(&b.id),
             (GValue::Edge(a), GValue::Edge(b)) => a.id.cmp(&b.id),
             (a, b) => rank(a).cmp(&rank(b)),
@@ -624,11 +620,13 @@ mod tests {
 
     #[test]
     fn ordering_is_total() {
-        let mut vals = [GValue::Str("b".into()),
+        let mut vals = [
+            GValue::Str("b".into()),
             GValue::Long(10),
             GValue::Null,
             GValue::Double(1.5),
-            GValue::Bool(false)];
+            GValue::Bool(false),
+        ];
         vals.sort();
         assert_eq!(vals[0], GValue::Null);
         assert_eq!(vals[1], GValue::Bool(false));
@@ -639,7 +637,10 @@ mod tests {
     #[test]
     fn id_value_roundtrip() {
         assert_eq!(value_to_id(&GValue::Long(5)), Some(ElementId::Long(5)));
-        assert_eq!(value_to_id(&id_value(&ElementId::Str("p::1".into()))), Some(ElementId::Str("p::1".into())));
+        assert_eq!(
+            value_to_id(&id_value(&ElementId::Str("p::1".into()))),
+            Some(ElementId::Str("p::1".into()))
+        );
         assert_eq!(value_to_id(&GValue::Bool(true)), None);
         let v = Vertex::new(7, "x");
         assert_eq!(value_to_id(&GValue::Vertex(v)), Some(ElementId::Long(7)));

@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use gremlin::backend::{
-    finalize_elements, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind,
-    GraphBackend,
+    finalize_elements, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
 };
 use gremlin::structure::{Edge, Element, ElementId, Vertex};
-use gremlin::{GremlinError, GResult};
+use gremlin::{GResult, GremlinError};
 
 use crate::codec::{self, Cursor};
 use crate::kv::KvStore;
@@ -288,9 +287,8 @@ impl GraphBackend for JanusLikeDb {
                             let mut c = Cursor::new(&ptr);
                             let src = codec::read_id(&mut c)
                                 .map_err(|e| GremlinError::Backend(e.to_string()))?;
-                            let label = c
-                                .read_str()
-                                .map_err(|e| GremlinError::Backend(e.to_string()))?;
+                            let label =
+                                c.read_str().map_err(|e| GremlinError::Backend(e.to_string()))?;
                             let dst = codec::read_id(&mut c)
                                 .map_err(|e| GremlinError::Backend(e.to_string()))?;
                             self.pay_op();
@@ -336,28 +334,29 @@ impl GraphBackend for JanusLikeDb {
         let mut groups = Vec::with_capacity(sources.len());
         for src in sources {
             let mut group = Vec::new();
-            let walk = |edges: Vec<Edge>, outgoing: bool, group: &mut Vec<Element>| -> GResult<()> {
-                for e in edges {
-                    match to {
-                        ElementKind::Edges => {
-                            let el = Element::Edge(e);
-                            if filter.matches(&el) {
-                                group.push(el);
-                            }
-                        }
-                        ElementKind::Vertices => {
-                            let nid = if outgoing { &e.dst } else { &e.src };
-                            if let Some(v) = self.load_vertex(nid)? {
-                                let el = Element::Vertex(v);
+            let walk =
+                |edges: Vec<Edge>, outgoing: bool, group: &mut Vec<Element>| -> GResult<()> {
+                    for e in edges {
+                        match to {
+                            ElementKind::Edges => {
+                                let el = Element::Edge(e);
                                 if filter.matches(&el) {
                                     group.push(el);
                                 }
                             }
+                            ElementKind::Vertices => {
+                                let nid = if outgoing { &e.dst } else { &e.src };
+                                if let Some(v) = self.load_vertex(nid)? {
+                                    let el = Element::Vertex(v);
+                                    if filter.matches(&el) {
+                                        group.push(el);
+                                    }
+                                }
+                            }
                         }
                     }
-                }
-                Ok(())
-            };
+                    Ok(())
+                };
             match direction {
                 Direction::Out => {
                     walk(self.adjacency_for(src.id(), true, &labels)?, true, &mut group)?

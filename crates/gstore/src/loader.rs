@@ -50,12 +50,8 @@ fn vertex_csv(v: &Vertex) -> String {
 }
 
 fn edge_csv(e: &Edge) -> String {
-    let mut cells = vec![
-        e.id.to_string(),
-        e.label.to_string(),
-        e.src.to_string(),
-        e.dst.to_string(),
-    ];
+    let mut cells =
+        vec![e.id.to_string(), e.label.to_string(), e.src.to_string(), e.dst.to_string()];
     for (k, val) in &e.properties {
         cells.push(format!("{k}={}", csv_value(val)));
     }
@@ -67,17 +63,16 @@ fn edge_csv(e: &Edge) -> String {
 pub fn export_graph(backend: &dyn GraphBackend) -> GResult<(ExportedGraph, Duration)> {
     let start = Instant::now();
     let filter = ElementFilter::default();
-    let vertices: Vec<Vertex> =
-        match backend.graph_elements(ElementKind::Vertices, &filter)? {
-            BackendOutput::Elements(es) => es
-                .into_iter()
-                .filter_map(|e| match e {
-                    Element::Vertex(v) => Some(v),
-                    Element::Edge(_) => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+    let vertices: Vec<Vertex> = match backend.graph_elements(ElementKind::Vertices, &filter)? {
+        BackendOutput::Elements(es) => es
+            .into_iter()
+            .filter_map(|e| match e {
+                Element::Vertex(v) => Some(v),
+                Element::Edge(_) => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
     let edges: Vec<Edge> = match backend.graph_elements(ElementKind::Edges, &filter)? {
         BackendOutput::Elements(es) => es
             .into_iter()

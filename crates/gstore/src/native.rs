@@ -28,7 +28,7 @@ use gremlin::backend::{
     GraphBackend,
 };
 use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
-use gremlin::{GremlinError, GResult};
+use gremlin::{GResult, GremlinError};
 use parking_lot::Mutex;
 
 use crate::codec::{self, Cursor};
@@ -244,8 +244,7 @@ impl NativeGraphDb {
     /// Set the simulated per-miss storage latency (models the disk reads
     /// GDB-X pays once the graph exceeds its in-memory cache).
     pub fn set_miss_penalty(&self, penalty: std::time::Duration) {
-        self.miss_penalty
-            .store(penalty.as_nanos() as u64, Ordering::Relaxed);
+        self.miss_penalty.store(penalty.as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn pay_miss(&self) {
@@ -527,7 +526,9 @@ impl GraphBackend for NativeGraphDb {
             let mut walk = |entries: &[AdjEntry]| -> GResult<()> {
                 let matching: Vec<&AdjEntry> = entries
                     .iter()
-                    .filter(|entry| wanted.as_ref().map(|ls| ls.contains(&entry.label)).unwrap_or(true))
+                    .filter(|entry| {
+                        wanted.as_ref().map(|ls| ls.contains(&entry.label)).unwrap_or(true)
+                    })
                     .collect();
                 match to {
                     ElementKind::Edges => {

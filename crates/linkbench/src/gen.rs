@@ -165,16 +165,13 @@ impl GraphData {
             *out_deg.entry(l.id1).or_insert(0) += 1;
         }
         let max_degree = out_deg.values().copied().max().unwrap_or(0);
-        let csv_bytes: u64 = self
-            .nodes
-            .iter()
-            .map(|v| (20 + v.label.len() + v.data.len() + 22) as u64)
-            .sum::<u64>()
-            + self
-                .links
-                .iter()
-                .map(|e| (30 + e.label.len() + e.data.len() + 30) as u64)
-                .sum::<u64>();
+        let csv_bytes: u64 =
+            self.nodes.iter().map(|v| (20 + v.label.len() + v.data.len() + 22) as u64).sum::<u64>()
+                + self
+                    .links
+                    .iter()
+                    .map(|e| (30 + e.label.len() + e.data.len() + 30) as u64)
+                    .sum::<u64>();
         DatasetStats {
             num_vertices: self.nodes.len() as u64,
             num_edges: self.links.len() as u64,

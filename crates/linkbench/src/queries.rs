@@ -27,12 +27,8 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    pub const ALL: [QueryKind; 4] = [
-        QueryKind::GetNode,
-        QueryKind::CountLinks,
-        QueryKind::GetLink,
-        QueryKind::GetLinkList,
-    ];
+    pub const ALL: [QueryKind; 4] =
+        [QueryKind::GetNode, QueryKind::CountLinks, QueryKind::GetLink, QueryKind::GetLinkList];
 
     pub fn name(&self) -> &'static str {
         match self {
@@ -178,8 +174,7 @@ mod tests {
     fn mixed_batch_covers_kinds() {
         let data = generate(&LinkBenchConfig::small().with_vertices(300));
         let batch = mixed_batch(&data, 64, 5);
-        let kinds: std::collections::HashSet<QueryKind> =
-            batch.iter().map(|(k, _)| *k).collect();
+        let kinds: std::collections::HashSet<QueryKind> = batch.iter().map(|(k, _)| *k).collect();
         assert_eq!(kinds.len(), 4);
     }
 }

@@ -211,11 +211,7 @@ mod tests {
         let out = graph.run("g.V(0).outE().count()").unwrap();
         assert_eq!(out, vec![GValue::Long(expected)]);
         // Per-label degree matches too.
-        let expected = data
-            .links
-            .iter()
-            .filter(|l| l.id1 == 0 && l.label == "et3")
-            .count() as i64;
+        let expected = data.links.iter().filter(|l| l.id1 == 0 && l.label == "et3").count() as i64;
         let out = graph.run("g.V(0).outE('et3').count()").unwrap();
         assert_eq!(out, vec![GValue::Long(expected)]);
     }

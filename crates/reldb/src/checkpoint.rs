@@ -237,9 +237,9 @@ pub(crate) fn verified_bytes(dir: &Path) -> DbResult<Option<Vec<u8>>> {
     let path = checkpoint_path(dir);
     let mut buf = Vec::new();
     match File::open(&path) {
-        Ok(mut f) => f
-            .read_to_end(&mut buf)
-            .map_err(|e| DbError::Io(format!("read checkpoint: {e}")))?,
+        Ok(mut f) => {
+            f.read_to_end(&mut buf).map_err(|e| DbError::Io(format!("read checkpoint: {e}")))?
+        }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(DbError::Io(format!("open checkpoint: {e}"))),
     };

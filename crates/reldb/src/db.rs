@@ -447,10 +447,7 @@ impl Database {
     /// `commit_epoch.store`, so even plain statements observe whole
     /// transactions or none of them.
     fn read_view(&self) -> ReadView {
-        ReadView {
-            snap: self.commit_epoch.load(Ordering::Acquire),
-            stamp: self.current_stamp(),
-        }
+        ReadView { snap: self.commit_epoch.load(Ordering::Acquire), stamp: self.current_stamp() }
     }
 
     /// Reclaim committed-dead versions no registered snapshot can see.
@@ -589,9 +586,7 @@ impl Database {
                     views.insert(Self::key(&name), ViewDef { name, query: *q });
                 }
                 _ => {
-                    return Err(DbError::Io(format!(
-                        "checkpoint view '{name}' failed to re-parse"
-                    )))
+                    return Err(DbError::Io(format!("checkpoint view '{name}' failed to re-parse")))
                 }
             }
         }
@@ -644,10 +639,8 @@ impl Database {
                 rows,
             });
         }
-        let view_images = views
-            .iter()
-            .map(|v| (v.name.clone(), render::select_sql(&v.query)))
-            .collect();
+        let view_images =
+            views.iter().map(|v| (v.name.clone(), render::select_sql(&v.query))).collect();
         let image =
             checkpoint::CheckpointImage { epoch, wal_seq, tables: images, views: view_images };
         checkpoint::write(&d, &image)?;
@@ -669,9 +662,7 @@ impl Database {
 
     /// Epoch of the last installed checkpoint (0 if none).
     pub fn last_checkpoint_epoch(&self) -> u64 {
-        self.durability
-            .as_ref()
-            .map_or(0, |d| d.last_checkpoint_epoch.load(Ordering::Relaxed))
+        self.durability.as_ref().map_or(0, |d| d.last_checkpoint_epoch.load(Ordering::Relaxed))
     }
 
     /// Install (or clear) the crash-injection hook the recovery test
@@ -1358,8 +1349,7 @@ impl Database {
         }
         let garbage = log.ops().iter().filter(|op| op.creates_garbage()).count();
         if garbage > 0
-            && self.garbage_hint.fetch_add(garbage, Ordering::Relaxed) + garbage
-                >= VACUUM_THRESHOLD
+            && self.garbage_hint.fetch_add(garbage, Ordering::Relaxed) + garbage >= VACUUM_THRESHOLD
         {
             self.garbage_hint.store(0, Ordering::Relaxed);
             self.vacuum();
@@ -1446,8 +1436,7 @@ impl Database {
     }
 
     fn require_table(&self, name: &str) -> DbResult<Arc<Table>> {
-        self.get_table(name)
-            .ok_or_else(|| DbError::Catalog(format!("table '{name}' not found")))
+        self.get_table(name).ok_or_else(|| DbError::Catalog(format!("table '{name}' not found")))
     }
 
     // ---------------------------------------------------------------- DML
@@ -1460,10 +1449,9 @@ impl Database {
     ) -> DbResult<RowSet> {
         let t = self.require_table(table)?;
         let positions: Vec<usize> = match columns {
-            Some(cols) => cols
-                .iter()
-                .map(|c| t.schema.require_column(c))
-                .collect::<DbResult<_>>()?,
+            Some(cols) => {
+                cols.iter().map(|c| t.schema.require_column(c)).collect::<DbResult<_>>()?
+            }
             None => (0..t.schema.columns.len()).collect(),
         };
         let empty_cols: Vec<ColRef> = Vec::new();
@@ -1571,10 +1559,8 @@ impl Database {
     ) -> DbResult<RowSet> {
         let t = self.require_table(table)?;
         let cols = table_cols(&t.schema.name, &t.schema);
-        let set_positions: Vec<usize> = sets
-            .iter()
-            .map(|(c, _)| t.schema.require_column(c))
-            .collect::<DbResult<_>>()?;
+        let set_positions: Vec<usize> =
+            sets.iter().map(|(c, _)| t.schema.require_column(c)).collect::<DbResult<_>>()?;
         let set_exprs: Vec<Compiled<'_>> = sets.iter().map(|(_, e)| compile(e, &cols)).collect();
         let mut ctx = self.begin_stmt_write();
         let result = (|| {
@@ -1665,7 +1651,8 @@ mod tests {
         let db = setup();
         let rs = db.execute("SELECT COUNT(*) FROM Patient WHERE patientID = 999").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Bigint(0)));
-        let rs = db.execute("SELECT SUM(subscriptionID) FROM Patient WHERE patientID = 999").unwrap();
+        let rs =
+            db.execute("SELECT SUM(subscriptionID) FROM Patient WHERE patientID = 999").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Null));
     }
 
@@ -1681,7 +1668,8 @@ mod tests {
     #[test]
     fn update_delete_and_counts() {
         let db = setup();
-        let rs = db.execute("UPDATE Patient SET address = 'moved' WHERE patientID IN (1, 2)").unwrap();
+        let rs =
+            db.execute("UPDATE Patient SET address = 'moved' WHERE patientID IN (1, 2)").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Bigint(2)));
         let rs = db.execute("SELECT COUNT(*) FROM Patient WHERE address = 'moved'").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Bigint(2)));
@@ -2010,7 +1998,8 @@ mod tests {
         let db = setup();
         db.execute("BEGIN").unwrap();
         db.execute("DELETE FROM Disease WHERE diseaseID = 10").unwrap();
-        db.execute("INSERT INTO Disease VALUES (10, 'E11.9', 'type 2 diabetes, new code')").unwrap();
+        db.execute("INSERT INTO Disease VALUES (10, 'E11.9', 'type 2 diabetes, new code')")
+            .unwrap();
         db.execute("COMMIT").unwrap();
         let rs = db.execute("SELECT conceptCode FROM Disease WHERE diseaseID = 10").unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Varchar("E11.9".into())));
@@ -2119,9 +2108,7 @@ mod tests {
         db.with_session_txn(token, |db| {
             db.execute("INSERT INTO Patient VALUES (4, 'Dave', NULL, NULL)").unwrap();
             // Reads inside the session see both uncommitted writes.
-            let rs = db
-                .execute("SELECT address FROM Patient WHERE patientID = 1")
-                .unwrap();
+            let rs = db.execute("SELECT address FROM Patient WHERE patientID = 1").unwrap();
             assert_eq!(rs.scalar(), Some(&Value::Varchar("1 Session Way".into())));
             assert_eq!(db.execute("SELECT * FROM Patient").unwrap().len(), 4);
         })

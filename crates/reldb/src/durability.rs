@@ -433,13 +433,8 @@ impl Wal {
             put_u64(&mut header, fallback_base);
             file.write_all(&header).map_err(|e| io_err("write wal header", e))?;
             file.sync_data().map_err(|e| io_err("sync wal", e))?;
-            let wal = Wal {
-                file,
-                base_seq: fallback_base,
-                records: 0,
-                len: WAL_HEADER_LEN,
-                unsynced: 0,
-            };
+            let wal =
+                Wal { file, base_seq: fallback_base, records: 0, len: WAL_HEADER_LEN, unsynced: 0 };
             return Ok((wal, WalScan { records: Vec::new(), truncated_bytes: dropped }));
         }
 
@@ -473,13 +468,8 @@ impl Wal {
             file.set_len(valid_len).map_err(|e| io_err("truncate wal tail", e))?;
             file.sync_data().map_err(|e| io_err("sync wal", e))?;
         }
-        let wal = Wal {
-            file,
-            base_seq,
-            records: records.len() as u64,
-            len: valid_len,
-            unsynced: 0,
-        };
+        let wal =
+            Wal { file, base_seq, records: records.len() as u64, len: valid_len, unsynced: 0 };
         Ok((wal, WalScan { records, truncated_bytes }))
     }
 
@@ -760,13 +750,13 @@ impl DurabilityState {
         // lock, so no append can race it; append mode keeps writes pinned
         // to the end regardless of the read cursor (rotation relies on the
         // same property).
-        w.file
-            .seek(SeekFrom::Start(WAL_HEADER_LEN))
-            .map_err(|e| io_err("seek wal", e))?;
+        w.file.seek(SeekFrom::Start(WAL_HEADER_LEN)).map_err(|e| io_err("seek wal", e))?;
         let mut region = Vec::new();
         w.file.read_to_end(&mut region).map_err(|e| io_err("read wal", e))?;
         let corrupt = |what: &str| {
-            DbError::Recovery(format!("wal frame walk failed at a {what}; log is corrupt in memory"))
+            DbError::Recovery(format!(
+                "wal frame walk failed at a {what}; log is corrupt in memory"
+            ))
         };
         let mut off = 0usize;
         for _ in 0..(from_seq - w.base_seq) {

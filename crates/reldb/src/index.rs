@@ -222,10 +222,7 @@ mod tests {
     use super::*;
 
     fn idx(unique: bool) -> Index {
-        Index::new(
-            IndexDef { name: "i".into(), columns: vec!["a".into()], unique },
-            vec![0],
-        )
+        Index::new(IndexDef { name: "i".into(), columns: vec!["a".into()], unique }, vec![0])
     }
 
     #[test]
@@ -285,7 +282,8 @@ mod tests {
         for (a, b, rid) in [(1, 1, 0), (1, 2, 1), (2, 1, 2), (3, 1, 3)] {
             i.insert(&vec![Value::Bigint(a), Value::Bigint(b)], rid);
         }
-        let got = i.lookup_range(Bound::Excluded(&Value::Bigint(1)), Bound::Included(&Value::Bigint(3)));
+        let got =
+            i.lookup_range(Bound::Excluded(&Value::Bigint(1)), Bound::Included(&Value::Bigint(3)));
         assert_eq!(got, vec![2, 3]);
         let got = i.lookup_range(Bound::Unbounded, Bound::Excluded(&Value::Bigint(2)));
         assert_eq!(got, vec![0, 1]);
@@ -300,7 +298,8 @@ mod tests {
         for rid in 0..6 {
             i.insert(&vec![Value::Bigint(rid as i64)], rid);
         }
-        let got = i.lookup_range(Bound::Excluded(&Value::Bigint(1)), Bound::Included(&Value::Bigint(3)));
+        let got =
+            i.lookup_range(Bound::Excluded(&Value::Bigint(1)), Bound::Included(&Value::Bigint(3)));
         assert_eq!(got, vec![2, 3]);
         let got = i.lookup_range(Bound::Included(&Value::Double(3.5)), Bound::Unbounded);
         assert_eq!(got, vec![4, 5]);

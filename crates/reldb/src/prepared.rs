@@ -247,12 +247,14 @@ fn bind_source(s: &TableSource, params: &[Value]) -> DbResult<TableSource> {
 fn bind_expr(e: &Expr, params: &[Value]) -> DbResult<Expr> {
     Ok(match e {
         Expr::Param(i) => {
-            let v = params.get(*i).ok_or_else(|| {
-                DbError::Execution(format!("missing value for parameter ?{i}"))
-            })?;
+            let v = params
+                .get(*i)
+                .ok_or_else(|| DbError::Execution(format!("missing value for parameter ?{i}")))?;
             Expr::Literal(v.clone())
         }
-        Expr::Unary { op, expr } => Expr::Unary { op: *op, expr: Box::new(bind_expr(expr, params)?) },
+        Expr::Unary { op, expr } => {
+            Expr::Unary { op: *op, expr: Box::new(bind_expr(expr, params)?) }
+        }
         Expr::Binary { op, left, right } => Expr::Binary {
             op: *op,
             left: Box::new(bind_expr(left, params)?),
@@ -321,10 +323,7 @@ mod tests {
 
     #[test]
     fn bind_reaches_table_function_args() {
-        let p = Prepared::new(
-            "SELECT * FROM TABLE(f(?)) AS x (a BIGINT) WHERE a > ?",
-        )
-        .unwrap();
+        let p = Prepared::new("SELECT * FROM TABLE(f(?)) AS x (a BIGINT) WHERE a > ?").unwrap();
         assert_eq!(p.param_count, 2);
         let bound = p.bind(&[Value::Varchar("q".into()), Value::Bigint(0)]).unwrap();
         match bound {

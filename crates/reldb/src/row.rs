@@ -56,11 +56,8 @@ impl RowSet {
     /// Render as an aligned text table, for examples and debugging output.
     pub fn to_table_string(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
-        let rendered: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| r.iter().map(|v| v.to_string()).collect())
-            .collect();
+        let rendered: Vec<Vec<String>> =
+            self.rows.iter().map(|r| r.iter().map(|v| v.to_string()).collect()).collect();
         for row in &rendered {
             for (i, cell) in row.iter().enumerate() {
                 if i < widths.len() {

@@ -65,7 +65,12 @@ impl TableSchema {
         self
     }
 
-    pub fn with_foreign_key(mut self, cols: Vec<&str>, ref_table: &str, ref_cols: Vec<&str>) -> Self {
+    pub fn with_foreign_key(
+        mut self,
+        cols: Vec<&str>,
+        ref_table: &str,
+        ref_cols: Vec<&str>,
+    ) -> Self {
         self.foreign_keys.push(ForeignKey {
             columns: cols.into_iter().map(str::to_string).collect(),
             ref_table: ref_table.to_string(),
@@ -105,9 +110,7 @@ impl TableSchema {
 
     /// True when `name` participates in any foreign key of this table.
     pub fn is_fk_column(&self, name: &str) -> bool {
-        self.foreign_keys
-            .iter()
-            .any(|fk| fk.columns.iter().any(|c| c.eq_ignore_ascii_case(name)))
+        self.foreign_keys.iter().any(|fk| fk.columns.iter().any(|c| c.eq_ignore_ascii_case(name)))
     }
 
     /// Validate internal consistency: unique column names, constraints
@@ -198,10 +201,7 @@ mod tests {
     fn validate_rejects_duplicates_and_bad_constraints() {
         let dup = TableSchema::new(
             "T",
-            vec![
-                ColumnDef::new("a", DataType::Bigint),
-                ColumnDef::new("A", DataType::Varchar),
-            ],
+            vec![ColumnDef::new("a", DataType::Bigint), ColumnDef::new("A", DataType::Varchar)],
         );
         assert!(dup.validate().is_err());
 

@@ -100,12 +100,7 @@ pub enum TableSource {
     Named { name: String, alias: Option<String> },
     /// A polymorphic table function: `TABLE(f(args)) AS alias (col type, ...)`.
     /// This is the hook the paper's `graphQuery` function uses (Section 4).
-    Function {
-        name: String,
-        args: Vec<Expr>,
-        alias: String,
-        columns: Vec<(String, DataType)>,
-    },
+    Function { name: String, args: Vec<Expr>, alias: String, columns: Vec<(String, DataType)> },
     /// A derived table: `(SELECT ...) AS alias`.
     Subquery { query: Box<SelectStmt>, alias: String },
 }
@@ -156,19 +151,45 @@ pub enum UnaryOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference, optionally qualified (`t.col`).
-    Column { qualifier: Option<String>, name: String },
+    Column {
+        qualifier: Option<String>,
+        name: String,
+    },
     Literal(Value),
     /// `?` positional parameter (0-based ordinal in statement order).
     Param(usize),
-    Unary { op: UnaryOp, expr: Box<Expr> },
-    Binary { op: BinOp, left: Box<Expr>, right: Box<Expr> },
-    InList { expr: Box<Expr>, list: Vec<Expr>, negated: bool },
-    IsNull { expr: Box<Expr>, negated: bool },
-    Like { expr: Box<Expr>, pattern: Box<Expr>, negated: bool },
+    Unary {
+        op: UnaryOp,
+        expr: Box<Expr>,
+    },
+    Binary {
+        op: BinOp,
+        left: Box<Expr>,
+        right: Box<Expr>,
+    },
+    InList {
+        expr: Box<Expr>,
+        list: Vec<Expr>,
+        negated: bool,
+    },
+    IsNull {
+        expr: Box<Expr>,
+        negated: bool,
+    },
+    Like {
+        expr: Box<Expr>,
+        pattern: Box<Expr>,
+        negated: bool,
+    },
     /// Function call — aggregates (`COUNT`, `SUM`, `AVG`, `MIN`, `MAX`,
     /// with optional DISTINCT or `*`) and scalar functions (`ABS`, `LOWER`,
     /// `UPPER`, `LENGTH`, `CONCAT`).
-    Function { name: String, args: Vec<Expr>, distinct: bool, star: bool },
+    Function {
+        name: String,
+        args: Vec<Expr>,
+        distinct: bool,
+        star: bool,
+    },
 }
 
 impl Expr {
@@ -255,10 +276,7 @@ impl Expr {
 
 /// Whether a function name denotes an aggregate.
 pub fn is_aggregate_name(name: &str) -> bool {
-    matches!(
-        name.to_ascii_uppercase().as_str(),
-        "COUNT" | "SUM" | "AVG" | "MIN" | "MAX"
-    )
+    matches!(name.to_ascii_uppercase().as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
 }
 
 #[cfg(test)]

@@ -30,11 +30,7 @@ impl ColRef {
 
 /// Resolve a column reference against a column list; returns its position.
 /// An unqualified name that matches more than one column is ambiguous.
-pub fn resolve_column(
-    cols: &[ColRef],
-    qualifier: &Option<String>,
-    name: &str,
-) -> DbResult<usize> {
+pub fn resolve_column(cols: &[ColRef], qualifier: &Option<String>, name: &str) -> DbResult<usize> {
     let mut found: Option<usize> = None;
     for (i, c) in cols.iter().enumerate() {
         let qual_matches = match (qualifier, &c.qualifier) {
@@ -187,18 +183,18 @@ impl Compiled<'_> {
                 }
             }
             Compiled::IsNull(e, negated) => Value::Boolean(e.eval(row)?.is_null() != *negated),
-            Compiled::Like(e, pattern, negated) => {
-                match (&*e.eval(row)?, &*pattern.eval(row)?) {
-                    (Value::Null, _) | (_, Value::Null) => Value::Null,
-                    (Value::Varchar(s), Value::Varchar(pat)) => {
-                        Value::Boolean(like_match(s, pat) != *negated)
-                    }
-                    _ => return Err(DbError::Type("LIKE requires string operands".into())),
+            Compiled::Like(e, pattern, negated) => match (&*e.eval(row)?, &*pattern.eval(row)?) {
+                (Value::Null, _) | (_, Value::Null) => Value::Null,
+                (Value::Varchar(s), Value::Varchar(pat)) => {
+                    Value::Boolean(like_match(s, pat) != *negated)
                 }
-            }
+                _ => return Err(DbError::Type("LIKE requires string operands".into())),
+            },
             Compiled::Function(name, args) => {
-                let vals: Vec<Value> =
-                    args.iter().map(|a| a.eval(row).map(Cow::into_owned)).collect::<DbResult<_>>()?;
+                let vals: Vec<Value> = args
+                    .iter()
+                    .map(|a| a.eval(row).map(Cow::into_owned))
+                    .collect::<DbResult<_>>()?;
                 scalar_function(name, vals)?
             }
         })
@@ -348,7 +344,6 @@ fn scalar_function(upper: &str, vals: Vec<Value>) -> DbResult<Value> {
     }
 }
 
-
 /// SQL truth value of a value: `Some(bool)` or `None` for NULL/unknown.
 pub fn truth(v: &Value) -> Option<bool> {
     match v {
@@ -431,14 +426,14 @@ mod tests {
         let null_cmp = null.clone().eq(Expr::lit(1i64));
         let f = Expr::lit(1i64).eq(Expr::lit(2i64));
         let t = Expr::lit(1i64).eq(Expr::lit(1i64));
-        let and_f = Expr::Binary {
+        let and_f =
+            Expr::Binary { op: BinOp::And, left: Box::new(null_cmp.clone()), right: Box::new(f) };
+        assert_eq!(eval(&and_f, &env).unwrap(), Value::Boolean(false));
+        let and_t = Expr::Binary {
             op: BinOp::And,
             left: Box::new(null_cmp.clone()),
-            right: Box::new(f),
+            right: Box::new(t.clone()),
         };
-        assert_eq!(eval(&and_f, &env).unwrap(), Value::Boolean(false));
-        let and_t =
-            Expr::Binary { op: BinOp::And, left: Box::new(null_cmp.clone()), right: Box::new(t.clone()) };
         assert_eq!(eval(&and_t, &env).unwrap(), Value::Null);
         let or_t = Expr::Binary { op: BinOp::Or, left: Box::new(null_cmp), right: Box::new(t) };
         assert_eq!(eval(&or_t, &env).unwrap(), Value::Boolean(true));

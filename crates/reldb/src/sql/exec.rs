@@ -41,8 +41,12 @@ use crate::index::RowId;
 use crate::row::{Row, RowSet};
 use crate::schema::TableSchema;
 use crate::sql::ast::*;
-use crate::sql::eval::{binary, compile, eval, resolve_column, truth, unary, ColRef, Compiled, RowEnv};
-use crate::sql::planner::{as_simple_pred, choose_access_path, split_conjuncts, AccessPath, SimplePred};
+use crate::sql::eval::{
+    binary, compile, eval, resolve_column, truth, unary, ColRef, Compiled, RowEnv,
+};
+use crate::sql::planner::{
+    as_simple_pred, choose_access_path, split_conjuncts, AccessPath, SimplePred,
+};
 use crate::storage::{ReadView, Table, TableData};
 use crate::value::Value;
 
@@ -104,7 +108,9 @@ pub fn execute_select(db: &Database, stmt: &SelectStmt, view: &ReadView) -> DbRe
 /// The base table a SELECT reads when that table is its only source.
 fn single_table<'s>(db: &Database, stmt: &'s SelectStmt) -> Option<(Arc<Table>, &'s str)> {
     match stmt.from.as_slice() {
-        [FromItem { source: source @ TableSource::Named { name, .. }, joins }] if joins.is_empty() => {
+        [FromItem { source: source @ TableSource::Named { name, .. }, joins }]
+            if joins.is_empty() =>
+        {
             Some((db.get_table(name)?, source.binding_name()))
         }
         _ => None,
@@ -138,7 +144,8 @@ pub fn explain_select(db: &Database, stmt: &SelectStmt) -> DbResult<Vec<String>>
             let pushdown = if i == 0 { stmt.where_clause.as_ref() } else { None };
             lines.push(describe_source(db, &fi.source, pushdown)?);
             for j in &fi.joins {
-                let kind = if equi_pairs_possible(&j.on) { "HASH-JOIN" } else { "NESTED-LOOP-JOIN" };
+                let kind =
+                    if equi_pairs_possible(&j.on) { "HASH-JOIN" } else { "NESTED-LOOP-JOIN" };
                 lines.push(format!("{kind} {}", describe_source(db, &j.source, None)?));
             }
             if i + 1 < stmt.from.len() {
@@ -178,7 +185,11 @@ fn equi_pairs_possible(on: &Expr) -> bool {
     })
 }
 
-fn describe_source(db: &Database, source: &TableSource, pushdown: Option<&Expr>) -> DbResult<String> {
+fn describe_source(
+    db: &Database,
+    source: &TableSource,
+    pushdown: Option<&Expr>,
+) -> DbResult<String> {
     match source {
         TableSource::Named { name, .. } => {
             if let Some(table) = db.get_table(name) {
@@ -443,7 +454,8 @@ fn resolve_source(
             let empty_cols: Vec<ColRef> = Vec::new();
             let empty_row: Row = Vec::new();
             let env = RowEnv { cols: &empty_cols, row: &empty_row };
-            let arg_vals: Vec<Value> = args.iter().map(|a| eval(a, &env)).collect::<DbResult<_>>()?;
+            let arg_vals: Vec<Value> =
+                args.iter().map(|a| eval(a, &env)).collect::<DbResult<_>>()?;
             let rs = func.eval(&arg_vals, columns)?;
             if rs.columns.len() != columns.len() {
                 return Err(DbError::Type(format!(
@@ -484,17 +496,16 @@ fn relabel(rs: RowSet, binding: &str) -> Relation {
 /// Push applicable outer conjuncts into a view's query so its own planning
 /// can use indexes. Only conjuncts over simple passthrough columns of a
 /// plain (non-aggregating, non-distinct, non-limited) view are pushed.
-fn push_into_view(
-    view_query: &SelectStmt,
-    binding: &str,
-    pushdown: Option<&Expr>,
-) -> SelectStmt {
+fn push_into_view(view_query: &SelectStmt, binding: &str, pushdown: Option<&Expr>) -> SelectStmt {
     let mut query = view_query.clone();
     let Some(outer) = pushdown else { return query };
     if !query.group_by.is_empty()
         || query.distinct
         || query.limit.is_some()
-        || query.items.iter().any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
+        || query
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
     {
         return query;
     }
@@ -542,7 +553,10 @@ fn rewrite_for_view(expr: &Expr, binding: &str, mapping: &HashMap<String, Expr>)
         }
         Expr::Literal(_) => Some(expr.clone()),
         Expr::Binary { op, left, right }
-            if matches!(op, BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) =>
+            if matches!(
+                op,
+                BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
+            ) =>
         {
             Some(Expr::Binary {
                 op: *op,
@@ -737,9 +751,13 @@ fn apply_join(db: &Database, left: Relation, join: &Join, view: &ReadView) -> Db
     join_relations(left, right, &join.on, join.left_outer)
 }
 
-fn join_relations(left: Relation, right: Relation, on: &Expr, left_outer: bool) -> DbResult<Relation> {
-    let combined_cols: Vec<ColRef> =
-        left.cols.iter().chain(right.cols.iter()).cloned().collect();
+fn join_relations(
+    left: Relation,
+    right: Relation,
+    on: &Expr,
+    left_outer: bool,
+) -> DbResult<Relation> {
+    let combined_cols: Vec<ColRef> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
 
     // Find equi-join key pairs resolvable on opposite sides.
     let (lcols, rcols) = (left.cols.as_slice(), right.cols.as_slice());
@@ -747,10 +765,14 @@ fn join_relations(left: Relation, right: Relation, on: &Expr, left_outer: bool) 
     let mut right_keys: Vec<usize> = Vec::new();
     for conj in split_conjuncts(on) {
         if let Expr::Binary { op: BinOp::Eq, left: a, right: b } = conj {
-            if let (Expr::Column { qualifier: qa, name: na }, Expr::Column { qualifier: qb, name: nb }) =
-                (a.as_ref(), b.as_ref())
+            if let (
+                Expr::Column { qualifier: qa, name: na },
+                Expr::Column { qualifier: qb, name: nb },
+            ) = (a.as_ref(), b.as_ref())
             {
-                if let (Ok(li), Ok(ri)) = (resolve_column(lcols, qa, na), resolve_column(rcols, qb, nb)) {
+                if let (Ok(li), Ok(ri)) =
+                    (resolve_column(lcols, qa, na), resolve_column(rcols, qb, nb))
+                {
                     left_keys.push(li);
                     right_keys.push(ri);
                 } else if let (Ok(li), Ok(ri)) =
@@ -831,8 +853,10 @@ fn combine(left: Relation, right: Relation, where_clause: Option<&Expr>) -> DbRe
         let mut on: Option<Expr> = None;
         for conj in split_conjuncts(w) {
             if let Expr::Binary { op: BinOp::Eq, left: a, right: b } = conj {
-                if let (Expr::Column { qualifier: qa, name: na }, Expr::Column { qualifier: qb, name: nb }) =
-                    (a.as_ref(), b.as_ref())
+                if let (
+                    Expr::Column { qualifier: qa, name: na },
+                    Expr::Column { qualifier: qb, name: nb },
+                ) = (a.as_ref(), b.as_ref())
                 {
                     let (l, r) = (left.cols.as_slice(), right.cols.as_slice());
                     let resolves = |cols, q, n| resolve_column(cols, q, n).is_ok();
@@ -852,8 +876,7 @@ fn combine(left: Relation, right: Relation, where_clause: Option<&Expr>) -> DbRe
         }
     }
     // Plain cross product.
-    let combined_cols: Vec<ColRef> =
-        left.cols.iter().chain(right.cols.iter()).cloned().collect();
+    let combined_cols: Vec<ColRef> = left.cols.iter().chain(right.cols.iter()).cloned().collect();
     let mut rows = Vec::with_capacity(left.rows.len().saturating_mul(right.rows.len()));
     for l in &left.rows {
         for r in &right.rows {
@@ -1144,11 +1167,7 @@ impl<'a> Aggregator<'a> {
         for (i, item) in stmt.items.iter().enumerate() {
             match item {
                 SelectItem::Expr { expr, alias } => names.push(output_name(expr, alias, i)),
-                _ => {
-                    return Err(DbError::Unsupported(
-                        "SELECT * together with aggregation".into(),
-                    ))
-                }
+                _ => return Err(DbError::Unsupported("SELECT * together with aggregation".into())),
             }
         }
         let specs = collect_agg_specs(stmt);
@@ -1162,7 +1181,9 @@ impl<'a> Aggregator<'a> {
             args.push(match call_args.first() {
                 _ if *star => None,
                 Some(arg) => Some(compile(arg, cols)),
-                None => Some(Compiled::Fail(DbError::Execution(format!("{name}() needs an argument")))),
+                None => {
+                    Some(Compiled::Fail(DbError::Execution(format!("{name}() needs an argument"))))
+                }
             });
         }
         Ok(Aggregator {
@@ -1185,13 +1206,20 @@ impl<'a> Aggregator<'a> {
             }
             0
         } else {
-            let key: Vec<Value> =
-                self.group_by.iter().map(|e| e.eval(row).map(Cow::into_owned)).collect::<DbResult<_>>()?;
+            let key: Vec<Value> = self
+                .group_by
+                .iter()
+                .map(|e| e.eval(row).map(Cow::into_owned))
+                .collect::<DbResult<_>>()?;
             match self.lookup.get(&key) {
                 Some(&i) => i,
                 None => {
                     let accs = self.fresh.clone();
-                    self.groups.push(Group { key: key.clone(), representative: row.to_vec(), accs });
+                    self.groups.push(Group {
+                        key: key.clone(),
+                        representative: row.to_vec(),
+                        accs,
+                    });
                     self.lookup.insert(key, self.groups.len() - 1);
                     self.groups.len() - 1
                 }
@@ -1428,8 +1456,8 @@ mod tests {
         let values: Vec<String> = (0..1000).map(|i| format!("({i}, {})", i % 100)).collect();
         db.execute(&format!("INSERT INTO nodes VALUES {}", values.join(", "))).unwrap();
         // 555 twice, a NULL and an id no row has.
-        let ids = [555, 42, 7, 555, -1, 5000]
-            .map(|i| if i < 0 { Value::Null } else { Value::Bigint(i) });
+        let ids =
+            [555, 42, 7, 555, -1, 5000].map(|i| if i < 0 { Value::Null } else { Value::Bigint(i) });
         db.register_function(
             "neighbours",
             Arc::new(move |_: &[Value], cols: &[(String, DataType)]| -> DbResult<RowSet> {

@@ -132,7 +132,9 @@ pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
                 tokens.push(Token::QuotedIdent(input[i + 1..i + 1 + end].to_string()));
                 i = i + 1 + end + 1;
             }
-            c if c.is_ascii_digit() || (c == '.' && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())) => {
+            c if c.is_ascii_digit()
+                || (c == '.' && bytes.get(i + 1).is_some_and(|b| b.is_ascii_digit())) =>
+            {
                 let (tok, next) = lex_number(input, i)?;
                 tokens.push(tok);
                 i = next;

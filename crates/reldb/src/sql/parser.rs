@@ -216,7 +216,11 @@ impl Parser {
                     ref_cols.push(self.identifier()?);
                 }
                 self.expect(&Token::RParen)?;
-                schema.foreign_keys.push(ForeignKey { columns: cols, ref_table, ref_columns: ref_cols });
+                schema.foreign_keys.push(ForeignKey {
+                    columns: cols,
+                    ref_table,
+                    ref_columns: ref_cols,
+                });
             } else if self.eat_kw("UNIQUE") {
                 self.expect(&Token::LParen)?;
                 let mut cols = vec![self.identifier()?];
@@ -402,7 +406,9 @@ impl Parser {
             self.eat_kw("FIRST");
             match self.next() {
                 Some(Token::IntLit(n)) => stmt.limit = Some(n),
-                other => return Err(DbError::Parse(format!("expected LIMIT count, got {other:?}"))),
+                other => {
+                    return Err(DbError::Parse(format!("expected LIMIT count, got {other:?}")))
+                }
             }
             self.eat_kw("ROWS");
             self.eat_kw("ROW");
@@ -562,7 +568,9 @@ impl Parser {
         }
         // IN / NOT IN / LIKE / NOT LIKE / IS [NOT] NULL / BETWEEN
         let negated = self.peek_kw("NOT")
-            && (self.peek_kw_at(1, "IN") || self.peek_kw_at(1, "LIKE") || self.peek_kw_at(1, "BETWEEN"));
+            && (self.peek_kw_at(1, "IN")
+                || self.peek_kw_at(1, "LIKE")
+                || self.peek_kw_at(1, "BETWEEN"));
         if negated {
             self.eat_kw("NOT");
         }
@@ -882,7 +890,8 @@ mod tests {
 
     #[test]
     fn parse_between_and_not_in() {
-        let s = parse_statement("SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b NOT IN (1)").unwrap();
+        let s =
+            parse_statement("SELECT * FROM t WHERE a BETWEEN 1 AND 5 AND b NOT IN (1)").unwrap();
         assert!(matches!(s, Stmt::Select(_)));
         let s = parse_statement("SELECT * FROM t WHERE a NOT BETWEEN 1 AND 5").unwrap();
         assert!(matches!(s, Stmt::Select(_)));
@@ -914,7 +923,9 @@ mod tests {
 
     #[test]
     fn parse_script_multiple_statements() {
-        let stmts = parse_script("CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1); SELECT * FROM t;").unwrap();
+        let stmts =
+            parse_script("CREATE TABLE t (a BIGINT); INSERT INTO t VALUES (1); SELECT * FROM t;")
+                .unwrap();
         assert_eq!(stmts.len(), 3);
     }
 

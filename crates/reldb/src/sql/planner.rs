@@ -27,11 +27,7 @@ pub enum AccessPath {
     /// Probe a single-column index for each key in a list (IN-list).
     IndexIn { index: String, keys: Vec<Value> },
     /// Range scan on the leading column of an index.
-    IndexRange {
-        index: String,
-        low: Bound<Value>,
-        high: Bound<Value>,
-    },
+    IndexRange { index: String, low: Bound<Value>, high: Bound<Value> },
 }
 
 impl AccessPath {
@@ -84,10 +80,8 @@ pub fn as_simple_pred(
 ) -> Option<SimplePred> {
     let col_of = |e: &Expr| -> Option<String> {
         if let Expr::Column { qualifier, name } = e {
-            let qual_ok = qualifier
-                .as_ref()
-                .map(|q| q.eq_ignore_ascii_case(binding))
-                .unwrap_or(true);
+            let qual_ok =
+                qualifier.as_ref().map(|q| q.eq_ignore_ascii_case(binding)).unwrap_or(true);
             if qual_ok && has_column(name) {
                 return Some(name.clone());
             }
@@ -196,7 +190,9 @@ pub fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (AccessPath
                                 BinOp::Gt => low = tighten_low(low, Bound::Excluded(v.clone())),
                                 BinOp::GtEq => low = tighten_low(low, Bound::Included(v.clone())),
                                 BinOp::Lt => high = tighten_high(high, Bound::Excluded(v.clone())),
-                                BinOp::LtEq => high = tighten_high(high, Bound::Included(v.clone())),
+                                BinOp::LtEq => {
+                                    high = tighten_high(high, Bound::Included(v.clone()))
+                                }
                                 _ => continue,
                             }
                             used += 1;
@@ -305,7 +301,9 @@ mod tests {
             list: vec![Expr::lit(1i64), Expr::lit(2i64)],
             negated: false,
         };
-        assert!(matches!(as_simple_pred(&e, "t", &has), Some(SimplePred::In(_, v)) if v.len() == 2));
+        assert!(
+            matches!(as_simple_pred(&e, "t", &has), Some(SimplePred::In(_, v)) if v.len() == 2)
+        );
         // Non-literal member defeats extraction.
         let e = Expr::InList {
             expr: Box::new(Expr::col("src")),
@@ -337,7 +335,9 @@ mod tests {
         let t = table_with_index();
         let d = t.read();
         let preds = vec![SimplePred::In("src".into(), vec![Value::Bigint(1), Value::Bigint(2)])];
-        assert!(matches!(choose_access_path(&d, &preds), (AccessPath::IndexIn { keys, .. }, 1) if keys.len() == 2));
+        assert!(
+            matches!(choose_access_path(&d, &preds), (AccessPath::IndexIn { keys, .. }, 1) if keys.len() == 2)
+        );
         let preds = vec![
             SimplePred::Cmp("src".into(), BinOp::Gt, Value::Bigint(5)),
             SimplePred::Cmp("src".into(), BinOp::LtEq, Value::Bigint(10)),

@@ -240,8 +240,8 @@ pub fn expr_sql(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sql::parser::parse_statement;
     use crate::sql::ast::Stmt;
+    use crate::sql::parser::parse_statement;
 
     fn round_trip_select(sql: &str) {
         let Stmt::Select(q1) = parse_statement(sql).unwrap() else {
@@ -294,10 +294,7 @@ mod tests {
         ));
         // NaN has no literal; its rendering is inf - inf, which evaluates
         // back to NaN.
-        assert!(matches!(
-            item_expr(select(f64::NAN)),
-            Expr::Binary { op: BinOp::Sub, .. }
-        ));
+        assert!(matches!(item_expr(select(f64::NAN)), Expr::Binary { op: BinOp::Sub, .. }));
     }
 
     #[test]
@@ -323,8 +320,7 @@ mod tests {
             unique: true,
         };
         let sql = create_index_sql("Edge", &def);
-        let Stmt::CreateIndex { name, table, columns, unique } =
-            parse_statement(&sql).unwrap()
+        let Stmt::CreateIndex { name, table, columns, unique } = parse_statement(&sql).unwrap()
         else {
             panic!("not create index: {sql}");
         };

@@ -131,12 +131,7 @@ fn same_key(ix: &Index, a: &Row, b: &Row) -> bool {
 impl TableData {
     /// Row by id as seen from `view`.
     pub fn row_at(&self, rid: RowId, view: &ReadView) -> Option<&Row> {
-        self.slots
-            .get(rid)?
-            .iter()
-            .rev()
-            .find(|v| v.visible(view))
-            .map(|v| &v.row)
+        self.slots.get(rid)?.iter().rev().find(|v| v.visible(view)).map(|v| &v.row)
     }
 
     /// Iterate `(row_id, row)` over rows visible to `view`.
@@ -149,18 +144,15 @@ impl TableData {
     /// Row by id, if the slot has a current (not deleted or superseded)
     /// version — the write path's view of the table.
     pub fn row(&self, rid: RowId) -> Option<&Row> {
-        self.slots
-            .get(rid)?
-            .iter()
-            .rfind(|v| v.is_current())
-            .map(|v| &v.row)
+        self.slots.get(rid)?.iter().rfind(|v| v.is_current()).map(|v| &v.row)
     }
 
     /// Iterate `(row_id, row)` over current versions.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.slots.iter().enumerate().filter_map(|(rid, slot)| {
-            slot.iter().rfind(|v| v.is_current()).map(|v| (rid, &v.row))
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(rid, slot)| slot.iter().rfind(|v| v.is_current()).map(|v| (rid, &v.row)))
     }
 
     pub fn len(&self) -> usize {
@@ -187,12 +179,7 @@ impl TableData {
     pub fn find_index(&self, columns: &[String]) -> Option<&Index> {
         self.indexes.iter().find(|ix| {
             ix.def.columns.len() == columns.len()
-                && ix
-                    .def
-                    .columns
-                    .iter()
-                    .zip(columns)
-                    .all(|(a, b)| a.eq_ignore_ascii_case(b))
+                && ix.def.columns.iter().zip(columns).all(|(a, b)| a.eq_ignore_ascii_case(b))
         })
     }
 
@@ -215,7 +202,13 @@ impl TableData {
     /// deleting transaction commits — but a version the inserting
     /// transaction (`stamp`) end-marked itself does not occupy the key, so
     /// DELETE-then-INSERT of the same key inside one transaction works.
-    fn key_occupied(&self, ix_pos: usize, key: &[Value], exclude: Option<RowId>, stamp: u64) -> bool {
+    fn key_occupied(
+        &self,
+        ix_pos: usize,
+        key: &[Value],
+        exclude: Option<RowId>,
+        stamp: u64,
+    ) -> bool {
         let own_delete = TXN_BIT | stamp;
         let ix = &self.indexes[ix_pos];
         ix.lookup_eq(key).iter().any(|&rid| {
@@ -246,10 +239,8 @@ impl Table {
         schema.validate()?;
         let mut data = TableData::default();
         if let Some(pk) = schema.primary_key.clone() {
-            let positions: Vec<usize> = pk
-                .iter()
-                .map(|c| schema.require_column(c))
-                .collect::<DbResult<_>>()?;
+            let positions: Vec<usize> =
+                pk.iter().map(|c| schema.require_column(c)).collect::<DbResult<_>>()?;
             data.indexes.push(Index::new_auto(
                 IndexDef {
                     name: format!("pk_{}", schema.name.to_ascii_lowercase()),
@@ -260,10 +251,8 @@ impl Table {
             ));
         }
         for (n, u) in schema.uniques.iter().enumerate() {
-            let positions: Vec<usize> = u
-                .iter()
-                .map(|c| schema.require_column(c))
-                .collect::<DbResult<_>>()?;
+            let positions: Vec<usize> =
+                u.iter().map(|c| schema.require_column(c)).collect::<DbResult<_>>()?;
             data.indexes.push(Index::new_auto(
                 IndexDef {
                     name: format!("uq_{}_{}", schema.name.to_ascii_lowercase(), n),
@@ -476,10 +465,8 @@ impl Table {
         let slot = slots
             .get_mut(rid)
             .ok_or_else(|| DbError::Txn(format!("rollback: slot {rid} missing")))?;
-        let pos = slot
-            .iter()
-            .rposition(|v| v.begin == marker && v.end == NO_END)
-            .ok_or_else(|| {
+        let pos =
+            slot.iter().rposition(|v| v.begin == marker && v.end == NO_END).ok_or_else(|| {
                 DbError::Txn(format!("rollback: inserted version for row {rid} missing"))
             })?;
         let gone = slot.remove(pos);
@@ -521,10 +508,8 @@ impl Table {
         let slot = slots
             .get_mut(rid)
             .ok_or_else(|| DbError::Txn(format!("rollback: slot {rid} missing")))?;
-        let pos = slot
-            .iter()
-            .rposition(|v| v.begin == marker && v.end == NO_END)
-            .ok_or_else(|| {
+        let pos =
+            slot.iter().rposition(|v| v.begin == marker && v.end == NO_END).ok_or_else(|| {
                 DbError::Txn(format!("rollback: updated version for row {rid} missing"))
             })?;
         let gone = slot.remove(pos);
@@ -590,11 +575,8 @@ impl Table {
     /// Create a new secondary index and backfill it from existing versions
     /// (all of them, so probes under older snapshots stay complete).
     pub fn create_index(&self, def: IndexDef) -> DbResult<()> {
-        let positions: Vec<usize> = def
-            .columns
-            .iter()
-            .map(|c| self.schema.require_column(c))
-            .collect::<DbResult<_>>()?;
+        let positions: Vec<usize> =
+            def.columns.iter().map(|c| self.schema.require_column(c)).collect::<DbResult<_>>()?;
         let mut data = self.data.write();
         if data.indexes.iter().any(|ix| ix.def.name.eq_ignore_ascii_case(&def.name)) {
             return Err(DbError::Catalog(format!("index '{}' already exists", def.name)));
@@ -652,7 +634,11 @@ impl Table {
     /// version, or nothing (insert-then-delete inside one transaction).
     /// Intermediate versions of a multi-update chain are invisible to
     /// every post-recovery reader, so the WAL never carries them.
-    pub(crate) fn net_change(&self, rid: RowId, stamp: u64) -> Option<crate::durability::NetChange> {
+    pub(crate) fn net_change(
+        &self,
+        rid: RowId,
+        stamp: u64,
+    ) -> Option<crate::durability::NetChange> {
         use crate::durability::NetChange;
         let marker = TXN_BIT | stamp;
         let data = self.data.read();
@@ -678,10 +664,7 @@ impl Table {
             .iter()
             .enumerate()
             .filter_map(|(rid, slot)| {
-                slot.iter()
-                    .rev()
-                    .find(|v| v.visible(&view))
-                    .map(|v| (rid, v.begin, v.row.clone()))
+                slot.iter().rev().find(|v| v.visible(&view)).map(|v| (rid, v.begin, v.row.clone()))
             })
             .collect();
         (data.slots.len() as u64, rows)
@@ -693,13 +676,7 @@ impl Table {
     /// the [`Index::auto`] flag, not the `pk_*`/`uq_*_<n>` naming scheme:
     /// a user index that happens to use such a name is still persisted.
     pub(crate) fn secondary_index_defs(&self) -> Vec<IndexDef> {
-        self.data
-            .read()
-            .indexes
-            .iter()
-            .filter(|ix| !ix.auto)
-            .map(|ix| ix.def.clone())
-            .collect()
+        self.data.read().indexes.iter().filter(|ix| !ix.auto).map(|ix| ix.def.clone()).collect()
     }
 
     /// Grow the slot array to `n` entries (checkpoint restore preserves
@@ -915,7 +892,10 @@ mod tests {
         let d = t.read();
         // Committed: the pinned snapshot still sees "old", latest sees "new".
         assert_eq!(d.row_at(rid, &at1).unwrap()[1], Value::Varchar("old".into()));
-        assert_eq!(d.row_at(rid, &ReadView::committed(2)).unwrap()[1], Value::Varchar("new".into()));
+        assert_eq!(
+            d.row_at(rid, &ReadView::committed(2)).unwrap()[1],
+            Value::Varchar("new".into())
+        );
         assert_eq!(d.iter_at(at1).count(), 1);
     }
 
@@ -956,7 +936,10 @@ mod tests {
         let r2 = put(&t, vec![Value::Bigint(1), Value::Varchar("again".into())], 3, 3);
         assert_ne!(rid, r2);
         let d = t.read();
-        assert_eq!(d.row_at(r2, &ReadView::committed(3)).unwrap()[1], Value::Varchar("again".into()));
+        assert_eq!(
+            d.row_at(r2, &ReadView::committed(3)).unwrap()[1],
+            Value::Varchar("again".into())
+        );
     }
 
     #[test]
@@ -982,7 +965,10 @@ mod tests {
         t.finalize_stamp(r2, 2, 2);
         let d = t.read();
         assert_eq!(d.row_at(r2, &ReadView::committed(2)).unwrap()[1], Value::Varchar("new".into()));
-        assert_eq!(d.row_at(rid, &ReadView::committed(1)).unwrap()[1], Value::Varchar("old".into()));
+        assert_eq!(
+            d.row_at(rid, &ReadView::committed(1)).unwrap()[1],
+            Value::Varchar("old".into())
+        );
         assert_eq!(d.iter_at(ReadView::committed(2)).count(), 1);
     }
 
@@ -1028,10 +1014,7 @@ mod tests {
             t.insert(vec![Value::Null, Value::Null], 1).unwrap_err(),
             DbError::Constraint(_)
         ));
-        assert!(matches!(
-            t.insert(vec![Value::Bigint(1)], 1).unwrap_err(),
-            DbError::Type(_)
-        ));
+        assert!(matches!(t.insert(vec![Value::Bigint(1)], 1).unwrap_err(), DbError::Type(_)));
     }
 
     #[test]
@@ -1115,16 +1098,31 @@ mod tests {
     fn secondary_index_backfill_and_drop() {
         let t = table();
         for i in 0..10 {
-            put(&t, vec![Value::Bigint(i), Value::Varchar(format!("n{}", i % 3))], (i + 1) as u64, (i + 1) as u64);
+            put(
+                &t,
+                vec![Value::Bigint(i), Value::Varchar(format!("n{}", i % 3))],
+                (i + 1) as u64,
+                (i + 1) as u64,
+            );
         }
-        t.create_index(IndexDef { name: "ix_name".into(), columns: vec!["name".into()], unique: false })
-            .unwrap();
+        t.create_index(IndexDef {
+            name: "ix_name".into(),
+            columns: vec!["name".into()],
+            unique: false,
+        })
+        .unwrap();
         {
             let d = t.read();
             let ix = d.find_index_on("name").unwrap();
             assert_eq!(ix.lookup_eq(&[Value::Varchar("n0".into())]).len(), 4);
         }
-        assert!(t.create_index(IndexDef { name: "ix_name".into(), columns: vec!["name".into()], unique: false }).is_err());
+        assert!(t
+            .create_index(IndexDef {
+                name: "ix_name".into(),
+                columns: vec!["name".into()],
+                unique: false
+            })
+            .is_err());
         t.drop_index("ix_name").unwrap();
         assert!(t.drop_index("ix_name").is_err());
         assert!(t.drop_index("pk_t").is_err());
@@ -1136,7 +1134,11 @@ mod tests {
         put(&t, vec![Value::Bigint(1), Value::Varchar("same".into())], 1, 1);
         put(&t, vec![Value::Bigint(2), Value::Varchar("same".into())], 2, 2);
         let err = t
-            .create_index(IndexDef { name: "uq_name".into(), columns: vec!["name".into()], unique: true })
+            .create_index(IndexDef {
+                name: "uq_name".into(),
+                columns: vec!["name".into()],
+                unique: true,
+            })
             .unwrap_err();
         assert!(matches!(err, DbError::Constraint(_)));
     }

@@ -43,9 +43,9 @@ impl UndoOp {
     /// Row slot this operation touched.
     pub fn rid(&self) -> RowId {
         match self {
-            UndoOp::Insert { rid, .. } | UndoOp::Delete { rid, .. } | UndoOp::Update { rid, .. } => {
-                *rid
-            }
+            UndoOp::Insert { rid, .. }
+            | UndoOp::Delete { rid, .. }
+            | UndoOp::Update { rid, .. } => *rid,
         }
     }
 

@@ -93,10 +93,9 @@ impl Value {
             }
             (Value::Varchar(s), DataType::Varchar) => Ok(Value::Varchar(s.clone())),
             (Value::Boolean(b), DataType::Boolean) => Ok(Value::Boolean(*b)),
-            (v, ty) => Err(DbError::Type(format!(
-                "cannot coerce {v} to {ty}",
-                v = v.type_display()
-            ))),
+            (v, ty) => {
+                Err(DbError::Type(format!("cannot coerce {v} to {ty}", v = v.type_display())))
+            }
         }
     }
 
@@ -112,10 +111,7 @@ impl Value {
         match self {
             Value::Bigint(v) => Ok(*v),
             Value::Double(v) if v.fract() == 0.0 => Ok(*v as i64),
-            other => Err(DbError::Type(format!(
-                "expected BIGINT, got {}",
-                other.type_display()
-            ))),
+            other => Err(DbError::Type(format!("expected BIGINT, got {}", other.type_display()))),
         }
     }
 
@@ -124,10 +120,7 @@ impl Value {
         match self {
             Value::Bigint(v) => Ok(*v as f64),
             Value::Double(v) => Ok(*v),
-            other => Err(DbError::Type(format!(
-                "expected numeric, got {}",
-                other.type_display()
-            ))),
+            other => Err(DbError::Type(format!("expected numeric, got {}", other.type_display()))),
         }
     }
 
@@ -135,20 +128,14 @@ impl Value {
     pub fn as_str(&self) -> DbResult<&str> {
         match self {
             Value::Varchar(s) => Ok(s),
-            other => Err(DbError::Type(format!(
-                "expected VARCHAR, got {}",
-                other.type_display()
-            ))),
+            other => Err(DbError::Type(format!("expected VARCHAR, got {}", other.type_display()))),
         }
     }
 
     pub fn as_bool(&self) -> DbResult<bool> {
         match self {
             Value::Boolean(b) => Ok(*b),
-            other => Err(DbError::Type(format!(
-                "expected BOOLEAN, got {}",
-                other.type_display()
-            ))),
+            other => Err(DbError::Type(format!("expected BOOLEAN, got {}", other.type_display()))),
         }
     }
 
@@ -203,10 +190,9 @@ impl Value {
             (Value::Boolean(a), Value::Boolean(b)) => a.cmp(b),
             (Value::Varchar(a), Value::Varchar(b)) => a.cmp(b),
             // Mixed numerics compare as doubles.
-            (a, b) if rank(a) == 2 && rank(b) == 2 => a
-                .as_f64()
-                .unwrap_or(f64::NAN)
-                .total_cmp(&b.as_f64().unwrap_or(f64::NAN)),
+            (a, b) if rank(a) == 2 && rank(b) == 2 => {
+                a.as_f64().unwrap_or(f64::NAN).total_cmp(&b.as_f64().unwrap_or(f64::NAN))
+            }
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
@@ -329,14 +315,8 @@ mod tests {
 
     #[test]
     fn coercion_rules() {
-        assert_eq!(
-            Value::Bigint(3).coerce_to(DataType::Double).unwrap(),
-            Value::Double(3.0)
-        );
-        assert_eq!(
-            Value::Double(4.0).coerce_to(DataType::Bigint).unwrap(),
-            Value::Bigint(4)
-        );
+        assert_eq!(Value::Bigint(3).coerce_to(DataType::Double).unwrap(), Value::Double(3.0));
+        assert_eq!(Value::Double(4.0).coerce_to(DataType::Bigint).unwrap(), Value::Bigint(4));
         assert!(Value::Double(4.5).coerce_to(DataType::Bigint).is_err());
         assert!(Value::Varchar("x".into()).coerce_to(DataType::Bigint).is_err());
         assert!(Value::Null.coerce_to(DataType::Bigint).unwrap().is_null());
@@ -357,11 +337,13 @@ mod tests {
 
     #[test]
     fn total_order_groups_nulls_first_and_mixes_numerics() {
-        let mut vals = [Value::Varchar("a".into()),
+        let mut vals = [
+            Value::Varchar("a".into()),
             Value::Bigint(2),
             Value::Null,
             Value::Double(1.5),
-            Value::Boolean(true)];
+            Value::Boolean(true),
+        ];
         vals.sort();
         assert!(vals[0].is_null());
         assert_eq!(vals[1], Value::Boolean(true));

@@ -152,7 +152,9 @@ mod tests {
     fn stop_is_prompt_under_a_long_period() {
         let bg = Background::start(
             "test-bg",
-            vec![Task::new("hourly", Duration::from_secs(3600), |_| Some(Duration::from_secs(3600)))],
+            vec![Task::new("hourly", Duration::from_secs(3600), |_| {
+                Some(Duration::from_secs(3600))
+            })],
             Arc::new(EventLog::new()),
         );
         let started = Instant::now();

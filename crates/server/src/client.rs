@@ -124,7 +124,11 @@ pub fn http_call_bytes_with_headers(
 }
 
 /// POST a Gremlin script to `/query` (the common case in tests/benches).
-pub fn post_query(addr: SocketAddr, gremlin: &str, timeout: Duration) -> std::io::Result<HttpResponse> {
+pub fn post_query(
+    addr: SocketAddr,
+    gremlin: &str,
+    timeout: Duration,
+) -> std::io::Result<HttpResponse> {
     http_call(addr, "POST", "/query", gremlin, timeout)
 }
 
@@ -137,10 +141,8 @@ fn write_request(
     request_headers: &[(&str, &str)],
     close: bool,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n",
-        body.len()
-    );
+    let mut head =
+        format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n", body.len());
     if close {
         head.push_str("Connection: close\r\n");
     }
@@ -301,11 +303,10 @@ impl HttpClient {
                 Ok(resp) => {
                     // Keep the connection unless the server said close or
                     // left the response EOF-framed (no Content-Length).
-                    let closing = resp
-                        .header("connection")
-                        .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-                        || (resp.header("content-length").is_none()
-                            && !method.eq_ignore_ascii_case("HEAD"));
+                    let closing =
+                        resp.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
+                            || (resp.header("content-length").is_none()
+                                && !method.eq_ignore_ascii_case("HEAD"));
                     if !closing {
                         self.stream = Some(stream);
                     }

@@ -54,10 +54,9 @@ pub fn gvalue_to_json(v: &GValue) -> Json {
         }
         GValue::Vertex(vx) => vertex_json(vx),
         GValue::Edge(e) => edge_json(e),
-        GValue::Path(objs) => Json::obj(vec![(
-            "path",
-            Json::arr(objs.iter().map(gvalue_to_json).collect()),
-        )]),
+        GValue::Path(objs) => {
+            Json::obj(vec![("path", Json::arr(objs.iter().map(gvalue_to_json).collect()))])
+        }
     }
 }
 

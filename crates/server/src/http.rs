@@ -68,10 +68,7 @@ impl Request {
 
     /// The first header named `name` (case-insensitive), if present.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+        self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 }
 
@@ -161,9 +158,8 @@ pub fn read_request(
         .next()
         .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
         .to_ascii_uppercase();
-    let target = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("request line has no target".into()))?;
+    let target =
+        parts.next().ok_or_else(|| HttpError::Malformed("request line has no target".into()))?;
     let http10 = match parts.next() {
         Some("HTTP/1.0") => true,
         Some(v) if v.starts_with("HTTP/1.") => false,
@@ -200,9 +196,7 @@ pub fn read_request(
             // stream. Identical repeats are tolerated (RFC 9112 §6.3);
             // conflicting ones are refused outright.
             if content_length.is_some_and(|prev| prev != parsed) {
-                return Err(HttpError::Malformed(
-                    "conflicting content-length headers".into(),
-                ));
+                return Err(HttpError::Malformed("conflicting content-length headers".into()));
             }
             content_length = Some(parsed);
         }
@@ -223,10 +217,8 @@ pub fn read_request(
 
     // Negotiate the connection disposition: explicit `Connection` tokens
     // win; otherwise HTTP/1.1 keeps alive and HTTP/1.0 closes.
-    let connection = headers
-        .iter()
-        .find(|(k, _)| k.eq_ignore_ascii_case("connection"))
-        .map(|(_, v)| v.as_str());
+    let connection =
+        headers.iter().find(|(k, _)| k.eq_ignore_ascii_case("connection")).map(|(_, v)| v.as_str());
     let close = match connection {
         Some(v) if connection_lists(v, "close") => true,
         Some(v) if connection_lists(v, "keep-alive") => false,

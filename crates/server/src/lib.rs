@@ -329,18 +329,16 @@ impl GraphServer {
         // all write into it. An unopenable sink file degrades to ring-only
         // (with a stderr note) rather than refusing to serve.
         let events = match &config.event_log_path {
-            Some(path) => {
-                match EventLog::new().with_file_sink(path, DEFAULT_ROTATE_BYTES) {
-                    Ok(log) => Arc::new(log),
-                    Err(e) => {
-                        eprintln!(
-                            "db2graph-server: cannot open event log '{path}': {e}; \
+            Some(path) => match EventLog::new().with_file_sink(path, DEFAULT_ROTATE_BYTES) {
+                Ok(log) => Arc::new(log),
+                Err(e) => {
+                    eprintln!(
+                        "db2graph-server: cannot open event log '{path}': {e}; \
                              keeping events in memory only"
-                        );
-                        Arc::new(EventLog::new())
-                    }
+                    );
+                    Arc::new(EventLog::new())
                 }
-            }
+            },
             None => Arc::new(EventLog::new()),
         };
         // Storage-level happenings (checkpoints, WAL rotation, write
@@ -355,10 +353,7 @@ impl GraphServer {
                     }
                     reldb::DbEvent::CheckpointEnd { epoch, wall_nanos } => sink.emit(
                         "checkpoint_end",
-                        vec![
-                            ("epoch", Json::u64(*epoch)),
-                            ("wall_nanos", Json::u64(*wall_nanos)),
-                        ],
+                        vec![("epoch", Json::u64(*epoch)), ("wall_nanos", Json::u64(*wall_nanos))],
                     ),
                     reldb::DbEvent::WalRotation { cut_seq } => {
                         sink.emit("wal_rotation", vec![("cut_seq", Json::u64(*cut_seq))])
@@ -374,10 +369,10 @@ impl GraphServer {
         // workers serve reads at whatever epoch has been applied so far.
         // It blocks on the primary for up to `read_timeout` per step, so
         // it does not share the other tasks' clock.
-        let replica = config.replica_of.clone().map(|primary| ReplicaInfo {
-            primary,
-            metrics: Arc::new(ReplicaMetrics::default()),
-        });
+        let replica = config
+            .replica_of
+            .clone()
+            .map(|primary| ReplicaInfo { primary, metrics: Arc::new(ReplicaMetrics::default()) });
         let replica_apply = replica.as_ref().map(|rep| {
             let task = replica::apply_task(
                 graph.database().clone(),
@@ -422,7 +417,12 @@ impl GraphServer {
         )];
         if let Some(interval) = config.vacuum_interval {
             let db = shared.graph.database().clone();
-            tasks.push(vacuum_task(db, shared.events.clone(), interval, config.checkpoint_interval));
+            tasks.push(vacuum_task(
+                db,
+                shared.events.clone(),
+                interval,
+                config.checkpoint_interval,
+            ));
         }
         if config.slo.any() {
             tasks.push(monitor::monitor_task(
@@ -441,10 +441,7 @@ impl GraphServer {
             "server_started",
             vec![
                 ("addr", Json::str(addr.to_string())),
-                (
-                    "role",
-                    Json::str(if shared.replica.is_some() { "replica" } else { "primary" }),
-                ),
+                ("role", Json::str(if shared.replica.is_some() { "replica" } else { "primary" })),
             ],
         );
         let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
@@ -1038,8 +1035,7 @@ fn serve_one(
         extra.push(("Retry-After", &retry_after));
     }
     let mut keep = !close;
-    match http::write_response_with(stream, status, content_type, &body, head_only, close, &extra)
-    {
+    match http::write_response_with(stream, status, content_type, &body, head_only, close, &extra) {
         Ok(n) => shared.metrics.bytes_out.add(n),
         // A client that vanished mid-response cannot be served further.
         Err(_) => keep = false,
@@ -1175,10 +1171,7 @@ fn route_wal(shared: &Shared, req: &Request) -> (u16, Payload) {
         Ok(reldb::WalTailResult::Gap { base_seq }) => (
             410,
             Payload::Json(Json::obj(vec![
-                (
-                    "error",
-                    Json::str("requested wal position is gone; bootstrap from /checkpoint"),
-                ),
+                ("error", Json::str("requested wal position is gone; bootstrap from /checkpoint")),
                 ("base_seq", Json::u64(base_seq)),
             ])),
         ),
@@ -1206,15 +1199,10 @@ fn route_checkpoint(shared: &Shared) -> (u16, Payload) {
         db.checkpoint_bytes()
     };
     match fetch() {
-        Ok(Some(data)) => {
-            (200, Payload::Bytes { content_type: "application/octet-stream", data })
-        }
+        Ok(Some(data)) => (200, Payload::Bytes { content_type: "application/octet-stream", data }),
         Ok(None) => (
             500,
-            Payload::Json(Json::obj(vec![(
-                "error",
-                Json::str("checkpoint produced no image"),
-            )])),
+            Payload::Json(Json::obj(vec![("error", Json::str("checkpoint produced no image"))])),
         ),
         Err(e) => {
             let status = match e {
@@ -1423,10 +1411,7 @@ fn route_json(shared: &Shared, req: &Request, method: &str, request_id: &str) ->
             200,
             Json::obj(vec![
                 ("status", Json::str("ok")),
-                (
-                    "role",
-                    Json::str(if shared.replica.is_some() { "replica" } else { "primary" }),
-                ),
+                ("role", Json::str(if shared.replica.is_some() { "replica" } else { "primary" })),
                 ("commit_epoch", Json::u64(shared.graph.database().commit_epoch())),
                 ("in_flight", Json::u64(shared.metrics.in_flight())),
                 ("uptime_seconds", Json::u64(shared.started.elapsed().as_secs())),
@@ -1482,13 +1467,9 @@ fn session_error_response(e: SessionError) -> (u16, Json) {
                 Json::str("no such session: never begun, already ended, or reaped as idle"),
             )]),
         ),
-        SessionError::Busy => (
-            409,
-            Json::obj(vec![(
-                "error",
-                Json::str("session is busy serving another request"),
-            )]),
-        ),
+        SessionError::Busy => {
+            (409, Json::obj(vec![("error", Json::str("session is busy serving another request"))]))
+        }
     }
 }
 
@@ -1514,7 +1495,10 @@ mod tests {
     #[test]
     fn sql_bigints_past_2_53_degrade_to_strings() {
         let exact = 1i64 << 53;
-        assert_eq!(sql_value_to_json(&reldb::Value::Bigint(exact)).to_compact(), "9007199254740992");
+        assert_eq!(
+            sql_value_to_json(&reldb::Value::Bigint(exact)).to_compact(),
+            "9007199254740992"
+        );
         for i in [exact + 1, -(exact + 1), i64::MAX, i64::MIN] {
             let json = sql_value_to_json(&reldb::Value::Bigint(i));
             assert_eq!(json, Json::Str(i.to_string()), "{i} must not round through f64");

@@ -158,9 +158,7 @@ fn evaluate(shared: &Shared, targets: &SloTargets, now: &Sample, base: &Sample) 
     if let Some(limit) = targets.max_sessions {
         let open = shared.metrics.sessions_open();
         if open > limit {
-            violations.push(format!(
-                "DB2GRAPH_SLO_MAX_SESSIONS: {open} open sessions > {limit}"
-            ));
+            violations.push(format!("DB2GRAPH_SLO_MAX_SESSIONS: {open} open sessions > {limit}"));
         }
     }
     if let Some(limit_ms) = targets.fsync_p99_ms {
@@ -217,10 +215,7 @@ fn publish(shared: &Shared, violations: Vec<String>) {
         let kind = if degraded { "slo_degraded" } else { "slo_recovered" };
         shared.events.emit(
             kind,
-            vec![(
-                "violations",
-                Json::arr(violations.into_iter().map(Json::str).collect()),
-            )],
+            vec![("violations", Json::arr(violations.into_iter().map(Json::str).collect()))],
         );
     }
 }

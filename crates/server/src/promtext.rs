@@ -19,7 +19,9 @@
 //! * keyed histogram sets (`sql_templates`, `step_kinds`, per-endpoint
 //!   latency) become one labeled histogram series each.
 
-use db2graph_core::{EventLog, Histogram, HistogramSet, MetricRow, MetricsRegistry, MetricsSnapshot};
+use db2graph_core::{
+    EventLog, Histogram, HistogramSet, MetricRow, MetricsRegistry, MetricsSnapshot,
+};
 
 use crate::metrics::ServerMetrics;
 use crate::replica::ReplicaMetrics;

@@ -61,12 +61,7 @@ pub struct SessionManager {
 
 impl SessionManager {
     pub fn new(idle: Duration, epoch: u64) -> SessionManager {
-        SessionManager {
-            sessions: Mutex::new(HashMap::new()),
-            idle,
-            seq: AtomicU64::new(0),
-            epoch,
-        }
+        SessionManager { sessions: Mutex::new(HashMap::new()), idle, seq: AtomicU64::new(0), epoch }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, SessionEntry>> {
@@ -79,7 +74,8 @@ impl SessionManager {
         let token = db.begin_session_txn();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let id = format!("s-{:x}-{seq}", self.epoch);
-        self.lock().insert(id.clone(), SessionEntry { token, last_used: Instant::now(), busy: true });
+        self.lock()
+            .insert(id.clone(), SessionEntry { token, last_used: Instant::now(), busy: true });
         // `busy: true` above reserves the entry against a reaper tick
         // firing between insert and the touch below on a loaded box;
         // release it immediately.
@@ -143,7 +139,12 @@ impl SessionManager {
     /// its transaction. The entry is removed first — under the registry
     /// lock, refusing busy sessions — so two racing enders cannot both
     /// settle one transaction.
-    pub fn end(&self, id: &str, db: &Database, commit: bool) -> Result<reldb::DbResult<()>, SessionError> {
+    pub fn end(
+        &self,
+        id: &str,
+        db: &Database,
+        commit: bool,
+    ) -> Result<reldb::DbResult<()>, SessionError> {
         let token = {
             let mut map = self.lock();
             let entry = map.get(id).ok_or(SessionError::Unknown)?;

@@ -85,7 +85,11 @@ fn main() {
                     for v in &values {
                         println!("==> {v}");
                     }
-                    println!("({} result{})", values.len(), if values.len() == 1 { "" } else { "s" });
+                    println!(
+                        "({} result{})",
+                        values.len(),
+                        if values.len() == 1 { "" } else { "s" }
+                    );
                 }
                 Err(e) => println!("error: {e}"),
             }

@@ -68,7 +68,8 @@ fn main() {
 
     // Contrast: the same question in one Gremlin script (no SQL join) —
     // possible, but the aggregation side is where SQL shines.
-    let gremlin_only = "similar_diseases = g.V().hasLabel('patient').has('patientID', 1).out('hasDisease')\
+    let gremlin_only =
+        "similar_diseases = g.V().hasLabel('patient').has('patientID', 1).out('hasDisease')\
         .repeat(out('isa').dedup().store('x')).times(2)\
         .repeat(in('isa').dedup().store('x')).times(2).cap('x').next();\
         g.V(similar_diseases).in('hasDisease').dedup().values('name')";

@@ -51,15 +51,15 @@ fn main() {
     // primary/foreign-key metadata — 5 vertex tables, 4 edge tables.
     let config = auto_overlay(&db, None).expect("auto overlay");
     println!("== AutoOverlay-generated configuration ==");
-    println!(
-        "  {} vertex tables, {} edge tables",
-        config.v_tables.len(),
-        config.e_tables.len()
-    );
+    println!("  {} vertex tables, {} edge tables", config.v_tables.len(), config.e_tables.len());
     for e in &config.e_tables {
-        println!("    edge {:12} {} -> {} (label {})", e.table_name,
+        println!(
+            "    edge {:12} {} -> {} (label {})",
+            e.table_name,
             e.src_v.split(':').next().unwrap_or(""),
-            e.dst_v.split(':').next().unwrap_or(""), e.label);
+            e.dst_v.split(':').next().unwrap_or(""),
+            e.label
+        );
     }
 
     let graph = Db2Graph::open(db.clone(), &config).expect("overlay");
@@ -79,10 +79,7 @@ fn main() {
         .has('role', 'suspect')\
         .out('Person_LivesAt_Address').dedup().values('street')";
     let addrs = graph.run(q).expect("addresses");
-    println!(
-        "suspect addresses: {:?}",
-        addrs.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-    );
+    println!("suspect addresses: {:?}", addrs.iter().map(|v| v.to_string()).collect::<Vec<_>>());
 
     // Case study 2: do all suspects of arrest 500 belong to one criminal
     // organization?

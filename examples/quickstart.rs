@@ -61,11 +61,11 @@ fn main() {
     // 4. The killer feature: SQL updates are instantly visible to graph
     //    queries, because graph and SQL share the same single copy of data.
     db.execute("INSERT INTO HasDisease VALUES (2, 10, 'new diagnosis')").unwrap();
-    let out = graph
-        .run("g.V(10).in('hasDisease').values('name')")
-        .expect("query after update");
-    println!("\nAfter a SQL INSERT, patients with type 2 diabetes: {:?}",
-        out.iter().map(|v| v.to_string()).collect::<Vec<_>>());
+    let out = graph.run("g.V(10).in('hasDisease').values('name')").expect("query after update");
+    println!(
+        "\nAfter a SQL INSERT, patients with type 2 diabetes: {:?}",
+        out.iter().map(|v| v.to_string()).collect::<Vec<_>>()
+    );
 
     // 5. And the optimizer is observable: the same query plan the paper's
     //    strategies produce.

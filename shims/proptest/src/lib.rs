@@ -339,8 +339,8 @@ impl Strategy for &str {
     type Value = String;
 
     fn generate(&self, rng: &mut TestRng) -> Result<String, Reject> {
-        let atoms = parse_pattern(self)
-            .map_err(|e| Reject(format!("bad pattern {self:?}: {e}")))?;
+        let atoms =
+            parse_pattern(self).map_err(|e| Reject(format!("bad pattern {self:?}: {e}")))?;
         let mut out = String::new();
         for (chars, lo, hi) in &atoms {
             let n = if lo == hi { *lo } else { *lo + rng.below(hi - lo + 1) };
@@ -360,11 +360,7 @@ fn parse_pattern(pat: &str) -> Result<Vec<Atom>, String> {
     let mut atoms = Vec::new();
     while i < chars.len() {
         let class = if chars[i] == '[' {
-            let close = chars[i..]
-                .iter()
-                .position(|&c| c == ']')
-                .ok_or("unclosed class")?
-                + i;
+            let close = chars[i..].iter().position(|&c| c == ']').ok_or("unclosed class")? + i;
             let mut set = Vec::new();
             let mut j = i + 1;
             while j < close {
@@ -396,11 +392,7 @@ fn parse_pattern(pat: &str) -> Result<Vec<Atom>, String> {
         };
         // Optional repetition suffix.
         let (lo, hi) = if i < chars.len() && chars[i] == '{' {
-            let close = chars[i..]
-                .iter()
-                .position(|&c| c == '}')
-                .ok_or("unclosed repetition")?
-                + i;
+            let close = chars[i..].iter().position(|&c| c == '}').ok_or("unclosed repetition")? + i;
             let body: String = chars[i + 1..close].iter().collect();
             i = close + 1;
             if let Some((a, b)) = body.split_once(',') {
@@ -515,10 +507,8 @@ pub struct ProptestConfig {
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
+        let cases =
+            std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(256);
         ProptestConfig { cases, max_global_rejects: 65_536 }
     }
 }
@@ -750,9 +740,8 @@ mod tests {
         for _ in 0..100 {
             let v = collection::vec(0i64..10, 1..6).generate(&mut rng).unwrap();
             assert!((1..6).contains(&v.len()));
-            let s = collection::btree_set((0usize..4, 0usize..4), 0..10)
-                .generate(&mut rng)
-                .unwrap();
+            let s =
+                collection::btree_set((0usize..4, 0usize..4), 0..10).generate(&mut rng).unwrap();
             assert!(s.len() <= 16); // domain has only 16 distinct tuples
         }
     }

@@ -167,8 +167,5 @@ fn multi_label_union_and_paths_agree() {
         "g.V({}).union(out('{}'), in('{}')).dedup().count()",
         link.id1, link.label, link.label
     ));
-    sys.assert_agree(&format!(
-        "g.V({}).out('{}').path().count()",
-        link.id1, link.label
-    ));
+    sys.assert_agree(&format!("g.V({}).out('{}').path().count()", link.id1, link.label));
 }

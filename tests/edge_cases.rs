@@ -99,9 +99,7 @@ fn runaway_repeat_is_bounded() {
     db.execute("INSERT INTO L VALUES (1, 2, 'x'), (2, 1, 'x')").unwrap();
     // until() that never holds on a cyclic graph must hit the iteration
     // guard, not loop forever.
-    let err = g
-        .run("g.V(1).repeat(out('l')).until(has('tag', 'nope')).count()")
-        .unwrap_err();
+    let err = g.run("g.V(1).repeat(out('l')).until(has('tag', 'nope')).count()").unwrap_err();
     assert!(err.to_string().contains("iterations"), "{err}");
 }
 
@@ -239,13 +237,7 @@ fn concurrent_graph_readers_with_sql_writer() {
 fn malformed_gremlin_reports_parse_errors() {
     let db = Arc::new(Database::new());
     let g = tiny_overlay(&db);
-    for bad in [
-        "not gremlin at all",
-        "g.V(",
-        "g.V().has('a',)",
-        "g.",
-        "g.V()..out()",
-    ] {
+    for bad in ["not gremlin at all", "g.V(", "g.V().has('a',)", "g.", "g.V()..out()"] {
         let err = g.run(bad).unwrap_err();
         assert!(
             matches!(err, db2graph::core::GraphError::Gremlin(GremlinError::Parse(_))),

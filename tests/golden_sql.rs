@@ -36,10 +36,7 @@ const GOLDEN: &[(&str, &[&str])] = &[
         ],
     ),
     // Aggregate pushdown: count() becomes COUNT(*) per table.
-    (
-        "g.V().count()",
-        &["SELECT COUNT(*) FROM Patient", "SELECT COUNT(*) FROM Disease"],
-    ),
+    ("g.V().count()", &["SELECT COUNT(*) FROM Patient", "SELECT COUNT(*) FROM Disease"]),
     // Fixed-label elimination: only Patient is scanned.
     (
         "g.V().hasLabel('patient')",
@@ -56,16 +53,10 @@ const GOLDEN: &[(&str, &[&str])] = &[
         &["SELECT patientID, name, address, subscriptionID FROM Patient WHERE patientID = ?"],
     ),
     // A plain integer id can only come from the Bigint-id table.
-    (
-        "g.V(10)",
-        &["SELECT diseaseID, conceptCode, conceptName FROM Disease WHERE diseaseID = ?"],
-    ),
+    ("g.V(10)", &["SELECT diseaseID, conceptCode, conceptName FROM Disease WHERE diseaseID = ?"]),
     // Projection pushdown: values('name') narrows the SELECT list to the
     // id column plus the requested property.
-    (
-        "g.V().hasLabel('patient').values('name')",
-        &["SELECT patientID, name FROM Patient"],
-    ),
+    ("g.V().hasLabel('patient').values('name')", &["SELECT patientID, name FROM Patient"]),
     (
         "g.V().hasLabel('disease').has('conceptCode', 'E11').values('conceptName')",
         &["SELECT diseaseID, conceptName FROM Disease WHERE conceptCode = ?"],
@@ -77,10 +68,7 @@ const GOLDEN: &[(&str, &[&str])] = &[
             "SELECT patientID, diseaseID, description FROM HasDisease",
         ],
     ),
-    (
-        "g.E().count()",
-        &["SELECT COUNT(*) FROM DiseaseOntology", "SELECT COUNT(*) FROM HasDisease"],
-    ),
+    ("g.E().count()", &["SELECT COUNT(*) FROM DiseaseOntology", "SELECT COUNT(*) FROM HasDisease"]),
     // Column-label edge table: hasLabel('isa') pushes into WHERE on the
     // label column; the fixed-label table HasDisease is eliminated.
     (
@@ -103,10 +91,7 @@ const GOLDEN: &[(&str, &[&str])] = &[
         "g.V().hasLabel('patient').values('subscriptionID').sum()",
         &["SELECT SUM(subscriptionID) FROM Patient"],
     ),
-    (
-        "g.V().hasLabel('disease').count()",
-        &["SELECT COUNT(*) FROM Disease"],
-    ),
+    ("g.V().hasLabel('disease').count()", &["SELECT COUNT(*) FROM Disease"]),
     // An id range has no SQL form here, so the plan is inexact: the
     // aggregate counts the matching vertices the SELECT materializes
     // instead of pushing COUNT(*) over the whole table.
@@ -183,9 +168,8 @@ fn explain_lists_the_statements_execution_runs() {
 #[test]
 fn golden_explain_text_traversal() {
     let g = graph();
-    let text = g
-        .explain("g.V().hasLabel('patient').out('hasDisease').values('conceptName')")
-        .unwrap();
+    let text =
+        g.explain("g.V().hasLabel('patient').out('hasDisease').values('conceptName')").unwrap();
     let expected = "\
 plan: Graph(V|labels) -> Vertex(out) -> Values(conceptName)
 step 0: Graph(V|labels)

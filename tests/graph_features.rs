@@ -62,13 +62,11 @@ fn flight_etable(table: &str) -> ETableConfig {
 #[test]
 fn string_vertex_ids_work_end_to_end() {
     let db = flights_db();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db, &cfg).unwrap();
     let out = g.run("g.V('ZRH').out('flight').values('cname').order()").unwrap();
-    assert_eq!(
-        out,
-        vec![GValue::Str("Oslo".into()), GValue::Str("Tokyo".into())]
-    );
+    assert_eq!(out, vec![GValue::Str("Oslo".into()), GValue::Str("Tokyo".into())]);
     let out = g.run("g.E('f::2').inV().values('country')").unwrap();
     assert_eq!(out, vec![GValue::Str("JP".into())]);
 }
@@ -102,8 +100,14 @@ fn two_overlays_on_the_same_tables() {
     assert_eq!(budget.run("g.E().count()").unwrap(), vec![GValue::Long(2)]);
     // Tokyo unreachable from Zurich on the budget graph in one hop that
     // exists on the full graph.
-    assert_eq!(full.run("g.V('ZRH').out('flight').hasId('NRT').count()").unwrap(), vec![GValue::Long(1)]);
-    assert_eq!(budget.run("g.V('ZRH').out('flight').hasId('NRT').count()").unwrap(), vec![GValue::Long(0)]);
+    assert_eq!(
+        full.run("g.V('ZRH').out('flight').hasId('NRT').count()").unwrap(),
+        vec![GValue::Long(1)]
+    );
+    assert_eq!(
+        budget.run("g.V('ZRH').out('flight').hasId('NRT').count()").unwrap(),
+        vec![GValue::Long(0)]
+    );
 }
 
 #[test]
@@ -152,7 +156,8 @@ fn temporal_as_of_graphs_via_views() {
 #[test]
 fn long_tail_gremlin_steps_on_the_overlay() {
     let db = flights_db();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db, &cfg).unwrap();
 
     // union of out and in neighbourhoods.
@@ -190,7 +195,9 @@ fn long_tail_gremlin_steps_on_the_overlay() {
     let out = g.run("g.V().id().fold().unfold().count()").unwrap();
     assert_eq!(out, vec![GValue::Long(4)]);
     // where() with a sub-traversal; not().
-    let out = g.run("g.V().where(__.out('flight').has('country', 'JP')).values('cname').order()").unwrap();
+    let out = g
+        .run("g.V().where(__.out('flight').has('country', 'JP')).values('cname').order()")
+        .unwrap();
     assert_eq!(out, vec![GValue::Str("Oslo".into()), GValue::Str("Zurich".into())]);
     let out = g.run("g.V().not(out('flight')).values('cname')").unwrap();
     assert_eq!(out, vec![GValue::Str("Rio".into())]);
@@ -217,7 +224,8 @@ fn long_tail_gremlin_steps_on_the_overlay() {
 fn graph_query_rows_shaping_variants() {
     use db2graph::reldb::DataType;
     let db = flights_db();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db, &cfg).unwrap();
     // Map-shaped results.
     let rs = g
@@ -262,19 +270,15 @@ fn graph_query_rows_shaping_variants() {
 #[test]
 fn deep_traversal_with_emit_collects_every_hop() {
     let db = flights_db();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db, &cfg).unwrap();
-    let mut out = g
-        .run("g.V('ZRH').repeat(out('flight')).emit().times(3).dedup().values('cname')")
-        .unwrap();
+    let mut out =
+        g.run("g.V('ZRH').repeat(out('flight')).emit().times(3).dedup().values('cname')").unwrap();
     out.sort();
     assert_eq!(
         out,
-        vec![
-            GValue::Str("Oslo".into()),
-            GValue::Str("Rio".into()),
-            GValue::Str("Tokyo".into())
-        ]
+        vec![GValue::Str("Oslo".into()), GValue::Str("Rio".into()), GValue::Str("Tokyo".into())]
     );
 }
 
@@ -284,7 +288,8 @@ fn has_not_and_coalesce() {
     // Give one city a nullable extra property via schema evolution: model
     // it with NULLs instead (country NULL for a new city).
     db.execute("INSERT INTO City VALUES ('XXX', 'Nowhere', NULL)").unwrap();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db.clone(), &cfg).unwrap();
     // hasNot: the NULL country surfaces as an absent property.
     let out = g.run("g.V().hasNot('country').values('cname')").unwrap();
@@ -296,14 +301,10 @@ fn has_not_and_coalesce() {
     assert_eq!(out, vec![GValue::Long(5)]);
     // coalesce: first non-empty branch wins per traverser. Rio has no
     // outgoing flights, so it falls back to incoming.
-    let out = g
-        .run("g.V('GIG').coalesce(out('flight'), in('flight')).values('cname')")
-        .unwrap();
+    let out = g.run("g.V('GIG').coalesce(out('flight'), in('flight')).values('cname')").unwrap();
     assert_eq!(out, vec![GValue::Str("Tokyo".into())]);
     // A vertex WITH outgoing flights takes the first branch only.
-    let out = g
-        .run("g.V('ZRH').coalesce(out('flight'), in('flight')).dedup().count()")
-        .unwrap();
+    let out = g.run("g.V('ZRH').coalesce(out('flight'), in('flight')).dedup().count()").unwrap();
     assert_eq!(out, vec![GValue::Long(2)]);
 }
 
@@ -345,7 +346,8 @@ fn composite_primary_key_vertices() {
 #[test]
 fn group_and_group_count() {
     let db = flights_db();
-    let cfg = OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
+    let cfg =
+        OverlayConfig { v_tables: vec![city_vtable()], e_tables: vec![flight_etable("Flight")] };
     let g = Db2Graph::open(db, &cfg).unwrap();
     // groupCount by country.
     let out = g.run("g.V().groupCount().by('country')").unwrap();

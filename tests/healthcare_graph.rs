@@ -66,14 +66,8 @@ fn basic_counts() {
     let g = open(&db);
     assert_eq!(g.run("g.V().count()").unwrap(), vec![GValue::Long(9)]);
     assert_eq!(g.run("g.E().count()").unwrap(), vec![GValue::Long(7)]);
-    assert_eq!(
-        g.run("g.V().hasLabel('patient').count()").unwrap(),
-        vec![GValue::Long(4)]
-    );
-    assert_eq!(
-        g.run("g.E().hasLabel('isa').count()").unwrap(),
-        vec![GValue::Long(3)]
-    );
+    assert_eq!(g.run("g.V().hasLabel('patient').count()").unwrap(), vec![GValue::Long(4)]);
+    assert_eq!(g.run("g.E().hasLabel('isa').count()").unwrap(), vec![GValue::Long(3)]);
 }
 
 #[test]
@@ -93,17 +87,13 @@ fn lookup_by_prefixed_and_plain_ids() {
 fn traversal_patient_to_disease_and_back() {
     let db = healthcare_db();
     let g = open(&db);
-    let out = g
-        .run("g.V('patient::1').out('hasDisease').values('conceptName')")
-        .unwrap();
+    let out = g.run("g.V('patient::1').out('hasDisease').values('conceptName')").unwrap();
     assert_eq!(out, vec![GValue::Str("type 2 diabetes".into())]);
     // Reverse: who has t2d?
     let out = g.run("g.V(10).in('hasDisease').values('name')").unwrap();
     assert_eq!(out, vec![GValue::Str("Alice".into())]);
     // Edges with properties.
-    let out = g
-        .run("g.V('patient::1').outE('hasDisease').values('description')")
-        .unwrap();
+    let out = g.run("g.V('patient::1').outE('hasDisease').values('description')").unwrap();
     assert_eq!(out, vec![GValue::Str("diagnosed 2019".into())]);
 }
 
@@ -112,17 +102,13 @@ fn ontology_walk_with_repeat() {
     let db = healthcare_db();
     let g = open(&db);
     // From t2d, 2 hops up the ontology.
-    let out = g
-        .run("g.V(10).repeat(out('isa').dedup().store('x')).times(2).cap('x')")
-        .unwrap();
+    let out = g.run("g.V(10).repeat(out('isa').dedup().store('x')).times(2).cap('x')").unwrap();
     match &out[0] {
         GValue::List(items) => {
             let names: Vec<String> = items
                 .iter()
                 .filter_map(|v| match v {
-                    GValue::Vertex(vx) => {
-                        vx.properties.get("conceptName").map(|p| p.to_string())
-                    }
+                    GValue::Vertex(vx) => vx.properties.get("conceptName").map(|p| p.to_string()),
                     _ => None,
                 })
                 .collect();
@@ -200,27 +186,18 @@ fn graph_query_table_function_synergy() {
 fn updates_are_immediately_visible_to_graph_queries() {
     let db = healthcare_db();
     let g = open(&db);
-    assert_eq!(
-        g.run("g.V(10).in('hasDisease').count()").unwrap(),
-        vec![GValue::Long(1)]
-    );
+    assert_eq!(g.run("g.V(10).in('hasDisease').count()").unwrap(), vec![GValue::Long(1)]);
     // A SQL write on the transactional side...
     db.execute("INSERT INTO HasDisease VALUES (3, 10, 'new diagnosis')").unwrap();
     // ...is visible to the very next graph query: same data, no copy.
-    assert_eq!(
-        g.run("g.V(10).in('hasDisease').count()").unwrap(),
-        vec![GValue::Long(2)]
-    );
+    assert_eq!(g.run("g.V(10).in('hasDisease').count()").unwrap(), vec![GValue::Long(2)]);
     db.execute("UPDATE Patient SET name = 'Alicia' WHERE patientID = 1").unwrap();
     assert_eq!(
         g.run("g.V('patient::1').values('name')").unwrap(),
         vec![GValue::Str("Alicia".into())]
     );
     db.execute("DELETE FROM HasDisease WHERE patientID = 3").unwrap();
-    assert_eq!(
-        g.run("g.V(10).in('hasDisease').count()").unwrap(),
-        vec![GValue::Long(1)]
-    );
+    assert_eq!(g.run("g.V(10).in('hasDisease').count()").unwrap(), vec![GValue::Long(1)]);
 }
 
 #[test]
@@ -367,13 +344,9 @@ fn get_link_filter_shape() {
     let db = healthcare_db();
     let g = open(&db);
     // LinkBench getLink: does the specific edge exist?
-    let out = g
-        .run("g.V('patient::1').outE('hasDisease').filter(inV().id() == 10)")
-        .unwrap();
+    let out = g.run("g.V('patient::1').outE('hasDisease').filter(inV().id() == 10)").unwrap();
     assert_eq!(out.len(), 1);
-    let out = g
-        .run("g.V('patient::1').outE('hasDisease').filter(inV().id() == 11)")
-        .unwrap();
+    let out = g.run("g.V('patient::1').outE('hasDisease').filter(inV().id() == 11)").unwrap();
     assert!(out.is_empty());
 }
 
@@ -404,9 +377,7 @@ fn derived_edges_via_view() {
     });
     let g = Db2Graph::open(db.clone(), &cfg).unwrap();
     // Alice has t2d, whose parent is diabetes (12).
-    let out = g
-        .run("g.V('patient::1').out('hasDiseaseParent').values('conceptName')")
-        .unwrap();
+    let out = g.run("g.V('patient::1').out('hasDiseaseParent').values('conceptName')").unwrap();
     assert_eq!(out, vec![GValue::Str("diabetes".into())]);
     // Deleting the underlying ontology edge removes the derived edge
     // automatically — no custom maintenance logic.
@@ -421,10 +392,7 @@ fn valuemap_and_order() {
     let out = g
         .run("g.V().hasLabel('patient').order().by('name', desc).limit(2).values('name')")
         .unwrap();
-    assert_eq!(
-        out,
-        vec![GValue::Str("Dave".into()), GValue::Str("Carol".into())]
-    );
+    assert_eq!(out, vec![GValue::Str("Dave".into()), GValue::Str("Carol".into())]);
     let out = g.run("g.V('patient::1').valueMap('name', 'address')").unwrap();
     match &out[0] {
         GValue::Map(m) => {
@@ -467,8 +435,8 @@ fn oracle_equivalence_with_memgraph() {
     let patients = db.execute("SELECT * FROM Patient").unwrap();
     for row in &patients.rows {
         let pid = row[0].as_i64().unwrap();
-        let mut v = Vertex::new(format!("patient::{pid}"), "patient")
-            .with_property("patientID", pid);
+        let mut v =
+            Vertex::new(format!("patient::{pid}"), "patient").with_property("patientID", pid);
         if let Value::Varchar(s) = &row[1] {
             v.properties.insert("name".into(), GValue::Str(s.clone()));
         }

@@ -117,15 +117,10 @@ fn request_id_is_traceable_across_header_slowlog_trace_and_events() {
     let events = get(addr, "/events");
     assert_eq!(events.status, 200);
     let doc = Json::parse(&events.body).unwrap();
-    let completed = doc
-        .get("events")
-        .and_then(Json::as_array)
-        .unwrap()
-        .iter()
-        .any(|e| {
-            e.get("kind").and_then(Json::as_str) == Some("request_completed")
-                && e.get("request_id").and_then(Json::as_str) == Some(rid)
-        });
+    let completed = doc.get("events").and_then(Json::as_array).unwrap().iter().any(|e| {
+        e.get("kind").and_then(Json::as_str) == Some("request_completed")
+            && e.get("request_id").and_then(Json::as_str) == Some(rid)
+    });
     assert!(completed, "no request_completed event for {rid}: {}", events.body);
 
     // 5. Error bodies carry the id too (and the header).
@@ -348,9 +343,8 @@ fn declared_types() -> std::collections::HashMap<String, &'static str> {
     let mut types: std::collections::HashMap<String, &'static str> = sections
         .iter()
         .flat_map(|(section, rows)| {
-            rows.iter().map(move |r| {
-                (format!("db2graph_{section}_{}", r.name), r.kind.prometheus_type())
-            })
+            rows.iter()
+                .map(move |r| (format!("db2graph_{section}_{}", r.name), r.kind.prometheus_type()))
         })
         .collect();
     types.insert("db2graph_server_uptime_seconds".into(), "gauge");
@@ -424,19 +418,11 @@ fn prometheus_exposition_parses_and_covers_the_json_form() {
         assert_eq!(r.status, 200);
     }
     // Both negotiation forms answer the text format.
-    let via_accept = http_call_with_headers(
-        addr,
-        "GET",
-        "/metrics",
-        "",
-        &[("Accept", "text/plain")],
-        TIMEOUT,
-    )
-    .unwrap();
+    let via_accept =
+        http_call_with_headers(addr, "GET", "/metrics", "", &[("Accept", "text/plain")], TIMEOUT)
+            .unwrap();
     assert_eq!(via_accept.status, 200);
-    assert!(via_accept
-        .header("content-type")
-        .is_some_and(|ct| ct.starts_with("text/plain")));
+    assert!(via_accept.header("content-type").is_some_and(|ct| ct.starts_with("text/plain")));
     let via_query = get(addr, "/metrics?format=prometheus");
     assert_eq!(via_query.status, 200);
     let json_form = get(addr, "/metrics");
@@ -576,10 +562,8 @@ fn drain_report_lands_in_the_event_log_file() {
     let dir = std::env::temp_dir().join(format!("obs_evlog_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("events.jsonl");
-    let config = ServerConfig {
-        event_log_path: Some(path.to_str().unwrap().to_string()),
-        ..base_config()
-    };
+    let config =
+        ServerConfig { event_log_path: Some(path.to_str().unwrap().to_string()), ..base_config() };
     let (_graph, handle) = start(GraphOptions::default(), config);
     let addr = handle.addr();
     let r = http_call(addr, "POST", "/query", "g.V().count()", TIMEOUT).unwrap();

@@ -161,16 +161,12 @@ fn combined_strategy_example_from_section_6_2() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
     let before = g.metrics();
-    let out = g
-        .run("g.V('person::1', 'person::2').outE().has('metIn', 'US').count()")
-        .unwrap();
+    let out = g.run("g.V('person::1', 'person::2').outE().has('metIn', 'US').count()").unwrap();
     assert_eq!(out, vec![GValue::Long(2)]);
     let d = g.metrics().since(&before);
     // metIn exists only on Knows -> WorksAt pruned; single aggregate SQL.
     assert_eq!(d.sql_statements, 1, "{d:?}");
-    let plan = g
-        .explain("g.V('person::1').outE().has('metIn', 'US').count()")
-        .unwrap();
+    let plan = g.explain("g.V('person::1').outE().has('metIn', 'US').count()").unwrap();
     assert!(plan.contains("src_ids"), "{plan}");
     assert!(plan.contains("agg"), "{plan}");
     assert!(plan.contains("preds"), "{plan}");
@@ -288,9 +284,7 @@ fn implicit_edge_id_decomposition_pins_table_and_row() {
     let db = social_db();
     let g = Db2Graph::open(db, &social_overlay()).unwrap();
     let before = g.metrics();
-    let out = g
-        .run("g.E('person::1::knows::person::2').values('metIn')")
-        .unwrap();
+    let out = g.run("g.E('person::1::knows::person::2').values('metIn')").unwrap();
     assert_eq!(out, vec![GValue::Str("US".into())]);
     let d = g.metrics().since(&before);
     // The embedded label eliminates WorksAt; parts become predicates.

@@ -106,11 +106,8 @@ fn open_with_threads(db: Arc<Database>, threads: usize) -> Arc<Db2Graph> {
 /// for tests whose statement-hook harness requires every adjacency probe
 /// to reach SQL.
 fn open_no_cache(db: Arc<Database>, threads: usize) -> Arc<Db2Graph> {
-    let options = GraphOptions {
-        threads: Some(threads),
-        adj_cache_mb: Some(0),
-        ..Default::default()
-    };
+    let options =
+        GraphOptions { threads: Some(threads), adj_cache_mb: Some(0), ..Default::default() };
     Db2Graph::open_with_options(db, &social_overlay(), options).unwrap()
 }
 
@@ -171,10 +168,7 @@ fn parallel_profile_matches_sequential_modulo_timing() {
         // Same SQL statements in the same order, with the same cache
         // outcomes (both graphs replay the corpus from a cold cache).
         let stmts = |p: &db2graph::core::ProfileReport| {
-            p.statements
-                .iter()
-                .map(|s| (s.sql.clone(), s.template_hit, s.rows))
-                .collect::<Vec<_>>()
+            p.statements.iter().map(|s| (s.sql.clone(), s.template_hit, s.rows)).collect::<Vec<_>>()
         };
         assert_eq!(stmts(&p1), stmts(&p4), "statement profiles diverge for {q}");
     }
@@ -246,10 +240,7 @@ fn cold_warm_and_disabled_caches_agree_on_corpus() {
                         .iter()
                         .map(|t| (t.table.clone(), t.action.clone()))
                         .collect::<Vec<_>>(),
-                    p.statements
-                        .iter()
-                        .map(|s| (s.sql.clone(), s.rows))
-                        .collect::<Vec<_>>(),
+                    p.statements.iter().map(|s| (s.sql.clone(), s.rows)).collect::<Vec<_>>(),
                 )
             };
             // A cold-cache profile is the cache-off profile exactly: misses
@@ -363,9 +354,8 @@ fn parallel_trace_structure_matches_sequential() {
                 other => panic!("threads={threads}: unexpected decision {other:?}"),
             })
             .collect();
-        let expected: Vec<(String, bool)> = (0..10)
-            .map(|k| (format!("nodes_vt{k}"), format!("vt{k}") == label))
-            .collect();
+        let expected: Vec<(String, bool)> =
+            (0..10).map(|k| (format!("nodes_vt{k}"), format!("vt{k}") == label)).collect();
         assert_eq!(decisions, expected, "threads={threads}: table decisions");
         let statements: Vec<String> = p.statements.iter().map(|s| s.sql.clone()).collect();
         assert_eq!(statements.len(), 1, "threads={threads}: {statements:?}");
@@ -392,8 +382,7 @@ fn one_table_point_queries_run_on_the_calling_thread() {
     // inline: every statement executes on the thread that called run().
     use std::sync::Mutex;
     use std::thread::ThreadId;
-    let (data, g) =
-        linkbench_graph(GraphOptions { threads: Some(8), ..Default::default() });
+    let (data, g) = linkbench_graph(GraphOptions { threads: Some(8), ..Default::default() });
     let ran_on: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
     let hook_ran_on = ran_on.clone();
     g.dialect().set_statement_hook(Some(Arc::new(move |_: &str| {
@@ -427,9 +416,7 @@ fn self_loop_surfaces_once_per_incident_direction() {
         let out = g.run("g.V('person::1').both('knows').count()").unwrap();
         assert_eq!(out, vec![GValue::Long(4)], "threads={threads}");
         // The self-loop neighbor is Ann herself, twice.
-        let out = g
-            .run("g.V('person::1').both('knows').hasId('person::1').count()")
-            .unwrap();
+        let out = g.run("g.V('person::1').both('knows').hasId('person::1').count()").unwrap();
         assert_eq!(out, vec![GValue::Long(2)], "threads={threads}");
     }
 }
@@ -489,11 +476,7 @@ fn id_only_hops_keep_the_dangling_edge_guard() {
             "g.V('person::1').out('knows').dedup()",
             3,
         ),
-        (
-            "g.V('person::1').outE('knows').inV().count()",
-            "g.V('person::1').outE('knows').inV()",
-            3,
-        ),
+        ("g.V('person::1').outE('knows').inV().count()", "g.V('person::1').outE('knows').inV()", 3),
         (
             "g.V('person::1').out('knows').out('knows').count()",
             "g.V('person::1').out('knows').out('knows')",
@@ -594,9 +577,8 @@ fn writer_commit_mid_traversal_is_invisible_to_the_running_query() {
         );
 
         // The commit is real — a *fresh* query (fresh snapshot) sees it.
-        let after = g
-            .run("g.V().hasLabel('person').out('knows').has('name', 'Zed').count()")
-            .unwrap();
+        let after =
+            g.run("g.V().hasLabel('person').out('knows').has('name', 'Zed').count()").unwrap();
         assert_eq!(after, vec![GValue::Long(4)], "threads={threads}");
     }
 }
@@ -676,18 +658,14 @@ fn ddl_between_queries_reprepares_cached_templates() {
     db.execute("DROP TABLE Knows").unwrap();
     db.execute("DROP TABLE WorksAt").unwrap();
     db.execute("DROP TABLE Person").unwrap();
-    db.execute("CREATE TABLE Person (name VARCHAR, age BIGINT, pid BIGINT PRIMARY KEY)")
-        .unwrap();
+    db.execute("CREATE TABLE Person (name VARCHAR, age BIGINT, pid BIGINT PRIMARY KEY)").unwrap();
     db.execute("INSERT INTO Person VALUES ('Ned', 61, 1), ('Oz', 25, 2)").unwrap();
 
     // Same Gremlin, same SQL template text — but the cached entry is stale.
     let after = sorted(g.run(traversal).unwrap());
     assert_eq!(after, vec![GValue::Str("Ned".into()), GValue::Str("Oz".into())]);
     let m = g.metrics();
-    assert!(
-        m.template_invalidations >= 1,
-        "expected a recorded template invalidation: {m:?}"
-    );
+    assert!(m.template_invalidations >= 1, "expected a recorded template invalidation: {m:?}");
     // Re-running is served by the refreshed cache entry — no further
     // invalidations without further DDL.
     let again = sorted(g.run(traversal).unwrap());
@@ -711,16 +689,13 @@ fn chain_db(n: i64) -> Arc<Database> {
     .unwrap();
     for start in (0..n).step_by(500) {
         let end = (start + 500).min(n);
-        let nodes: Vec<String> =
-            (start..end).map(|i| format!("({i}, {})", i % 7)).collect();
+        let nodes: Vec<String> = (start..end).map(|i| format!("({i}, {})", i % 7)).collect();
         db.execute(&format!("INSERT INTO Node VALUES {}", nodes.join(", "))).unwrap();
     }
     for start in (0..n).step_by(500) {
         let end = (start + 500).min(n);
-        let edges: Vec<String> = (start..end)
-            .filter(|&i| i + 1 < n)
-            .map(|i| format!("({i}, {})", i + 1))
-            .collect();
+        let edges: Vec<String> =
+            (start..end).filter(|&i| i + 1 < n).map(|i| format!("({i}, {})", i + 1)).collect();
         if !edges.is_empty() {
             db.execute(&format!("INSERT INTO Next VALUES {}", edges.join(", "))).unwrap();
         }
@@ -823,21 +798,10 @@ fn template_count_stays_logarithmic_in_frontier_size() {
         let out = g.run(&q).unwrap();
         assert_eq!(out, vec![GValue::Long(size as i64)]);
     }
-    let family: Vec<String> = g
-        .dialect()
-        .template_texts()
-        .into_iter()
-        .filter(|t| t.contains("FROM Next"))
-        .collect();
-    assert!(
-        family.len() <= 8,
-        "adjacency family has {} templates: {family:#?}",
-        family.len()
-    );
+    let family: Vec<String> =
+        g.dialect().template_texts().into_iter().filter(|t| t.contains("FROM Next")).collect();
+    assert!(family.len() <= 8, "adjacency family has {} templates: {family:#?}", family.len());
     // And the cache served almost every query.
     let m = g.metrics();
-    assert!(
-        m.template_hits > m.template_misses,
-        "expected mostly hits: {m:?}"
-    );
+    assert!(m.template_hits > m.template_misses, "expected mostly hits: {m:?}");
 }

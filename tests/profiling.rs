@@ -225,7 +225,8 @@ fn profile_terminator_reports_only_its_statement() {
 fn repeated_traversals_hit_template_cache() {
     let db = healthcare_db();
     let g = open(&db);
-    let query = "g.V().hasLabel('patient').has('name', 'Alice').out('hasDisease').values('conceptName')";
+    let query =
+        "g.V().hasLabel('patient').has('name', 'Alice').out('hasDisease').values('conceptName')";
 
     let (_, first) = g.profile(query).unwrap();
     assert!(first.template_misses() > 0, "first run must prepare: {first}");

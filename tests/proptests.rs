@@ -159,7 +159,10 @@ proptest! {
 
 /// `COUNT(*)` and `SUM(v)` over the `(k, v)` rows that satisfy `keep`,
 /// computed in Rust (`None` is SQL NULL).
-fn count_and_sum(rows: &[(Option<i64>, Option<i64>)], keep: impl Fn(Option<i64>) -> bool) -> Vec<Value> {
+fn count_and_sum(
+    rows: &[(Option<i64>, Option<i64>)],
+    keep: impl Fn(Option<i64>) -> bool,
+) -> Vec<Value> {
     let kept: Vec<_> = rows.iter().filter(|(k, _)| keep(*k)).collect();
     let vs: Vec<i64> = kept.iter().filter_map(|(_, v)| *v).collect();
     let sum = if vs.is_empty() { Value::Null } else { Value::Bigint(vs.iter().sum()) };
@@ -538,22 +541,16 @@ proptest! {
 
 #[allow(clippy::type_complexity)]
 fn arb_graph_rows() -> impl Strategy<Value = (Vec<(i64, String)>, Vec<(i64, i64, String)>)> {
-    let verts = prop::collection::btree_set(0i64..20, 1..12).prop_map(|ids| {
-        ids.into_iter()
-            .map(|id| (id, format!("t{}", id % 3)))
-            .collect::<Vec<_>>()
-    });
+    let verts = prop::collection::btree_set(0i64..20, 1..12)
+        .prop_map(|ids| ids.into_iter().map(|id| (id, format!("t{}", id % 3))).collect::<Vec<_>>());
     verts.prop_flat_map(|vs| {
         let ids: Vec<i64> = vs.iter().map(|(id, _)| *id).collect();
-        let edges = prop::collection::btree_set(
-            (0..ids.len(), 0..ids.len(), 0usize..2),
-            0..20,
-        )
-        .prop_map(move |set| {
-            set.into_iter()
-                .map(|(a, b, l)| (ids[a], ids[b], format!("e{l}")))
-                .collect::<Vec<_>>()
-        });
+        let edges = prop::collection::btree_set((0..ids.len(), 0..ids.len(), 0usize..2), 0..20)
+            .prop_map(move |set| {
+                set.into_iter()
+                    .map(|(a, b, l)| (ids[a], ids[b], format!("e{l}")))
+                    .collect::<Vec<_>>()
+            });
         (Just(vs), edges)
     })
 }

@@ -75,11 +75,7 @@ fn total_balance(db: &Database) -> Option<i64> {
 
 fn account_rows(db: &Database) -> String {
     match db.execute("SELECT aid, balance FROM Account ORDER BY aid") {
-        Ok(rs) => rs
-            .rows
-            .iter()
-            .map(|r| format!("{:?}\n", r))
-            .collect(),
+        Ok(rs) => rs.rows.iter().map(|r| format!("{:?}\n", r)).collect(),
         Err(e) => format!("<query failed: {e}>\n"),
     }
 }

@@ -91,8 +91,8 @@ fn start_replica(primary: SocketAddr) -> (Arc<Database>, ServerHandle) {
 }
 
 fn patient_count(addr: SocketAddr) -> u64 {
-    let r = http_call(addr, "POST", "/query", "g.V().hasLabel('patient').count()", TIMEOUT)
-        .unwrap();
+    let r =
+        http_call(addr, "POST", "/query", "g.V().hasLabel('patient').count()", TIMEOUT).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     Json::parse(&r.body)
         .unwrap()
@@ -159,8 +159,7 @@ fn replica_bootstraps_tails_and_serves_identical_reads() {
     wait_until("replication lag to reach zero", || {
         let m = replication_metrics(raddr);
         m.get("replication_lag_records").and_then(Json::as_u64) == Some(0)
-            && m.get("replica_applied_epoch").and_then(Json::as_u64)
-                == Some(pdb.commit_epoch())
+            && m.get("replica_applied_epoch").and_then(Json::as_u64) == Some(pdb.commit_epoch())
     });
     let m = replication_metrics(raddr);
     assert_eq!(m.get("primary").and_then(Json::as_str), Some(paddr.to_string().as_str()));
@@ -172,8 +171,9 @@ fn replica_bootstraps_tails_and_serves_identical_reads() {
     assert_eq!(Json::parse(&r.body).unwrap().get("role").and_then(Json::as_str), Some("replica"));
     let r = http_call(paddr, "GET", "/healthz", "", TIMEOUT).unwrap();
     assert_eq!(Json::parse(&r.body).unwrap().get("role").and_then(Json::as_str), Some("primary"));
-    let r = http_call(raddr, "POST", "/sql", "INSERT INTO Patient VALUES (99, 'X', 'X', 99)", TIMEOUT)
-        .unwrap();
+    let r =
+        http_call(raddr, "POST", "/sql", "INSERT INTO Patient VALUES (99, 'X', 'X', 99)", TIMEOUT)
+            .unwrap();
     assert_eq!(r.status, 403, "{}", r.body);
     assert_eq!(
         Json::parse(&r.body).unwrap().get("primary").and_then(Json::as_str),
@@ -221,8 +221,7 @@ fn replica_survives_kill_restart_and_primary_loss() {
     let raddr = replica2.addr();
     assert_eq!(patient_count(raddr), 5, "restarted replica re-bootstrapped to current state");
     wait_until("restarted replica to report zero lag", || {
-        replication_metrics(raddr).get("replication_lag_records").and_then(Json::as_u64)
-            == Some(0)
+        replication_metrics(raddr).get("replication_lag_records").and_then(Json::as_u64) == Some(0)
     });
 
     // Primary loss: reads keep answering from the applied epoch, and the

@@ -34,10 +34,7 @@ const TIMEOUT: Duration = Duration::from_secs(10);
 const WRITERS_DEADLINE: Duration = Duration::from_secs(120);
 
 fn stress_rounds() -> usize {
-    std::env::var("DB2GRAPH_STRESS_ROUNDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(200)
+    std::env::var("DB2GRAPH_STRESS_ROUNDS").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(200)
 }
 
 fn account_graph() -> (Arc<Database>, Arc<Db2Graph>) {
@@ -135,14 +132,9 @@ fn sixteen_mixed_clients_observe_one_committed_state_each() {
             s.spawn(move || {
                 let mut looked = false;
                 while !looked || !stop.load(Ordering::Relaxed) {
-                    let r = http_call(
-                        addr,
-                        "POST",
-                        "/query",
-                        "g.V().values('balance').sum()",
-                        TIMEOUT,
-                    )
-                    .expect("reader request failed");
+                    let r =
+                        http_call(addr, "POST", "/query", "g.V().values('balance').sum()", TIMEOUT)
+                            .expect("reader request failed");
                     assert_eq!(r.status, 200, "{}", r.body);
                     assert_eq!(
                         summed_balance(&r.body),
@@ -360,18 +352,10 @@ fn shutdown_mid_load_drains_admitted_work_completely() {
         stop_writers.store(true, Ordering::Relaxed);
     });
 
-    assert!(
-        full_responses.load(Ordering::Relaxed) >= 8,
-        "load was established before shutdown"
-    );
+    assert!(full_responses.load(Ordering::Relaxed) >= 8, "load was established before shutdown");
     // The database outlives the server: the final committed state still
     // conserves the total.
-    let sum = db
-        .execute("SELECT SUM(balance) FROM Account")
-        .unwrap()
-        .scalar()
-        .unwrap()
-        .as_i64()
-        .unwrap();
+    let sum =
+        db.execute("SELECT SUM(balance) FROM Account").unwrap().scalar().unwrap().as_i64().unwrap();
     assert_eq!(sum as u64, TOTAL);
 }

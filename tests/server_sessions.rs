@@ -188,18 +188,11 @@ fn session_spans_multiple_requests_then_commits() {
         "UPDATE Account SET balance = balance - 5 WHERE aid = 0",
         "UPDATE Account SET balance = balance + 5 WHERE aid = 1",
     ] {
-        let r = client
-            .call_bytes_with_headers("POST", "/sql", sql.as_bytes(), &hdrs)
-            .unwrap();
+        let r = client.call_bytes_with_headers("POST", "/sql", sql.as_bytes(), &hdrs).unwrap();
         assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.bytes));
     }
     let r = client
-        .call_bytes_with_headers(
-            "POST",
-            "/query",
-            b"g.V().values('balance').sum()",
-            &hdrs,
-        )
+        .call_bytes_with_headers("POST", "/query", b"g.V().values('balance').sum()", &hdrs)
         .unwrap();
     assert_eq!(r.status, 200);
     assert_eq!(summed_balance(&String::from_utf8_lossy(&r.bytes)), TOTAL);
@@ -220,24 +213,22 @@ fn session_spans_multiple_requests_then_commits() {
     );
     // …while a plain request (different connection, no session header)
     // still sees the committed 100.
-    let plain = http_call(addr, "POST", "/sql", "SELECT balance FROM Account WHERE aid = 1", TIMEOUT)
-        .unwrap();
+    let plain =
+        http_call(addr, "POST", "/sql", "SELECT balance FROM Account WHERE aid = 1", TIMEOUT)
+            .unwrap();
     assert!(plain.body.contains("100"), "uncommitted writes must not leak: {}", plain.body);
 
-    let r = client
-        .call_bytes_with_headers("POST", "/session/commit", b"", &hdrs)
-        .unwrap();
+    let r = client.call_bytes_with_headers("POST", "/session/commit", b"", &hdrs).unwrap();
     assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.bytes));
 
     // Now everyone sees it.
-    let plain = http_call(addr, "POST", "/sql", "SELECT balance FROM Account WHERE aid = 1", TIMEOUT)
-        .unwrap();
+    let plain =
+        http_call(addr, "POST", "/sql", "SELECT balance FROM Account WHERE aid = 1", TIMEOUT)
+            .unwrap();
     assert!(plain.body.contains("105"), "{}", plain.body);
 
     // The session is gone: a second commit is 404.
-    let r = client
-        .call_bytes_with_headers("POST", "/session/commit", b"", &hdrs)
-        .unwrap();
+    let r = client.call_bytes_with_headers("POST", "/session/commit", b"", &hdrs).unwrap();
     assert_eq!(r.status, 404);
 
     let m = handle.metrics();
@@ -264,12 +255,11 @@ fn session_rollback_discards_writes() {
         )
         .unwrap();
     assert_eq!(r.status, 200);
-    let r = client
-        .call_bytes_with_headers("POST", "/session/rollback", b"", &hdrs)
-        .unwrap();
+    let r = client.call_bytes_with_headers("POST", "/session/rollback", b"", &hdrs).unwrap();
     assert_eq!(r.status, 200, "{}", String::from_utf8_lossy(&r.bytes));
 
-    let plain = http_call(addr, "POST", "/query", "g.V().values('balance').sum()", TIMEOUT).unwrap();
+    let plain =
+        http_call(addr, "POST", "/query", "g.V().values('balance').sum()", TIMEOUT).unwrap();
     assert_eq!(summed_balance(&plain.body), TOTAL, "rollback restored the balance");
     assert_eq!(handle.metrics().sessions_rolled_back(), 1);
     handle.shutdown();
@@ -305,12 +295,11 @@ fn abandoned_session_is_reaped_and_rolled_back() {
 
     assert!(handle.metrics().sessions_reaped() >= 1, "reaper fired");
     assert_eq!(handle.metrics().sessions_open(), 0);
-    let plain = http_call(addr, "POST", "/query", "g.V().values('balance').sum()", TIMEOUT).unwrap();
+    let plain =
+        http_call(addr, "POST", "/query", "g.V().values('balance').sum()", TIMEOUT).unwrap();
     assert_eq!(summed_balance(&plain.body), TOTAL, "reap rolled the half-transfer back");
     // The id is dead: committing it now is 404.
-    let r = client
-        .call_bytes_with_headers("POST", "/session/commit", b"", &hdrs)
-        .unwrap();
+    let r = client.call_bytes_with_headers("POST", "/session/commit", b"", &hdrs).unwrap();
     assert_eq!(r.status, 404, "{}", String::from_utf8_lossy(&r.bytes));
 
     // The reap is visible in the event stream, tagged with the id.
@@ -324,7 +313,8 @@ fn abandoned_session_is_reaped_and_rolled_back() {
 /// transfer in flight reopens with the conserved balance.
 #[test]
 fn shutdown_rolls_back_an_open_session_before_the_final_checkpoint() {
-    let dir = std::env::temp_dir().join(format!("db2graph-session-shutdown-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("db2graph-session-shutdown-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let graph = account_graph_on(Arc::new(Database::open(&dir).unwrap()));
     let cfg = ServerConfig { checkpoint_interval: Some(Duration::from_secs(3600)), ..config() };
@@ -361,7 +351,11 @@ fn shutdown_rolls_back_an_open_session_before_the_final_checkpoint() {
         .map(|e| e.kind.as_str())
         .filter(|k| matches!(*k, "session_reaped" | "checkpoint_begin"))
         .collect();
-    assert_eq!(order, ["session_reaped", "checkpoint_begin"], "rollback, then the final checkpoint");
+    assert_eq!(
+        order,
+        ["session_reaped", "checkpoint_begin"],
+        "rollback, then the final checkpoint"
+    );
 
     let reopened = Database::open(&dir).unwrap();
     let sum = reopened.execute("SELECT SUM(balance) FROM Account").unwrap();

@@ -69,31 +69,27 @@ fn every_endpoint_answers_over_a_real_socket() {
     assert_eq!(r.status, 200, "{}", r.body);
     let j = Json::parse(&r.body).unwrap();
     assert_eq!(j.get("count").and_then(Json::as_u64), Some(2));
-    let names: Vec<&str> = j.get("result").unwrap().as_array().unwrap()
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
+    let names: Vec<&str> =
+        j.get("result").unwrap().as_array().unwrap().iter().filter_map(Json::as_str).collect();
     assert_eq!(names, ["Alice", "Bob"]);
 
     // /query with a JSON envelope.
     let r = http_call(addr, "POST", "/query", r#"{"gremlin": "g.V().count()"}"#, TIMEOUT).unwrap();
     assert_eq!(r.status, 200);
     let j = Json::parse(&r.body).unwrap();
-    assert_eq!(
-        j.get("result").and_then(|v| v.as_array()).and_then(|a| a[0].as_u64()),
-        Some(4)
-    );
+    assert_eq!(j.get("result").and_then(|v| v.as_array()).and_then(|a| a[0].as_u64()), Some(4));
 
     // Element serialization: vertices come back structured.
-    let r = http_call(addr, "POST", "/query", "g.V().hasLabel('patient').limit(1)", TIMEOUT).unwrap();
+    let r =
+        http_call(addr, "POST", "/query", "g.V().hasLabel('patient').limit(1)", TIMEOUT).unwrap();
     let j = Json::parse(&r.body).unwrap();
     let v = &j.get("result").unwrap().as_array().unwrap()[0];
     assert_eq!(v.get("type").and_then(Json::as_str), Some("vertex"));
     assert_eq!(v.get("label").and_then(Json::as_str), Some("patient"));
 
     // /explain and /profile reuse the observability reports.
-    let r = http_call(addr, "POST", "/explain", "g.V().hasLabel('patient').count()", TIMEOUT)
-        .unwrap();
+    let r =
+        http_call(addr, "POST", "/explain", "g.V().hasLabel('patient').count()", TIMEOUT).unwrap();
     assert_eq!(r.status, 200);
     assert!(Json::parse(&r.body).unwrap().get("plan").is_some());
     let r = http_call(addr, "POST", "/profile", "g.V().count()", TIMEOUT).unwrap();
@@ -117,7 +113,8 @@ fn every_endpoint_answers_over_a_real_socket() {
     let r = http_call(addr, "POST", "/sql", "DROP TABLE Patient", TIMEOUT).unwrap();
     assert_eq!(r.status, 403, "{}", r.body);
     assert!(Json::parse(&r.body).unwrap().get("error").is_some());
-    let r = http_call(addr, "POST", "/query", "g.V().hasLabel('patient').count()", TIMEOUT).unwrap();
+    let r =
+        http_call(addr, "POST", "/query", "g.V().hasLabel('patient').count()", TIMEOUT).unwrap();
     assert_eq!(r.status, 200, "table untouched by the refused DROP");
 
     // Unknown path, wrong method, oversized body.
@@ -184,19 +181,17 @@ fn head_is_answered_as_a_headers_only_get() {
     // …and on the raw wire: a nonzero Content-Length, nothing after the
     // blank line.
     let mut s = std::net::TcpStream::connect(addr).unwrap();
-    s.write_all(b"HEAD /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n")
-        .unwrap();
+    s.write_all(
+        b"HEAD /healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
     let mut raw = String::new();
     s.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
     let head_end = raw.find("\r\n\r\n").unwrap();
     assert_eq!(head_end + 4, raw.len(), "body bytes after a HEAD response: {raw}");
-    let declared: usize = raw
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .unwrap()
-        .parse()
-        .unwrap();
+    let declared: usize =
+        raw.lines().find_map(|l| l.strip_prefix("Content-Length: ")).unwrap().parse().unwrap();
     assert!(declared > 0, "Content-Length still describes the GET body");
     handle.shutdown();
 }
@@ -246,11 +241,8 @@ fn stalled_client_is_timed_out() {
 #[test]
 fn slow_loris_drip_cannot_renew_the_read_deadline() {
     let graph = healthcare_graph(Default::default());
-    let config = ServerConfig {
-        workers: 1,
-        read_timeout: Duration::from_millis(250),
-        ..test_config()
-    };
+    let config =
+        ServerConfig { workers: 1, read_timeout: Duration::from_millis(250), ..test_config() };
     let handle = GraphServer::start(graph, config).unwrap();
     let addr = handle.addr();
     let dripper = std::thread::spawn(move || {

@@ -78,10 +78,7 @@ fn subquery_and_distinct() {
              ORDER BY big.sid",
         )
         .unwrap();
-    assert_eq!(
-        rs.rows,
-        vec![vec![Value::Bigint(10)], vec![Value::Bigint(12)]]
-    );
+    assert_eq!(rs.rows, vec![vec![Value::Bigint(10)], vec![Value::Bigint(12)]]);
 }
 
 #[test]
@@ -120,31 +117,24 @@ fn scalar_functions_and_arithmetic_in_projection() {
 #[test]
 fn fetch_first_rows_only_and_between() {
     let db = sales_db();
-    let rs = db
-        .execute("SELECT saleid FROM sale ORDER BY amount DESC FETCH FIRST 2 ROWS ONLY")
-        .unwrap();
+    let rs =
+        db.execute("SELECT saleid FROM sale ORDER BY amount DESC FETCH FIRST 2 ROWS ONLY").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Bigint(103)], vec![Value::Bigint(101)]]);
-    let rs = db
-        .execute("SELECT COUNT(*) FROM sale WHERE amount BETWEEN 25 AND 75")
-        .unwrap();
+    let rs = db.execute("SELECT COUNT(*) FROM sale WHERE amount BETWEEN 25 AND 75").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Bigint(4))); // 25, 75, 50, 30 (inclusive bounds)
 }
 
 #[test]
 fn between_bounds_are_inclusive() {
     let db = sales_db();
-    let rs = db
-        .execute("SELECT saleid FROM sale WHERE amount BETWEEN 75 AND 75")
-        .unwrap();
+    let rs = db.execute("SELECT saleid FROM sale WHERE amount BETWEEN 75 AND 75").unwrap();
     assert_eq!(rs.rows, vec![vec![Value::Bigint(101)]]);
 }
 
 #[test]
 fn count_distinct_and_avg() {
     let db = sales_db();
-    let rs = db
-        .execute("SELECT COUNT(DISTINCT sid), AVG(items) FROM sale")
-        .unwrap();
+    let rs = db.execute("SELECT COUNT(DISTINCT sid), AVG(items) FROM sale").unwrap();
     assert_eq!(rs.rows[0][0], Value::Bigint(3));
     let avg = rs.rows[0][1].as_f64().unwrap();
     assert!((avg - 22.0 / 6.0).abs() < 1e-9);
@@ -212,20 +202,10 @@ fn fk_violations_and_pk_duplicates_are_rejected() {
 #[test]
 fn order_by_alias_and_multiple_keys() {
     let db = sales_db();
-    let rs = db
-        .execute(
-            "SELECT sid, amount AS a FROM sale ORDER BY sid ASC, a DESC",
-        )
-        .unwrap();
-    let got: Vec<(i64, f64)> = rs
-        .rows
-        .iter()
-        .map(|r| (r[0].as_i64().unwrap(), r[1].as_f64().unwrap()))
-        .collect();
-    assert_eq!(
-        got,
-        vec![(10, 75.0), (10, 25.0), (11, 10.0), (12, 200.0), (12, 50.0), (12, 30.0)]
-    );
+    let rs = db.execute("SELECT sid, amount AS a FROM sale ORDER BY sid ASC, a DESC").unwrap();
+    let got: Vec<(i64, f64)> =
+        rs.rows.iter().map(|r| (r[0].as_i64().unwrap(), r[1].as_f64().unwrap())).collect();
+    assert_eq!(got, vec![(10, 75.0), (10, 25.0), (11, 10.0), (12, 200.0), (12, 50.0), (12, 30.0)]);
 }
 
 #[test]
@@ -234,13 +214,9 @@ fn in_list_or_not_and_is_null() {
     db.execute("INSERT INTO store VALUES (13, NULL, 'Homeless')").unwrap();
     let rs = db.execute("SELECT sname FROM store WHERE rid IS NULL").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Varchar("Homeless".into())));
-    let rs = db
-        .execute("SELECT COUNT(*) FROM store WHERE rid IN (1, 2) OR rid IS NULL")
-        .unwrap();
+    let rs = db.execute("SELECT COUNT(*) FROM store WHERE rid IN (1, 2) OR rid IS NULL").unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Bigint(4)));
-    let rs = db
-        .execute("SELECT COUNT(*) FROM store WHERE NOT (rid = 1)")
-        .unwrap();
+    let rs = db.execute("SELECT COUNT(*) FROM store WHERE NOT (rid = 1)").unwrap();
     // NULL rid row is unknown -> excluded by NOT as well.
     assert_eq!(rs.scalar(), Some(&Value::Bigint(1)));
 }
@@ -264,9 +240,7 @@ fn update_with_expression_and_index_maintenance() {
 fn explain_renders_join_pipeline() {
     let db = sales_db();
     let plan = db
-        .explain(
-            "SELECT r.rname FROM region r JOIN store st ON r.rid = st.rid WHERE st.sid = 10",
-        )
+        .explain("SELECT r.rname FROM region r JOIN store st ON r.rid = st.rid WHERE st.sid = 10")
         .unwrap();
     assert!(plan.contains("HASH-JOIN"), "{plan}");
     assert!(plan.contains("FILTER"), "{plan}");

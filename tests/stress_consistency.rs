@@ -17,17 +17,10 @@ use db2graph::gremlin::GValue;
 use db2graph::reldb::Database;
 
 fn stress_rounds() -> usize {
-    std::env::var("DB2GRAPH_STRESS_ROUNDS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(200)
+    std::env::var("DB2GRAPH_STRESS_ROUNDS").ok().and_then(|s| s.trim().parse().ok()).unwrap_or(200)
 }
 
-fn open_with_threads(
-    db: Arc<Database>,
-    overlay: &OverlayConfig,
-    threads: usize,
-) -> Arc<Db2Graph> {
+fn open_with_threads(db: Arc<Database>, overlay: &OverlayConfig, threads: usize) -> Arc<Db2Graph> {
     open_observed(db, overlay, threads, false)
 }
 
@@ -492,8 +485,7 @@ fn cached_adjacency_stays_consistent_under_writer_churn() {
                 while !looked || !stop.load(Ordering::Relaxed) {
                     let stable = count_of(&g, "g.V().out('stable').count()");
                     assert_eq!(
-                        stable,
-                        4,
+                        stable, 4,
                         "the never-written table changed under a reader \
                          (threads={threads}, observed={observed})"
                     );

@@ -60,9 +60,7 @@ fn traced_graph() -> Arc<Db2Graph> {
 
 fn tmp_path(name: &str) -> String {
     let dir = std::env::temp_dir();
-    dir.join(format!("db2graph-{}-{name}", std::process::id()))
-        .to_string_lossy()
-        .into_owned()
+    dir.join(format!("db2graph-{}-{name}", std::process::id())).to_string_lossy().into_owned()
 }
 
 /// Validate one Chrome trace-event JSON document: the object form with a
@@ -71,10 +69,8 @@ fn tmp_path(name: &str) -> String {
 /// the same document. Returns the number of events.
 fn check_chrome_trace(text: &str) -> usize {
     let doc = Json::parse(text).expect("trace file must parse as JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .expect("traceEvents must be an array");
+    let events =
+        doc.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents must be an array");
     assert!(!events.is_empty(), "trace must contain at least one event");
     let mut ids = std::collections::HashSet::new();
     for e in events {
@@ -168,10 +164,8 @@ fn export_without_tracing_is_a_config_error() {
 fn trace_path_option_exports_on_drop() {
     let path = tmp_path("on-drop.json");
     {
-        let options =
-            GraphOptions { trace_path: Some(path.clone()), ..Default::default() };
-        let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options)
-            .unwrap();
+        let options = GraphOptions { trace_path: Some(path.clone()), ..Default::default() };
+        let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options).unwrap();
         // trace_path alone enables tracing.
         assert!(g.trace_sink().is_some());
         g.run("g.V().out('knows').count()").unwrap();
@@ -188,8 +182,7 @@ fn slow_query_log_retains_full_reports() {
         slow_log_capacity: Some(4),
         ..Default::default()
     };
-    let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options)
-        .unwrap();
+    let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options).unwrap();
     g.run("g.V().count()").unwrap();
     g.run("g.V().out('knows').values('name')").unwrap();
     let slow = g.slow_queries();
@@ -212,8 +205,7 @@ fn metrics_surface_trace_counters() {
         trace_capacity: Some(8), // tiny ring: force drops
         ..Default::default()
     };
-    let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options)
-        .unwrap();
+    let g = Db2Graph::open_with_options(people_db(), &people_overlay(), options).unwrap();
     for _ in 0..4 {
         g.run("g.V().out('knows').values('name')").unwrap();
     }
