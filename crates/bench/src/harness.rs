@@ -19,8 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use db2graph_core::{Db2Graph, GraphOptions, StrategyConfig};
-use gremlin::strategy::{IdentityRemoval, StrategyRegistry};
 use gremlin::{GraphBackend, ScriptRunner};
+use gremlin::{IdentityRemoval, StrategyRegistry};
 use gstore::{export_graph, load_janus, load_native, open_native, JanusLikeDb, NativeGraphDb};
 use linkbench::{
     generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,

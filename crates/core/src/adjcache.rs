@@ -75,11 +75,11 @@ use crate::metrics::MetricsRegistry;
 /// Default cache budget (MiB) when neither `GraphOptions.adj_cache_mb` nor
 /// `DB2GRAPH_ADJ_CACHE_MB` sets one; both are resolved by
 /// [`GraphOptions::with_lookup`](crate::GraphOptions::with_lookup).
-pub const DEFAULT_ADJ_CACHE_MB: usize = 64;
+pub(crate) const DEFAULT_ADJ_CACHE_MB: usize = 64;
 
 /// Key of one cache segment: (edge-table index, direction), where `true`
 /// means outgoing (source = the edge's src endpoint).
-pub type SegKey = (usize, bool);
+pub(crate) type SegKey = (usize, bool);
 
 /// Per-table last-modified watermarks, maintained by the change hook.
 struct Watermarks {
@@ -100,7 +100,7 @@ impl Watermarks {
 /// One source's cached adjacency: rows `lo..hi` of an immutable chunk.
 /// Readable without the cache lock.
 #[derive(Clone)]
-pub struct RowSpan {
+pub(crate) struct RowSpan {
     chunk: Arc<Vec<Row>>,
     lo: usize,
     hi: usize,
@@ -108,7 +108,7 @@ pub struct RowSpan {
 
 impl RowSpan {
     /// The source's rows, in the order SQL returned them.
-    pub fn rows(&self) -> &[Row] {
+    pub(crate) fn rows(&self) -> &[Row] {
         &self.chunk[self.lo..self.hi]
     }
 }
@@ -219,7 +219,7 @@ struct CacheInner {
 
 /// The adjacency cache for one graph. Shared (via `Arc`) by the backend
 /// and all of its shallow per-query clones; one instance per `Db2Graph`.
-pub struct AdjCache {
+pub(crate) struct AdjCache {
     db: Arc<Database>,
     budget_bytes: usize,
     registry: Arc<MetricsRegistry>,
@@ -232,7 +232,7 @@ impl AdjCache {
     /// its change hook. The hook holds only a weak reference: dropping
     /// the graph (and its cache) degenerates the hook to a no-op rather
     /// than leaking the cache through the database.
-    pub fn new(
+    pub(crate) fn new(
         db: Arc<Database>,
         budget_mb: usize,
         registry: Arc<MetricsRegistry>,
@@ -272,12 +272,13 @@ impl AdjCache {
     }
 
     /// Resident byte estimate (the `adj_cache_bytes` gauge).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.inner.lock().bytes
     }
 
     /// Number of resident segments.
-    pub fn segment_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
         self.inner.lock().segments.len()
     }
 
@@ -285,7 +286,12 @@ impl AdjCache {
     /// at `epoch`. Returns one entry per id, in order: a span for a hit
     /// (possibly empty), `None` for a miss. Stale segments are dropped
     /// here (counted as invalidations), never served.
-    pub fn lookup(&self, key: SegKey, ids: &[ElementId], epoch: u64) -> Vec<Option<RowSpan>> {
+    pub(crate) fn lookup(
+        &self,
+        key: SegKey,
+        ids: &[ElementId],
+        epoch: u64,
+    ) -> Vec<Option<RowSpan>> {
         let all_miss = |n: usize| vec![None; n];
         let schema_gen = self.db.schema_generation();
         let mut inner = self.inner.lock();
@@ -325,7 +331,7 @@ impl AdjCache {
     /// `key`, read at committed epoch `epoch`; `anchors[i]` is the probed
     /// endpoint of `rows[i]`. No-op if a concurrent commit already made
     /// that state unservable.
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         key: SegKey,
         table: &str,
@@ -341,7 +347,7 @@ impl AdjCache {
     /// but the resulting segment is *complete* — sources not present are
     /// known to have empty adjacency, so they hit (with no rows) instead
     /// of missing. Replaces any existing segment.
-    pub fn insert_complete(
+    pub(crate) fn insert_complete(
         &self,
         key: SegKey,
         table: &str,
@@ -436,17 +442,6 @@ impl AdjCache {
         }
         if evicted > 0 {
             self.registry.adj_cache_evictions.add(evicted);
-        }
-    }
-
-    /// Drop every segment (tests and explicit resets).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let n = inner.segments.len() as u64;
-        inner.segments.clear();
-        inner.bytes = 0;
-        if n > 0 {
-            self.registry.adj_cache_invalidations.add(n);
         }
     }
 }

@@ -272,7 +272,7 @@ impl OverlayConfig {
 
 /// Parse a label definition: `Some(constant)` when quoted, else `None`
 /// (meaning: it's a column name).
-pub fn parse_label_constant(label: &str) -> Option<String> {
+pub(crate) fn parse_label_constant(label: &str) -> Option<String> {
     label.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')).map(str::to_string)
 }
 

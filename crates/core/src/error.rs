@@ -40,7 +40,7 @@ impl From<DbError> for GraphError {
     }
 }
 
-/// The inverse of [`to_gremlin`]: a timeout that crossed the
+/// The inverse of `to_gremlin`: a timeout that crossed the
 /// `GraphBackend` trait comes back as [`GraphError::Timeout`].
 impl From<GremlinError> for GraphError {
     fn from(e: GremlinError) -> Self {
@@ -52,11 +52,11 @@ impl From<GremlinError> for GraphError {
 }
 
 /// Result alias for the crate.
-pub type GraphResult<T> = Result<T, GraphError>;
+pub(crate) type GraphResult<T> = Result<T, GraphError>;
 
 /// Convert a graph error into a Gremlin error (used inside the
 /// `GraphBackend` implementation, whose trait returns `GResult`).
-pub fn to_gremlin(e: GraphError) -> GremlinError {
+pub(crate) fn to_gremlin(e: GraphError) -> GremlinError {
     match e {
         GraphError::Gremlin(g) => g,
         GraphError::Timeout => GremlinError::Timeout,

@@ -35,7 +35,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::json::Json;
 
 /// Default number of events retained in memory.
-pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
 /// Default file-sink rotation threshold (bytes).
 pub const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
@@ -229,7 +229,7 @@ pub struct ConfigWarning {
     /// The raw value that failed to parse.
     pub raw: String,
     /// Human-readable description of the fallback that was used instead.
-    pub fallback: String,
+    pub(crate) fallback: String,
 }
 
 static CONFIG_WARNINGS: Mutex<Vec<ConfigWarning>> = Mutex::new(Vec::new());
@@ -242,7 +242,7 @@ static CONFIG_WARNINGS: Mutex<Vec<ConfigWarning>> = Mutex::new(Vec::new());
 /// The same bad value read again before anything drained the queue (one
 /// program opening a database and then a graph resolves the graph knobs
 /// twice) is one warning, not two.
-pub fn record_config_warning(knob: &str, raw: &str, fallback: &str) {
+pub(crate) fn record_config_warning(knob: &str, raw: &str, fallback: &str) {
     let warning = ConfigWarning {
         knob: knob.to_string(),
         raw: raw.to_string(),

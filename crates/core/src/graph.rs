@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use gremlin::strategy::{IdentityRemoval, StrategyRegistry};
-use gremlin::structure::{Element, GValue};
+use gremlin::structure::GValue;
 use gremlin::ScriptRunner;
+use gremlin::{IdentityRemoval, StrategyRegistry};
 use reldb::{DataType, Database, DbError, DbResult, RowSet, TableFunction, Value};
 
 use crate::adjcache::{AdjCache, DEFAULT_ADJ_CACHE_MB};
@@ -35,7 +35,7 @@ use crate::trace::{SpanData, TraceSink, DEFAULT_TRACE_CAPACITY};
 ///
 /// Every knob that has a `DB2GRAPH_*` variable resolves the same way:
 /// the field when set, then the variable, then the built-in default.
-/// [`GraphOptions::with_env`] is the one place the graph layer reads its
+/// `GraphOptions::with_env` is the one place the graph layer reads its
 /// environment; [`Db2Graph::open_with_options`] and
 /// [`GraphOptions::open_database`] call it.
 #[derive(Debug, Clone, Default)]
@@ -50,7 +50,7 @@ pub struct GraphOptions {
     /// when `trace_path` is). `Some(false)` forces it off regardless.
     pub trace: Option<bool>,
     /// Span ring-buffer capacity (spans, not bytes); default
-    /// [`DEFAULT_TRACE_CAPACITY`].
+    /// `DEFAULT_TRACE_CAPACITY`.
     pub trace_capacity: Option<usize>,
     /// File the Chrome trace JSON is written to when the graph is dropped
     /// (also exportable any time via [`Db2Graph::export_trace`]). `None`
@@ -61,7 +61,7 @@ pub struct GraphOptions {
     /// `DB2GRAPH_SLOW_QUERY_MS`; unset means no slow-query log.
     pub slow_query_nanos: Option<u64>,
     /// Worst-N capacity of the slow-query log; default
-    /// [`DEFAULT_SLOW_LOG_CAPACITY`].
+    /// `DEFAULT_SLOW_LOG_CAPACITY`.
     pub slow_log_capacity: Option<usize>,
     /// Directory the underlying database persists to (WAL + checkpoints);
     /// consumed by [`GraphOptions::open_database`]. `None` defers to
@@ -72,7 +72,7 @@ pub struct GraphOptions {
     pub durability: Option<reldb::Durability>,
     /// Byte budget (MiB) for the adjacency cache; `Some(0)`
     /// disables it. `None` defers to `DB2GRAPH_ADJ_CACHE_MB`, then
-    /// [`DEFAULT_ADJ_CACHE_MB`].
+    /// `DEFAULT_ADJ_CACHE_MB`.
     pub adj_cache_mb: Option<usize>,
 }
 
@@ -96,7 +96,7 @@ pub struct RunRequest<'a> {
 impl GraphOptions {
     /// Fill the knobs left `None` from the process environment:
     /// [`Self::with_lookup`] over `std::env::var`.
-    pub fn with_env(self) -> GraphOptions {
+    pub(crate) fn with_env(self) -> GraphOptions {
         self.with_lookup(|name| std::env::var(name).ok())
     }
 
@@ -181,7 +181,7 @@ impl Db2Graph {
     }
 
     /// Open with explicit optimizer/executor options; the knobs left
-    /// `None` resolve through [`GraphOptions::with_env`].
+    /// `None` resolve through `GraphOptions::with_env`.
     pub fn open_with_options(
         db: Arc<Database>,
         config: &OverlayConfig,
@@ -276,11 +276,6 @@ impl Db2Graph {
         snap
     }
 
-    /// The adjacency cache, when enabled.
-    pub fn adj_cache(&self) -> Option<&Arc<AdjCache>> {
-        self.adj_cache.as_ref()
-    }
-
     /// Eagerly build complete adjacency-cache segments for every edge
     /// table by scanning them once at a fresh snapshot (the explicit warm
     /// call; lazy population happens on every query anyway).
@@ -317,10 +312,10 @@ impl Db2Graph {
     /// server: parse once, pin a snapshot, execute, and hand what the
     /// profiler recorded to the slow-query log and the trace sink.
     ///
-    /// A per-query [`Profiler`] records the run only when something will
+    /// A per-query `Profiler` records the run only when something will
     /// read it: `req.profile`, a `.profile()` terminator in the script,
     /// tracing, or the slow-query log. Otherwise it is
-    /// [`Profiler::disabled`], which costs one null check per event. Its
+    /// `Profiler::disabled`, which costs one null check per event. Its
     /// spans reach the trace sink only when tracing is on; the profile
     /// report is derived from the same spans, and only when `req.profile`
     /// asks for it or the query is past the slow-log threshold.
@@ -502,7 +497,7 @@ impl Db2Graph {
                 let row: Vec<Value> = names
                     .iter()
                     .map(|n| {
-                        gremlin::backend::element_property(&e, n)
+                        gremlin::element_property(&e, n)
                             .and_then(|v| to_value(&v))
                             .unwrap_or(Value::Null)
                     })
@@ -590,12 +585,6 @@ impl TableFunction for GraphQueryFunction {
         })?;
         graph.query_rows(script, columns).map_err(|e| DbError::Execution(e.to_string()))
     }
-}
-
-/// Helper used in docs and tests: true when a Gremlin result set consists
-/// of elements only.
-pub fn all_elements(values: &[GValue]) -> bool {
-    values.iter().all(|v| v.as_element().map(|_: Element| true).unwrap_or(false))
 }
 
 #[cfg(test)]

@@ -58,11 +58,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gremlin::backend::{
-    AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
-};
 use gremlin::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 use gremlin::GResult;
+use gremlin::{
+    AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
+};
 use reldb::{DataType, Database, Row, RowSet, Snapshot, Value};
 
 use crate::adjcache::{AdjCache, RowSpan};
@@ -77,7 +77,7 @@ use crate::topology::{LabelDef, OverlayTable, Topology};
 use crate::trace::SpanData;
 
 /// Convert a relational value into a Gremlin value.
-pub fn to_gvalue(v: &Value) -> GValue {
+pub(crate) fn to_gvalue(v: &Value) -> GValue {
     match v {
         Value::Null => GValue::Null,
         Value::Bigint(x) => GValue::Long(*x),
@@ -97,7 +97,7 @@ fn into_gvalue(v: Value) -> GValue {
 }
 
 /// Convert a Gremlin value into a relational value (scalar kinds only).
-pub fn to_value(v: &GValue) -> Option<Value> {
+pub(crate) fn to_value(v: &GValue) -> Option<Value> {
     match v {
         GValue::Null => Some(Value::Null),
         GValue::Long(x) => Some(Value::Bigint(*x)),
@@ -109,7 +109,7 @@ pub fn to_value(v: &GValue) -> Option<Value> {
 }
 
 /// The overlay backend: executes graph operations as SQL.
-pub struct Db2GraphBackend {
+pub(crate) struct Db2GraphBackend {
     pub(crate) topo: Arc<Topology>,
     pub(crate) dialect: Arc<SqlDialect>,
     /// Per-query event sink. Disabled by default; [`Self::bind`] attaches
@@ -139,7 +139,7 @@ pub struct Db2GraphBackend {
 impl Db2GraphBackend {
     /// A backend over `topo` whose fan-out uses up to `threads` threads
     /// (clamped to at least 1; 1 = fully sequential).
-    pub fn new(db: Arc<Database>, topo: Arc<Topology>, threads: usize) -> Db2GraphBackend {
+    pub(crate) fn new(db: Arc<Database>, topo: Arc<Topology>, threads: usize) -> Db2GraphBackend {
         let registry = Arc::new(MetricsRegistry::default());
         let dialect = Arc::new(SqlDialect::with_registry(db, registry));
         Db2GraphBackend {
@@ -159,7 +159,7 @@ impl Db2GraphBackend {
     /// [`GraphError::Timeout`] once `deadline` passes, and reports to
     /// `profiler`. A `None` read view reads the latest committed data per
     /// statement; a `None` deadline never times out.
-    pub fn bind(
+    pub(crate) fn bind(
         &self,
         read_view: Option<Snapshot>,
         deadline: Option<Instant>,
@@ -179,14 +179,9 @@ impl Db2GraphBackend {
     /// Attach (or detach) the adjacency cache. Installed once by
     /// [`crate::graph::Db2Graph`] at open; per-query shallow clones then
     /// share the one instance.
-    pub fn with_adj_cache(mut self, cache: Option<Arc<AdjCache>>) -> Db2GraphBackend {
+    pub(crate) fn with_adj_cache(mut self, cache: Option<Arc<AdjCache>>) -> Db2GraphBackend {
         self.adj_cache = cache;
         self
-    }
-
-    /// The attached adjacency cache, if any.
-    pub fn adj_cache(&self) -> Option<&Arc<AdjCache>> {
-        self.adj_cache.as_ref()
     }
 
     /// Eagerly build *complete* cache segments (both directions) for every
@@ -194,7 +189,7 @@ impl Db2GraphBackend {
     /// Complete segments answer even never-probed sources (absent = empty
     /// adjacency). Returns the number of edges cached, or 0 when the
     /// cache is disabled or the backend is unpinned/stamped.
-    pub fn warm_adj_cache(&self) -> GraphResult<usize> {
+    pub(crate) fn warm_adj_cache(&self) -> GraphResult<usize> {
         let Some(cache) = &self.adj_cache else { return Ok(0) };
         let Some(snap) = self.read_view.as_ref().filter(|s| s.stamp() == 0) else { return Ok(0) };
         let epoch = snap.epoch();
@@ -234,7 +229,7 @@ impl Db2GraphBackend {
     }
 
     /// The effective intra-query worker count.
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.threads
     }
 
@@ -316,15 +311,15 @@ impl Db2GraphBackend {
     }
 
     /// The always-on aggregate counters shared with the SQL dialect.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+    pub(crate) fn registry(&self) -> &Arc<MetricsRegistry> {
         self.dialect.registry()
     }
 
-    pub fn dialect(&self) -> &SqlDialect {
+    pub(crate) fn dialect(&self) -> &SqlDialect {
         &self.dialect
     }
 
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topo
     }
 
@@ -801,7 +796,11 @@ impl Db2GraphBackend {
     /// Dry-run a `V()`/`E()` step: per table, either the SQL it would
     /// generate — built by the same [`TableRead`] execution runs — or the
     /// reason it is eliminated. No data is touched.
-    pub fn explain_elements(&self, kind: ElementKind, filter: &ElementFilter) -> Vec<TableExplain> {
+    pub(crate) fn explain_elements(
+        &self,
+        kind: ElementKind,
+        filter: &ElementFilter,
+    ) -> Vec<TableExplain> {
         let explain = |ti: usize| {
             let plan = match self.table_access(kind, ti, filter) {
                 TableAccess::Pruned(reason) => TablePlan::Pruned { reason },
@@ -817,7 +816,7 @@ impl Db2GraphBackend {
     /// Dry-run an adjacency step: which edge tables remain candidates
     /// after label elimination. The concrete SQL depends on the runtime
     /// frontier, so candidates carry a description instead of a statement.
-    pub fn explain_adjacency(&self, edge_labels: &[String]) -> Vec<TableExplain> {
+    pub(crate) fn explain_adjacency(&self, edge_labels: &[String]) -> Vec<TableExplain> {
         let labels = (!edge_labels.is_empty()).then_some(edge_labels);
         self.topo
             .edge_tables
@@ -857,8 +856,8 @@ impl Db2GraphBackend {
 
     /// Structured explain for one compiled step; non-GSA steps yield
     /// nothing (they never touch the database).
-    pub fn explain_compiled_step(&self, step: &gremlin::step::Step) -> Vec<TableExplain> {
-        use gremlin::step::Step;
+    pub(crate) fn explain_compiled_step(&self, step: &gremlin::Step) -> Vec<TableExplain> {
+        use gremlin::Step;
         match step {
             Step::Graph(g) => self.explain_elements(g.kind, &g.filter),
             Step::Vertex(v) => self.explain_adjacency(&v.edge_labels),
@@ -1467,7 +1466,7 @@ impl GraphBackend for Db2GraphBackend {
         "db2graph"
     }
 
-    fn explain_step(&self, step: &gremlin::step::Step) -> Vec<String> {
+    fn explain_step(&self, step: &gremlin::Step) -> Vec<String> {
         self.explain_compiled_step(step)
             .into_iter()
             .flat_map(|t| match t.plan {

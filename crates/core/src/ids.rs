@@ -16,7 +16,7 @@ use crate::error::{GraphError, GraphResult};
 
 /// One component of an id definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IdPart {
+pub(crate) enum IdPart {
     /// A string constant, written `'text'` in the configuration.
     Const(String),
     /// A table column reference.
@@ -26,7 +26,7 @@ pub enum IdPart {
 /// A full id definition: ordered parts joined by `::`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdDef {
-    pub parts: Vec<IdPart>,
+    pub(crate) parts: Vec<IdPart>,
 }
 
 impl IdDef {
@@ -80,7 +80,7 @@ impl IdDef {
     }
 
     /// True when the definition is a single bare column.
-    pub fn is_single_column(&self) -> bool {
+    pub(crate) fn is_single_column(&self) -> bool {
         self.parts.len() == 1 && matches!(self.parts[0], IdPart::Column(_))
     }
 
@@ -158,7 +158,7 @@ impl IdDef {
     /// text and back. `Some(None)` when the id fits no row of a column of
     /// type `ty`; `None` declines a prefixed or composite definition, whose
     /// ids go through `decode`.
-    pub fn single_column_value(
+    pub(crate) fn single_column_value(
         &self,
         id: &ElementId,
         ty: Option<DataType>,
@@ -197,7 +197,7 @@ impl IdDef {
     /// catalog does not type view columns, so numeric-looking text is
     /// taken as a BIGINT and anything else as VARCHAR. Digits that
     /// overflow a BIGINT are an error, so such an id matches no row.
-    pub fn coerce_column(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
+    pub(crate) fn coerce_column(text: &str, ty: Option<DataType>) -> GraphResult<Value> {
         let numeric = |text: &str| {
             !text.is_empty()
                 && text.chars().enumerate().all(|(i, c)| c.is_ascii_digit() || (i == 0 && c == '-'))
@@ -212,7 +212,7 @@ impl IdDef {
 
 impl EdgeIdDef {
     /// The explicit definition, or `None` for implicit ids.
-    pub fn explicit(&self) -> Option<&IdDef> {
+    pub(crate) fn explicit(&self) -> Option<&IdDef> {
         match self {
             EdgeIdDef::Explicit(def) => Some(def),
             EdgeIdDef::Implicit => None,
@@ -222,7 +222,7 @@ impl EdgeIdDef {
 
 /// How an edge table defines its edge ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EdgeIdDef {
+pub(crate) enum EdgeIdDef {
     /// An explicit definition (possibly prefixed), like vertex ids.
     Explicit(IdDef),
     /// The implicit `src_v::label::dst_v` combination (Section 5). The
@@ -261,21 +261,6 @@ pub fn split_implicit_edge_id(id: &ElementId, label: &str) -> Option<(String, St
         return None;
     }
     Some((src.to_string(), dst.to_string()))
-}
-
-/// Extract the label from an implicit edge id when the label is unknown but
-/// candidate labels are supplied; returns the first candidate that splits
-/// the id.
-pub fn match_implicit_label<'a>(
-    id: &ElementId,
-    candidates: impl Iterator<Item = &'a str>,
-) -> Option<(&'a str, String, String)> {
-    for label in candidates {
-        if let Some((src, dst)) = split_implicit_edge_id(id, label) {
-            return Some((label, src, dst));
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -435,9 +420,5 @@ mod tests {
         assert_eq!(s, "patient::1");
         assert_eq!(d, "10");
         assert!(split_implicit_edge_id(&id, "isa").is_none());
-        // Label matching across candidates.
-        let (label, s, _) = match_implicit_label(&id, ["isa", "hasDisease"].into_iter()).unwrap();
-        assert_eq!(label, "hasDisease");
-        assert_eq!(s, "patient::1");
     }
 }

@@ -1,8 +1,8 @@
 //! A minimal JSON value model, parser, and serializer.
 //!
 //! The build environment cannot fetch `serde`/`serde_json`, so the overlay
-//! config format ([`crate::config`]) and the observability snapshots
-//! ([`crate::metrics`]) are (de)serialized through this hand-rolled layer.
+//! config format (`crate::config`) and the observability snapshots
+//! (`crate::metrics`) are (de)serialized through this hand-rolled layer.
 //! It supports the full JSON grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null); object key order is preserved.
 

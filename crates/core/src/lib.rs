@@ -7,31 +7,42 @@
 //! contribution — a graph layer *inside* the database — over the `reldb`
 //! relational substrate and the `gremlin` traversal substrate:
 //!
-//! * **Graph overlay** ([`config`], [`topology`], [`ids`]): a JSON
+//! * **Graph overlay** ([`OverlayConfig`], [`Topology`], [`IdDef`]): a JSON
 //!   configuration maps existing tables/views onto the vertex and edge sets
 //!   of a property graph, with prefixed ids, fixed or column labels,
 //!   implicit edge ids, and src/dst vertex table links — no data is copied
 //!   or transformed.
-//! * **AutoOverlay** ([`mod@auto_overlay`]): Algorithms 1 & 2 — derive the
+//! * **AutoOverlay** ([`auto_overlay()`]): Algorithms 1 & 2 — derive the
 //!   overlay from primary/foreign-key metadata.
-//! * **Optimized traversal strategies** ([`strategies`]): the four
+//! * **Optimized traversal strategies** ([`StrategyConfig`]): the four
 //!   data-independent compile-time rewrites of Section 6.2, individually
 //!   toggleable.
-//! * **Graph Structure module** ([`graph_structure`]): the graph structure
+//! * **Graph Structure module** (`graph_structure`): the graph structure
 //!   API implemented as SQL with the six data-dependent runtime
 //!   optimizations of Section 6.3.
-//! * **SQL Dialect module** ([`sql_dialect`]): SQL generation, a prepared
+//! * **SQL Dialect module** (`sql_dialect`): SQL generation, a prepared
 //!   template cache driven by frequent-pattern detection, and an index
 //!   advisor.
-//! * **Synergy** ([`graph`]): the `graphQuery` polymorphic table function,
+//! * **Synergy** ([`Db2Graph`]): the `graphQuery` polymorphic table function,
 //!   so SQL joins and aggregates can consume Gremlin results (Section 4).
+//!
+//! ## API
+//!
+//! The `pub use` lists below are the crate's whole API: every name in them
+//! is used by another crate, a test, an example or the benchmark, and the
+//! modules behind them are private. The workspace's `unreachable_pub` lint
+//! fails the build on a `pub` item no list re-exports, so an item nothing
+//! outside uses is `pub(crate)` and `dead_code` sees when it goes unused.
+//! Some types (the `SqlDialect`, `ExplainReport`, trace and profile records)
+//! are reachable only through the methods that return them. `json` alone
+//! stays a `pub mod`, because the benchmark names `db2graph_core::json`.
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use std::sync::Arc;
 //! use db2graph_core::Db2Graph;
-//! use db2graph_core::config::healthcare_example_json;
+//! use db2graph_core::healthcare_example_json;
 //! use gremlin::GValue;
 //! use reldb::Database;
 //!
@@ -61,39 +72,37 @@
 //! assert_eq!(out, vec![GValue::Str("type 2 diabetes".into())]);
 //! ```
 
-pub mod adjcache;
-pub mod auto_overlay;
-pub mod config;
-pub mod error;
-pub mod events;
-pub mod graph;
-pub mod graph_structure;
-pub mod ids;
+mod adjcache;
+mod auto_overlay;
+mod config;
+mod error;
+mod events;
+mod graph;
+mod graph_structure;
+mod ids;
 pub mod json;
-pub mod metrics;
-pub mod pool;
-pub mod sql_dialect;
-pub mod strategies;
-pub mod topology;
-pub mod trace;
+mod metrics;
+mod pool;
+mod sql_dialect;
+mod strategies;
+mod topology;
+mod trace;
 
-pub use adjcache::{AdjCache, DEFAULT_ADJ_CACHE_MB};
 pub use auto_overlay::{auto_overlay, generate_overlay, identify_tables};
-pub use config::{ETableConfig, OverlayConfig, VTableConfig};
-pub use error::{GraphError, GraphResult};
+pub use config::{healthcare_example_json, ETableConfig, OverlayConfig, VTableConfig};
+pub use error::GraphError;
 pub use events::{
-    drain_config_warnings, lookup_knob, record_config_warning, ConfigWarning, Event, EventLog,
-    DEFAULT_EVENT_CAPACITY, DEFAULT_ROTATE_BYTES,
+    drain_config_warnings, lookup_knob, ConfigWarning, EventLog, DEFAULT_ROTATE_BYTES,
 };
 pub use graph::{Db2Graph, GraphOptions, RunRequest};
-pub use graph_structure::Db2GraphBackend;
+
+pub use ids::{implicit_edge_id, split_implicit_edge_id, IdDef};
 pub use metrics::{
-    step_kind, ExplainReport, Histogram, HistogramSet, HistogramSnapshot, MetricKind, MetricRow,
-    MetricsRegistry, MetricsSnapshot, ProfileReport, Profiler, SlowQueryEntry, SlowQueryLog,
-    SpanHandle, StepExplain, StepProfile, TableAction, TableExplain, TablePlan,
+    json_fields, HistogramSet, MetricsRegistry, MetricsSnapshot, ProfileReport, TableAction,
+    TablePlan,
 };
-pub use reldb::metric_table;
-pub use sql_dialect::{IndexSuggestion, SqlDialect, WorkloadReport};
+pub use reldb::{metric_table, Histogram, HistogramSnapshot, MetricKind, MetricRow};
+
 pub use strategies::StrategyConfig;
 pub use topology::Topology;
-pub use trace::{Span, SpanData, TraceSink, TracedSpan, DEFAULT_TRACE_CAPACITY};
+pub use trace::Span;

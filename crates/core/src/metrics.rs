@@ -29,20 +29,20 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gremlin::observe::TraversalObserver;
+use gremlin::TraversalObserver;
 use parking_lot::{Mutex, RwLock};
 
 use crate::json::Json;
 use crate::trace::{Span, SpanData, SpanTree};
 
-pub use reldb::metrics::{Histogram, HistogramSnapshot, MetricKind, MetricRow, Slot};
+use reldb::{Histogram, MetricRow};
 
 /// Default capacity of the slow-query log (worst-N entries retained).
-pub const DEFAULT_SLOW_LOG_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_SLOW_LOG_CAPACITY: usize = 32;
 
 /// Default cap on distinct keys per latency-histogram set (per SQL
 /// template, per step kind); overflow lands under `"<other>"`.
-pub const DEFAULT_HISTOGRAM_KEYS: usize = 256;
+pub(crate) const DEFAULT_HISTOGRAM_KEYS: usize = 256;
 
 // ------------------------------------------------------------- profiling
 
@@ -147,28 +147,28 @@ struct Recording {
 
 /// Handle to an open span; `None` when the profiler is disabled.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanHandle(Option<usize>);
+pub(crate) struct SpanHandle(Option<usize>);
 
 /// The per-query recorder. Cheap to clone (shared interior); a disabled
 /// profiler is a `None` that records nothing and costs one pointer-null
 /// check per event — attribute closures never run.
 #[derive(Clone, Default)]
-pub struct Profiler {
+pub(crate) struct Profiler {
     inner: Option<Arc<Mutex<Recording>>>,
 }
 
 impl Profiler {
     /// A profiler that drops every event — the default for normal queries.
-    pub fn disabled() -> Profiler {
+    pub(crate) fn disabled() -> Profiler {
         Profiler { inner: None }
     }
 
     /// A recording profiler with a fresh span tree.
-    pub fn enabled() -> Profiler {
+    pub(crate) fn enabled() -> Profiler {
         Profiler { inner: Some(Arc::default()) }
     }
 
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
@@ -184,7 +184,7 @@ impl Profiler {
     /// in job order, so a parallel run records the *same* span sequence as
     /// a sequential one. Forking a disabled profiler yields a disabled
     /// (free) one.
-    pub fn fork(&self) -> Profiler {
+    pub(crate) fn fork(&self) -> Profiler {
         let inner = self.inner.as_ref().map(|inner| {
             let spans = inner.lock().spans.fork();
             Arc::new(Mutex::new(Recording { spans, ..Recording::default() }))
@@ -194,7 +194,7 @@ impl Profiler {
 
     /// Append everything `fork` recorded (draining it): its spans nest
     /// under the span open here, and its counters add to these.
-    pub fn absorb(&self, fork: &Profiler) {
+    pub(crate) fn absorb(&self, fork: &Profiler) {
         let Some(theirs) = &fork.inner else { return };
         let (spans, counters) = {
             let mut t = theirs.lock();
@@ -208,52 +208,52 @@ impl Profiler {
 
     /// Open a span under the innermost open one; `data` runs only when
     /// enabled.
-    pub fn start(&self, name: &str, data: impl FnOnce() -> SpanData) -> SpanHandle {
+    pub(crate) fn start(&self, name: &str, data: impl FnOnce() -> SpanData) -> SpanHandle {
         let Some(inner) = &self.inner else { return SpanHandle(None) };
         SpanHandle(Some(inner.lock().spans.start(name, data())))
     }
 
     /// Close a span opened by [`Self::start`].
-    pub fn end(&self, handle: SpanHandle) {
+    pub(crate) fn end(&self, handle: SpanHandle) {
         if let SpanHandle(Some(idx)) = handle {
             self.with(|r| r.spans.end(idx));
         }
     }
 
-    pub fn record_strategy(&self, strategy: &str, before: &str, after: &str) {
+    pub(crate) fn record_strategy(&self, strategy: &str, before: &str, after: &str) {
         self.with(|r| {
             let data = SpanData::Strategy { before: before.to_string(), after: after.to_string() };
             r.spans.record(strategy, 0, data);
         });
     }
 
-    pub fn record_table(&self, table: &str, action: TableAction) {
+    pub(crate) fn record_table(&self, table: &str, action: TableAction) {
         self.with(|r| r.spans.record(table, 0, SpanData::Table(action)));
     }
 
-    pub fn record_statement(&self, sql: &str, template_hit: bool, rows: usize, nanos: u64) {
+    pub(crate) fn record_statement(&self, sql: &str, template_hit: bool, rows: usize, nanos: u64) {
         self.with(|r| r.spans.record(sql, nanos, SpanData::Sql { rows, template_hit }));
     }
 
     /// A prepared template was evicted from the dialect cache while this
     /// query executed.
-    pub fn record_template_eviction(&self) {
+    pub(crate) fn record_template_eviction(&self) {
         self.with(|r| r.counters.template_evictions += 1);
     }
 
     /// A cached template was re-prepared because DDL moved the catalog
     /// generation past the one it was compiled under.
-    pub fn record_template_invalidation(&self) {
+    pub(crate) fn record_template_invalidation(&self) {
         self.with(|r| r.counters.template_invalidations += 1);
     }
 
     /// A tracked workload pattern was evicted while this query executed.
-    pub fn record_pattern_eviction(&self) {
+    pub(crate) fn record_pattern_eviction(&self) {
         self.with(|r| r.counters.pattern_evictions += 1);
     }
 
     /// The report of everything recorded so far (empty when disabled).
-    pub fn report(&self) -> ProfileReport {
+    pub(crate) fn report(&self) -> ProfileReport {
         let Some(inner) = &self.inner else { return ProfileReport::default() };
         let r = inner.lock();
         ProfileReport::from_spans(r.spans.spans(), r.counters)
@@ -262,7 +262,7 @@ impl Profiler {
     /// Call `f(description, nanos)` for every finished step, in recording
     /// order — the per-step-kind latency histograms read this, not a
     /// report.
-    pub fn for_each_step(&self, mut f: impl FnMut(&str, u64)) {
+    pub(crate) fn for_each_step(&self, mut f: impl FnMut(&str, u64)) {
         self.with(|r| {
             for s in r.spans.spans() {
                 if let SpanData::Step { frontier: Some(_), .. } = s.data {
@@ -274,7 +274,7 @@ impl Profiler {
 
     /// Drain the recorded spans for the trace sink, closing any span an
     /// error left open.
-    pub fn finish(&self) -> Vec<Span> {
+    pub(crate) fn finish(&self) -> Vec<Span> {
         let Some(inner) = &self.inner else { return Vec::new() };
         inner.lock().spans.finish()
     }
@@ -340,7 +340,7 @@ pub struct ProfileReport {
 /// The step *kind* of a step description — the prefix up to the first
 /// `(`: `"Vertex(out)"` → `"Vertex"`. Keys the per-step-kind latency
 /// histograms.
-pub fn step_kind(description: &str) -> &str {
+pub(crate) fn step_kind(description: &str) -> &str {
     description.split('(').next().unwrap_or(description)
 }
 
@@ -413,7 +413,7 @@ impl ProfileReport {
         self.statements.iter().filter(|s| !s.template_hit).count()
     }
 
-    pub fn total_sql_nanos(&self) -> u64 {
+    pub(crate) fn total_sql_nanos(&self) -> u64 {
         self.statements.iter().map(|s| s.nanos).sum()
     }
 
@@ -508,7 +508,7 @@ impl ProfileReport {
 }
 
 /// Pretty nanoseconds for report text.
-pub fn fmt_nanos(n: u64) -> String {
+pub(crate) fn fmt_nanos(n: u64) -> String {
     if n >= 1_000_000_000 {
         format!("{:.2}s", n as f64 / 1e9)
     } else if n >= 1_000_000 {
@@ -734,7 +734,7 @@ impl std::fmt::Display for ExplainReport {
 // ------------------------------------------------------------ histograms
 
 /// `{"count", "sum_nanos", "p50_nanos", "p90_nanos", "p99_nanos"}`.
-pub fn histogram_json(h: &Histogram) -> Json {
+pub(crate) fn histogram_json(h: &Histogram) -> Json {
     let (p50, p90, p99) = h.percentiles();
     Json::obj(vec![
         ("count", Json::u64(h.count())),
@@ -829,14 +829,14 @@ struct SlowLogInner {
 /// so the tail is diagnosable after the fact without re-running anything.
 /// When full, a new slow query replaces the *fastest* retained entry —
 /// the log converges on the worst N, not the most recent N.
-pub struct SlowQueryLog {
+pub(crate) struct SlowQueryLog {
     threshold_nanos: u64,
     capacity: usize,
     inner: Mutex<SlowLogInner>,
 }
 
 impl SlowQueryLog {
-    pub fn new(threshold_nanos: u64, capacity: usize) -> SlowQueryLog {
+    pub(crate) fn new(threshold_nanos: u64, capacity: usize) -> SlowQueryLog {
         SlowQueryLog {
             threshold_nanos,
             capacity: capacity.max(1),
@@ -844,7 +844,7 @@ impl SlowQueryLog {
         }
     }
 
-    pub fn threshold_nanos(&self) -> u64 {
+    pub(crate) fn threshold_nanos(&self) -> u64 {
         self.threshold_nanos
     }
 
@@ -852,7 +852,7 @@ impl SlowQueryLog {
     /// retained entry stays correlatable with the HTTP response; returns
     /// whether it crossed the threshold (and was therefore counted slow,
     /// even if a worse entry kept its ring slot).
-    pub fn offer_with_id(
+    pub(crate) fn offer_with_id(
         &self,
         gremlin: &str,
         wall_nanos: u64,
@@ -884,13 +884,13 @@ impl SlowQueryLog {
     }
 
     /// Retained entries, slowest first (ties broken newest-first).
-    pub fn entries(&self) -> Vec<SlowQueryEntry> {
+    pub(crate) fn entries(&self) -> Vec<SlowQueryEntry> {
         let mut out = self.inner.lock().entries.clone();
         out.sort_by(|a, b| b.wall_nanos.cmp(&a.wall_nanos).then_with(|| b.seq.cmp(&a.seq)));
         out
     }
 
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::arr(
             self.entries()
                 .iter()
@@ -1033,7 +1033,13 @@ impl MetricsRegistry {
     /// One executed SQL statement: its template-cache outcome, the rows it
     /// returned and its wall time, in the counters and in the aggregate
     /// and per-template latency histograms.
-    pub fn record_statement(&self, template: &str, template_hit: bool, rows: u64, nanos: u64) {
+    pub(crate) fn record_statement(
+        &self,
+        template: &str,
+        template_hit: bool,
+        rows: u64,
+        nanos: u64,
+    ) {
         if template_hit {
             self.template_hits.add(1);
         } else {
@@ -1047,12 +1053,12 @@ impl MetricsRegistry {
     }
 
     /// End-to-end wall time of one complete traversal.
-    pub fn record_query_latency(&self, nanos: u64) {
+    pub(crate) fn record_query_latency(&self, nanos: u64) {
         self.query_latency.record(nanos);
     }
 
     /// Wall time of one executor step, keyed by step kind (`has`, `outE`, …).
-    pub fn record_step_latency(&self, kind: &str, nanos: u64) {
+    pub(crate) fn record_step_latency(&self, kind: &str, nanos: u64) {
         self.step_kinds.record(kind, nanos);
     }
 
@@ -1097,6 +1103,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reldb::MetricKind;
 
     /// The contract the hot path relies on: a disabled profiler is a
     /// single null check per event — `Option<Arc<..>>` niche-packed to one

@@ -77,7 +77,7 @@ static POOL: Pool = Pool::new();
 ///
 /// A panic in a job is re-raised on the caller after every other job of
 /// the batch has finished — the first panic in job order wins.
-pub fn run_ordered<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
+pub(crate) fn run_ordered<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,

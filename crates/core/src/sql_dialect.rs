@@ -31,13 +31,13 @@ use crate::metrics::{MetricsRegistry, Profiler};
 /// template reuse and statement size, not probe speed: reldb probes an
 /// IN-list key by key through its index, so its cost grows with the number
 /// of ids, whatever the chunking.
-pub const MAX_FRONTIER_CHUNK: usize = 1024;
+pub(crate) const MAX_FRONTIER_CHUNK: usize = 1024;
 
 /// Default cap on distinct cached prepared templates.
-pub const DEFAULT_TEMPLATE_CAP: usize = 512;
+pub(crate) const DEFAULT_TEMPLATE_CAP: usize = 512;
 
 /// Default cap on tracked workload patterns.
-pub const DEFAULT_PATTERN_CAP: usize = 1024;
+pub(crate) const DEFAULT_PATTERN_CAP: usize = 1024;
 
 /// An index the dialect suggests creating, ranked by the wall time the
 /// driving pattern has cost so far (a proxy for the time an index would
@@ -49,26 +49,26 @@ pub struct IndexSuggestion {
     /// How many statements matched the driving pattern.
     pub count: u64,
     /// Cumulative observed statement wall time for the pattern, in nanos.
-    pub observed_nanos: u64,
+    pub(crate) observed_nanos: u64,
 }
 
 /// A workload access pattern: (table name, predicate column list).
-pub type PatternKey = (String, Vec<String>);
+pub(crate) type PatternKey = (String, Vec<String>);
 
 /// One observed access pattern with its cumulative cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkloadPattern {
+pub(crate) struct WorkloadPattern {
     pub table: String,
     pub columns: Vec<String>,
     pub count: u64,
-    pub observed_nanos: u64,
+    pub(crate) observed_nanos: u64,
 }
 
 /// Everything the advisor knows about the workload: every tracked pattern
 /// (cost-sorted) plus the index suggestions ranked by estimated time saved.
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadReport {
-    pub patterns: Vec<WorkloadPattern>,
+    pub(crate) patterns: Vec<WorkloadPattern>,
     pub suggestions: Vec<IndexSuggestion>,
 }
 
@@ -135,7 +135,7 @@ impl std::fmt::Display for WorkloadReport {
 
 /// Pre-execution statement interception callback: receives the template
 /// text of every statement the dialect is about to execute.
-pub type StatementHook = Arc<dyn Fn(&str) + Send + Sync>;
+pub(crate) type StatementHook = Arc<dyn Fn(&str) + Send + Sync>;
 
 /// A cached prepared template plus its admission sequence number (used for
 /// FIFO eviction once the cache is full).
@@ -182,7 +182,7 @@ pub struct SqlDialect {
 
 impl SqlDialect {
     /// Build a dialect that reports into an externally owned registry.
-    pub fn with_registry(db: Arc<Database>, registry: Arc<MetricsRegistry>) -> SqlDialect {
+    pub(crate) fn with_registry(db: Arc<Database>, registry: Arc<MetricsRegistry>) -> SqlDialect {
         SqlDialect {
             db,
             templates: RwLock::new(HashMap::new()),
@@ -214,7 +214,7 @@ impl SqlDialect {
     /// traversal keeps all of its generated SQL, across every parallel
     /// worker, on one consistent database state; `None` reads the latest
     /// committed data.
-    pub fn query_at(
+    pub(crate) fn query_at(
         &self,
         profiler: &Profiler,
         template: &str,
@@ -334,20 +334,9 @@ impl SqlDialect {
         self.templates.read().keys().cloned().collect()
     }
 
-    /// Frequent query patterns observed so far (above threshold), with
-    /// their counts.
-    pub fn frequent_patterns(&self) -> Vec<(PatternKey, u64)> {
-        self.patterns
-            .read()
-            .iter()
-            .map(|(k, p)| (k.clone(), p.count.load(Ordering::Relaxed)))
-            .filter(|(_, n)| *n >= self.frequency_threshold)
-            .collect()
-    }
-
     /// Every tracked pattern with its count and cumulative observed wall
     /// time, costliest first (ties: most seen, then key order).
-    pub fn pattern_stats(&self) -> Vec<(PatternKey, u64, u64)> {
+    pub(crate) fn pattern_stats(&self) -> Vec<(PatternKey, u64, u64)> {
         let mut out: Vec<(PatternKey, u64, u64)> = self
             .patterns
             .read()
@@ -428,7 +417,7 @@ impl SqlDialect {
 /// Quote an identifier for the SQL dialect (double quotes when needed).
 /// Embedded double quotes are doubled, so a hostile or merely unusual name
 /// like `a"b` can never break out of the quoted identifier.
-pub fn ident(name: &str) -> String {
+pub(crate) fn ident(name: &str) -> String {
     if !name.is_empty() && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         name.to_string()
     } else {
@@ -439,7 +428,7 @@ pub fn ident(name: &str) -> String {
 /// Build `SELECT <cols> FROM <table>` with optional WHERE conjuncts and an
 /// optional aggregate projection. Conjuncts are strings already containing
 /// `?` placeholders.
-pub fn build_select(
+pub(crate) fn build_select(
     table: &str,
     columns: &[String],
     conjuncts: &[String],
@@ -465,7 +454,7 @@ pub fn build_select(
 
 /// Build an `col IN (?, ?, ...)` conjunct for `n` values (or `col = ?` for
 /// one).
-pub fn in_list(col: &str, n: usize) -> String {
+pub(crate) fn in_list(col: &str, n: usize) -> String {
     if n == 1 {
         format!("{} = ?", ident(col))
     } else {
@@ -479,7 +468,7 @@ pub fn in_list(col: &str, n: usize) -> String {
 /// workload whose frontier sizes range over 1..=N produces O(log N)
 /// distinct templates instead of one per distinct size — which is what
 /// keeps the prepared-template cache hot under traversal workloads.
-pub fn bucket_arity(n: usize) -> usize {
+pub(crate) fn bucket_arity(n: usize) -> usize {
     if n <= 1 {
         1
     } else {
@@ -490,7 +479,7 @@ pub fn bucket_arity(n: usize) -> usize {
 /// Bucketed [`in_list`]: pads `params` in place up to the bucket arity by
 /// repeating the last value (duplicates never change IN semantics) and
 /// returns the conjunct for the padded arity. `params` must be non-empty.
-pub fn in_list_bucketed(col: &str, params: &mut Vec<Value>) -> String {
+pub(crate) fn in_list_bucketed(col: &str, params: &mut Vec<Value>) -> String {
     let n = params.len();
     debug_assert!(n > 0, "in_list_bucketed over empty params");
     let bucket = bucket_arity(n);
@@ -503,7 +492,7 @@ pub fn in_list_bucketed(col: &str, params: &mut Vec<Value>) -> String {
 /// Bucketed [`composite_in`]: pads `keys` in place up to the bucket count
 /// by repeating the last key group (duplicate disjuncts are harmless) and
 /// returns the conjunct for the padded count. `keys` must be non-empty.
-pub fn composite_in_bucketed(cols: &[&str], keys: &mut Vec<Vec<Value>>) -> String {
+pub(crate) fn composite_in_bucketed(cols: &[&str], keys: &mut Vec<Vec<Value>>) -> String {
     let n = keys.len();
     debug_assert!(n > 0, "composite_in_bucketed over empty keys");
     let bucket = bucket_arity(n);
@@ -516,7 +505,7 @@ pub fn composite_in_bucketed(cols: &[&str], keys: &mut Vec<Vec<Value>>) -> Strin
 /// Build an OR-of-conjunctions conjunct for composite keys:
 /// `((a = ? AND b = ?) OR (a = ? AND b = ?))` for `groups` keys over
 /// `cols`.
-pub fn composite_in(cols: &[&str], groups: usize) -> String {
+pub(crate) fn composite_in(cols: &[&str], groups: usize) -> String {
     let one: String =
         cols.iter().map(|c| format!("{} = ?", ident(c))).collect::<Vec<_>>().join(" AND ");
     if groups == 1 {
@@ -663,10 +652,10 @@ mod tests {
         run(&["src"]);
         run(&["name"]);
         run(&["id"]);
-        let frequent = dialect.frequent_patterns();
+        let stats = dialect.pattern_stats();
         assert!(
-            frequent.iter().any(|((t, c), n)| t == "t" && c == &vec!["src".to_string()] && *n >= 3),
-            "{frequent:?}"
+            stats.iter().any(|((t, c), n, _)| t == "t" && c == &vec!["src".to_string()] && *n >= 3),
+            "{stats:?}"
         );
         let snap = dialect.registry().snapshot();
         assert_eq!(snap.pattern_evictions, 1);
@@ -775,7 +764,7 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert!(dialect.frequent_patterns().is_empty());
+        assert!(dialect.pattern_stats().iter().all(|(_, n, _)| *n < 100));
         assert!(dialect.suggested_indexes().is_empty());
     }
 

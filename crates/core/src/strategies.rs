@@ -28,20 +28,20 @@
 
 use std::borrow::Cow;
 
-use gremlin::backend::{AggOp, ElementKind, Pred};
-use gremlin::step::{EdgeVertexStep, GraphStep, Step, Traversal};
 use gremlin::structure::value_to_id;
+use gremlin::{AggOp, ElementKind, Pred};
 use gremlin::{Direction, EdgeEnd, TraversalStrategy};
+use gremlin::{EdgeVertexStep, GraphStep, Step, Traversal};
 
 use crate::graph_structure::selected_keys;
 
 /// Which optimized strategies to enable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StrategyConfig {
-    pub graphstep_vertexstep_mutation: bool,
-    pub predicate_pushdown: bool,
-    pub projection_pushdown: bool,
-    pub aggregate_pushdown: bool,
+    pub(crate) graphstep_vertexstep_mutation: bool,
+    pub(crate) predicate_pushdown: bool,
+    pub(crate) projection_pushdown: bool,
+    pub(crate) aggregate_pushdown: bool,
 }
 
 impl Default for StrategyConfig {
@@ -90,7 +90,7 @@ impl StrategyConfig {
 // ------------------------------------------------------ predicate pushdown
 
 /// Fold `has(...)` filter steps into the preceding GSA step's filter.
-pub struct PredicatePushdown;
+pub(crate) struct PredicatePushdown;
 
 impl TraversalStrategy for PredicatePushdown {
     fn name(&self) -> &str {
@@ -162,8 +162,8 @@ impl TraversalStrategy for PredicatePushdown {
 
 /// Attempt to fold an endpoint-id comparison filter into the preceding
 /// edge-producing GSA step. Returns true when folded.
-fn try_fold_endpoint_filter(out: &mut [Step], spec: &gremlin::step::FilterSpec) -> bool {
-    use gremlin::step::CompareOp;
+fn try_fold_endpoint_filter(out: &mut [Step], spec: &gremlin::FilterSpec) -> bool {
+    use gremlin::CompareOp;
     let Some((CompareOp::Eq, value)) = &spec.compare else { return false };
     let Some(id) = value_to_id(value) else { return false };
     // The sub-traversal must be exactly endpoint -> id().
@@ -216,7 +216,7 @@ fn merge_ids(slot: &mut Option<Vec<gremlin::ElementId>>, ids: Vec<gremlin::Eleme
 /// step's projection, so SQL selects only those columns; then record on
 /// every GSA step which properties the steps after it read
 /// ([`ElementFilter::properties`]), so its table reads select only those.
-pub struct ProjectionPushdown;
+pub(crate) struct ProjectionPushdown;
 
 impl TraversalStrategy for ProjectionPushdown {
     fn name(&self) -> &str {
@@ -308,7 +308,7 @@ fn reads(rest: &[Step]) -> Option<Vec<String>> {
 /// Fold a global aggregate step immediately following a GraphStep into the
 /// step's filter so the backend issues `SELECT COUNT(*)` / `SUM(col)` /
 /// etc. instead of fetching elements.
-pub struct AggregatePushdown;
+pub(crate) struct AggregatePushdown;
 
 impl TraversalStrategy for AggregatePushdown {
     fn name(&self) -> &str {
@@ -346,7 +346,7 @@ impl TraversalStrategy for AggregatePushdown {
 /// Rewrite `GraphStep(V, ids-only) -> VertexStep` into a single GraphStep
 /// over edges with a src/dst id constraint, eliminating the pointless
 /// vertex-table query (Section 6.2).
-pub struct GraphStepVertexStepMutation;
+pub(crate) struct GraphStepVertexStepMutation;
 
 impl TraversalStrategy for GraphStepVertexStepMutation {
     fn name(&self) -> &str {
@@ -416,9 +416,9 @@ impl TraversalStrategy for GraphStepVertexStepMutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gremlin::backend::ElementFilter;
-    use gremlin::step::VertexStep;
     use gremlin::structure::{ElementId, GValue};
+    use gremlin::ElementFilter;
+    use gremlin::VertexStep;
     use gremlin::{AggOp, PropPred, StrategyRegistry};
 
     fn apply(config: StrategyConfig, mut t: Traversal) -> Traversal {
@@ -617,8 +617,8 @@ mod tests {
 
     fn compile(gremlin: &str) -> Traversal {
         let script = gremlin::parser::parse(gremlin).unwrap();
-        let env = gremlin::compile::VarEnv::new();
-        gremlin::compile::compile(&script.statements[0].traversal, &env).unwrap()
+        let env = gremlin::VarEnv::new();
+        gremlin::compile(&script.statements[0].traversal, &env).unwrap()
     }
 
     /// Each GSA step of `gremlin` after `config`'s strategies, as

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use gremlin::backend::ElementKind;
+use gremlin::ElementKind;
 use reldb::{DataType, Database};
 
 use crate::config::{parse_label_constant, ETableConfig, OverlayConfig, VTableConfig};
@@ -33,7 +33,6 @@ pub enum LabelDef {
 #[derive(Debug, Clone)]
 pub struct OverlayTable {
     pub name: String,
-    pub is_view: bool,
     pub label: LabelDef,
     /// Property names (== column names) exposed on this table's elements.
     pub properties: Vec<String>,
@@ -65,13 +64,12 @@ pub struct EdgeTable {
     pub src_v: IdDef,
     pub dst_v_table: Option<usize>,
     pub dst_v: IdDef,
-    pub id: EdgeIdDef,
+    pub(crate) id: EdgeIdDef,
 }
 
 impl OverlayTable {
     fn new(
         name: &str,
-        is_view: bool,
         label: LabelDef,
         properties: Vec<String>,
         columns: Vec<(String, Option<DataType>)>,
@@ -81,7 +79,6 @@ impl OverlayTable {
         keys.dedup();
         OverlayTable {
             name: name.to_string(),
-            is_view,
             label,
             properties,
             columns,
@@ -90,7 +87,7 @@ impl OverlayTable {
         }
     }
 
-    pub fn column_type(&self, name: &str) -> Option<DataType> {
+    pub(crate) fn column_type(&self, name: &str) -> Option<DataType> {
         self.columns.iter().find(|(c, _)| c.eq_ignore_ascii_case(name)).and_then(|(_, t)| *t)
     }
 
@@ -98,11 +95,11 @@ impl OverlayTable {
         self.columns.iter().any(|(c, _)| c.eq_ignore_ascii_case(name))
     }
 
-    pub fn has_property(&self, name: &str) -> bool {
+    pub(crate) fn has_property(&self, name: &str) -> bool {
         self.properties.iter().any(|p| p.eq_ignore_ascii_case(name))
     }
 
-    pub fn fixed_label(&self) -> Option<&str> {
+    pub(crate) fn fixed_label(&self) -> Option<&str> {
         match &self.label {
             LabelDef::Fixed(l) => Some(l),
             LabelDef::Column(_) => None,
@@ -140,7 +137,7 @@ impl Topology {
     }
 
     /// The number of tables holding elements of `kind`.
-    pub fn table_count(&self, kind: ElementKind) -> usize {
+    pub(crate) fn table_count(&self, kind: ElementKind) -> usize {
         match kind {
             ElementKind::Vertices => self.vertex_tables.len(),
             ElementKind::Edges => self.edge_tables.len(),
@@ -159,7 +156,7 @@ impl Topology {
     /// labels: fixed-label tables matching, plus every column-label table
     /// ("the implementation still has to search all the tables without
     /// fixed labels", Section 6.3).
-    pub fn tables_for_labels(&self, kind: ElementKind, labels: &[String]) -> Vec<usize> {
+    pub(crate) fn tables_for_labels(&self, kind: ElementKind, labels: &[String]) -> Vec<usize> {
         (0..self.table_count(kind))
             .filter(|&i| {
                 self.table(kind, i).fixed_label().is_none_or(|l| labels.iter().any(|x| x == l))
@@ -168,7 +165,7 @@ impl Topology {
     }
 
     /// Index of a table of `kind` by name.
-    pub fn table_index(&self, kind: ElementKind, name: &str) -> Option<usize> {
+    pub(crate) fn table_index(&self, kind: ElementKind, name: &str) -> Option<usize> {
         (0..self.table_count(kind)).find(|&i| self.table(kind, i).name.eq_ignore_ascii_case(name))
     }
 }
@@ -177,15 +174,17 @@ impl Topology {
 type ColumnList = Vec<(String, Option<DataType>)>;
 
 /// Fetch a table's or view's columns from the catalog.
-fn table_columns(db: &Arc<Database>, name: &str) -> GraphResult<(bool, ColumnList)> {
+fn table_columns(db: &Arc<Database>, name: &str) -> GraphResult<ColumnList> {
     if let Some(t) = db.get_table(name) {
-        let cols = t.schema.columns.iter().map(|c| (c.name.clone(), Some(c.data_type))).collect();
-        return Ok((false, cols));
+        return Ok(t.schema.columns.iter().map(|c| (c.name.clone(), Some(c.data_type))).collect());
     }
     if db.get_view(name).is_some() {
-        let cols =
-            db.view_columns(name).map_err(GraphError::Db)?.into_iter().map(|c| (c, None)).collect();
-        return Ok((true, cols));
+        return Ok(db
+            .view_columns(name)
+            .map_err(GraphError::Db)?
+            .into_iter()
+            .map(|c| (c, None))
+            .collect());
     }
     Err(GraphError::Config(format!("overlay references unknown table or view '{name}'")))
 }
@@ -234,7 +233,7 @@ fn default_properties(columns: &[(String, Option<DataType>)], used: &[&str]) -> 
 }
 
 fn resolve_vertex(db: &Arc<Database>, v: &VTableConfig) -> GraphResult<VertexTable> {
-    let (is_view, columns) = table_columns(db, &v.table_name)?;
+    let columns = table_columns(db, &v.table_name)?;
     let id = IdDef::parse(&v.id)?;
     if v.prefixed_id && id.prefix().is_none() {
         return Err(GraphError::Config(format!(
@@ -259,7 +258,7 @@ fn resolve_vertex(db: &Arc<Database>, v: &VTableConfig) -> GraphResult<VertexTab
         }
     };
     Ok(VertexTable {
-        table: OverlayTable::new(&v.table_name, is_view, label, properties, columns),
+        table: OverlayTable::new(&v.table_name, label, properties, columns),
         id,
         prefixed_id: v.prefixed_id,
     })
@@ -287,7 +286,7 @@ fn resolve_edge(
     name_to_idx: &HashMap<String, usize>,
     vertex_tables: &[VertexTable],
 ) -> GraphResult<EdgeTable> {
-    let (is_view, columns) = table_columns(db, &e.table_name)?;
+    let columns = table_columns(db, &e.table_name)?;
     let src_v = IdDef::parse(&e.src_v)?;
     let dst_v = IdDef::parse(&e.dst_v)?;
     require_columns(&e.table_name, &columns, &src_v.columns(), "src_v")?;
@@ -356,7 +355,7 @@ fn resolve_edge(
     };
 
     Ok(EdgeTable {
-        table: OverlayTable::new(&e.table_name, is_view, label, properties, columns),
+        table: OverlayTable::new(&e.table_name, label, properties, columns),
         src_v_table: src_idx,
         src_v,
         dst_v_table: dst_idx,
@@ -371,7 +370,7 @@ pub(crate) mod tests {
     use crate::config::healthcare_example_json;
 
     /// Build the Figure 2 healthcare database (tables + sample rows).
-    pub fn healthcare_db() -> Arc<Database> {
+    pub(crate) fn healthcare_db() -> Arc<Database> {
         let db = Arc::new(Database::new());
         db.execute_script(
             "CREATE TABLE Patient (patientID BIGINT PRIMARY KEY, name VARCHAR, address VARCHAR, subscriptionID BIGINT);
@@ -476,7 +475,6 @@ pub(crate) mod tests {
         };
         let topo = Topology::resolve(&db, &cfg).unwrap();
         let view = &topo.vertex_tables[0].table;
-        assert!(view.is_view);
         assert_eq!(view.properties, vec!["name".to_string()]);
         // View columns have no catalog type.
         assert_eq!(view.column_type("name"), None);

@@ -32,13 +32,13 @@ use crate::json::Json;
 use crate::metrics::TableAction;
 
 /// Default capacity of the span ring buffer (spans, not bytes).
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// What one span records: its kind and the typed values of its event.
 /// The profile report reads these values; exports render them as string
 /// attributes ([`Span::attrs`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpanData {
+pub(crate) enum SpanData {
     /// The root span of one Gremlin script execution.
     Query { gremlin: String, request_id: Option<String> },
     /// A compile-time strategy application that changed the plan (the
@@ -57,8 +57,8 @@ pub enum SpanData {
 }
 
 /// One recorded span. `parent` is an index into the same query's span
-/// batch until the batch lands in a [`TraceSink`], which rewrites it into
-/// a global id (see [`TracedSpan`]).
+/// batch until the batch lands in a `TraceSink`, which rewrites it into
+/// a global id (see `TracedSpan`).
 #[derive(Debug, Clone)]
 pub struct Span {
     pub name: String,
@@ -70,7 +70,7 @@ pub struct Span {
     /// absorbed from a worker fork. Assigned in absorb order, so it is
     /// deterministic across thread counts.
     pub track: u32,
-    pub data: SpanData,
+    pub(crate) data: SpanData,
 }
 
 impl Span {
@@ -86,7 +86,7 @@ impl Span {
         }
     }
 
-    /// The attributes the exports and [`TraceSink::structure_lines`] show.
+    /// The attributes the exports and `TraceSink::structure_lines` show.
     /// Step frontier sizes and `template_hit` stay out: racing workers
     /// may both miss the same template, so hit/miss is not deterministic
     /// across thread counts, and trace structure must be.
@@ -138,7 +138,7 @@ impl SpanTree {
     }
 
     /// An empty tree on this tree's epoch, for one pool worker.
-    pub fn fork(&self) -> SpanTree {
+    pub(crate) fn fork(&self) -> SpanTree {
         SpanTree::at(self.epoch)
     }
 
@@ -147,7 +147,7 @@ impl SpanTree {
     }
 
     /// The spans recorded so far, in recording order.
-    pub fn spans(&self) -> &[Span] {
+    pub(crate) fn spans(&self) -> &[Span] {
         &self.spans
     }
 
@@ -161,7 +161,7 @@ impl SpanTree {
 
     /// Open a span as a child of the innermost open span; returns its
     /// index for [`Self::end`].
-    pub fn start(&mut self, name: &str, data: SpanData) -> usize {
+    pub(crate) fn start(&mut self, name: &str, data: SpanData) -> usize {
         let idx = self.push(name, self.now(), 0, data);
         self.stack.push(idx);
         idx
@@ -170,7 +170,7 @@ impl SpanTree {
     /// Close the span `idx` opened by [`Self::start`], setting its
     /// duration. Spans opened inside it and left open (a step that
     /// failed) stay open until [`Self::finish`].
-    pub fn end(&mut self, idx: usize) {
+    pub(crate) fn end(&mut self, idx: usize) {
         let now = self.now();
         let s = &mut self.spans[idx];
         s.dur_nanos = now.saturating_sub(s.start_nanos);
@@ -179,7 +179,7 @@ impl SpanTree {
 
     /// Close the innermost open span with a duration the caller measured
     /// and its final data (a finished executor step).
-    pub fn end_innermost(&mut self, nanos: u64, data: SpanData) {
+    pub(crate) fn end_innermost(&mut self, nanos: u64, data: SpanData) {
         if let Some(idx) = self.stack.pop() {
             let s = &mut self.spans[idx];
             s.dur_nanos = nanos;
@@ -190,14 +190,14 @@ impl SpanTree {
     /// Record an already-measured span (e.g. a SQL statement timed by the
     /// dialect): it ends now and started `nanos` ago, parented under the
     /// innermost open span.
-    pub fn record(&mut self, name: &str, nanos: u64, data: SpanData) {
+    pub(crate) fn record(&mut self, name: &str, nanos: u64, data: SpanData) {
         self.push(name, self.now().saturating_sub(nanos), nanos, data);
     }
 
     /// Append a fork's drained spans. The fork's root spans (no parent
     /// inside it) re-parent under the innermost span open here — the step
     /// span at the fan-out site — and the whole fork gets the next track.
-    pub fn absorb(&mut self, forked: Vec<Span>) {
+    pub(crate) fn absorb(&mut self, forked: Vec<Span>) {
         if forked.is_empty() {
             return;
         }
@@ -214,7 +214,7 @@ impl SpanTree {
 
     /// Drain the recorded spans, closing any still-open span (a query that
     /// errored mid-step leaves its step span open) at the current time.
-    pub fn finish(&mut self) -> Vec<Span> {
+    pub(crate) fn finish(&mut self) -> Vec<Span> {
         let now = self.now();
         for idx in std::mem::take(&mut self.stack) {
             let s = &mut self.spans[idx];
@@ -230,7 +230,7 @@ impl SpanTree {
 
 /// A span with its sink-global id and resolved parent id.
 #[derive(Debug, Clone)]
-pub struct TracedSpan {
+pub(crate) struct TracedSpan {
     pub id: u64,
     pub parent: Option<u64>,
     pub span: Span,
@@ -288,7 +288,7 @@ impl TraceSink {
 
     /// Append one query's spans, assigning global ids and rewriting
     /// batch-local parent indices; evicts the oldest spans past capacity.
-    pub fn push_batch(&self, spans: Vec<Span>) {
+    pub(crate) fn push_batch(&self, spans: Vec<Span>) {
         if spans.is_empty() {
             return;
         }
@@ -311,7 +311,7 @@ impl TraceSink {
     }
 
     /// The retained spans, oldest first.
-    pub fn snapshot(&self) -> Vec<TracedSpan> {
+    pub(crate) fn snapshot(&self) -> Vec<TracedSpan> {
         self.inner.lock().buf.iter().cloned().collect()
     }
 
@@ -347,13 +347,13 @@ impl TraceSink {
     /// loadable in Perfetto / `chrome://tracing`. Every span becomes a
     /// complete ("X") event; `args` carries the span id, parent id and
     /// attributes so the hierarchy survives the export machine-readably.
-    pub fn to_chrome_json(&self) -> Json {
+    pub(crate) fn to_chrome_json(&self) -> Json {
         let events: Vec<Json> = self.snapshot().iter().map(chrome_event).collect();
         Json::obj(vec![("traceEvents", Json::arr(events)), ("displayTimeUnit", Json::str("ms"))])
     }
 
     /// One JSON object per span per line, oldest first.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for ts in self.snapshot() {
             out.push_str(&jsonl_event(&ts).to_compact());
@@ -363,12 +363,12 @@ impl TraceSink {
     }
 
     /// Write the Chrome trace-event JSON to a file.
-    pub fn export_chrome(&self, path: &str) -> std::io::Result<()> {
+    pub(crate) fn export_chrome(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json().to_compact())
     }
 
     /// Write the JSONL form to a file.
-    pub fn export_jsonl(&self, path: &str) -> std::io::Result<()> {
+    pub(crate) fn export_jsonl(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_jsonl())
     }
 }

@@ -28,14 +28,14 @@ impl Script {
 /// One statement: an optional assignment target plus a rooted traversal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
-    pub assign: Option<String>,
+    pub(crate) assign: Option<String>,
     pub traversal: SourceCall,
-    pub terminal: Option<Terminal>,
+    pub(crate) terminal: Option<Terminal>,
 }
 
 /// Terminal methods that end a traversal chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Terminal {
+pub(crate) enum Terminal {
     /// `.next()` — take the first result.
     Next,
     /// `.toList()` — collect all results into a list.
@@ -61,19 +61,19 @@ pub struct SourceCall {
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepCall {
     pub name: String,
-    pub args: Vec<Arg>,
+    pub(crate) args: Vec<Arg>,
 }
 
 /// A predicate invocation (TinkerPop's `P`): `eq(5)`, `within('a','b')`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PredArg {
+pub(crate) struct PredArg {
     pub name: String,
-    pub args: Vec<Arg>,
+    pub(crate) args: Vec<Arg>,
 }
 
 /// An argument of a step call.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
+pub(crate) enum Arg {
     /// A literal value.
     Value(GValue),
     /// A script variable reference (bound by a prior statement).
@@ -84,22 +84,4 @@ pub enum Arg {
     Pred(PredArg),
     /// Comparison sugar: `outV().id() == id2`.
     Compare { traversal: Vec<StepCall>, op: CompareOp, value: Box<Arg> },
-}
-
-impl StepCall {
-    pub fn new(name: &str, args: Vec<Arg>) -> StepCall {
-        StepCall { name: name.to_string(), args }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn construction() {
-        let s = StepCall::new("has", vec![Arg::Value(GValue::Str("name".into()))]);
-        assert_eq!(s.name, "has");
-        assert_eq!(s.args.len(), 1);
-    }
 }

@@ -176,14 +176,14 @@ impl ElementFilter {
 
     /// [`Self::matches`] for a borrowed vertex: an endpoint constraint
     /// rejects every vertex.
-    pub fn matches_vertex(&self, v: &Vertex) -> bool {
+    pub(crate) fn matches_vertex(&self, v: &Vertex) -> bool {
         self.src_ids.is_none()
             && self.dst_ids.is_none()
             && self.matches_parts(&v.id, &v.label, &v.properties)
     }
 
     /// [`Self::matches`] for a borrowed edge.
-    pub fn matches_edge(&self, e: &Edge) -> bool {
+    pub(crate) fn matches_edge(&self, e: &Edge) -> bool {
         let within = |ids: &Option<Vec<ElementId>>, end: &ElementId| {
             ids.as_ref().is_none_or(|ids| ids.contains(end))
         };

@@ -31,7 +31,7 @@ pub fn compile(source: &SourceCall, env: &VarEnv) -> GResult<Traversal> {
 }
 
 /// Compile an anonymous traversal (used inside repeat/filter/union/...).
-pub fn compile_anon(calls: &[StepCall], env: &VarEnv) -> GResult<Traversal> {
+pub(crate) fn compile_anon(calls: &[StepCall], env: &VarEnv) -> GResult<Traversal> {
     let mut steps = Vec::new();
     compile_calls(calls, env, &mut steps)?;
     Ok(Traversal::new(steps))

@@ -16,23 +16,23 @@ use crate::structure::{Element, ElementId, GValue};
 
 /// Side-effect collections (`store`, `aggregate`, `cap`).
 #[derive(Debug, Clone, Default)]
-pub struct SideEffects {
+pub(crate) struct SideEffects {
     map: HashMap<String, Vec<GValue>>,
 }
 
 impl SideEffects {
-    pub fn push(&mut self, key: &str, value: GValue) {
+    pub(crate) fn push(&mut self, key: &str, value: GValue) {
         self.map.entry(key.to_string()).or_default().push(value);
     }
 
-    pub fn get(&self, key: &str) -> &[GValue] {
+    pub(crate) fn get(&self, key: &str) -> &[GValue] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
     }
 }
 
 /// One unit of traversal state.
 #[derive(Debug, Clone)]
-pub struct Traverser {
+pub(crate) struct Traverser {
     pub value: GValue,
     /// Visited objects, populated only when the traversal needs paths.
     pub path: Vec<GValue>,
@@ -40,7 +40,7 @@ pub struct Traverser {
     pub labels: HashMap<String, GValue>,
     /// Id of the vertex this traverser's current edge was reached from
     /// (needed by `otherV()`).
-    pub prev_vertex: Option<ElementId>,
+    pub(crate) prev_vertex: Option<ElementId>,
 }
 
 impl Traverser {
@@ -49,13 +49,19 @@ impl Traverser {
         Traverser { value, path, labels: HashMap::new(), prev_vertex: None }
     }
 
+    /// The traverser moved on to `value`. The current value is replaced,
+    /// so only the history (path, labels, origin vertex) is copied.
     fn advance(&self, value: GValue, track_paths: bool) -> Traverser {
-        let mut t = self.clone();
+        let mut path = self.path.clone();
         if track_paths {
-            t.path.push(value.clone());
+            path.push(value.clone());
         }
-        t.value = value;
-        t
+        Traverser {
+            value,
+            path,
+            labels: self.labels.clone(),
+            prev_vertex: self.prev_vertex.clone(),
+        }
     }
 }
 
@@ -63,7 +69,7 @@ impl Traverser {
 const MAX_REPEAT_ITERATIONS: u32 = 64;
 
 /// Interpreter over a graph backend.
-pub struct Executor<'a> {
+pub(crate) struct Executor<'a> {
     backend: &'a dyn GraphBackend,
     observer: Option<&'a dyn TraversalObserver>,
 }
@@ -74,20 +80,20 @@ struct Ctx {
 }
 
 impl<'a> Executor<'a> {
-    pub fn new(backend: &'a dyn GraphBackend) -> Executor<'a> {
+    pub(crate) fn new(backend: &'a dyn GraphBackend) -> Executor<'a> {
         Executor { backend, observer: None }
     }
 
     /// Attach an observer receiving per-step timing events for top-level
     /// steps. Without one, execution takes no timestamps at all.
-    pub fn with_observer(mut self, observer: &'a dyn TraversalObserver) -> Executor<'a> {
+    pub(crate) fn with_observer(mut self, observer: &'a dyn TraversalObserver) -> Executor<'a> {
         self.observer = Some(observer);
         self
     }
 
     /// Run a traversal from the graph source; returns final values and the
     /// side-effect store.
-    pub fn run(&self, traversal: &Traversal) -> GResult<(Vec<GValue>, SideEffects)> {
+    pub(crate) fn run(&self, traversal: &Traversal) -> GResult<(Vec<GValue>, SideEffects)> {
         let mut ctx =
             Ctx { side_effects: SideEffects::default(), track_paths: traversal.needs_paths() };
         let out = match self.observer {

@@ -9,27 +9,39 @@
 //! * a **Gremlin parser** ([`parser`]) for the traversal subset the paper
 //!   exercises (LinkBench queries, the Section 4 healthcare script,
 //!   repeat/dedup/store/cap, predicates, filters, unions, paths);
-//! * a **step plan** ([`step`]) mirroring TinkerPop's step taxonomy, with
-//!   the pushdown-extended [`backend::ElementFilter`] on every
+//! * a **step plan** ([`Traversal`], [`Step`]) mirroring TinkerPop's step
+//!   taxonomy, with the pushdown-extended [`ElementFilter`] on every
 //!   graph-structure-accessing (GSA) step;
-//! * the **provider strategy API** ([`strategy`]): plan-rewriting hooks that
+//! * the **provider strategy API** ([`TraversalStrategy`]): plan-rewriting hooks that
 //!   Db2 Graph uses for predicate/projection/aggregate pushdown and the
 //!   GraphStep::VertexStep mutation;
-//! * a batching **interpreter** ([`exec`]) that makes one backend call per
-//!   GSA step for the whole traverser frontier;
+//! * a batching **interpreter** (run through [`ScriptRunner`]) that makes one
+//!   backend call per GSA step for the whole traverser frontier;
 //! * a reference **in-memory backend** ([`memgraph`]) used as a correctness
 //!   oracle.
 //!
-//! Any store that implements [`backend::GraphBackend`] gets the whole
+//! Any store that implements [`GraphBackend`] gets the whole
 //! language: the relational overlay in `db2graph-core` and both baseline
 //! stores in `gstore` plug in here, exactly as graph databases plug into
 //! TinkerPop.
+//!
+//! ## API
+//!
+//! The `pub use` lists below are the crate's whole API: every name in them
+//! is used by another crate, a test, an example or the benchmark, and the
+//! other modules are private. The workspace's `unreachable_pub` lint fails
+//! the build on a `pub` item no list re-exports, so an item nothing outside
+//! uses is `pub(crate)` and `dead_code` sees when it goes unused.
+//! `structure`, `parser` and `memgraph` stay `pub mod`, because the
+//! benchmark names them by path (`gremlin::structure::GValue`,
+//! `gremlin::parser::parse`, `gremlin::memgraph::MemGraph`); their items
+//! nothing outside uses are `pub(crate)` by hand.
 //!
 //! ## Example
 //!
 //! ```
 //! use gremlin::memgraph::MemGraph;
-//! use gremlin::script::ScriptRunner;
+//! use gremlin::ScriptRunner;
 //! use gremlin::structure::{Edge, GValue, Vertex};
 //!
 //! let g = MemGraph::new();
@@ -42,27 +54,28 @@
 //! assert_eq!(out, vec![GValue::Str("Bob".into())]);
 //! ```
 
-pub mod ast;
-pub mod backend;
-pub mod compile;
-pub mod error;
-pub mod exec;
+mod ast;
+mod backend;
+mod compile;
+mod error;
+mod exec;
 pub mod memgraph;
-pub mod observe;
+mod observe;
 pub mod parser;
-pub mod script;
-pub mod step;
-pub mod strategy;
+mod script;
+mod step;
+mod strategy;
 pub mod structure;
 
 pub use backend::{
-    AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
-    PropPred,
+    element_property, finalize_elements, AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter,
+    ElementKind, GraphBackend, Pred, PropPred,
 };
+pub use compile::{compile, VarEnv};
 pub use error::{GResult, GremlinError};
-pub use exec::{Executor, SideEffects, Traverser};
-pub use observe::{NoopObserver, TraversalObserver};
+
+pub use observe::TraversalObserver;
 pub use script::ScriptRunner;
-pub use step::{CompareOp, FilterSpec, GraphStep, Step, Traversal, VertexStep};
-pub use strategy::{StrategyRegistry, TraversalStrategy};
+pub use step::{CompareOp, EdgeVertexStep, FilterSpec, GraphStep, Step, Traversal, VertexStep};
+pub use strategy::{IdentityRemoval, StrategyRegistry, TraversalStrategy};
 pub use structure::{Edge, Element, ElementId, GValue, Vertex};

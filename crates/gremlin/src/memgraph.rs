@@ -18,7 +18,7 @@ use crate::structure::{Edge, Element, ElementId, GValue, Vertex};
 
 /// Minimal internal RwLock wrapper so this crate stays dependency-free.
 mod parking_lot_shim {
-    pub use std::sync::RwLock as RwLockShim;
+    pub(super) use std::sync::RwLock as RwLockShim;
 }
 
 /// An in-memory property graph.
@@ -258,7 +258,7 @@ mod tests {
     use super::*;
 
     /// The Figure 2 healthcare graph, abridged.
-    pub fn sample() -> MemGraph {
+    pub(super) fn sample() -> MemGraph {
         let g = MemGraph::new();
         g.add_vertex(
             Vertex::new("patient::1", "patient")

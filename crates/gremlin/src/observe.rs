@@ -58,18 +58,15 @@ pub trait TraversalObserver: Send + Sync {
     }
 }
 
-/// An observer that ignores every event (useful in tests).
-pub struct NoopObserver;
-
-impl TraversalObserver for NoopObserver {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_are_inert() {
-        let o = NoopObserver;
+        struct Inert;
+        impl TraversalObserver for Inert {}
+        let o = Inert;
         o.strategy_applied("x", "a", "b");
         o.step_started(0, "s");
         o.step_finished(0, "s", 1, 2, 3);

@@ -188,7 +188,7 @@ fn tokenize(input: &str) -> GResult<Vec<Token>> {
 /// nesting level, so adversarial input like `f(f(f(…)))` would overflow
 /// the stack — an abort, not an error a server can map to 400. Real
 /// queries nest a handful of levels; 64 is far beyond any of them.
-pub const MAX_NESTING_DEPTH: usize = 64;
+pub(crate) const MAX_NESTING_DEPTH: usize = 64;
 
 /// Parse a Gremlin script (one or more `;`-separated statements).
 pub fn parse(input: &str) -> GResult<Script> {

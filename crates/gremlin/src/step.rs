@@ -163,11 +163,6 @@ pub enum Step {
 }
 
 impl Step {
-    /// Whether this step accesses the graph structure API (a GSA step).
-    pub fn is_gsa(&self) -> bool {
-        matches!(self, Step::Graph(_) | Step::Vertex(_) | Step::EdgeVertex(_))
-    }
-
     /// Short plan label.
     pub fn describe(&self) -> String {
         match self {
@@ -249,15 +244,6 @@ impl Step {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gsa_classification() {
-        let g = Step::Graph(GraphStep { kind: ElementKind::Vertices, filter: Default::default() });
-        assert!(g.is_gsa());
-        assert!(!Step::Dedup.is_gsa());
-        assert!(Step::EdgeVertex(EdgeVertexStep { end: EdgeEnd::Out, filter: Default::default() })
-            .is_gsa());
-    }
 
     #[test]
     fn path_detection_recurses_into_repeat_and_union() {

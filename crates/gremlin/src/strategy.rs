@@ -61,7 +61,7 @@ impl StrategyRegistry {
     /// rewrite to the observer. The before/after comparison (two
     /// `describe()` renderings per strategy) only happens when an observer
     /// is attached, so the unobserved path costs nothing extra.
-    pub fn apply_all_observed(
+    pub(crate) fn apply_all_observed(
         &self,
         traversal: &mut Traversal,
         observer: Option<&dyn TraversalObserver>,

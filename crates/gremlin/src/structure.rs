@@ -297,7 +297,7 @@ impl GValue {
         }
     }
 
-    pub fn from_element(e: Element) -> GValue {
+    pub(crate) fn from_element(e: Element) -> GValue {
         match e {
             Element::Vertex(v) => GValue::Vertex(v),
             Element::Edge(e) => GValue::Edge(e),
@@ -315,7 +315,7 @@ impl GValue {
 
     /// Identity key used by `dedup()`: elements dedup by kind+id, scalars
     /// by value.
-    pub fn dedup_key(&self) -> GValue {
+    pub(crate) fn dedup_key(&self) -> GValue {
         match self {
             GValue::Vertex(v) => GValue::List(vec![GValue::Str("v".into()), id_value(&v.id)]),
             GValue::Edge(e) => GValue::List(vec![GValue::Str("e".into()), id_value(&e.id)]),
@@ -339,7 +339,7 @@ impl GValue {
 }
 
 /// Convert an id to a comparable value.
-pub fn id_value(id: &ElementId) -> GValue {
+pub(crate) fn id_value(id: &ElementId) -> GValue {
     match id {
         ElementId::Long(v) => GValue::Long(*v),
         ElementId::Str(s) => GValue::Str(s.clone()),

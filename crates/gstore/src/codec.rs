@@ -12,7 +12,7 @@ use gremlin::structure::{Edge, ElementId, GValue, Properties, Vertex};
 
 /// Encoding error (corrupt or truncated buffer).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError(pub String);
+pub(crate) struct CodecError(pub String);
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -21,20 +21,20 @@ impl std::fmt::Display for CodecError {
 }
 impl std::error::Error for CodecError {}
 
-pub type CodecResult<T> = Result<T, CodecError>;
+pub(crate) type CodecResult<T> = Result<T, CodecError>;
 
 /// A read cursor over a byte buffer.
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -50,63 +50,63 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    pub fn read_u8(&mut self) -> CodecResult<u8> {
+    pub(crate) fn read_u8(&mut self) -> CodecResult<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn read_u32(&mut self) -> CodecResult<u32> {
+    pub(crate) fn read_u32(&mut self) -> CodecResult<u32> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    pub fn read_u64(&mut self) -> CodecResult<u64> {
+    pub(crate) fn read_u64(&mut self) -> CodecResult<u64> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    pub fn read_i64(&mut self) -> CodecResult<i64> {
+    pub(crate) fn read_i64(&mut self) -> CodecResult<i64> {
         Ok(self.read_u64()? as i64)
     }
 
-    pub fn read_f64(&mut self) -> CodecResult<f64> {
+    pub(crate) fn read_f64(&mut self) -> CodecResult<f64> {
         Ok(f64::from_bits(self.read_u64()?))
     }
 
-    pub fn read_str(&mut self) -> CodecResult<String> {
+    pub(crate) fn read_str(&mut self) -> CodecResult<String> {
         let len = self.read_u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| CodecError(e.to_string()))
     }
 }
 
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
+pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(buf: &mut Vec<u8>, v: i64) {
     put_u64(buf, v as u64);
 }
 
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
 }
 
 // ------------------------------------------------------------ element ids
 
-pub fn put_id(buf: &mut Vec<u8>, id: &ElementId) {
+pub(crate) fn put_id(buf: &mut Vec<u8>, id: &ElementId) {
     match id {
         ElementId::Long(v) => {
             put_u8(buf, 0);
@@ -119,7 +119,7 @@ pub fn put_id(buf: &mut Vec<u8>, id: &ElementId) {
     }
 }
 
-pub fn read_id(c: &mut Cursor<'_>) -> CodecResult<ElementId> {
+pub(crate) fn read_id(c: &mut Cursor<'_>) -> CodecResult<ElementId> {
     match c.read_u8()? {
         0 => Ok(ElementId::Long(c.read_i64()?)),
         1 => Ok(ElementId::Str(c.read_str()?)),
@@ -129,7 +129,7 @@ pub fn read_id(c: &mut Cursor<'_>) -> CodecResult<ElementId> {
 
 // ----------------------------------------------------------------- values
 
-pub fn put_gvalue(buf: &mut Vec<u8>, v: &GValue) -> CodecResult<()> {
+pub(crate) fn put_gvalue(buf: &mut Vec<u8>, v: &GValue) -> CodecResult<()> {
     match v {
         GValue::Null => put_u8(buf, 0),
         GValue::Long(x) => {
@@ -157,7 +157,7 @@ pub fn put_gvalue(buf: &mut Vec<u8>, v: &GValue) -> CodecResult<()> {
     Ok(())
 }
 
-pub fn read_gvalue(c: &mut Cursor<'_>) -> CodecResult<GValue> {
+pub(crate) fn read_gvalue(c: &mut Cursor<'_>) -> CodecResult<GValue> {
     Ok(match c.read_u8()? {
         0 => GValue::Null,
         1 => GValue::Long(c.read_i64()?),
@@ -168,7 +168,7 @@ pub fn read_gvalue(c: &mut Cursor<'_>) -> CodecResult<GValue> {
     })
 }
 
-pub fn put_properties(buf: &mut Vec<u8>, props: &Properties) -> CodecResult<()> {
+pub(crate) fn put_properties(buf: &mut Vec<u8>, props: &Properties) -> CodecResult<()> {
     put_u32(buf, props.len() as u32);
     for (k, v) in props {
         put_str(buf, k);
@@ -177,7 +177,7 @@ pub fn put_properties(buf: &mut Vec<u8>, props: &Properties) -> CodecResult<()> 
     Ok(())
 }
 
-pub fn read_properties(c: &mut Cursor<'_>) -> CodecResult<Properties> {
+pub(crate) fn read_properties(c: &mut Cursor<'_>) -> CodecResult<Properties> {
     let n = c.read_u32()? as usize;
     (0..n).map(|_| Ok((c.read_str()?, read_gvalue(c)?))).collect()
 }
@@ -185,7 +185,7 @@ pub fn read_properties(c: &mut Cursor<'_>) -> CodecResult<Properties> {
 // ----------------------------------------------------------------- edges
 
 /// Serialize a full edge record.
-pub fn encode_edge(e: &Edge) -> CodecResult<Vec<u8>> {
+pub(crate) fn encode_edge(e: &Edge) -> CodecResult<Vec<u8>> {
     let mut buf = Vec::with_capacity(64);
     put_id(&mut buf, &e.id);
     put_str(&mut buf, &e.label);
@@ -195,13 +195,13 @@ pub fn encode_edge(e: &Edge) -> CodecResult<Vec<u8>> {
     Ok(buf)
 }
 
-pub fn decode_edge(buf: &[u8]) -> CodecResult<Edge> {
+pub(crate) fn decode_edge(buf: &[u8]) -> CodecResult<Edge> {
     let mut c = Cursor::new(buf);
     let e = read_edge(&mut c)?;
     Ok(e)
 }
 
-pub fn read_edge(c: &mut Cursor<'_>) -> CodecResult<Edge> {
+pub(crate) fn read_edge(c: &mut Cursor<'_>) -> CodecResult<Edge> {
     let id = read_id(c)?;
     let label = c.read_str()?;
     let src = read_id(c)?;
@@ -215,19 +215,19 @@ pub fn read_edge(c: &mut Cursor<'_>) -> CodecResult<Edge> {
 // --------------------------------------------------------------- vertices
 
 /// Serialize a bare vertex (id, label, properties) without adjacency.
-pub fn encode_vertex(v: &Vertex) -> CodecResult<Vec<u8>> {
+pub(crate) fn encode_vertex(v: &Vertex) -> CodecResult<Vec<u8>> {
     let mut buf = Vec::with_capacity(64);
     put_vertex(&mut buf, v)?;
     Ok(buf)
 }
 
-pub fn put_vertex(buf: &mut Vec<u8>, v: &Vertex) -> CodecResult<()> {
+pub(crate) fn put_vertex(buf: &mut Vec<u8>, v: &Vertex) -> CodecResult<()> {
     put_id(buf, &v.id);
     put_str(buf, &v.label);
     put_properties(buf, &v.properties)
 }
 
-pub fn read_vertex(c: &mut Cursor<'_>) -> CodecResult<Vertex> {
+pub(crate) fn read_vertex(c: &mut Cursor<'_>) -> CodecResult<Vertex> {
     let id = read_id(c)?;
     let label = c.read_str()?;
     let properties = read_properties(c)?;
@@ -236,7 +236,7 @@ pub fn read_vertex(c: &mut Cursor<'_>) -> CodecResult<Vertex> {
     Ok(v)
 }
 
-pub fn decode_vertex(buf: &[u8]) -> CodecResult<Vertex> {
+pub(crate) fn decode_vertex(buf: &[u8]) -> CodecResult<Vertex> {
     let mut c = Cursor::new(buf);
     read_vertex(&mut c)
 }

@@ -16,10 +16,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gremlin::backend::{
+use gremlin::structure::{Edge, Element, ElementId, Vertex};
+use gremlin::{
     finalize_elements, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
 };
-use gremlin::structure::{Edge, Element, ElementId, Vertex};
 use gremlin::{GResult, GremlinError};
 
 use crate::codec::{self, Cursor};

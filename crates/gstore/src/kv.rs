@@ -38,18 +38,8 @@ impl KvStore {
         self.map.read().contains_key(key)
     }
 
-    /// All `(key, value)` pairs whose key starts with `prefix`, in key
-    /// order.
-    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let map = self.map.read();
-        map.range((Bound::Included(prefix.to_vec()), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
     /// Visit values under a prefix without materializing keys.
-    pub fn for_each_prefix(&self, prefix: &[u8], mut f: impl FnMut(&[u8], &[u8])) {
+    pub(crate) fn for_each_prefix(&self, prefix: &[u8], mut f: impl FnMut(&[u8], &[u8])) {
         let map = self.map.read();
         for (k, v) in map
             .range((Bound::Included(prefix.to_vec()), Bound::Unbounded))
@@ -69,7 +59,7 @@ impl KvStore {
 
     /// Total bytes stored (keys + values) — the "disk usage" accounting for
     /// Table 3.
-    pub fn total_bytes(&self) -> usize {
+    pub(crate) fn total_bytes(&self) -> usize {
         let map = self.map.read();
         map.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
@@ -107,13 +97,13 @@ mod tests {
         kv.put(b"v:1".to_vec(), b"a".to_vec());
         kv.put(b"v:2".to_vec(), b"b".to_vec());
         kv.put(b"w:1".to_vec(), b"c".to_vec());
-        let hits = kv.scan_prefix(b"v:");
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].0, b"v:1".to_vec());
+        let mut hits = Vec::new();
+        kv.for_each_prefix(b"v:", |k, _| hits.push(k.to_vec()));
+        assert_eq!(hits, vec![b"v:1".to_vec(), b"v:2".to_vec()]);
         let mut n = 0;
         kv.for_each_prefix(b"w:", |_, _| n += 1);
         assert_eq!(n, 1);
-        assert!(kv.scan_prefix(b"x:").is_empty());
+        kv.for_each_prefix(b"x:", |_, _| panic!("no key under x:"));
     }
 
     #[test]

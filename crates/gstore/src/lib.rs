@@ -7,28 +7,33 @@
 //! reproduce their qualitative behaviour (see DESIGN.md §2 for the
 //! substitution argument):
 //!
-//! * [`native`] — index-free adjacency + bounded deserialized-record cache
-//!   behind a coarse lock (fast when the graph fits the cache, degrades
-//!   past it, poor concurrency scaling);
-//! * [`janus`] — one serialized adjacency blob per vertex on an ordered
-//!   [`kv`] store (every access deserializes a whole blob; uniformly the
-//!   slowest; largest load times);
-//! * [`loader`] — export-from-source + bulk load with per-phase timing
-//!   (Table 3) and storage accounting;
-//! * [`codec`] — the deliberately verbose record serialization both stores
+//! * [`NativeGraphDb`] — index-free adjacency + bounded deserialized-record
+//!   cache behind a coarse lock (fast when the graph fits the cache,
+//!   degrades past it, poor concurrency scaling);
+//! * [`JanusLikeDb`] — one serialized adjacency blob per vertex on an
+//!   ordered key-value store (every access deserializes a whole blob;
+//!   uniformly the slowest; largest load times);
+//! * [`export_graph`], [`load_native`], [`load_janus`] — export-from-source
+//!   + bulk load with per-phase timing (Table 3) and storage accounting;
+//! * `codec` — the deliberately verbose record serialization both stores
 //!   pay for.
 //!
 //! Both stores implement `gremlin::GraphBackend`, so the same Gremlin
 //! engine and queries run on them unchanged — exactly how TinkerPop hosts
 //! multiple providers.
+//!
+//! The `pub use` lists below are the crate's whole API: every name in them
+//! is used by another crate, and every module is private, so the
+//! workspace's `unreachable_pub` and `dead_code` lints see any item nothing
+//! outside uses.
 
-pub mod codec;
-pub mod janus;
-pub mod kv;
-pub mod loader;
-pub mod native;
+mod codec;
+mod janus;
+mod kv;
+mod loader;
+mod native;
 
 pub use janus::{JanusLikeDb, JanusLoader};
-pub use kv::KvStore;
-pub use loader::{export_graph, load_janus, load_native, open_native, ExportedGraph, LoadReport};
+
+pub use loader::{export_graph, load_janus, load_native, open_native, LoadReport};
 pub use native::{NativeGraphDb, NativeLoader};

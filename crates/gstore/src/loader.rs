@@ -6,9 +6,9 @@
 
 use std::time::{Duration, Instant};
 
-use gremlin::backend::{BackendOutput, ElementFilter, ElementKind, GraphBackend};
 use gremlin::structure::{Edge, Element, GValue, Vertex};
 use gremlin::GResult;
+use gremlin::{BackendOutput, ElementFilter, ElementKind, GraphBackend};
 
 use crate::janus::{JanusLikeDb, JanusLoader};
 use crate::native::{NativeGraphDb, NativeLoader};

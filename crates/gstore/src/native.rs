@@ -23,11 +23,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use gremlin::backend::{
+use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
+use gremlin::{
     finalize_elements, AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind,
     GraphBackend,
 };
-use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
 use gremlin::{GResult, GremlinError};
 use parking_lot::Mutex;
 
@@ -36,18 +36,18 @@ use crate::codec::{self, Cursor};
 /// One adjacency entry: interned edge label, the neighbour's id, and the
 /// slot of the full edge record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdjEntry {
+pub(crate) struct AdjEntry {
     pub label: u32,
     pub other: ElementId,
-    pub edge_slot: u64,
+    pub(crate) edge_slot: u64,
 }
 
 /// A deserialized vertex record: the vertex plus label-grouped adjacency.
 #[derive(Debug, Clone)]
-pub struct VertexRec {
+pub(crate) struct VertexRec {
     pub vertex: Vertex,
     pub out: Vec<AdjEntry>,
-    pub inc: Vec<AdjEntry>,
+    pub(crate) inc: Vec<AdjEntry>,
 }
 
 fn put_adj(buf: &mut Vec<u8>, entries: &[AdjEntry]) {
@@ -117,9 +117,9 @@ impl Cache {
 
 /// Cache behaviour counters.
 #[derive(Debug, Default)]
-pub struct NativeStats {
-    pub cache_hits: AtomicU64,
-    pub cache_misses: AtomicU64,
+pub(crate) struct NativeStats {
+    pub(crate) cache_hits: AtomicU64,
+    pub(crate) cache_misses: AtomicU64,
 }
 
 /// The native graph store.
@@ -237,7 +237,8 @@ impl NativeGraphDb {
         self.edge_slots.len()
     }
 
-    pub fn stats(&self) -> &NativeStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &NativeStats {
         &self.stats
     }
 

@@ -188,7 +188,7 @@ impl GraphData {
     }
 
     /// Random existing edge (for getLink-style queries).
-    pub fn sample_link(&self, rng: &mut StdRng) -> &LinkData {
+    pub(crate) fn sample_link(&self, rng: &mut StdRng) -> &LinkData {
         &self.links[rng.gen_range(0..self.links.len())]
     }
 

@@ -2,15 +2,21 @@
 //!
 //! A deterministic LinkBench-like benchmark (the paper evaluates on
 //! Facebook's LinkBench, Section 8): a power-law social graph with 10
-//! vertex and 10 edge types ([`gen`]), materialized into relational tables
-//! with the overlay that retrofits a graph view onto them ([`tables`]),
-//! plus the four query-only templates of Table 1 and their workload driver
-//! ([`queries`]).
+//! vertex and 10 edge types ([`generate`]), materialized into relational
+//! tables with the overlay that retrofits a graph view onto them
+//! ([`materialize`], [`overlay_config`]), plus the four query-only
+//! templates of Table 1 and their workload driver ([`QueryStream`]).
+//!
+//! The `pub use` lists below are the crate's whole API: every name in them
+//! is used by another crate, a test or the benchmark, and the other modules
+//! are private, so the workspace's `unreachable_pub` and `dead_code` lints
+//! see any item nothing outside uses. `gen` stays a `pub mod`, because the
+//! benchmark names `linkbench::gen::{GraphData, LinkData, NodeData}`.
 
 pub mod gen;
-pub mod queries;
-pub mod tables;
+mod queries;
+mod tables;
 
-pub use gen::{generate, DatasetStats, GraphData, LinkBenchConfig};
-pub use queries::{mixed_batch, QueryKind, QueryStream};
+pub use gen::{generate, GraphData, LinkBenchConfig};
+pub use queries::{get_node, mixed_batch, QueryKind, QueryStream};
 pub use tables::{materialize, overlay_config, to_elements, NUM_TYPES};

@@ -46,17 +46,17 @@ pub fn get_node(id: i64, label: &str) -> String {
 }
 
 /// Gremlin text for countLinks(id1, lbl).
-pub fn count_links(id1: i64, label: &str) -> String {
+pub(crate) fn count_links(id1: i64, label: &str) -> String {
     format!("g.V({id1}).outE('{label}').count()")
 }
 
 /// Gremlin text for getLink(id1, lbl, id2).
-pub fn get_link(id1: i64, label: &str, id2: i64) -> String {
+pub(crate) fn get_link(id1: i64, label: &str, id2: i64) -> String {
     format!("g.V({id1}).outE('{label}').filter(inV().id() == {id2})")
 }
 
 /// Gremlin text for getLinkList(id1, lbl).
-pub fn get_link_list(id1: i64, label: &str) -> String {
+pub(crate) fn get_link_list(id1: i64, label: &str) -> String {
     format!("g.V({id1}).outE('{label}')")
 }
 

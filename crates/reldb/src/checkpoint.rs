@@ -29,7 +29,7 @@ pub(crate) struct CheckpointImage {
     /// Snapshot horizon the table data was serialized at.
     pub epoch: u64,
     /// First WAL sequence number *not* covered by this checkpoint.
-    pub wal_seq: u64,
+    pub(crate) wal_seq: u64,
     pub tables: Vec<TableImage>,
     /// Views as `(name, select_sql)`, re-parsed on load.
     pub views: Vec<(String, String)>,
@@ -39,7 +39,7 @@ pub(crate) struct TableImage {
     pub schema: TableSchema,
     /// Index definitions beyond the schema-implied primary key/unique
     /// ones (i.e. those created by `CREATE INDEX`).
-    pub secondary: Vec<IndexDef>,
+    pub(crate) secondary: Vec<IndexDef>,
     /// Slot-array length at capture, so recovered row ids keep their
     /// positions (fresh inserts after recovery reuse the gaps).
     pub slots: u64,

@@ -68,8 +68,7 @@ pub struct Snapshot {
     /// snapshot instead of a thread-local.
     stamp: u64,
     /// Held only for its drop (the tracker deregistration); never read.
-    #[allow(dead_code)]
-    guard: Arc<SnapshotGuard>,
+    _guard: Arc<SnapshotGuard>,
 }
 
 /// The tracker registration backing a snapshot and all its clones;
@@ -83,7 +82,7 @@ impl Snapshot {
     /// Wrap an epoch whose tracker count [`Database::snapshot`] has
     /// already incremented; the guard's drop performs the one decrement.
     fn register_preincremented(epoch: u64, stamp: u64, tracker: Arc<SnapshotTracker>) -> Snapshot {
-        Snapshot { epoch, stamp, guard: Arc::new(SnapshotGuard { epoch, tracker }) }
+        Snapshot { epoch, stamp, _guard: Arc::new(SnapshotGuard { epoch, tracker }) }
     }
 
     /// The commit epoch this snapshot is pinned to.
@@ -135,7 +134,7 @@ pub(crate) struct WriteCtx {
 #[derive(Debug, Clone)]
 pub struct ViewDef {
     pub name: String,
-    pub query: SelectStmt,
+    pub(crate) query: SelectStmt,
 }
 
 /// An embedded, thread-safe relational database.
@@ -200,7 +199,7 @@ pub struct Database {
 }
 
 /// Operational events a [`Database`] reports to an installed
-/// [`DbEventHook`]. These are narrative ("a checkpoint just finished"),
+/// `DbEventHook`. These are narrative ("a checkpoint just finished"),
 /// not numeric — counters are rows of [`Database::metrics`].
 #[derive(Debug, Clone)]
 pub enum DbEvent {
@@ -218,14 +217,14 @@ pub enum DbEvent {
 
 /// Callback for [`Database::set_event_hook`]. Runs synchronously on the
 /// emitting thread; keep it cheap and never call back into the database.
-pub type DbEventHook = Arc<dyn Fn(&DbEvent) + Send + Sync>;
+pub(crate) type DbEventHook = Arc<dyn Fn(&DbEvent) + Send + Sync>;
 
 /// Callback for [`Database::add_change_hook`]: `(epoch, touched_tables)`
 /// for every published commit — both local commits and replicated WAL
 /// applies. Table names are lowercased (catalog-key form). Runs
 /// synchronously *inside the commit lock*, so invocations are totally
 /// ordered by epoch; keep it cheap and never call back into the database.
-pub type ChangeHook = Arc<dyn Fn(u64, &[String]) + Send + Sync>;
+pub(crate) type ChangeHook = Arc<dyn Fn(u64, &[String]) + Send + Sync>;
 
 impl Default for Database {
     fn default() -> Self {
@@ -341,7 +340,7 @@ impl Database {
         *self.event_hook.write() = hook;
     }
 
-    /// Register a data-change observer (see [`ChangeHook`]). Hooks
+    /// Register a data-change observer (see `ChangeHook`). Hooks
     /// accumulate — every registered hook sees every published commit.
     pub fn add_change_hook(&self, hook: ChangeHook) {
         self.change_hooks.write().push(hook);
@@ -822,7 +821,7 @@ impl Database {
         self.views.read().get(&Self::key(name)).cloned()
     }
 
-    pub fn get_function(&self, name: &str) -> Option<Arc<dyn TableFunction>> {
+    pub(crate) fn get_function(&self, name: &str) -> Option<Arc<dyn TableFunction>> {
         self.functions.read().get(&Self::key(name)).cloned()
     }
 
@@ -836,7 +835,7 @@ impl Database {
         self.tables.read().values().map(|t| t.schema.name.clone()).collect()
     }
 
-    pub fn view_names(&self) -> Vec<String> {
+    pub(crate) fn view_names(&self) -> Vec<String> {
         self.views.read().values().map(|v| v.name.clone()).collect()
     }
 
@@ -966,7 +965,7 @@ impl Database {
     }
 
     /// Execute an already-parsed statement at latest-committed state.
-    pub fn execute_stmt(&self, stmt: &Stmt) -> DbResult<RowSet> {
+    pub(crate) fn execute_stmt(&self, stmt: &Stmt) -> DbResult<RowSet> {
         self.execute_stmt_at(stmt, None)
     }
 
@@ -1290,7 +1289,8 @@ impl Database {
 
     /// Number of open registry transactions: sessions (parked or adopted)
     /// plus open SQL `BEGIN`s and running `transaction()` closures.
-    pub fn session_txn_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn session_txn_count(&self) -> usize {
         self.txns.lock().len()
     }
 
@@ -1571,8 +1571,8 @@ impl Database {
                 for (pos, e) in set_positions.iter().zip(&set_exprs) {
                     new_row[*pos] = e.eval(&row)?.into_owned();
                 }
-                let old = t.update(rid, new_row, ctx.stamp)?;
-                ctx.local.record(UndoOp::Update { table: t.schema.name.clone(), rid, old });
+                t.update(rid, new_row, ctx.stamp)?;
+                ctx.local.record(UndoOp::Update { table: t.schema.name.clone(), rid });
                 n += 1;
             }
             Ok(count_result(n))
@@ -1587,8 +1587,8 @@ impl Database {
             let matches = matching_rows(self, &t, where_clause, &ReadView::latest(ctx.stamp))?;
             let mut n = 0i64;
             for (rid, _) in matches {
-                let row = t.delete(rid, ctx.stamp)?;
-                ctx.local.record(UndoOp::Delete { table: t.schema.name.clone(), rid, row });
+                t.delete(rid, ctx.stamp)?;
+                ctx.local.record(UndoOp::Delete { table: t.schema.name.clone(), rid });
                 n += 1;
             }
             Ok(count_result(n))

@@ -40,7 +40,7 @@ pub enum Durability {
     /// that was acknowledged.
     #[default]
     Always,
-    /// Append without fsync; sync every [`BATCH_SYNC_EVERY`] records and
+    /// Append without fsync; sync every `BATCH_SYNC_EVERY` records and
     /// at checkpoints. An OS crash may lose the newest few commits but the
     /// surviving prefix is always consistent.
     Batch,
@@ -71,12 +71,12 @@ impl fmt::Display for Durability {
 }
 
 /// In `Batch` mode, fsync after this many appends.
-pub const BATCH_SYNC_EVERY: u32 = 32;
+pub(crate) const BATCH_SYNC_EVERY: u32 = 32;
 
 // --------------------------------------------------------- crash points
 
 /// Every I/O boundary of the durability layer, in the order a commit and
-/// a checkpoint pass through them. Tests install a [`CrashHook`] to die
+/// a checkpoint pass through them. Tests install a `CrashHook` to die
 /// deterministically at any of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
@@ -127,7 +127,7 @@ impl fmt::Display for CrashPoint {
 /// must not call back into the database; the `Checkpoint*` points run
 /// lock-free and may (tests use this to race commits and vacuum against a
 /// checkpoint in progress).
-pub type CrashHook = Arc<dyn Fn(CrashPoint) -> bool + Send + Sync>;
+pub(crate) type CrashHook = Arc<dyn Fn(CrashPoint) -> bool + Send + Sync>;
 
 // ----------------------------------------------------------------- crc32
 
@@ -218,11 +218,11 @@ pub(crate) struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(buf: &'a [u8]) -> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Cursor<'a> {
         Cursor { buf, pos: 0 }
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -237,25 +237,25 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    pub fn u8(&mut self) -> DbResult<u8> {
+    pub(crate) fn u8(&mut self) -> DbResult<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> DbResult<u32> {
+    pub(crate) fn u32(&mut self) -> DbResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self) -> DbResult<u64> {
+    pub(crate) fn u64(&mut self) -> DbResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn str(&mut self) -> DbResult<String> {
+    pub(crate) fn str(&mut self) -> DbResult<String> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DbError::Io("invalid utf-8 in record".into()))
     }
 
-    pub fn value(&mut self) -> DbResult<Value> {
+    pub(crate) fn value(&mut self) -> DbResult<Value> {
         match self.u8()? {
             TAG_NULL => Ok(Value::Null),
             TAG_BIGINT => Ok(Value::Bigint(self.u64()? as i64)),
@@ -266,7 +266,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    pub fn row(&mut self) -> DbResult<Row> {
+    pub(crate) fn row(&mut self) -> DbResult<Row> {
         let n = self.u32()? as usize;
         if n > MAX_RECORD_LEN {
             return Err(DbError::Io("row length out of range".into()));
@@ -282,7 +282,7 @@ impl<'a> Cursor<'a> {
 /// versions inside one transaction are invisible to every post-recovery
 /// reader, so the WAL never carries them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NetChange {
+pub(crate) enum NetChange {
     Put(Row),
     Del,
 }
@@ -402,7 +402,7 @@ pub(crate) struct Wal {
 /// its sequence number) and how many torn/corrupt tail bytes were cut.
 pub(crate) struct WalScan {
     pub records: Vec<(u64, WalRecord)>,
-    pub truncated_bytes: u64,
+    pub(crate) truncated_bytes: u64,
 }
 
 impl Wal {
@@ -410,7 +410,7 @@ impl Wal {
     /// and truncate any torn or corrupt tail in place. `fallback_base` is
     /// the sequence to restart from when the file header itself is
     /// unreadable (the latest checkpoint's WAL sequence).
-    pub fn open(path: &Path, fallback_base: u64) -> DbResult<(Wal, WalScan)> {
+    pub(crate) fn open(path: &Path, fallback_base: u64) -> DbResult<(Wal, WalScan)> {
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -474,12 +474,12 @@ impl Wal {
     }
 
     /// Sequence number the next appended record will get.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.base_seq + self.records
     }
 
     /// Current byte length of the file (all records valid).
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         self.len
     }
 }
@@ -504,24 +504,24 @@ pub(crate) struct DurabilityState {
     dead: AtomicBool,
     /// Epoch a running checkpoint is serializing at (`u64::MAX` when
     /// none): vacuum must not reclaim versions still visible at it.
-    pub checkpoint_floor: AtomicU64,
+    pub(crate) checkpoint_floor: AtomicU64,
     /// Snapshot epoch of the last completed checkpoint.
     pub last_checkpoint_epoch: AtomicU64,
     /// Serializes whole checkpoints (capture → write → rotate).
-    pub checkpoint_gate: Mutex<()>,
+    pub(crate) checkpoint_gate: Mutex<()>,
     /// Byte length of the WAL prefix known to be fsynced (updated after
     /// every successful `sync_data`). In `Batch` mode this lags `len` by up
     /// to [`BATCH_SYNC_EVERY`] - 1 records; the durability-contract test
     /// truncates a copied WAL to this length to simulate worst-case OS
     /// loss of the page cache.
-    pub synced_len: AtomicU64,
+    pub(crate) synced_len: AtomicU64,
 }
 
 /// No checkpoint in progress.
 pub(crate) const NO_FLOOR: u64 = u64::MAX;
 
 impl DurabilityState {
-    pub fn new(
+    pub(crate) fn new(
         dir: PathBuf,
         mode: Durability,
         wal: Option<Wal>,
@@ -550,11 +550,11 @@ impl DurabilityState {
         out
     }
 
-    pub fn wal_path(&self) -> PathBuf {
+    pub(crate) fn wal_path(&self) -> PathBuf {
         self.dir.join("wal.log")
     }
 
-    pub fn set_crash_hook(&self, hook: Option<CrashHook>) {
+    pub(crate) fn set_crash_hook(&self, hook: Option<CrashHook>) {
         *self.crash.write() = hook;
     }
 
@@ -576,7 +576,7 @@ impl DurabilityState {
     }
 
     /// Evaluate a crash point outside the WAL lock (checkpoint-side).
-    pub fn crash_gate(&self, point: CrashPoint) -> DbResult<()> {
+    pub(crate) fn crash_gate(&self, point: CrashPoint) -> DbResult<()> {
         self.check_alive()?;
         if self.fire(point) {
             return Err(self.die(point));
@@ -587,7 +587,7 @@ impl DurabilityState {
     /// Append one record, observing the `Wal*` crash points. Under
     /// `Always` the record is fsynced before this returns; the caller
     /// publishes the commit only on `Ok`.
-    pub fn append(&self, rec: &WalRecord) -> DbResult<()> {
+    pub(crate) fn append(&self, rec: &WalRecord) -> DbResult<()> {
         if self.mode == Durability::Off {
             return Ok(());
         }
@@ -639,7 +639,7 @@ impl DurabilityState {
     /// Capture the WAL position a checkpoint will cut at: the next
     /// sequence number and its byte offset. Must run while no commit can
     /// append (the caller holds the commit lock).
-    pub fn capture_position(&self) -> (u64, u64) {
+    pub(crate) fn capture_position(&self) -> (u64, u64) {
         let guard = self.wal.lock();
         match guard.as_ref() {
             Some(w) => (w.next_seq(), w.byte_len()),
@@ -650,7 +650,7 @@ impl DurabilityState {
     /// Drop the WAL prefix covered by a checkpoint: rewrite the file so
     /// it starts at `cut_seq`, whose first frame byte was at `cut_off`.
     /// Appends that landed after capture are carried over verbatim.
-    pub fn rotate(&self, cut_seq: u64, cut_off: u64) -> DbResult<()> {
+    pub(crate) fn rotate(&self, cut_seq: u64, cut_off: u64) -> DbResult<()> {
         self.check_alive()?;
         let mut guard = self.wal.lock();
         let Some(w) = guard.as_mut() else { return Ok(()) };
@@ -714,7 +714,7 @@ impl DurabilityState {
 
     /// Force any buffered WAL bytes to disk (used by `Batch` mode at
     /// checkpoint and shutdown boundaries).
-    pub fn sync(&self) -> DbResult<()> {
+    pub(crate) fn sync(&self) -> DbResult<()> {
         if self.mode == Durability::Off {
             return Ok(());
         }
@@ -735,7 +735,7 @@ impl DurabilityState {
     /// cover `from_seq` — after a rotation dropped it, or when the
     /// follower is ahead of a primary that lost state — in which case the
     /// follower must re-bootstrap from the checkpoint image.
-    pub fn tail_since(&self, from_seq: u64, max_bytes: usize) -> DbResult<WalTailResult> {
+    pub(crate) fn tail_since(&self, from_seq: u64, max_bytes: usize) -> DbResult<WalTailResult> {
         self.check_alive()?;
         let mut guard = self.wal.lock();
         let Some(w) = guard.as_mut() else {

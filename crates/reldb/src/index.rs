@@ -20,7 +20,7 @@ use crate::row::Row;
 use crate::value::Value;
 
 /// Identifier of a row slot within its table.
-pub type RowId = usize;
+pub(crate) type RowId = usize;
 
 /// User-visible definition of an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub struct IndexDef {
 pub struct Index {
     pub def: IndexDef,
     /// Positions of the indexed columns within the table schema.
-    pub col_positions: Vec<usize>,
+    pub(crate) col_positions: Vec<usize>,
     /// Created implicitly for a schema constraint (PRIMARY KEY / UNIQUE)
     /// rather than by `CREATE INDEX`. Auto indexes are rebuilt from the
     /// schema on checkpoint restore, so checkpoints skip them — tracked
@@ -66,7 +66,7 @@ impl Index {
     }
 
     /// An index implied by the schema (see [`Index::auto`]).
-    pub fn new_auto(def: IndexDef, col_positions: Vec<usize>) -> Self {
+    pub(crate) fn new_auto(def: IndexDef, col_positions: Vec<usize>) -> Self {
         Index { auto: true, ..Self::new(def, col_positions) }
     }
 
@@ -111,7 +111,7 @@ impl Index {
     /// Add a posting unless `(key, rid)` is already present — used when a
     /// new version of an existing row re-introduces a key an older version
     /// of the same row already indexed.
-    pub fn insert_unique_rid(&mut self, row: &Row, rid: RowId) {
+    pub(crate) fn insert_unique_rid(&mut self, row: &Row, rid: RowId) {
         let entry = self.postings_mut(row);
         if !entry.contains(&rid) {
             entry.push(rid);
@@ -137,7 +137,7 @@ impl Index {
     }
 
     /// All row ids whose key equals `key` exactly.
-    pub fn lookup_eq(&self, key: &[Value]) -> &[RowId] {
+    pub(crate) fn lookup_eq(&self, key: &[Value]) -> &[RowId] {
         self.postings(key).map_or(&[], Vec::as_slice)
     }
 
@@ -146,7 +146,7 @@ impl Index {
     /// not probed again: the graph layer pads its IN-lists by repeating
     /// the last id. Other duplicates yield their row ids twice; the caller
     /// dedups them.
-    pub fn lookup_in(&self, keys: &[Value]) -> (Vec<RowId>, usize) {
+    pub(crate) fn lookup_in(&self, keys: &[Value]) -> (Vec<RowId>, usize) {
         let mut out = Vec::new();
         let mut probes = 0;
         let mut prev: Option<&Value> = None;
@@ -165,7 +165,7 @@ impl Index {
 
     /// Row ids whose *first* indexed column falls in the given bounds.
     /// Only meaningful for prefix (single leading column) ranges.
-    pub fn lookup_range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
+    pub(crate) fn lookup_range(&self, low: Bound<&Value>, high: Bound<&Value>) -> Vec<RowId> {
         let past_high = |v: &Value| match high {
             Bound::Included(h) => v > h,
             Bound::Excluded(h) => v >= h,
@@ -205,7 +205,7 @@ impl Index {
     }
 
     /// Number of distinct keys currently indexed.
-    pub fn distinct_keys(&self) -> usize {
+    pub(crate) fn distinct_keys(&self) -> usize {
         match &self.map {
             Postings::Single(m) => m.len(),
             Postings::Composite(m) => m.len(),

@@ -92,7 +92,7 @@ macro_rules! metric_table {
         $(#[$live_meta])*
         #[derive(Debug, Default)]
         pub struct $live {
-            $( $(#[doc = $doc])* pub $name: $crate::metrics::Slot, )+
+            $( $(#[doc = $doc])* pub $name: $crate::Slot, )+
             $( $( $(#[$extra_meta])* $extra_vis $extra: $extra_ty, )+ )?
         }
 
@@ -121,17 +121,17 @@ macro_rules! metric_table {
             /// deltas, gauges carry this snapshot's value.
             pub fn since(&self, earlier: &$snap) -> $snap {
                 $snap {
-                    $( $name: $crate::metrics::MetricKind::$kind
+                    $( $name: $crate::MetricKind::$kind
                         .since(self.$name, earlier.$name), )+
                 }
             }
 
             /// Every row, in table order.
-            pub fn rows(&self) -> Vec<$crate::metrics::MetricRow> {
+            pub fn rows(&self) -> Vec<$crate::MetricRow> {
                 vec![$(
-                    $crate::metrics::MetricRow {
+                    $crate::MetricRow {
                         name: stringify!($name),
-                        kind: $crate::metrics::MetricKind::$kind,
+                        kind: $crate::MetricKind::$kind,
                         value: self.$name,
                     },
                 )+]

@@ -16,14 +16,14 @@ use crate::value::Value;
 
 /// Generation value meaning "not stamped against any catalog state" — a
 /// `Prepared` built directly (without a database) always executes as-is.
-pub const GENERATION_ANY: u64 = u64::MAX;
+pub(crate) const GENERATION_ANY: u64 = u64::MAX;
 
 /// A parsed statement ready for repeated parameterized execution.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub sql: String,
-    pub stmt: Arc<Stmt>,
-    pub param_count: usize,
+    pub(crate) stmt: Arc<Stmt>,
+    pub(crate) param_count: usize,
     /// Catalog generation this statement was prepared under (see
     /// [`crate::db::Database::schema_generation`]). Executing against a
     /// database whose generation moved on (DDL ran in between) forces a
@@ -47,7 +47,7 @@ impl Prepared {
 
     /// Stamp this statement with the catalog generation it was prepared
     /// under (`Database::prepare` does this automatically).
-    pub fn with_generation(mut self, generation: u64) -> Prepared {
+    pub(crate) fn with_generation(mut self, generation: u64) -> Prepared {
         self.generation = generation;
         self
     }
@@ -64,7 +64,7 @@ impl Prepared {
     }
 
     /// Produce an executable statement with all `?` parameters bound.
-    pub fn bind(&self, params: &[Value]) -> DbResult<Stmt> {
+    pub(crate) fn bind(&self, params: &[Value]) -> DbResult<Stmt> {
         if params.len() != self.param_count {
             return Err(DbError::Execution(format!(
                 "statement expects {} parameters, got {}",
@@ -153,7 +153,7 @@ fn visit_source_exprs(s: &TableSource, f: &mut dyn FnMut(&Expr)) {
 }
 
 /// Clone a statement with parameters substituted as literals.
-pub fn bind_stmt(stmt: &Stmt, params: &[Value]) -> DbResult<Stmt> {
+pub(crate) fn bind_stmt(stmt: &Stmt, params: &[Value]) -> DbResult<Stmt> {
     Ok(match stmt {
         Stmt::Insert { table, columns, values } => Stmt::Insert {
             table: table.clone(),

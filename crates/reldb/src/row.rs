@@ -38,7 +38,7 @@ impl RowSet {
     }
 
     /// Index of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.eq_ignore_ascii_case(name))
     }
 
@@ -54,7 +54,7 @@ impl RowSet {
     }
 
     /// Render as an aligned text table, for examples and debugging output.
-    pub fn to_table_string(&self) -> String {
+    pub(crate) fn to_table_string(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
         let rendered: Vec<Vec<String>> =
             self.rows.iter().map(|r| r.iter().map(|v| v.to_string()).collect()).collect();

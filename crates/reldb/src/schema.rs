@@ -14,7 +14,7 @@ use crate::value::DataType;
 pub struct ColumnDef {
     pub name: String,
     pub data_type: DataType,
-    pub nullable: bool,
+    pub(crate) nullable: bool,
 }
 
 impl ColumnDef {
@@ -34,7 +34,7 @@ impl ColumnDef {
 pub struct ForeignKey {
     pub columns: Vec<String>,
     pub ref_table: String,
-    pub ref_columns: Vec<String>,
+    pub(crate) ref_columns: Vec<String>,
 }
 
 /// Complete schema of a table: columns plus declared constraints.
@@ -46,7 +46,7 @@ pub struct TableSchema {
     pub primary_key: Option<Vec<String>>,
     pub foreign_keys: Vec<ForeignKey>,
     /// Additional UNIQUE constraints (each a set of column names).
-    pub uniques: Vec<Vec<String>>,
+    pub(crate) uniques: Vec<Vec<String>>,
 }
 
 impl TableSchema {
@@ -80,13 +80,13 @@ impl TableSchema {
     }
 
     /// Position of a column by case-insensitive name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
     /// Like [`Self::column_index`] but returns a catalog error naming the
     /// table, for use during planning.
-    pub fn require_column(&self, name: &str) -> DbResult<usize> {
+    pub(crate) fn require_column(&self, name: &str) -> DbResult<usize> {
         self.column_index(name).ok_or_else(|| {
             DbError::Catalog(format!("column '{}' not found in table '{}'", name, self.name))
         })
@@ -101,21 +101,16 @@ impl TableSchema {
     }
 
     /// True when `name` is one of the primary key columns.
-    pub fn is_pk_column(&self, name: &str) -> bool {
+    pub(crate) fn is_pk_column(&self, name: &str) -> bool {
         self.primary_key
             .as_ref()
             .map(|pk| pk.iter().any(|c| c.eq_ignore_ascii_case(name)))
             .unwrap_or(false)
     }
 
-    /// True when `name` participates in any foreign key of this table.
-    pub fn is_fk_column(&self, name: &str) -> bool {
-        self.foreign_keys.iter().any(|fk| fk.columns.iter().any(|c| c.eq_ignore_ascii_case(name)))
-    }
-
     /// Validate internal consistency: unique column names, constraints
     /// referencing existing columns, PK columns implicitly NOT NULL.
-    pub fn validate(&self) -> DbResult<()> {
+    pub(crate) fn validate(&self) -> DbResult<()> {
         for (i, c) in self.columns.iter().enumerate() {
             if self.columns[..i].iter().any(|p| p.name.eq_ignore_ascii_case(&c.name)) {
                 return Err(DbError::Catalog(format!(
@@ -189,9 +184,6 @@ mod tests {
         )
         .with_foreign_key(vec!["patientID"], "Patient", vec!["patientID"])
         .with_foreign_key(vec!["diseaseID"], "Disease", vec!["diseaseID"]);
-        assert!(s.is_fk_column("patientid"));
-        assert!(s.is_fk_column("diseaseID"));
-        assert!(!s.is_fk_column("description"));
         assert!(!s.is_pk_column("patientID"));
         assert!(!s.has_primary_key());
         assert_eq!(s.foreign_keys.len(), 2);

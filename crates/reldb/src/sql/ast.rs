@@ -5,7 +5,7 @@ use crate::value::{DataType, Value};
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     CreateTable {
         schema: TableSchema,
         if_not_exists: bool,
@@ -55,21 +55,21 @@ pub enum Stmt {
 
 /// A SELECT query.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct SelectStmt {
+pub(crate) struct SelectStmt {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
     /// Comma-separated FROM items; each may carry its own JOIN chain.
     pub from: Vec<FromItem>,
-    pub where_clause: Option<Expr>,
-    pub group_by: Vec<Expr>,
-    pub having: Option<Expr>,
-    pub order_by: Vec<OrderItem>,
+    pub(crate) where_clause: Option<Expr>,
+    pub(crate) group_by: Vec<Expr>,
+    pub(crate) having: Option<Expr>,
+    pub(crate) order_by: Vec<OrderItem>,
     pub limit: Option<u64>,
 }
 
 /// One projection item.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SelectItem {
+pub(crate) enum SelectItem {
     /// `*`
     Wildcard,
     /// `alias.*`
@@ -80,22 +80,22 @@ pub enum SelectItem {
 
 /// One FROM item: a source plus zero or more JOINs hanging off it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FromItem {
+pub(crate) struct FromItem {
     pub source: TableSource,
     pub joins: Vec<Join>,
 }
 
 /// An explicit `[INNER|LEFT] JOIN <source> ON <expr>`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Join {
+pub(crate) struct Join {
     pub source: TableSource,
     pub on: Expr,
-    pub left_outer: bool,
+    pub(crate) left_outer: bool,
 }
 
 /// A relation appearing in FROM.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TableSource {
+pub(crate) enum TableSource {
     /// A base table or view, with optional alias.
     Named { name: String, alias: Option<String> },
     /// A polymorphic table function: `TABLE(f(args)) AS alias (col type, ...)`.
@@ -107,7 +107,7 @@ pub enum TableSource {
 
 impl TableSource {
     /// The name this source binds in the query's scope.
-    pub fn binding_name(&self) -> &str {
+    pub(crate) fn binding_name(&self) -> &str {
         match self {
             TableSource::Named { name, alias } => alias.as_deref().unwrap_or(name),
             TableSource::Function { alias, .. } => alias,
@@ -118,14 +118,14 @@ impl TableSource {
 
 /// One ORDER BY key.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OrderItem {
-    pub expr: Expr,
+pub(crate) struct OrderItem {
+    pub(crate) expr: Expr,
     pub desc: bool,
 }
 
 /// Binary operators, in SQL semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     Eq,
     NotEq,
     Lt,
@@ -142,14 +142,14 @@ pub enum BinOp {
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
+pub(crate) enum UnaryOp {
     Not,
     Neg,
 }
 
 /// A scalar expression.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     /// Column reference, optionally qualified (`t.col`).
     Column {
         qualifier: Option<String>,
@@ -193,28 +193,12 @@ pub enum Expr {
 }
 
 impl Expr {
-    pub fn col(name: &str) -> Expr {
-        Expr::Column { qualifier: None, name: name.to_string() }
-    }
-
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::Column { qualifier: Some(qualifier.to_string()), name: name.to_string() }
-    }
-
-    pub fn lit(v: impl Into<Value>) -> Expr {
-        Expr::Literal(v.into())
-    }
-
-    pub fn and(self, other: Expr) -> Expr {
+    pub(crate) fn and(self, other: Expr) -> Expr {
         Expr::Binary { op: BinOp::And, left: Box::new(self), right: Box::new(other) }
     }
 
-    pub fn eq(self, other: Expr) -> Expr {
-        Expr::Binary { op: BinOp::Eq, left: Box::new(self), right: Box::new(other) }
-    }
-
     /// True if the expression contains an aggregate function call.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Function { name, args, .. } => {
                 is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
@@ -235,7 +219,7 @@ impl Expr {
     }
 
     /// Walk the expression tree, visiting every node.
-    pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
+    pub(crate) fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         f(self);
         match self {
             Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.walk(f),
@@ -261,9 +245,30 @@ impl Expr {
             _ => {}
         }
     }
+}
+
+/// Builders and a parameter count the unit tests construct and check
+/// expressions with.
+#[cfg(test)]
+impl Expr {
+    pub(crate) fn col(name: &str) -> Expr {
+        Expr::Column { qualifier: None, name: name.to_string() }
+    }
+
+    pub(crate) fn qcol(qualifier: &str, name: &str) -> Expr {
+        Expr::Column { qualifier: Some(qualifier.to_string()), name: name.to_string() }
+    }
+
+    pub(crate) fn lit(v: impl Into<Value>) -> Expr {
+        Expr::Literal(v.into())
+    }
+
+    pub(crate) fn eq(self, other: Expr) -> Expr {
+        Expr::Binary { op: BinOp::Eq, left: Box::new(self), right: Box::new(other) }
+    }
 
     /// Count `?` parameters in the expression.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         let mut n = 0;
         self.walk(&mut |e| {
             if matches!(e, Expr::Param(_)) {
@@ -275,7 +280,7 @@ impl Expr {
 }
 
 /// Whether a function name denotes an aggregate.
-pub fn is_aggregate_name(name: &str) -> bool {
+pub(crate) fn is_aggregate_name(name: &str) -> bool {
     matches!(name.to_ascii_uppercase().as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
 }
 

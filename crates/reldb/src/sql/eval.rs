@@ -17,20 +17,24 @@ use crate::value::{DataType, Value};
 /// A reference to a column within an intermediate relation: the binding
 /// qualifier (table alias) plus the column name.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColRef {
-    pub qualifier: Option<String>,
+pub(crate) struct ColRef {
+    pub(crate) qualifier: Option<String>,
     pub name: String,
 }
 
 impl ColRef {
-    pub fn new(qualifier: Option<&str>, name: &str) -> Self {
+    pub(crate) fn new(qualifier: Option<&str>, name: &str) -> Self {
         ColRef { qualifier: qualifier.map(str::to_string), name: name.to_string() }
     }
 }
 
 /// Resolve a column reference against a column list; returns its position.
 /// An unqualified name that matches more than one column is ambiguous.
-pub fn resolve_column(cols: &[ColRef], qualifier: &Option<String>, name: &str) -> DbResult<usize> {
+pub(crate) fn resolve_column(
+    cols: &[ColRef],
+    qualifier: &Option<String>,
+    name: &str,
+) -> DbResult<usize> {
     let mut found: Option<usize> = None;
     for (i, c) in cols.iter().enumerate() {
         let qual_matches = match (qualifier, &c.qualifier) {
@@ -54,7 +58,7 @@ pub fn resolve_column(cols: &[ColRef], qualifier: &Option<String>, name: &str) -
 /// An expression compiled against a column list, borrowing the statement's
 /// literals.
 #[derive(Debug)]
-pub enum Compiled<'a> {
+pub(crate) enum Compiled<'a> {
     Col(usize),
     Lit(&'a Value),
     /// A reference that did not resolve. Evaluating it reports the error, so
@@ -81,7 +85,7 @@ pub enum Compiled<'a> {
 /// equality is not transitive for integers past 2^53, and an incomparable
 /// type makes the result NULL rather than FALSE.
 #[derive(Debug)]
-pub struct InSet<'a> {
+pub(crate) struct InSet<'a> {
     ty: DataType,
     members: HashSet<&'a Value>,
 }
@@ -103,7 +107,7 @@ impl<'a> InSet<'a> {
 }
 
 /// Compile `expr` against `cols`: resolve every column once.
-pub fn compile<'a>(expr: &'a Expr, cols: &[ColRef]) -> Compiled<'a> {
+pub(crate) fn compile<'a>(expr: &'a Expr, cols: &[ColRef]) -> Compiled<'a> {
     let sub = |e: &'a Expr| Box::new(compile(e, cols));
     match expr {
         Expr::Column { qualifier, name } => match resolve_column(cols, qualifier, name) {
@@ -133,7 +137,7 @@ impl Compiled<'_> {
     /// Evaluate against a row laid out as the column list this was compiled
     /// for. Column values and literals come back borrowed.
     #[inline]
-    pub fn eval<'r>(&'r self, row: &'r [Value]) -> DbResult<Cow<'r, Value>> {
+    pub(crate) fn eval<'r>(&'r self, row: &'r [Value]) -> DbResult<Cow<'r, Value>> {
         match self {
             Compiled::Col(i) => Ok(Cow::Borrowed(&row[*i])),
             Compiled::Lit(v) => Ok(Cow::Borrowed(*v)),
@@ -201,13 +205,13 @@ impl Compiled<'_> {
     }
 
     /// Whether the row satisfies this predicate (it evaluates to TRUE).
-    pub fn test(&self, row: &[Value]) -> DbResult<bool> {
+    pub(crate) fn test(&self, row: &[Value]) -> DbResult<bool> {
         Ok(truth(&*self.eval(row)?) == Some(true))
     }
 }
 
 /// Evaluation environment: a row laid out against a column list.
-pub struct RowEnv<'a> {
+pub(crate) struct RowEnv<'a> {
     pub cols: &'a [ColRef],
     pub row: &'a Row,
 }
@@ -216,12 +220,12 @@ pub struct RowEnv<'a> {
 /// expression over many rows compiles it once with [`compile`] instead.
 /// Aggregate function calls are rejected here — the executor resolves them
 /// before projection.
-pub fn eval(expr: &Expr, env: &RowEnv<'_>) -> DbResult<Value> {
+pub(crate) fn eval(expr: &Expr, env: &RowEnv<'_>) -> DbResult<Value> {
     compile(expr, env.cols).eval(env.row).map(Cow::into_owned)
 }
 
 /// Apply a unary operator to a value.
-pub fn unary(op: UnaryOp, v: &Value) -> DbResult<Value> {
+pub(crate) fn unary(op: UnaryOp, v: &Value) -> DbResult<Value> {
     match op {
         UnaryOp::Not => match v {
             Value::Null => Ok(Value::Null),
@@ -238,7 +242,7 @@ pub fn unary(op: UnaryOp, v: &Value) -> DbResult<Value> {
 }
 
 /// Apply a binary operator to two values, in SQL three-valued logic.
-pub fn binary(op: BinOp, l: &Value, r: &Value) -> DbResult<Value> {
+pub(crate) fn binary(op: BinOp, l: &Value, r: &Value) -> DbResult<Value> {
     match op {
         BinOp::And => Ok(match (truth(l), truth(r)) {
             (Some(false), _) | (_, Some(false)) => Value::Boolean(false),
@@ -345,7 +349,7 @@ fn scalar_function(upper: &str, vals: Vec<Value>) -> DbResult<Value> {
 }
 
 /// SQL truth value of a value: `Some(bool)` or `None` for NULL/unknown.
-pub fn truth(v: &Value) -> Option<bool> {
+pub(crate) fn truth(v: &Value) -> Option<bool> {
     match v {
         Value::Boolean(b) => Some(*b),
         Value::Null => None,

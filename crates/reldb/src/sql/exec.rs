@@ -64,7 +64,11 @@ pub(crate) fn table_cols(binding: &str, schema: &TableSchema) -> Vec<ColRef> {
 /// Execute a SELECT statement to completion. All table reads — including
 /// those inside views, subqueries, and joins — go through `view`, so a
 /// snapshot-pinned query can never mix two committed states.
-pub fn execute_select(db: &Database, stmt: &SelectStmt, view: &ReadView) -> DbResult<RowSet> {
+pub(crate) fn execute_select(
+    db: &Database,
+    stmt: &SelectStmt,
+    view: &ReadView,
+) -> DbResult<RowSet> {
     // FROM-less SELECT: evaluate items once against an empty row.
     if stmt.from.is_empty() {
         let cols: Vec<ColRef> = Vec::new();
@@ -123,7 +127,7 @@ fn limit_stops_early(stmt: &SelectStmt) -> bool {
 }
 
 /// Render the plan that `execute_select` would use, for EXPLAIN.
-pub fn explain_select(db: &Database, stmt: &SelectStmt) -> DbResult<Vec<String>> {
+pub(crate) fn explain_select(db: &Database, stmt: &SelectStmt) -> DbResult<Vec<String>> {
     let mut lines = Vec::new();
     let single = single_table(db, stmt);
     if let Some((table, binding)) = &single {

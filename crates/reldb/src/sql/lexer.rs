@@ -4,7 +4,7 @@ use crate::error::{DbError, DbResult};
 
 /// A lexical token of the SQL dialect.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Unquoted identifier or keyword (kept verbatim; keyword matching is
     /// case-insensitive at the parser).
     Ident(String),
@@ -38,7 +38,7 @@ pub enum Token {
 }
 
 /// Tokenize SQL text. Supports `--` line comments.
-pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> DbResult<Vec<Token>> {
     let mut tokens = Vec::new();
     let bytes = input.as_bytes();
     let mut i = 0;

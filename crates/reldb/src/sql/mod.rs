@@ -1,9 +1,9 @@
 //! SQL front end: lexer, AST, parser, evaluation, planning, and execution.
 
-pub mod ast;
-pub mod eval;
-pub mod exec;
-pub mod lexer;
-pub mod parser;
-pub mod planner;
-pub mod render;
+pub(crate) mod ast;
+pub(crate) mod eval;
+pub(crate) mod exec;
+pub(crate) mod lexer;
+pub(crate) mod parser;
+pub(crate) mod planner;
+pub(crate) mod render;

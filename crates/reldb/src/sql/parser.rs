@@ -7,7 +7,7 @@ use crate::sql::lexer::{tokenize, Token};
 use crate::value::{DataType, Value};
 
 /// Parse a single SQL statement (a trailing `;` is allowed).
-pub fn parse_statement(sql: &str) -> DbResult<Stmt> {
+pub(crate) fn parse_statement(sql: &str) -> DbResult<Stmt> {
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0, params: 0 };
     let stmt = p.statement()?;
@@ -19,7 +19,7 @@ pub fn parse_statement(sql: &str) -> DbResult<Stmt> {
 }
 
 /// Parse a script of `;`-separated statements.
-pub fn parse_script(sql: &str) -> DbResult<Vec<Stmt>> {
+pub(crate) fn parse_script(sql: &str) -> DbResult<Vec<Stmt>> {
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0, params: 0 };
     let mut out = Vec::new();

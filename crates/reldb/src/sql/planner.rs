@@ -19,7 +19,7 @@ use crate::value::Value;
 
 /// A chosen way to produce candidate rows from a table.
 #[derive(Debug, Clone, PartialEq)]
-pub enum AccessPath {
+pub(crate) enum AccessPath {
     /// Scan every live row.
     FullScan,
     /// Probe an index for one exact key.
@@ -32,7 +32,7 @@ pub enum AccessPath {
 
 impl AccessPath {
     /// Human-readable form for EXPLAIN output.
-    pub fn describe(&self, table: &str) -> String {
+    pub(crate) fn describe(&self, table: &str) -> String {
         match self {
             AccessPath::FullScan => format!("SCAN {table}"),
             AccessPath::IndexEq { index, key } => {
@@ -48,7 +48,7 @@ impl AccessPath {
 }
 
 /// Split an expression into its top-level AND conjuncts.
-pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
+pub(crate) fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     let mut out = Vec::new();
     fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
         if let Expr::Binary { op: BinOp::And, left, right } = e {
@@ -65,7 +65,7 @@ pub fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
 /// A simple predicate on one column of the scanned binding:
 /// `col <op> literal`, `col IN (literals)`.
 #[derive(Debug, Clone)]
-pub enum SimplePred {
+pub(crate) enum SimplePred {
     Eq(String, Value),
     In(String, Vec<Value>),
     Cmp(String, BinOp, Value),
@@ -73,7 +73,7 @@ pub enum SimplePred {
 
 /// Try to view a conjunct as a simple single-column predicate over the
 /// given binding (alias) of a table with the given columns.
-pub fn as_simple_pred(
+pub(crate) fn as_simple_pred(
     expr: &Expr,
     binding: &str,
     has_column: &dyn Fn(&str) -> bool,
@@ -133,7 +133,7 @@ pub fn as_simple_pred(
 /// probe, range scan, full scan. Also returns how many of `preds` the path
 /// answers; the executor still re-checks them on each visible version,
 /// because a slot stays posted under the keys of its older versions.
-pub fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (AccessPath, usize) {
+pub(crate) fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (AccessPath, usize) {
     // 1. Exact multi/single-column equality matching a whole index. The
     //    first equality on each key column builds the key.
     let eq_preds: Vec<&SimplePred> =

@@ -16,7 +16,7 @@ use super::ast::{
 };
 
 /// `CREATE TABLE` for a schema, with all constraints spelled table-level.
-pub fn create_table_sql(schema: &TableSchema) -> String {
+pub(crate) fn create_table_sql(schema: &TableSchema) -> String {
     let mut parts: Vec<String> = schema
         .columns
         .iter()
@@ -46,7 +46,7 @@ pub fn create_table_sql(schema: &TableSchema) -> String {
 }
 
 /// `CREATE [UNIQUE] INDEX` for an index definition.
-pub fn create_index_sql(table: &str, def: &IndexDef) -> String {
+pub(crate) fn create_index_sql(table: &str, def: &IndexDef) -> String {
     format!(
         "CREATE {}INDEX {} ON {} ({})",
         if def.unique { "UNIQUE " } else { "" },
@@ -57,12 +57,12 @@ pub fn create_index_sql(table: &str, def: &IndexDef) -> String {
 }
 
 /// `CREATE VIEW name AS <select>`.
-pub fn create_view_sql(name: &str, query: &SelectStmt) -> String {
+pub(crate) fn create_view_sql(name: &str, query: &SelectStmt) -> String {
     format!("CREATE VIEW {} AS {}", name, select_sql(query))
 }
 
 /// Render a SELECT back to SQL.
-pub fn select_sql(q: &SelectStmt) -> String {
+pub(crate) fn select_sql(q: &SelectStmt) -> String {
     let mut out = String::from("SELECT ");
     if q.distinct {
         out.push_str("DISTINCT ");
@@ -163,7 +163,7 @@ fn bin_op_sql(op: BinOp) -> &'static str {
 
 /// SQL literal for a value (`'` doubled inside strings, the one escape
 /// the lexer understands).
-pub fn value_sql(v: &Value) -> String {
+pub(crate) fn value_sql(v: &Value) -> String {
     match v {
         Value::Null => "NULL".into(),
         Value::Bigint(i) => i.to_string(),
@@ -194,7 +194,7 @@ pub fn value_sql(v: &Value) -> String {
 
 /// Render an expression, fully parenthesized where nesting matters so the
 /// round trip never re-associates.
-pub fn expr_sql(e: &Expr) -> String {
+pub(crate) fn expr_sql(e: &Expr) -> String {
     match e {
         Expr::Column { qualifier: Some(q), name } => format!("{q}.{name}"),
         Expr::Column { qualifier: None, name } => name.clone(),

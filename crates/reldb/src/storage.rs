@@ -29,20 +29,20 @@ use crate::schema::TableSchema;
 use crate::value::Value;
 
 /// High bit marking an uncommitted begin/end stamp (`TXN_BIT | txn_stamp`).
-pub const TXN_BIT: u64 = 1 << 63;
+pub(crate) const TXN_BIT: u64 = 1 << 63;
 
 /// `end` value of a version that has not been deleted or superseded.
-pub const NO_END: u64 = u64::MAX;
+pub(crate) const NO_END: u64 = u64::MAX;
 
 /// Snapshot value that admits every committed epoch ("read latest").
-pub const LATEST: u64 = TXN_BIT - 1;
+pub(crate) const LATEST: u64 = TXN_BIT - 1;
 
 /// A reader's view of the database: which commit epochs are visible and
 /// which in-flight transaction (if any) counts as "my own writes".
 ///
 /// `stamp == 0` means "no transaction" — only committed versions are seen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadView {
+pub(crate) struct ReadView {
     /// Highest commit epoch visible to this view.
     pub snap: u64,
     /// Stamp of the transaction whose uncommitted writes are visible.
@@ -51,14 +51,14 @@ pub struct ReadView {
 
 impl ReadView {
     /// A view pinned to one commit epoch (snapshot isolation for reads).
-    pub fn committed(epoch: u64) -> ReadView {
+    pub(crate) fn committed(epoch: u64) -> ReadView {
         ReadView { snap: epoch, stamp: 0 }
     }
 
     /// A view that sees every committed version plus the given
     /// transaction's own uncommitted writes (read-latest; `stamp == 0`
     /// for plain auto-commit reads).
-    pub fn latest(stamp: u64) -> ReadView {
+    pub(crate) fn latest(stamp: u64) -> ReadView {
         ReadView { snap: LATEST, stamp }
     }
 
@@ -130,12 +130,12 @@ fn same_key(ix: &Index, a: &Row, b: &Row) -> bool {
 
 impl TableData {
     /// Row by id as seen from `view`.
-    pub fn row_at(&self, rid: RowId, view: &ReadView) -> Option<&Row> {
+    pub(crate) fn row_at(&self, rid: RowId, view: &ReadView) -> Option<&Row> {
         self.slots.get(rid)?.iter().rev().find(|v| v.visible(view)).map(|v| &v.row)
     }
 
     /// Iterate `(row_id, row)` over rows visible to `view`.
-    pub fn iter_at(&self, view: ReadView) -> impl Iterator<Item = (RowId, &Row)> {
+    pub(crate) fn iter_at(&self, view: ReadView) -> impl Iterator<Item = (RowId, &Row)> {
         self.slots.iter().enumerate().filter_map(move |(rid, slot)| {
             slot.iter().rev().find(|v| v.visible(&view)).map(|v| (rid, &v.row))
         })
@@ -170,7 +170,8 @@ impl TableData {
     }
 
     /// Committed-dead versions awaiting vacuum.
-    pub fn garbage_versions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn garbage_versions(&self) -> usize {
         self.garbage
     }
 
@@ -184,7 +185,7 @@ impl TableData {
     }
 
     /// Find an index whose *first* column is `column` (prefix probe).
-    pub fn find_index_on(&self, column: &str) -> Option<&Index> {
+    pub(crate) fn find_index_on(&self, column: &str) -> Option<&Index> {
         self.indexes
             .iter()
             .find(|ix| ix.def.columns.first().is_some_and(|c| c.eq_ignore_ascii_case(column)))
@@ -271,7 +272,8 @@ impl Table {
     }
 
     /// Current number of live rows.
-    pub fn row_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn row_count(&self) -> usize {
         self.data.read().len()
     }
 
@@ -610,7 +612,7 @@ impl Table {
 
     /// Drop a secondary index by name. Indexes implied by the schema
     /// (primary key / UNIQUE) enforce constraints and cannot be dropped.
-    pub fn drop_index(&self, name: &str) -> DbResult<()> {
+    pub(crate) fn drop_index(&self, name: &str) -> DbResult<()> {
         let mut data = self.data.write();
         let pos = data
             .indexes

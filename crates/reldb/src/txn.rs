@@ -15,24 +15,22 @@
 //! (Section 1); `docs/CONSISTENCY.md` documents the isolation model.
 
 use crate::index::RowId;
-use crate::row::Row;
 
 /// One reversible data modification.
 #[derive(Debug, Clone)]
-pub enum UndoOp {
+pub(crate) enum UndoOp {
     /// A row was inserted; undo removes the created version.
     Insert { table: String, rid: RowId },
-    /// A row was deleted; undo re-opens the end-marked version. The old
-    /// image is retained for diagnostics (the version chain itself is the
-    /// source of truth for rollback).
-    Delete { table: String, rid: RowId, row: Row },
+    /// A row was deleted; undo re-opens the end-marked version (the
+    /// version chain is the source of truth for rollback).
+    Delete { table: String, rid: RowId },
     /// A row was updated; undo drops the new version and re-opens the old.
-    Update { table: String, rid: RowId, old: Row },
+    Update { table: String, rid: RowId },
 }
 
 impl UndoOp {
     /// Name of the table this operation touched.
-    pub fn table(&self) -> &str {
+    pub(crate) fn table(&self) -> &str {
         match self {
             UndoOp::Insert { table, .. }
             | UndoOp::Delete { table, .. }
@@ -41,7 +39,7 @@ impl UndoOp {
     }
 
     /// Row slot this operation touched.
-    pub fn rid(&self) -> RowId {
+    pub(crate) fn rid(&self) -> RowId {
         match self {
             UndoOp::Insert { rid, .. }
             | UndoOp::Delete { rid, .. }
@@ -51,42 +49,38 @@ impl UndoOp {
 
     /// True for operations that leave a dead version behind on commit
     /// (update/delete end-mark a version; insert does not).
-    pub fn creates_garbage(&self) -> bool {
+    pub(crate) fn creates_garbage(&self) -> bool {
         !matches!(self, UndoOp::Insert { .. })
     }
 }
 
 /// The undo log of an open transaction.
 #[derive(Debug, Default)]
-pub struct UndoLog {
+pub(crate) struct UndoLog {
     ops: Vec<UndoOp>,
 }
 
 impl UndoLog {
-    pub fn record(&mut self, op: UndoOp) {
+    pub(crate) fn record(&mut self, op: UndoOp) {
         self.ops.push(op);
     }
 
     /// Move every operation of `other` onto the end of this log.
-    pub fn append(&mut self, other: UndoLog) {
+    pub(crate) fn append(&mut self, other: UndoLog) {
         self.ops.extend(other.ops);
     }
 
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
 
     /// Operations in execution order (the commit path walks these forward).
-    pub fn ops(&self) -> &[UndoOp] {
+    pub(crate) fn ops(&self) -> &[UndoOp] {
         &self.ops
     }
 
     /// Drain operations in reverse (rollback) order.
-    pub fn drain_reverse(&mut self) -> Vec<UndoOp> {
+    pub(crate) fn drain_reverse(&mut self) -> Vec<UndoOp> {
         let mut ops = std::mem::take(&mut self.ops);
         ops.reverse();
         ops
@@ -96,13 +90,13 @@ impl UndoLog {
 /// State of an open multi-statement transaction: its write stamp and undo
 /// log. Which thread may use it is decided by adoption, not recorded here.
 #[derive(Debug)]
-pub struct TxnState {
+pub(crate) struct TxnState {
     pub stamp: u64,
     pub log: UndoLog,
 }
 
 impl TxnState {
-    pub fn new(stamp: u64) -> TxnState {
+    pub(crate) fn new(stamp: u64) -> TxnState {
         TxnState { stamp, log: UndoLog::default() }
     }
 }
@@ -110,14 +104,13 @@ impl TxnState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     #[test]
     fn drain_reverses_order() {
         let mut log = UndoLog::default();
         log.record(UndoOp::Insert { table: "t".into(), rid: 1 });
-        log.record(UndoOp::Delete { table: "t".into(), rid: 2, row: vec![Value::Bigint(1)] });
-        assert_eq!(log.len(), 2);
+        log.record(UndoOp::Delete { table: "t".into(), rid: 2 });
+        assert_eq!(log.ops().len(), 2);
         assert_eq!(log.ops()[0].table(), "t");
         assert_eq!(log.ops()[1].rid(), 2);
         let ops = log.drain_reverse();
@@ -129,7 +122,7 @@ mod tests {
     #[test]
     fn garbage_accounting_distinguishes_inserts() {
         assert!(!UndoOp::Insert { table: "t".into(), rid: 0 }.creates_garbage());
-        assert!(UndoOp::Delete { table: "t".into(), rid: 0, row: vec![] }.creates_garbage());
-        assert!(UndoOp::Update { table: "t".into(), rid: 0, old: vec![] }.creates_garbage());
+        assert!(UndoOp::Delete { table: "t".into(), rid: 0 }.creates_garbage());
+        assert!(UndoOp::Update { table: "t".into(), rid: 0 }.creates_garbage());
     }
 }

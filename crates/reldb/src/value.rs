@@ -37,7 +37,7 @@ impl DataType {
     }
 
     /// Canonical SQL name of the type.
-    pub fn sql_name(&self) -> &'static str {
+    pub(crate) fn sql_name(&self) -> &'static str {
         match self {
             DataType::Bigint => "BIGINT",
             DataType::Double => "DOUBLE",
@@ -82,7 +82,7 @@ impl Value {
     /// Coerce this value to the given column type, if a lossless or
     /// conventional SQL coercion exists (BIGINT -> DOUBLE, anything -> its
     /// own type, NULL -> NULL). Used when checking INSERT/UPDATE values.
-    pub fn coerce_to(&self, ty: DataType) -> DbResult<Value> {
+    pub(crate) fn coerce_to(&self, ty: DataType) -> DbResult<Value> {
         match (self, ty) {
             (Value::Null, _) => Ok(Value::Null),
             (Value::Bigint(v), DataType::Bigint) => Ok(Value::Bigint(*v)),
@@ -141,13 +141,13 @@ impl Value {
 
     /// SQL three-valued-logic equality: NULL compared to anything is unknown
     /// (`None`); numeric values compare across BIGINT/DOUBLE.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
+    pub(crate) fn sql_eq(&self, other: &Value) -> Option<bool> {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
     /// SQL comparison with NULL propagation and numeric cross-type support.
     /// Returns `None` when either side is NULL or the types are incomparable.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub(crate) fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Bigint(a), Value::Bigint(b)) => Some(a.cmp(b)),
@@ -166,7 +166,7 @@ impl Value {
     ///
     /// Two BIGINTs, the graph layer's ids, compare inline: every B-tree
     /// comparison of an index probe goes through here. Every other pair
-    /// takes the out-of-line [`Value::total_cmp_slow`].
+    /// takes the out-of-line `Value::total_cmp_slow`.
     #[inline]
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         match (self, other) {

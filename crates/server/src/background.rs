@@ -24,7 +24,7 @@ use db2graph_core::EventLog;
 
 /// Why a step runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pass {
+pub(crate) enum Pass {
     /// The task's scheduled time came.
     Tick,
     /// The scheduler is stopping: the task's last run. Its return value
@@ -35,7 +35,7 @@ pub enum Pass {
 type Step = Box<dyn FnMut(Pass) -> Option<Duration> + Send>;
 
 /// One row of the task table.
-pub struct Task {
+pub(crate) struct Task {
     name: &'static str,
     step: Step,
     /// When the next tick is due; `None` once the task has retired.
@@ -44,7 +44,7 @@ pub struct Task {
 
 impl Task {
     /// A task whose first tick is due `first` after the scheduler starts.
-    pub fn new(
+    pub(crate) fn new(
         name: &'static str,
         first: Duration,
         step: impl FnMut(Pass) -> Option<Duration> + Send + 'static,
@@ -66,14 +66,14 @@ impl Task {
 }
 
 /// A scheduler thread running a task table until stopped.
-pub struct Background {
+pub(crate) struct Background {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Background {
     /// Spawn a thread named `name` that runs `tasks`.
-    pub fn start(name: &str, tasks: Vec<Task>, events: Arc<EventLog>) -> Background {
+    pub(crate) fn start(name: &str, tasks: Vec<Task>, events: Arc<EventLog>) -> Background {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let handle = {
             let stop = stop.clone();
@@ -87,7 +87,7 @@ impl Background {
 
     /// Signal the thread, wait for every live task's final pass, and join
     /// it.
-    pub fn stop(mut self) {
+    pub(crate) fn stop(mut self) {
         self.stop_impl();
     }
 

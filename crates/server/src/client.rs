@@ -91,7 +91,7 @@ pub fn http_call_with_headers(
 
 /// [`http_call`] with a binary request body and the response body returned
 /// as raw bytes.
-pub fn http_call_bytes(
+pub(crate) fn http_call_bytes(
     addr: SocketAddr,
     method: &str,
     path: &str,
@@ -121,15 +121,6 @@ pub fn http_call_bytes_with_headers(
     stream.set_write_timeout(Some(timeout))?;
     write_request(&mut stream, addr, method, path, body, request_headers, true)?;
     read_one_response(&mut stream, deadline, method)
-}
-
-/// POST a Gremlin script to `/query` (the common case in tests/benches).
-pub fn post_query(
-    addr: SocketAddr,
-    gremlin: &str,
-    timeout: Duration,
-) -> std::io::Result<HttpResponse> {
-    http_call(addr, "POST", "/query", gremlin, timeout)
 }
 
 fn write_request(

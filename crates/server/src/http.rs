@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 /// Read-side failure classification; each variant maps to one status code.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The peer closed (or the idle keep-alive window lapsed) before
     /// sending a full request head; nothing to answer.
     Closed,
@@ -37,7 +37,7 @@ pub enum HttpError {
 }
 
 /// A parsed request: just enough surface for routing.
-pub struct Request {
+pub(crate) struct Request {
     pub method: String,
     pub path: String,
     /// Raw query string (without the `?`); empty when absent. The service
@@ -49,7 +49,7 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     pub body: Vec<u8>,
     /// Total bytes read off the wire (head + body), for ingress metering.
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// The negotiated connection disposition: `true` when this exchange
     /// must be the connection's last (HTTP/1.0 without `keep-alive`, or
     /// an explicit `Connection: close`).
@@ -59,7 +59,7 @@ pub struct Request {
 impl Request {
     /// The value of query parameter `name`, if present (no percent
     /// decoding — replication positions are plain integers).
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query.split('&').find_map(|kv| {
             let (k, v) = kv.split_once('=')?;
             (k == name).then_some(v)
@@ -67,7 +67,7 @@ impl Request {
     }
 
     /// The first header named `name` (case-insensitive), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
 }
@@ -115,7 +115,7 @@ fn connection_lists(value: &str, token: &str) -> bool {
 /// and any bytes past *this* request's body are left in `carry` for the
 /// next call — the keep-alive loop threads one buffer through the
 /// connection's lifetime. Pass an empty `Vec` for one-shot use.
-pub fn read_request(
+pub(crate) fn read_request(
     stream: &mut TcpStream,
     max_header_bytes: usize,
     max_body_bytes: usize,
@@ -280,7 +280,7 @@ fn reason(status: u16) -> &'static str {
 /// negotiated connection disposition (`close`), and extra response
 /// headers (e.g. the `X-Request-Id` correlation header — values must
 /// already be wire-safe: no CR/LF). Returns the bytes put on the wire.
-pub fn write_response_with(
+pub(crate) fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,

@@ -25,20 +25,31 @@
 //!   `completed == admitted`: zero dropped in-flight queries.
 //! * **One background thread.** The session reaper, MVCC vacuum and
 //!   checkpoints, and the SLO monitor are tasks in one scheduler's table
-//!   (see [`background`]); a follower's WAL apply loop is a second,
+//!   (see `background`); a follower's WAL apply loop is a second,
 //!   one-task scheduler. Their work reports through `/metrics`.
 //!
 //! See `docs/SERVER.md` for the endpoint reference and curl examples.
+//!
+//! ## API
+//!
+//! The server's own types ([`GraphServer`], [`ServerConfig`],
+//! [`ServerHandle`]) and the `pub use` lists below are the crate's whole
+//! API: every re-exported name is used by a test, an example or the
+//! benchmark, and the other modules are private. The workspace's
+//! `unreachable_pub` lint fails the build on a `pub` item nothing
+//! re-exports, so an item nothing outside uses is `pub(crate)` and
+//! `dead_code` sees when it goes unused. `gjson` stays a `pub mod`, because
+//! the benchmark names `db2graph_server::gjson::gvalue_to_json`.
 
-pub mod background;
-pub mod client;
+mod background;
+mod client;
 pub mod gjson;
-pub mod http;
-pub mod metrics;
-pub mod monitor;
-pub mod promtext;
-pub mod replica;
-pub mod session;
+mod http;
+mod metrics;
+mod monitor;
+mod promtext;
+mod replica;
+mod session;
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -56,15 +67,15 @@ use reldb::Database;
 use crate::background::{Background, Pass, Task};
 use crate::gjson::gvalue_to_json;
 use crate::http::{HttpError, Request};
-use crate::metrics::ServerMetrics;
-use crate::monitor::{Health, SloTargets};
-use crate::replica::ReplicaMetrics;
+use crate::monitor::Health;
 use crate::session::{SessionError, SessionManager};
 
 pub use crate::client::{
-    http_call, http_call_bytes, http_call_bytes_with_headers, http_call_with_headers, post_query,
-    HttpBytesResponse, HttpClient, HttpResponse,
+    http_call, http_call_bytes_with_headers, http_call_with_headers, HttpClient, HttpResponse,
 };
+pub use crate::metrics::ServerMetrics;
+pub use crate::monitor::SloTargets;
+pub use crate::replica::ReplicaMetrics;
 
 /// How long a keep-alive connection may sit idle between requests before
 /// the server closes it.

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use db2graph_core::json::Json;
-use db2graph_core::metrics::json_fields;
+use db2graph_core::json_fields;
 use db2graph_core::{HistogramSet, MetricKind, MetricRow};
 
 /// Key-set cap for the per-endpoint latency histograms: the endpoint
@@ -103,12 +103,12 @@ impl Default for EndpointHistograms {
 
 impl ServerMetrics {
     /// Record one served request's wall time against its endpoint path.
-    pub fn record_endpoint_latency(&self, endpoint: &str, nanos: u64) {
+    pub(crate) fn record_endpoint_latency(&self, endpoint: &str, nanos: u64) {
         self.endpoints.0.record(endpoint, nanos);
     }
 
     /// The per-endpoint latency histograms (path → log2 histogram).
-    pub fn endpoint_histograms(&self) -> &HistogramSet {
+    pub(crate) fn endpoint_histograms(&self) -> &HistogramSet {
         &self.endpoints.0
     }
 
@@ -121,7 +121,7 @@ impl ServerMetrics {
     /// clamped to `[1, 60]` seconds. Before any drain has been observed
     /// (cold start, or a fully wedged pool) the honest answer is "soon,
     /// try again": 1 second, rather than a fabricated larger number.
-    pub fn retry_after_secs(&self, queued: u64) -> u64 {
+    pub(crate) fn retry_after_secs(&self, queued: u64) -> u64 {
         self.retry_after_hints.add(1);
         let now = Instant::now();
         let completed = self.completed();
@@ -153,7 +153,7 @@ impl ServerMetrics {
 
     /// RAII in-flight gauge increment; decrements on drop so early
     /// returns and write failures can't leak the gauge.
-    pub fn enter(&self) -> InFlight<'_> {
+    pub(crate) fn enter(&self) -> InFlight<'_> {
         self.in_flight.add(1);
         InFlight { metrics: self }
     }
@@ -178,7 +178,7 @@ impl ServerMetrics {
 }
 
 /// See [`ServerMetrics::enter`].
-pub struct InFlight<'a> {
+pub(crate) struct InFlight<'a> {
     metrics: &'a ServerMetrics,
 }
 

@@ -59,15 +59,15 @@ impl SloTargets {
 
 /// The published verdict `/readyz` serves.
 #[derive(Debug, Clone, Default)]
-pub struct Health {
+pub(crate) struct Health {
     pub degraded: bool,
     /// One human-readable line per violated SLO, each naming the knob
     /// (e.g. `DB2GRAPH_SLO_P99_MS: /query p99 42.3ms > 5ms`).
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
 }
 
 impl Health {
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj(vec![
             ("status", Json::str(if self.degraded { "degraded" } else { "ready" })),
             (

@@ -128,7 +128,7 @@ fn push_histogram_set(out: &mut String, name: &str, label: &str, set: &Histogram
 /// JSON form serves, so the two formats can never disagree on a value's
 /// name or meaning, plus the full histograms.
 #[allow(clippy::too_many_arguments)]
-pub fn render(
+pub(crate) fn render(
     graph: &MetricsSnapshot,
     registry: &MetricsRegistry,
     server: &ServerMetrics,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use db2graph_core::json::Json;
-use db2graph_core::metrics::json_fields;
+use db2graph_core::json_fields;
 use db2graph_core::EventLog;
 use reldb::{Database, WalTail};
 
@@ -36,13 +36,13 @@ use crate::background::{Pass, Task};
 use crate::client::http_call_bytes;
 
 /// Preamble magic of a `GET /wal` response body.
-pub const SHIP_MAGIC: &[u8; 8] = b"D2GSHIP1";
+pub(crate) const SHIP_MAGIC: &[u8; 8] = b"D2GSHIP1";
 /// Preamble length: magic + from_seq + records + primary_next_seq.
-pub const SHIP_HEADER_LEN: usize = 32;
+pub(crate) const SHIP_HEADER_LEN: usize = 32;
 
 /// Cap on frame bytes per `/wal` response; a far-behind follower catches
 /// up over multiple polls instead of one giant body.
-pub const MAX_SHIP_BYTES: usize = 4 << 20;
+pub(crate) const MAX_SHIP_BYTES: usize = 4 << 20;
 
 db2graph_core::metric_table! {
     /// Gauges and counters for the replication section of `/metrics`.
@@ -76,7 +76,7 @@ impl ReplicaMetrics {
 // ------------------------------------------------------------ wire codec
 
 /// Encode a primary-side [`WalTail`] as a `/wal` response body.
-pub fn encode_ship(tail: &WalTail) -> Vec<u8> {
+pub(crate) fn encode_ship(tail: &WalTail) -> Vec<u8> {
     let mut out = Vec::with_capacity(SHIP_HEADER_LEN + tail.frames.len());
     out.extend_from_slice(SHIP_MAGIC);
     out.extend_from_slice(&tail.from_seq.to_le_bytes());
@@ -88,9 +88,8 @@ pub fn encode_ship(tail: &WalTail) -> Vec<u8> {
 
 /// A decoded `/wal` response body.
 #[derive(Debug)]
-pub struct ShippedBatch {
+pub(crate) struct ShippedBatch {
     pub from_seq: u64,
-    pub records: u64,
     pub primary_next_seq: u64,
     pub frames: Vec<u8>,
 }
@@ -98,14 +97,15 @@ pub struct ShippedBatch {
 /// Decode a `/wal` response body, validating the preamble. Frame-level
 /// validation (CRC, strict decode) happens in
 /// [`reldb::Database::apply_wal_frames`].
-pub fn decode_ship(body: &[u8]) -> Result<ShippedBatch, String> {
+pub(crate) fn decode_ship(body: &[u8]) -> Result<ShippedBatch, String> {
     if body.len() < SHIP_HEADER_LEN || &body[..8] != SHIP_MAGIC {
         return Err("shipped wal batch has a corrupt preamble".into());
     }
     let u64_at = |off: usize| u64::from_le_bytes(body[off..off + 8].try_into().unwrap());
     Ok(ShippedBatch {
+        // Bytes 16..24 carry the batch's record count, which the
+        // follower does not need: it applies whatever frames follow.
         from_seq: u64_at(8),
-        records: u64_at(16),
         primary_next_seq: u64_at(24),
         frames: body[SHIP_HEADER_LEN..].to_vec(),
     })
@@ -115,7 +115,7 @@ pub fn decode_ship(body: &[u8]) -> Result<ShippedBatch, String> {
 
 /// What one replication round-trip accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
+pub(crate) enum StepOutcome {
     /// Applied `records` WAL records; `lag` remained behind the primary.
     Applied { records: u64, lag: u64 },
     /// Installed a checkpoint image after the primary reported our
@@ -126,7 +126,7 @@ pub enum StepOutcome {
 /// A replication step failure, split by whether backing off and retrying
 /// can help.
 #[derive(Debug)]
-pub enum StepError {
+pub(crate) enum StepError {
     /// Transport-level failure: primary down, unreachable, or the
     /// response was truncated. Retry with backoff.
     Transport(String),
@@ -173,7 +173,7 @@ fn bootstrap(db: &Database, primary: &str, timeout: Duration) -> Result<(), Step
 
 /// One replication round-trip: tail the primary's WAL at our position and
 /// apply what arrives, falling back to a checkpoint bootstrap on 410.
-pub fn replicate_step(
+pub(crate) fn replicate_step(
     db: &Database,
     primary: &str,
     timeout: Duration,
@@ -219,7 +219,7 @@ pub fn replicate_step(
 /// until `deadline` elapses. Use this to bootstrap a follower *before*
 /// constructing the graph overlay, so the overlay reads a populated
 /// catalog.
-pub fn sync_once(
+pub(crate) fn sync_once(
     db: &Database,
     primary: &str,
     timeout: Duration,
@@ -352,8 +352,8 @@ mod tests {
         let body = encode_ship(&tail);
         let batch = decode_ship(&body).unwrap();
         assert_eq!(
-            (batch.from_seq, batch.records, batch.primary_next_seq, batch.frames.as_slice()),
-            (7, 2, 12, &[1u8, 2, 3, 4][..])
+            (batch.from_seq, batch.primary_next_seq, batch.frames.as_slice()),
+            (7, 12, &[1u8, 2, 3, 4][..])
         );
         assert!(decode_ship(&body[..SHIP_HEADER_LEN - 1]).is_err());
         assert!(decode_ship(b"NOTMAGIC________________________").is_err());

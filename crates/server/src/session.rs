@@ -27,7 +27,7 @@ use crate::Shared;
 /// Why a session operation could not run; the router maps these to
 /// status codes (`Unknown` → 404, `Busy` → 409).
 #[derive(Debug)]
-pub enum SessionError {
+pub(crate) enum SessionError {
     /// No such session id: never begun, or already ended by commit,
     /// rollback, or the reaper.
     Unknown,
@@ -49,7 +49,7 @@ struct SessionEntry {
 }
 
 /// The id → transaction registry, owned by [`crate::Shared`].
-pub struct SessionManager {
+pub(crate) struct SessionManager {
     sessions: Mutex<HashMap<String, SessionEntry>>,
     idle: Duration,
     /// Suffix for minted session ids.
@@ -60,7 +60,7 @@ pub struct SessionManager {
 }
 
 impl SessionManager {
-    pub fn new(idle: Duration, epoch: u64) -> SessionManager {
+    pub(crate) fn new(idle: Duration, epoch: u64) -> SessionManager {
         SessionManager { sessions: Mutex::new(HashMap::new()), idle, seq: AtomicU64::new(0), epoch }
     }
 
@@ -70,7 +70,7 @@ impl SessionManager {
 
     /// Begin a session: open a reldb session transaction and bind a fresh
     /// id to it.
-    pub fn begin(&self, db: &Database) -> String {
+    pub(crate) fn begin(&self, db: &Database) -> String {
         let token = db.begin_session_txn();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let id = format!("s-{:x}-{seq}", self.epoch);
@@ -106,7 +106,7 @@ impl SessionManager {
 
     /// Run `f` inside session `id`'s transaction: its statements read the
     /// session's uncommitted writes and write into its undo log.
-    pub fn with<T>(
+    pub(crate) fn with<T>(
         &self,
         id: &str,
         db: &Database,
@@ -139,7 +139,7 @@ impl SessionManager {
     /// its transaction. The entry is removed first — under the registry
     /// lock, refusing busy sessions — so two racing enders cannot both
     /// settle one transaction.
-    pub fn end(
+    pub(crate) fn end(
         &self,
         id: &str,
         db: &Database,
@@ -156,16 +156,11 @@ impl SessionManager {
         Ok(if commit { db.commit_session_txn(token) } else { db.rollback_session_txn(token) })
     }
 
-    /// Sessions currently registered (busy or idle).
-    pub fn open(&self) -> usize {
-        self.lock().len()
-    }
-
     /// Roll back every non-busy session idle past the deadline — or, on
     /// the final shutdown pass (`everything`), all of them — returning the
     /// reaped ids. Busy sessions are skipped, not waited for: the request
     /// inside refreshes `last_used` when it finishes.
-    pub fn reap(&self, db: &Database, everything: bool) -> Vec<String> {
+    pub(crate) fn reap(&self, db: &Database, everything: bool) -> Vec<String> {
         let victims: Vec<(String, u64)> = {
             let mut map = self.lock();
             let ids: Vec<String> = map

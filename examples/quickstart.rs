@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use db2graph::core::config::healthcare_example_json;
+use db2graph::core::healthcare_example_json;
 use db2graph::core::Db2Graph;
 use db2graph::reldb::Database;
 

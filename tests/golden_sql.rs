@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use db2graph_core::config::healthcare_example_json;
+use db2graph_core::healthcare_example_json;
 use db2graph_core::Db2Graph;
 use reldb::Database;
 

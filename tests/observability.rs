@@ -22,9 +22,9 @@ use std::time::Duration;
 use db2graph::core::json::Json;
 use db2graph::core::{Db2Graph, GraphOptions, MetricsSnapshot, OverlayConfig, VTableConfig};
 use db2graph::reldb::Database;
-use db2graph::server::metrics::ServerMetrics;
-use db2graph::server::monitor::SloTargets;
-use db2graph::server::replica::ReplicaMetrics;
+use db2graph::server::ReplicaMetrics;
+use db2graph::server::ServerMetrics;
+use db2graph::server::SloTargets;
 use db2graph::server::{
     http_call, http_call_with_headers, GraphServer, ServerConfig, ServerHandle,
 };

@@ -10,7 +10,7 @@ use db2graph::core::{
     Db2Graph, ETableConfig, GraphOptions, OverlayConfig, ProfileReport, TableAction, VTableConfig,
 };
 use db2graph::gremlin::GValue;
-use db2graph::linkbench::queries::get_node;
+use db2graph::linkbench::get_node;
 use db2graph::linkbench::{
     generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,
 };

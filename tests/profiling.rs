@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use db2graph_core::config::healthcare_example_json;
+use db2graph_core::healthcare_example_json;
 use db2graph_core::{Db2Graph, GraphOptions, OverlayConfig, TableAction, TablePlan};
 use gremlin::GValue;
 use reldb::Database;

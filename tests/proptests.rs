@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use db2graph::core::ids::IdDef;
+use db2graph::core::IdDef;
 use db2graph::core::{generate_overlay, Db2Graph, GraphOptions, StrategyConfig};
 use db2graph::gremlin::{ElementId, GValue};
 use db2graph::reldb::{ColumnDef, DataType, Database, DbResult, RowSet, TableSchema, Value};
@@ -147,7 +147,7 @@ proptest! {
 
     #[test]
     fn implicit_edge_id_splits_on_label(src in 1i64..10000, dst in 1i64..10000, label in "[a-zA-Z]{1,10}") {
-        use db2graph::core::ids::{implicit_edge_id, split_implicit_edge_id};
+        use db2graph::core::{implicit_edge_id, split_implicit_edge_id};
         let id = implicit_edge_id(&ElementId::Long(src), &label, &ElementId::Long(dst));
         let (s, d) = split_implicit_edge_id(&id, &label).expect("splits on its own label");
         prop_assert_eq!(s, src.to_string());
@@ -530,7 +530,7 @@ proptest! {
     #[test]
     fn like_matches_oracle(s in "[ab%_]{0,8}", p in "[ab%_]{0,6}") {
         prop_assert_eq!(
-            db2graph::reldb::sql::eval::like_match(&s, &p),
+            db2graph::reldb::like_match(&s, &p),
             like_oracle(&s, &p),
             "s={:?} p={:?}", s, p
         );
@@ -773,7 +773,7 @@ proptest! {
     fn overlay_matches_memory_oracle((verts, edges) in arb_graph_rows(), probe in 0i64..20) {
         use db2graph::gremlin::memgraph::MemGraph;
         use db2graph::gremlin::{ScriptRunner, Vertex, Edge};
-        use db2graph::gremlin::strategy::{IdentityRemoval, StrategyRegistry};
+        use db2graph::gremlin::{IdentityRemoval, StrategyRegistry};
 
         let db = Arc::new(Database::new());
         db.execute("CREATE TABLE vs (id BIGINT PRIMARY KEY, vlabel VARCHAR, w BIGINT)").unwrap();
