@@ -45,13 +45,13 @@ pub const DEFAULT_ROTATE_BYTES: u64 = 8 * 1024 * 1024;
 #[derive(Debug, Clone)]
 pub struct Event {
     /// Monotonic sequence number, 1-based, assigned at emission.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Wall-clock milliseconds since the Unix epoch.
-    pub unix_millis: u64,
+    pub(crate) unix_millis: u64,
     /// Event kind, e.g. `request_completed`, `checkpoint_end`.
     pub kind: String,
     /// Kind-specific payload.
-    pub fields: Vec<(String, Json)>,
+    pub(crate) fields: Vec<(String, Json)>,
 }
 
 impl Event {
@@ -128,7 +128,7 @@ impl EventLog {
     }
 
     /// In-memory-only log retaining the newest `capacity` events.
-    pub fn with_capacity(capacity: usize) -> EventLog {
+    pub(crate) fn with_capacity(capacity: usize) -> EventLog {
         let capacity = capacity.max(1);
         EventLog {
             ring: Mutex::new(Ring {
@@ -189,7 +189,7 @@ impl EventLog {
     }
 
     /// Newest sequence number emitted so far (0 before the first event).
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.ring.lock().unwrap().next_seq - 1
     }
 

@@ -95,14 +95,12 @@ pub use events::{
     drain_config_warnings, lookup_knob, ConfigWarning, EventLog, DEFAULT_ROTATE_BYTES,
 };
 pub use graph::{Db2Graph, GraphOptions, RunRequest};
-
 pub use ids::{implicit_edge_id, split_implicit_edge_id, IdDef};
 pub use metrics::{
     json_fields, HistogramSet, MetricsRegistry, MetricsSnapshot, ProfileReport, TableAction,
     TablePlan,
 };
 pub use reldb::{metric_table, Histogram, HistogramSnapshot, MetricKind, MetricRow};
-
 pub use strategies::StrategyConfig;
 pub use topology::Topology;
 pub use trace::Span;

@@ -50,8 +50,8 @@ pub(crate) const DEFAULT_HISTOGRAM_KEYS: usize = 256;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrategyRewrite {
     pub strategy: String,
-    pub before: String,
-    pub after: String,
+    pub(crate) before: String,
+    pub(crate) after: String,
 }
 
 /// Execution of one top-level plan step.
@@ -328,13 +328,13 @@ pub struct ProfileReport {
     pub statements: Vec<SqlStatementProfile>,
     /// Prepared templates evicted from the dialect cache during this query
     /// (field name matches [`MetricsSnapshot::template_evictions`]).
-    pub template_evictions: u64,
+    pub(crate) template_evictions: u64,
     /// Cached templates re-prepared after DDL during this query (field name
     /// matches [`MetricsSnapshot::template_invalidations`]).
-    pub template_invalidations: u64,
+    pub(crate) template_invalidations: u64,
     /// Workload patterns evicted during this query (field name matches
     /// [`MetricsSnapshot::pattern_evictions`]).
-    pub pattern_evictions: u64,
+    pub(crate) pattern_evictions: u64,
 }
 
 /// The step *kind* of a step description — the prefix up to the first
@@ -809,8 +809,8 @@ impl HistogramSet {
 /// admission sequence, and the full per-query [`ProfileReport`].
 #[derive(Debug, Clone)]
 pub struct SlowQueryEntry {
-    pub seq: u64,
-    pub gremlin: String,
+    pub(crate) seq: u64,
+    pub(crate) gremlin: String,
     pub wall_nanos: u64,
     pub report: ProfileReport,
     /// The serving layer's correlation id, when the query arrived over
@@ -1080,7 +1080,7 @@ impl MetricsRegistry {
 
     /// Full latency breakdown: aggregate query/SQL histograms plus the
     /// per-template and per-step-kind keyed histograms.
-    pub fn histogram_report(&self) -> Json {
+    pub(crate) fn histogram_report(&self) -> Json {
         Json::obj(vec![
             ("query_latency", histogram_json(&self.query_latency)),
             ("sql_latency", histogram_json(&self.sql_latency)),
@@ -1090,7 +1090,7 @@ impl MetricsRegistry {
     }
 
     /// Every slot, plus the latency percentiles read from the histograms.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.load();
         (snap.query_p50_nanos, snap.query_p90_nanos, snap.query_p99_nanos) =
             self.query_latency.percentiles();

@@ -47,7 +47,7 @@ pub struct IndexSuggestion {
     pub table: String,
     pub columns: Vec<String>,
     /// How many statements matched the driving pattern.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Cumulative observed statement wall time for the pattern, in nanos.
     pub(crate) observed_nanos: u64,
 }
@@ -60,7 +60,7 @@ pub(crate) type PatternKey = (String, Vec<String>);
 pub(crate) struct WorkloadPattern {
     pub table: String,
     pub columns: Vec<String>,
-    pub count: u64,
+    pub(crate) count: u64,
     pub(crate) observed_nanos: u64,
 }
 
@@ -69,7 +69,7 @@ pub(crate) struct WorkloadPattern {
 #[derive(Debug, Clone, Default)]
 pub struct WorkloadReport {
     pub(crate) patterns: Vec<WorkloadPattern>,
-    pub suggestions: Vec<IndexSuggestion>,
+    pub(crate) suggestions: Vec<IndexSuggestion>,
 }
 
 impl WorkloadReport {
@@ -377,7 +377,7 @@ impl SqlDialect {
 
     /// The advisor's full view of the workload: cost-sorted pattern stats
     /// plus the ranked index suggestions.
-    pub fn workload_report(&self) -> WorkloadReport {
+    pub(crate) fn workload_report(&self) -> WorkloadReport {
         let patterns = self
             .pattern_stats()
             .into_iter()

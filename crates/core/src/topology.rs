@@ -43,7 +43,7 @@ pub struct OverlayTable {
     pub provenance: Arc<str>,
     /// `properties` sorted and deduplicated: the key list every element
     /// read with all its properties shares.
-    pub keys: Arc<[Arc<str>]>,
+    pub(crate) keys: Arc<[Arc<str>]>,
 }
 
 /// A resolved vertex table mapping.
@@ -89,10 +89,6 @@ impl OverlayTable {
 
     pub(crate) fn column_type(&self, name: &str) -> Option<DataType> {
         self.columns.iter().find(|(c, _)| c.eq_ignore_ascii_case(name)).and_then(|(_, t)| *t)
-    }
-
-    pub fn has_column(&self, name: &str) -> bool {
-        self.columns.iter().any(|(c, _)| c.eq_ignore_ascii_case(name))
     }
 
     pub(crate) fn has_property(&self, name: &str) -> bool {

@@ -62,14 +62,14 @@ pub(crate) enum SpanData {
 #[derive(Debug, Clone)]
 pub struct Span {
     pub name: String,
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Start time in nanoseconds since the tree's epoch.
-    pub start_nanos: u64,
-    pub dur_nanos: u64,
+    pub(crate) start_nanos: u64,
+    pub(crate) dur_nanos: u64,
     /// Virtual track: 0 for the coordinator, a per-fork number for spans
     /// absorbed from a worker fork. Assigned in absorb order, so it is
     /// deterministic across thread counts.
-    pub track: u32,
+    pub(crate) track: u32,
     pub(crate) data: SpanData,
 }
 
@@ -90,7 +90,7 @@ impl Span {
     /// Step frontier sizes and `template_hit` stay out: racing workers
     /// may both miss the same template, so hit/miss is not deterministic
     /// across thread counts, and trace structure must be.
-    pub fn attrs(&self) -> Vec<(&'static str, String)> {
+    pub(crate) fn attrs(&self) -> Vec<(&'static str, String)> {
         match &self.data {
             SpanData::Query { gremlin, request_id } => {
                 let mut attrs = vec![("gremlin", gremlin.clone())];
@@ -232,8 +232,8 @@ impl SpanTree {
 #[derive(Debug, Clone)]
 pub(crate) struct TracedSpan {
     pub id: u64,
-    pub parent: Option<u64>,
-    pub span: Span,
+    pub(crate) parent: Option<u64>,
+    pub(crate) span: Span,
 }
 
 struct SinkInner {
@@ -254,17 +254,13 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    pub fn new(capacity: usize) -> TraceSink {
+    pub(crate) fn new(capacity: usize) -> TraceSink {
         TraceSink {
             capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
             total: AtomicU64::new(0),
             inner: Mutex::new(SinkInner { buf: VecDeque::new(), next_id: 0 }),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Spans dropped because the ring wrapped.
@@ -278,11 +274,12 @@ impl TraceSink {
     }
 
     /// Spans currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().buf.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

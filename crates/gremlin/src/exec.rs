@@ -35,7 +35,7 @@ impl SideEffects {
 pub(crate) struct Traverser {
     pub value: GValue,
     /// Visited objects, populated only when the traversal needs paths.
-    pub path: Vec<GValue>,
+    pub(crate) path: Vec<GValue>,
     /// `as(...)` labels.
     pub labels: HashMap<String, GValue>,
     /// Id of the vertex this traverser's current edge was reached from

@@ -73,7 +73,6 @@ pub use backend::{
 };
 pub use compile::{compile, VarEnv};
 pub use error::{GResult, GremlinError};
-
 pub use observe::TraversalObserver;
 pub use script::ScriptRunner;
 pub use step::{CompareOp, EdgeVertexStep, FilterSpec, GraphStep, Step, Traversal, VertexStep};

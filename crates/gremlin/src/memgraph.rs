@@ -51,11 +51,13 @@ impl MemGraph {
         inner.edges.insert(e.id.clone(), e);
     }
 
-    pub fn vertex_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vertex_count(&self) -> usize {
         self.inner.read().unwrap().vertices.len()
     }
 
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.inner.read().unwrap().edges.len()
     }
 }

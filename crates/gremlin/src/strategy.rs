@@ -43,12 +43,8 @@ impl StrategyRegistry {
         self.strategies.push(s);
     }
 
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         self.strategies.iter().map(|s| s.name()).collect()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.strategies.is_empty()
     }
 
     /// Apply all strategies to the traversal and, recursively, to every

@@ -81,7 +81,8 @@ impl Properties {
         self.values[self.slot(key).ok()?].as_ref()
     }
 
-    pub fn contains_key(&self, key: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 
@@ -113,7 +114,8 @@ impl Properties {
     }
 
     /// Unset `key`, returning its value. The shared key list is kept.
-    pub fn remove(&mut self, key: &str) -> Option<GValue> {
+    #[cfg(test)]
+    pub(crate) fn remove(&mut self, key: &str) -> Option<GValue> {
         let i = self.slot(key).ok()?;
         self.values[i].take()
     }
@@ -267,7 +269,8 @@ impl Element {
         }
     }
 
-    pub fn is_vertex(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_vertex(&self) -> bool {
         matches!(self, Element::Vertex(_))
     }
 }
@@ -305,7 +308,7 @@ impl GValue {
     }
 
     /// Numeric view (Long and Double only).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             GValue::Long(v) => Some(*v as f64),
             GValue::Double(v) => Some(*v),

@@ -18,23 +18,25 @@ pub struct KvStore {
 }
 
 impl KvStore {
-    pub fn new() -> KvStore {
+    pub(crate) fn new() -> KvStore {
         KvStore::default()
     }
 
-    pub fn put(&self, key: Vec<u8>, value: Vec<u8>) {
+    pub(crate) fn put(&self, key: Vec<u8>, value: Vec<u8>) {
         self.map.write().insert(key, value);
     }
 
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+    pub(crate) fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.map.read().get(key).cloned()
     }
 
-    pub fn delete(&self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn delete(&self, key: &[u8]) -> bool {
         self.map.write().remove(key).is_some()
     }
 
-    pub fn contains(&self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, key: &[u8]) -> bool {
         self.map.read().contains_key(key)
     }
 

@@ -34,6 +34,5 @@ mod loader;
 mod native;
 
 pub use janus::{JanusLikeDb, JanusLoader};
-
 pub use loader::{export_graph, load_janus, load_native, open_native, LoadReport};
 pub use native::{NativeGraphDb, NativeLoader};

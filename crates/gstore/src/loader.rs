@@ -22,11 +22,13 @@ pub struct ExportedGraph {
 }
 
 impl ExportedGraph {
-    pub fn vertex_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vertex_count(&self) -> usize {
         self.vertices.len()
     }
 
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.len()
     }
 }
@@ -139,12 +141,6 @@ pub struct LoadReport {
     pub load: Duration,
     pub open: Duration,
     pub storage_bytes: usize,
-}
-
-impl LoadReport {
-    pub fn total(&self) -> Duration {
-        self.export + self.load + self.open
-    }
 }
 
 #[cfg(test)]

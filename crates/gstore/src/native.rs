@@ -38,15 +38,15 @@ use crate::codec::{self, Cursor};
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AdjEntry {
     pub label: u32,
-    pub other: ElementId,
+    pub(crate) other: ElementId,
     pub(crate) edge_slot: u64,
 }
 
 /// A deserialized vertex record: the vertex plus label-grouped adjacency.
 #[derive(Debug, Clone)]
 pub(crate) struct VertexRec {
-    pub vertex: Vertex,
-    pub out: Vec<AdjEntry>,
+    pub(crate) vertex: Vertex,
+    pub(crate) out: Vec<AdjEntry>,
     pub(crate) inc: Vec<AdjEntry>,
 }
 
@@ -229,11 +229,13 @@ impl NativeLoader {
 }
 
 impl NativeGraphDb {
-    pub fn vertex_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn vertex_count(&self) -> usize {
         self.vertex_slots.len()
     }
 
-    pub fn edge_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn edge_count(&self) -> usize {
         self.edge_slots.len()
     }
 

@@ -83,7 +83,7 @@ pub struct LinkData {
 pub struct GraphData {
     pub nodes: Vec<NodeData>,
     pub links: Vec<LinkData>,
-    pub config: LinkBenchConfig,
+    pub(crate) config: LinkBenchConfig,
 }
 
 /// Table 2 statistics for a dataset.

@@ -27,12 +27,12 @@ const CKPT_MAGIC: &[u8; 8] = b"D2GCKPT1";
 /// Everything a checkpoint persists.
 pub(crate) struct CheckpointImage {
     /// Snapshot horizon the table data was serialized at.
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// First WAL sequence number *not* covered by this checkpoint.
     pub(crate) wal_seq: u64,
     pub tables: Vec<TableImage>,
     /// Views as `(name, select_sql)`, re-parsed on load.
-    pub views: Vec<(String, String)>,
+    pub(crate) views: Vec<(String, String)>,
 }
 
 pub(crate) struct TableImage {
@@ -42,7 +42,7 @@ pub(crate) struct TableImage {
     pub(crate) secondary: Vec<IndexDef>,
     /// Slot-array length at capture, so recovered row ids keep their
     /// positions (fresh inserts after recovery reuse the gaps).
-    pub slots: u64,
+    pub(crate) slots: u64,
     /// `(rid, begin_epoch, row)` for every version visible at `epoch`.
     pub rows: Vec<(RowId, u64, Row)>,
 }

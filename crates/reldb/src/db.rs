@@ -1497,12 +1497,6 @@ impl Database {
         Ok(rid)
     }
 
-    /// Convenience: insert by table name with values in schema order.
-    pub fn insert(&self, table: &str, row: Row) -> DbResult<usize> {
-        let t = self.require_table(table)?;
-        self.insert_row(&t, row)
-    }
-
     fn check_foreign_keys(&self, table: &Arc<Table>, row: &Row, view: ReadView) -> DbResult<()> {
         for fk in &table.schema.foreign_keys {
             let vals: Vec<Value> = fk

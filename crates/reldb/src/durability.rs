@@ -488,8 +488,8 @@ impl Wal {
 
 /// Everything the database shares with its WAL and checkpoint machinery.
 pub(crate) struct DurabilityState {
-    pub dir: PathBuf,
-    pub mode: Durability,
+    pub(crate) dir: PathBuf,
+    pub(crate) mode: Durability,
     /// Open in every mode. `Off` never appends, but checkpoints still
     /// capture the real file position and rotate it, so records an image
     /// already covers can never be replayed on top of it. `None` only in
@@ -506,7 +506,7 @@ pub(crate) struct DurabilityState {
     /// none): vacuum must not reclaim versions still visible at it.
     pub(crate) checkpoint_floor: AtomicU64,
     /// Snapshot epoch of the last completed checkpoint.
-    pub last_checkpoint_epoch: AtomicU64,
+    pub(crate) last_checkpoint_epoch: AtomicU64,
     /// Serializes whole checkpoints (capture → write → rotate).
     pub(crate) checkpoint_gate: Mutex<()>,
     /// Byte length of the WAL prefix known to be fsynced (updated after

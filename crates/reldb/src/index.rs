@@ -36,7 +36,7 @@ pub struct IndexDef {
 /// indexes keep a postings list of row ids per key.
 #[derive(Debug)]
 pub struct Index {
-    pub def: IndexDef,
+    pub(crate) def: IndexDef,
     /// Positions of the indexed columns within the table schema.
     pub(crate) col_positions: Vec<usize>,
     /// Created implicitly for a schema constraint (PRIMARY KEY / UNIQUE)
@@ -44,7 +44,7 @@ pub struct Index {
     /// schema on checkpoint restore, so checkpoints skip them — tracked
     /// as a flag, never inferred from the name, which a user index is
     /// free to collide with.
-    pub auto: bool,
+    pub(crate) auto: bool,
     map: Postings,
 }
 
@@ -56,7 +56,7 @@ enum Postings {
 }
 
 impl Index {
-    pub fn new(def: IndexDef, col_positions: Vec<usize>) -> Self {
+    pub(crate) fn new(def: IndexDef, col_positions: Vec<usize>) -> Self {
         let map = if col_positions.len() == 1 {
             Postings::Single(BTreeMap::new())
         } else {
@@ -72,7 +72,7 @@ impl Index {
 
     /// A fresh, empty index with the same definition and provenance —
     /// for rebuilds that re-insert every key from storage.
-    pub fn cleared(&self) -> Index {
+    pub(crate) fn cleared(&self) -> Index {
         Index { auto: self.auto, ..Self::new(self.def.clone(), self.col_positions.clone()) }
     }
 
@@ -104,7 +104,7 @@ impl Index {
     /// under versioned storage an entry may refer to a dead version, so
     /// only the table (which sees the version chains) can decide whether a
     /// key is genuinely taken — see `TableData::key_occupied`.
-    pub fn insert(&mut self, row: &Row, rid: RowId) {
+    pub(crate) fn insert(&mut self, row: &Row, rid: RowId) {
         self.postings_mut(row).push(rid);
     }
 
@@ -119,7 +119,7 @@ impl Index {
     }
 
     /// Remove a row's key posting.
-    pub fn remove(&mut self, row: &Row, rid: RowId) {
+    pub(crate) fn remove(&mut self, row: &Row, rid: RowId) {
         fn drop_rid<K: Ord>(m: &mut BTreeMap<K, Vec<RowId>>, key: K, rid: RowId) {
             if let Some(entry) = m.get_mut(&key) {
                 entry.retain(|&r| r != rid);
@@ -205,15 +205,12 @@ impl Index {
     }
 
     /// Number of distinct keys currently indexed.
+    #[cfg(test)]
     pub(crate) fn distinct_keys(&self) -> usize {
         match &self.map {
             Postings::Single(m) => m.len(),
             Postings::Composite(m) => m.len(),
         }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.distinct_keys() == 0
     }
 }
 

@@ -202,7 +202,8 @@ impl Histogram {
     }
 
     /// The `q`-quantile; see [`HistogramSnapshot::percentile`].
-    pub fn percentile(&self, q: f64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn percentile(&self, q: f64) -> u64 {
         self.snapshot().percentile(q)
     }
 
@@ -231,7 +232,7 @@ impl Default for HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Values recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.iter().sum()
     }
 
@@ -262,7 +263,7 @@ impl HistogramSnapshot {
     /// including the highest non-empty bucket — the shape a Prometheus
     /// `le`-bucket exposition needs (the caller appends `+Inf`). Empty
     /// histograms yield no pairs.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let Some(last) = self.0.iter().rposition(|&c| c > 0) else { return Vec::new() };
         let mut running = 0u64;
         self.0[..=last]

@@ -34,7 +34,7 @@ pub struct Prepared {
 
 impl Prepared {
     /// Parse and prepare a statement.
-    pub fn new(sql: &str) -> DbResult<Prepared> {
+    pub(crate) fn new(sql: &str) -> DbResult<Prepared> {
         let stmt = parse_statement(sql)?;
         let param_count = count_params(&stmt);
         Ok(Prepared {
@@ -50,11 +50,6 @@ impl Prepared {
     pub(crate) fn with_generation(mut self, generation: u64) -> Prepared {
         self.generation = generation;
         self
-    }
-
-    /// The catalog generation this statement was stamped with.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// True when the statement was stamped under an older catalog

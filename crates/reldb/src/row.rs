@@ -21,10 +21,6 @@ pub struct RowSet {
 }
 
 impl RowSet {
-    pub fn new(columns: Vec<String>) -> Self {
-        RowSet { columns, rows: Vec::new() }
-    }
-
     pub fn with_rows(columns: Vec<String>, rows: Vec<Row>) -> Self {
         RowSet { columns, rows }
     }
@@ -122,7 +118,7 @@ mod tests {
     fn scalar_returns_first_cell() {
         let rs = RowSet::with_rows(vec!["c".into()], vec![vec![Value::Bigint(42)]]);
         assert_eq!(rs.scalar(), Some(&Value::Bigint(42)));
-        assert_eq!(RowSet::new(vec!["c".into()]).scalar(), None);
+        assert_eq!(RowSet::with_rows(vec!["c".into()], Vec::new()).scalar(), None);
     }
 
     #[test]

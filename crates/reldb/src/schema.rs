@@ -92,7 +92,8 @@ impl TableSchema {
         })
     }
 
-    pub fn column(&self, name: &str) -> Option<&ColumnDef> {
+    #[cfg(test)]
+    pub(crate) fn column(&self, name: &str) -> Option<&ColumnDef> {
         self.column_index(name).map(|i| &self.columns[i])
     }
 

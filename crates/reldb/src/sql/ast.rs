@@ -56,15 +56,15 @@ pub(crate) enum Stmt {
 /// A SELECT query.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct SelectStmt {
-    pub distinct: bool,
-    pub items: Vec<SelectItem>,
+    pub(crate) distinct: bool,
+    pub(crate) items: Vec<SelectItem>,
     /// Comma-separated FROM items; each may carry its own JOIN chain.
-    pub from: Vec<FromItem>,
+    pub(crate) from: Vec<FromItem>,
     pub(crate) where_clause: Option<Expr>,
     pub(crate) group_by: Vec<Expr>,
     pub(crate) having: Option<Expr>,
     pub(crate) order_by: Vec<OrderItem>,
-    pub limit: Option<u64>,
+    pub(crate) limit: Option<u64>,
 }
 
 /// One projection item.
@@ -81,15 +81,15 @@ pub(crate) enum SelectItem {
 /// One FROM item: a source plus zero or more JOINs hanging off it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FromItem {
-    pub source: TableSource,
-    pub joins: Vec<Join>,
+    pub(crate) source: TableSource,
+    pub(crate) joins: Vec<Join>,
 }
 
 /// An explicit `[INNER|LEFT] JOIN <source> ON <expr>`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Join {
-    pub source: TableSource,
-    pub on: Expr,
+    pub(crate) source: TableSource,
+    pub(crate) on: Expr,
     pub(crate) left_outer: bool,
 }
 
@@ -120,7 +120,7 @@ impl TableSource {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct OrderItem {
     pub(crate) expr: Expr,
-    pub desc: bool,
+    pub(crate) desc: bool,
 }
 
 /// Binary operators, in SQL semantics.

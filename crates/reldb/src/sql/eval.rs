@@ -212,8 +212,8 @@ impl Compiled<'_> {
 
 /// Evaluation environment: a row laid out against a column list.
 pub(crate) struct RowEnv<'a> {
-    pub cols: &'a [ColRef],
-    pub row: &'a Row,
+    pub(crate) cols: &'a [ColRef],
+    pub(crate) row: &'a Row,
 }
 
 /// Evaluate a scalar expression once against a row. Code that evaluates one

@@ -44,9 +44,9 @@ pub(crate) const LATEST: u64 = TXN_BIT - 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ReadView {
     /// Highest commit epoch visible to this view.
-    pub snap: u64,
+    pub(crate) snap: u64,
     /// Stamp of the transaction whose uncommitted writes are visible.
-    pub stamp: u64,
+    pub(crate) stamp: u64,
 }
 
 impl ReadView {
@@ -143,29 +143,27 @@ impl TableData {
 
     /// Row by id, if the slot has a current (not deleted or superseded)
     /// version — the write path's view of the table.
-    pub fn row(&self, rid: RowId) -> Option<&Row> {
+    #[cfg(test)]
+    pub(crate) fn row(&self, rid: RowId) -> Option<&Row> {
         self.slots.get(rid)?.iter().rfind(|v| v.is_current()).map(|v| &v.row)
     }
 
     /// Iterate `(row_id, row)` over current versions.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(rid, slot)| slot.iter().rfind(|v| v.is_current()).map(|v| (rid, &v.row)))
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.live
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Total stored versions across all slots (introspection for tests and
     /// vacuum accounting).
-    pub fn version_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn version_count(&self) -> usize {
         self.slots.iter().map(Vec::len).sum()
     }
 
@@ -191,7 +189,7 @@ impl TableData {
             .find(|ix| ix.def.columns.first().is_some_and(|c| c.eq_ignore_ascii_case(column)))
     }
 
-    pub fn indexes(&self) -> &[Index] {
+    pub(crate) fn indexes(&self) -> &[Index] {
         &self.indexes
     }
 
@@ -236,7 +234,7 @@ impl Table {
     /// Create an empty table. A unique index is automatically created on the
     /// primary key (as Db2 does), which both enforces PK uniqueness and
     /// gives the planner a point-probe access path on it.
-    pub fn new(schema: TableSchema) -> DbResult<Table> {
+    pub(crate) fn new(schema: TableSchema) -> DbResult<Table> {
         schema.validate()?;
         let mut data = TableData::default();
         if let Some(pk) = schema.primary_key.clone() {
@@ -321,7 +319,7 @@ impl Table {
     /// Insert a full-width row with an uncommitted begin stamp; returns its
     /// row id. The version becomes durable when the owning transaction
     /// finalizes the stamp to a commit epoch.
-    pub fn insert(&self, row: Row, stamp: u64) -> DbResult<RowId> {
+    pub(crate) fn insert(&self, row: Row, stamp: u64) -> DbResult<RowId> {
         let row = self.check_row(row)?;
         let mut data = self.data.write();
         // Probe all unique indexes before mutating any of them so a
@@ -364,7 +362,7 @@ impl Table {
     /// and reclaimed by vacuum. A current version another transaction
     /// created and has not yet committed is a write conflict: end-marking
     /// it would orphan that transaction's rollback.
-    pub fn delete(&self, rid: RowId, stamp: u64) -> DbResult<Row> {
+    pub(crate) fn delete(&self, rid: RowId, stamp: u64) -> DbResult<Row> {
         let marker = TXN_BIT | stamp;
         let mut data = self.data.write();
         let slot = data
@@ -389,7 +387,7 @@ impl Table {
     /// returns the previous image. As with [`Table::delete`], a current
     /// version belonging to another uncommitted transaction is a write
     /// conflict, not a silent overwrite.
-    pub fn update(&self, rid: RowId, new_row: Row, stamp: u64) -> DbResult<Row> {
+    pub(crate) fn update(&self, rid: RowId, new_row: Row, stamp: u64) -> DbResult<Row> {
         let new_row = self.check_row(new_row)?;
         let marker = TXN_BIT | stamp;
         let mut data = self.data.write();
@@ -531,7 +529,7 @@ impl Table {
     /// above `horizon`. Removes index entries no surviving version shares
     /// and returns slots that became empty to the free list. Returns the
     /// number of versions reclaimed.
-    pub fn vacuum(&self, horizon: u64) -> usize {
+    pub(crate) fn vacuum(&self, horizon: u64) -> usize {
         let mut data = self.data.write();
         if data.garbage == 0 {
             return 0;

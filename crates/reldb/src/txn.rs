@@ -91,8 +91,8 @@ impl UndoLog {
 /// log. Which thread may use it is decided by adoption, not recorded here.
 #[derive(Debug)]
 pub(crate) struct TxnState {
-    pub stamp: u64,
-    pub log: UndoLog,
+    pub(crate) stamp: u64,
+    pub(crate) log: UndoLog,
 }
 
 impl TxnState {

@@ -26,7 +26,7 @@ pub enum DataType {
 impl DataType {
     /// Parse a SQL type name (case-insensitive). Accepts common aliases so
     /// that `INT`, `INTEGER`, `TEXT`, `FLOAT`, etc. all work.
-    pub fn parse(name: &str) -> DbResult<DataType> {
+    pub(crate) fn parse(name: &str) -> DbResult<DataType> {
         match name.to_ascii_uppercase().as_str() {
             "BIGINT" | "INT" | "INTEGER" | "LONG" | "SMALLINT" => Ok(DataType::Bigint),
             "DOUBLE" | "FLOAT" | "REAL" | "DECIMAL" | "NUMERIC" => Ok(DataType::Double),
@@ -129,13 +129,6 @@ impl Value {
         match self {
             Value::Varchar(s) => Ok(s),
             other => Err(DbError::Type(format!("expected VARCHAR, got {}", other.type_display()))),
-        }
-    }
-
-    pub fn as_bool(&self) -> DbResult<bool> {
-        match self {
-            Value::Boolean(b) => Ok(*b),
-            other => Err(DbError::Type(format!("expected BOOLEAN, got {}", other.type_display()))),
         }
     }
 

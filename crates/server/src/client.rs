@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 pub struct HttpResponse {
     pub status: u16,
     /// Response header `(name, value)` pairs in arrival order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     pub body: String,
 }
 
@@ -35,13 +35,13 @@ impl HttpResponse {
 pub struct HttpBytesResponse {
     pub status: u16,
     /// Response header `(name, value)` pairs in arrival order.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     pub bytes: Vec<u8>,
 }
 
 impl HttpBytesResponse {
     /// The first response header named `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         header_of(&self.headers, name)
     }
 }

@@ -38,22 +38,22 @@ pub(crate) enum HttpError {
 
 /// A parsed request: just enough surface for routing.
 pub(crate) struct Request {
-    pub method: String,
-    pub path: String,
+    pub(crate) method: String,
+    pub(crate) path: String,
     /// Raw query string (without the `?`); empty when absent. The service
     /// routes on the path alone, but `/wal` reads its position from here.
-    pub query: String,
+    pub(crate) query: String,
     /// Header `(name, value)` pairs in arrival order, names and values
     /// trimmed. Routing needs only a couple (`X-Request-Id`, `Accept`),
     /// keeping them all costs one small Vec per request.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     pub body: Vec<u8>,
     /// Total bytes read off the wire (head + body), for ingress metering.
     pub(crate) wire_bytes: u64,
     /// The negotiated connection disposition: `true` when this exchange
     /// must be the connection's last (HTTP/1.0 without `keep-alive`, or
     /// an explicit `Connection: close`).
-    pub close: bool,
+    pub(crate) close: bool,
 }
 
 impl Request {

@@ -569,12 +569,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> DrainReport {
         self.shutdown_impl();
         let m = &self.shared.metrics;
-        DrainReport {
-            admitted: m.admitted(),
-            completed: m.completed(),
-            rejected: m.rejected(),
-            query_timeouts: m.query_timeouts(),
-        }
+        DrainReport { admitted: m.admitted(), completed: m.completed(), rejected: m.rejected() }
     }
 
     fn shutdown_impl(&mut self) {
@@ -650,7 +645,6 @@ pub struct DrainReport {
     pub admitted: u64,
     pub completed: u64,
     pub rejected: u64,
-    pub query_timeouts: u64,
 }
 
 impl Drop for ServerHandle {

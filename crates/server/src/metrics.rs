@@ -170,7 +170,7 @@ impl ServerMetrics {
     }
 
     /// JSON for the `server` section of `/metrics`.
-    pub fn to_json(&self, queued: usize) -> Json {
+    pub(crate) fn to_json(&self, queued: usize) -> Json {
         let mut fields = json_fields(&self.rows(queued));
         fields.push(("endpoint_latency", self.endpoints.0.to_json()));
         Json::obj(fields)

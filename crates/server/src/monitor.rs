@@ -48,7 +48,7 @@ pub struct SloTargets {
 
 impl SloTargets {
     /// Whether any target is configured (the monitor runs only then).
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.p99_ms.is_some()
             || self.error_pct.is_some()
             || self.max_replica_lag.is_some()
@@ -60,7 +60,7 @@ impl SloTargets {
 /// The published verdict `/readyz` serves.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Health {
-    pub degraded: bool,
+    pub(crate) degraded: bool,
     /// One human-readable line per violated SLO, each naming the knob
     /// (e.g. `DB2GRAPH_SLO_P99_MS: /query p99 42.3ms > 5ms`).
     pub(crate) violations: Vec<String>,

@@ -66,7 +66,7 @@ db2graph_core::metric_table! {
 
 impl ReplicaMetrics {
     /// JSON for the `replication` section of `/metrics`.
-    pub fn to_json(&self, primary: &str) -> Json {
+    pub(crate) fn to_json(&self, primary: &str) -> Json {
         let mut fields = vec![("primary", Json::str(primary))];
         fields.extend(json_fields(&self.load().rows()));
         Json::obj(fields)
