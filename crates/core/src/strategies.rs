@@ -615,10 +615,10 @@ mod tests {
         }
     }
 
+    /// The step plan of `gremlin` before any strategy.
     fn compile(gremlin: &str) -> Traversal {
-        let script = gremlin::parser::parse(gremlin).unwrap();
-        let env = gremlin::VarEnv::new();
-        gremlin::compile(&script.statements[0].traversal, &env).unwrap()
+        let graph = gremlin::memgraph::MemGraph::new();
+        gremlin::ScriptRunner::new(&graph).plan(gremlin).unwrap()
     }
 
     /// Each GSA step of `gremlin` after `config`'s strategies, as

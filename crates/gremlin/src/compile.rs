@@ -13,10 +13,10 @@ use crate::step::*;
 use crate::structure::{value_to_id, ElementId, GValue};
 
 /// Variable bindings produced by earlier statements in a script.
-pub type VarEnv = HashMap<String, GValue>;
+pub(crate) type VarEnv = HashMap<String, GValue>;
 
 /// Compile one statement's traversal into a step plan.
-pub fn compile(source: &SourceCall, env: &VarEnv) -> GResult<Traversal> {
+pub(crate) fn compile(source: &SourceCall, env: &VarEnv) -> GResult<Traversal> {
     let kind = match source.start.name.as_str() {
         "V" => ElementKind::Vertices,
         "E" => ElementKind::Edges,

@@ -71,7 +71,6 @@ pub use backend::{
     element_property, finalize_elements, AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter,
     ElementKind, GraphBackend, Pred, PropPred,
 };
-pub use compile::{compile, VarEnv};
 pub use error::{GResult, GremlinError};
 pub use observe::TraversalObserver;
 pub use script::ScriptRunner;
