@@ -25,17 +25,10 @@
 //! stores in `gstore` plug in here, exactly as graph databases plug into
 //! TinkerPop.
 //!
-//! ## API
-//!
-//! The `pub use` lists below are the crate's whole API: every name in them
-//! is used by another crate, a test, an example or the benchmark, and the
-//! other modules are private. The workspace's `unreachable_pub` lint fails
-//! the build on a `pub` item no list re-exports, so an item nothing outside
-//! uses is `pub(crate)` and `dead_code` sees when it goes unused.
-//! `structure`, `parser` and `memgraph` stay `pub mod`, because the
-//! benchmark names them by path (`gremlin::structure::GValue`,
-//! `gremlin::parser::parse`, `gremlin::memgraph::MemGraph`); their items
-//! nothing outside uses are `pub(crate)` by hand.
+//! The `pub use` lists below are the whole API, each name used outside the
+//! crate; `unreachable_pub` rejects any other `pub` item. `structure`,
+//! `parser` and `memgraph` stay `pub mod` because the benchmark names them
+//! by path.
 //!
 //! ## Example
 //!

@@ -22,10 +22,8 @@
 //! engine and queries run on them unchanged — exactly how TinkerPop hosts
 //! multiple providers.
 //!
-//! The `pub use` lists below are the crate's whole API: every name in them
-//! is used by another crate, and every module is private, so the
-//! workspace's `unreachable_pub` and `dead_code` lints see any item nothing
-//! outside uses.
+//! The `pub use` lists below are the whole API, each name used outside the
+//! crate; `unreachable_pub` rejects any other `pub` item.
 
 mod codec;
 mod janus;

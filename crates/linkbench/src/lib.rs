@@ -7,11 +7,8 @@
 //! ([`materialize`], [`overlay_config`]), plus the four query-only
 //! templates of Table 1 and their workload driver ([`QueryStream`]).
 //!
-//! The `pub use` lists below are the crate's whole API: every name in them
-//! is used by another crate, a test or the benchmark, and the other modules
-//! are private, so the workspace's `unreachable_pub` and `dead_code` lints
-//! see any item nothing outside uses. `gen` stays a `pub mod`, because the
-//! benchmark names `linkbench::gen::{GraphData, LinkData, NodeData}`.
+//! The `pub use` lists are the whole API, each name used outside the crate;
+//! `gen` stays a `pub mod` because the benchmark names it by path.
 
 pub mod gen;
 mod queries;
