@@ -19,8 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use db2graph_core::{Db2Graph, GraphOptions, StrategyConfig};
-use gremlin::{GraphBackend, ScriptRunner};
-use gremlin::{IdentityRemoval, StrategyRegistry};
+use gremlin::{GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry};
 use gstore::{export_graph, load_janus, load_native, open_native, JanusLikeDb, NativeGraphDb};
 use linkbench::{
     generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,

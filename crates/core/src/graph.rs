@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use gremlin::structure::GValue;
-use gremlin::ScriptRunner;
-use gremlin::{IdentityRemoval, StrategyRegistry};
+use gremlin::{IdentityRemoval, ScriptRunner, StrategyRegistry};
 use reldb::{DataType, Database, DbError, DbResult, RowSet, TableFunction, Value};
 
 use crate::adjcache::{AdjCache, DEFAULT_ADJ_CACHE_MB};

@@ -29,9 +29,10 @@
 use std::borrow::Cow;
 
 use gremlin::structure::value_to_id;
-use gremlin::{AggOp, ElementKind, Pred};
-use gremlin::{Direction, EdgeEnd, TraversalStrategy};
-use gremlin::{EdgeVertexStep, GraphStep, Step, Traversal};
+use gremlin::{
+    AggOp, Direction, EdgeEnd, EdgeVertexStep, ElementKind, GraphStep, Pred, Step, Traversal,
+    TraversalStrategy,
+};
 
 use crate::graph_structure::selected_keys;
 
@@ -417,9 +418,7 @@ impl TraversalStrategy for GraphStepVertexStepMutation {
 mod tests {
     use super::*;
     use gremlin::structure::{ElementId, GValue};
-    use gremlin::ElementFilter;
-    use gremlin::VertexStep;
-    use gremlin::{AggOp, PropPred, StrategyRegistry};
+    use gremlin::{AggOp, ElementFilter, PropPred, StrategyRegistry, VertexStep};
 
     fn apply(config: StrategyConfig, mut t: Traversal) -> Traversal {
         let mut reg = StrategyRegistry::new();

@@ -7,8 +7,7 @@
 use std::time::{Duration, Instant};
 
 use gremlin::structure::{Edge, Element, GValue, Vertex};
-use gremlin::GResult;
-use gremlin::{BackendOutput, ElementFilter, ElementKind, GraphBackend};
+use gremlin::{BackendOutput, ElementFilter, ElementKind, GResult, GraphBackend};
 
 use crate::janus::{JanusLikeDb, JanusLoader};
 use crate::native::{NativeGraphDb, NativeLoader};

@@ -5,10 +5,8 @@
 //! vertex and 10 edge types ([`generate`]), materialized into relational
 //! tables with the overlay that retrofits a graph view onto them
 //! ([`materialize`], [`overlay_config`]), plus the four query-only
-//! templates of Table 1 and their workload driver ([`QueryStream`]).
-//!
-//! The `pub use` lists are the whole API, each name used outside the crate;
-//! `gen` stays a `pub mod` because the benchmark names it by path.
+//! templates of Table 1 and their workload driver ([`QueryStream`]). The
+//! `pub use` lists are the whole API; `gen` is `pub` for the benchmark.
 
 pub mod gen;
 mod queries;

@@ -6,8 +6,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use db2graph_core::json::Json;
-use db2graph_core::json_fields;
-use db2graph_core::{HistogramSet, MetricKind, MetricRow};
+use db2graph_core::{json_fields, HistogramSet, MetricKind, MetricRow};
 
 /// Key-set cap for the per-endpoint latency histograms: the endpoint
 /// namespace is fixed and tiny, so anything past this is `<other>`.

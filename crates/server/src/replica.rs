@@ -28,8 +28,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use db2graph_core::json::Json;
-use db2graph_core::json_fields;
-use db2graph_core::EventLog;
+use db2graph_core::{json_fields, EventLog};
 use reldb::{Database, WalTail};
 
 use crate::background::{Pass, Task};

@@ -5,8 +5,7 @@
 
 use std::sync::Arc;
 
-use db2graph::core::healthcare_example_json;
-use db2graph::core::Db2Graph;
+use db2graph::core::{healthcare_example_json, Db2Graph};
 use db2graph::reldb::Database;
 
 fn main() {

@@ -31,8 +31,7 @@
 #[path = "common/seed.rs"]
 mod seed;
 
-use db2graph::core::healthcare_example_json;
-use db2graph::core::{Db2Graph, GraphOptions, OverlayConfig};
+use db2graph::core::{healthcare_example_json, Db2Graph, GraphOptions, OverlayConfig};
 use db2graph::server::{GraphServer, ServerConfig};
 
 fn main() {

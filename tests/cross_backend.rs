@@ -9,8 +9,7 @@ use std::sync::Arc;
 
 use db2graph::core::{Db2Graph, StrategyConfig};
 use db2graph::gremlin::memgraph::MemGraph;
-use db2graph::gremlin::{GValue, GraphBackend, ScriptRunner};
-use db2graph::gremlin::{IdentityRemoval, StrategyRegistry};
+use db2graph::gremlin::{GValue, GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry};
 use db2graph::gstore::{JanusLoader, NativeLoader};
 use db2graph::linkbench::{generate, materialize, overlay_config, to_elements, LinkBenchConfig};
 

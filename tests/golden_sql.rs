@@ -9,8 +9,7 @@
 
 use std::sync::Arc;
 
-use db2graph_core::healthcare_example_json;
-use db2graph_core::Db2Graph;
+use db2graph_core::{healthcare_example_json, Db2Graph};
 use reldb::Database;
 
 /// Schema only — explain never reads rows, so none are inserted.

@@ -4,8 +4,7 @@
 
 use std::sync::Arc;
 
-use db2graph_core::healthcare_example_json;
-use db2graph_core::{Db2Graph, GraphOptions, StrategyConfig};
+use db2graph_core::{healthcare_example_json, Db2Graph, GraphOptions, StrategyConfig};
 use gremlin::GValue;
 use reldb::{Database, Value};
 

@@ -22,12 +22,10 @@ use std::time::Duration;
 use db2graph::core::json::Json;
 use db2graph::core::{Db2Graph, GraphOptions, MetricsSnapshot, OverlayConfig, VTableConfig};
 use db2graph::reldb::Database;
-use db2graph::server::ReplicaMetrics;
-use db2graph::server::ServerMetrics;
-use db2graph::server::SloTargets;
 use db2graph::server::{
     http_call, http_call_with_headers, GraphServer, ServerConfig, ServerHandle,
 };
+use db2graph::server::{ReplicaMetrics, ServerMetrics, SloTargets};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 

@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
-use db2graph_core::healthcare_example_json;
-use db2graph_core::{Db2Graph, GraphOptions, OverlayConfig, TableAction, TablePlan};
+use db2graph_core::{
+    healthcare_example_json, Db2Graph, GraphOptions, OverlayConfig, TableAction, TablePlan,
+};
 use gremlin::GValue;
 use reldb::Database;
 

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use db2graph::core::IdDef;
-use db2graph::core::{generate_overlay, Db2Graph, GraphOptions, StrategyConfig};
+use db2graph::core::{generate_overlay, Db2Graph, GraphOptions, IdDef, StrategyConfig};
 use db2graph::gremlin::{ElementId, GValue};
 use db2graph::reldb::{ColumnDef, DataType, Database, DbResult, RowSet, TableSchema, Value};
 
@@ -772,8 +771,7 @@ proptest! {
     #[test]
     fn overlay_matches_memory_oracle((verts, edges) in arb_graph_rows(), probe in 0i64..20) {
         use db2graph::gremlin::memgraph::MemGraph;
-        use db2graph::gremlin::{ScriptRunner, Vertex, Edge};
-        use db2graph::gremlin::{IdentityRemoval, StrategyRegistry};
+        use db2graph::gremlin::{ScriptRunner, Vertex, Edge, IdentityRemoval, StrategyRegistry};
 
         let db = Arc::new(Database::new());
         db.execute("CREATE TABLE vs (id BIGINT PRIMARY KEY, vlabel VARCHAR, w BIGINT)").unwrap();

@@ -13,9 +13,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use db2graph::core::healthcare_example_json;
 use db2graph::core::json::Json;
-use db2graph::core::{Db2Graph, OverlayConfig};
+use db2graph::core::{healthcare_example_json, Db2Graph, OverlayConfig};
 use db2graph::reldb::Database;
 use db2graph::server::{http_call, GraphServer, ServerConfig, ServerHandle};
 

@@ -6,9 +6,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use db2graph::core::healthcare_example_json;
 use db2graph::core::json::Json;
-use db2graph::core::{Db2Graph, GraphOptions};
+use db2graph::core::{healthcare_example_json, Db2Graph, GraphOptions};
 use db2graph::reldb::Database;
 use db2graph::server::{http_call, GraphServer, ServerConfig};
 
@@ -295,8 +294,7 @@ fn inverted_range_answers_empty_and_the_worker_survives() {
 /// reports the recovery (`recovery_replayed_epochs`, `wal_records`).
 #[test]
 fn server_restart_recovers_from_data_dir() {
-    use db2graph::core::healthcare_example_json;
-    use db2graph::core::OverlayConfig;
+    use db2graph::core::{healthcare_example_json, OverlayConfig};
     use db2graph::reldb::Database;
 
     static SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
