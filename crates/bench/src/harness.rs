@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use db2graph_core::{Db2Graph, GraphOptions, StrategyConfig};
-use gremlin::{GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry};
+use gremlin::{GValue, GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry};
 use gstore::{export_graph, load_janus, load_native, open_native, JanusLikeDb, NativeGraphDb};
 use linkbench::{
     generate, materialize, overlay_config, GraphData, LinkBenchConfig, QueryKind, QueryStream,
@@ -214,35 +214,31 @@ fn backend_of(graph: &Arc<Db2Graph>) -> &dyn GraphBackend {
             &self,
             kind: gremlin::ElementKind,
             filter: &gremlin::ElementFilter,
-        ) -> gremlin::GResult<gremlin::BackendOutput> {
+        ) -> gremlin::GResult<Vec<GValue>> {
             let q = match kind {
                 gremlin::ElementKind::Vertices => "g.V()",
                 gremlin::ElementKind::Edges => "g.E()",
             };
             let _ = filter;
-            let values =
-                self.0.run(q).map_err(|e| gremlin::GremlinError::Backend(e.to_string()))?;
-            let elements: Vec<gremlin::Element> =
-                values.iter().filter_map(|v| v.as_element()).collect();
-            Ok(gremlin::BackendOutput::Elements(elements))
+            self.0.run(q).map_err(|e| gremlin::GremlinError::Backend(e.to_string()))
         }
         fn adjacent(
             &self,
-            _s: &[gremlin::Element],
+            _s: &[&gremlin::Vertex],
             _d: gremlin::Direction,
             _l: &[String],
             _t: gremlin::ElementKind,
             _f: &gremlin::ElementFilter,
-        ) -> gremlin::GResult<Vec<Vec<gremlin::Element>>> {
+        ) -> gremlin::GResult<Vec<Vec<GValue>>> {
             Err(gremlin::GremlinError::Unsupported("export shim".into()))
         }
         fn edge_endpoints(
             &self,
-            _e: &[gremlin::Edge],
+            _e: &[&gremlin::Edge],
             _end: gremlin::EdgeEnd,
-            _c: &[Option<gremlin::ElementId>],
+            _c: &[Option<&gremlin::ElementId>],
             _f: &gremlin::ElementFilter,
-        ) -> gremlin::GResult<Vec<Vec<gremlin::Element>>> {
+        ) -> gremlin::GResult<Vec<Vec<GValue>>> {
             Err(gremlin::GremlinError::Unsupported("export shim".into()))
         }
     }

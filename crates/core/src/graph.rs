@@ -496,7 +496,7 @@ impl Db2Graph {
                 let row: Vec<Value> = names
                     .iter()
                     .map(|n| {
-                        gremlin::element_property(&e, n)
+                        gremlin::element_property(e, n)
                             .and_then(|v| to_value(&v))
                             .unwrap_or(Value::Null)
                     })

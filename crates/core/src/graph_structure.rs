@@ -60,9 +60,7 @@ use std::time::Instant;
 
 use gremlin::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 use gremlin::GResult;
-use gremlin::{
-    AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
-};
+use gremlin::{AggOp, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred};
 use reldb::{DataType, Database, Row, RowSet, Snapshot, Value};
 
 use crate::adjcache::{AdjCache, RowSpan};
@@ -403,17 +401,15 @@ impl Db2GraphBackend {
         &self,
         kind: ElementKind,
         filter: &ElementFilter,
-    ) -> GraphResult<BackendOutput> {
+    ) -> GraphResult<Vec<GValue>> {
         let tables = self.topo.table_count(kind);
         self.registry().tables_considered.add(tables as u64);
-        let mut outputs: Vec<Element> = Vec::new();
         let mut values: Vec<GValue> = Vec::new();
         let mut agg = AggCombiner::new(filter.aggregate);
         let mut pruned = 0u64;
         for r in self.fan_out(TableJob::every_table(JobKind::Read(kind), tables, filter))? {
             match r {
                 TableResult::Pruned => pruned += 1,
-                TableResult::Elements(es) => outputs.extend(es),
                 TableResult::Values(vs) => values.extend(vs),
                 TableResult::Agg(parts) => agg.add(parts),
                 TableResult::Rows(_) => unreachable!("table reads decode their rows"),
@@ -421,12 +417,9 @@ impl Db2GraphBackend {
         }
         self.registry().tables_pruned.add(pruned);
         if filter.aggregate.is_some() {
-            return Ok(agg.finish());
+            return Ok(agg.finish().into_iter().collect());
         }
-        if filter.projection.is_some() {
-            return Ok(BackendOutput::Values(values));
-        }
-        Ok(BackendOutput::Elements(outputs))
+        Ok(values)
     }
 
     /// The one planner: decide how table `ti` of `kind` would be read
@@ -614,21 +607,17 @@ impl Db2GraphBackend {
         for mut row in rows {
             let el = shape.element(Cells::Owned(&mut row))?;
             // Residual check: anything the plan did not push to SQL.
-            if filter.matches(&el) {
+            if filter.matches(el.as_element().expect("a shape decodes elements")) {
                 elements.push(el);
             }
         }
         let keys = filter.projection.as_deref();
         Ok(match (filter.aggregate, keys) {
             (Some(op), keys) => TableResult::Agg(AggParts::fold(op, keys, &elements)),
-            (None, Some(keys)) => TableResult::Values(
-                elements
-                    .iter()
-                    .flat_map(|el| keys.iter().filter_map(|k| el.properties().get(k)))
-                    .cloned()
-                    .collect(),
-            ),
-            (None, None) => TableResult::Elements(elements),
+            (None, Some(keys)) => {
+                TableResult::Values(projected(&elements, keys).cloned().collect())
+            }
+            (None, None) => TableResult::Values(elements),
         })
     }
 
@@ -749,9 +738,9 @@ impl Db2GraphBackend {
         for (ti, r) in tables.into_iter().zip(results) {
             match r {
                 TableResult::Pruned => *chunks_pruned.entry(ti).or_insert(0) += 1,
-                TableResult::Elements(es) => {
+                TableResult::Values(es) => {
                     for el in es {
-                        if let Element::Vertex(v) = el {
+                        if let GValue::Vertex(v) = el {
                             out.insert(v.id.clone(), v);
                         }
                     }
@@ -896,13 +885,13 @@ impl AggParts {
     /// aggregate of an inexact plan. Without a projection it counts the
     /// elements; with one it folds each present value of the projected
     /// properties, as the pushed-down SQL aggregates their columns.
-    fn fold(op: AggOp, keys: Option<&[String]>, elements: &[Element]) -> AggParts {
+    fn fold(op: AggOp, keys: Option<&[String]>, elements: &[GValue]) -> AggParts {
         let mut parts = AggParts::empty(op);
         let Some(keys) = keys else {
             parts.count = elements.len() as i64;
             return parts;
         };
-        for v in elements.iter().flat_map(|el| keys.iter().filter_map(|k| el.properties().get(k))) {
+        for v in projected(elements, keys) {
             let number = match v {
                 GValue::Long(x) => Some(*x as f64),
                 GValue::Double(x) => Some(*x),
@@ -968,41 +957,37 @@ impl AggCombiner {
         }
     }
 
-    fn finish(self) -> BackendOutput {
+    /// The aggregate, or `None` when it has no value (a sum or mean over
+    /// no numbers, the min or max of nothing).
+    fn finish(self) -> Option<GValue> {
         let op = self.op.expect("combiner used only with aggregate");
         let acc = match self.acc {
             Some(a) => a,
             None => AggParts::empty(op),
         };
         match op {
-            AggOp::Count => BackendOutput::Aggregate(GValue::Long(acc.count)),
-            AggOp::Sum => {
-                if !acc.saw_values {
-                    BackendOutput::Elements(Vec::new())
-                } else if acc.all_long {
-                    BackendOutput::Aggregate(GValue::Long(acc.sum as i64))
-                } else {
-                    BackendOutput::Aggregate(GValue::Double(acc.sum))
-                }
-            }
-            AggOp::Mean => {
-                if acc.count == 0 {
-                    BackendOutput::Elements(Vec::new())
-                } else {
-                    BackendOutput::Aggregate(GValue::Double(acc.sum / acc.count as f64))
-                }
-            }
-            AggOp::Min | AggOp::Max => match acc.minmax {
-                Some(v) => BackendOutput::Aggregate(v),
-                None => BackendOutput::Elements(Vec::new()),
-            },
+            AggOp::Count => Some(GValue::Long(acc.count)),
+            AggOp::Sum if !acc.saw_values => None,
+            AggOp::Sum if acc.all_long => Some(GValue::Long(acc.sum as i64)),
+            AggOp::Sum => Some(GValue::Double(acc.sum)),
+            AggOp::Mean if acc.count == 0 => None,
+            AggOp::Mean => Some(GValue::Double(acc.sum / acc.count as f64)),
+            AggOp::Min | AggOp::Max => acc.minmax,
         }
     }
 }
 
+/// The present values of `keys` on each element, element by element.
+fn projected<'a>(elements: &'a [GValue], keys: &'a [String]) -> impl Iterator<Item = &'a GValue> {
+    elements
+        .iter()
+        .filter_map(GValue::as_element)
+        .flat_map(move |el| keys.iter().filter_map(move |k| el.properties().get(k)))
+}
+
 enum TableResult {
     Pruned,
-    Elements(Vec<Element>),
+    /// Elements, or their projected values.
     Values(Vec<GValue>),
     Agg(AggParts),
     /// An adjacency probe's rows, undecoded.
@@ -1184,16 +1169,16 @@ impl<'a> Shape<'a> {
     }
 
     /// Materialize the vertex or edge of `row`.
-    fn element(&self, mut row: Cells) -> GraphResult<Element> {
+    fn element(&self, mut row: Cells) -> GraphResult<GValue> {
         if self.ends.is_some() {
-            return Ok(Element::Edge(self.edge(row)?));
+            return Ok(GValue::Edge(self.edge(row)?));
         }
         let r = row.row();
         let id = Self::encode(self.id.as_ref().expect("vertex ids are explicit"), r)?;
         let label = self.label(r);
         let properties = self.properties(&mut row);
         let provenance = Some(self.table.provenance.clone());
-        Ok(Element::Vertex(Vertex { id, label, properties, provenance }))
+        Ok(GValue::Vertex(Vertex { id, label, properties, provenance }))
     }
 
     /// The non-null values of `keys` in `row`, in key order: projection
@@ -1437,28 +1422,28 @@ impl<'a> TableRead<'a> {
 // ------------------------------------------------------ GraphBackend impl
 
 impl GraphBackend for Db2GraphBackend {
-    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
+    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         self.fetch_elements(kind, filter).map_err(to_gremlin)
     }
 
     fn adjacent(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         self.adjacent_impl(sources, direction, edge_labels, to, filter).map_err(to_gremlin)
     }
 
     fn edge_endpoints(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         self.edge_endpoints_impl(edges, end, came_from, filter).map_err(to_gremlin)
     }
 
@@ -1467,18 +1452,7 @@ impl GraphBackend for Db2GraphBackend {
     }
 
     fn explain_step(&self, step: &gremlin::Step) -> Vec<String> {
-        self.explain_compiled_step(step)
-            .into_iter()
-            .flat_map(|t| match t.plan {
-                TablePlan::Query { sql } => {
-                    sql.into_iter().map(|q| format!("{}: {q}", t.table)).collect::<Vec<_>>()
-                }
-                TablePlan::Candidate { detail } => vec![format!("{}: {detail}", t.table)],
-                TablePlan::Pruned { reason } => {
-                    vec![format!("{}: pruned ({reason})", t.table)]
-                }
-            })
-            .collect()
+        self.explain_compiled_step(step).iter().flat_map(TableExplain::lines).collect()
     }
 }
 
@@ -1518,7 +1492,7 @@ impl Db2GraphBackend {
     /// frontier ids.
     fn plan_probes(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_filter: &ElementFilter,
         cache_ctx: Option<(&AdjCache, u64)>,
@@ -1528,9 +1502,11 @@ impl Db2GraphBackend {
         // order.
         let mut by_table = IdGroups::default();
         for s in sources {
-            let vt_idx =
-                s.provenance().and_then(|t| self.topo.table_index(ElementKind::Vertices, t));
-            by_table.add(vt_idx, s.id());
+            let vt_idx = s
+                .provenance
+                .as_deref()
+                .and_then(|t| self.topo.table_index(ElementKind::Vertices, t));
+            by_table.add(vt_idx, &s.id);
         }
 
         // Candidate edge tables by label.
@@ -1645,13 +1621,13 @@ impl Db2GraphBackend {
 
     fn adjacent_impl(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GraphResult<Vec<Vec<Element>>> {
-        let mut groups: Vec<Vec<Element>> = vec![Vec::new(); sources.len()];
+    ) -> GraphResult<Vec<Vec<GValue>>> {
+        let mut groups: Vec<Vec<GValue>> = vec![Vec::new(); sources.len()];
         if sources.is_empty() {
             return Ok(groups);
         }
@@ -1660,7 +1636,7 @@ impl Db2GraphBackend {
         // times in the frontier).
         let mut src_positions: HashMap<ElementId, Vec<usize>> = HashMap::new();
         for (i, s) in sources.iter().enumerate() {
-            src_positions.entry(s.id().clone()).or_default().push(i);
+            src_positions.entry(s.id.clone()).or_default().push(i);
         }
         // The edge-level filter: the edge labels, plus the step's
         // predicates and endpoint constraints when edges are the output
@@ -1747,10 +1723,10 @@ impl Db2GraphBackend {
                 for f in found {
                     let Some(positions) = src_positions.get(f.anchor()) else { continue };
                     let Hop::Edge(edge) = f.hop else { unreachable!("an edge hop decodes edges") };
-                    let el = Element::Edge(edge);
-                    if !edge_filter.matches(&el) {
+                    if !edge_filter.matches(Element::Edge(&edge)) {
                         continue;
                     }
+                    let el = GValue::Edge(edge);
                     let (&last, rest) = positions.split_last().expect("positions are non-empty");
                     for &p in rest {
                         groups[p].push(el.clone());
@@ -1790,7 +1766,7 @@ impl Db2GraphBackend {
                         (resolved.get(&target), src_positions.get(&anchor))
                     {
                         for &p in positions {
-                            groups[p].push(Element::Vertex(v.clone()));
+                            groups[p].push(GValue::Vertex(v.clone()));
                         }
                     }
                 }
@@ -1801,11 +1777,11 @@ impl Db2GraphBackend {
 
     fn edge_endpoints_impl(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GraphResult<Vec<Vec<Element>>> {
+    ) -> GraphResult<Vec<Vec<GValue>>> {
         // Endpoint ids needed per edge.
         let mut wanted: Vec<Vec<ElementId>> = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
@@ -1813,14 +1789,11 @@ impl Db2GraphBackend {
                 EdgeEnd::Out => vec![e.src.clone()],
                 EdgeEnd::In => vec![e.dst.clone()],
                 EdgeEnd::Both => vec![e.src.clone(), e.dst.clone()],
-                EdgeEnd::Other => {
-                    let from = came_from.get(i).and_then(|o| o.as_ref());
-                    match from {
-                        Some(f) if *f == e.src => vec![e.dst.clone()],
-                        Some(f) if *f == e.dst => vec![e.src.clone()],
-                        _ => vec![e.dst.clone()],
-                    }
-                }
+                EdgeEnd::Other => match came_from.get(i).copied().flatten() {
+                    Some(f) if *f == e.src => vec![e.dst.clone()],
+                    Some(f) if *f == e.dst => vec![e.src.clone()],
+                    _ => vec![e.dst.clone()],
+                },
             };
             wanted.push(ids);
         }
@@ -1845,11 +1818,9 @@ impl Db2GraphBackend {
                 });
                 if let Some(vt_idx) = hint {
                     if let Some(v) = self.vertex_from_edge(e, id, vt_idx) {
-                        let el = Element::Vertex(v.clone());
-                        if filter.matches(&el) {
+                        // Filtered out: record absence via no entry.
+                        if filter.matches(Element::Vertex(&v)) {
                             resolved.insert(id.clone(), v);
-                        } else {
-                            // Filtered out: record absence via no entry.
                         }
                         continue;
                     }
@@ -1865,7 +1836,7 @@ impl Db2GraphBackend {
             let mut group = Vec::new();
             for id in ids {
                 if let Some(v) = resolved.get(&id) {
-                    group.push(Element::Vertex(v.clone()));
+                    group.push(GValue::Vertex(v.clone()));
                 }
             }
             out.push(group);

@@ -601,6 +601,20 @@ pub struct TableExplain {
     pub plan: TablePlan,
 }
 
+impl TableExplain {
+    /// This table's explain lines: `table: <statement>` per statement, or
+    /// its candidate detail, or why it is pruned. `explain()` and the
+    /// `.explain()` terminator both render through it.
+    pub(crate) fn lines(&self) -> Vec<String> {
+        let table = &self.table;
+        match &self.plan {
+            TablePlan::Query { sql } => sql.iter().map(|q| format!("{table}: {q}")).collect(),
+            TablePlan::Candidate { detail } => vec![format!("{table}: {detail}")],
+            TablePlan::Pruned { reason } => vec![format!("{table}: pruned ({reason})")],
+        }
+    }
+}
+
 /// Explain detail for one plan step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StepExplain {
@@ -711,20 +725,8 @@ impl std::fmt::Display for ExplainReport {
                 continue;
             }
             write!(f, "\nstep {}: {}", s.index, s.description)?;
-            for t in &s.tables {
-                match &t.plan {
-                    TablePlan::Query { sql } => {
-                        for q in sql {
-                            write!(f, "\n  {}: {q}", t.table)?;
-                        }
-                    }
-                    TablePlan::Candidate { detail } => {
-                        write!(f, "\n  {}: {detail}", t.table)?;
-                    }
-                    TablePlan::Pruned { reason } => {
-                        write!(f, "\n  {}: pruned ({reason})", t.table)?;
-                    }
-                }
+            for line in s.tables.iter().flat_map(TableExplain::lines) {
+                write!(f, "\n  {line}")?;
             }
         }
         Ok(())

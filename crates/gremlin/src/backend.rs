@@ -11,8 +11,10 @@
 //! adjacency probes for the native store, KV lookups for the Janus-like
 //! store).
 
+use std::borrow::Cow;
+
 use crate::error::GResult;
-use crate::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
+use crate::structure::{id_value, Edge, Element, ElementId, GValue, Vertex};
 
 /// Which element set a graph-level step addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,91 +166,74 @@ impl ElementFilter {
             && self.dst_ids.is_none()
     }
 
-    /// Evaluate the non-structural parts (labels + predicates) against an
-    /// element. Backends that cannot push a filter natively call this to
-    /// post-filter.
-    pub fn matches(&self, e: &Element) -> bool {
-        match e {
-            Element::Vertex(v) => self.matches_vertex(v),
-            Element::Edge(edge) => self.matches_edge(edge),
-        }
-    }
-
-    /// [`Self::matches`] for a borrowed vertex: an endpoint constraint
-    /// rejects every vertex.
-    pub(crate) fn matches_vertex(&self, v: &Vertex) -> bool {
-        self.src_ids.is_none()
-            && self.dst_ids.is_none()
-            && self.matches_parts(&v.id, &v.label, &v.properties)
-    }
-
-    /// [`Self::matches`] for a borrowed edge.
-    pub(crate) fn matches_edge(&self, e: &Edge) -> bool {
-        let within = |ids: &Option<Vec<ElementId>>, end: &ElementId| {
-            ids.as_ref().is_none_or(|ids| ids.contains(end))
+    /// Evaluate the filter's constraints (ids, labels, predicates and, for
+    /// an edge, its endpoint ids) against an element; an endpoint
+    /// constraint rejects every vertex. Backends that cannot push a filter
+    /// natively call this to post-filter.
+    pub fn matches(&self, e: Element) -> bool {
+        let within = |ids: &Option<Vec<ElementId>>, id: &ElementId| {
+            ids.as_ref().is_none_or(|ids| ids.contains(id))
         };
-        within(&self.src_ids, &e.src)
-            && within(&self.dst_ids, &e.dst)
-            && self.matches_parts(&e.id, &e.label, &e.properties)
-    }
-
-    fn matches_parts(&self, id: &ElementId, label: &str, properties: &Properties) -> bool {
-        self.ids.as_ref().is_none_or(|ids| ids.contains(id))
-            && self.labels.as_ref().is_none_or(|ls| ls.iter().any(|l| l == label))
-            && self
-                .predicates
-                .iter()
-                .all(|p| p.pred.test(property_of(id, label, properties, &p.key).as_ref()))
+        let ends = match e {
+            Element::Vertex(_) => self.src_ids.is_none() && self.dst_ids.is_none(),
+            Element::Edge(edge) => {
+                within(&self.src_ids, &edge.src) && within(&self.dst_ids, &edge.dst)
+            }
+        };
+        ends && within(&self.ids, e.id())
+            && self.labels.as_ref().is_none_or(|ls| ls.iter().any(|l| l == e.label()))
+            && self.predicates.iter().all(|p| p.pred.test(element_property(e, &p.key).as_deref()))
     }
 }
 
 /// Resolve a property key against an element, treating `id` and `label` as
-/// pseudo-properties like TinkerPop's `T.id`/`T.label`.
-pub fn element_property(e: &Element, key: &str) -> Option<GValue> {
-    property_of(e.id(), e.label(), e.properties(), key)
-}
-
-fn property_of(id: &ElementId, label: &str, properties: &Properties, key: &str) -> Option<GValue> {
+/// pseudo-properties like TinkerPop's `T.id`/`T.label`. A stored property
+/// is borrowed; only the pseudo-properties build a value.
+pub fn element_property<'a>(e: Element<'a>, key: &str) -> Option<Cow<'a, GValue>> {
     match key {
-        "id" => Some(crate::structure::id_value(id)),
-        "label" => Some(GValue::Str(label.to_string())),
-        _ => properties.get(key).cloned(),
+        "id" => Some(Cow::Owned(id_value(e.id()))),
+        "label" => Some(Cow::Owned(GValue::Str(e.label().to_string()))),
+        _ => e.properties().get(key).map(Cow::Borrowed),
     }
 }
 
 /// Apply the projection/aggregate parts of a filter to already-filtered
 /// elements — the shared "finalize" for backends that post-process instead
 /// of pushing these down natively (the in-memory reference backend and the
-/// baseline stores; the SQL overlay backend pushes them into SQL instead).
-pub fn finalize_elements(elements: Vec<Element>, filter: &ElementFilter) -> BackendOutput {
+/// baseline stores; the SQL overlay backend pushes them into SQL instead). Returns what
+/// [`GraphBackend::graph_elements`] returns: the elements, their projected
+/// values, or the aggregate as one value.
+pub fn finalize_elements(elements: Vec<GValue>, filter: &ElementFilter) -> Vec<GValue> {
+    let keys = filter.projection.as_deref().unwrap_or_default();
+    let projected = || {
+        elements
+            .iter()
+            .filter_map(GValue::as_element)
+            .flat_map(|e| keys.iter().filter_map(move |k| e.properties().get(k)))
+    };
     if let Some(op) = filter.aggregate {
         if op == AggOp::Count && filter.projection.is_none() {
-            return BackendOutput::Aggregate(GValue::Long(elements.len() as i64));
+            return vec![GValue::Long(elements.len() as i64)];
         }
-        let keys = filter.projection.clone().unwrap_or_default();
         let mut nums: Vec<f64> = Vec::new();
         let mut all_long = true;
         let mut count = 0i64;
-        for e in &elements {
-            for k in &keys {
-                if let Some(v) = e.properties().get(k) {
-                    count += 1;
-                    match v {
-                        GValue::Long(x) => nums.push(*x as f64),
-                        GValue::Double(x) => {
-                            all_long = false;
-                            nums.push(*x);
-                        }
-                        _ => {}
-                    }
+        for v in projected() {
+            count += 1;
+            match v {
+                GValue::Long(x) => nums.push(*x as f64),
+                GValue::Double(x) => {
+                    all_long = false;
+                    nums.push(*x);
                 }
+                _ => {}
             }
         }
         if op == AggOp::Count {
-            return BackendOutput::Aggregate(GValue::Long(count));
+            return vec![GValue::Long(count)];
         }
         if nums.is_empty() {
-            return BackendOutput::Elements(Vec::new());
+            return Vec::new();
         }
         let v = match op {
             AggOp::Sum => {
@@ -278,44 +263,28 @@ pub fn finalize_elements(elements: Vec<Element>, filter: &ElementFilter) -> Back
             }
             AggOp::Count => unreachable!(),
         };
-        return BackendOutput::Aggregate(v);
+        return vec![v];
     }
-    if let Some(keys) = &filter.projection {
-        let mut out = Vec::new();
-        for e in &elements {
-            for k in keys {
-                if let Some(v) = e.properties().get(k) {
-                    if !matches!(v, GValue::Null) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-        }
-        return BackendOutput::Values(out);
+    if filter.projection.is_some() {
+        return projected().filter(|v| !matches!(v, GValue::Null)).cloned().collect();
     }
-    BackendOutput::Elements(elements)
-}
-
-/// Output of a graph-level backend call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BackendOutput {
-    /// Matching elements (with properties, possibly trimmed to the
-    /// projection).
-    Elements(Vec<Element>),
-    /// Projected property values, flattened per element in request order
-    /// (projection pushdown).
-    Values(Vec<GValue>),
-    /// A single aggregate value (aggregate pushdown).
-    Aggregate(GValue),
+    elements
 }
 
 /// The graph structure API a provider implements.
 ///
+/// Elements travel as `GValue::Vertex`/`GValue::Edge`, the traverser's own
+/// form: a backend returns them owned and reads its inputs borrowed.
 /// `adjacent` and `edge_endpoints` return results grouped per input element
 /// so the traversal engine can keep traverser paths aligned.
 pub trait GraphBackend: Send + Sync {
-    /// `g.V(...)` / `g.E(...)`: fetch elements of a kind with pushdown.
-    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput>;
+    /// `g.V(...)` / `g.E(...)`: fetch elements of a kind with pushdown. The
+    /// result is the matching elements (with properties, possibly trimmed
+    /// to the projection); with a projection, their projected property
+    /// values, flattened per element in request order; with an aggregate,
+    /// the aggregate as one value, or none when it has no value (a sum or
+    /// mean over no numbers, say).
+    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<Vec<GValue>>;
 
     /// Adjacency: for each source vertex, its incident edges
     /// (`to == Edges`) or neighbouring vertices (`to == Vertices`) along
@@ -323,23 +292,23 @@ pub trait GraphBackend: Send + Sync {
     /// result-element `filter`.
     fn adjacent(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>>;
+    ) -> GResult<Vec<Vec<GValue>>>;
 
     /// For each edge, the requested endpoint vertex/vertices.
     /// `came_from`, when known, carries the vertex id each edge was reached
     /// from (needed by `otherV()`).
     fn edge_endpoints(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>>;
+    ) -> GResult<Vec<Vec<GValue>>>;
 
     /// A short name for diagnostics.
     fn backend_name(&self) -> &str {
@@ -359,7 +328,6 @@ pub trait GraphBackend: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::Vertex;
 
     #[test]
     fn predicate_evaluation() {
@@ -383,45 +351,48 @@ mod tests {
     #[test]
     fn filter_matches_labels_ids_and_predicates() {
         let v = Vertex::new(1, "patient").with_property("name", "Alice");
-        let e = Element::Vertex(v);
+        let e = Element::Vertex(&v);
         let mut f = ElementFilter::default();
         assert!(f.is_empty());
-        assert!(f.matches(&e));
+        assert!(f.matches(e));
         f.labels = Some(vec!["patient".into()]);
-        assert!(f.matches(&e));
+        assert!(f.matches(e));
         f.labels = Some(vec!["disease".into()]);
-        assert!(!f.matches(&e));
+        assert!(!f.matches(e));
         f.labels = None;
         f.ids = Some(vec![ElementId::Long(2)]);
-        assert!(!f.matches(&e));
+        assert!(!f.matches(e));
         f.ids = Some(vec![ElementId::Long(1)]);
         f.predicates
             .push(PropPred { key: "name".into(), pred: Pred::Eq(GValue::Str("Alice".into())) });
-        assert!(f.matches(&e));
+        assert!(f.matches(e));
         f.predicates.push(PropPred { key: "missing".into(), pred: Pred::Exists });
-        assert!(!f.matches(&e));
+        assert!(!f.matches(e));
     }
 
     #[test]
     fn filter_src_dst_constraints_apply_to_edges_only() {
-        let edge = crate::structure::Edge::new(1, "knows", 10, 20);
-        let e = Element::Edge(edge);
+        let edge = Edge::new(1, "knows", 10, 20);
+        let e = Element::Edge(&edge);
         let f = ElementFilter { src_ids: Some(vec![ElementId::Long(10)]), ..Default::default() };
-        assert!(f.matches(&e));
+        assert!(f.matches(e));
         let f = ElementFilter { src_ids: Some(vec![ElementId::Long(99)]), ..Default::default() };
-        assert!(!f.matches(&e));
+        assert!(!f.matches(e));
         let f = ElementFilter { dst_ids: Some(vec![ElementId::Long(20)]), ..Default::default() };
-        assert!(f.matches(&e));
-        let v = Element::Vertex(Vertex::new(10, "x"));
-        assert!(!f.matches(&v));
+        assert!(f.matches(e));
+        let v = Vertex::new(10, "x");
+        assert!(!f.matches(Element::Vertex(&v)));
     }
 
     #[test]
     fn pseudo_properties() {
-        let v = Element::Vertex(Vertex::new(3, "thing").with_property("a", 1i64));
-        assert_eq!(element_property(&v, "id"), Some(GValue::Long(3)));
-        assert_eq!(element_property(&v, "label"), Some(GValue::Str("thing".into())));
-        assert_eq!(element_property(&v, "a"), Some(GValue::Long(1)));
-        assert_eq!(element_property(&v, "zz"), None);
+        let v = Vertex::new(3, "thing").with_property("a", 1i64);
+        let v = Element::Vertex(&v);
+        let get = |key| element_property(v, key).map(Cow::into_owned);
+        assert_eq!(get("id"), Some(GValue::Long(3)));
+        assert_eq!(get("label"), Some(GValue::Str("thing".into())));
+        assert_eq!(get("a"), Some(GValue::Long(1)));
+        assert!(matches!(element_property(v, "a"), Some(Cow::Borrowed(_))));
+        assert_eq!(get("zz"), None);
     }
 }

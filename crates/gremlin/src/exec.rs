@@ -6,13 +6,14 @@
 //! turns a traversal hop into a single `... WHERE src_v IN (...)` query
 //! instead of a query per vertex.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::backend::{element_property, AggOp, BackendOutput, ElementKind, GraphBackend};
+use crate::backend::{element_property, AggOp, ElementKind, GraphBackend};
 use crate::error::{GResult, GremlinError};
 use crate::observe::TraversalObserver;
 use crate::step::{CompareOp, FilterSpec, OrderKey, Step, Traversal};
-use crate::structure::{Element, ElementId, GValue};
+use crate::structure::{id_value, ElementId, GValue};
 
 /// Side-effect collections (`store`, `aggregate`, `cap`).
 #[derive(Debug, Clone, Default)]
@@ -143,14 +144,7 @@ impl<'a> Executor<'a> {
     ) -> GResult<Vec<Traverser>> {
         match step {
             Step::Graph(g) => {
-                let output = self.backend.graph_elements(g.kind, &g.filter)?;
-                let values: Vec<GValue> = match output {
-                    BackendOutput::Elements(es) => {
-                        es.into_iter().map(GValue::from_element).collect()
-                    }
-                    BackendOutput::Values(vs) => vs,
-                    BackendOutput::Aggregate(v) => vec![v],
-                };
+                let values = self.backend.graph_elements(g.kind, &g.filter)?;
                 if current.is_empty() {
                     Ok(values.into_iter().map(|v| Traverser::new(v, ctx.track_paths)).collect())
                 } else {
@@ -165,17 +159,15 @@ impl<'a> Executor<'a> {
                 }
             }
             Step::Vertex(v) => {
-                let sources: Vec<Element> = current
+                let sources = current
                     .iter()
-                    .map(|t| {
-                        t.value.as_element().ok_or_else(|| {
-                            GremlinError::Execution(format!(
-                                "vertex step applied to non-element {}",
-                                t.value
-                            ))
-                        })
+                    .map(|t| match &t.value {
+                        GValue::Vertex(vx) => Ok(vx),
+                        other => Err(GremlinError::Execution(format!(
+                            "vertex step applied to non-vertex {other}"
+                        ))),
                     })
-                    .collect::<GResult<_>>()?;
+                    .collect::<GResult<Vec<_>>>()?;
                 let groups = self.backend.adjacent(
                     &sources,
                     v.direction,
@@ -193,9 +185,9 @@ impl<'a> Executor<'a> {
                 let mut out = Vec::new();
                 for ((t, src), group) in current.iter().zip(&sources).zip(groups) {
                     for e in group {
-                        let mut nt = t.advance(GValue::from_element(e), ctx.track_paths);
+                        let mut nt = t.advance(e, ctx.track_paths);
                         if v.to == ElementKind::Edges {
-                            nt.prev_vertex = Some(src.id().clone());
+                            nt.prev_vertex = Some(src.id.clone());
                         }
                         out.push(nt);
                     }
@@ -208,8 +200,8 @@ impl<'a> Executor<'a> {
                 for t in &current {
                     match &t.value {
                         GValue::Edge(e) => {
-                            edges.push(e.clone());
-                            came_from.push(t.prev_vertex.clone());
+                            edges.push(e);
+                            came_from.push(t.prev_vertex.as_ref());
                         }
                         other => {
                             return Err(GremlinError::Execution(format!(
@@ -227,7 +219,7 @@ impl<'a> Executor<'a> {
                 let mut out = Vec::new();
                 for (t, group) in current.iter().zip(groups) {
                     for e in group {
-                        out.push(t.advance(GValue::from_element(e), ctx.track_paths));
+                        out.push(t.advance(e, ctx.track_paths));
                     }
                 }
                 Ok(out)
@@ -235,10 +227,9 @@ impl<'a> Executor<'a> {
             Step::Has(preds) => Ok(current
                 .into_iter()
                 .filter(|t| match t.value.as_element() {
-                    Some(e) => preds.iter().all(|p| {
-                        let v = element_property(&e, &p.key);
-                        p.pred.test(v.as_ref())
-                    }),
+                    Some(e) => {
+                        preds.iter().all(|p| p.pred.test(element_property(e, &p.key).as_deref()))
+                    }
                     None => false,
                 })
                 .collect()),
@@ -303,7 +294,7 @@ impl<'a> Executor<'a> {
                 .into_iter()
                 .filter_map(|t| {
                     let e = t.value.as_element()?;
-                    Some(t.advance(crate::structure::id_value(e.id()), ctx.track_paths))
+                    Some(t.advance(id_value(e.id()), ctx.track_paths))
                 })
                 .collect()),
             Step::Label => Ok(current
@@ -466,7 +457,7 @@ impl<'a> Executor<'a> {
                     let k = match key {
                         None => t.value.to_string(),
                         Some(k) => match t.value.as_element() {
-                            Some(e) => match element_property(&e, k) {
+                            Some(e) => match element_property(e, k) {
                                 Some(v) => v.to_string(),
                                 None => continue, // no key -> not grouped
                             },
@@ -597,13 +588,13 @@ impl<'a> Executor<'a> {
     }
 }
 
-fn order_value(key: &OrderKey, value: &GValue) -> GValue {
+fn order_value<'a>(key: &OrderKey, value: &'a GValue) -> Cow<'a, GValue> {
     match key {
-        OrderKey::Value => value.clone(),
-        OrderKey::Property(k) => match value.as_element() {
-            Some(e) => element_property(&e, k).unwrap_or(GValue::Null),
-            None => GValue::Null,
-        },
+        OrderKey::Value => Cow::Borrowed(value),
+        OrderKey::Property(k) => value
+            .as_element()
+            .and_then(|e| element_property(e, k))
+            .unwrap_or(Cow::Owned(GValue::Null)),
     }
 }
 

@@ -11,9 +11,9 @@ use std::collections::{BTreeMap, HashMap};
 use parking_lot_shim::RwLockShim;
 
 use crate::backend::{
-    AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
+    finalize_elements, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
 };
-use crate::error::{GResult, GremlinError};
+use crate::error::GResult;
 use crate::structure::{Edge, Element, ElementId, GValue, Vertex};
 
 /// Minimal internal RwLock wrapper so this crate stays dependency-free.
@@ -62,68 +62,16 @@ impl MemGraph {
     }
 }
 
-fn apply_output(elements: Vec<Element>, filter: &ElementFilter) -> GResult<BackendOutput> {
-    if let Some(op) = filter.aggregate {
-        // Aggregate pushdown: for projections, aggregate over the projected
-        // property values; otherwise count elements.
-        return match op {
-            AggOp::Count => Ok(BackendOutput::Aggregate(GValue::Long(elements.len() as i64))),
-            _ => {
-                let keys = filter.projection.clone().unwrap_or_default();
-                let mut nums = Vec::new();
-                for e in &elements {
-                    for k in &keys {
-                        if let Some(v) = e.properties().get(k) {
-                            if let Some(f) = v.as_f64() {
-                                nums.push(f);
-                            }
-                        }
-                    }
-                }
-                if nums.is_empty() {
-                    return Ok(BackendOutput::Elements(Vec::new()));
-                }
-                let v = match op {
-                    AggOp::Sum => GValue::Double(nums.iter().sum()),
-                    AggOp::Mean => GValue::Double(nums.iter().sum::<f64>() / nums.len() as f64),
-                    AggOp::Min => {
-                        GValue::Double(nums.iter().cloned().fold(f64::INFINITY, f64::min))
-                    }
-                    AggOp::Max => {
-                        GValue::Double(nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-                    }
-                    AggOp::Count => unreachable!(),
-                };
-                Ok(BackendOutput::Aggregate(v))
-            }
-        };
-    }
-    if let Some(keys) = &filter.projection {
-        let mut out = Vec::new();
-        for e in &elements {
-            for k in keys {
-                if let Some(v) = e.properties().get(k) {
-                    if !matches!(v, GValue::Null) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-        }
-        return Ok(BackendOutput::Values(out));
-    }
-    Ok(BackendOutput::Elements(elements))
-}
-
 /// The elements of `map` that `filter` accepts, in key order, cloning only
 /// those: with `filter.ids` set, a lookup per distinct id instead of a scan.
 fn select<T: Clone>(
     map: &BTreeMap<ElementId, T>,
     filter: &ElementFilter,
-    matches: fn(&ElementFilter, &T) -> bool,
-    wrap: fn(T) -> Element,
-) -> Vec<Element> {
+    view: fn(&T) -> Element<'_>,
+    own: fn(T) -> GValue,
+) -> Vec<GValue> {
     let Some(ids) = &filter.ids else {
-        return map.values().filter(|x| matches(filter, x)).cloned().map(wrap).collect();
+        return map.values().filter(|x| filter.matches(view(x))).cloned().map(own).collect();
     };
     let mut ids: Vec<&ElementId> = ids.iter().collect();
     ids.sort();
@@ -132,44 +80,36 @@ fn select<T: Clone>(
     let rest = ElementFilter { ids: None, ..filter.clone() };
     ids.into_iter()
         .filter_map(|id| map.get(id))
-        .filter(|x| matches(&rest, x))
+        .filter(|x| rest.matches(view(x)))
         .cloned()
-        .map(wrap)
+        .map(own)
         .collect()
 }
 
 impl GraphBackend for MemGraph {
-    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
+    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         let inner = self.inner.read().unwrap();
         let elements = match kind {
             ElementKind::Vertices => {
-                select(&inner.vertices, filter, ElementFilter::matches_vertex, Element::Vertex)
+                select(&inner.vertices, filter, |v| Element::Vertex(v), GValue::Vertex)
             }
-            ElementKind::Edges => {
-                select(&inner.edges, filter, ElementFilter::matches_edge, Element::Edge)
-            }
+            ElementKind::Edges => select(&inner.edges, filter, |e| Element::Edge(e), GValue::Edge),
         };
-        apply_output(elements, filter)
+        Ok(finalize_elements(elements, filter))
     }
 
     fn adjacent(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let inner = self.inner.read().unwrap();
         let mut out = Vec::with_capacity(sources.len());
         for src in sources {
-            let vid = match src {
-                Element::Vertex(v) => &v.id,
-                Element::Edge(_) => {
-                    return Err(GremlinError::Execution("adjacency from an edge element".into()))
-                }
-            };
-            let mut group: Vec<Element> = Vec::new();
+            let mut group: Vec<GValue> = Vec::new();
             let mut push_edges = |edge_ids: Option<&Vec<ElementId>>, outgoing: bool| {
                 for eid in edge_ids.into_iter().flatten() {
                     let Some(edge) = inner.edges.get(eid) else { continue };
@@ -178,17 +118,15 @@ impl GraphBackend for MemGraph {
                     }
                     match to {
                         ElementKind::Edges => {
-                            let el = Element::Edge(edge.clone());
-                            if filter.matches(&el) {
-                                group.push(el);
+                            if filter.matches(Element::Edge(edge)) {
+                                group.push(GValue::Edge(edge.clone()));
                             }
                         }
                         ElementKind::Vertices => {
                             let nid = if outgoing { &edge.dst } else { &edge.src };
                             if let Some(v) = inner.vertices.get(nid) {
-                                let el = Element::Vertex(v.clone());
-                                if filter.matches(&el) {
-                                    group.push(el);
+                                if filter.matches(Element::Vertex(v)) {
+                                    group.push(GValue::Vertex(v.clone()));
                                 }
                             }
                         }
@@ -196,11 +134,11 @@ impl GraphBackend for MemGraph {
                 }
             };
             match direction {
-                Direction::Out => push_edges(inner.out_adj.get(vid), true),
-                Direction::In => push_edges(inner.in_adj.get(vid), false),
+                Direction::Out => push_edges(inner.out_adj.get(&src.id), true),
+                Direction::In => push_edges(inner.in_adj.get(&src.id), false),
                 Direction::Both => {
-                    push_edges(inner.out_adj.get(vid), true);
-                    push_edges(inner.in_adj.get(vid), false);
+                    push_edges(inner.out_adj.get(&src.id), true);
+                    push_edges(inner.in_adj.get(&src.id), false);
                 }
             }
             out.push(group);
@@ -210,11 +148,11 @@ impl GraphBackend for MemGraph {
 
     fn edge_endpoints(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let inner = self.inner.read().unwrap();
         let mut out = Vec::with_capacity(edges.len());
         for (i, edge) in edges.iter().enumerate() {
@@ -226,22 +164,18 @@ impl GraphBackend for MemGraph {
                     ids.push(&edge.src);
                     ids.push(&edge.dst);
                 }
-                EdgeEnd::Other => {
-                    let from = came_from.get(i).and_then(|o| o.as_ref());
-                    match from {
-                        Some(f) if *f == edge.src => ids.push(&edge.dst),
-                        Some(f) if *f == edge.dst => ids.push(&edge.src),
-                        // Unknown origin: fall back to the destination.
-                        _ => ids.push(&edge.dst),
-                    }
-                }
+                EdgeEnd::Other => match came_from.get(i).copied().flatten() {
+                    Some(f) if *f == edge.src => ids.push(&edge.dst),
+                    Some(f) if *f == edge.dst => ids.push(&edge.src),
+                    // Unknown origin: fall back to the destination.
+                    _ => ids.push(&edge.dst),
+                },
             }
             let mut group = Vec::new();
             for id in ids {
                 if let Some(v) = inner.vertices.get(id) {
-                    let el = Element::Vertex(v.clone());
-                    if filter.matches(&el) {
-                        group.push(el);
+                    if filter.matches(Element::Vertex(v)) {
+                        group.push(GValue::Vertex(v.clone()));
                     }
                 }
             }
@@ -258,6 +192,7 @@ impl GraphBackend for MemGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::AggOp;
 
     /// The Figure 2 healthcare graph, abridged.
     pub(super) fn sample() -> MemGraph {
@@ -287,25 +222,20 @@ mod tests {
         assert_eq!(g.edge_count(), 3);
     }
 
+    /// The element ids of a `graph_elements` result.
+    fn ids(out: Vec<GValue>) -> Vec<ElementId> {
+        out.iter().map(|v| v.as_element().expect("an element").id().clone()).collect()
+    }
+
     #[test]
     fn graph_elements_with_filters() {
         let g = sample();
         let mut f = ElementFilter { labels: Some(vec!["patient".into()]), ..Default::default() };
-        match g.graph_elements(ElementKind::Vertices, &f).unwrap() {
-            BackendOutput::Elements(es) => assert_eq!(es.len(), 2),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(ids(g.graph_elements(ElementKind::Vertices, &f).unwrap()).len(), 2);
         f.aggregate = Some(AggOp::Count);
-        match g.graph_elements(ElementKind::Vertices, &f).unwrap() {
-            BackendOutput::Aggregate(GValue::Long(2)) => {}
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(g.graph_elements(ElementKind::Vertices, &f).unwrap(), vec![GValue::Long(2)]);
         // Requested ids are looked up once each and come back in key
         // order; the rest of the filter still applies.
-        let ids = |es: BackendOutput| match es {
-            BackendOutput::Elements(es) => es.iter().map(|e| e.id().clone()).collect::<Vec<_>>(),
-            other => panic!("{other:?}"),
-        };
         let f = ElementFilter {
             ids: Some(vec![11i64.into(), "patient::2".into(), 10i64.into(), 11i64.into()]),
             labels: Some(vec!["disease".into()]),
@@ -322,22 +252,40 @@ mod tests {
         assert_eq!(found, vec![ElementId::from("hd1"), ElementId::from("hd2")]);
     }
 
+    /// A pushed-down `count()` over a projection counts the values, not
+    /// the elements: the diseases have no `name`.
+    #[test]
+    fn projected_count_counts_values() {
+        let g = sample();
+        let mut f = ElementFilter {
+            projection: Some(vec!["name".into()]),
+            aggregate: Some(AggOp::Count),
+            ..Default::default()
+        };
+        assert_eq!(g.graph_elements(ElementKind::Vertices, &f).unwrap(), vec![GValue::Long(2)]);
+        f.projection = Some(vec!["patientID".into()]);
+        f.aggregate = Some(AggOp::Sum);
+        assert_eq!(g.graph_elements(ElementKind::Vertices, &f).unwrap(), vec![GValue::Long(3)]);
+    }
+
+    /// The one element `graph_elements` finds with id `id`.
+    fn one(g: &MemGraph, kind: ElementKind, id: ElementId) -> GValue {
+        let mut found = g.graph_elements(kind, &ElementFilter::with_ids(vec![id])).unwrap();
+        assert_eq!(found.len(), 1);
+        found.remove(0)
+    }
+
     #[test]
     fn adjacency_directions() {
         let g = sample();
-        let alice = match g
-            .graph_elements(
-                ElementKind::Vertices,
-                &ElementFilter::with_ids(vec![ElementId::Str("patient::1".into())]),
-            )
-            .unwrap()
-        {
-            BackendOutput::Elements(mut es) => es.remove(0),
-            other => panic!("{other:?}"),
+        let GValue::Vertex(alice) =
+            one(&g, ElementKind::Vertices, ElementId::Str("patient::1".into()))
+        else {
+            panic!("a vertex")
         };
         let out = g
             .adjacent(
-                std::slice::from_ref(&alice),
+                &[&alice],
                 Direction::Out,
                 &["hasDisease".into()],
                 ElementKind::Vertices,
@@ -345,26 +293,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out[0].len(), 1);
-        assert_eq!(out[0][0].label(), "disease");
+        assert_eq!(out[0][0].as_element().unwrap().label(), "disease");
         // both() from the disease vertex sees isa (out) and hasDisease (in).
-        let d10 = match g
-            .graph_elements(
-                ElementKind::Vertices,
-                &ElementFilter::with_ids(vec![ElementId::Long(10)]),
-            )
-            .unwrap()
-        {
-            BackendOutput::Elements(mut es) => es.remove(0),
-            other => panic!("{other:?}"),
+        let GValue::Vertex(d10) = one(&g, ElementKind::Vertices, ElementId::Long(10)) else {
+            panic!("a vertex")
         };
         let both = g
-            .adjacent(
-                std::slice::from_ref(&d10),
-                Direction::Both,
-                &[],
-                ElementKind::Edges,
-                &ElementFilter::default(),
-            )
+            .adjacent(&[&d10], Direction::Both, &[], ElementKind::Edges, &ElementFilter::default())
             .unwrap();
         assert_eq!(both[0].len(), 2);
     }
@@ -372,37 +307,21 @@ mod tests {
     #[test]
     fn endpoints_including_other_v() {
         let g = sample();
-        let inner_edge = {
-            match g
-                .graph_elements(
-                    ElementKind::Edges,
-                    &ElementFilter::with_ids(vec![ElementId::Str("isa1".into())]),
-                )
-                .unwrap()
-            {
-                BackendOutput::Elements(mut es) => match es.remove(0) {
-                    Element::Edge(e) => e,
-                    other => panic!("{other:?}"),
-                },
-                other => panic!("{other:?}"),
-            }
+        let GValue::Edge(inner_edge) = one(&g, ElementKind::Edges, ElementId::Str("isa1".into()))
+        else {
+            panic!("an edge")
         };
         let ends = g
             .edge_endpoints(
-                std::slice::from_ref(&inner_edge),
+                &[&inner_edge],
                 EdgeEnd::Other,
-                &[Some(ElementId::Long(11))],
+                &[Some(&ElementId::Long(11))],
                 &ElementFilter::default(),
             )
             .unwrap();
-        assert_eq!(ends[0][0].id(), &ElementId::Long(10));
+        assert_eq!(ends[0][0].as_element().unwrap().id(), &ElementId::Long(10));
         let ends = g
-            .edge_endpoints(
-                std::slice::from_ref(&inner_edge),
-                EdgeEnd::Both,
-                &[None],
-                &ElementFilter::default(),
-            )
+            .edge_endpoints(&[&inner_edge], EdgeEnd::Both, &[None], &ElementFilter::default())
             .unwrap();
         assert_eq!(ends[0].len(), 2);
     }

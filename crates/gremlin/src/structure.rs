@@ -233,45 +233,42 @@ impl Edge {
     }
 }
 
-/// Either kind of graph element.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Element {
-    Vertex(Vertex),
-    Edge(Edge),
+/// A borrowed view of either kind of graph element: what a step or a
+/// filter reads of the `GValue::Vertex`/`GValue::Edge` it sits on, without
+/// copying it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Element<'a> {
+    Vertex(&'a Vertex),
+    Edge(&'a Edge),
 }
 
-impl Element {
-    pub fn id(&self) -> &ElementId {
+impl<'a> Element<'a> {
+    pub fn id(self) -> &'a ElementId {
         match self {
             Element::Vertex(v) => &v.id,
             Element::Edge(e) => &e.id,
         }
     }
 
-    pub fn label(&self) -> &str {
+    pub fn label(self) -> &'a str {
         match self {
             Element::Vertex(v) => &v.label,
             Element::Edge(e) => &e.label,
         }
     }
 
-    pub fn properties(&self) -> &Properties {
+    pub fn properties(self) -> &'a Properties {
         match self {
             Element::Vertex(v) => &v.properties,
             Element::Edge(e) => &e.properties,
         }
     }
 
-    pub fn provenance(&self) -> Option<&str> {
+    pub fn provenance(self) -> Option<&'a str> {
         match self {
             Element::Vertex(v) => v.provenance.as_deref(),
             Element::Edge(e) => e.provenance.as_deref(),
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn is_vertex(&self) -> bool {
-        matches!(self, Element::Vertex(_))
     }
 }
 
@@ -292,18 +289,12 @@ pub enum GValue {
 }
 
 impl GValue {
-    pub fn as_element(&self) -> Option<Element> {
+    /// The element this value is, borrowed; `None` for any other value.
+    pub fn as_element(&self) -> Option<Element<'_>> {
         match self {
-            GValue::Vertex(v) => Some(Element::Vertex(v.clone())),
-            GValue::Edge(e) => Some(Element::Edge(e.clone())),
+            GValue::Vertex(v) => Some(Element::Vertex(v)),
+            GValue::Edge(e) => Some(Element::Edge(e)),
             _ => None,
-        }
-    }
-
-    pub(crate) fn from_element(e: Element) -> GValue {
-        match e {
-            Element::Vertex(v) => GValue::Vertex(v),
-            Element::Edge(e) => GValue::Edge(e),
         }
     }
 
@@ -593,12 +584,13 @@ mod tests {
 
     #[test]
     fn element_accessors() {
-        let v = Vertex::new(1, "patient").with_property("name", "Alice");
-        let e = Element::Vertex(v);
+        let v = GValue::Vertex(Vertex::new(1, "patient").with_property("name", "Alice"));
+        let e = v.as_element().unwrap();
         assert_eq!(e.id(), &ElementId::Long(1));
         assert_eq!(e.label(), "patient");
-        assert!(e.is_vertex());
+        assert!(matches!(e, Element::Vertex(_)));
         assert_eq!(e.properties().get("name"), Some(&GValue::Str("Alice".into())));
+        assert_eq!(GValue::Long(1).as_element(), None);
     }
 
     #[test]

@@ -16,10 +16,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use gremlin::structure::{Edge, Element, ElementId, Vertex};
-use gremlin::{
-    finalize_elements, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
-};
+use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
+use gremlin::{finalize_elements, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend};
 use gremlin::{GResult, GremlinError};
 
 use crate::codec::{self, Cursor};
@@ -234,7 +232,7 @@ impl JanusLikeDb {
 }
 
 impl GraphBackend for JanusLikeDb {
-    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
+    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         let elements = match kind {
             ElementKind::Vertices => {
                 let ids: Vec<ElementId> = if let Some(ids) = &filter.ids {
@@ -247,9 +245,8 @@ impl GraphBackend for JanusLikeDb {
                 let mut out = Vec::with_capacity(ids.len());
                 for id in ids {
                     if let Some(v) = self.load_vertex(&id)? {
-                        let el = Element::Vertex(v);
-                        if filter.matches(&el) {
-                            out.push(el);
+                        if filter.matches(Element::Vertex(&v)) {
+                            out.push(GValue::Vertex(v));
                         }
                     }
                 }
@@ -260,9 +257,8 @@ impl GraphBackend for JanusLikeDb {
                     let mut out = Vec::new();
                     for id in src_ids {
                         for e in self.adjacency_for(id, true, &filter.labels)? {
-                            let el = Element::Edge(e);
-                            if filter.matches(&el) {
-                                out.push(el);
+                            if filter.matches(Element::Edge(&e)) {
+                                out.push(GValue::Edge(e));
                             }
                         }
                     }
@@ -271,9 +267,8 @@ impl GraphBackend for JanusLikeDb {
                     let mut out = Vec::new();
                     for id in dst_ids {
                         for e in self.adjacency_for(id, false, &filter.labels)? {
-                            let el = Element::Edge(e);
-                            if filter.matches(&el) {
-                                out.push(el);
+                            if filter.matches(Element::Edge(&e)) {
+                                out.push(GValue::Edge(e));
                             }
                         }
                     }
@@ -295,9 +290,8 @@ impl GraphBackend for JanusLikeDb {
                             if let Some(bytes) = self.kv.get(&adj_key(true, &src, &label, &dst)) {
                                 let e = codec::decode_edge(&bytes)
                                     .map_err(|e| GremlinError::Backend(e.to_string()))?;
-                                let el = Element::Edge(e);
-                                if filter.matches(&el) {
-                                    out.push(el);
+                                if filter.matches(Element::Edge(&e)) {
+                                    out.push(GValue::Edge(e));
                                 }
                             }
                         }
@@ -308,9 +302,8 @@ impl GraphBackend for JanusLikeDb {
                     let mut out = Vec::new();
                     for id in self.all_vertex_ids() {
                         for e in self.adjacency_for(&id, true, &filter.labels)? {
-                            let el = Element::Edge(e);
-                            if filter.matches(&el) {
-                                out.push(el);
+                            if filter.matches(Element::Edge(&e)) {
+                                out.push(GValue::Edge(e));
                             }
                         }
                     }
@@ -323,50 +316,47 @@ impl GraphBackend for JanusLikeDb {
 
     fn adjacent(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let labels: Option<Vec<String>> =
             if edge_labels.is_empty() { None } else { Some(edge_labels.to_vec()) };
         let mut groups = Vec::with_capacity(sources.len());
         for src in sources {
             let mut group = Vec::new();
-            let walk =
-                |edges: Vec<Edge>, outgoing: bool, group: &mut Vec<Element>| -> GResult<()> {
-                    for e in edges {
-                        match to {
-                            ElementKind::Edges => {
-                                let el = Element::Edge(e);
-                                if filter.matches(&el) {
-                                    group.push(el);
-                                }
+            let walk = |edges: Vec<Edge>, outgoing: bool, group: &mut Vec<GValue>| -> GResult<()> {
+                for e in edges {
+                    match to {
+                        ElementKind::Edges => {
+                            if filter.matches(Element::Edge(&e)) {
+                                group.push(GValue::Edge(e));
                             }
-                            ElementKind::Vertices => {
-                                let nid = if outgoing { &e.dst } else { &e.src };
-                                if let Some(v) = self.load_vertex(nid)? {
-                                    let el = Element::Vertex(v);
-                                    if filter.matches(&el) {
-                                        group.push(el);
-                                    }
+                        }
+                        ElementKind::Vertices => {
+                            let nid = if outgoing { &e.dst } else { &e.src };
+                            if let Some(v) = self.load_vertex(nid)? {
+                                if filter.matches(Element::Vertex(&v)) {
+                                    group.push(GValue::Vertex(v));
                                 }
                             }
                         }
                     }
-                    Ok(())
-                };
+                }
+                Ok(())
+            };
             match direction {
                 Direction::Out => {
-                    walk(self.adjacency_for(src.id(), true, &labels)?, true, &mut group)?
+                    walk(self.adjacency_for(&src.id, true, &labels)?, true, &mut group)?
                 }
                 Direction::In => {
-                    walk(self.adjacency_for(src.id(), false, &labels)?, false, &mut group)?
+                    walk(self.adjacency_for(&src.id, false, &labels)?, false, &mut group)?
                 }
                 Direction::Both => {
-                    walk(self.adjacency_for(src.id(), true, &labels)?, true, &mut group)?;
-                    walk(self.adjacency_for(src.id(), false, &labels)?, false, &mut group)?;
+                    walk(self.adjacency_for(&src.id, true, &labels)?, true, &mut group)?;
+                    walk(self.adjacency_for(&src.id, false, &labels)?, false, &mut group)?;
                 }
             }
             groups.push(group);
@@ -376,18 +366,18 @@ impl GraphBackend for JanusLikeDb {
 
     fn edge_endpoints(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let mut out = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
             let ids: Vec<&ElementId> = match end {
                 EdgeEnd::Out => vec![&e.src],
                 EdgeEnd::In => vec![&e.dst],
                 EdgeEnd::Both => vec![&e.src, &e.dst],
-                EdgeEnd::Other => match came_from.get(i).and_then(|o| o.as_ref()) {
+                EdgeEnd::Other => match came_from.get(i).copied().flatten() {
                     Some(f) if *f == e.src => vec![&e.dst],
                     Some(f) if *f == e.dst => vec![&e.src],
                     _ => vec![&e.dst],
@@ -396,9 +386,8 @@ impl GraphBackend for JanusLikeDb {
             let mut group = Vec::new();
             for id in ids {
                 if let Some(v) = self.load_vertex(id)? {
-                    let el = Element::Vertex(v);
-                    if filter.matches(&el) {
-                        group.push(el);
+                    if filter.matches(Element::Vertex(&v)) {
+                        group.push(GValue::Vertex(v));
                     }
                 }
             }
@@ -456,15 +445,9 @@ mod tests {
     fn label_index_lookup() {
         let g = diamond();
         let mut f = ElementFilter { labels: Some(vec!["node".into()]), ..Default::default() };
-        match g.graph_elements(ElementKind::Vertices, &f).unwrap() {
-            BackendOutput::Elements(es) => assert_eq!(es.len(), 4),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(g.graph_elements(ElementKind::Vertices, &f).unwrap().len(), 4);
         f.labels = Some(vec!["ghost".into()]);
-        match g.graph_elements(ElementKind::Vertices, &f).unwrap() {
-            BackendOutput::Elements(es) => assert!(es.is_empty()),
-            other => panic!("{other:?}"),
-        }
+        assert!(g.graph_elements(ElementKind::Vertices, &f).unwrap().is_empty());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use std::time::{Duration, Instant};
 
-use gremlin::structure::{Edge, Element, GValue, Vertex};
-use gremlin::{BackendOutput, ElementFilter, ElementKind, GResult, GraphBackend};
+use gremlin::structure::{Edge, GValue, Vertex};
+use gremlin::{ElementFilter, ElementKind, GResult, GraphBackend};
 
 use crate::janus::{JanusLikeDb, JanusLoader};
 use crate::native::{NativeGraphDb, NativeLoader};
@@ -64,26 +64,22 @@ fn edge_csv(e: &Edge) -> String {
 pub fn export_graph(backend: &dyn GraphBackend) -> GResult<(ExportedGraph, Duration)> {
     let start = Instant::now();
     let filter = ElementFilter::default();
-    let vertices: Vec<Vertex> = match backend.graph_elements(ElementKind::Vertices, &filter)? {
-        BackendOutput::Elements(es) => es
-            .into_iter()
-            .filter_map(|e| match e {
-                Element::Vertex(v) => Some(v),
-                Element::Edge(_) => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    let edges: Vec<Edge> = match backend.graph_elements(ElementKind::Edges, &filter)? {
-        BackendOutput::Elements(es) => es
-            .into_iter()
-            .filter_map(|e| match e {
-                Element::Edge(e) => Some(e),
-                Element::Vertex(_) => None,
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let vertices: Vec<Vertex> = backend
+        .graph_elements(ElementKind::Vertices, &filter)?
+        .into_iter()
+        .filter_map(|v| match v {
+            GValue::Vertex(v) => Some(v),
+            _ => None,
+        })
+        .collect();
+    let edges: Vec<Edge> = backend
+        .graph_elements(ElementKind::Edges, &filter)?
+        .into_iter()
+        .filter_map(|e| match e {
+            GValue::Edge(e) => Some(e),
+            _ => None,
+        })
+        .collect();
     // CSV rendering (what the paper's export step produces). We count
     // bytes instead of writing to disk.
     let mut csv_bytes = 0usize;

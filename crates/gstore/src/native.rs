@@ -25,8 +25,7 @@ use std::sync::Arc;
 
 use gremlin::structure::{Edge, Element, ElementId, GValue, Vertex};
 use gremlin::{
-    finalize_elements, AggOp, BackendOutput, Direction, EdgeEnd, ElementFilter, ElementKind,
-    GraphBackend,
+    finalize_elements, AggOp, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend,
 };
 use gremlin::{GResult, GremlinError};
 use parking_lot::Mutex;
@@ -381,7 +380,7 @@ impl NativeGraphDb {
         Ok(out.into_iter().map(|o| o.expect("filled above")).collect())
     }
 
-    fn vertices_by_filter(&self, filter: &ElementFilter) -> GResult<Vec<Element>> {
+    fn vertices_by_filter(&self, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         let slots: Vec<usize> = if let Some(ids) = &filter.ids {
             ids.iter().filter_map(|id| self.v_index.get(id).copied()).collect()
         } else if let Some(labels) = &filter.labels {
@@ -395,9 +394,8 @@ impl NativeGraphDb {
         let mut out = Vec::with_capacity(slots.len());
         for s in slots {
             let rec = self.fetch_vertex(s)?;
-            let el = Element::Vertex(rec.vertex.clone());
-            if filter.matches(&el) {
-                out.push(el);
+            if filter.matches(Element::Vertex(&rec.vertex)) {
+                out.push(GValue::Vertex(rec.vertex.clone()));
             }
         }
         Ok(out)
@@ -433,7 +431,7 @@ impl NativeGraphDb {
         Ok(Some(n))
     }
 
-    fn edges_by_filter(&self, filter: &ElementFilter) -> GResult<Vec<Element>> {
+    fn edges_by_filter(&self, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         // src/dst constraints route through adjacency (index-free!).
         let adjacency = match (&filter.src_ids, &filter.dst_ids) {
             (Some(ids), _) => Some((ids, true)),
@@ -465,9 +463,8 @@ impl NativeGraphDb {
                     group.push(entry.edge_slot);
                 }
                 for e in self.fetch_edges_bulk(&group)? {
-                    let el = Element::Edge((*e).clone());
-                    if filter.matches(&el) {
-                        out.push(el);
+                    if filter.matches(Element::Edge(&e)) {
+                        out.push(GValue::Edge((*e).clone()));
                     }
                 }
             }
@@ -486,9 +483,8 @@ impl NativeGraphDb {
         let mut out = Vec::with_capacity(slots.len());
         for s in slots {
             let e = self.fetch_edge(s)?;
-            let el = Element::Edge((*e).clone());
-            if filter.matches(&el) {
-                out.push(el);
+            if filter.matches(Element::Edge(&e)) {
+                out.push(GValue::Edge((*e).clone()));
             }
         }
         Ok(out)
@@ -496,10 +492,10 @@ impl NativeGraphDb {
 }
 
 impl GraphBackend for NativeGraphDb {
-    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<BackendOutput> {
+    fn graph_elements(&self, kind: ElementKind, filter: &ElementFilter) -> GResult<Vec<GValue>> {
         if kind == ElementKind::Edges {
             if let Some(n) = self.try_adjacency_count(filter)? {
-                return Ok(BackendOutput::Aggregate(GValue::Long(n)));
+                return Ok(vec![GValue::Long(n)]);
             }
         }
         let elements = match kind {
@@ -511,17 +507,17 @@ impl GraphBackend for NativeGraphDb {
 
     fn adjacent(
         &self,
-        sources: &[Element],
+        sources: &[&Vertex],
         direction: Direction,
         edge_labels: &[String],
         to: ElementKind,
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let wanted = self.label_ids(edge_labels);
         let mut groups = Vec::with_capacity(sources.len());
         for src in sources {
             let mut group = Vec::new();
-            let Some(&slot) = self.v_index.get(src.id()) else {
+            let Some(&slot) = self.v_index.get(&src.id) else {
                 groups.push(group);
                 continue;
             };
@@ -538,9 +534,8 @@ impl GraphBackend for NativeGraphDb {
                         // Block fetch of the vertex's matching edge records.
                         let slots: Vec<u64> = matching.iter().map(|e| e.edge_slot).collect();
                         for e in self.fetch_edges_bulk(&slots)? {
-                            let el = Element::Edge((*e).clone());
-                            if filter.matches(&el) {
-                                group.push(el);
+                            if filter.matches(Element::Edge(&e)) {
+                                group.push(GValue::Edge((*e).clone()));
                             }
                         }
                     }
@@ -550,9 +545,8 @@ impl GraphBackend for NativeGraphDb {
                         for entry in matching {
                             if let Some(&ns) = self.v_index.get(&entry.other) {
                                 let nrec = self.fetch_vertex(ns)?;
-                                let el = Element::Vertex(nrec.vertex.clone());
-                                if filter.matches(&el) {
-                                    group.push(el);
+                                if filter.matches(Element::Vertex(&nrec.vertex)) {
+                                    group.push(GValue::Vertex(nrec.vertex.clone()));
                                 }
                             }
                         }
@@ -575,18 +569,18 @@ impl GraphBackend for NativeGraphDb {
 
     fn edge_endpoints(
         &self,
-        edges: &[Edge],
+        edges: &[&Edge],
         end: EdgeEnd,
-        came_from: &[Option<ElementId>],
+        came_from: &[Option<&ElementId>],
         filter: &ElementFilter,
-    ) -> GResult<Vec<Vec<Element>>> {
+    ) -> GResult<Vec<Vec<GValue>>> {
         let mut out = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
             let ids: Vec<&ElementId> = match end {
                 EdgeEnd::Out => vec![&e.src],
                 EdgeEnd::In => vec![&e.dst],
                 EdgeEnd::Both => vec![&e.src, &e.dst],
-                EdgeEnd::Other => match came_from.get(i).and_then(|o| o.as_ref()) {
+                EdgeEnd::Other => match came_from.get(i).copied().flatten() {
                     Some(f) if *f == e.src => vec![&e.dst],
                     Some(f) if *f == e.dst => vec![&e.src],
                     _ => vec![&e.dst],
@@ -596,9 +590,8 @@ impl GraphBackend for NativeGraphDb {
             for id in ids {
                 if let Some(&slot) = self.v_index.get(id) {
                     let rec = self.fetch_vertex(slot)?;
-                    let el = Element::Vertex(rec.vertex.clone());
-                    if filter.matches(&el) {
-                        group.push(el);
+                    if filter.matches(Element::Vertex(&rec.vertex)) {
+                        group.push(GValue::Vertex(rec.vertex.clone()));
                     }
                 }
             }
@@ -673,10 +666,7 @@ mod tests {
         };
         let before = g.stats().cache_hits.load(Ordering::Relaxed)
             + g.stats().cache_misses.load(Ordering::Relaxed);
-        match g.graph_elements(ElementKind::Edges, &f).unwrap() {
-            BackendOutput::Aggregate(GValue::Long(2)) => {}
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(g.graph_elements(ElementKind::Edges, &f).unwrap(), vec![GValue::Long(2)]);
         let after = g.stats().cache_hits.load(Ordering::Relaxed)
             + g.stats().cache_misses.load(Ordering::Relaxed);
         // Only the vertex record was touched, no edge records.
@@ -726,27 +716,17 @@ mod tests {
     fn label_index_and_src_constraints() {
         let g = diamond(100);
         let f = ElementFilter { labels: Some(vec!["node".into()]), ..Default::default() };
-        match g.graph_elements(ElementKind::Vertices, &f).unwrap() {
-            BackendOutput::Elements(es) => assert_eq!(es.len(), 4),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(g.graph_elements(ElementKind::Vertices, &f).unwrap().len(), 4);
         let f = ElementFilter { src_ids: Some(vec![ElementId::Long(1)]), ..Default::default() };
-        match g.graph_elements(ElementKind::Edges, &f).unwrap() {
-            BackendOutput::Elements(es) => assert_eq!(es.len(), 3),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(g.graph_elements(ElementKind::Edges, &f).unwrap().len(), 3);
         // getLink shape: src + dst constraint checked on entries.
         let f = ElementFilter {
             src_ids: Some(vec![ElementId::Long(1)]),
             dst_ids: Some(vec![ElementId::Long(3)]),
             ..Default::default()
         };
-        match g.graph_elements(ElementKind::Edges, &f).unwrap() {
-            BackendOutput::Elements(es) => {
-                assert_eq!(es.len(), 1);
-                assert_eq!(es[0].id(), &ElementId::Long(101));
-            }
-            other => panic!("{other:?}"),
-        }
+        let es = g.graph_elements(ElementKind::Edges, &f).unwrap();
+        assert_eq!(es.len(), 1);
+        assert_eq!(es[0].as_element().unwrap().id(), &ElementId::Long(101));
     }
 }

@@ -91,7 +91,7 @@ const BUDGET: &[(&str, u64)] = &[
     ("getLink", 180),
     ("getLinkList", 171),
     ("hub outE(l)", 2464),
-    ("hub outE(l).id()", 1979),
+    ("hub outE(l).id()", 1515),
     ("hub direct SELECT", 1447),
     ("g.V(x)", 717),
     ("g.V(x).id()", 570),

@@ -55,6 +55,18 @@ fn build(vertices: u64, seed: u64) -> Systems {
 }
 
 impl Systems {
+    /// Whether `q` fails on each system, in the order db2graph, native,
+    /// janus, memgraph.
+    fn fails(&self, q: &str) -> Vec<bool> {
+        let backends: Vec<&dyn GraphBackend> = vec![&self.native, &self.janus, &self.mem];
+        let mut failed = vec![self.graph.run(q).is_err()];
+        for b in backends {
+            let runner = ScriptRunner::new(b).with_strategies(self.registry.clone());
+            failed.push(runner.run(q).is_err());
+        }
+        failed
+    }
+
     fn run_all(&self, q: &str) -> Vec<Vec<String>> {
         let norm = |vs: Vec<GValue>| -> Vec<String> {
             let mut out: Vec<String> = vs
@@ -167,4 +179,14 @@ fn multi_label_union_and_paths_agree() {
         link.id1, link.label, link.label
     ));
     sys.assert_agree(&format!("g.V({}).out('{}').path().count()", link.id1, link.label));
+}
+
+/// A vertex step needs vertices: from an edge it fails on every system,
+/// the same way, instead of returning nothing on some of them.
+#[test]
+fn vertex_step_over_an_edge_fails_everywhere() {
+    let sys = build(200, 3);
+    for q in ["g.E().limit(1).out()", "g.E().limit(1).outE()", "g.E().limit(1).both().count()"] {
+        assert_eq!(sys.fails(q), [true; 4], "query {q}: db2graph, native, janus, memgraph");
+    }
 }

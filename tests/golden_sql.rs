@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use db2graph_core::{healthcare_example_json, Db2Graph};
+use gremlin::GValue;
 use reldb::Database;
 
 /// Schema only — explain never reads rows, so none are inserted.
@@ -159,6 +160,18 @@ fn explain_lists_the_statements_execution_runs() {
         }
     }
     assert!(failures.is_empty(), "explain() and execution diverged:\n\n{}", failures.join("\n"));
+}
+
+/// The `.explain()` terminator and `Db2Graph::explain` render one text:
+/// for every golden query, running `<q>.explain()` returns exactly the
+/// string `explain("<q>")` does.
+#[test]
+fn explain_terminator_matches_explain() {
+    let g = graph();
+    for (gremlin, _) in GOLDEN {
+        let ran = g.run(&format!("{gremlin}.explain()")).unwrap();
+        assert_eq!(ran, [GValue::Str(g.explain(gremlin).unwrap())], "query: {gremlin}");
+    }
 }
 
 /// Full rendered explain() output for a representative multi-step query,

@@ -289,10 +289,21 @@ fn shutdown_mid_load_drains_admitted_work_completely() {
     let handle = GraphServer::start(graph, config(2, 16)).unwrap();
     let addr = handle.addr();
 
+    /// Stops the writers when the scope's closure ends, by returning or by
+    /// a failed assertion or client: `thread::scope` then joins writers
+    /// that stop, so a failure fails the test instead of hanging it.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+
     let stop_writers = Arc::new(AtomicBool::new(false));
     let full_responses = Arc::new(AtomicUsize::new(0));
     let empty_outcomes = Arc::new(AtomicUsize::new(0));
     std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop_writers);
         for _ in 0..2usize {
             let db = db.clone();
             let stop = stop_writers.clone();
@@ -349,7 +360,6 @@ fn shutdown_mid_load_drains_admitted_work_completely() {
         for c in clients {
             c.join().unwrap();
         }
-        stop_writers.store(true, Ordering::Relaxed);
     });
 
     assert!(full_responses.load(Ordering::Relaxed) >= 8, "load was established before shutdown");
