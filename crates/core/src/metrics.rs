@@ -773,23 +773,20 @@ impl HistogramSet {
     }
 
     pub fn record(&self, key: &str, nanos: u64) {
-        let hist = {
-            let read = self.map.read();
-            read.get(key).cloned()
-        };
-        let hist = match hist {
-            Some(h) => h,
-            None => {
-                let mut write = self.map.write();
-                let effective = if write.len() >= self.cap && !write.contains_key(key) {
-                    "<other>"
-                } else {
-                    key
-                };
-                write.entry(effective.to_string()).or_default().clone()
-            }
-        };
-        hist.record(nanos);
+        self.handle(key).record(nanos);
+    }
+
+    /// The histogram `key` records into, created on first use: a caller
+    /// that records under one key many times keeps the handle and skips
+    /// the map.
+    pub(crate) fn handle(&self, key: &str) -> Arc<Histogram> {
+        if let Some(h) = self.map.read().get(key) {
+            return h.clone();
+        }
+        let mut write = self.map.write();
+        let effective =
+            if write.len() >= self.cap && !write.contains_key(key) { "<other>" } else { key };
+        write.entry(effective.to_string()).or_default().clone()
     }
 
     /// All keyed histograms, sorted by key for deterministic output.
@@ -1033,11 +1030,12 @@ impl MetricsSnapshot {
 
 impl MetricsRegistry {
     /// One executed SQL statement: its template-cache outcome, the rows it
-    /// returned and its wall time, in the counters and in the aggregate
-    /// and per-template latency histograms.
+    /// returned and its wall time, in the counters, the aggregate latency
+    /// histogram and `template`, its template's histogram in
+    /// [`Self::sql_templates`].
     pub(crate) fn record_statement(
         &self,
-        template: &str,
+        template: &Histogram,
         template_hit: bool,
         rows: u64,
         nanos: u64,
@@ -1051,7 +1049,7 @@ impl MetricsRegistry {
         self.rows_returned.add(rows);
         self.sql_wall_nanos.add(nanos);
         self.sql_latency.record(nanos);
-        self.sql_templates.record(template, nanos);
+        template.record(nanos);
     }
 
     /// End-to-end wall time of one complete traversal.
@@ -1277,8 +1275,9 @@ mod tests {
     fn one_call_records_a_statement() {
         let m = MetricsRegistry::default();
         m.traversals.add(1);
-        m.record_statement("SELECT 1", false, 5, 1_000);
-        m.record_statement("SELECT 1", true, 2, 500);
+        let template = m.sql_templates().handle("SELECT 1");
+        m.record_statement(&template, false, 5, 1_000);
+        m.record_statement(&template, true, 2, 500);
         let s = m.snapshot();
         assert_eq!((s.traversals, s.sql_statements, s.rows_returned), (1, 2, 7));
         assert_eq!((s.template_hits, s.template_misses, s.sql_wall_nanos), (1, 1, 1_500));
@@ -1337,8 +1336,8 @@ mod tests {
         for _ in 0..10 {
             m.record_query_latency(1_000); // bucket 10 → upper 1023
         }
-        m.record_statement("SELECT 1", true, 0, 100);
-        m.record_statement("SELECT 2", true, 0, 200);
+        m.record_statement(&m.sql_templates().handle("SELECT 1"), true, 0, 100);
+        m.record_statement(&m.sql_templates().handle("SELECT 2"), true, 0, 200);
         m.record_step_latency("outE", 50);
         m.slow_queries.add(1);
         let snap = m.snapshot();

@@ -17,7 +17,7 @@ use crate::error::GResult;
 use crate::structure::{id_value, Edge, Element, ElementId, GValue, Vertex};
 
 /// Which element set a graph-level step addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementKind {
     Vertices,
     Edges,
@@ -104,7 +104,7 @@ impl Pred {
 }
 
 /// Aggregates that can be pushed into a graph-level step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggOp {
     Count,
     Sum,
@@ -215,52 +215,42 @@ pub fn finalize_elements(elements: Vec<GValue>, filter: &ElementFilter) -> Vec<G
         if op == AggOp::Count && filter.projection.is_none() {
             return vec![GValue::Long(elements.len() as i64)];
         }
-        let mut nums: Vec<f64> = Vec::new();
-        let mut all_long = true;
-        let mut count = 0i64;
+        // Longs sum in i128 and clamp, as the step form's sum does, so a
+        // pushed-down sum equals `.fold().unfold().sum()` past 2^53.
+        let (mut int, mut float, mut count) = (0i128, 0.0f64, 0i64);
+        let (mut all_long, mut numbers) = (true, 0usize);
+        let mut min_max: Option<&GValue> = None;
         for v in projected() {
             count += 1;
             match v {
-                GValue::Long(x) => nums.push(*x as f64),
+                GValue::Long(x) => int += i128::from(*x),
                 GValue::Double(x) => {
                     all_long = false;
-                    nums.push(*x);
+                    float += x;
                 }
-                _ => {}
+                _ => continue,
+            }
+            numbers += 1;
+            let better = |cur: &GValue| match op {
+                AggOp::Min => v.total_cmp(cur).is_lt(),
+                _ => v.total_cmp(cur).is_gt(),
+            };
+            if min_max.is_none_or(better) {
+                min_max = Some(v);
             }
         }
         if op == AggOp::Count {
             return vec![GValue::Long(count)];
         }
-        if nums.is_empty() {
-            return Vec::new();
-        }
+        let Some(min_max) = min_max else { return Vec::new() };
+        let long = int.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
         let v = match op {
-            AggOp::Sum => {
-                let s: f64 = nums.iter().sum();
-                if all_long {
-                    GValue::Long(s as i64)
-                } else {
-                    GValue::Double(s)
-                }
-            }
-            AggOp::Mean => GValue::Double(nums.iter().sum::<f64>() / nums.len() as f64),
-            AggOp::Min => {
-                let m = nums.iter().cloned().fold(f64::INFINITY, f64::min);
-                if all_long {
-                    GValue::Long(m as i64)
-                } else {
-                    GValue::Double(m)
-                }
-            }
-            AggOp::Max => {
-                let m = nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                if all_long {
-                    GValue::Long(m as i64)
-                } else {
-                    GValue::Double(m)
-                }
-            }
+            AggOp::Sum if all_long => GValue::Long(long),
+            AggOp::Sum => GValue::Double(float + int as f64),
+            AggOp::Mean if all_long => GValue::Double(long as f64 / numbers as f64),
+            AggOp::Mean => GValue::Double((float + int as f64) / numbers as f64),
+            AggOp::Min | AggOp::Max if all_long => min_max.clone(),
+            AggOp::Min | AggOp::Max => GValue::Double(min_max.as_f64().expect("a number")),
             AggOp::Count => unreachable!(),
         };
         return vec![v];

@@ -29,8 +29,8 @@ use crate::prepared::Prepared;
 use crate::row::{Row, RowSet};
 use crate::schema::TableSchema;
 use crate::sql::ast::*;
-use crate::sql::eval::{compile, eval, ColRef, Compiled, RowEnv};
-use crate::sql::exec::{execute_select, explain_select, matching_rows, table_cols};
+use crate::sql::eval::{compile, eval_const, Cols, Compiled};
+use crate::sql::exec::{execute_select, explain_select, matching_rows};
 use crate::sql::parser::{parse_script, parse_statement};
 use crate::sql::render;
 use crate::storage::{ReadView, Table};
@@ -852,7 +852,7 @@ impl Database {
             .ok_or_else(|| DbError::Catalog(format!("view '{name}' not found")))?;
         let mut q = view.query.clone();
         q.limit = Some(0);
-        Ok(execute_select(self, &q, &self.read_view())?.columns)
+        Ok(execute_select(self, &q, &self.read_view(), &[])?.columns)
     }
 
     /// Create a table from a schema built in code.
@@ -911,7 +911,7 @@ impl Database {
     /// Parse and execute one SQL statement.
     pub fn execute(&self, sql: &str) -> DbResult<RowSet> {
         let stmt = parse_statement(sql)?;
-        self.execute_stmt(&stmt)
+        self.execute_stmt_at(&stmt, &[], None)
     }
 
     /// Execute every statement in a `;`-separated script; returns the last
@@ -920,7 +920,7 @@ impl Database {
         let stmts = parse_script(sql)?;
         let mut last = RowSet::default();
         for stmt in &stmts {
-            last = self.execute_stmt(stmt)?;
+            last = self.execute_stmt_at(stmt, &[], None)?;
         }
         Ok(last)
     }
@@ -956,25 +956,28 @@ impl Database {
         params: &[Value],
         snap: Option<&Snapshot>,
     ) -> DbResult<RowSet> {
-        let bound = if prepared.is_stale(self.schema_generation()) {
-            Prepared::new(&prepared.sql)?.bind(params)?
-        } else {
-            prepared.bind(params)?
-        };
-        self.execute_stmt_at(&bound, snap)
+        prepared.check_arity(params)?;
+        if prepared.is_stale(self.schema_generation()) {
+            let fresh = Prepared::new(&prepared.sql)?;
+            return self.execute_stmt_at(&fresh.stmt, params, snap);
+        }
+        self.execute_stmt_at(&prepared.stmt, params, snap)
     }
 
-    /// Execute an already-parsed statement at latest-committed state.
-    pub(crate) fn execute_stmt(&self, stmt: &Stmt) -> DbResult<RowSet> {
-        self.execute_stmt_at(stmt, None)
-    }
-
-    /// Execute an already-parsed statement, recording result size and wall
-    /// time into the metric table. Reads run against `snap` when given.
-    fn execute_stmt_at(&self, stmt: &Stmt, snap: Option<&Snapshot>) -> DbResult<RowSet> {
+    /// Execute a parsed statement whose `?` parameters read `params`,
+    /// recording result size and wall time into the metric table. Reads
+    /// run against `snap` when given. Every statement kind runs here: the
+    /// parsed text of [`Database::execute`] with no parameters, and a
+    /// prepared statement, whose AST is shared, not copied.
+    fn execute_stmt_at(
+        &self,
+        stmt: &Stmt,
+        params: &[Value],
+        snap: Option<&Snapshot>,
+    ) -> DbResult<RowSet> {
         self.metrics.statements.add(1);
         let start = std::time::Instant::now();
-        let result = self.execute_stmt_inner(stmt, snap);
+        let result = self.execute_stmt_inner(stmt, params, snap);
         let rows = result.as_ref().map(|rs| rs.rows.len() as u64).unwrap_or(0);
         self.metrics.rows_returned.add(rows);
         self.metrics.exec_nanos.add(start.elapsed().as_nanos() as u64);
@@ -989,7 +992,12 @@ impl Database {
         result
     }
 
-    fn execute_stmt_inner(&self, stmt: &Stmt, snap: Option<&Snapshot>) -> DbResult<RowSet> {
+    fn execute_stmt_inner(
+        &self,
+        stmt: &Stmt,
+        params: &[Value],
+        snap: Option<&Snapshot>,
+    ) -> DbResult<RowSet> {
         match stmt {
             Stmt::Select(q) => {
                 let view = match snap {
@@ -999,10 +1007,10 @@ impl Database {
                     Some(s) => ReadView { snap: s.epoch(), stamp: s.stamp() },
                     None => self.read_view(),
                 };
-                execute_select(self, q, &view)
+                execute_select(self, q, &view, params)
             }
             Stmt::Explain(q) => {
-                let lines = explain_select(self, q)?;
+                let lines = explain_select(self, q, params)?;
                 Ok(RowSet::with_rows(
                     vec!["plan".into()],
                     lines.into_iter().map(|l| vec![Value::Varchar(l)]).collect(),
@@ -1094,11 +1102,15 @@ impl Database {
                 }
                 Err(DbError::Catalog(format!("index '{name}' not found")))
             }
-            Stmt::Insert { table, columns, values } => self.run_insert(table, columns, values),
-            Stmt::Update { table, sets, where_clause } => {
-                self.run_update(table, sets, where_clause.as_ref())
+            Stmt::Insert { table, columns, values } => {
+                self.run_insert(table, columns, values, params)
             }
-            Stmt::Delete { table, where_clause } => self.run_delete(table, where_clause.as_ref()),
+            Stmt::Update { table, sets, where_clause } => {
+                self.run_update(table, sets, where_clause.as_ref(), params)
+            }
+            Stmt::Delete { table, where_clause } => {
+                self.run_delete(table, where_clause.as_ref(), params)
+            }
             Stmt::Begin => match self.adopted() {
                 None => {
                     self.begin_adopted(Opener::Begin);
@@ -1141,7 +1153,7 @@ impl Database {
     /// Render the execution plan of a SELECT.
     pub fn explain(&self, sql: &str) -> DbResult<String> {
         match parse_statement(sql)? {
-            Stmt::Select(q) | Stmt::Explain(q) => Ok(explain_select(self, &q)?.join("\n")),
+            Stmt::Select(q) | Stmt::Explain(q) => Ok(explain_select(self, &q, &[])?.join("\n")),
             _ => Err(DbError::Unsupported("EXPLAIN supports SELECT only".into())),
         }
     }
@@ -1446,6 +1458,7 @@ impl Database {
         table: &str,
         columns: &Option<Vec<String>>,
         values: &[Vec<Expr>],
+        params: &[Value],
     ) -> DbResult<RowSet> {
         let t = self.require_table(table)?;
         let positions: Vec<usize> = match columns {
@@ -1454,9 +1467,6 @@ impl Database {
             }
             None => (0..t.schema.columns.len()).collect(),
         };
-        let empty_cols: Vec<ColRef> = Vec::new();
-        let empty_row: Row = Vec::new();
-        let env = RowEnv { cols: &empty_cols, row: &empty_row };
         let mut ctx = self.begin_stmt_write();
         let result = (|| {
             let mut n = 0i64;
@@ -1470,7 +1480,7 @@ impl Database {
                 }
                 let mut row: Row = vec![Value::Null; t.schema.columns.len()];
                 for (pos, e) in positions.iter().zip(exprs) {
-                    row[*pos] = eval(e, &env)?;
+                    row[*pos] = eval_const(e, params)?;
                 }
                 self.insert_row_ctx(&t, row, &mut ctx)?;
                 n += 1;
@@ -1550,15 +1560,18 @@ impl Database {
         table: &str,
         sets: &[(String, Expr)],
         where_clause: Option<&Expr>,
+        params: &[Value],
     ) -> DbResult<RowSet> {
         let t = self.require_table(table)?;
-        let cols = table_cols(&t.schema.name, &t.schema);
+        let cols = Cols::Table(&t.schema.name, &t.schema);
         let set_positions: Vec<usize> =
             sets.iter().map(|(c, _)| t.schema.require_column(c)).collect::<DbResult<_>>()?;
-        let set_exprs: Vec<Compiled<'_>> = sets.iter().map(|(_, e)| compile(e, &cols)).collect();
+        let set_exprs: Vec<Compiled<'_>> =
+            sets.iter().map(|(_, e)| compile(e, cols, params)).collect();
         let mut ctx = self.begin_stmt_write();
         let result = (|| {
-            let matches = matching_rows(self, &t, where_clause, &ReadView::latest(ctx.stamp))?;
+            let view = ReadView::latest(ctx.stamp);
+            let matches = matching_rows(self, &t, where_clause, &view, params)?;
             let mut n = 0i64;
             for (rid, row) in matches {
                 let mut new_row = row.clone();
@@ -1574,11 +1587,17 @@ impl Database {
         self.end_stmt_write(ctx, result)
     }
 
-    fn run_delete(&self, table: &str, where_clause: Option<&Expr>) -> DbResult<RowSet> {
+    fn run_delete(
+        &self,
+        table: &str,
+        where_clause: Option<&Expr>,
+        params: &[Value],
+    ) -> DbResult<RowSet> {
         let t = self.require_table(table)?;
         let mut ctx = self.begin_stmt_write();
         let result = (|| {
-            let matches = matching_rows(self, &t, where_clause, &ReadView::latest(ctx.stamp))?;
+            let view = ReadView::latest(ctx.stamp);
+            let matches = matching_rows(self, &t, where_clause, &view, params)?;
             let mut n = 0i64;
             for (rid, _) in matches {
                 t.delete(rid, ctx.stamp)?;

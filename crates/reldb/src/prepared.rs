@@ -1,7 +1,10 @@
 //! Prepared statements.
 //!
-//! A prepared statement is parsed once; executing it binds `?` parameters by
-//! substitution into a copy of the AST. This is the mechanism behind the
+//! A prepared statement is parsed once into a shared AST. Executing it
+//! reads each `?` by reference from the parameter values: the executor
+//! compiles `Expr::Param(i)` to `&params[i]` and the access-path planner
+//! probes an index with it, so no execution copies the AST. This is the
+//! mechanism behind the
 //! paper's SQL Dialect module, which "creates a set of pre-compiled SQL
 //! templates for these frequent patterns and issues the corresponding
 //! prepare statements in Db2 to avoid the SQL compilation overhead at
@@ -58,8 +61,8 @@ impl Prepared {
         self.generation != GENERATION_ANY && self.generation != current
     }
 
-    /// Produce an executable statement with all `?` parameters bound.
-    pub(crate) fn bind(&self, params: &[Value]) -> DbResult<Stmt> {
+    /// Check that `params` supplies exactly one value per `?`.
+    pub(crate) fn check_arity(&self, params: &[Value]) -> DbResult<()> {
         if params.len() != self.param_count {
             return Err(DbError::Execution(format!(
                 "statement expects {} parameters, got {}",
@@ -67,7 +70,7 @@ impl Prepared {
                 params.len()
             )));
         }
-        bind_stmt(&self.stmt, params)
+        Ok(())
     }
 }
 
@@ -147,137 +150,6 @@ fn visit_source_exprs(s: &TableSource, f: &mut dyn FnMut(&Expr)) {
     }
 }
 
-/// Clone a statement with parameters substituted as literals.
-pub(crate) fn bind_stmt(stmt: &Stmt, params: &[Value]) -> DbResult<Stmt> {
-    Ok(match stmt {
-        Stmt::Insert { table, columns, values } => Stmt::Insert {
-            table: table.clone(),
-            columns: columns.clone(),
-            values: values
-                .iter()
-                .map(|row| row.iter().map(|e| bind_expr(e, params)).collect::<DbResult<_>>())
-                .collect::<DbResult<_>>()?,
-        },
-        Stmt::Update { table, sets, where_clause } => Stmt::Update {
-            table: table.clone(),
-            sets: sets
-                .iter()
-                .map(|(c, e)| Ok((c.clone(), bind_expr(e, params)?)))
-                .collect::<DbResult<_>>()?,
-            where_clause: where_clause.as_ref().map(|w| bind_expr(w, params)).transpose()?,
-        },
-        Stmt::Delete { table, where_clause } => Stmt::Delete {
-            table: table.clone(),
-            where_clause: where_clause.as_ref().map(|w| bind_expr(w, params)).transpose()?,
-        },
-        Stmt::Select(q) => Stmt::Select(Box::new(bind_select(q, params)?)),
-        Stmt::Explain(q) => Stmt::Explain(Box::new(bind_select(q, params)?)),
-        other => other.clone(),
-    })
-}
-
-fn bind_select(q: &SelectStmt, params: &[Value]) -> DbResult<SelectStmt> {
-    Ok(SelectStmt {
-        distinct: q.distinct,
-        items: q
-            .items
-            .iter()
-            .map(|i| {
-                Ok(match i {
-                    SelectItem::Expr { expr, alias } => {
-                        SelectItem::Expr { expr: bind_expr(expr, params)?, alias: alias.clone() }
-                    }
-                    other => other.clone(),
-                })
-            })
-            .collect::<DbResult<_>>()?,
-        from: q
-            .from
-            .iter()
-            .map(|fi| {
-                Ok(FromItem {
-                    source: bind_source(&fi.source, params)?,
-                    joins: fi
-                        .joins
-                        .iter()
-                        .map(|j| {
-                            Ok(Join {
-                                source: bind_source(&j.source, params)?,
-                                on: bind_expr(&j.on, params)?,
-                                left_outer: j.left_outer,
-                            })
-                        })
-                        .collect::<DbResult<_>>()?,
-                })
-            })
-            .collect::<DbResult<_>>()?,
-        where_clause: q.where_clause.as_ref().map(|w| bind_expr(w, params)).transpose()?,
-        group_by: q.group_by.iter().map(|e| bind_expr(e, params)).collect::<DbResult<_>>()?,
-        having: q.having.as_ref().map(|h| bind_expr(h, params)).transpose()?,
-        order_by: q
-            .order_by
-            .iter()
-            .map(|o| Ok(OrderItem { expr: bind_expr(&o.expr, params)?, desc: o.desc }))
-            .collect::<DbResult<_>>()?,
-        limit: q.limit,
-    })
-}
-
-fn bind_source(s: &TableSource, params: &[Value]) -> DbResult<TableSource> {
-    Ok(match s {
-        TableSource::Function { name, args, alias, columns } => TableSource::Function {
-            name: name.clone(),
-            args: args.iter().map(|a| bind_expr(a, params)).collect::<DbResult<_>>()?,
-            alias: alias.clone(),
-            columns: columns.clone(),
-        },
-        TableSource::Subquery { query, alias } => TableSource::Subquery {
-            query: Box::new(bind_select(query, params)?),
-            alias: alias.clone(),
-        },
-        named => named.clone(),
-    })
-}
-
-fn bind_expr(e: &Expr, params: &[Value]) -> DbResult<Expr> {
-    Ok(match e {
-        Expr::Param(i) => {
-            let v = params
-                .get(*i)
-                .ok_or_else(|| DbError::Execution(format!("missing value for parameter ?{i}")))?;
-            Expr::Literal(v.clone())
-        }
-        Expr::Unary { op, expr } => {
-            Expr::Unary { op: *op, expr: Box::new(bind_expr(expr, params)?) }
-        }
-        Expr::Binary { op, left, right } => Expr::Binary {
-            op: *op,
-            left: Box::new(bind_expr(left, params)?),
-            right: Box::new(bind_expr(right, params)?),
-        },
-        Expr::InList { expr, list, negated } => Expr::InList {
-            expr: Box::new(bind_expr(expr, params)?),
-            list: list.iter().map(|x| bind_expr(x, params)).collect::<DbResult<_>>()?,
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => {
-            Expr::IsNull { expr: Box::new(bind_expr(expr, params)?), negated: *negated }
-        }
-        Expr::Like { expr, pattern, negated } => Expr::Like {
-            expr: Box::new(bind_expr(expr, params)?),
-            pattern: Box::new(bind_expr(pattern, params)?),
-            negated: *negated,
-        },
-        Expr::Function { name, args, distinct, star } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|x| bind_expr(x, params)).collect::<DbResult<_>>()?,
-            distinct: *distinct,
-            star: *star,
-        },
-        other => other.clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,14 +166,21 @@ mod tests {
     }
 
     #[test]
-    fn bind_substitutes_literals() {
-        let p = Prepared::new("SELECT * FROM t WHERE a = ?").unwrap();
-        let bound = p.bind(&[Value::Bigint(42)]).unwrap();
-        match bound {
-            Stmt::Select(q) => match q.where_clause.unwrap() {
-                Expr::Binary { right, .. } => {
-                    assert_eq!(*right, Expr::Literal(Value::Bigint(42)));
-                }
+    fn params_bind_by_reference() {
+        let db = crate::Database::new();
+        db.execute("CREATE TABLE t (a BIGINT PRIMARY KEY, b VARCHAR)").unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (42, 'z')").unwrap();
+        let p = db.prepare("SELECT b FROM t WHERE a = ?").unwrap();
+        let before = db.metrics().load();
+        let rs = db.execute_prepared(&p, &[Value::Bigint(42)]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Varchar("z".into())));
+        // The parameter keys the primary-key probe, as a literal would.
+        let stats = db.metrics().load().since(&before);
+        assert_eq!((stats.index_probes, stats.full_scans), (1, 0));
+        // The shared AST still holds the parameter: nothing was substituted.
+        match &*p.stmt {
+            Stmt::Select(q) => match q.where_clause.as_ref().unwrap() {
+                Expr::Binary { right, .. } => assert_eq!(**right, Expr::Param(0)),
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),
@@ -310,25 +189,29 @@ mod tests {
 
     #[test]
     fn bind_checks_arity() {
-        let p = Prepared::new("SELECT * FROM t WHERE a = ? AND b = ?").unwrap();
-        assert!(p.bind(&[Value::Bigint(1)]).is_err());
-        assert!(p.bind(&[Value::Bigint(1), Value::Bigint(2), Value::Bigint(3)]).is_err());
-        assert!(p.bind(&[Value::Bigint(1), Value::Bigint(2)]).is_ok());
+        let db = crate::Database::new();
+        db.execute("CREATE TABLE t (a BIGINT, b BIGINT)").unwrap();
+        let p = db.prepare("SELECT * FROM t WHERE a = ? AND b = ?").unwrap();
+        assert!(db.execute_prepared(&p, &[Value::Bigint(1)]).is_err());
+        let three = [Value::Bigint(1), Value::Bigint(2), Value::Bigint(3)];
+        assert!(db.execute_prepared(&p, &three).is_err());
+        assert!(db.execute_prepared(&p, &[Value::Bigint(1), Value::Bigint(2)]).is_ok());
     }
 
     #[test]
     fn bind_reaches_table_function_args() {
-        let p = Prepared::new("SELECT * FROM TABLE(f(?)) AS x (a BIGINT) WHERE a > ?").unwrap();
+        let db = crate::Database::new();
+        db.register_function(
+            "f",
+            std::sync::Arc::new(|args: &[Value], cols: &[(String, crate::DataType)]| {
+                let n = args[0].as_i64()?;
+                let rows = (0..n).map(|i| vec![Value::Bigint(i)]).collect();
+                Ok(crate::RowSet::with_rows(vec![cols[0].0.clone()], rows))
+            }),
+        );
+        let p = db.prepare("SELECT * FROM TABLE(f(?)) AS x (a BIGINT) WHERE a > ?").unwrap();
         assert_eq!(p.param_count, 2);
-        let bound = p.bind(&[Value::Varchar("q".into()), Value::Bigint(0)]).unwrap();
-        match bound {
-            Stmt::Select(q) => match &q.from[0].source {
-                TableSource::Function { args, .. } => {
-                    assert_eq!(args[0], Expr::Literal(Value::Varchar("q".into())));
-                }
-                other => panic!("{other:?}"),
-            },
-            other => panic!("{other:?}"),
-        }
+        let rs = db.execute_prepared(&p, &[Value::Bigint(5), Value::Bigint(2)]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Bigint(3)], vec![Value::Bigint(4)]]);
     }
 }

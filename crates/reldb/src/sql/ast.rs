@@ -197,6 +197,17 @@ impl Expr {
         Expr::Binary { op: BinOp::And, left: Box::new(self), right: Box::new(other) }
     }
 
+    /// The value of a literal, or of a parameter read by reference from
+    /// the statement's `params`; `None` for anything else, or a parameter
+    /// with no value.
+    pub(crate) fn value<'a>(&'a self, params: &'a [Value]) -> Option<&'a Value> {
+        match self {
+            Expr::Literal(v) => Some(v),
+            Expr::Param(i) => params.get(*i),
+            _ => None,
+        }
+    }
+
     /// True if the expression contains an aggregate function call.
     pub(crate) fn contains_aggregate(&self) -> bool {
         match self {

@@ -1,16 +1,18 @@
 //! Scalar expression evaluation.
 //!
-//! An expression is compiled once per statement against a column list:
-//! every column reference becomes a position in the row, and an
-//! `IN (literals)` list whose literals are non-NULL and share one type
-//! becomes a hash set. Evaluation then borrows the row and the statement's
-//! literals, so testing a predicate against a stored row clones nothing.
+//! An expression is compiled once per statement against its columns and
+//! parameters: every column reference becomes a position in the row, a `?`
+//! becomes a reference to its parameter value, and an `IN` list whose
+//! members are non-NULL values of one type becomes a hash set. Evaluation
+//! then borrows the row, the statement's literals and its parameters, so
+//! testing a predicate against a stored row clones nothing, and a prepared
+//! statement runs without a copy of its AST.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
 
 use crate::error::{DbError, DbResult};
-use crate::row::Row;
+use crate::schema::TableSchema;
 use crate::sql::ast::{BinOp, Expr, UnaryOp};
 use crate::value::{DataType, Value};
 
@@ -55,8 +57,51 @@ pub(crate) fn resolve_column(
     })
 }
 
+/// The columns a row is laid out as, for resolving column references.
+#[derive(Clone, Copy)]
+pub(crate) enum Cols<'a> {
+    /// An intermediate relation's columns.
+    List(&'a [ColRef]),
+    /// A base table's columns, every one qualified by the binding: resolved
+    /// against the schema, so no column list is built.
+    Table(&'a str, &'a TableSchema),
+}
+
+impl Cols<'_> {
+    /// The position of a column reference.
+    pub(crate) fn resolve(&self, qualifier: &Option<String>, name: &str) -> DbResult<usize> {
+        match self {
+            Cols::List(cols) => resolve_column(cols, qualifier, name),
+            Cols::Table(binding, schema) => qualifier
+                .as_ref()
+                .is_none_or(|q| q.eq_ignore_ascii_case(binding))
+                .then(|| schema.column_index(name))
+                .flatten()
+                .ok_or_else(|| {
+                    let q = qualifier.as_deref().map(|q| format!("{q}.")).unwrap_or_default();
+                    DbError::Execution(format!("column '{q}{name}' not found"))
+                }),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Cols::List(cols) => cols.len(),
+            Cols::Table(_, schema) => schema.columns.len(),
+        }
+    }
+
+    /// Column `i`'s qualifier and name.
+    pub(crate) fn get(&self, i: usize) -> (Option<&str>, &str) {
+        match self {
+            Cols::List(cols) => (cols[i].qualifier.as_deref(), &cols[i].name),
+            Cols::Table(binding, schema) => (Some(binding), &schema.columns[i].name),
+        }
+    }
+}
+
 /// An expression compiled against a column list, borrowing the statement's
-/// literals.
+/// literals and parameters.
 #[derive(Debug)]
 pub(crate) enum Compiled<'a> {
     Col(usize),
@@ -78,7 +123,8 @@ pub(crate) enum Compiled<'a> {
     Function(String, Vec<Compiled<'a>>),
 }
 
-/// The literals of an `IN` list, all non-NULL and of one type `ty`, hashed.
+/// The members of an `IN` list, all literals or parameters holding non-NULL
+/// values of one type `ty`, hashed.
 /// A probed value of type `ty` is compared with each literal exactly as
 /// [`Value::sql_eq`] would, so membership decides the predicate. A value of
 /// another type falls back to the list's three-valued scan: mixed numeric
@@ -91,11 +137,11 @@ pub(crate) struct InSet<'a> {
 }
 
 impl<'a> InSet<'a> {
-    fn new(list: &'a [Expr]) -> Option<InSet<'a>> {
+    fn new(list: &'a [Expr], params: &'a [Value]) -> Option<InSet<'a>> {
         let mut ty = None;
         let mut members = HashSet::with_capacity(list.len());
         for item in list {
-            let Expr::Literal(v) = item else { return None };
+            let v = item.value(params)?;
             let t = v.data_type()?;
             if *ty.get_or_insert(t) != t {
                 return None;
@@ -106,29 +152,33 @@ impl<'a> InSet<'a> {
     }
 }
 
-/// Compile `expr` against `cols`: resolve every column once.
-pub(crate) fn compile<'a>(expr: &'a Expr, cols: &[ColRef]) -> Compiled<'a> {
-    let sub = |e: &'a Expr| Box::new(compile(e, cols));
+/// Compile `expr` against `cols` and the statement's `params`: resolve
+/// every column once, and read each `?` as a reference to its value.
+pub(crate) fn compile<'a>(expr: &'a Expr, cols: Cols<'_>, params: &'a [Value]) -> Compiled<'a> {
+    let sub = |e: &'a Expr| Box::new(compile(e, cols, params));
     match expr {
-        Expr::Column { qualifier, name } => match resolve_column(cols, qualifier, name) {
+        Expr::Column { qualifier, name } => match cols.resolve(qualifier, name) {
             Ok(i) => Compiled::Col(i),
             Err(e) => Compiled::Fail(e),
         },
         Expr::Literal(v) => Compiled::Lit(v),
-        Expr::Param(i) => Compiled::Fail(DbError::Execution(format!("unbound parameter ?{i}"))),
+        Expr::Param(i) => match params.get(*i) {
+            Some(v) => Compiled::Lit(v),
+            None => Compiled::Fail(DbError::Execution(format!("unbound parameter ?{i}"))),
+        },
         Expr::Unary { op, expr } => Compiled::Unary(*op, sub(expr)),
         Expr::Binary { op, left, right } => Compiled::Binary(*op, sub(left), sub(right)),
         Expr::InList { expr, list, negated } => Compiled::InList {
             expr: sub(expr),
-            list: list.iter().map(|e| compile(e, cols)).collect(),
-            set: InSet::new(list),
+            list: list.iter().map(|e| compile(e, cols, params)).collect(),
+            set: InSet::new(list, params),
             negated: *negated,
         },
         Expr::IsNull { expr, negated } => Compiled::IsNull(sub(expr), *negated),
         Expr::Like { expr, pattern, negated } => Compiled::Like(sub(expr), sub(pattern), *negated),
         Expr::Function { name, args, .. } => Compiled::Function(
             name.to_ascii_uppercase(),
-            args.iter().map(|a| compile(a, cols)).collect(),
+            args.iter().map(|a| compile(a, cols, params)).collect(),
         ),
     }
 }
@@ -210,18 +260,11 @@ impl Compiled<'_> {
     }
 }
 
-/// Evaluation environment: a row laid out against a column list.
-pub(crate) struct RowEnv<'a> {
-    pub(crate) cols: &'a [ColRef],
-    pub(crate) row: &'a Row,
-}
-
-/// Evaluate a scalar expression once against a row. Code that evaluates one
-/// expression over many rows compiles it once with [`compile`] instead.
-/// Aggregate function calls are rejected here — the executor resolves them
-/// before projection.
-pub(crate) fn eval(expr: &Expr, env: &RowEnv<'_>) -> DbResult<Value> {
-    compile(expr, env.cols).eval(env.row).map(Cow::into_owned)
+/// Evaluate a scalar expression that names no column (a FROM-less item, an
+/// INSERT value, a table function argument) once. Aggregate function calls
+/// are rejected here — the executor resolves them before projection.
+pub(crate) fn eval_const(expr: &Expr, params: &[Value]) -> DbResult<Value> {
+    compile(expr, Cols::List(&[]), params).eval(&[]).map(Cow::into_owned)
 }
 
 /// Apply a unary operator to a value.
@@ -380,6 +423,12 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
+
+    /// Evaluate `expr` once against `row` laid out as `cols`.
+    fn eval(expr: &Expr, cols: &[ColRef], row: &Row) -> DbResult<Value> {
+        compile(expr, Cols::List(cols), &[]).eval(row).map(Cow::into_owned)
+    }
 
     fn env_cols() -> Vec<ColRef> {
         vec![ColRef::new(Some("t"), "a"), ColRef::new(Some("t"), "b"), ColRef::new(Some("u"), "a")]
@@ -403,28 +452,26 @@ mod tests {
     fn arithmetic_and_types() {
         let cols = env_cols();
         let r = row();
-        let env = RowEnv { cols: &cols, row: &r };
         let e = Expr::qcol("t", "a").eq(Expr::lit(5i64));
-        assert_eq!(eval(&e, &env).unwrap(), Value::Boolean(true));
+        assert_eq!(eval(&e, &cols, &r).unwrap(), Value::Boolean(true));
         let e = Expr::Binary {
             op: BinOp::Add,
             left: Box::new(Expr::qcol("t", "a")),
             right: Box::new(Expr::lit(2.5)),
         };
-        assert_eq!(eval(&e, &env).unwrap(), Value::Double(7.5));
+        assert_eq!(eval(&e, &cols, &r).unwrap(), Value::Double(7.5));
         let div0 = Expr::Binary {
             op: BinOp::Div,
             left: Box::new(Expr::lit(1i64)),
             right: Box::new(Expr::lit(0i64)),
         };
-        assert!(eval(&div0, &env).is_err());
+        assert!(eval(&div0, &cols, &r).is_err());
     }
 
     #[test]
     fn three_valued_logic() {
         let cols = env_cols();
         let r = row();
-        let env = RowEnv { cols: &cols, row: &r };
         // NULL AND FALSE = FALSE; NULL AND TRUE = NULL
         let null = Expr::Literal(Value::Null);
         let null_cmp = null.clone().eq(Expr::lit(1i64));
@@ -432,35 +479,34 @@ mod tests {
         let t = Expr::lit(1i64).eq(Expr::lit(1i64));
         let and_f =
             Expr::Binary { op: BinOp::And, left: Box::new(null_cmp.clone()), right: Box::new(f) };
-        assert_eq!(eval(&and_f, &env).unwrap(), Value::Boolean(false));
+        assert_eq!(eval(&and_f, &cols, &r).unwrap(), Value::Boolean(false));
         let and_t = Expr::Binary {
             op: BinOp::And,
             left: Box::new(null_cmp.clone()),
             right: Box::new(t.clone()),
         };
-        assert_eq!(eval(&and_t, &env).unwrap(), Value::Null);
+        assert_eq!(eval(&and_t, &cols, &r).unwrap(), Value::Null);
         let or_t = Expr::Binary { op: BinOp::Or, left: Box::new(null_cmp), right: Box::new(t) };
-        assert_eq!(eval(&or_t, &env).unwrap(), Value::Boolean(true));
+        assert_eq!(eval(&or_t, &cols, &r).unwrap(), Value::Boolean(true));
     }
 
     #[test]
     fn in_list_with_nulls() {
         let cols = env_cols();
         let r = row();
-        let env = RowEnv { cols: &cols, row: &r };
         let e = Expr::InList {
             expr: Box::new(Expr::qcol("t", "a")),
             list: vec![Expr::lit(1i64), Expr::lit(5i64)],
             negated: false,
         };
-        assert_eq!(eval(&e, &env).unwrap(), Value::Boolean(true));
+        assert_eq!(eval(&e, &cols, &r).unwrap(), Value::Boolean(true));
         // 5 NOT IN (1, NULL) -> NULL (unknown)
         let e = Expr::InList {
             expr: Box::new(Expr::qcol("t", "a")),
             list: vec![Expr::lit(1i64), Expr::Literal(Value::Null)],
             negated: true,
         };
-        assert_eq!(eval(&e, &env).unwrap(), Value::Null);
+        assert_eq!(eval(&e, &cols, &r).unwrap(), Value::Null);
     }
 
     #[test]
@@ -479,23 +525,26 @@ mod tests {
     fn scalar_functions() {
         let cols = env_cols();
         let r = row();
-        let env = RowEnv { cols: &cols, row: &r };
         let f = |name: &str, args: Vec<Expr>| Expr::Function {
             name: name.into(),
             args,
             distinct: false,
             star: false,
         };
-        assert_eq!(eval(&f("ABS", vec![Expr::lit(-3i64)]), &env).unwrap(), Value::Bigint(3));
+        assert_eq!(eval(&f("ABS", vec![Expr::lit(-3i64)]), &cols, &r).unwrap(), Value::Bigint(3));
         assert_eq!(
-            eval(&f("UPPER", vec![Expr::qcol("t", "b")]), &env).unwrap(),
+            eval(&f("UPPER", vec![Expr::qcol("t", "b")]), &cols, &r).unwrap(),
             Value::Varchar("HELLO".into())
         );
-        assert_eq!(eval(&f("LENGTH", vec![Expr::qcol("t", "b")]), &env).unwrap(), Value::Bigint(5));
         assert_eq!(
-            eval(&f("COALESCE", vec![Expr::Literal(Value::Null), Expr::lit(9i64)]), &env).unwrap(),
+            eval(&f("LENGTH", vec![Expr::qcol("t", "b")]), &cols, &r).unwrap(),
+            Value::Bigint(5)
+        );
+        assert_eq!(
+            eval(&f("COALESCE", vec![Expr::Literal(Value::Null), Expr::lit(9i64)]), &cols, &r)
+                .unwrap(),
             Value::Bigint(9)
         );
-        assert!(eval(&f("NOSUCH", vec![]), &env).is_err());
+        assert!(eval(&f("NOSUCH", vec![]), &cols, &r).is_err());
     }
 }

@@ -6,43 +6,52 @@
 //! these two access paths are what make graph traversal fast; the paper's
 //! SQL Dialect module suggests exactly these indexes (Section 6.1).
 //!
-//! An IN-list path carries the list's literals as one flat key list, which
+//! Literals and `?` parameters alike are keys: a parameter is read by
+//! reference from the statement's values, so a prepared statement probes
+//! the same index its literal form would.
+//!
+//! An IN-list path carries the list's values as one flat key list, which
 //! [`Index::lookup_in`](crate::index::Index::lookup_in) probes key by key
 //! without building a key per member. Whatever the path, the executor
 //! re-checks the whole WHERE clause on each visible version.
 
 use std::ops::Bound;
 
+use crate::index::Index;
 use crate::sql::ast::{BinOp, Expr};
 use crate::storage::TableData;
 use crate::value::Value;
 
-/// A chosen way to produce candidate rows from a table.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum AccessPath {
+/// A chosen way to produce candidate rows from a table: the index it
+/// probes, borrowed from the table under its read guard, and the keys,
+/// borrowed from the statement's literals and parameters where they can be.
+#[derive(Debug)]
+pub(crate) enum AccessPath<'a> {
     /// Scan every live row.
     FullScan,
     /// Probe an index for one exact key.
-    IndexEq { index: String, key: Vec<Value> },
+    IndexEq { index: &'a Index, key: Vec<Value> },
     /// Probe a single-column index for each key in a list (IN-list).
-    IndexIn { index: String, keys: Vec<Value> },
+    IndexIn { index: &'a Index, keys: Vec<&'a Value> },
     /// Range scan on the leading column of an index.
-    IndexRange { index: String, low: Bound<Value>, high: Bound<Value> },
+    IndexRange { index: &'a Index, low: Bound<&'a Value>, high: Bound<&'a Value> },
 }
 
-impl AccessPath {
+impl AccessPath<'_> {
     /// Human-readable form for EXPLAIN output.
     pub(crate) fn describe(&self, table: &str) -> String {
         match self {
             AccessPath::FullScan => format!("SCAN {table}"),
             AccessPath::IndexEq { index, key } => {
                 let keys: Vec<String> = key.iter().map(Value::to_sql_literal).collect();
-                format!("INDEX-EQ {table} via {index} key=({})", keys.join(", "))
+                format!("INDEX-EQ {table} via {} key=({})", index.def.name, keys.join(", "))
             }
             AccessPath::IndexIn { index, keys } => {
-                format!("INDEX-IN {table} via {index} ({} keys)", keys.len())
+                format!("INDEX-IN {table} via {} ({} keys)", index.def.name, keys.len())
             }
-            AccessPath::IndexRange { index, .. } => format!("INDEX-RANGE {table} via {index}"),
+            AccessPath::IndexRange { index, .. } => {
+                format!("INDEX-RANGE {table} via {}", index.def.name)
+            }
         }
     }
 }
@@ -63,38 +72,35 @@ pub(crate) fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
 }
 
 /// A simple predicate on one column of the scanned binding:
-/// `col <op> literal`, `col IN (literals)`.
+/// `col <op> value`, `col IN (values)`, where each value is a literal or a
+/// parameter, borrowed.
 #[derive(Debug, Clone)]
-pub(crate) enum SimplePred {
-    Eq(String, Value),
-    In(String, Vec<Value>),
-    Cmp(String, BinOp, Value),
+pub(crate) enum SimplePred<'a> {
+    Eq(&'a str, &'a Value),
+    In(&'a str, Vec<&'a Value>),
+    Cmp(&'a str, BinOp, &'a Value),
 }
 
 /// Try to view a conjunct as a simple single-column predicate over the
-/// given binding (alias) of a table with the given columns.
-pub(crate) fn as_simple_pred(
-    expr: &Expr,
+/// given binding (alias) of a table with the given columns. A `?` reads
+/// its value from `params`, so a prepared `id = ?` probes the index.
+pub(crate) fn as_simple_pred<'a>(
+    expr: &'a Expr,
     binding: &str,
     has_column: &dyn Fn(&str) -> bool,
-) -> Option<SimplePred> {
-    let col_of = |e: &Expr| -> Option<String> {
+    params: &'a [Value],
+) -> Option<SimplePred<'a>> {
+    let col_of = |e: &'a Expr| -> Option<&'a str> {
         if let Expr::Column { qualifier, name } = e {
             let qual_ok =
                 qualifier.as_ref().map(|q| q.eq_ignore_ascii_case(binding)).unwrap_or(true);
             if qual_ok && has_column(name) {
-                return Some(name.clone());
+                return Some(name);
             }
         }
         None
     };
-    let lit_of = |e: &Expr| -> Option<Value> {
-        if let Expr::Literal(v) = e {
-            Some(v.clone())
-        } else {
-            None
-        }
-    };
+    let lit_of = |e: &'a Expr| e.value(params);
     match expr {
         Expr::Binary { op, left, right }
             if matches!(op, BinOp::Eq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq) =>
@@ -121,7 +127,7 @@ pub(crate) fn as_simple_pred(
         }
         Expr::InList { expr, list, negated: false } => {
             let c = col_of(expr)?;
-            let vals: Option<Vec<Value>> = list.iter().map(lit_of).collect();
+            let vals: Option<Vec<&Value>> = list.iter().map(lit_of).collect();
             Some(SimplePred::In(c, vals?))
         }
         _ => None,
@@ -133,36 +139,31 @@ pub(crate) fn as_simple_pred(
 /// probe, range scan, full scan. Also returns how many of `preds` the path
 /// answers; the executor still re-checks them on each visible version,
 /// because a slot stays posted under the keys of its older versions.
-pub(crate) fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (AccessPath, usize) {
+pub(crate) fn choose_access_path<'a>(
+    data: &'a TableData,
+    preds: &[SimplePred<'a>],
+) -> (AccessPath<'a>, usize) {
     // 1. Exact multi/single-column equality matching a whole index. The
     //    first equality on each key column builds the key.
-    let eq_preds: Vec<&SimplePred> =
-        preds.iter().filter(|p| matches!(p, SimplePred::Eq(_, _))).collect();
+    let eq_value = |col: &str| {
+        preds.iter().find_map(|p| match p {
+            SimplePred::Eq(c, v) if c.eq_ignore_ascii_case(col) => Some(*v),
+            _ => None,
+        })
+    };
     let mut best_eq: Option<(AccessPath, usize)> = None;
     for ix in data.indexes() {
-        let mut key = Vec::with_capacity(ix.def.columns.len());
-        let mut ok = true;
-        for col in &ix.def.columns {
-            match eq_preds.iter().find_map(|p| match p {
-                SimplePred::Eq(c, v) if c.eq_ignore_ascii_case(col) => Some(v.clone()),
-                _ => None,
-            }) {
-                Some(v) => key.push(v),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
+        if !ix.def.columns.iter().all(|col| eq_value(col).is_some()) {
+            continue;
         }
-        if ok {
-            let used = key.len();
-            let path = AccessPath::IndexEq { index: ix.def.name.clone(), key };
-            if ix.def.unique {
-                // Can't beat a unique point probe.
-                return (path, used);
-            }
-            best_eq = Some((path, used));
+        let key: Vec<Value> = ix.def.columns.iter().filter_map(|c| eq_value(c).cloned()).collect();
+        let used = key.len();
+        let path = AccessPath::IndexEq { index: ix, key };
+        if ix.def.unique {
+            // Can't beat a unique point probe.
+            return (path, used);
         }
+        best_eq = Some((path, used));
     }
     if let Some(best) = best_eq {
         return best;
@@ -170,8 +171,8 @@ pub(crate) fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (Acc
     // 2. IN-list probe on a single-column index.
     for p in preds {
         if let SimplePred::In(col, vals) = p {
-            if let Some(ix) = data.find_index(std::slice::from_ref(col)) {
-                return (AccessPath::IndexIn { index: ix.def.name.clone(), keys: vals.clone() }, 1);
+            if let Some(ix) = data.find_index(&[*col]) {
+                return (AccessPath::IndexIn { index: ix, keys: vals.clone() }, 1);
             }
         }
     }
@@ -180,40 +181,38 @@ pub(crate) fn choose_access_path(data: &TableData, preds: &[SimplePred]) -> (Acc
     for p in preds {
         if let SimplePred::Cmp(col, _, _) = p {
             if let Some(ix) = data.find_index_on(col) {
-                let mut low: Bound<Value> = Bound::Unbounded;
-                let mut high: Bound<Value> = Bound::Unbounded;
+                let mut low: Bound<&Value> = Bound::Unbounded;
+                let mut high: Bound<&Value> = Bound::Unbounded;
                 let mut used = 0;
                 for q in preds {
                     if let SimplePred::Cmp(c, op, v) = q {
                         if c.eq_ignore_ascii_case(col) {
                             match op {
-                                BinOp::Gt => low = tighten_low(low, Bound::Excluded(v.clone())),
-                                BinOp::GtEq => low = tighten_low(low, Bound::Included(v.clone())),
-                                BinOp::Lt => high = tighten_high(high, Bound::Excluded(v.clone())),
-                                BinOp::LtEq => {
-                                    high = tighten_high(high, Bound::Included(v.clone()))
-                                }
+                                BinOp::Gt => low = tighten_low(low, Bound::Excluded(v)),
+                                BinOp::GtEq => low = tighten_low(low, Bound::Included(v)),
+                                BinOp::Lt => high = tighten_high(high, Bound::Excluded(v)),
+                                BinOp::LtEq => high = tighten_high(high, Bound::Included(v)),
                                 _ => continue,
                             }
                             used += 1;
                         }
                     }
                 }
-                return (AccessPath::IndexRange { index: ix.def.name.clone(), low, high }, used);
+                return (AccessPath::IndexRange { index: ix, low, high }, used);
             }
         }
     }
     (AccessPath::FullScan, 0)
 }
 
-fn bound_value(b: &Bound<Value>) -> Option<&Value> {
+fn bound_value<'a>(b: &Bound<&'a Value>) -> Option<&'a Value> {
     match b {
         Bound::Included(v) | Bound::Excluded(v) => Some(v),
         Bound::Unbounded => None,
     }
 }
 
-fn tighten_low(cur: Bound<Value>, new: Bound<Value>) -> Bound<Value> {
+fn tighten_low<'a>(cur: Bound<&'a Value>, new: Bound<&'a Value>) -> Bound<&'a Value> {
     match (bound_value(&cur), bound_value(&new)) {
         (None, _) => new,
         (_, None) => cur,
@@ -227,7 +226,7 @@ fn tighten_low(cur: Bound<Value>, new: Bound<Value>) -> Bound<Value> {
     }
 }
 
-fn tighten_high(cur: Bound<Value>, new: Bound<Value>) -> Bound<Value> {
+fn tighten_high<'a>(cur: Bound<&'a Value>, new: Bound<&'a Value>) -> Bound<&'a Value> {
     match (bound_value(&cur), bound_value(&new)) {
         (None, _) => new,
         (_, None) => cur,
@@ -282,16 +281,24 @@ mod tests {
     fn simple_pred_extraction() {
         let has = |c: &str| matches!(c.to_ascii_lowercase().as_str(), "id" | "src" | "name");
         let e = Expr::qcol("t", "id").eq(Expr::lit(5i64));
-        assert!(matches!(as_simple_pred(&e, "t", &has), Some(SimplePred::Eq(c, _)) if c == "id"));
+        assert!(matches!(as_simple_pred(&e, "t", &has, &[]), Some(SimplePred::Eq("id", _))));
         // Wrong binding is rejected.
-        assert!(as_simple_pred(&e, "other", &has).is_none());
+        assert!(as_simple_pred(&e, "other", &has, &[]).is_none());
+        // A parameter is read by reference from the statement's values.
+        let e = Expr::qcol("t", "id").eq(Expr::Param(0));
+        let params = [Value::Bigint(9)];
+        match as_simple_pred(&e, "t", &has, &params) {
+            Some(SimplePred::Eq("id", v)) => assert!(std::ptr::eq(v, &params[0])),
+            other => panic!("{other:?}"),
+        }
+        assert!(as_simple_pred(&e, "t", &has, &[]).is_none());
         // Flipped comparison normalizes direction.
         let e = Expr::Binary {
             op: BinOp::Lt,
             left: Box::new(Expr::lit(3i64)),
             right: Box::new(Expr::col("id")),
         };
-        match as_simple_pred(&e, "t", &has) {
+        match as_simple_pred(&e, "t", &has, &[]) {
             Some(SimplePred::Cmp(c, BinOp::Gt, Value::Bigint(3))) => assert_eq!(c, "id"),
             other => panic!("{other:?}"),
         }
@@ -302,7 +309,7 @@ mod tests {
             negated: false,
         };
         assert!(
-            matches!(as_simple_pred(&e, "t", &has), Some(SimplePred::In(_, v)) if v.len() == 2)
+            matches!(as_simple_pred(&e, "t", &has, &[]), Some(SimplePred::In(_, v)) if v.len() == 2)
         );
         // Non-literal member defeats extraction.
         let e = Expr::InList {
@@ -310,7 +317,7 @@ mod tests {
             list: vec![Expr::col("id")],
             negated: false,
         };
-        assert!(as_simple_pred(&e, "t", &has).is_none());
+        assert!(as_simple_pred(&e, "t", &has, &[]).is_none());
     }
 
     #[test]
@@ -318,12 +325,12 @@ mod tests {
         let t = table_with_index();
         let d = t.read();
         let preds = vec![
-            SimplePred::In("src".into(), vec![Value::Bigint(1)]),
-            SimplePred::Eq("id".into(), Value::Bigint(9)),
+            SimplePred::In("src", vec![&Value::Bigint(1)]),
+            SimplePred::Eq("id", &Value::Bigint(9)),
         ];
         match choose_access_path(&d, &preds) {
             (AccessPath::IndexEq { index, key }, 1) => {
-                assert_eq!(index, "pk_t");
+                assert_eq!(index.def.name, "pk_t");
                 assert_eq!(key, vec![Value::Bigint(9)]);
             }
             other => panic!("{other:?}"),
@@ -334,22 +341,23 @@ mod tests {
     fn chooses_in_list_then_range_then_scan() {
         let t = table_with_index();
         let d = t.read();
-        let preds = vec![SimplePred::In("src".into(), vec![Value::Bigint(1), Value::Bigint(2)])];
+        let preds = vec![SimplePred::In("src", vec![&Value::Bigint(1), &Value::Bigint(2)])];
         assert!(
             matches!(choose_access_path(&d, &preds), (AccessPath::IndexIn { keys, .. }, 1) if keys.len() == 2)
         );
         let preds = vec![
-            SimplePred::Cmp("src".into(), BinOp::Gt, Value::Bigint(5)),
-            SimplePred::Cmp("src".into(), BinOp::LtEq, Value::Bigint(10)),
+            SimplePred::Cmp("src", BinOp::Gt, &Value::Bigint(5)),
+            SimplePred::Cmp("src", BinOp::LtEq, &Value::Bigint(10)),
         ];
         match choose_access_path(&d, &preds) {
             (AccessPath::IndexRange { low, high, .. }, 2) => {
-                assert_eq!(low, Bound::Excluded(Value::Bigint(5)));
-                assert_eq!(high, Bound::Included(Value::Bigint(10)));
+                assert_eq!(low, Bound::Excluded(&Value::Bigint(5)));
+                assert_eq!(high, Bound::Included(&Value::Bigint(10)));
             }
             other => panic!("{other:?}"),
         }
-        let preds = vec![SimplePred::Eq("name".into(), Value::Varchar("x".into()))];
-        assert_eq!(choose_access_path(&d, &preds), (AccessPath::FullScan, 0));
+        let name = Value::Varchar("x".into());
+        let preds = vec![SimplePred::Eq("name", &name)];
+        assert!(matches!(choose_access_path(&d, &preds), (AccessPath::FullScan, 0)));
     }
 }

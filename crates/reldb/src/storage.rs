@@ -175,10 +175,15 @@ impl TableData {
 
     /// Find an index whose column list (in order) equals `columns`
     /// case-insensitively, or whose leading columns match for prefix use.
-    pub fn find_index(&self, columns: &[String]) -> Option<&Index> {
+    pub fn find_index(&self, columns: &[impl AsRef<str>]) -> Option<&Index> {
         self.indexes.iter().find(|ix| {
             ix.def.columns.len() == columns.len()
-                && ix.def.columns.iter().zip(columns).all(|(a, b)| a.eq_ignore_ascii_case(b))
+                && ix
+                    .def
+                    .columns
+                    .iter()
+                    .zip(columns)
+                    .all(|(a, b)| a.eq_ignore_ascii_case(b.as_ref()))
         })
     }
 

@@ -86,18 +86,18 @@ const SLACK: u64 = 8;
 /// Committed allocations per op, one per row; both thread counts must stay
 /// within `count + SLACK`.
 const BUDGET: &[(&str, u64)] = &[
-    ("getNode", 124),
-    ("countLinks", 117),
-    ("getLink", 180),
-    ("getLinkList", 171),
-    ("hub outE(l)", 2464),
-    ("hub outE(l).id()", 1515),
-    ("hub direct SELECT", 1447),
-    ("g.V(x)", 717),
-    ("g.V(x).id()", 570),
+    ("getNode", 62),
+    ("countLinks", 67),
+    ("getLink", 91),
+    ("getLinkList", 95),
+    ("hub outE(l)", 2388),
+    ("hub outE(l).id()", 1456),
+    ("hub direct SELECT", 1416),
+    ("g.V(x)", 187),
+    ("g.V(x).id()", 160),
     ("parse", 20),
     ("Db2Graph::plan", 34),
-    ("getNode direct SELECT", 38),
+    ("getNode direct SELECT", 15),
 ];
 
 /// The allocation and byte counters so far.

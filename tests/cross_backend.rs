@@ -190,3 +190,55 @@ fn vertex_step_over_an_edge_fails_everywhere() {
         assert_eq!(sys.fails(q), [true; 4], "query {q}: db2graph, native, janus, memgraph");
     }
 }
+
+/// A sum of longs past 2^53 is exact on every system. The overlay pushes
+/// `values('x').sum()` into SQL and the other systems fold it in the
+/// backend; each must equal the step form, `.fold().unfold().sum()`, which
+/// sums in integer arithmetic.
+#[test]
+fn long_sums_past_2_pow_53_agree_with_the_step_form() {
+    use db2graph::core::{OverlayConfig, VTableConfig};
+    use db2graph::gremlin::Vertex;
+    use db2graph::reldb::Database;
+
+    let big = (1i64 << 53) + 1;
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE N (id BIGINT PRIMARY KEY, x BIGINT)").unwrap();
+    db.execute(&format!("INSERT INTO N VALUES (1, {big}), (2, 0)")).unwrap();
+    let config = OverlayConfig {
+        v_tables: vec![VTableConfig {
+            table_name: "N".into(),
+            prefixed_id: false,
+            id: "id".into(),
+            fix_label: true,
+            label: "'n'".into(),
+            properties: Some(vec!["x".into()]),
+        }],
+        e_tables: vec![],
+    };
+    let graph = Db2Graph::open(db, &config).unwrap();
+    let (mut nl, mut jl, mem) = (NativeLoader::new(), JanusLoader::new(), MemGraph::new());
+    for (id, x) in [(1i64, big), (2, 0)] {
+        let v = Vertex::new(id, "n").with_property("x", x);
+        nl.add_vertex(v.clone());
+        jl.add_vertex(v.clone());
+        mem.add_vertex(v);
+    }
+    let (native, janus) = (nl.build(2), jl.build());
+    let backends: [&dyn GraphBackend; 3] = [&native, &janus, &mem];
+    // The strategies push the sum into each backend, as the overlay's do.
+    let mut registry = StrategyRegistry::new();
+    for s in StrategyConfig::default().build() {
+        registry.add(s);
+    }
+    let step_form = "g.V().values('x').fold().unfold().sum()";
+    let expected = graph.run(step_form).unwrap();
+    assert_eq!(expected, vec![GValue::Long(big)]);
+    for q in ["g.V().values('x').sum()", step_form] {
+        assert_eq!(graph.run(q).unwrap(), expected, "db2graph: {q}");
+        for (name, b) in ["native", "janus", "memgraph"].iter().zip(backends) {
+            let runner = ScriptRunner::new(b).with_strategies(registry.clone());
+            assert_eq!(runner.run(q).unwrap(), expected, "{name}: {q}");
+        }
+    }
+}

@@ -162,6 +162,23 @@ fn explain_lists_the_statements_execution_runs() {
     assert!(failures.is_empty(), "explain() and execution diverged:\n\n{}", failures.join("\n"));
 }
 
+/// The template cache holds one compiled read per statement `explain()`
+/// lists: after the corpus runs, the cached texts are exactly the
+/// explained statements, and no text was compiled under two keys.
+#[test]
+fn compiled_reads_are_the_explained_statements() {
+    let g = graph();
+    let mut explained = std::collections::BTreeSet::new();
+    for (gremlin, _) in GOLDEN {
+        let report = g.explain_report(gremlin).unwrap();
+        explained.extend(report.sql_statements().into_iter().map(str::to_string));
+        g.run(gremlin).unwrap();
+    }
+    let texts = g.dialect().template_texts();
+    assert_eq!(texts.len(), explained.len(), "{texts:#?}");
+    assert_eq!(texts.into_iter().collect::<std::collections::BTreeSet<_>>(), explained);
+}
+
 /// The `.explain()` terminator and `Db2Graph::explain` render one text:
 /// for every golden query, running `<q>.explain()` returns exactly the
 /// string `explain("<q>")` does.

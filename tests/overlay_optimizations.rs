@@ -371,3 +371,87 @@ fn oversized_ids_on_view_columns_match_no_row() {
     assert!(g.run("g.V('99999999999999999999')").unwrap().is_empty());
     assert_eq!(g.run("g.V('99999999999999999999').count()").unwrap(), vec![GValue::Long(0)]);
 }
+
+/// A one-table overlay over `T (id, name, age)`, with `age` unindexed.
+fn people(db: &Arc<Database>) -> Arc<Db2Graph> {
+    db.execute_script(
+        "CREATE TABLE T (id BIGINT PRIMARY KEY, name VARCHAR, age BIGINT);
+         INSERT INTO T VALUES (1, 'Ann', 34), (2, 'Bo', 28), (3, 'Cy', 34);",
+    )
+    .unwrap();
+    let config = OverlayConfig {
+        v_tables: vec![VTableConfig {
+            table_name: "T".into(),
+            prefixed_id: false,
+            id: "id".into(),
+            fix_label: true,
+            label: "'person'".into(),
+            properties: Some(vec!["name".into(), "age".into()]),
+        }],
+        e_tables: vec![],
+    };
+    Db2Graph::open(db.clone(), &config).unwrap()
+}
+
+/// A compiled read names its columns, so a table dropped and recreated
+/// with its columns in another order is read right: the read re-prepares
+/// once against the new layout.
+#[test]
+fn compiled_read_survives_a_reordered_table() {
+    let db = Arc::new(Database::new());
+    let g = people(&db);
+    let q = "g.V(1).values('name', 'age')";
+    let expected = vec![GValue::Str("Ann".into()), GValue::Long(34)];
+    assert_eq!(g.run(q).unwrap(), expected);
+    db.execute_script(
+        "DROP TABLE T;
+         CREATE TABLE T (age BIGINT, name VARCHAR, id BIGINT PRIMARY KEY);
+         INSERT INTO T VALUES (34, 'Ann', 1), (28, 'Bo', 2);",
+    )
+    .unwrap();
+    let before = g.metrics();
+    assert_eq!(g.run(q).unwrap(), expected);
+    assert_eq!(g.metrics().since(&before).template_invalidations, 1);
+    assert_eq!(g.dialect().template_count(), 1);
+}
+
+/// The access path is chosen per execution from the bound values: an
+/// index created after a `has('age', v)` read was compiled serves the
+/// next run.
+#[test]
+fn index_created_after_compilation_is_probed() {
+    let db = Arc::new(Database::new());
+    let g = people(&db);
+    let q = "g.V().has('age', 34).values('name')";
+    let names = vec![GValue::Str("Ann".into()), GValue::Str("Cy".into())];
+    let before = db.metrics().load();
+    assert_eq!(g.run(q).unwrap(), names);
+    let first = db.metrics().load().since(&before);
+    assert_eq!((first.full_scans, first.index_probes), (1, 0));
+    db.execute("CREATE INDEX ix_t_age ON T (age)").unwrap();
+    let before = db.metrics().load();
+    assert_eq!(g.run(q).unwrap(), names);
+    let second = db.metrics().load().since(&before);
+    assert_eq!((second.full_scans, second.index_probes), (0, 1));
+}
+
+/// One compiled read serves concurrent queries with different values:
+/// each thread reads its own rows.
+#[test]
+fn one_compiled_read_serves_two_threads() {
+    let db = Arc::new(Database::new());
+    let g = people(&db);
+    std::thread::scope(|s| {
+        for (id, name) in [(1, "Ann"), (2, "Bo")] {
+            let g = &g;
+            s.spawn(move || {
+                for _ in 0..200 {
+                    let out = g.run(&format!("g.V({id}).values('name')")).unwrap();
+                    assert_eq!(out, vec![GValue::Str(name.into())]);
+                }
+            });
+        }
+    });
+    assert_eq!(g.dialect().template_count(), 1);
+    assert!(g.metrics().template_hits >= 398, "{:?}", g.metrics());
+}
