@@ -63,8 +63,10 @@ use std::time::Instant;
 
 use gremlin::structure::{Edge, Element, ElementId, GValue, Properties, Vertex};
 use gremlin::GResult;
-use gremlin::{AggOp, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred};
-use reldb::{DataType, Database, Row, RowSet, Snapshot, Value};
+use gremlin::{
+    Accumulator, AggOp, Direction, EdgeEnd, ElementFilter, ElementKind, GraphBackend, Pred,
+};
+use reldb::{Database, DbError, Row, RowSet, Snapshot, Value};
 
 use crate::adjcache::{AdjCache, RowSpan};
 use crate::error::{to_gremlin, GraphError, GraphResult};
@@ -410,18 +412,18 @@ impl Db2GraphBackend {
         let tables = self.topo.table_count(kind);
         self.registry().tables_considered.add(tables as u64);
         let mut values: Vec<GValue> = Vec::new();
-        let mut agg = AggCombiner::new(filter.aggregate);
+        let mut agg = filter.aggregate.map(Accumulator::new);
         let mut pruned = 0u64;
         for r in self.fan_out(TableJob::every_table(JobKind::Read(kind), tables, filter))? {
             match r {
                 TableResult::Pruned => pruned += 1,
                 TableResult::Values(vs) => values.extend(vs),
-                TableResult::Agg(parts) => agg.add(parts),
+                TableResult::Agg(part) => agg.as_mut().expect("an aggregate read").merge(&part),
                 TableResult::Rows(_) => unreachable!("table reads decode their rows"),
             }
         }
         self.registry().tables_pruned.add(pruned);
-        if filter.aggregate.is_some() {
+        if let Some(agg) = agg {
             return Ok(agg.finish().into_iter().collect());
         }
         Ok(values)
@@ -579,7 +581,7 @@ impl Db2GraphBackend {
     }
 
     /// One table's part of a `V()`/`E()` read under `plan`: its elements,
-    /// projected values or aggregate parts. An exact plan pushes the
+    /// projected values or aggregate partial. An exact plan pushes the
     /// projection or aggregate into SQL; an inexact one reads whole
     /// elements, keeps those the filter matches, and folds the projection
     /// or aggregate here.
@@ -593,7 +595,14 @@ impl Db2GraphBackend {
         let t = self.topo.table(kind, ti);
         let select = match TableRead::new(t, plan, filter) {
             TableRead::Aggregate(op, statements) => {
-                return self.run_aggregate(kind, ti, plan, op, statements)
+                match self.run_aggregate(kind, ti, plan, op, statements) {
+                    // A BIGINT sum out of range in SQL: fold the column
+                    // values instead, which clamps only at the end.
+                    Err(GraphError::Db(DbError::OutOfRange(_))) => {
+                        Select::Rows { props: selected_props(t, filter), limit: None }
+                    }
+                    result => return result,
+                }
             }
             TableRead::Rows(select) => select,
         };
@@ -603,8 +612,11 @@ impl Db2GraphBackend {
         let rows = rs.rows;
         if let (true, Some(keys)) = (plan.exact, &filter.projection) {
             // Projection pushdown: scalar values straight from the rows.
-            let values = rows.iter().flat_map(|row| shape.values(row, keys)).collect();
-            return Ok(TableResult::Values(values));
+            let values = rows.iter().flat_map(|row| shape.values(row, keys));
+            return Ok(match filter.aggregate {
+                Some(op) => TableResult::Agg(Accumulator::fold(op, values)?),
+                None => TableResult::Values(values.collect()),
+            });
         }
         let mut elements = Vec::with_capacity(rows.len());
         for mut row in rows {
@@ -614,9 +626,11 @@ impl Db2GraphBackend {
                 elements.push(el);
             }
         }
-        let keys = filter.projection.as_deref();
-        Ok(match (filter.aggregate, keys) {
-            (Some(op), keys) => TableResult::Agg(AggParts::fold(op, keys, &elements)),
+        Ok(match (filter.aggregate, filter.projection.as_deref()) {
+            (Some(op), Some(keys)) => {
+                TableResult::Agg(Accumulator::fold(op, projected(&elements, keys))?)
+            }
+            (Some(op), None) => TableResult::Agg(Accumulator::fold(op, &elements)?),
             (None, Some(keys)) => {
                 TableResult::Values(projected(&elements, keys).cloned().collect())
             }
@@ -641,44 +655,29 @@ impl Db2GraphBackend {
             .map_err(GraphError::Db)
     }
 
-    /// Run a table's aggregate-pushdown statements and combine their
-    /// results into the table's aggregate parts.
+    /// Run a table's aggregate-pushdown statements and take each one's
+    /// result as a partial of the table's aggregate.
     fn run_aggregate(
         &self,
         kind: ElementKind,
         ti: usize,
         plan: &ScanPlan,
         op: AggOp,
-        statements: Vec<(Select, Option<&str>)>,
+        statements: Vec<Select>,
     ) -> GraphResult<TableResult> {
-        let t = self.topo.table(kind, ti);
-        let mut parts = AggParts::empty(op);
-        for (select, key) in statements {
+        let mut acc = Accumulator::new(op);
+        for select in statements {
             let (rs, _) = self.read(kind, ti, plan, select)?;
             let Some(row) = rs.rows.first() else { continue };
-            match (op, key) {
-                (AggOp::Count, _) | (_, None) => parts.count += row[0].as_i64().unwrap_or(0),
-                (AggOp::Sum | AggOp::Mean, Some(k)) => {
-                    // A BIGINT partial stays an integer: no f64 round trip.
-                    match row[0] {
-                        Value::Bigint(x) => parts.int += i128::from(x),
-                        Value::Double(x) => parts.sum += x,
-                        _ => {}
-                    }
-                    parts.saw_values |= !row[0].is_null();
-                    if op == AggOp::Mean {
-                        parts.count += row[1].as_i64().unwrap_or(0);
-                    }
-                    parts.all_long &= matches!(t.column_type(k), Some(DataType::Bigint));
-                }
-                (AggOp::Min | AggOp::Max, Some(_)) => {
-                    if !row[0].is_null() {
-                        parts.merge_minmax(op, to_gvalue(&row[0]));
-                    }
-                }
-            }
+            let n = match op {
+                AggOp::Count => row[0].as_i64(),
+                AggOp::Mean => row[1].as_i64(),
+                // SUM, MIN and MAX are NULL over no values.
+                _ => Ok(i64::from(!row[0].is_null())),
+            };
+            acc.add_partial(&to_gvalue(&row[0]), n.unwrap_or(0))?;
         }
-        Ok(TableResult::Agg(parts))
+        Ok(TableResult::Agg(acc))
     }
 
     // --------------------------------------------------- vertex lookups
@@ -885,126 +884,6 @@ impl Db2GraphBackend {
     }
 }
 
-// ----------------------------------------------------------- aggregates
-
-/// Per-table aggregate pieces, combinable across tables. Integer values
-/// sum exactly in `int`, floating ones in `sum`; the total clamps to the
-/// long range as the step form's sum does.
-pub(crate) struct AggParts {
-    op: AggOp,
-    count: i64,
-    sum: f64,
-    int: i128,
-    all_long: bool,
-    saw_values: bool,
-    minmax: Option<GValue>,
-}
-
-impl AggParts {
-    fn empty(op: AggOp) -> AggParts {
-        let (sum, int) = (0.0, 0);
-        AggParts { op, count: 0, sum, int, all_long: true, saw_values: false, minmax: None }
-    }
-
-    /// The parts of `op` over elements already read and filtered: the
-    /// aggregate of an inexact plan. Without a projection it counts the
-    /// elements; with one it folds each present value of the projected
-    /// properties, as the pushed-down SQL aggregates their columns.
-    fn fold(op: AggOp, keys: Option<&[String]>, elements: &[GValue]) -> AggParts {
-        let mut parts = AggParts::empty(op);
-        let Some(keys) = keys else {
-            parts.count = elements.len() as i64;
-            return parts;
-        };
-        for v in projected(elements, keys) {
-            match (op, v) {
-                (AggOp::Count, _) => parts.count += 1,
-                (AggOp::Min | AggOp::Max, _) => parts.merge_minmax(op, v.clone()),
-                (AggOp::Sum | AggOp::Mean, GValue::Long(x)) => {
-                    parts.int += i128::from(*x);
-                    parts.count += 1;
-                    parts.saw_values = true;
-                }
-                (AggOp::Sum | AggOp::Mean, GValue::Double(x)) => {
-                    parts.sum += x;
-                    parts.count += 1;
-                    parts.saw_values = true;
-                    parts.all_long = false;
-                }
-                (AggOp::Sum | AggOp::Mean, _) => {}
-            }
-        }
-        parts
-    }
-
-    fn merge_minmax(&mut self, op: AggOp, v: GValue) {
-        self.saw_values = true;
-        self.minmax = Some(match self.minmax.take() {
-            None => v,
-            Some(cur) => {
-                let keep_new = match op {
-                    AggOp::Min => v.total_cmp(&cur).is_lt(),
-                    AggOp::Max => v.total_cmp(&cur).is_gt(),
-                    _ => false,
-                };
-                if keep_new {
-                    v
-                } else {
-                    cur
-                }
-            }
-        });
-    }
-}
-
-struct AggCombiner {
-    op: Option<AggOp>,
-    acc: Option<AggParts>,
-}
-
-impl AggCombiner {
-    fn new(op: Option<AggOp>) -> AggCombiner {
-        AggCombiner { op, acc: None }
-    }
-
-    fn add(&mut self, parts: AggParts) {
-        match &mut self.acc {
-            None => self.acc = Some(parts),
-            Some(acc) => {
-                acc.count += parts.count;
-                acc.sum += parts.sum;
-                acc.int += parts.int;
-                acc.all_long &= parts.all_long;
-                acc.saw_values |= parts.saw_values;
-                if let Some(v) = parts.minmax {
-                    acc.merge_minmax(parts.op, v);
-                }
-            }
-        }
-    }
-
-    /// The aggregate, or `None` when it has no value (a sum or mean over
-    /// no numbers, the min or max of nothing).
-    fn finish(self) -> Option<GValue> {
-        let op = self.op.expect("combiner used only with aggregate");
-        let acc = match self.acc {
-            Some(a) => a,
-            None => AggParts::empty(op),
-        };
-        let long = acc.int.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
-        match op {
-            AggOp::Count => Some(GValue::Long(acc.count)),
-            AggOp::Sum if !acc.saw_values => None,
-            AggOp::Sum if acc.all_long => Some(GValue::Long(long)),
-            AggOp::Sum => Some(GValue::Double(acc.sum + acc.int as f64)),
-            AggOp::Mean if acc.count == 0 => None,
-            AggOp::Mean if acc.all_long => Some(GValue::Double(long as f64 / acc.count as f64)),
-            AggOp::Mean => Some(GValue::Double((acc.sum + acc.int as f64) / acc.count as f64)),
-            AggOp::Min | AggOp::Max => acc.minmax,
-        }
-    }
-}
-
 /// The present values of `keys` on each element, element by element.
 fn projected<'a>(elements: &'a [GValue], keys: &'a [String]) -> impl Iterator<Item = &'a GValue> {
     elements
@@ -1017,7 +896,7 @@ enum TableResult {
     Pruned,
     /// Elements, or their projected values.
     Values(Vec<GValue>),
-    Agg(AggParts),
+    Agg(Accumulator),
     /// An adjacency probe's rows, undecoded.
     Rows(Vec<Row>),
 }
@@ -1467,19 +1346,19 @@ fn selected_props(t: &OverlayTable, filter: &ElementFilter) -> Option<u64> {
 
 /// The statements one table's part of a `V()`/`E()` read issues, decided
 /// once for execution and `explain()` alike.
-enum TableRead<'a> {
+enum TableRead {
     /// Aggregate pushdown, on exact plans only: one statement per
-    /// projected property the table has, with that property, or one
-    /// `COUNT(*)` without a projection.
-    Aggregate(AggOp, Vec<(Select, Option<&'a str>)>),
+    /// projected property the table has, or one `COUNT(*)` without a
+    /// projection.
+    Aggregate(AggOp, Vec<Select>),
     /// One SELECT of element rows: on an exact plan only the properties
     /// [`selected_keys`] names and at most the rows `ElementFilter::first`
     /// asks for, whole elements and every row otherwise.
     Rows(Select),
 }
 
-impl<'a> TableRead<'a> {
-    fn new(t: &'a OverlayTable, plan: &ScanPlan, filter: &ElementFilter) -> TableRead<'a> {
+impl TableRead {
+    fn new(t: &OverlayTable, plan: &ScanPlan, filter: &ElementFilter) -> TableRead {
         let Some(op) = filter.aggregate.filter(|_| plan.exact) else {
             let props = if plan.exact { selected_props(t, filter) } else { None };
             // The read bound, rounded up to a power of two so bounds share
@@ -1490,20 +1369,17 @@ impl<'a> TableRead<'a> {
             return TableRead::Rows(Select::Rows { props, limit });
         };
         let Some(keys) = &filter.projection else {
-            return TableRead::Aggregate(op, vec![(Select::Count, None)]);
+            return TableRead::Aggregate(op, vec![Select::Count]);
         };
-        let statements = keys
-            .iter()
-            .filter_map(|k| property_index(t, k))
-            .map(|i| (Select::Agg(op, i), Some(t.properties[usize::from(i)].as_str())))
-            .collect();
+        let statements =
+            keys.iter().filter_map(|k| property_index(t, k)).map(|i| Select::Agg(op, i)).collect();
         TableRead::Aggregate(op, statements)
     }
 
     /// The statements' selections, in execution order.
     fn selects(&self) -> Vec<Select> {
         match self {
-            TableRead::Aggregate(_, statements) => statements.iter().map(|(s, _)| *s).collect(),
+            TableRead::Aggregate(_, statements) => statements.clone(),
             TableRead::Rows(select) => vec![*select],
         }
     }

@@ -346,7 +346,8 @@ impl TraversalStrategy for AggregatePushdown {
 
 /// Rewrite `GraphStep(V, ids-only) -> VertexStep` into a single GraphStep
 /// over edges with a src/dst id constraint, eliminating the pointless
-/// vertex-table query (Section 6.2).
+/// vertex-table query (Section 6.2). The start vertex is never read, so a
+/// traversal that tracks paths keeps its plan: each path must begin at it.
 pub(crate) struct GraphStepVertexStepMutation;
 
 impl TraversalStrategy for GraphStepVertexStepMutation {
@@ -355,6 +356,9 @@ impl TraversalStrategy for GraphStepVertexStepMutation {
     }
 
     fn apply(&self, traversal: &mut Traversal) {
+        if traversal.needs_paths() {
+            return;
+        }
         let steps = std::mem::take(&mut traversal.steps);
         let mut out: Vec<Step> = Vec::with_capacity(steps.len());
         let mut iter = steps.into_iter().peekable();
@@ -412,6 +416,10 @@ impl TraversalStrategy for GraphStepVertexStepMutation {
         }
         traversal.steps = out;
     }
+
+    /// A nested traversal cannot see whether the traversal around it
+    /// tracks paths, so it keeps its plan.
+    fn apply_nested(&self, _traversal: &mut Traversal) {}
 }
 
 #[cfg(test)]
@@ -589,6 +597,23 @@ mod tests {
     }
 
     #[test]
+    fn mutation_skipped_where_paths_are_tracked() {
+        // The rewritten plan never reads the start vertex, so a path or
+        // simplePath() would lose it; a nested traversal cannot tell.
+        for q in ["g.V(1).out('l').path()", "g.V(1).out().out().simplePath().count()"] {
+            let t = apply(StrategyConfig::default(), compile(q));
+            assert!(
+                matches!(&t.steps[..2], [Step::Graph(g), Step::Vertex(_)] if g.kind == ElementKind::Vertices),
+                "{q}: {}",
+                t.describe()
+            );
+        }
+        let t = apply(StrategyConfig::default(), compile("g.V(2).union(V(1).out('l'))"));
+        let Some(Step::Union(branches)) = t.steps.get(1) else { panic!("{}", t.describe()) };
+        assert!(matches!(&branches[0].steps[0], Step::Graph(g) if g.kind == ElementKind::Vertices));
+    }
+
+    #[test]
     fn combined_paper_example() {
         // g.V(ids).outE().has('metIn','US').count()
         //   -> one GraphStep(E, src_ids, pred, agg=Count)
@@ -679,10 +704,7 @@ mod tests {
                 "g.V(1).out().order().by('time').limit(3).id()",
                 &["Graph(E|src_ids): *", "EdgeVertex(In): *"],
             ),
-            (
-                "g.V(1).out().out().path()",
-                &["Graph(E|src_ids): *", "EdgeVertex(In): *", "Vertex(out): *"],
-            ),
+            ("g.V(1).out().out().path()", &["Graph(V|ids): *", "Vertex(out): *", "Vertex(out): *"]),
             (
                 "g.V().as('a').out().out().select('a')",
                 &["Graph(V): *", "Vertex(out): ", "Vertex(out): *"],

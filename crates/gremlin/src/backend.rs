@@ -11,9 +11,9 @@
 //! adjacency probes for the native store, KV lookups for the Janus-like
 //! store).
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 
-use crate::error::GResult;
+use crate::error::{GResult, GremlinError};
 use crate::structure::{id_value, Edge, Element, ElementId, GValue, Vertex};
 
 /// Which element set a graph-level step addresses.
@@ -202,63 +202,139 @@ pub fn element_property<'a>(e: Element<'a>, key: &str) -> Option<Cow<'a, GValue>
 /// of pushing these down natively (the in-memory reference backend and the
 /// baseline stores; the SQL overlay backend pushes them into SQL instead). Returns what
 /// [`GraphBackend::graph_elements`] returns: the elements, their projected
-/// values, or the aggregate as one value.
-pub fn finalize_elements(elements: Vec<GValue>, filter: &ElementFilter) -> Vec<GValue> {
-    let keys = filter.projection.as_deref().unwrap_or_default();
-    let projected = || {
-        elements
-            .iter()
-            .filter_map(GValue::as_element)
-            .flat_map(|e| keys.iter().filter_map(move |k| e.properties().get(k)))
+/// values, or the aggregate as one value. An aggregate fails as the step
+/// form does, on a value it cannot take.
+pub fn finalize_elements(elements: Vec<GValue>, filter: &ElementFilter) -> GResult<Vec<GValue>> {
+    let Some(keys) = filter.projection.as_deref() else {
+        return Ok(match filter.aggregate {
+            Some(op) => Accumulator::fold(op, &elements)?.finish().into_iter().collect(),
+            None => elements,
+        });
     };
-    if let Some(op) = filter.aggregate {
-        if op == AggOp::Count && filter.projection.is_none() {
-            return vec![GValue::Long(elements.len() as i64)];
-        }
-        // Longs sum in i128 and clamp, as the step form's sum does, so a
-        // pushed-down sum equals `.fold().unfold().sum()` past 2^53.
-        let (mut int, mut float, mut count) = (0i128, 0.0f64, 0i64);
-        let (mut all_long, mut numbers) = (true, 0usize);
-        let mut min_max: Option<&GValue> = None;
-        for v in projected() {
-            count += 1;
-            match v {
-                GValue::Long(x) => int += i128::from(*x),
-                GValue::Double(x) => {
-                    all_long = false;
-                    float += x;
-                }
-                _ => continue,
-            }
-            numbers += 1;
-            let better = |cur: &GValue| match op {
-                AggOp::Min => v.total_cmp(cur).is_lt(),
-                _ => v.total_cmp(cur).is_gt(),
-            };
-            if min_max.is_none_or(better) {
-                min_max = Some(v);
-            }
-        }
-        if op == AggOp::Count {
-            return vec![GValue::Long(count)];
-        }
-        let Some(min_max) = min_max else { return Vec::new() };
-        let long = int.clamp(i64::MIN.into(), i64::MAX.into()) as i64;
-        let v = match op {
-            AggOp::Sum if all_long => GValue::Long(long),
-            AggOp::Sum => GValue::Double(float + int as f64),
-            AggOp::Mean if all_long => GValue::Double(long as f64 / numbers as f64),
-            AggOp::Mean => GValue::Double((float + int as f64) / numbers as f64),
-            AggOp::Min | AggOp::Max if all_long => min_max.clone(),
-            AggOp::Min | AggOp::Max => GValue::Double(min_max.as_f64().expect("a number")),
-            AggOp::Count => unreachable!(),
+    let projected = elements
+        .iter()
+        .filter_map(GValue::as_element)
+        .flat_map(|e| keys.iter().filter_map(move |k| e.properties().get(k)))
+        .filter(|v| !matches!(v, GValue::Null));
+    Ok(match filter.aggregate {
+        Some(op) => Accumulator::fold(op, projected)?.finish().into_iter().collect(),
+        None => projected.cloned().collect(),
+    })
+}
+
+/// The one aggregate accumulator. The step form, the in-memory stores
+/// and the SQL overlay's pushed-down partials all compute `count`, `sum`,
+/// `mean`, `min` and `max` through it, so a pushed aggregate returns what
+/// the step form returns.
+///
+/// `count` counts any value. The others take numbers only and fail on
+/// anything else. Longs add exactly, in `i128`, and clamp to the long
+/// range only in [`Accumulator::finish`]; a mean divides that exact sum.
+/// Any double makes the result a double.
+#[derive(Debug)]
+pub struct Accumulator {
+    op: AggOp,
+    /// Values taken: every value for `count`, numbers for the others.
+    n: i64,
+    /// The sum of the longs, or for `min`/`max` the extreme long.
+    int: i128,
+    /// The sum of the doubles, or for `min`/`max` the extreme of every
+    /// number as a double.
+    float: f64,
+    /// Whether a double was taken.
+    double: bool,
+}
+
+impl Accumulator {
+    pub fn new(op: AggOp) -> Accumulator {
+        let (int, float) = match op {
+            AggOp::Min => (i128::MAX, f64::INFINITY),
+            AggOp::Max => (i128::MIN, f64::NEG_INFINITY),
+            _ => (0, 0.0),
         };
-        return vec![v];
+        Accumulator { op, n: 0, int, float, double: false }
     }
-    if filter.projection.is_some() {
-        return projected().filter(|v| !matches!(v, GValue::Null)).cloned().collect();
+
+    /// `op` over `values`.
+    pub fn fold<V: Borrow<GValue>>(
+        op: AggOp,
+        values: impl IntoIterator<Item = V>,
+    ) -> GResult<Accumulator> {
+        let mut acc = Accumulator::new(op);
+        values.into_iter().try_for_each(|v| acc.add(v.borrow()))?;
+        Ok(acc)
     }
-    elements
+
+    /// Take one value.
+    pub fn add(&mut self, v: &GValue) -> GResult<()> {
+        self.add_partial(v, 1)
+    }
+
+    /// Take a partial aggregated elsewhere, as SQL computes one: `v` is the
+    /// `SUM`, `MIN` or `MAX` of `n` values, and `count` reads `n` alone. A
+    /// partial of no values (`n == 0`, where SQL returns NULL) adds nothing.
+    pub fn add_partial(&mut self, v: &GValue, n: i64) -> GResult<()> {
+        let empty = Accumulator::new(self.op);
+        let part = match *v {
+            _ if self.op == AggOp::Count || n == 0 => Accumulator { n, ..empty },
+            GValue::Long(x) => {
+                let float = match self.op {
+                    AggOp::Min | AggOp::Max => x as f64,
+                    _ => 0.0,
+                };
+                Accumulator { n, int: x.into(), float, ..empty }
+            }
+            GValue::Double(x) => Accumulator { n, float: x, double: true, ..empty },
+            _ => {
+                return Err(GremlinError::Execution(format!(
+                    "numeric aggregate over non-numeric value {v}"
+                )))
+            }
+        };
+        self.merge(&part);
+        Ok(())
+    }
+
+    /// Take another accumulator's state: another table's, say.
+    pub fn merge(&mut self, other: &Accumulator) {
+        match self.op {
+            AggOp::Min => {
+                self.int = self.int.min(other.int);
+                self.float = self.float.min(other.float);
+            }
+            AggOp::Max => {
+                self.int = self.int.max(other.int);
+                self.float = self.float.max(other.float);
+            }
+            _ => {
+                self.int += other.int;
+                self.float += other.float;
+            }
+        }
+        self.n += other.n;
+        self.double |= other.double;
+    }
+
+    /// The aggregate, or `None` when it has no value: a sum, mean, min or
+    /// max of no numbers.
+    pub fn finish(&self) -> Option<GValue> {
+        if self.op == AggOp::Count {
+            return Some(GValue::Long(self.n));
+        }
+        if self.n == 0 {
+            return None;
+        }
+        let total = self.float + self.int as f64;
+        Some(match self.op {
+            AggOp::Sum if !self.double => {
+                GValue::Long(self.int.clamp(i64::MIN.into(), i64::MAX.into()) as i64)
+            }
+            AggOp::Sum => GValue::Double(total),
+            AggOp::Mean => GValue::Double(total / self.n as f64),
+            _ if self.double => GValue::Double(self.float),
+            _ => GValue::Long(self.int as i64),
+        })
+    }
 }
 
 /// The graph structure API a provider implements.
@@ -372,6 +448,34 @@ mod tests {
         assert!(f.matches(e));
         let v = Vertex::new(10, "x");
         assert!(!f.matches(Element::Vertex(&v)));
+    }
+
+    #[test]
+    fn accumulator_merges_and_partials_equal_one_fold() {
+        let values = [GValue::Long(i64::MAX), GValue::Long(-3), GValue::Double(0.5)];
+        for op in [AggOp::Count, AggOp::Sum, AggOp::Mean, AggOp::Min, AggOp::Max] {
+            let whole = Accumulator::fold(op, &values).unwrap().finish();
+            let mut split = Accumulator::fold(op, &values[..1]).unwrap();
+            split.merge(&Accumulator::fold(op, &values[1..]).unwrap());
+            assert_eq!(split.finish(), whole, "{op:?}");
+            // SQL's NULL over no values adds nothing.
+            split.add_partial(&GValue::Null, 0).unwrap();
+            assert_eq!(split.finish(), whole, "{op:?}");
+        }
+        // Two longs summed in SQL: one partial of two values.
+        let mut mean = Accumulator::new(AggOp::Mean);
+        mean.add_partial(&GValue::Long(10), 2).unwrap();
+        assert_eq!(mean.finish(), Some(GValue::Double(5.0)));
+        // A mixed min is a double; a string fails every numeric aggregate.
+        let min = Accumulator::fold(AggOp::Min, &values[1..]).unwrap();
+        assert_eq!(min.finish(), Some(GValue::Double(-3.0)));
+        let word = GValue::Str("x".into());
+        assert!(Accumulator::new(AggOp::Max).add(&word).is_err());
+        assert_eq!(
+            Accumulator::fold(AggOp::Count, [&word]).unwrap().finish(),
+            Some(GValue::Long(1))
+        );
+        assert_eq!(Accumulator::new(AggOp::Sum).finish(), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::backend::{element_property, AggOp, ElementKind, GraphBackend};
+use crate::backend::{element_property, Accumulator, AggOp, ElementKind, GraphBackend};
 use crate::error::{GResult, GremlinError};
 use crate::observe::TraversalObserver;
 use crate::step::{CompareOp, FilterSpec, OrderKey, Step, Traversal};
@@ -602,68 +602,7 @@ fn compute_aggregate(op: AggOp, current: &[Traverser]) -> GResult<Option<GValue>
     if op == AggOp::Count {
         return Ok(Some(GValue::Long(current.len() as i64)));
     }
-    // Integer inputs stay in integer arithmetic: sums of longs beyond 2^53
-    // (and min/max of such values) are exact, where a round-trip through
-    // f64 would silently lose low-order bits.
-    let mut nums: Vec<f64> = Vec::with_capacity(current.len());
-    let mut longs: Vec<i64> = Vec::with_capacity(current.len());
-    let mut all_long = true;
-    for t in current {
-        match &t.value {
-            GValue::Long(v) => {
-                longs.push(*v);
-                nums.push(*v as f64);
-            }
-            GValue::Double(v) => {
-                all_long = false;
-                nums.push(*v);
-            }
-            other => {
-                return Err(GremlinError::Execution(format!(
-                    "numeric aggregate over non-numeric value {other}"
-                )))
-            }
-        }
-    }
-    if nums.is_empty() {
-        return Ok(None);
-    }
-    let exact_sum = || -> i64 {
-        let s: i128 = longs.iter().map(|&v| v as i128).sum();
-        s.clamp(i64::MIN as i128, i64::MAX as i128) as i64
-    };
-    let v = match op {
-        AggOp::Sum => {
-            if all_long {
-                GValue::Long(exact_sum())
-            } else {
-                GValue::Double(nums.iter().sum())
-            }
-        }
-        AggOp::Mean => {
-            if all_long {
-                GValue::Double(exact_sum() as f64 / longs.len() as f64)
-            } else {
-                GValue::Double(nums.iter().sum::<f64>() / nums.len() as f64)
-            }
-        }
-        AggOp::Min => {
-            if all_long {
-                GValue::Long(longs.iter().copied().min().expect("non-empty"))
-            } else {
-                GValue::Double(nums.iter().cloned().fold(f64::INFINITY, f64::min))
-            }
-        }
-        AggOp::Max => {
-            if all_long {
-                GValue::Long(longs.iter().copied().max().expect("non-empty"))
-            } else {
-                GValue::Double(nums.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
-            }
-        }
-        AggOp::Count => unreachable!(),
-    };
-    Ok(Some(v))
+    Ok(Accumulator::fold(op, current.iter().map(|t| &t.value))?.finish())
 }
 
 #[cfg(test)]
@@ -699,6 +638,13 @@ mod tests {
     fn long_sum_saturates_instead_of_wrapping() {
         let ts = traversers(vec![GValue::Long(i64::MAX), GValue::Long(i64::MAX)]);
         assert_eq!(compute_aggregate(AggOp::Sum, &ts).unwrap(), Some(GValue::Long(i64::MAX)));
+    }
+
+    #[test]
+    fn long_mean_divides_the_exact_sum() {
+        let ts = traversers(vec![GValue::Long(i64::MAX), GValue::Long(i64::MAX)]);
+        let mean = compute_aggregate(AggOp::Mean, &ts).unwrap();
+        assert_eq!(mean, Some(GValue::Double(9.223372036854776e18)));
     }
 
     #[test]

@@ -61,8 +61,8 @@ mod strategy;
 pub mod structure;
 
 pub use backend::{
-    element_property, finalize_elements, AggOp, Direction, EdgeEnd, ElementFilter, ElementKind,
-    GraphBackend, Pred, PropPred,
+    element_property, finalize_elements, Accumulator, AggOp, Direction, EdgeEnd, ElementFilter,
+    ElementKind, GraphBackend, Pred, PropPred,
 };
 pub use error::{GResult, GremlinError};
 pub use observe::TraversalObserver;

@@ -95,7 +95,7 @@ impl GraphBackend for MemGraph {
             }
             ElementKind::Edges => select(&inner.edges, filter, |e| Element::Edge(e), GValue::Edge),
         };
-        Ok(finalize_elements(elements, filter))
+        finalize_elements(elements, filter)
     }
 
     fn adjacent(

@@ -311,7 +311,7 @@ impl GraphBackend for JanusLikeDb {
                 }
             }
         };
-        Ok(finalize_elements(elements, filter))
+        finalize_elements(elements, filter)
     }
 
     fn adjacent(

@@ -502,7 +502,7 @@ impl GraphBackend for NativeGraphDb {
             ElementKind::Vertices => self.vertices_by_filter(filter)?,
             ElementKind::Edges => self.edges_by_filter(filter)?,
         };
-        Ok(finalize_elements(elements, filter))
+        finalize_elements(elements, filter)
     }
 
     fn adjacent(

@@ -21,6 +21,9 @@ pub enum DbError {
     Type(String),
     /// A runtime failure during query execution.
     Execution(String),
+    /// A computed value falls outside its type's range (Db2's SQLSTATE
+    /// 22003): a `SUM` of BIGINTs past the BIGINT range, say.
+    OutOfRange(String),
     /// The statement is syntactically valid but uses an unsupported feature.
     Unsupported(String),
     /// A transaction could not be completed and has been rolled back.
@@ -43,6 +46,7 @@ impl fmt::Display for DbError {
             DbError::Constraint(m) => write!(f, "constraint violation: {m}"),
             DbError::Type(m) => write!(f, "type error: {m}"),
             DbError::Execution(m) => write!(f, "execution error: {m}"),
+            DbError::OutOfRange(m) => write!(f, "out of range: {m} (SQLSTATE 22003)"),
             DbError::Unsupported(m) => write!(f, "unsupported: {m}"),
             DbError::Txn(m) => write!(f, "transaction error: {m}"),
             DbError::Io(m) => write!(f, "io error: {m}"),

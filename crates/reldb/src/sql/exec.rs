@@ -1146,10 +1146,9 @@ fn acc_finish(acc: &AggAcc) -> DbResult<Value> {
             } else if *any_float {
                 Value::Double(*float)
             } else {
-                // Db2 raises SQLSTATE 22003 for a result out of range.
                 Value::Bigint(i64::try_from(*int).map_err(|_| {
-                    DbError::Execution(format!(
-                        "SUM of BIGINT values {int} is out of the BIGINT range (SQLSTATE 22003)"
+                    DbError::OutOfRange(format!(
+                        "SUM of BIGINT values {int} is out of the BIGINT range"
                     ))
                 })?)
             }
@@ -1557,6 +1556,7 @@ mod tests {
         .unwrap();
         // Two rows of 2^62 sum past i64::MAX: an error, not a wrapped value.
         let err = db.execute("SELECT SUM(x) FROM t WHERE g = 1").unwrap_err();
+        assert!(matches!(err, crate::DbError::OutOfRange(_)), "{err}");
         assert!(err.to_string().contains("22003"), "{err}");
         // A partial sum past the range that comes back into it is exact.
         db.execute(&format!(

@@ -10,6 +10,8 @@
 //! - the max-degree getLinkList (`g.V(hub).outE(l)`), its `.id()` form,
 //!   and the same rows read by the hand-written prepared statement;
 //! - `g.V(x)` and `g.V(x).id()`, which read all ten vertex tables;
+//! - a sum over one edge label pushed into SQL (`scan.embedded`'s shape),
+//!   and the step form of a sum over one vertex label;
 //! - the layers under a query: `gremlin::parser::parse`,
 //!   `Db2Graph::plan`, and a hand-written point SELECT through
 //!   `Database::execute_prepared`.
@@ -95,6 +97,8 @@ const BUDGET: &[(&str, u64)] = &[
     ("hub direct SELECT", 1416),
     ("g.V(x)", 187),
     ("g.V(x).id()", 160),
+    ("E(l) pushed sum", 69),
+    ("V(l) step-form sum", 2093),
     ("parse", 20),
     ("Db2Graph::plan", 34),
     ("getNode direct SELECT", 15),
@@ -182,6 +186,14 @@ fn measure(db: &Arc<Database>, data: &GraphData, threads: usize) -> Vec<Row> {
     let vx_id = format!("g.V({X}).id()");
     push("g.V(x)", per_run(|| drop(graph.run(&vx).unwrap())));
     push("g.V(x).id()", per_run(|| drop(graph.run(&vx_id).unwrap())));
+
+    let pushed_sum = format!("g.E().hasLabel('{label}').values('time').sum()");
+    let step_sum = format!(
+        "g.V().hasLabel('{}').values('version').fold().unfold().sum()",
+        data.vertex_label(X)
+    );
+    push("E(l) pushed sum", per_run(|| drop(graph.run(&pushed_sum).unwrap())));
+    push("V(l) step-form sum", per_run(|| drop(graph.run(&step_sum).unwrap())));
 
     // The layers under a query, each over the whole sample.
     let over_sample = |f: &dyn Fn(&str)| {

@@ -4,41 +4,72 @@
 //! LinkBench graph. This is the correctness backbone behind the Figure 5/6
 //! comparisons — a benchmark between systems is only meaningful if they
 //! compute the same thing.
+//!
+//! Strategies are rewrites that must never change an answer, so each
+//! query also runs twice with every step as written: on the overlay with
+//! no strategies, and on the in-memory backend with `IdentityRemoval`
+//! alone. Every system is compared against the first of these.
 
 use std::sync::Arc;
 
-use db2graph::core::{Db2Graph, StrategyConfig};
+use db2graph::core::{Db2Graph, GraphOptions, OverlayConfig, StrategyConfig};
 use db2graph::gremlin::memgraph::MemGraph;
-use db2graph::gremlin::{GValue, GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry};
+use db2graph::gremlin::{
+    Edge, GValue, GraphBackend, IdentityRemoval, ScriptRunner, StrategyRegistry, Vertex,
+};
 use db2graph::gstore::{JanusLoader, NativeLoader};
 use db2graph::linkbench::{generate, materialize, overlay_config, to_elements, LinkBenchConfig};
+use db2graph::reldb::Database;
+
+/// The six runs of each query: the four systems with the default
+/// strategies, then the two with none.
+const RUNS: [&str; 6] = [
+    "db2graph",
+    "native",
+    "janus",
+    "memgraph",
+    "db2graph without strategies",
+    "memgraph without strategies",
+];
+/// The run every other is compared against.
+const REFERENCE: usize = 4;
 
 struct Systems {
-    data: db2graph::linkbench::GraphData,
     graph: Arc<Db2Graph>,
+    reference: Arc<Db2Graph>,
     native: db2graph::gstore::NativeGraphDb,
     janus: db2graph::gstore::JanusLikeDb,
     mem: MemGraph,
     registry: StrategyRegistry,
+    identity: StrategyRegistry,
 }
 
-fn build(vertices: u64, seed: u64) -> Systems {
+fn build(vertices: u64, seed: u64) -> (db2graph::linkbench::GraphData, Systems) {
     let mut cfg = LinkBenchConfig::small().with_vertices(vertices);
     cfg.seed = seed;
     let data = generate(&cfg);
     let (db, _) = materialize(&data).unwrap();
-    let graph = Db2Graph::open(db, &overlay_config()).unwrap();
-
     let (vs, es) = to_elements(&data);
+    let sys = systems(db, &overlay_config(), &vs, &es);
+    (data, sys)
+}
+
+/// The six runs over one graph: `db` under `config` for the overlay, and
+/// `vs`/`es` loaded into the other systems.
+fn systems(db: Arc<Database>, config: &OverlayConfig, vs: &[Vertex], es: &[Edge]) -> Systems {
+    let graph = Db2Graph::open(db.clone(), config).unwrap();
+    let none = GraphOptions { strategies: StrategyConfig::none(), ..Default::default() };
+    let reference = Db2Graph::open_with_options(db, config, none).unwrap();
+
     let mut nl = NativeLoader::new();
     let mut jl = JanusLoader::new();
     let mem = MemGraph::new();
-    for v in &vs {
+    for v in vs {
         nl.add_vertex(v.clone());
         jl.add_vertex(v.clone());
         mem.add_vertex(v.clone());
     }
-    for e in &es {
+    for e in es {
         nl.add_edge(e.clone());
         jl.add_edge(e.clone());
         mem.add_edge(e.clone());
@@ -46,25 +77,37 @@ fn build(vertices: u64, seed: u64) -> Systems {
     let native = nl.build(vs.len() + es.len());
     let janus = jl.build();
 
-    let mut registry = StrategyRegistry::new();
-    registry.add(Arc::new(IdentityRemoval));
+    let mut identity = StrategyRegistry::new();
+    identity.add(Arc::new(IdentityRemoval));
+    let mut registry = identity.clone();
     for s in StrategyConfig::default().build() {
         registry.add(s);
     }
-    Systems { data, graph, native, janus, mem, registry }
+    Systems { graph, reference, native, janus, mem, registry, identity }
 }
 
 impl Systems {
-    /// Whether `q` fails on each system, in the order db2graph, native,
-    /// janus, memgraph.
+    /// `q` on each of the six [`RUNS`], in order.
+    fn results(&self, q: &str) -> Vec<Result<Vec<GValue>, String>> {
+        let on = |b: &dyn GraphBackend, strategies: &StrategyRegistry| {
+            ScriptRunner::new(b)
+                .with_strategies(strategies.clone())
+                .run(q)
+                .map_err(|e| e.to_string())
+        };
+        vec![
+            self.graph.run(q).map_err(|e| e.to_string()),
+            on(&self.native, &self.registry),
+            on(&self.janus, &self.registry),
+            on(&self.mem, &self.registry),
+            self.reference.run(q).map_err(|e| e.to_string()),
+            on(&self.mem, &self.identity),
+        ]
+    }
+
+    /// Whether `q` fails on each of the six [`RUNS`].
     fn fails(&self, q: &str) -> Vec<bool> {
-        let backends: Vec<&dyn GraphBackend> = vec![&self.native, &self.janus, &self.mem];
-        let mut failed = vec![self.graph.run(q).is_err()];
-        for b in backends {
-            let runner = ScriptRunner::new(b).with_strategies(self.registry.clone());
-            failed.push(runner.run(q).is_err());
-        }
-        failed
+        self.results(q).iter().map(Result::is_err).collect()
     }
 
     fn run_all(&self, q: &str) -> Vec<Vec<String>> {
@@ -80,23 +123,17 @@ impl Systems {
             out.sort();
             out
         };
-        let backends: Vec<&dyn GraphBackend> = vec![&self.native, &self.janus, &self.mem];
-        let mut results = vec![norm(self.graph.run(q).unwrap())];
-        for b in backends {
-            let runner = ScriptRunner::new(b).with_strategies(self.registry.clone());
-            results.push(norm(runner.run(q).unwrap()));
-        }
-        results
+        let results = self.results(q).into_iter().zip(RUNS);
+        results.map(|(r, name)| norm(r.unwrap_or_else(|e| panic!("{name}: {q}: {e}")))).collect()
     }
 
     fn assert_agree(&self, q: &str) {
         let results = self.run_all(q);
-        let names = ["db2graph", "native", "janus", "memgraph"];
-        for i in 1..results.len() {
+        for (result, name) in results.iter().zip(RUNS) {
             assert_eq!(
-                results[0], results[i],
-                "query {q}: {} disagrees with {}",
-                names[i], names[0]
+                *result, results[REFERENCE],
+                "query {q}: {name} disagrees with {}",
+                RUNS[REFERENCE]
             );
         }
     }
@@ -104,14 +141,14 @@ impl Systems {
 
 #[test]
 fn full_battery_agrees_across_systems() {
-    let sys = build(400, 7);
+    let (data, sys) = build(400, 7);
     // Pick real parameters from the dataset so queries hit data.
-    let hot = sys.data.links[0].clone();
-    let cold = sys.data.nodes.last().unwrap().id;
+    let hot = data.links[0].clone();
+    let cold = data.nodes.last().unwrap().id;
     let queries = vec![
         "g.V().count()".to_string(),
         "g.E().count()".to_string(),
-        format!("g.V({}).hasLabel('{}')", hot.id1, sys.data.vertex_label(hot.id1)),
+        format!("g.V({}).hasLabel('{}')", hot.id1, data.vertex_label(hot.id1)),
         format!("g.V({}).outE('{}').count()", hot.id1, hot.label),
         format!("g.V({}).outE('{}')", hot.id1, hot.label),
         format!("g.V({}).outE('{}').filter(inV().id() == {})", hot.id1, hot.label, hot.id2),
@@ -150,6 +187,10 @@ fn full_battery_agrees_across_systems() {
         format!("g.V({}).outE().inV().out().id()", hot.id1),
         format!("g.V({}).in().in().count()", hot.id2),
         format!("g.V({}).both().both().dedup().count()", hot.id1),
+        // A path starts at the start vertex, so a walk back to it is not
+        // simple.
+        format!("g.V({}).out().out().simplePath().count()", hot.id1),
+        format!("g.V({}).out('{}').path()", hot.id1, hot.label),
     ];
     for q in &queries {
         sys.assert_agree(q);
@@ -158,8 +199,8 @@ fn full_battery_agrees_across_systems() {
 
 #[test]
 fn agreement_holds_on_a_second_seed() {
-    let sys = build(250, 99);
-    let link = sys.data.links[sys.data.links.len() / 2].clone();
+    let (data, sys) = build(250, 99);
+    let link = data.links[data.links.len() / 2].clone();
     for q in [
         format!("g.V({}).outE('{}')", link.id1, link.label),
         format!("g.V({}).out('{}').values('data')", link.id1, link.label),
@@ -172,8 +213,8 @@ fn agreement_holds_on_a_second_seed() {
 
 #[test]
 fn multi_label_union_and_paths_agree() {
-    let sys = build(200, 3);
-    let link = sys.data.links[1].clone();
+    let (data, sys) = build(200, 3);
+    let link = data.links[1].clone();
     sys.assert_agree(&format!(
         "g.V({}).union(out('{}'), in('{}')).dedup().count()",
         link.id1, link.label, link.label
@@ -182,12 +223,21 @@ fn multi_label_union_and_paths_agree() {
 }
 
 /// A vertex step needs vertices: from an edge it fails on every system,
-/// the same way, instead of returning nothing on some of them.
+/// the same way, instead of returning nothing on some of them. So does a
+/// numeric aggregate over strings, pushed into SQL or not.
 #[test]
 fn vertex_step_over_an_edge_fails_everywhere() {
-    let sys = build(200, 3);
-    for q in ["g.E().limit(1).out()", "g.E().limit(1).outE()", "g.E().limit(1).both().count()"] {
-        assert_eq!(sys.fails(q), [true; 4], "query {q}: db2graph, native, janus, memgraph");
+    let (_, sys) = build(200, 3);
+    let mut queries = vec![
+        "g.E().limit(1).out()".to_string(),
+        "g.E().limit(1).outE()".to_string(),
+        "g.E().limit(1).both().count()".to_string(),
+    ];
+    for op in ["min", "max", "sum", "mean"] {
+        queries.push(format!("g.V().hasLabel('vt1').values('data').{op}()"));
+    }
+    for q in &queries {
+        assert_eq!(sys.fails(q), [true; 6], "query {q}: {RUNS:?}");
     }
 }
 
@@ -239,6 +289,55 @@ fn long_sums_past_2_pow_53_agree_with_the_step_form() {
         for (name, b) in ["native", "janus", "memgraph"].iter().zip(backends) {
             let runner = ScriptRunner::new(b).with_strategies(registry.clone());
             assert_eq!(runner.run(q).unwrap(), expected, "{name}: {q}");
+        }
+    }
+}
+
+/// Aggregates at the edges of the long range: a sum past it clamps to
+/// `i64::MAX`, a mean divides the exact sum, and a min or max over a long
+/// and a double column is a double. The overlay pushes each into SQL,
+/// where a BIGINT `SUM` past the range is an error it must fold past;
+/// every run must equal the step form, `.fold().unfold()`.
+#[test]
+fn aggregates_past_the_long_range_agree_with_the_step_form() {
+    use db2graph::core::VTableConfig;
+
+    let big = 1i64 << 62;
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE N (id BIGINT PRIMARY KEY, x BIGINT, m BIGINT, s BIGINT, y DOUBLE)")
+        .unwrap();
+    let rows = [(1i64, big, i64::MAX, -1i64, 2.5f64), (2, big, i64::MAX, 3, 0.5)];
+    let mut vs = Vec::new();
+    for (id, x, m, s, y) in rows {
+        db.execute(&format!("INSERT INTO N VALUES ({id}, {x}, {m}, {s}, {y})")).unwrap();
+        let v = Vertex::new(id, "n").with_property("x", x).with_property("m", m);
+        vs.push(v.with_property("s", s).with_property("y", y));
+    }
+    let config = OverlayConfig {
+        v_tables: vec![VTableConfig {
+            table_name: "N".into(),
+            prefixed_id: false,
+            id: "id".into(),
+            fix_label: true,
+            label: "'n'".into(),
+            properties: Some(vec!["x".into(), "m".into(), "s".into(), "y".into()]),
+        }],
+        e_tables: vec![],
+    };
+    let sys = systems(db, &config, &vs, &[]);
+    let cases = [
+        ("values('x').sum()", GValue::Long(i64::MAX)),
+        ("values('m').mean()", GValue::Double(9.223372036854776e18)),
+        ("values('s', 'y').min()", GValue::Double(-1.0)),
+        ("values('s', 'y').max()", GValue::Double(3.0)),
+        ("values('s').min()", GValue::Long(-1)),
+    ];
+    for (tail, expected) in cases {
+        let (agg, op) = tail.rsplit_once('.').unwrap();
+        for q in [format!("g.V().{tail}"), format!("g.V().{agg}.fold().unfold().{op}")] {
+            for (result, name) in sys.results(&q).into_iter().zip(RUNS) {
+                assert_eq!(result, Ok(vec![expected.clone()]), "{name}: {q}");
+            }
         }
     }
 }

@@ -172,12 +172,15 @@ fn long_tail_gremlin_steps_on_the_overlay() {
         .run("g.V('ZRH').as('from').out('flight').as('to').select('from').dedup().values('cname')")
         .unwrap();
     assert_eq!(out, vec![GValue::Str("Zurich".into())]);
-    // path over two hops.
+    // path over two hops, each starting at the start vertex.
     let out = g.run("g.V('ZRH').out('flight').out('flight').path()").unwrap();
     assert!(!out.is_empty());
     for p in &out {
         match p {
-            GValue::Path(steps) => assert_eq!(steps.len(), 3),
+            GValue::Path(steps) => {
+                assert_eq!(steps.len(), 3);
+                assert!(matches!(&steps[0], GValue::Vertex(v) if v.id.to_string() == "ZRH"), "{p}");
+            }
             other => panic!("{other:?}"),
         }
     }
