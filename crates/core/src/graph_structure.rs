@@ -12,10 +12,10 @@
 //! read's `Layout`. The data-dependent runtime optimizations of Section 6.3
 //! are all implemented:
 //!
-//! 1. **Using source/destination vertex tables** — `plan_probes` skips
-//!    edge tables whose `src_v_table`/`dst_v_table` cannot match the source
-//!    vertices' table, and `lookup_vertices` goes straight to the one
-//!    declared vertex table.
+//! 1. **Using source/destination vertex tables** — an edge table declaring
+//!    `src_v_table`/`dst_v_table` probes and reaches only the frontier
+//!    vertices of that table (`covers`, `plan_probes`), and
+//!    `lookup_vertices` goes straight to the one declared vertex table.
 //! 2. **When a vertex table is also an edge table** — `vertex_from_edge`:
 //!    `outV()`/`inV()` construct the vertex from the edge itself (no SQL)
 //!    when the endpoint vertex table is the edge's own table and its
@@ -253,17 +253,28 @@ impl Db2GraphBackend {
     /// **in job order**, re-parented under the span open at the fan-out
     /// site (the executor step). The span tree, and with it the profile
     /// derived from it, is identical to sequential execution modulo
-    /// timing. Results come back in job order (`TableResult::Pruned` for a
-    /// pruned job), and the first error in job order wins — callers
-    /// observe no scheduling effects.
-    fn fan_out(&self, jobs: Vec<TableJob>) -> GraphResult<Vec<TableResult>> {
+    /// timing. Results come back in job order — what `read` returned, or
+    /// `None` for a pruned job — and the first error in job order wins:
+    /// callers observe no scheduling effects.
+    ///
+    /// Every job reads a table of `kind`; a read is profiled as `action`.
+    fn fan_out<T, R>(
+        &self,
+        kind: ElementKind,
+        action: TableAction,
+        jobs: Vec<TableJob>,
+        read: R,
+    ) -> GraphResult<Vec<Option<T>>>
+    where
+        T: Send + 'static,
+        R: Fn(&Db2GraphBackend, &TableJob, &ScanPlan) -> GraphResult<T> + Copy + Send + 'static,
+    {
         self.check_deadline()?;
-        let mut results: Vec<TableResult> = Vec::with_capacity(jobs.len());
+        let mut results: Vec<Option<T>> = Vec::with_capacity(jobs.len());
         let mut reads: Vec<(usize, TableJob, ScanPlan)> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
-            let (kind, action) = job.kind.profiled_as();
             let table = &self.topo.table(kind, job.table).name;
-            results.push(TableResult::Pruned);
+            results.push(None);
             match self.table_access(kind, job.table, &job.filter) {
                 TableAccess::Pruned(reason) => {
                     if self.profiler.is_enabled() {
@@ -271,13 +282,17 @@ impl Db2GraphBackend {
                     }
                 }
                 TableAccess::Scan(plan) => {
-                    self.profiler.record_table(table, action);
+                    self.profiler.record_table(table, action.clone());
                     reads.push((i, job, plan));
                 }
             }
         }
+        let read = move |be: &Db2GraphBackend, job: &TableJob, plan: &ScanPlan| {
+            be.check_deadline()?;
+            read(be, job, plan)
+        };
         if let [(i, job, plan)] = reads.as_slice() {
-            results[*i] = self.read_table(job, plan)?;
+            results[*i] = Some(read(self, job, plan)?);
             return Ok(results);
         }
         let forks: Vec<Profiler> = reads.iter().map(|_| self.profiler.fork()).collect();
@@ -288,7 +303,7 @@ impl Db2GraphBackend {
                 let be = self.bind(self.read_view.clone(), self.deadline, fork.clone());
                 move || {
                     let span = be.profiler.start("worker", || SpanData::Worker { job: i });
-                    let out = be.read_table(&job, &plan);
+                    let out = read(&be, &job, &plan);
                     be.profiler.end(span);
                     (i, out)
                 }
@@ -299,21 +314,9 @@ impl Db2GraphBackend {
             self.profiler.absorb(fork);
         }
         for (i, out) in outs {
-            results[i] = out?;
+            results[i] = Some(out?);
         }
         Ok(results)
-    }
-
-    /// Run one planned read: the SQL of `job` under `plan`.
-    fn read_table(&self, job: &TableJob, plan: &ScanPlan) -> GraphResult<TableResult> {
-        self.check_deadline()?;
-        match job.kind {
-            JobKind::Adjacency => Ok(TableResult::Rows(self.probe_edge_rows(job.table, plan)?)),
-            JobKind::Read(kind) => self.query_table(kind, job.table, &job.filter, plan),
-            JobKind::PinnedVertices => {
-                self.query_table(ElementKind::Vertices, job.table, &job.filter, plan)
-            }
-        }
     }
 
     /// The always-on aggregate counters shared with the SQL dialect.
@@ -411,22 +414,31 @@ impl Db2GraphBackend {
     ) -> GraphResult<Vec<GValue>> {
         let tables = self.topo.table_count(kind);
         self.registry().tables_considered.add(tables as u64);
-        let mut values: Vec<GValue> = Vec::new();
-        let mut agg = filter.aggregate.map(Accumulator::new);
-        let mut pruned = 0u64;
-        for r in self.fan_out(TableJob::every_table(JobKind::Read(kind), tables, filter))? {
-            match r {
-                TableResult::Pruned => pruned += 1,
-                TableResult::Values(vs) => values.extend(vs),
-                TableResult::Agg(part) => agg.as_mut().expect("an aggregate read").merge(&part),
-                TableResult::Rows(_) => unreachable!("table reads decode their rows"),
+        let jobs = TableJob::every_table(tables, filter);
+        let queried = TableAction::Queried;
+        let (pruned, out) = match filter.aggregate {
+            Some(op) => {
+                let read = move |be: &Db2GraphBackend, job: &TableJob, plan: &ScanPlan| {
+                    be.aggregate_table(kind, op, job.table, &job.filter, plan)
+                };
+                let parts = self.fan_out(kind, queried, jobs, read)?;
+                let mut agg = Accumulator::new(op);
+                parts.iter().flatten().for_each(|part| agg.merge(part));
+                (parts.iter().filter(|p| p.is_none()).count(), agg.finish().into_iter().collect())
             }
-        }
-        self.registry().tables_pruned.add(pruned);
-        if let Some(agg) = agg {
-            return Ok(agg.finish().into_iter().collect());
-        }
-        Ok(values)
+            None => {
+                let read = move |be: &Db2GraphBackend, job: &TableJob, plan: &ScanPlan| {
+                    be.query_table(kind, job.table, &job.filter, plan)
+                };
+                let parts = self.fan_out(kind, queried, jobs, read)?;
+                (
+                    parts.iter().filter(|p| p.is_none()).count(),
+                    parts.into_iter().flatten().flatten().collect(),
+                )
+            }
+        };
+        self.registry().tables_pruned.add(pruned as u64);
+        Ok(out)
     }
 
     /// The one planner: decide how table `ti` of `kind` would be read
@@ -580,43 +592,25 @@ impl Db2GraphBackend {
         Ok(self.read(ElementKind::Edges, ei, plan, whole)?.0.rows)
     }
 
-    /// One table's part of a `V()`/`E()` read under `plan`: its elements,
-    /// projected values or aggregate partial. An exact plan pushes the
-    /// projection or aggregate into SQL; an inexact one reads whole
-    /// elements, keeps those the filter matches, and folds the projection
-    /// or aggregate here.
+    /// One table's part of a `V()`/`E()` read under `plan`, its aggregate
+    /// aside: its elements or their projected values. An exact plan pushes
+    /// the projection into SQL; an inexact one reads whole elements, keeps
+    /// those the filter matches, and projects here.
     fn query_table(
         &self,
         kind: ElementKind,
         ti: usize,
         filter: &ElementFilter,
         plan: &ScanPlan,
-    ) -> GraphResult<TableResult> {
-        let t = self.topo.table(kind, ti);
-        let select = match TableRead::new(t, plan, filter) {
-            TableRead::Aggregate(op, statements) => {
-                match self.run_aggregate(kind, ti, plan, op, statements) {
-                    // A BIGINT sum out of range in SQL: fold the column
-                    // values instead, which clamps only at the end.
-                    Err(GraphError::Db(DbError::OutOfRange(_))) => {
-                        Select::Rows { props: selected_props(t, filter), limit: None }
-                    }
-                    result => return result,
-                }
-            }
-            TableRead::Rows(select) => select,
-        };
+    ) -> GraphResult<Vec<GValue>> {
+        let select = TableRead::rows(self.topo.table(kind, ti), plan, filter);
         let (rs, read) = self.read(kind, ti, plan, select)?;
         let layout = read.layout.clone().expect("a row read has a layout");
         let shape = Shape::new(&self.topo, kind, ti, layout);
         let rows = rs.rows;
         if let (true, Some(keys)) = (plan.exact, &filter.projection) {
             // Projection pushdown: scalar values straight from the rows.
-            let values = rows.iter().flat_map(|row| shape.values(row, keys));
-            return Ok(match filter.aggregate {
-                Some(op) => TableResult::Agg(Accumulator::fold(op, values)?),
-                None => TableResult::Values(values.collect()),
-            });
+            return Ok(rows.iter().flat_map(|row| shape.values(row, keys)).collect());
         }
         let mut elements = Vec::with_capacity(rows.len());
         for mut row in rows {
@@ -626,16 +620,30 @@ impl Db2GraphBackend {
                 elements.push(el);
             }
         }
-        Ok(match (filter.aggregate, filter.projection.as_deref()) {
-            (Some(op), Some(keys)) => {
-                TableResult::Agg(Accumulator::fold(op, projected(&elements, keys))?)
+        match &filter.projection {
+            Some(keys) => Ok(projected(&elements, keys).cloned().collect()),
+            None => Ok(elements),
+        }
+    }
+
+    /// One table's partial of the aggregate `op`: pushed into SQL on an
+    /// exact plan, and folded from the table's [`Self::query_table`] part
+    /// on an inexact one, or where SQL's aggregate is not the step form's.
+    fn aggregate_table(
+        &self,
+        kind: ElementKind,
+        op: AggOp,
+        ti: usize,
+        filter: &ElementFilter,
+        plan: &ScanPlan,
+    ) -> GraphResult<Accumulator> {
+        let t = self.topo.table(kind, ti);
+        if let TableRead::Aggregate(statements) = TableRead::new(t, plan, filter) {
+            if let Some(acc) = self.run_aggregate(kind, ti, plan, op, statements)? {
+                return Ok(acc);
             }
-            (Some(op), None) => TableResult::Agg(Accumulator::fold(op, &elements)?),
-            (None, Some(keys)) => {
-                TableResult::Values(projected(&elements, keys).cloned().collect())
-            }
-            (None, None) => TableResult::Values(elements),
-        })
+        }
+        Ok(Accumulator::fold(op, self.query_table(kind, ti, filter, plan)?)?)
     }
 
     /// Run the read of table `ti` of `kind` that selects `select` under
@@ -656,7 +664,9 @@ impl Db2GraphBackend {
     }
 
     /// Run a table's aggregate-pushdown statements and take each one's
-    /// result as a partial of the table's aggregate.
+    /// result as a partial of the table's aggregate. `None` where SQL's
+    /// aggregate is not the step form's: a BIGINT sum out of range, or a
+    /// numeric aggregate over a non-number, which the step form names.
     fn run_aggregate(
         &self,
         kind: ElementKind,
@@ -664,10 +674,13 @@ impl Db2GraphBackend {
         plan: &ScanPlan,
         op: AggOp,
         statements: Vec<Select>,
-    ) -> GraphResult<TableResult> {
+    ) -> GraphResult<Option<Accumulator>> {
         let mut acc = Accumulator::new(op);
         for select in statements {
-            let (rs, _) = self.read(kind, ti, plan, select)?;
+            let rs = match self.read(kind, ti, plan, select) {
+                Err(GraphError::Db(DbError::OutOfRange(_) | DbError::Type(_))) => return Ok(None),
+                read => read?.0,
+            };
             let Some(row) = rs.rows.first() else { continue };
             let n = match op {
                 AggOp::Count => row[0].as_i64(),
@@ -675,9 +688,11 @@ impl Db2GraphBackend {
                 // SUM, MIN and MAX are NULL over no values.
                 _ => Ok(i64::from(!row[0].is_null())),
             };
-            acc.add_partial(&to_gvalue(&row[0]), n.unwrap_or(0))?;
+            if acc.add_partial(&to_gvalue(&row[0]), n.unwrap_or(0)).is_err() {
+                return Ok(None);
+            }
         }
-        Ok(TableResult::Agg(acc))
+        Ok(Some(acc))
     }
 
     // --------------------------------------------------- vertex lookups
@@ -731,35 +746,23 @@ impl Db2GraphBackend {
                 sub.ids = Some(chunk.to_vec());
                 sub.projection = None;
                 sub.aggregate = None;
-                jobs.push(TableJob {
-                    kind: match hint {
-                        Some(_) => JobKind::PinnedVertices,
-                        None => JobKind::Read(ElementKind::Vertices),
-                    },
-                    table: ti,
-                    filter: Arc::new(sub),
-                });
+                jobs.push(TableJob { table: ti, filter: Arc::new(sub) });
             }
         }
-        let tables: Vec<usize> = jobs.iter().map(|j| j.table).collect();
-        let results = self.fan_out(jobs)?;
+        // A src/dst link selected the one table: profiled as pinned.
+        let action = if hint.is_some() { TableAction::Pinned } else { TableAction::Queried };
+        let read = |be: &Db2GraphBackend, job: &TableJob, plan: &ScanPlan| {
+            be.query_table(ElementKind::Vertices, job.table, &job.filter, plan)
+        };
+        let results = self.fan_out(ElementKind::Vertices, action, jobs, read)?;
         // A table counts as pruned only when every one of its chunks was.
-        let mut chunks_pruned: HashMap<usize, usize> = HashMap::new();
-        for (ti, r) in tables.into_iter().zip(results) {
-            match r {
-                TableResult::Pruned => *chunks_pruned.entry(ti).or_insert(0) += 1,
-                TableResult::Values(es) => {
-                    for el in es {
-                        if let GValue::Vertex(v) = el {
-                            out.insert(v.id.clone(), v);
-                        }
-                    }
-                }
-                _ => unreachable!("projection/aggregate cleared"),
+        let pruned = results.chunks(chunks.len()).filter(|t| t.iter().all(Option::is_none)).count();
+        self.registry().tables_pruned.add(pruned as u64);
+        for el in results.into_iter().flatten().flatten() {
+            if let GValue::Vertex(v) = el {
+                out.insert(v.id.clone(), v);
             }
         }
-        let pruned = chunks_pruned.values().filter(|&&n| n == chunks.len()).count() as u64;
-        self.registry().tables_pruned.add(pruned);
         Ok(out)
     }
 
@@ -892,54 +895,21 @@ fn projected<'a>(elements: &'a [GValue], keys: &'a [String]) -> impl Iterator<It
         .flat_map(move |el| keys.iter().filter_map(move |k| el.properties().get(k)))
 }
 
-enum TableResult {
-    Pruned,
-    /// Elements, or their projected values.
-    Values(Vec<GValue>),
-    Agg(Accumulator),
-    /// An adjacency probe's rows, undecoded.
-    Rows(Vec<Row>),
-}
-
-/// What one [`TableJob`] reads.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum JobKind {
-    /// Elements of a table considered among all tables of its kind: as
-    /// elements, values or an aggregate.
-    Read(ElementKind),
-    /// Vertices of the one table a src/dst link selected (profiled as
-    /// pinned rather than queried).
-    PinnedVertices,
-    /// An adjacency probe: the edge table's rows.
-    Adjacency,
-}
-
-impl JobKind {
-    /// The kind of table the job reads, and how a read is profiled.
-    fn profiled_as(self) -> (ElementKind, TableAction) {
-        match self {
-            JobKind::Read(kind) => (kind, TableAction::Queried),
-            JobKind::PinnedVertices => (ElementKind::Vertices, TableAction::Pinned),
-            JobKind::Adjacency => (ElementKind::Edges, TableAction::Queried),
-        }
-    }
-}
-
 /// One unit of [`Db2GraphBackend::fan_out`]: one overlay table under a
 /// filter. The coordinator plans it; a job it reads travels with its
 /// [`ScanPlan`], owned, so it can run on a resident pool thread.
 struct TableJob {
-    kind: JobKind,
-    /// Index into the topology's vertex or edge tables, per `kind`.
+    /// Index into the topology's vertex or edge tables, per the batch's
+    /// kind.
     table: usize,
     filter: Arc<ElementFilter>,
 }
 
 impl TableJob {
-    /// One job per table of `kind`, all sharing `filter`, in table order.
-    fn every_table(kind: JobKind, tables: usize, filter: &ElementFilter) -> Vec<TableJob> {
+    /// One job per table, all sharing `filter`, in table order.
+    fn every_table(tables: usize, filter: &ElementFilter) -> Vec<TableJob> {
         let filter = Arc::new(filter.clone());
-        (0..tables).map(|table| TableJob { kind, table, filter: filter.clone() }).collect()
+        (0..tables).map(|table| TableJob { table, filter: filter.clone() }).collect()
     }
 }
 
@@ -1350,7 +1320,7 @@ enum TableRead {
     /// Aggregate pushdown, on exact plans only: one statement per
     /// projected property the table has, or one `COUNT(*)` without a
     /// projection.
-    Aggregate(AggOp, Vec<Select>),
+    Aggregate(Vec<Select>),
     /// One SELECT of element rows: on an exact plan only the properties
     /// [`selected_keys`] names and at most the rows `ElementFilter::first`
     /// asks for, whole elements and every row otherwise.
@@ -1360,26 +1330,32 @@ enum TableRead {
 impl TableRead {
     fn new(t: &OverlayTable, plan: &ScanPlan, filter: &ElementFilter) -> TableRead {
         let Some(op) = filter.aggregate.filter(|_| plan.exact) else {
-            let props = if plan.exact { selected_props(t, filter) } else { None };
-            // The read bound, rounded up to a power of two so bounds share
-            // compiled reads. `limit(-1)` compiles to `u64::MAX`, which has
-            // no such power and stays unbounded.
-            let bound = filter.first.filter(|_| plan.exact);
-            let limit = bound.and_then(u64::checked_next_power_of_two);
-            return TableRead::Rows(Select::Rows { props, limit });
+            return TableRead::Rows(TableRead::rows(t, plan, filter));
         };
         let Some(keys) = &filter.projection else {
-            return TableRead::Aggregate(op, vec![Select::Count]);
+            return TableRead::Aggregate(vec![Select::Count]);
         };
         let statements =
             keys.iter().filter_map(|k| property_index(t, k)).map(|i| Select::Agg(op, i)).collect();
-        TableRead::Aggregate(op, statements)
+        TableRead::Aggregate(statements)
+    }
+
+    /// The one SELECT of element rows, for a read with no aggregate pushed:
+    /// without an aggregate, or folding one from the values.
+    fn rows(t: &OverlayTable, plan: &ScanPlan, filter: &ElementFilter) -> Select {
+        let props = if plan.exact { selected_props(t, filter) } else { None };
+        // The read bound, rounded up to a power of two so bounds share
+        // compiled reads. `limit(-1)` compiles to `u64::MAX`, which has no
+        // such power and stays unbounded.
+        let bound = filter.first.filter(|_| plan.exact);
+        let limit = bound.and_then(u64::checked_next_power_of_two);
+        Select::Rows { props, limit }
     }
 
     /// The statements' selections, in execution order.
     fn selects(&self) -> Vec<Select> {
         match self {
-            TableRead::Aggregate(_, statements) => statements.clone(),
+            TableRead::Aggregate(statements) => statements.clone(),
             TableRead::Rows(select) => vec![*select],
         }
     }
@@ -1501,8 +1477,10 @@ impl GraphBackend for Db2GraphBackend {
     }
 }
 
-/// One (edge table × source-table group × direction) of an adjacency
-/// step: the sources the cache serves, and the SQL probes for the rest.
+/// One (candidate edge table × direction) of an adjacency step: the
+/// sources the cache serves, and the SQL probes for the rest. Its rows
+/// reach only the frontier positions it covers
+/// ([`Db2GraphBackend::covers`]).
 struct Unit {
     et_idx: usize,
     via_out: bool,
@@ -1526,40 +1504,40 @@ struct ProbePlan {
 }
 
 impl Db2GraphBackend {
-    /// Phase 1 of an adjacency step (sequential, cheap): expand the probe
-    /// space — (edge table × source-table group × direction × frontier
-    /// chunk) — recording the pruning and cache decisions on the
-    /// coordinator thread so the profile stream is ordered like sequential
-    /// execution. Each (table × group × direction) becomes one [`Unit`]:
-    /// its cache-hit sources decode from memory, its misses fall back to
-    /// the batched SQL path with the exact chunking the pure-SQL path
-    /// uses. `edge_filter` is what the probe SQL filters on besides the
-    /// frontier ids.
+    /// Rule 1, using source/destination vertex tables: whether edge table
+    /// `ei`, read from its `out` (source) or in side, can hold adjacency of
+    /// a frontier vertex from vertex table `vt` (`None`: unknown). Only a
+    /// table declared for that side, and differing from `vt`, cannot.
+    fn covers(&self, ei: usize, out: bool, vt: Option<usize>) -> bool {
+        let et = &self.topo.edge_tables[ei];
+        let declared = if out { et.src_v_table } else { et.dst_v_table };
+        declared.is_none() || vt.is_none() || declared == vt
+    }
+
+    /// Phase 1 of an adjacency step (sequential, cheap): one [`Unit`] per
+    /// (candidate edge table × direction), recording the pruning and cache
+    /// decisions on the coordinator thread so the profile stream is
+    /// ordered like sequential execution. A unit takes the distinct
+    /// frontier ids it covers, in frontier order — `tables[i]` is the
+    /// vertex table of `sources[i]` — and is pruned when it covers none.
+    /// Its cache-hit sources decode from memory; its misses fall back to
+    /// SQL probes chunked at [`MAX_FRONTIER_CHUNK`], as the pure-SQL path
+    /// chunks them. `edge_filter` is what the probe SQL filters on besides
+    /// the frontier ids.
     fn plan_probes(
         &self,
         sources: &[&Vertex],
+        tables: &[Option<usize>],
         direction: Direction,
         edge_filter: &ElementFilter,
         cache_ctx: Option<(&AdjCache, u64)>,
     ) -> ProbePlan {
-        // Group source ids by their provenance vertex table (for the
-        // src/dst vertex table elimination); frontier order decides probe
-        // order.
-        let mut by_table = IdGroups::default();
-        for s in sources {
-            let vt_idx = s
-                .provenance
-                .as_deref()
-                .and_then(|t| self.topo.table_index(ElementKind::Vertices, t));
-            by_table.add(vt_idx, &s.id);
-        }
-
         // Candidate edge tables by label.
         let verdicts = self.label_verdicts(edge_filter.labels.as_deref());
-        let tables = verdicts.len();
-        let candidates: Vec<usize> = (0..tables).filter(|&i| verdicts[i].is_none()).collect();
-        self.registry().tables_considered.add(tables as u64);
-        self.registry().tables_pruned.add((tables - candidates.len()) as u64);
+        let count = verdicts.len();
+        let candidates: Vec<usize> = (0..count).filter(|&i| verdicts[i].is_none()).collect();
+        self.registry().tables_considered.add(count as u64);
+        self.registry().tables_pruned.add((count - candidates.len()) as u64);
         if self.profiler.is_enabled() {
             for (et, pruned) in self.topo.edge_tables.iter().zip(verdicts) {
                 if let Some(reason) = pruned {
@@ -1584,81 +1562,88 @@ impl Db2GraphBackend {
             Direction::In => &[false],
             Direction::Both => &[true, false],
         };
+        // The distinct ids among the frontier positions `keep` accepts,
+        // in frontier order.
+        let distinct = |keep: &dyn Fn(usize) -> bool| -> Vec<ElementId> {
+            let mut seen = HashSet::with_capacity(sources.len());
+            (0..sources.len())
+                .filter(|&i| keep(i) && seen.insert(&sources[i].id))
+                .map(|i| sources[i].id.clone())
+                .collect()
+        };
+        let every = distinct(&|_| true);
         let mut plan = ProbePlan { units: Vec::new(), probes: Vec::new() };
         for &ei in &candidates {
             let et = &self.topo.edge_tables[ei];
-            for (vt_idx, ids) in &by_table.groups {
-                for &dir_out in dirs {
-                    // Source table link optimization: skip when the edge
-                    // table's declared endpoint table differs from the
-                    // sources' table.
-                    let declared = if dir_out { et.src_v_table } else { et.dst_v_table };
-                    if matches!((declared, vt_idx), (Some(d), Some(v)) if d != *v) {
-                        self.registry().tables_pruned.add(1);
-                        if self.profiler.is_enabled() {
-                            self.profiler.record_table(
-                                &et.table.name,
-                                TableAction::Pruned(format!(
-                                    "declared {} vertex table differs from sources' table",
-                                    if dir_out { "src" } else { "dst" }
-                                )),
-                            );
-                        }
-                        continue;
+            for &dir_out in dirs {
+                let declared = if dir_out { et.src_v_table } else { et.dst_v_table };
+                let ids = match declared {
+                    None => Cow::Borrowed(&every),
+                    Some(_) => Cow::Owned(distinct(&|i| self.covers(ei, dir_out, tables[i]))),
+                };
+                if ids.is_empty() {
+                    self.registry().tables_pruned.add(1);
+                    if self.profiler.is_enabled() {
+                        self.profiler.record_table(
+                            &et.table.name,
+                            TableAction::Pruned(format!(
+                                "declared {} vertex table differs from sources' table",
+                                if dir_out { "src" } else { "dst" }
+                            )),
+                        );
                     }
-                    // Serve what the cache can: hit sources decode without
-                    // SQL, miss sources continue to the probe path below.
-                    let populate = ctx_cacheable
-                        && (edge_filter.labels.is_none() || et.table.fixed_label().is_some());
-                    let mut hits = Vec::new();
-                    let mut remaining = Vec::new();
-                    match cache_ctx {
-                        Some((cache, epoch)) if populate => {
-                            let spans = cache.lookup((ei, dir_out), ids, epoch);
-                            for (id, span) in ids.iter().zip(spans) {
-                                match span {
-                                    Some(span) => hits.push((id.clone(), span)),
-                                    None => remaining.push(id.clone()),
-                                }
+                    continue;
+                }
+                // Serve what the cache can: hit sources decode without
+                // SQL, miss sources continue to the probe path below.
+                let populate = ctx_cacheable
+                    && (edge_filter.labels.is_none() || et.table.fixed_label().is_some());
+                let mut hits = Vec::new();
+                let mut remaining = Vec::new();
+                match cache_ctx {
+                    Some((cache, epoch)) if populate => {
+                        let spans = cache.lookup((ei, dir_out), &ids, epoch);
+                        for (id, span) in ids.iter().zip(spans) {
+                            match span {
+                                Some(span) => hits.push((id.clone(), span)),
+                                None => remaining.push(id.clone()),
                             }
                         }
-                        _ => remaining.clone_from(ids),
                     }
-                    if !hits.is_empty() {
-                        self.profiler.record_table(&et.table.name, TableAction::CacheHit);
-                    }
-                    let probe_start = plan.probes.len();
-                    let mut miss_chunks: Vec<Vec<ElementId>> = Vec::new();
-                    // Chunked so one statement never exceeds the template
-                    // bucket ceiling; chunks partition the ids, so an edge
-                    // matches exactly one chunk per direction.
-                    for chunk in remaining.chunks(MAX_FRONTIER_CHUNK) {
-                        // Endpoint constraints folded into the step's
-                        // filter (e.g. a getLink-style `filter(inV().id()
-                        // == x)`) combine with the frontier ids.
-                        let mut sub = edge_filter.clone();
-                        let chunk_set: HashSet<&ElementId> = chunk.iter().collect();
-                        let slot = if dir_out { &mut sub.src_ids } else { &mut sub.dst_ids };
-                        match slot {
-                            None => *slot = Some(chunk.to_vec()),
-                            Some(existing) => existing.retain(|i| chunk_set.contains(i)),
-                        }
-                        plan.probes.push(TableJob {
-                            kind: JobKind::Adjacency,
-                            table: ei,
-                            filter: Arc::new(sub),
-                        });
-                        miss_chunks.push(chunk.to_vec());
-                    }
-                    plan.units.push(Unit {
-                        et_idx: ei,
-                        via_out: dir_out,
-                        hits,
-                        miss_chunks,
-                        probe_start,
-                        populate,
-                    });
+                    _ => remaining = ids.into_owned(),
                 }
+                if !hits.is_empty() {
+                    self.profiler.record_table(&et.table.name, TableAction::CacheHit);
+                }
+                let probe_start = plan.probes.len();
+                let mut miss_chunks: Vec<Vec<ElementId>> = Vec::new();
+                // Chunked so one statement never exceeds the template
+                // bucket ceiling; chunks partition the ids, so an edge
+                // matches exactly one chunk per direction.
+                for chunk in remaining.chunks(MAX_FRONTIER_CHUNK) {
+                    // Endpoint constraints folded into the step's filter
+                    // (e.g. a getLink-style `filter(inV().id() == x)`)
+                    // combine with the frontier ids.
+                    let mut sub = edge_filter.clone();
+                    let slot = if dir_out { &mut sub.src_ids } else { &mut sub.dst_ids };
+                    match slot {
+                        None => *slot = Some(chunk.to_vec()),
+                        Some(existing) => {
+                            let chunk_set: HashSet<&ElementId> = chunk.iter().collect();
+                            existing.retain(|i| chunk_set.contains(i));
+                        }
+                    }
+                    plan.probes.push(TableJob { table: ei, filter: Arc::new(sub) });
+                    miss_chunks.push(chunk.to_vec());
+                }
+                plan.units.push(Unit {
+                    et_idx: ei,
+                    via_out: dir_out,
+                    hits,
+                    miss_chunks,
+                    probe_start,
+                    populate,
+                });
             }
         }
         plan
@@ -1678,10 +1663,14 @@ impl Db2GraphBackend {
         }
         self.check_deadline()?;
         // Map source vertex id -> positions (a vertex can appear several
-        // times in the frontier).
+        // times in the frontier, and an unprefixed id in several vertex
+        // tables), and each position's vertex table.
         let mut src_positions: HashMap<ElementId, Vec<usize>> = HashMap::new();
+        let mut tables: Vec<Option<usize>> = Vec::with_capacity(sources.len());
         for (i, s) in sources.iter().enumerate() {
             src_positions.entry(s.id.clone()).or_default().push(i);
+            let table = s.provenance.as_deref();
+            tables.push(table.and_then(|t| self.topo.table_index(ElementKind::Vertices, t)));
         }
         // The edge-level filter: the edge labels, plus the step's
         // predicates and endpoint constraints when edges are the output
@@ -1706,20 +1695,22 @@ impl Db2GraphBackend {
             _ => None,
         };
         let ProbePlan { units, probes } =
-            self.plan_probes(sources, direction, &edge_filter, cache_ctx);
+            self.plan_probes(sources, &tables, direction, &edge_filter, cache_ctx);
 
         // Phase 2 (parallel): run the independent cache-miss probes;
         // results come back in probe order.
-        let mut results: Vec<Option<TableResult>> =
-            self.fan_out(probes)?.into_iter().map(Some).collect();
+        let read = |be: &Db2GraphBackend, job: &TableJob, plan: &ScanPlan| {
+            be.probe_edge_rows(job.table, plan)
+        };
+        let mut results = self.fan_out(ElementKind::Edges, TableAction::Queried, probes, read)?;
 
-        // Phase 3: one decode loop on this thread — units in probe nesting
-        // order; within a unit, cache hits (no SQL) before its SQL-probe
-        // rows. Both go through one decoder (`Shape::hop`), and each
-        // source's rows come wholly from one span or one SQL chunk, in SQL
-        // row order either way — so every per-source group below is
-        // identical to the pure SQL path's: the cache changes *where* a
-        // group's rows come from, never their content or order.
+        // Phase 3: one decode loop on this thread — units in probe order;
+        // within a unit, cache hits (no SQL) before its SQL-probe rows.
+        // Both go through one decoder (`Shape::hop`), and each source's
+        // rows come wholly from one span or one SQL chunk, in SQL row order
+        // either way — so every per-source group below is identical to the
+        // pure SQL path's: the cache changes *where* a group's rows come
+        // from, never their content or order.
         let mut found: Vec<Found> = Vec::new();
         for unit in &units {
             let (et_idx, via_out) = (unit.et_idx, unit.via_out);
@@ -1731,14 +1722,10 @@ impl Db2GraphBackend {
                 }
             }
             for (k, chunk) in unit.miss_chunks.iter().enumerate() {
-                let mut rows = match results[unit.probe_start + k].take() {
-                    // A pruned unconstrained probe means the chunk's ids
-                    // cannot exist in this table: their adjacency here is
-                    // known empty, which is itself cacheable.
-                    Some(TableResult::Pruned) => Vec::new(),
-                    Some(TableResult::Rows(rows)) => rows,
-                    _ => unreachable!("each adjacency probe yields rows once"),
-                };
+                // A pruned unconstrained probe means the chunk's ids cannot
+                // exist in this table: their adjacency here is known empty,
+                // which is itself cacheable.
+                let mut rows = results[unit.probe_start + k].take().unwrap_or_default();
                 // Rows the cache is about to hold are copied from; the rest
                 // give their values up to the edges.
                 let populate = unit.populate && cache_ctx.is_some();
@@ -1760,23 +1747,32 @@ impl Db2GraphBackend {
             }
         }
 
+        // A row reaches the frontier positions holding its anchor that its
+        // unit covers.
+        let tables = &tables;
+        let covered = |f: &Found, anchor: &ElementId| {
+            let (ei, out) = (f.et_idx, f.via_out);
+            let positions = src_positions.get(anchor).map_or(&[][..], Vec::as_slice);
+            positions.iter().copied().filter(move |&p| self.covers(ei, out, tables[p]))
+        };
         match to {
             ElementKind::Edges => {
                 // What the probe SQL was not trusted with is re-checked on
                 // each built edge, cached or fresh; membership in the
                 // frontier is the position lookup.
                 for f in found {
-                    let Some(positions) = src_positions.get(f.anchor()) else { continue };
+                    let mut positions = covered(&f, f.anchor());
+                    let Some(mut p) = positions.next() else { continue };
                     let Hop::Edge(edge) = f.hop else { unreachable!("an edge hop decodes edges") };
                     if !edge_filter.matches(Element::Edge(&edge)) {
                         continue;
                     }
                     let el = GValue::Edge(edge);
-                    let (&last, rest) = positions.split_last().expect("positions are non-empty");
-                    for &p in rest {
+                    for next in positions {
                         groups[p].push(el.clone());
+                        p = next;
                     }
-                    groups[last].push(el);
+                    groups[p].push(el);
                 }
             }
             ElementKind::Vertices => {
@@ -1803,16 +1799,13 @@ impl Db2GraphBackend {
                 for (hint, ids) in need.groups {
                     resolved.extend(self.lookup_vertices(&ids, hint, filter)?);
                 }
-                for f in found {
-                    let Hop::Vertex { anchor, target } = f.hop else {
+                for f in &found {
+                    let Hop::Vertex { anchor, target } = &f.hop else {
                         unreachable!("a vertex hop decodes endpoint ids")
                     };
-                    if let (Some(v), Some(positions)) =
-                        (resolved.get(&target), src_positions.get(&anchor))
-                    {
-                        for &p in positions {
-                            groups[p].push(GValue::Vertex(v.clone()));
-                        }
+                    let Some(v) = resolved.get(target) else { continue };
+                    for p in covered(f, anchor) {
+                        groups[p].push(GValue::Vertex(v.clone()));
                     }
                 }
             }

@@ -1,8 +1,8 @@
 //! A process-wide resident worker pool for intra-query parallelism.
 //!
 //! One Gremlin step over the SQL overlay expands into a set of *independent*
-//! probes — one per (edge table, source table, direction) for adjacency, one
-//! per vertex table for `V()`/`E()`, one per id chunk for endpoint
+//! probes — one per (edge table, direction, frontier chunk) for adjacency,
+//! one per vertex table for `V()`/`E()`, one per id chunk for endpoint
 //! resolution. These probes share nothing but read-only state (`reldb`'s
 //! `Database` takes `&self` everywhere, and every worker reads the one
 //! storage snapshot its query pinned at entry — see `docs/CONSISTENCY.md`),

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use crate::error::{DbError, DbResult};
 use crate::sql::ast::*;
-use crate::sql::parser::parse_statement;
+use crate::sql::parser::parse_with_params;
 use crate::value::Value;
 
 /// Generation value meaning "not stamped against any catalog state" — a
@@ -38,8 +38,7 @@ pub struct Prepared {
 impl Prepared {
     /// Parse and prepare a statement.
     pub(crate) fn new(sql: &str) -> DbResult<Prepared> {
-        let stmt = parse_statement(sql)?;
-        let param_count = count_params(&stmt);
+        let (stmt, param_count) = parse_with_params(sql)?;
         Ok(Prepared {
             sql: sql.to_string(),
             stmt: Arc::new(stmt),
@@ -71,82 +70,6 @@ impl Prepared {
             )));
         }
         Ok(())
-    }
-}
-
-fn count_params(stmt: &Stmt) -> usize {
-    let mut max: Option<usize> = None;
-    visit_stmt_exprs(stmt, &mut |e| {
-        e.walk(&mut |node| {
-            if let Expr::Param(i) = node {
-                max = Some(max.map_or(*i, |m: usize| m.max(*i)));
-            }
-        });
-    });
-    max.map(|m| m + 1).unwrap_or(0)
-}
-
-fn visit_stmt_exprs(stmt: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    match stmt {
-        Stmt::Insert { values, .. } => {
-            for row in values {
-                for e in row {
-                    f(e);
-                }
-            }
-        }
-        Stmt::Update { sets, where_clause, .. } => {
-            for (_, e) in sets {
-                f(e);
-            }
-            if let Some(w) = where_clause {
-                f(w);
-            }
-        }
-        Stmt::Delete { where_clause: Some(w), .. } => f(w),
-        Stmt::Delete { .. } => {}
-        Stmt::Select(q) | Stmt::Explain(q) => visit_select_exprs(q, f),
-        Stmt::CreateView { query, .. } => visit_select_exprs(query, f),
-        _ => {}
-    }
-}
-
-fn visit_select_exprs(q: &SelectStmt, f: &mut dyn FnMut(&Expr)) {
-    for item in &q.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            f(expr);
-        }
-    }
-    for fi in &q.from {
-        visit_source_exprs(&fi.source, f);
-        for j in &fi.joins {
-            visit_source_exprs(&j.source, f);
-            f(&j.on);
-        }
-    }
-    if let Some(w) = &q.where_clause {
-        f(w);
-    }
-    for e in &q.group_by {
-        f(e);
-    }
-    if let Some(h) = &q.having {
-        f(h);
-    }
-    for o in &q.order_by {
-        f(&o.expr);
-    }
-}
-
-fn visit_source_exprs(s: &TableSource, f: &mut dyn FnMut(&Expr)) {
-    match s {
-        TableSource::Function { args, .. } => {
-            for a in args {
-                f(a);
-            }
-        }
-        TableSource::Subquery { query, .. } => visit_select_exprs(query, f),
-        TableSource::Named { .. } => {}
     }
 }
 

@@ -8,6 +8,12 @@ use crate::value::{DataType, Value};
 
 /// Parse a single SQL statement (a trailing `;` is allowed).
 pub(crate) fn parse_statement(sql: &str) -> DbResult<Stmt> {
+    parse_with_params(sql).map(|(stmt, _)| stmt)
+}
+
+/// [`parse_statement`], with the number of `?` parameters the statement
+/// holds: the parser numbers each one as it reads it.
+pub(crate) fn parse_with_params(sql: &str) -> DbResult<(Stmt, usize)> {
     let tokens = tokenize(sql)?;
     let mut p = Parser { tokens, pos: 0, params: 0 };
     let stmt = p.statement()?;
@@ -15,7 +21,7 @@ pub(crate) fn parse_statement(sql: &str) -> DbResult<Stmt> {
     if !p.at_end() {
         return Err(DbError::Parse(format!("trailing tokens after statement: {:?}", p.peek())));
     }
-    Ok(stmt)
+    Ok((stmt, p.params))
 }
 
 /// Parse a script of `;`-separated statements.

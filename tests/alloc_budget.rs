@@ -12,6 +12,8 @@
 //! - `g.V(x)` and `g.V(x).id()`, which read all ten vertex tables;
 //! - a sum over one edge label pushed into SQL (`scan.embedded`'s shape),
 //!   and the step form of a sum over one vertex label;
+//! - the hub's two-hop count on a graph of its own with a warmed
+//!   adjacency cache, whose second hop is all cache hits;
 //! - the layers under a query: `gremlin::parser::parse`,
 //!   `Db2Graph::plan`, and a hand-written point SELECT through
 //!   `Database::execute_prepared`.
@@ -99,6 +101,7 @@ const BUDGET: &[(&str, u64)] = &[
     ("g.V(x).id()", 160),
     ("E(l) pushed sum", 69),
     ("V(l) step-form sum", 2093),
+    ("hub out().out() warm", 78771),
     ("parse", 20),
     ("Db2Graph::plan", 34),
     ("getNode direct SELECT", 15),
@@ -194,6 +197,16 @@ fn measure(db: &Arc<Database>, data: &GraphData, threads: usize) -> Vec<Row> {
     );
     push("E(l) pushed sum", per_run(|| drop(graph.run(&pushed_sum).unwrap())));
     push("V(l) step-form sum", per_run(|| drop(graph.run(&step_sum).unwrap())));
+
+    // Its own graph, so the cache it warms changes no other row's set-up.
+    // The hub's first hop reaches vertices of every one of the ten vertex
+    // tables, so the second hop's frontier spans them all.
+    let options = GraphOptions { threads: Some(threads), ..GraphOptions::default() };
+    let warm =
+        Db2Graph::open_with_options(db.clone(), &overlay_config(), options).expect("open overlay");
+    warm.warm_adjacency_cache().expect("warm the adjacency cache");
+    let two_hops = format!("g.V({hub_id}).out().out().count()");
+    push("hub out().out() warm", per_run(|| drop(warm.run(&two_hops).unwrap())));
 
     // The layers under a query, each over the whole sample.
     let over_sample = |f: &dyn Fn(&str)| {

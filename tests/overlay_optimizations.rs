@@ -5,8 +5,11 @@
 
 use std::sync::Arc;
 
-use db2graph::core::{Db2Graph, ETableConfig, OverlayConfig, VTableConfig};
+use db2graph::core::{
+    Db2Graph, ETableConfig, GraphOptions, OverlayConfig, StrategyConfig, TableAction, VTableConfig,
+};
 use db2graph::gremlin::GValue;
+use db2graph::linkbench::{generate, materialize, overlay_config, LinkBenchConfig};
 use db2graph::reldb::Database;
 
 /// A multi-table social schema: two vertex tables with prefixed ids, one
@@ -454,4 +457,109 @@ fn one_compiled_read_serves_two_threads() {
     });
     assert_eq!(g.dialect().template_count(), 1);
     assert!(g.metrics().template_hits >= 398, "{:?}", g.metrics());
+}
+
+/// Vertex tables `A` (ids 1, 2) and `B` (ids 1, 3) whose unprefixed ids
+/// share 1, and an edge table `L` with rows 1→2 and 1→3 that declares
+/// `src_table` as its `src_v_table`.
+fn shared_id_graph(src_table: Option<&str>, options: GraphOptions) -> Arc<Db2Graph> {
+    let db = Arc::new(Database::new());
+    db.execute_script(
+        "CREATE TABLE A (id BIGINT PRIMARY KEY);
+         CREATE TABLE B (id BIGINT PRIMARY KEY);
+         CREATE TABLE L (src BIGINT, dst BIGINT);
+         INSERT INTO A VALUES (1), (2);
+         INSERT INTO B VALUES (1), (3);
+         INSERT INTO L VALUES (1, 2), (1, 3);",
+    )
+    .unwrap();
+    let vertices = |name: &str| VTableConfig {
+        table_name: name.into(),
+        prefixed_id: false,
+        id: "id".into(),
+        fix_label: true,
+        label: format!("'{}'", name.to_lowercase()),
+        properties: Some(vec![]),
+    };
+    let config = OverlayConfig {
+        v_tables: vec![vertices("A"), vertices("B")],
+        e_tables: vec![ETableConfig {
+            table_name: "L".into(),
+            src_v_table: src_table.map(str::to_string),
+            src_v: "src".into(),
+            dst_v_table: None,
+            dst_v: "dst".into(),
+            prefixed_edge_id: false,
+            implicit_edge_id: true,
+            id: None,
+            fix_label: true,
+            label: "'l'".into(),
+            properties: Some(vec![]),
+        }],
+    };
+    Db2Graph::open_with_options(db, &config, options).unwrap()
+}
+
+/// Rule 1 drops only the sources an edge table cannot hold: a hop's rows
+/// reach each frontier vertex the edge table covers, once. With no
+/// strategies `g.V(1)` is A1 and B1, and the hop is a Vertex step; with
+/// the cache off, lazy and warmed alike, each of them reaches A2 and B3
+/// when `L` declares no source table, and only A1 does when it declares
+/// `A`, as with the strategies on.
+#[test]
+fn shared_unprefixed_ids_reach_only_the_vertices_their_edges_cover() {
+    let count = |src_table: Option<&str>, strategies: StrategyConfig, cache_mb: usize| {
+        let options =
+            GraphOptions { strategies, adj_cache_mb: Some(cache_mb), ..Default::default() };
+        let g = shared_id_graph(src_table, options);
+        let mut counts = vec![g.run("g.V(1).out().count()").unwrap()];
+        if cache_mb > 0 {
+            assert!(g.warm_adjacency_cache().unwrap() > 0);
+            counts.push(g.run("g.V(1).out().count()").unwrap());
+        }
+        counts
+    };
+    for cache_mb in [0, 64] {
+        let at = format!("cache {cache_mb} MB");
+        for count_of in count(None, StrategyConfig::none(), cache_mb) {
+            assert_eq!(count_of, vec![GValue::Long(4)], "{at}, no declared table");
+        }
+        for strategies in [StrategyConfig::none(), StrategyConfig::default()] {
+            for count_of in count(Some("A"), strategies, cache_mb) {
+                assert_eq!(count_of, vec![GValue::Long(2)], "{at}, src_v_table A");
+            }
+        }
+    }
+}
+
+/// One adjacency probe per (edge table × direction) and 1 024-id chunk,
+/// however many vertex tables the frontier spans; warmed, one cache
+/// decision per edge table.
+#[test]
+fn a_hop_probes_each_edge_table_once_per_chunk() {
+    let data = generate(&LinkBenchConfig::small().with_vertices(10_000));
+    let (db, _) = materialize(&data).unwrap();
+    let open = |adj_cache_mb| {
+        let options = GraphOptions { adj_cache_mb, threads: Some(1), ..Default::default() };
+        Db2Graph::open_with_options(db.clone(), &overlay_config(), options).unwrap()
+    };
+    let edge_statements = |g: &Db2Graph, q: &str, expected: i64| {
+        let (out, profile) = g.profile(q).unwrap();
+        assert_eq!(out, vec![GValue::Long(expected)], "{q}");
+        let edge_reads = profile.statements.iter().filter(|s| s.sql.contains("FROM links_"));
+        (edge_reads.count(), profile)
+    };
+    let cold = open(Some(0));
+    // The mutated first hop reads each edge table once; the second hop's
+    // frontier spans every vertex table.
+    assert_eq!(edge_statements(&cold, "g.V(17).out().out().count()", 472).0, 20);
+    // 2 436 distinct first-hop ids: three chunks per edge table.
+    let two_hops = "g.V(0).out().out().count()";
+    assert_eq!(edge_statements(&cold, two_hops, 11_122).0, 40);
+
+    let warm = open(None);
+    assert!(warm.warm_adjacency_cache().unwrap() > 0);
+    let (_, profile) = edge_statements(&warm, two_hops, 11_122);
+    let hits = profile.tables.iter().filter(|t| t.action == TableAction::CacheHit).count();
+    assert_eq!(hits, 10, "{:?}", profile.tables);
 }
